@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "(finer than 2^-7 gets large)")
     pp.add_argument("--margin", type=float, default=DEFAULTS["margin"])
     pp.add_argument("--workers", type=int,
-                    default=int(os.environ.get("JETLAB_THREADS", "1")))
+                    default=os.environ.get("JETLAB_THREADS", "1"))
     pp.add_argument("--out", required=True)
     pp.add_argument("--csv")
     pp.set_defaults(func=_cmd_extend_prop2)

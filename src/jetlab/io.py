@@ -3,6 +3,13 @@
 The JSON writer is hand-rolled because payload bytes must be reproducible:
 floats are rendered with 17 significant digits (enough to round-trip binary64
 exactly) and keys keep insertion order.  Parsing uses the stdlib.
+
+Arrays take a fast path: a numpy array is encoded in bulk (0/1 masks as one
+byte buffer, floats with one finiteness check and one formatting pass) and the
+CSV writers build their rows a block at a time.  The bytes are those of the
+element-by-element encoding; ``tests/test_io.py`` checks them against that
+encoding kept as an oracle, and ``perfbench/seed_digests.json`` pins the
+payload digests of the CLI artifacts.
 """
 
 from __future__ import annotations
@@ -10,19 +17,33 @@ from __future__ import annotations
 import csv
 import json
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
 from .grid import GridMask, GridSpec, SampledJet, alpha_key, parse_alpha_key
 
+# Rows (or array elements) encoded per block; bounds the transient strings.
+_BLOCK = 1 << 16
+
+
+def _mark_float(text: str) -> str:
+    """A ``.17g`` text that reads as an integer gets ``.0``: it stays a float."""
+    return text if "." in text or "e" in text else text + ".0"
+
 
 def format_float(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
         raise ValueError("non-finite float in payload")
-    s = format(float(x), ".17g")
-    if not any(c in s for c in ".eE"):
-        s += ".0"
-    return s
+    return _mark_float(format(float(x), ".17g"))
+
+
+def _float_tokens(values) -> list[str]:
+    """``format_float`` of each value in C order, one finiteness check."""
+    vals = np.asarray(values, dtype=np.float64).ravel()
+    if not np.isfinite(vals).all():
+        raise ValueError("non-finite float in payload")
+    return list(map(_mark_float, map(format, vals.tolist(), repeat(".17g"))))
 
 
 def dumps(obj) -> str:
@@ -56,16 +77,46 @@ def _write(obj, parts: list[str]) -> None:
             parts.append(":")
             _write(value, parts)
         parts.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
+    elif isinstance(obj, np.ndarray):
+        _write_array(obj, parts)
+    elif isinstance(obj, (list, tuple)):
         parts.append("[")
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
-        for i, value in enumerate(seq):
+        for i, value in enumerate(obj):
             if i:
                 parts.append(",")
             _write(value, parts)
         parts.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _write_array(arr: np.ndarray, parts: list[str]) -> None:
+    """Same text as ``_write(arr.tolist())``: nested lists in C order."""
+    if arr.ndim == 0:
+        raise TypeError("cannot serialize a 0-d array")
+    kind = arr.dtype.kind
+    if kind not in "biuf":
+        _write(arr.tolist(), parts)
+        return
+    if arr.ndim > 1:
+        _write(list(arr), parts)  # one row at a time
+        return
+    parts.append("[")
+    if kind == "b":
+        parts.append(",".join(map(("false", "true").__getitem__, arr.tolist())))
+    elif kind == "f":
+        parts.append(",".join(
+            ",".join(_float_tokens(arr[i:i + _BLOCK]))
+            for i in range(0, arr.size, _BLOCK)
+        ))
+    elif arr.size and arr.min() >= 0 and arr.max() <= 1:
+        # 0/1 mask: digits interleaved with commas in one byte buffer
+        buf = np.full(2 * arr.size - 1, ord(","), dtype=np.uint8)
+        buf[::2] = arr.astype(np.uint8) + ord("0")
+        parts.append(buf.tobytes().decode("ascii"))
+    else:
+        parts.append(",".join(map(str, arr.tolist())))
+    parts.append("]")
 
 
 def loads(text: str) -> dict:
@@ -140,8 +191,9 @@ def write_artifact(path: str, payload: dict, provenance: dict | None = None) -> 
     doc = dict(payload)
     if provenance is not None:
         doc["provenance"] = provenance
+    text = dumps(doc)  # before opening: a failed encode leaves the file as it was
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps(doc))
+        fh.write(text)
         fh.write("\n")
 
 
@@ -163,32 +215,44 @@ def strip_provenance(text: str) -> str:
 def jet_to_csv(jet: SampledJet, path: str) -> None:
     """One row per lattice point: index, coordinates, mask bit, components."""
     alphas = jet.alphas()
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        axes = [f"i{a}" for a in range(jet.grid.dim)]
-        coords = [f"x{a}" for a in range(jet.grid.dim)]
-        writer.writerow(axes + coords + ["mask"] + [alpha_key(a) for a in alphas])
-        for index in np.ndindex(*jet.grid.extents):
-            point = jet.grid.coord(index)
-            row = (
-                [str(i) for i in index]
-                + [format_float(c) for c in point]
-                + [str(int(jet.mask.member[index]))]
-                + [format_float(float(jet.components[a][index])) for a in alphas]
-            )
-            writer.writerow(row)
+    _lattice_csv(
+        path, jet.grid, ["mask"] + [alpha_key(a) for a in alphas],
+        [jet.mask.member] + [jet.components[a] for a in alphas],
+    )
 
 
 def mask_to_csv(mask: GridMask, path: str) -> None:
+    _lattice_csv(path, mask.grid, ["mask"], [mask.member])
+
+
+def _lattice_csv(path: str, grid: GridSpec, names: list[str],
+                 columns: list[np.ndarray]) -> None:
+    """Rows in C order: index, coordinates, then the value of each column.
+
+    Bool columns are written as 0/1 and float columns like ``format_float``.
+    Coordinates are ``origin + k*h`` (``GridSpec.axis_coords``), so they match
+    ``GridSpec.coord`` bit for bit.  Rows end in ``\\r\\n`` as with
+    ``csv.writer``; only the header needs its quoting.
+    """
+    index_text = [np.array([str(k) for k in range(n)], dtype=object)
+                  for n in grid.extents]
+    coord_text = [np.array(_float_tokens(grid.axis_coords(a)), dtype=object)
+                  for a in range(grid.dim)]
+    flat = [np.ravel(col, order="C") for col in columns]
     with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        axes = [f"i{a}" for a in range(mask.grid.dim)]
-        coords = [f"x{a}" for a in range(mask.grid.dim)]
-        writer.writerow(axes + coords + ["mask"])
-        for index in np.ndindex(*mask.grid.extents):
-            point = mask.grid.coord(index)
-            writer.writerow(
-                [str(i) for i in index]
-                + [format_float(c) for c in point]
-                + [str(int(mask.member[index]))]
-            )
+        header = [f"i{a}" for a in range(grid.dim)]
+        header += [f"x{a}" for a in range(grid.dim)]
+        csv.writer(fh).writerow(header + names)
+        for start in range(0, grid.point_count, _BLOCK):
+            stop = min(start + _BLOCK, grid.point_count)
+            index = np.unravel_index(np.arange(start, stop), grid.extents)
+            cells = [text[k].tolist() for text, k in zip(index_text, index)]
+            cells += [text[k].tolist() for text, k in zip(coord_text, index)]
+            for col in flat:
+                block = col[start:stop]
+                if block.dtype.kind == "f":
+                    cells.append(_float_tokens(block))
+                else:
+                    cells.append(list(map(str, block.astype(np.int64).tolist())))
+            fh.write("\r\n".join(map(",".join, zip(*cells))))
+            fh.write("\r\n")

@@ -203,3 +203,14 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["domain", "build", "--domain", "klein"])
     assert exc.value.code == 2
+
+
+def test_bad_thread_env_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("JETLAB_THREADS", "two")
+    # commands without --workers ignore the variable
+    assert run(["certify", "gap1d", "--out", str(tmp_path / "g.json")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["extend", "prop2", "--domain", "disk", "--function", "sin_cos",
+             "--out", str(tmp_path / "p.json")])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
