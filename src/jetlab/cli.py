@@ -193,6 +193,10 @@ def _cmd_extend_prop2(args, argv) -> int:
 
 
 def _cmd_space_norm(args, argv) -> int:
+    if args.check and args.space == "G":
+        print("the membership scan is defined for F and E only, not G",
+              file=sys.stderr)
+        return 2
     if args.field:
         payload = io.read_artifact(args.field)
         jet = io.jet_from_payload(payload.get("jet", payload))

@@ -176,23 +176,17 @@ def comb_in_base(s, t):
 
 
 def comb_tooth_index_array(s: np.ndarray) -> np.ndarray:
-    """Vectorized tooth lookup; -1 where no tooth contains s."""
+    """Vectorized tooth lookup; -1 where no tooth contains s.
+
+    Exact for every float: with s = m * 2^e and 0.5 <= m < 1, s is b_n
+    exactly when m = 0.5 (n = 1 - e), lies in [a_n, b_n) exactly when
+    m >= 0.75 (n = -e), and falls in a gap otherwise.
+    """
     s = np.asarray(s, dtype=np.float64)
-    out = np.full(s.shape, -1, dtype=np.int64)
-    positive = (s > 0.0) & (s <= 1.0)
-    if not positive.any():
-        return out
-    sp = np.where(positive, s, 1.0)
-    guess = np.floor(-np.log2(sp)).astype(np.int64)
-    for offset in (-1, 0, 1):
-        n = guess + offset
-        valid = positive & (n >= 0) & (out < 0)
-        n_safe = np.where(n >= 0, n, 0).astype(np.int32)
-        a_n = np.ldexp(0.75, -n_safe)
-        b_n = np.ldexp(1.0, -n_safe)
-        hit = valid & (a_n <= sp) & (sp <= b_n)
-        out = np.where(hit, n, out)
-    return out
+    m, e = np.frexp(s)
+    right_edge = m == 0.5
+    on_tooth = (right_edge | (m >= 0.75)) & (s > 0.0) & (s <= 1.0)
+    return np.where(on_tooth, right_edge - e.astype(np.int64), -1)
 
 
 def comb_q_member(s, t, n_teeth: int):

@@ -26,7 +26,9 @@ from . import domains
 from .domains import DomainSpec
 from .errors import CoverGapError, UnsupportedDomainError
 from .functions import AnalyticJet
-from .grid import GridMask, GridSpec, SampledJet, interior_of, multi_indices
+from .grid import (
+    GridMask, GridSpec, SampledJet, dilate_box, interior_of, multi_indices,
+)
 from .hestenes import (
     HalfSpaceExtension,
     corner_extension,
@@ -509,13 +511,6 @@ class BumpPartition:
         S = {b: sum(r[b] for r in raw) for b in betas}
         return _chi_from_raw(raw[nu], S, alpha)
 
-    def sum_chi(self, pts) -> np.ndarray:
-        pts = np.asarray(pts, dtype=np.float64)
-        total = np.zeros(pts.shape[:-1])
-        for nu in range(len(self.bumps)):
-            total += self.chi_many(nu, pts, (0, 0))
-        return total
-
 
 def _chi_from_raw(raw_nu: dict, S: dict, alpha: tuple[int, ...]) -> np.ndarray:
     """Quotient rule for b/S with the convention 0 where S = 0.
@@ -647,12 +642,9 @@ def _bbox(spec: DomainSpec) -> tuple[tuple[float, float], tuple[float, float]]:
 
 
 def _boundary_collar(q_mask: GridMask, width: float) -> np.ndarray:
-    from scipy import ndimage
-
     inner = q_mask.member & ~interior_of(q_mask).member
     steps = max(1, int(math.ceil(width / q_mask.grid.h)))
-    box = np.ones((3, 3), dtype=bool)
-    return ndimage.binary_dilation(inner, structure=box, iterations=steps)
+    return dilate_box(inner, steps)
 
 
 def _restrict_flat(collar: np.ndarray, spec: DomainSpec,

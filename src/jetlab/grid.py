@@ -12,7 +12,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import EmptyMaskError, MaskMismatchError, NoNeighborError
 
@@ -135,22 +134,37 @@ class GridMask:
         return self.grid == other.grid
 
 
-_CROSS = {1: ndimage.generate_binary_structure(1, 1),
-          2: ndimage.generate_binary_structure(2, 1)}
-_BOX = {1: ndimage.generate_binary_structure(1, 1),
-        2: ndimage.generate_binary_structure(2, 2)}
-
-
 def interior_of(mask: GridMask) -> GridMask:
     """Points whose 2*dim axis neighbors all lie in the mask.
 
     A neighbor falling off the lattice counts as absent, so lattice-edge
     points are never interior.
     """
-    eroded = ndimage.binary_erosion(
-        mask.member, structure=_CROSS[mask.grid.dim], border_value=0
-    )
-    return GridMask(mask.grid, eroded)
+    member = mask.member
+    core = (slice(1, -1),) * member.ndim
+    inner = np.zeros_like(member)
+    inner[core] = member[core]
+    for axis in range(member.ndim):
+        for side in (slice(None, -2), slice(2, None)):
+            inner[core] &= member[core[:axis] + (side,) + core[axis + 1:]]
+    return GridMask(mask.grid, inner)
+
+
+def dilate_box(member: np.ndarray, radius: int) -> np.ndarray:
+    """True within Chebyshev distance radius of a True point of member.
+
+    Off-lattice points count as absent.  The box is separable, so each axis
+    takes one sliding-window OR, read off a running count.
+    """
+    out = np.asarray(member, dtype=bool)
+    for axis in range(out.ndim):
+        rows = np.moveaxis(out, axis, 0)
+        pad = [(radius + 1, radius)] + [(0, 0)] * (rows.ndim - 1)
+        # counts[radius + k] is the number of True rows before row k
+        counts = np.cumsum(np.pad(rows, pad), axis=0, dtype=np.int32)
+        window = counts[2 * radius + 1:] > counts[:len(rows)]
+        out = np.moveaxis(window, 0, axis)
+    return out
 
 
 def closure_of(mask: GridMask) -> GridMask:
@@ -159,8 +173,7 @@ def closure_of(mask: GridMask) -> GridMask:
     The box neighborhood (diagonals included) is what makes
     closure_of(interior_of(m)) recover a fat rectangle's corners.
     """
-    dilated = ndimage.binary_dilation(mask.member, structure=_BOX[mask.grid.dim])
-    return GridMask(mask.grid, dilated)
+    return GridMask(mask.grid, dilate_box(mask.member, 1))
 
 
 def boundary_of(mask: GridMask) -> GridMask:
@@ -169,12 +182,6 @@ def boundary_of(mask: GridMask) -> GridMask:
         mask.grid,
         closure_of(mask).member & ~interior_of(mask).member,
     )
-
-
-def connected_component_count(mask: GridMask) -> int:
-    """Number of 2*dim-connected components of the mask."""
-    _, n = ndimage.label(mask.member, structure=_CROSS[mask.grid.dim])
-    return int(n)
 
 
 @dataclass(eq=False)

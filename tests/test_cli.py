@@ -1,10 +1,14 @@
 """Command-line behavior: artifacts, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import jetlab
 from jetlab import io
 from jetlab.certify import Certificate, replay_certificate
 from jetlab.cli import main
@@ -129,6 +133,25 @@ def test_space_norm_check_fails_on_discontinuous_artifact(tmp_path, capsys):
     assert "violation" in capsys.readouterr().out
 
 
+def test_space_norm_g_check_is_a_usage_error(tmp_path, capsys):
+    g = GridSpec.cover((0.0,), (1.0,), 2.0**-5)
+    mask = GridMask(g, np.ones(g.extents, dtype=bool))
+    jet = SampledJet(0, g, mask, {(0,): g.axis_coords(0)})
+    path = tmp_path / "field.json"
+    io.write_artifact(str(path), {"jet": io.jet_to_payload(jet)})
+    out = tmp_path / "norm.json"
+    code = run(["space", "norm", "--field", str(path), "--space", "G",
+                "--check", "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "F and E only" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+    # the G norm report itself needs no scan
+    assert run(["space", "norm", "--field", str(path), "--space", "G"]) == 0
+    assert "overall G-norm" in capsys.readouterr().out
+
+
 def test_space_norm_requires_a_source(capsys):
     assert run(["space", "norm", "--space", "F"]) == 2
 
@@ -214,3 +237,13 @@ def test_bad_thread_env_is_a_usage_error(tmp_path, monkeypatch, capsys):
              "--out", str(tmp_path / "p.json")])
     assert exc.value.code == 2
     assert "--workers" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(jetlab.__file__))
+    code = ("import jetlab.cli, sys; assert not any("
+            "m.split('.')[0] == 'scipy' for m in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

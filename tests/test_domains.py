@@ -12,7 +12,8 @@ from jetlab.errors import (
     ResolutionTooCoarseError,
     UnsupportedDomainError,
 )
-from jetlab.grid import connected_component_count, interior_of
+from jetlab.grid import GridSpec, interior_of
+from lattice_oracles import connected_component_count
 
 
 def ternary_cover_intervals(depth):
@@ -74,6 +75,33 @@ def test_comb_geometry():
     s = np.array([0.8, 0.7, 0.375, 1.0, -0.2, 3e-9])
     idx = domains.comb_tooth_index_array(s)
     assert idx.tolist() == [0, -1, 1, 0, -1, 28]
+
+
+def tooth_oracle(values):
+    out = [domains.comb_tooth_index(v) for v in values]
+    return np.array([-1 if n is None else n for n in out])
+
+
+@pytest.mark.parametrize("h", [2.0**-10, 2.0**-14])
+def test_comb_tooth_index_array_on_lattice_coordinates(h):
+    s = GridSpec.cover((-1.0,), (1.0,), h).axis_coords(0)
+    assert np.array_equal(domains.comb_tooth_index_array(s), tooth_oracle(s))
+
+
+def test_comb_tooth_index_array_at_edges_and_specials():
+    edges = []
+    for n in range(1075):
+        for v in (domains.comb_a(n), domains.comb_b(n)):
+            edges += [v, np.nextafter(v, 0.0), np.nextafter(v, 2.0)]
+    specials = [0.0, -0.0, 1.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324]
+    s = np.array(edges + specials)
+    got = domains.comb_tooth_index_array(s)
+    assert np.array_equal(got, tooth_oracle(s))
+    assert got[-2] == 1074 and got.dtype == np.int64
+    # 2-D input keeps its shape; a scalar gives a 0-d array
+    got_2d = domains.comb_tooth_index_array(s.reshape(-1, 2))
+    assert np.array_equal(got_2d, got.reshape(-1, 2))
+    assert domains.comb_tooth_index_array(0.5).shape == ()
 
 
 def test_comb_membership():

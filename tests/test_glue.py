@@ -17,6 +17,8 @@ from jetlab.glue import (
     local_extend,
     make_charts,
 )
+from jetlab.grid import GridMask, GridSpec
+from lattice_oracles import box_dilation, erosion
 
 
 def ball_points(n, radius=0.95, seed=3):
@@ -139,6 +141,25 @@ def test_partition_covers_and_sums_to_one(spec):
     else:
         assert part.assignment == list(range(n + 1))
         assert part.assignment[-1] == n
+
+
+@pytest.mark.parametrize("width", [0.01, 0.05, 0.125, 0.3, 0.5])
+def test_boundary_collar_matches_iterated_box_dilation(width):
+    h = 2.0**-4
+    grid = GridSpec((-1.0, -1.0), h, (33, 41))
+    s, t = grid.coord_grids()
+    rng = np.random.default_rng(5)
+    members = [
+        s**2 + t**2 <= 0.6,
+        rng.random(grid.extents) < 0.3,
+        np.zeros(grid.extents, dtype=bool),
+        np.ones(grid.extents, dtype=bool),
+    ]
+    steps = max(1, int(np.ceil(width / h)))
+    for member in members:
+        got = glue._boundary_collar(GridMask(grid, member), width)
+        want = box_dilation(member & ~erosion(member), steps)
+        assert np.array_equal(got, want)
 
 
 def test_partition_chi_zero_far_outside():

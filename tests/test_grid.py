@@ -11,7 +11,7 @@ from jetlab.grid import (
     alpha_key,
     boundary_of,
     closure_of,
-    connected_component_count,
+    dilate_box,
     fd_partial,
     interior_of,
     jet_add,
@@ -20,6 +20,7 @@ from jetlab.grid import (
     parse_alpha_key,
     sup_on_mask,
 )
+from lattice_oracles import box_dilation, connected_component_count, erosion
 
 
 def brute_multi_indices(order, dim):
@@ -145,6 +146,40 @@ def test_component_count():
     mem = np.zeros((4, 4), dtype=bool)
     mem[0, 0] = mem[1, 1] = True  # diagonal neighbors are not connected
     assert connected_component_count(GridMask(g2, mem)) == 2
+
+
+def oracle_masks():
+    """Random 1-D and 2-D masks plus the degenerate shapes and fills."""
+    rng = np.random.default_rng(11)
+    shapes = [(1,), (2,), (3,), (17,), (1, 1), (1, 9), (9, 1), (2, 2),
+              (2, 7), (13, 11), (40, 33)]
+    for shape in shapes:
+        yield np.zeros(shape, dtype=bool)
+        yield np.ones(shape, dtype=bool)
+        for density in (0.2, 0.5, 0.85):
+            yield rng.random(shape) < density
+
+
+def test_interior_matches_cross_erosion():
+    for member in oracle_masks():
+        g = GridSpec((0.0,) * member.ndim, 1.0, member.shape)
+        got = interior_of(GridMask(g, member)).member
+        assert np.array_equal(got, erosion(member)), member.shape
+
+
+def test_closure_matches_box_dilation():
+    for member in oracle_masks():
+        g = GridSpec((0.0,) * member.ndim, 1.0, member.shape)
+        got = closure_of(GridMask(g, member)).member
+        assert np.array_equal(got, box_dilation(member)), member.shape
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3, 5, 8])
+def test_dilate_box_matches_iterated_box_dilation(radius):
+    for member in oracle_masks():
+        got = dilate_box(member, radius)
+        assert got.dtype == bool
+        assert np.array_equal(got, box_dilation(member, radius)), member.shape
 
 
 def make_jet(g, mask, fn, order=1):
