@@ -1,0 +1,86 @@
+"""Payload digests pinned byte for byte.
+
+Each digest is the sha256 of a payload's deterministic JSON text, recorded
+before the domains were rewritten as one class per kind.  A rasterizer, a
+membership predicate or a chart that moves a single lattice point or float
+bit changes a digest here.
+"""
+
+import hashlib
+
+import pytest
+
+from jetlab import domains, io
+from jetlab.cli import main
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+MASKS = {
+    "comb": (lambda: domains.comb(3), 2.0**-6,
+             "51031b5c49180145e5b19c03f2994f49f277f413a2f623a2596b395c6b606b35"),
+    "gap1d": (lambda: domains.gap_intervals(4), 2.0**-8,
+              "54febed7788913d6f2e3f65a7296e6861b225314aea6284dda87938aa937c9f3"),
+    "cantor_slit": (lambda: domains.cantor_slit_square(3), 2.0**-7,
+                    "ca656bed2eadd54295a1eccb511534a85d028b3096fd7080d306b088f243c24a"),
+    "rectangle": (domains.rectangle, 2.0**-4,
+                  "4f36d3d8425aba6d8ebbd8e70363eebed62611ef51f3643ed42ac3e0716e6a6d"),
+    "disk": (domains.disk, 2.0**-4,
+             "1a8758b8af833af07948c47c0e4424c33e0a7a80f83cbc41967db548d522be45"),
+    "half_ball": (domains.half_ball, 2.0**-4,
+                  "35224a8386b84a984e7815afe1cb119ea835b7dc2bd2389d1dd5c6d8975e82df"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MASKS))
+def test_domain_mask_digest(kind):
+    make, h, digest = MASKS[kind]
+    domain = make()
+    q, open_mask = domains.build_domain(domain, h)
+    payload = {
+        "kind": domain.kind,
+        "params": domain.params(),
+        "q": io.mask_to_payload(q),
+        "open": io.mask_to_payload(open_mask),
+    }
+    assert sha256(io.dumps(payload)) == digest
+
+
+PROP2 = {
+    "rectangle": "27409facff06fa0e426ae0af45aad8877375762cac4204a734a4808e5b9ef368",
+    "disk": "033123e36e85c21c8b05fde56af23c0309260fbcf0c78dab2d6df313cb4de057",
+    "half_ball": "00ff9a0cc107e24dbd7528cc23f451d5c18cbc76e1c598d799a585d279951025",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PROP2))
+def test_extend_prop2_digest(kind, tmp_path, capsys):
+    out = tmp_path / "prop2.json"
+    assert main(["extend", "prop2", "--function", "sin_cos", "--domain", kind,
+                 "--order", "2", "--h", "0.0625", "--out", str(out)]) == 0
+    assert sha256(io.strip_provenance(out.read_text())) == PROP2[kind]
+
+
+# The closed-form fields of the irregular domains, sampled on their masks.
+SAMPLES = {
+    "example3": (["--domain", "comb", "--n-teeth", "3", "--order", "2",
+                  "--h", "0.015625", "--mask", "q"],
+                 "0d022b578ab5766bea0f8fb6d3072acebe4a1f560728e86b5937ef56630467ee"),
+    "gap1d": (["--domain", "gap1d", "--n-segments", "4", "--order", "2",
+               "--h", "0.00390625", "--mask", "q"],
+              "07f5be0f094f003867d31e1c20af8f47428bb77525a6e0f10a90251624e631ef"),
+    "example1": (["--domain", "cantor_slit", "--depth", "3", "--order", "3",
+                  "--h", "0.0078125", "--mask", "open"],
+                 "3cf6ca2b81f850680a5e70b7cc3e3a238c4d329f2793b7581188b4cf54ad9a9d"),
+}
+
+
+@pytest.mark.parametrize("function", sorted(SAMPLES))
+def test_field_sample_digest(function, tmp_path, capsys):
+    args, digest = SAMPLES[function]
+    out = tmp_path / "field.json"
+    assert main(["field", "sample", "--function", function, *args,
+                 "--out", str(out)]) == 0
+    assert sha256(io.strip_provenance(out.read_text())) == digest
