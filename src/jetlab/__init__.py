@@ -14,10 +14,10 @@ Three families of tools share one lattice substrate:
 __version__ = "0.1.0"
 
 from .certify import Certificate, CertTerm, build_certificate, replay_certificate
-from .domains import DomainSpec, build_domain
+from .domains import Domain, build_domain
 from .errors import JetlabError
 from .functions import AnalyticJet, get_function
-from .glue import GlobalField, global_extend, make_charts
+from .glue import GlobalField, global_extend
 from .grid import GridMask, GridSpec, SampledJet
 from .hestenes import (
     HalfSpaceExtension,
@@ -41,7 +41,7 @@ __all__ = [
     "AnalyticJet",
     "CertTerm",
     "Certificate",
-    "DomainSpec",
+    "Domain",
     "GlobalField",
     "GridMask",
     "GridSpec",
@@ -59,7 +59,6 @@ __all__ = [
     "get_function",
     "global_extend",
     "h_norm_upper_bound",
-    "make_charts",
     "norm_e",
     "norm_f",
     "norm_g",

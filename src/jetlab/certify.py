@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import functions
-from .errors import ReplayMismatchError
+from .domains import cantor_level
+from .errors import JetlabError, ReplayMismatchError
 
 GAP_TOLERANCE = 1e-9
 REPLAY_TOLERANCE = 1e-12
@@ -120,21 +121,25 @@ class Certificate:
     @staticmethod
     def from_payload(payload: dict) -> "Certificate":
         first = payload.get("first_exceed_n")
-        return Certificate(
-            payload["domain"],
-            payload["claim"],
-            tuple(CertTerm.from_payload(t) for t in payload["terms"]),
-            float(payload["interior_limit"]),
-            tuple(
-                CertTerm.from_payload(t)
-                for t in payload.get("interior_witness", [])
-            ),
-            float(payload["gap"]),
-            bool(payload["diverges"]),
-            int(payload["n_max"]),
-            dict(payload.get("config", {})),
-            None if first is None else int(first),
-        )
+        try:
+            return Certificate(
+                payload["domain"],
+                payload["claim"],
+                tuple(CertTerm.from_payload(t) for t in payload["terms"]),
+                float(payload["interior_limit"]),
+                tuple(
+                    CertTerm.from_payload(t)
+                    for t in payload.get("interior_witness", [])
+                ),
+                float(payload["gap"]),
+                bool(payload["diverges"]),
+                int(payload["n_max"]),
+                dict(payload.get("config", {})),
+                None if first is None else int(first),
+            )
+        except KeyError as err:
+            raise JetlabError(
+                f"certificate artifact lacks the key {err}") from None
 
     def csv_rows(self) -> list[list]:
         dim = len(self.terms[0].base) if self.terms else 2
@@ -246,8 +251,6 @@ def certify_cantor_slit(n_max: int = DEFAULT_N_MAX,
     """
     if not 2 <= n_max <= 30:
         raise ValueError("n_max must lie in [2, 30]")
-    from .domains import cantor_level
-
     base = (Fraction(0), Fraction(1))
     base_val = functions.example1_xbar(Fraction(0), Fraction(1),
                                        phi_depth=phi_depth)

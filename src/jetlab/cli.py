@@ -6,12 +6,14 @@ line and the active defaults; it is the part excluded from byte-for-byte
 comparisons between runs.
 
 Exit codes: 0 success, 1 a requested verification failed (membership or
-replay), 2 usage or validation errors.
+replay), 2 usage or validation errors, unreadable inputs or unwritable
+outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -33,8 +35,15 @@ DEFAULTS = {
     "replay_tolerance": 1e-12,
 }
 
-_DOMAIN_KINDS = ("comb", "gap1d", "cantor_slit", "rectangle", "disk",
-                 "half_ball")
+# --domain choice -> its constructor, fed the parsed arguments
+_DOMAINS = {
+    "comb": lambda args: domains.comb(args.n_teeth),
+    "gap1d": lambda args: domains.gap_intervals(args.n_segments),
+    "cantor_slit": lambda args: domains.cantor_slit_square(args.depth),
+    "rectangle": lambda args: domains.rectangle(),
+    "disk": lambda args: domains.disk(),
+    "half_ball": lambda args: domains.half_ball(),
+}
 
 
 def _provenance(argv: list[str]) -> dict:
@@ -46,35 +55,40 @@ def _provenance(argv: list[str]) -> dict:
     }
 
 
-def _add_domain_args(p: argparse.ArgumentParser, kinds=_DOMAIN_KINDS) -> None:
-    p.add_argument("--domain", required=True, choices=kinds)
+def _positive_float(text: str) -> float:
+    """argparse type of --h: a positive finite float."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, not {text!r}")
+    return value
+
+
+def _add_domain_args(p: argparse.ArgumentParser, kinds=tuple(_DOMAINS),
+                     required: bool = True) -> None:
+    p.add_argument("--domain", required=required, choices=kinds)
     p.add_argument("--depth", type=int, default=DEFAULTS["depth"],
                    help="cover level for cantor_slit")
     p.add_argument("--n-teeth", type=int, default=DEFAULTS["n_teeth"])
     p.add_argument("--n-segments", type=int, default=DEFAULTS["n_segments"])
 
 
-def _domain_spec(args) -> domains.DomainSpec:
-    kind = args.domain
-    if kind == "comb":
-        return domains.comb(args.n_teeth)
-    if kind == "gap1d":
-        return domains.gap_intervals(args.n_segments)
-    if kind == "cantor_slit":
-        return domains.cantor_slit_square(args.depth)
-    if kind == "rectangle":
-        return domains.rectangle()
-    if kind == "disk":
-        return domains.disk()
-    return domains.half_ball()
+def _domain_and_function(args, order: int):
+    """The --domain object and the --function jet, checked to share a dim."""
+    domain = _DOMAINS[args.domain](args)
+    jet = functions.get_function(args.function, order=order, depth=args.depth)
+    if jet.dim != domain.dim:
+        raise JetlabError(f"function {args.function} is {jet.dim}-D but "
+                          f"domain {domain.kind} is {domain.dim}-D")
+    return domain, jet
 
 
 def _cmd_domain_build(args, argv) -> int:
-    spec = _domain_spec(args)
-    q, open_mask = domains.build_domain(spec, args.h)
+    domain = _DOMAINS[args.domain](args)
+    q, open_mask = domains.build_domain(domain, args.h)
     payload = {
-        "kind": spec.kind,
-        "params": spec.params(),
+        "kind": domain.kind,
+        "params": domain.params(),
         "h": args.h,
         "q": io.mask_to_payload(q),
         "open": io.mask_to_payload(open_mask),
@@ -89,15 +103,13 @@ def _cmd_domain_build(args, argv) -> int:
 
 
 def _cmd_field_sample(args, argv) -> int:
-    spec = _domain_spec(args)
-    q, open_mask = domains.build_domain(spec, args.h)
-    jet = functions.get_function(args.function, order=args.order,
-                                 depth=args.depth)
+    domain, jet = _domain_and_function(args, args.order)
+    q, open_mask = domains.build_domain(domain, args.h)
     mask = open_mask if args.mask == "open" else q
     sampled = jet.sample(mask, order=args.order)
     payload = {
         "function": args.function,
-        "domain": spec.kind,
+        "domain": domain.kind,
         "mask": args.mask,
         "jet": io.jet_to_payload(sampled),
     }
@@ -155,16 +167,14 @@ def _cmd_hestenes_extend(args, argv) -> int:
 
 
 def _cmd_extend_prop2(args, argv) -> int:
-    spec = _domain_spec(args)
-    jet = functions.get_function(args.function, order=max(args.order, 2),
-                                 depth=args.depth)
+    domain, jet = _domain_and_function(args, max(args.order, 2))
     result = glue.global_extend(
-        jet, spec, args.order, h=args.h, margin=args.margin,
+        jet, domain, args.order, h=args.h, margin=args.margin,
         workers=args.workers,
     )
     mismatch = glue.interface_jet_mismatch(result.field, h=DEFAULTS["h"])
     payload = {
-        "domain": spec.kind,
+        "domain": domain.kind,
         "function": args.function,
         "order": args.order,
         "h": args.h,
@@ -206,13 +216,11 @@ def _cmd_space_norm(args, argv) -> int:
             print("space norm needs --field or (--domain and --function)",
                   file=sys.stderr)
             return 2
-        spec = _domain_spec(args)
-        q, open_mask = domains.build_domain(spec, args.h)
-        analytic = functions.get_function(args.function, order=args.order,
-                                          depth=args.depth)
+        domain, analytic = _domain_and_function(args, args.order)
+        q, open_mask = domains.build_domain(domain, args.h)
         mask = open_mask if args.space == "E" else q
         jet = analytic.sample(mask, order=args.order)
-        label = f"{args.function} on {spec.kind}"
+        label = f"{args.function} on {domain.kind}"
     report = spaces.norm_report(
         jet, args.space, "Omega" if args.space == "E" else "Q"
     )
@@ -288,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     dsub = p.add_subparsers(dest="subcommand", required=True)
     pb = dsub.add_parser("build", help="build Q and open-set masks")
     _add_domain_args(pb)
-    pb.add_argument("--h", type=float, default=DEFAULTS["h"])
+    pb.add_argument("--h", type=_positive_float, default=DEFAULTS["h"])
     pb.add_argument("--out", required=True)
     pb.add_argument("--csv")
     pb.set_defaults(func=_cmd_domain_build)
@@ -300,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=functions.function_names())
     _add_domain_args(pf)
     pf.add_argument("--order", type=int, default=DEFAULTS["order"])
-    pf.add_argument("--h", type=float, default=DEFAULTS["h"])
+    pf.add_argument("--h", type=_positive_float, default=DEFAULTS["h"])
     pf.add_argument("--mask", choices=("q", "open"), default="q")
     pf.add_argument("--out", required=True)
     pf.add_argument("--csv")
@@ -329,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--function", required=True,
                     choices=functions.function_names())
     pp.add_argument("--order", type=int, default=DEFAULTS["order"])
-    pp.add_argument("--h", type=float, default=DEFAULTS["h_prop2"],
+    pp.add_argument("--h", type=_positive_float, default=DEFAULTS["h_prop2"],
                     help="lattice step of the exported window jet "
                          "(finer than 2^-7 gets large)")
     pp.add_argument("--margin", type=float, default=DEFAULTS["margin"])
@@ -344,13 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
     pn = ssub.add_parser("norm", help="sup-norm report of a sampled jet")
     pn.add_argument("--field", help="jet artifact to read")
     pn.add_argument("--function", choices=functions.function_names())
-    pn.add_argument("--domain", choices=_DOMAIN_KINDS)
-    pn.add_argument("--depth", type=int, default=DEFAULTS["depth"])
-    pn.add_argument("--n-teeth", type=int, default=DEFAULTS["n_teeth"])
-    pn.add_argument("--n-segments", type=int, default=DEFAULTS["n_segments"])
+    _add_domain_args(pn, required=False)
     pn.add_argument("--space", choices=("F", "E", "G"), default="F")
     pn.add_argument("--order", type=int, default=DEFAULTS["order"])
-    pn.add_argument("--h", type=float, default=DEFAULTS["h"])
+    pn.add_argument("--h", type=_positive_float, default=DEFAULTS["h"])
     pn.add_argument("--tol", type=float, default=DEFAULTS["tol"])
     pn.add_argument("--check", action="store_true",
                     help="also run the membership scan; exit 1 on violation")
@@ -380,10 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, argv)
-    except JetlabError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:
+    except (JetlabError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

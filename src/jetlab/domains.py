@@ -1,4 +1,7 @@
-"""Domain constructors: Cantor approximations, slit square, comb, gap intervals.
+"""Domains, one frozen class per kind, their charts, and the rasterizer.
+
+Each class owns what jetlab knows about its kind (see Domain); build_domain
+turns any of them into lattice masks.
 
 Rasterization convention: a lattice point belongs to a mask iff its exact
 coordinates satisfy the defining inequalities.  All comparison data (tooth
@@ -10,7 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -31,12 +34,15 @@ class CantorApprox:
 
     depth: int
     intervals: tuple[tuple[Fraction, Fraction], ...]
+    lefts: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lefts", tuple(a for a, _ in self.intervals))
 
     def contains(self, s) -> bool:
         """Exact membership of s in the union of intervals."""
         q = Fraction(s)
-        lefts = [a for a, _ in self.intervals]
-        i = bisect.bisect_right(lefts, q) - 1
+        i = bisect.bisect_right(self.lefts, q) - 1
         if i < 0:
             return False
         a, b = self.intervals[i]
@@ -70,74 +76,205 @@ def cantor_level(depth: int, cap: int = DEFAULT_INTERVAL_CAP) -> CantorApprox:
     return CantorApprox(depth, tuple(intervals))
 
 
-@dataclass(frozen=True)
-class DomainSpec:
-    """A named domain plus the convention tying its open set to its closure.
+# ---------------------------------------------------------------------------
+# charts of the chartable boundaries
 
-    omega_convention is "interior" when the open set is the lattice interior
-    of Q, and "slit" when it is an open square with closed slits removed
-    (the closure of the open set is then strictly smaller than Q at any
-    finite depth).
+
+@dataclass(eq=False)
+class AffineChart:
+    """phi(xi) = center + A @ xi; Jacobians constant, Hessians zero."""
+
+    center: np.ndarray
+    matrix: np.ndarray
+    kind: str  # identity | edge | corner | interior
+    half_exact: bool
+    extension: str  # half | quarter | none
+
+    def __post_init__(self):
+        self.center = np.asarray(self.center, dtype=np.float64)
+        self.matrix = np.asarray(self.matrix, dtype=np.float64)
+        self._inv = np.linalg.inv(self.matrix)
+
+    def forward(self, xi: np.ndarray) -> np.ndarray:
+        return self.center + xi @ self.matrix.T
+
+    def inverse(self, pts: np.ndarray) -> np.ndarray:
+        return (pts - self.center) @ self._inv.T
+
+    def jac_forward(self, xi: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(self.matrix, xi.shape[:-1] + (2, 2))
+
+    def hess_forward(self, xi: np.ndarray) -> np.ndarray:
+        return np.zeros(xi.shape[:-1] + (2, 2, 2))
+
+    def jac_inverse(self, pts: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(self._inv, pts.shape[:-1] + (2, 2))
+
+    def hess_inverse(self, pts: np.ndarray) -> np.ndarray:
+        return np.zeros(pts.shape[:-1] + (2, 2, 2))
+
+    def describe(self) -> dict:
+        return {
+            "kind": self.kind,
+            "center": [float(c) for c in self.center],
+            "matrix": [[float(v) for v in row] for row in self.matrix],
+            "half_exact": self.half_exact,
+            "extension": self.extension,
+        }
+
+
+@dataclass(eq=False)
+class PolarSectorChart:
+    """Annular sector of a disk boundary, flattened to reference coordinates.
+
+    xi_0 is scaled inward depth (r = radius - depth*xi_0), xi_1 scaled angle
+    (theta = theta_c + width*xi_1).  xi_0 >= 0 is exactly the disk side, so
+    the chart is half-exact.
+    """
+
+    center: np.ndarray
+    radius: float
+    theta_c: float
+    width: float
+    depth: float
+    kind: str = "polar"
+    half_exact: bool = True
+    extension: str = "half"
+
+    def __post_init__(self):
+        self.center = np.asarray(self.center, dtype=np.float64)
+
+    def _theta(self, xi: np.ndarray) -> np.ndarray:
+        return self.theta_c + self.width * xi[..., 1]
+
+    def forward(self, xi: np.ndarray) -> np.ndarray:
+        th = self._theta(xi)
+        r = self.radius - self.depth * xi[..., 0]
+        return self.center + np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
+
+    def inverse(self, pts: np.ndarray) -> np.ndarray:
+        v = pts - self.center
+        r = np.hypot(v[..., 0], v[..., 1])
+        th = np.arctan2(v[..., 1], v[..., 0])
+        dth = np.mod(th - self.theta_c + np.pi, 2.0 * np.pi) - np.pi
+        return np.stack(
+            [(self.radius - r) / self.depth, dth / self.width], axis=-1
+        )
+
+    def jac_forward(self, xi: np.ndarray) -> np.ndarray:
+        th = self._theta(xi)
+        r = self.radius - self.depth * xi[..., 0]
+        J = np.empty(xi.shape[:-1] + (2, 2))
+        J[..., 0, 0] = -self.depth * np.cos(th)
+        J[..., 1, 0] = -self.depth * np.sin(th)
+        J[..., 0, 1] = -r * self.width * np.sin(th)
+        J[..., 1, 1] = r * self.width * np.cos(th)
+        return J
+
+    def hess_forward(self, xi: np.ndarray) -> np.ndarray:
+        th = self._theta(xi)
+        r = self.radius - self.depth * xi[..., 0]
+        H = np.zeros(xi.shape[:-1] + (2, 2, 2))
+        dw = self.depth * self.width
+        H[..., 0, 0, 1] = dw * np.sin(th)
+        H[..., 0, 1, 0] = dw * np.sin(th)
+        H[..., 1, 0, 1] = -dw * np.cos(th)
+        H[..., 1, 1, 0] = -dw * np.cos(th)
+        H[..., 0, 1, 1] = -r * self.width**2 * np.cos(th)
+        H[..., 1, 1, 1] = -r * self.width**2 * np.sin(th)
+        return H
+
+    def jac_inverse(self, pts: np.ndarray) -> np.ndarray:
+        v = pts - self.center
+        x, y = v[..., 0], v[..., 1]
+        r2 = x * x + y * y
+        r = np.sqrt(r2)
+        safe_r = np.where(r > 0, r, 1.0)
+        safe_r2 = np.where(r2 > 0, r2, 1.0)
+        J = np.empty(pts.shape[:-1] + (2, 2))
+        J[..., 0, 0] = -x / (self.depth * safe_r)
+        J[..., 0, 1] = -y / (self.depth * safe_r)
+        J[..., 1, 0] = -y / (safe_r2 * self.width)
+        J[..., 1, 1] = x / (safe_r2 * self.width)
+        return J
+
+    def hess_inverse(self, pts: np.ndarray) -> np.ndarray:
+        v = pts - self.center
+        x, y = v[..., 0], v[..., 1]
+        r2 = x * x + y * y
+        safe = np.where(r2 > 0, r2, 1.0)
+        r3 = safe ** 1.5
+        r4 = safe * safe
+        H = np.empty(pts.shape[:-1] + (2, 2, 2))
+        H[..., 0, 0, 0] = -(y * y) / (self.depth * r3)
+        H[..., 0, 0, 1] = x * y / (self.depth * r3)
+        H[..., 0, 1, 0] = x * y / (self.depth * r3)
+        H[..., 0, 1, 1] = -(x * x) / (self.depth * r3)
+        H[..., 1, 0, 0] = 2.0 * x * y / (self.width * r4)
+        H[..., 1, 0, 1] = (y * y - x * x) / (self.width * r4)
+        H[..., 1, 1, 0] = (y * y - x * x) / (self.width * r4)
+        H[..., 1, 1, 1] = -2.0 * x * y / (self.width * r4)
+        return H
+
+    def describe(self) -> dict:
+        return {
+            "kind": self.kind,
+            "center": [float(c) for c in self.center],
+            "radius": self.radius,
+            "theta_c": self.theta_c,
+            "width": self.width,
+            "depth": self.depth,
+            "half_exact": self.half_exact,
+            "extension": self.extension,
+        }
+
+
+Chart = AffineChart | PolarSectorChart
+
+
+# ---------------------------------------------------------------------------
+# the domains
+
+
+class Domain:
+    """A closed set Q on the line or in the plane, with exact membership.
+
+    Subclasses set kind (the payload name) and bbox and define params and
+    the closure predicate q, which takes one broadcastable coordinate array
+    per axis.  open is None when the open set is the lattice interior of Q,
+    else a predicate like q.  Only the chartable kinds have charts,
+    interior_chart and probes: a pathological boundary is the obstruction
+    under study, not an implementation gap.
     """
 
     kind: str
-    depth: int | None = None
-    n_teeth: int | None = None
-    n_segments: int | None = None
-    bounds: tuple[tuple[float, float], ...] | None = None
-    center: tuple[float, float] | None = None
-    radius: float | None = None
-
-    @property
-    def omega_convention(self) -> str:
-        return "slit" if self.kind == "cantor_slit" else "interior"
-
-    @property
-    def dim(self) -> int:
-        return 1 if self.kind == "gap1d" else 2
-
-    def domain_id(self) -> str:
-        return self.kind
+    dim = 2
+    bbox: tuple[tuple[float, ...], tuple[float, ...]]
+    open = None
 
     def params(self) -> dict:
-        out: dict = {}
-        if self.depth is not None:
-            out["depth"] = self.depth
-        if self.n_teeth is not None:
-            out["nTeeth"] = self.n_teeth
-        if self.n_segments is not None:
-            out["nSegments"] = self.n_segments
-        if self.bounds is not None:
-            out["bounds"] = [list(pair) for pair in self.bounds]
-        if self.center is not None:
-            out["center"] = list(self.center)
-        if self.radius is not None:
-            out["radius"] = self.radius
-        return out
+        return {}
 
+    def check_resolution(self, h: float) -> None:
+        """Raise ResolutionTooCoarseError when h cannot resolve the domain."""
 
-def cantor_slit_square(depth: int) -> DomainSpec:
-    return DomainSpec("cantor_slit", depth=depth)
+    def charts(self) -> list[Chart]:
+        """Finite atlas covering the boundary."""
+        raise UnsupportedDomainError(
+            f"domain kind {self.kind!r} has no chartable boundary"
+        )
 
+    def interior_chart(self) -> AffineChart:
+        """Pseudo-chart whose 0.9-ball carries the interior bump, well inside Q."""
+        raise UnsupportedDomainError(f"no interior bump for {self.kind!r}")
 
-def comb(n_teeth: int) -> DomainSpec:
-    return DomainSpec("comb", n_teeth=n_teeth)
+    def probes(self, n_probes: int) -> tuple[np.ndarray, np.ndarray]:
+        """(point, outward normal) pairs along the boundary, corners excluded."""
+        raise UnsupportedDomainError(f"no boundary probes for {self.kind!r}")
 
-
-def gap_intervals(n_segments: int) -> DomainSpec:
-    return DomainSpec("gap1d", n_segments=n_segments)
-
-
-def half_ball() -> DomainSpec:
-    return DomainSpec("half_ball")
-
-
-def rectangle(bounds=((0.0, 1.0), (0.0, 1.0))) -> DomainSpec:
-    return DomainSpec("rectangle", bounds=tuple(tuple(map(float, b)) for b in bounds))
-
-
-def disk(center=(0.0, 0.0), radius=1.0) -> DomainSpec:
-    return DomainSpec("disk", center=tuple(map(float, center)), radius=float(radius))
+    def charted(self, s, t, depth: float):
+        """Where on the boundary the atlas answers, within depth of a face."""
+        return True
 
 
 # Comb geometry: tooth n occupies a_n <= s <= b_n, 0 < t <= 1, with
@@ -154,17 +291,6 @@ def comb_a(n: int) -> float:
 
 def comb_c(n: int) -> float:
     return math.ldexp(0.25, -n)
-
-
-def comb_tooth_index(s: float) -> int | None:
-    """Index n with a_n <= s <= b_n, or None."""
-    if not 0.0 < s <= 1.0:
-        return None
-    guess = int(math.floor(-math.log2(s)))
-    for n in (guess - 1, guess, guess + 1):
-        if n >= 0 and comb_a(n) <= s <= comb_b(n):
-            return n
-    return None
 
 
 def comb_in_base(s, t):
@@ -189,136 +315,303 @@ def comb_tooth_index_array(s: np.ndarray) -> np.ndarray:
     return np.where(on_tooth, right_edge - e.astype(np.int64), -1)
 
 
-def comb_q_member(s, t, n_teeth: int):
-    """Exact membership in the comb closure Q with teeth 0..n_teeth."""
-    s = np.asarray(s, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    member = comb_in_base(s, t)
-    teeth_band = (s > 0.0) & (t > 0.0) & (t <= 1.0)
-    if teeth_band.any():
-        idx = comb_tooth_index_array(np.where(teeth_band, s, -1.0))
-        member = member | (teeth_band & (idx >= 0) & (idx <= n_teeth))
-    return member
+@dataclass(frozen=True)
+class Comb(Domain):
+    """The base B plus teeth 0..n_teeth; n_teeth=None keeps every tooth."""
+
+    n_teeth: int | None
+
+    kind = "comb"
+    bbox = ((-1.0, -1.0), (1.0, 1.0))
+
+    def __post_init__(self):
+        if self.n_teeth is not None and self.n_teeth < 0:
+            raise ValueError("n_teeth must be >= 0")
+
+    def params(self) -> dict:
+        return {"nTeeth": self.n_teeth}
+
+    def check_resolution(self, h: float) -> None:
+        half_gap = comb_c(self.n_teeth) / 2.0
+        if h > half_gap:
+            raise ResolutionTooCoarseError(
+                f"h={h} cannot resolve tooth {self.n_teeth} (c_n/2 = {half_gap})"
+            )
+
+    def q(self, s, t):
+        tooth = comb_tooth_index_array(s)  # >= 0 only where 0 < s <= 1
+        on_tooth = tooth >= 0
+        if self.n_teeth is not None:
+            on_tooth &= tooth <= self.n_teeth
+        return comb_in_base(s, t) | (on_tooth & (t > 0.0) & (t <= 1.0))
 
 
-def build_comb(n_teeth: int, h: float) -> tuple[GridMask, GridMask]:
-    """Comb closure mask Q over [-1, 1]^2 and its lattice interior."""
-    if n_teeth < 0:
-        raise ValueError("n_teeth must be >= 0")
-    if h > comb_c(n_teeth) / 2.0:
-        raise ResolutionTooCoarseError(
-            f"h={h} cannot resolve tooth {n_teeth} (c_n/2 = {comb_c(n_teeth) / 2})"
-        )
-    grid = GridSpec.cover((-1.0, -1.0), (1.0, 1.0), h)
-    ss, tt = grid.coord_grids()
-    q = GridMask(grid, comb_q_member(ss, tt, n_teeth))
-    return q, interior_of(q)
+def gap_segment_index_array(s) -> np.ndarray:
+    """Vectorized island lookup: 0 on [-1, 0], n on [2^-n, (3/2) 2^-n], else -1.
 
-
-def build_gap_intervals(n_segments: int, h: float) -> tuple[GridMask, GridMask]:
-    """1-D union of [-1, 0] and the shrinking islands [2^-n, (3/2) 2^-n]."""
-    if n_segments < 1:
-        raise ValueError("n_segments must be >= 1")
-    s_min = math.ldexp(1.0, -n_segments)
-    if h > s_min / 4.0:
-        raise ResolutionTooCoarseError(
-            f"h={h} cannot resolve segment {n_segments} (s_n/4 = {s_min / 4})"
-        )
-    grid = GridSpec.cover((-1.0,), (1.0,), h)
-    (ss,) = grid.coord_grids()
-    member = (ss >= -1.0) & (ss <= 0.0)
-    for n in range(1, n_segments + 1):
-        s_n = math.ldexp(1.0, -n)
-        member |= (ss >= s_n) & (ss <= 1.5 * s_n)
-    q = GridMask(grid, member)
-    return q, interior_of(q)
-
-
-def gap_segment_index(s: float) -> int | None:
-    """Index of the island containing s: 0 for [-1, 0], n >= 1 for the islands."""
-    if -1.0 <= s <= 0.0:
-        return 0
-    if not 0.0 < s <= 1.5 * 0.5:
-        return None
-    guess = int(math.floor(-math.log2(s)))
-    for n in (guess, guess + 1):
-        if n >= 1:
-            s_n = math.ldexp(1.0, -n)
-            if s_n <= s <= 1.5 * s_n:
-                return n
-    return None
-
-
-def build_cantor_slit_square(
-    depth: int, h: float
-) -> tuple[GridMask, GridMask, CantorApprox]:
-    """Closed square Q = [-1, 1]^2 and the open square minus depth-d slits.
-
-    The slits are the level-depth Cantor cover columns crossed with [0, 1].
-    Q deliberately keeps every lattice point: the slit set has empty interior
-    in the limit, so the closure of the open set is the whole square.
+    Exact for every float: with s = m * 2^e and 0.5 <= m < 1, a positive s
+    lies on island n = 1 - e exactly when m <= 0.75, and islands need n >= 1.
     """
-    approx = cantor_level(depth)
-    third = Fraction(1, 3**depth) if depth else Fraction(1)
-    if Fraction(h) > third / 2:
-        raise ResolutionTooCoarseError(
-            f"h={h} cannot resolve depth-{depth} intervals (3^-d/2 = {float(third / 2)})"
-        )
-    grid = GridSpec.cover((-1.0, -1.0), (1.0, 1.0), h)
-    s_coords = grid.axis_coords(0)
-    t_coords = grid.axis_coords(1)
-    q = GridMask(grid, np.ones(grid.extents, dtype=bool))
-    in_cover = np.array([approx.contains(s) for s in s_coords], dtype=bool)
-    open_square = (
-        (s_coords[:, None] > -1.0)
-        & (s_coords[:, None] < 1.0)
-        & (t_coords[None, :] > -1.0)
-        & (t_coords[None, :] < 1.0)
-    )
-    slit = in_cover[:, None] & (t_coords[None, :] >= 0.0) & (t_coords[None, :] <= 1.0)
-    omega = GridMask(grid, open_square & ~slit)
-    return q, omega, approx
-
-
-def regular_q_member(spec: DomainSpec, s, t):
     s = np.asarray(s, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    if spec.kind == "rectangle":
-        (s0, s1), (t0, t1) = spec.bounds
+    m, e = np.frexp(s)
+    on_island = (s > 0.0) & (e <= 0) & (m <= 0.75)
+    out = np.where(on_island, 1 - e.astype(np.int64), -1)
+    return np.where((s >= -1.0) & (s <= 0.0), 0, out)
+
+
+@dataclass(frozen=True)
+class GapIntervals(Domain):
+    """[-1, 0] and the islands [2^-n, (3/2) 2^-n], n = 1..n_segments, on the
+    line; n_segments=None keeps every island."""
+
+    n_segments: int | None
+
+    kind = "gap1d"
+    dim = 1
+    bbox = ((-1.0,), (1.0,))
+
+    def __post_init__(self):
+        if self.n_segments is not None and self.n_segments < 1:
+            raise ValueError("n_segments must be >= 1")
+
+    def params(self) -> dict:
+        return {"nSegments": self.n_segments}
+
+    def check_resolution(self, h: float) -> None:
+        s_min = math.ldexp(1.0, -self.n_segments)
+        if h > s_min / 4.0:
+            raise ResolutionTooCoarseError(
+                f"h={h} cannot resolve segment {self.n_segments} "
+                f"(s_n/4 = {s_min / 4})"
+            )
+
+    def q(self, s):
+        seg = gap_segment_index_array(s)
+        if self.n_segments is None:
+            return seg >= 0
+        return (seg >= 0) & (seg <= self.n_segments)
+
+
+@dataclass(frozen=True)
+class CantorSlit(Domain):
+    """Q = [-1, 1]^2; the open set is the open square minus the slits, the
+    level-depth Cantor cover columns crossed with [0, 1].  The slits have
+    empty interior in the limit, so Q is the closure of the open set.
+    """
+
+    depth: int
+    cover: CantorApprox = field(init=False, repr=False, compare=False)
+
+    kind = "cantor_slit"
+    bbox = ((-1.0, -1.0), (1.0, 1.0))
+
+    def __post_init__(self):
+        object.__setattr__(self, "cover", cantor_level(self.depth))
+
+    def params(self) -> dict:
+        return {"depth": self.depth}
+
+    def check_resolution(self, h: float) -> None:
+        half_third = Fraction(1, 3**self.depth) / 2
+        if Fraction(h) > half_third:
+            raise ResolutionTooCoarseError(
+                f"h={h} cannot resolve depth-{self.depth} intervals "
+                f"(3^-d/2 = {float(half_third)})"
+            )
+
+    def q(self, s, t):
+        return (np.abs(s) <= 1.0) & (np.abs(t) <= 1.0)
+
+    def open(self, s, t):
+        # one exact Fraction test per distinct abscissa
+        uniq, inverse = np.unique(s, return_inverse=True)
+        in_cover = np.array([self.cover.contains(v) for v in uniq], dtype=bool)
+        slit = in_cover[inverse].reshape(np.shape(s)) & (t >= 0.0) & (t <= 1.0)
+        return (np.abs(s) < 1.0) & (np.abs(t) < 1.0) & ~slit
+
+
+@dataclass(frozen=True)
+class Rectangle(Domain):
+    """Axis-aligned closed rectangle; atlas of four edges and four corners."""
+
+    bounds: tuple[tuple[float, float], tuple[float, float]] = (
+        (0.0, 1.0), (0.0, 1.0))
+
+    kind = "rectangle"
+
+    def __post_init__(self):
+        object.__setattr__(self, "bounds",
+                           tuple(tuple(map(float, b)) for b in self.bounds))
+
+    @property
+    def bbox(self):
+        (x0, x1), (y0, y1) = self.bounds
+        return (x0, y0), (x1, y1)
+
+    def params(self) -> dict:
+        return {"bounds": [list(pair) for pair in self.bounds]}
+
+    def q(self, s, t):
+        (s0, s1), (t0, t1) = self.bounds
         return (s >= s0) & (s <= s1) & (t >= t0) & (t <= t1)
-    if spec.kind == "disk":
-        cs, ct = spec.center
-        return (s - cs) ** 2 + (t - ct) ** 2 <= spec.radius**2
-    if spec.kind == "half_ball":
+
+    def charts(self) -> list[Chart]:
+        (x0, x1), (y0, y1) = self.bounds
+        lx, ly = x1 - x0, y1 - y0
+        m = min(lx, ly)
+        normal = 0.7 * m
+        r_c = 0.9 * m
+        cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+        charts: list[Chart] = [
+            AffineChart((cx, y0), [[0.0, lx / 2], [normal, 0.0]],
+                        "edge", True, "half"),
+            AffineChart((x1, cy), [[-normal, 0.0], [0.0, ly / 2]],
+                        "edge", True, "half"),
+            AffineChart((cx, y1), [[0.0, lx / 2], [-normal, 0.0]],
+                        "edge", True, "half"),
+            AffineChart((x0, cy), [[normal, 0.0], [0.0, ly / 2]],
+                        "edge", True, "half"),
+        ]
+        for corner, (sx, sy) in (
+            ((x0, y0), (1.0, 1.0)),
+            ((x1, y0), (-1.0, 1.0)),
+            ((x1, y1), (-1.0, -1.0)),
+            ((x0, y1), (1.0, -1.0)),
+        ):
+            charts.append(
+                AffineChart(corner, [[sx * r_c, 0.0], [0.0, sy * r_c]],
+                            "corner", False, "quarter")
+            )
+        return charts
+
+    def interior_chart(self) -> AffineChart:
+        (x0, x1), (y0, y1) = self.bounds
+        return AffineChart(
+            (0.5 * (x0 + x1), 0.5 * (y0 + y1)),
+            [[0.45 * (x1 - x0), 0.0], [0.0, 0.45 * (y1 - y0)]],
+            "interior", False, "none",
+        )
+
+    def probes(self, n_probes: int) -> tuple[np.ndarray, np.ndarray]:
+        (x0, x1), (y0, y1) = self.bounds
+        per = max(4, n_probes // 4)
+        # stay a tenth of the edge away from each corner
+        fx = x0 + (x1 - x0) * (0.1 + 0.8 * (np.arange(per) + 0.5) / per)
+        fy = y0 + (y1 - y0) * (0.1 + 0.8 * (np.arange(per) + 0.5) / per)
+        pts, normals = [], []
+        for x, y, nx, ny in (
+            (fx, np.full(per, y0), 0.0, -1.0),
+            (fx, np.full(per, y1), 0.0, 1.0),
+            (np.full(per, x0), fy, -1.0, 0.0),
+            (np.full(per, x1), fy, 1.0, 0.0),
+        ):
+            pts.append(np.stack([x, y], axis=-1))
+            normals.append(np.tile([nx, ny], (per, 1)))
+        return np.concatenate(pts), np.concatenate(normals)
+
+
+@dataclass(frozen=True)
+class Disk(Domain):
+    """Closed disk; atlas of four overlapping annular sectors."""
+
+    center: tuple[float, float] = (0.0, 0.0)
+    radius: float = 1.0
+
+    kind = "disk"
+
+    def __post_init__(self):
+        object.__setattr__(self, "center", tuple(map(float, self.center)))
+        object.__setattr__(self, "radius", float(self.radius))
+
+    @property
+    def bbox(self):
+        (cx, cy), r = self.center, self.radius
+        return (cx - r, cy - r), (cx + r, cy + r)
+
+    def params(self) -> dict:
+        return {"center": list(self.center), "radius": self.radius}
+
+    def q(self, s, t):
+        cs, ct = self.center
+        return (s - cs) ** 2 + (t - ct) ** 2 <= self.radius**2
+
+    def charts(self) -> list[Chart]:
+        return [
+            PolarSectorChart(self.center, self.radius,
+                             theta_c=k * math.pi / 2.0,
+                             width=0.35 * math.pi, depth=0.5 * self.radius)
+            for k in range(4)
+        ]
+
+    def interior_chart(self) -> AffineChart:
+        r = 0.8 * self.radius
+        return AffineChart(self.center, [[r, 0.0], [0.0, r]],
+                           "interior", False, "none")
+
+    def probes(self, n_probes: int) -> tuple[np.ndarray, np.ndarray]:
+        thetas = (np.arange(n_probes) + 0.5) * (2.0 * np.pi / n_probes)
+        normals = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
+        return np.array(self.center) + self.radius * normals, normals
+
+
+@dataclass(frozen=True)
+class HalfBall(Domain):
+    """The closed right half of the unit disk; only the flat face s = 0 is
+    charted, the curved arc is scenery, not the wall under study."""
+
+    kind = "half_ball"
+    bbox = ((0.0, -1.0), (1.0, 1.0))
+
+    def q(self, s, t):
         return (s**2 + t**2 <= 1.0) & (s >= 0.0)
-    raise UnsupportedDomainError(f"{spec.kind} is not a regular domain")
+
+    def charts(self) -> list[Chart]:
+        return [
+            AffineChart((0.0, 0.0), np.eye(2), "identity", True, "half")
+        ]
+
+    def interior_chart(self) -> AffineChart:
+        return AffineChart((0.45, 0.0), [[0.4, 0.0], [0.0, 0.55]],
+                           "interior", False, "none")
+
+    def probes(self, n_probes: int) -> tuple[np.ndarray, np.ndarray]:
+        ts = np.linspace(-0.85, 0.85, n_probes)
+        pts = np.stack([np.zeros_like(ts), ts], axis=-1)
+        return pts, np.tile([-1.0, 0.0], (n_probes, 1))
+
+    def charted(self, s, t, depth: float):
+        # The chart's bump has support radius 0.9: the face endpoints
+        # (0, +-1) sit outside it, so the face stops short at |t| = 0.85.
+        return (np.abs(s) <= depth) & (np.abs(t) <= 0.85)
 
 
-def build_regular(spec: DomainSpec, h: float) -> tuple[GridMask, GridMask]:
-    """Masks for the chartable domains (rectangle, disk, half ball)."""
-    if spec.kind == "rectangle":
-        (s0, s1), (t0, t1) = spec.bounds
-        grid = GridSpec.cover((s0, t0), (s1, t1), h)
-    elif spec.kind == "disk":
-        cs, ct = spec.center
-        r = spec.radius
-        grid = GridSpec.cover((cs - r, ct - r), (cs + r, ct + r), h)
-    elif spec.kind == "half_ball":
-        grid = GridSpec.cover((0.0, -1.0), (1.0, 1.0), h)
-    else:
-        raise UnsupportedDomainError(f"{spec.kind} is not a regular domain")
-    ss, tt = grid.coord_grids()
-    q = GridMask(grid, regular_q_member(spec, ss, tt))
-    return q, interior_of(q)
+# the public constructors
+comb = Comb
+gap_intervals = GapIntervals
+cantor_slit_square = CantorSlit
+rectangle = Rectangle
+disk = Disk
+half_ball = HalfBall
 
 
-def build_domain(spec: DomainSpec, h: float) -> tuple[GridMask, GridMask]:
-    """Dispatch to the kind-specific builder; returns (Q mask, open-set mask)."""
-    if spec.kind == "comb":
-        return build_comb(spec.n_teeth, h)
-    if spec.kind == "gap1d":
-        return build_gap_intervals(spec.n_segments, h)
-    if spec.kind == "cantor_slit":
-        q, omega, _ = build_cantor_slit_square(spec.depth, h)
-        return q, omega
-    return build_regular(spec, h)
+def regular_q_member(domain: Domain, s, t):
+    """Closure membership of a chartable domain; the others raise."""
+    if not isinstance(domain, (Rectangle, Disk, HalfBall)):
+        raise UnsupportedDomainError(f"{domain.kind} is not a regular domain")
+    return domain.q(np.asarray(s, dtype=np.float64),
+                    np.asarray(t, dtype=np.float64))
+
+
+def build_domain(domain: Domain, h: float) -> tuple[GridMask, GridMask]:
+    """(Q mask, open-set mask) on the lattice of step h over the bbox.
+
+    The predicates get broadcastable axes (np.ix_): work on one coordinate
+    runs once per lattice line.
+    """
+    domain.check_resolution(h)
+    grid = GridSpec.cover(*domain.bbox, h)
+    axes = np.ix_(*(grid.axis_coords(a) for a in range(grid.dim)))
+    q = GridMask(grid, np.broadcast_to(domain.q(*axes), grid.extents))
+    if domain.open is None:
+        return q, interior_of(q)
+    return q, GridMask(grid, np.broadcast_to(domain.open(*axes), grid.extents))

@@ -5,10 +5,6 @@ class JetlabError(Exception):
     """Base class for all package errors."""
 
 
-class NoNeighborError(JetlabError):
-    """A finite-difference stencil found no usable neighbor on either side."""
-
-
 class EmptyMaskError(JetlabError):
     """A sup over an empty mask was requested."""
 

@@ -17,7 +17,6 @@ from typing import Callable
 import numpy as np
 
 from . import domains
-from .domains import DomainSpec
 from .errors import PointOutsideRegionError
 from .grid import GridMask, SampledJet, multi_indices
 
@@ -102,22 +101,22 @@ class AnalyticJet:
     """A field with closed-form partials, optionally tied to a region.
 
     evaluator(points, alpha) consumes an (..., dim) array and returns the
-    alpha-partial at each point.  member(points), when present, is the exact
-    region predicate; scalar evaluation outside it raises.
+    alpha-partial at each point.  member(*coords), when present, is the exact
+    region predicate of a domain, called with one coordinate array per axis;
+    scalar evaluation outside it raises.
     """
 
     name: str
     order: int
     dim: int
-    region: DomainSpec | None
     evaluator: Callable[[np.ndarray, tuple[int, ...]], np.ndarray]
-    member: Callable[[np.ndarray], np.ndarray] | None = None
+    member: Callable[..., np.ndarray] | None = None
 
     def contains(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
         if self.member is None:
             return np.ones(pts.shape[:-1], dtype=bool)
-        return self.member(pts)
+        return self.member(*np.moveaxis(pts, -1, 0))
 
     def partial_many(self, points, alpha) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
@@ -184,7 +183,7 @@ def polynomial_jet(name: str, terms: dict[tuple[int, ...], float], order: int,
             out += term
         return out
 
-    return AnalyticJet(name, order, dim, None, evaluator)
+    return AnalyticJet(name, order, dim, evaluator)
 
 
 def chi_jet(order: int = 1) -> AnalyticJet:
@@ -207,7 +206,7 @@ def sin_cos_jet(order: int = 3) -> AnalyticJet:
         t_cycle = (np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v), np.sin)
         return s_cycle[a % 4](s) * t_cycle[b % 4](t)
 
-    return AnalyticJet("sin_cos", order, 2, None, evaluator)
+    return AnalyticJet("sin_cos", order, 2, evaluator)
 
 
 def exp1d_jet(order: int = 3) -> AnalyticJet:
@@ -216,7 +215,10 @@ def exp1d_jet(order: int = 3) -> AnalyticJet:
     def evaluator(pts: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
         return np.exp(pts[..., 0])
 
-    return AnalyticJet("exp1d", order, 1, None, evaluator)
+    return AnalyticJet("exp1d", order, 1, evaluator)
+
+
+_COMB = domains.Comb(None)
 
 
 def _example3_eval(pts: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
@@ -224,15 +226,14 @@ def _example3_eval(pts: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
     s = pts[..., 0]
     t = pts[..., 1]
     a, b = alpha
-    in_base = domains.comb_in_base(s, t)
-    tooth_band = (s > 0.0) & (t > 0.0) & (t <= 1.0)
-    tooth = domains.comb_tooth_index_array(np.where(tooth_band, s, -1.0))
-    on_tooth = tooth_band & (tooth >= 0)
-    # shifted abscissa: s on the base, s - a_n on tooth n
-    n_safe = np.where(on_tooth, tooth, 0).astype(np.int32)
-    shift = np.where(on_tooth, np.ldexp(0.75, -n_safe), 0.0)
-    sloc = np.where(on_tooth, s - shift, s)
-    region = in_base | on_tooth
+    region = _COMB.q(s, t)
+    # shifted abscissa: s on the base, s - a_n on tooth n, where the comb
+    # meets the open positive quadrant
+    sloc = np.array(s, dtype=np.float64)
+    if a == 0:
+        on_tooth = region & (s > 0.0) & (t > 0.0)
+        tooth = domains.comb_tooth_index_array(s[on_tooth]).astype(np.int32)
+        sloc[on_tooth] -= np.ldexp(0.75, -tooth)
     if a == 0 and b == 0:
         vals = sloc * t * t
     elif a == 1 and b == 0:
@@ -252,19 +253,8 @@ def example3_jet(order: int = 1, n_teeth: int | None = None) -> AnalyticJet:
     """The comb counterexample field as an order-1 jet (order 2 available)."""
     if order > 2:
         raise ValueError("comb field jets are available to order 2")
-
-    def member(pts: np.ndarray) -> np.ndarray:
-        s = pts[..., 0]
-        t = pts[..., 1]
-        tooth_band = (s > 0.0) & (t > 0.0) & (t <= 1.0)
-        tooth = domains.comb_tooth_index_array(np.where(tooth_band, s, -1.0))
-        on_tooth = tooth_band & (tooth >= 0)
-        if n_teeth is not None:
-            on_tooth &= tooth <= n_teeth
-        return domains.comb_in_base(s, t) | on_tooth
-
-    region = domains.comb(n_teeth) if n_teeth is not None else None
-    return AnalyticJet("example3", order, 2, region, _example3_eval, member)
+    return AnalyticJet("example3", order, 2, _example3_eval,
+                       domains.Comb(n_teeth).q)
 
 
 def example3_value(s: float, t: float, alpha=(0, 0)) -> float:
@@ -273,26 +263,9 @@ def example3_value(s: float, t: float, alpha=(0, 0)) -> float:
     return float(_example3_eval(pts, tuple(alpha))[0])
 
 
-def _gap_segment_index_array(s: np.ndarray) -> np.ndarray:
-    out = np.full(s.shape, -1, dtype=np.int64)
-    out = np.where((s >= -1.0) & (s <= 0.0), 0, out)
-    pos = (s > 0.0) & (s <= 0.75)
-    if pos.any():
-        sp = np.where(pos, s, 1.0)
-        guess = np.floor(-np.log2(sp)).astype(np.int64)
-        for offset in (0, 1):
-            n = guess + offset
-            valid = pos & (n >= 1) & (out < 0)
-            n_safe = np.where(n >= 1, n, 1).astype(np.int32)
-            s_n = np.ldexp(1.0, -n_safe)
-            hit = valid & (s_n <= sp) & (sp <= 1.5 * s_n)
-            out = np.where(hit, n, out)
-    return out
-
-
 def _gap1d_eval(pts: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
     s = pts[..., 0]
-    seg = _gap_segment_index_array(s)
+    seg = domains.gap_segment_index_array(s)
     inside = seg >= 0
     (a,) = alpha
     if a == 0:
@@ -308,16 +281,8 @@ def _gap1d_eval(pts: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
 
 def gap1d_jet(order: int = 1, n_segments: int | None = None) -> AnalyticJet:
     """Identity-slope staircase on [-1, 0] and the islands [2^-n, (3/2)2^-n]."""
-
-    def member(pts: np.ndarray) -> np.ndarray:
-        seg = _gap_segment_index_array(pts[..., 0])
-        ok = seg >= 0
-        if n_segments is not None:
-            ok &= seg <= n_segments
-        return ok
-
-    region = domains.gap_intervals(n_segments) if n_segments is not None else None
-    return AnalyticJet("gap1d", order, 1, region, _gap1d_eval, member)
+    return AnalyticJet("gap1d", order, 1, _gap1d_eval,
+                       domains.GapIntervals(n_segments).q)
 
 
 def gap1d_value(s: float, alpha=(0,)) -> float:
@@ -354,25 +319,8 @@ def example1_jet(
     """
     if order > 3:
         raise ValueError("t-derivatives of the mollifier stop at order 3")
-    approx = domains.cantor_level(depth)
-
-    def member(pts: np.ndarray) -> np.ndarray:
-        s = pts[..., 0]
-        t = pts[..., 1]
-        open_square = (np.abs(s) < 1.0) & (np.abs(t) < 1.0)
-        uniq, inverse = np.unique(s, return_inverse=True)
-        in_cover = np.array([approx.contains(v) for v in uniq], dtype=bool)
-        slit = in_cover[inverse].reshape(s.shape) & (t >= 0.0) & (t <= 1.0)
-        return open_square & ~slit
-
-    return AnalyticJet(
-        "example1",
-        order,
-        2,
-        domains.cantor_slit_square(depth),
-        _example1_eval_factory(phi_depth),
-        member,
-    )
+    return AnalyticJet("example1", order, 2, _example1_eval_factory(phi_depth),
+                       domains.CantorSlit(depth).open)
 
 
 def example1_xbar(s, t, t_order: int = 0, phi_depth: int = DEFAULT_PHI_DEPTH) -> float:

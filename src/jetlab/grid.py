@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyMaskError, MaskMismatchError, NoNeighborError
+from .errors import EmptyMaskError, MaskMismatchError
 
 
 def multi_indices(order: int, dim: int) -> list[tuple[int, ...]]:
@@ -244,35 +244,6 @@ def jet_add(a: SampledJet, b: SampledJet) -> SampledJet:
         a.mask,
         {al: a.components[al] + b.components[al] for al in a.components},
     )
-
-
-def fd_partial(
-    jet: SampledJet, alpha: tuple[int, ...], axis: int, index: tuple[int, ...]
-) -> float:
-    """Finite-difference estimate of the axis-partial of component alpha.
-
-    Central second-order when both axis neighbors are masked, one-sided
-    first-order toward the single available neighbor otherwise.
-    """
-    alpha = tuple(alpha)
-    arr = jet.components[alpha]
-    member = jet.mask.member
-    if not member[index]:
-        raise NoNeighborError(f"point {index} is not in the mask")
-    lo = list(index)
-    hi = list(index)
-    lo[axis] -= 1
-    hi[axis] += 1
-    has_lo = lo[axis] >= 0 and member[tuple(lo)]
-    has_hi = hi[axis] < jet.grid.extents[axis] and member[tuple(hi)]
-    h = jet.grid.h
-    if has_lo and has_hi:
-        return float((arr[tuple(hi)] - arr[tuple(lo)]) / (2.0 * h))
-    if has_hi:
-        return float((arr[tuple(hi)] - arr[index]) / h)
-    if has_lo:
-        return float((arr[index] - arr[tuple(lo)]) / h)
-    raise NoNeighborError(f"no axis-{axis} neighbor of {index} in the mask")
 
 
 def sup_on_mask(values: np.ndarray, mask: GridMask) -> float:

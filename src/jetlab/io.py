@@ -21,6 +21,7 @@ from itertools import repeat
 
 import numpy as np
 
+from .errors import JetlabError
 from .grid import GridMask, GridSpec, SampledJet, alpha_key, parse_alpha_key
 
 # Rows (or array elements) encoded per block; bounds the transient strings.
@@ -173,17 +174,18 @@ def jet_to_payload(jet: SampledJet) -> dict:
 
 
 def jet_from_payload(payload: dict) -> SampledJet:
-    grid = grid_from_payload(payload["grid"])
-    mask = GridMask(
-        grid, np.asarray(payload["mask"], dtype=bool).reshape(grid.extents, order="C")
-    )
-    components = {
-        parse_alpha_key(key): np.asarray(vals, dtype=np.float64).reshape(
-            grid.extents, order="C"
-        )
-        for key, vals in payload["components"].items()
-    }
-    return SampledJet(int(payload["order"]), grid, mask, components)
+    try:
+        mask = mask_from_payload(payload)
+        components = {
+            parse_alpha_key(key): np.asarray(vals, dtype=np.float64).reshape(
+                mask.grid.extents, order="C"
+            )
+            for key, vals in payload["components"].items()
+        }
+        order = int(payload["order"])
+    except KeyError as err:
+        raise JetlabError(f"jet artifact lacks the key {err}") from None
+    return SampledJet(order, mask.grid, mask, components)
 
 
 def write_artifact(path: str, payload: dict, provenance: dict | None = None) -> None:

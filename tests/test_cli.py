@@ -247,3 +247,89 @@ def test_cli_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+H_COMMANDS = {
+    "domain build": ["domain", "build", "--domain", "comb"],
+    "field sample": ["field", "sample", "--function", "sin_cos", "--domain",
+                     "rectangle"],
+    "space norm": ["space", "norm", "--function", "sin_cos", "--domain",
+                   "disk"],
+    "extend prop2": ["extend", "prop2", "--function", "sin_cos", "--domain",
+                     "disk"],
+}
+
+
+@pytest.mark.parametrize("h", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("command", sorted(H_COMMANDS))
+def test_bad_h_is_a_usage_error(command, h, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        run(H_COMMANDS[command] + ["--h", h, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--h" in err and "positive finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["space", "norm", "--field", "{missing}"],
+    ["hestenes", "extend", "--in", "{missing}", "--width", "4",
+     "--out", "{tmp}/out.json"],
+    ["replay", "--cert", "{missing}"],
+    ["certify", "gap1d", "--n-max", "4", "--out", "{tmp}/no/dir/c.json"],
+    ["domain", "build", "--domain", "rectangle", "--h", "0.25",
+     "--out", "{tmp}/no/dir/d.json"],
+], ids=["norm-field", "hestenes-in", "replay-cert", "certify-out",
+        "build-out"])
+def test_missing_file_is_a_usage_error(argv, tmp_path, capsys):
+    fill = {"missing": str(tmp_path / "absent.json"), "tmp": str(tmp_path)}
+    assert run([a.format(**fill) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err
+
+
+def _write_without(path, payload, key):
+    payload = dict(payload)
+    del payload[key]
+    io.write_artifact(str(path), payload)
+
+
+def test_jet_artifact_without_grid_is_a_usage_error(tmp_path, capsys):
+    field = tmp_path / "field.json"
+    assert run(["field", "sample", "--function", "sin_cos", "--domain",
+                "rectangle", "--h", "0.25", "--out", str(field)]) == 0
+    jet = io.read_artifact(str(field))["jet"]
+    bad = tmp_path / "bad.json"
+    _write_without(bad, jet, "grid")
+    capsys.readouterr()
+    assert run(["space", "norm", "--field", str(bad)]) == 2
+    assert run(["hestenes", "extend", "--in", str(bad), "--width", "2",
+                "--out", str(tmp_path / "ext.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: jet artifact lacks the key 'grid'") == 2
+
+
+def test_certificate_without_domain_is_a_usage_error(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    assert run(["certify", "gap1d", "--n-max", "4", "--out", str(cert)]) == 0
+    bad = tmp_path / "bad.json"
+    _write_without(bad, io.read_artifact(str(cert)), "domain")
+    capsys.readouterr()
+    assert run(["replay", "--cert", str(bad)]) == 2
+    assert ("error: certificate artifact lacks the key 'domain'"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["extend", "prop2", "--domain", "disk", "--function", "gap1d"],
+    ["field", "sample", "--domain", "gap1d", "--function", "sin_cos"],
+    ["space", "norm", "--domain", "comb", "--function", "exp1d"],
+], ids=["extend-prop2", "field-sample", "space-norm"])
+def test_dimension_mismatch_is_a_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    function, domain = argv[argv.index("--function") + 1], argv[3]
+    assert f"function {function} is" in err and f"domain {domain} is" in err
+    assert not out.exists()

@@ -1,6 +1,7 @@
 """Domain constructors and rasterization."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,9 @@ from jetlab.errors import (
     UnsupportedDomainError,
 )
 from jetlab.grid import GridSpec, interior_of
-from lattice_oracles import connected_component_count
+from lattice_oracles import (
+    comb_tooth_index, connected_component_count, gap_segment_index,
+)
 
 
 def ternary_cover_intervals(depth):
@@ -66,19 +69,19 @@ def test_comb_geometry():
     assert domains.comb_a(0) == 0.75
     assert domains.comb_b(0) == 1.0
     assert domains.comb_c(2) == 0.0625
-    assert domains.comb_tooth_index(0.8) == 0
-    assert domains.comb_tooth_index(0.75) == 0
-    assert domains.comb_tooth_index(0.5) == 1  # b_1, shared edge value
-    assert domains.comb_tooth_index(0.7) is None
-    assert domains.comb_tooth_index(-0.5) is None
-    assert domains.comb_tooth_index(2.0) is None
+    assert comb_tooth_index(0.8) == 0
+    assert comb_tooth_index(0.75) == 0
+    assert comb_tooth_index(0.5) == 1  # b_1, shared edge value
+    assert comb_tooth_index(0.7) is None
+    assert comb_tooth_index(-0.5) is None
+    assert comb_tooth_index(2.0) is None
     s = np.array([0.8, 0.7, 0.375, 1.0, -0.2, 3e-9])
     idx = domains.comb_tooth_index_array(s)
     assert idx.tolist() == [0, -1, 1, 0, -1, 28]
 
 
 def tooth_oracle(values):
-    out = [domains.comb_tooth_index(v) for v in values]
+    out = [comb_tooth_index(v) for v in values]
     return np.array([-1 if n is None else n for n in out])
 
 
@@ -111,18 +114,18 @@ def test_comb_membership():
     assert domains.comb_in_base(0.0, 1.0)
     assert not domains.comb_in_base(0.5, 0.5)
     assert not domains.comb_in_base(-1.5, 0.0)
-    q = domains.comb_q_member
-    assert q(0.8, 0.5, n_teeth=6)
-    assert q(0.8, 1.0, n_teeth=6)
-    assert not q(0.7, 0.5, n_teeth=6)  # in the gap between teeth 1 and 0
-    assert not q(0.8, 1.5, n_teeth=6)
-    assert not q(2.0**-8, 0.5, n_teeth=6)  # tooth 8 exists but is excluded
-    assert q(2.0**-6 * 0.75, 0.5, n_teeth=6)
+    q = domains.comb(6).q
+    assert q(0.8, 0.5)
+    assert q(0.8, 1.0)
+    assert not q(0.7, 0.5)  # in the gap between teeth 1 and 0
+    assert not q(0.8, 1.5)
+    assert not q(2.0**-8, 0.5)  # tooth 8 exists but is excluded
+    assert q(2.0**-6 * 0.75, 0.5)
 
 
 def test_build_comb():
     h = 2.0**-9
-    q, omega = domains.build_comb(6, h)
+    q, omega = domains.build_domain(domains.comb(6), h)
     assert q.grid.extents == (1025, 1025)
     assert omega.count < q.count
     # teeth are thinner than their gaps, so they contribute separate
@@ -130,14 +133,14 @@ def test_build_comb():
     assert connected_component_count(q) == 1
     assert np.array_equal(omega.member, interior_of(q).member)
     with pytest.raises(ResolutionTooCoarseError):
-        domains.build_comb(6, 2.0**-7)
+        domains.build_domain(domains.comb(6), 2.0**-7)
     with pytest.raises(ValueError):
-        domains.build_comb(-1, h)
+        domains.build_domain(domains.comb(-1), h)
 
 
 def test_build_gap_intervals():
     h = 2.0**-10
-    q, omega = domains.build_gap_intervals(8, h)
+    q, omega = domains.build_domain(domains.gap_intervals(8), h)
     assert q.grid.dim == 1
     # [-1,0] plus 8 islands
     assert connected_component_count(q) == 9
@@ -148,24 +151,26 @@ def test_build_gap_intervals():
     assert gap_pts.any()
     assert not q.member[gap_pts].any()
     with pytest.raises(ResolutionTooCoarseError):
-        domains.build_gap_intervals(8, 2.0**-8)
+        domains.build_domain(domains.gap_intervals(8), 2.0**-8)
     with pytest.raises(ValueError):
-        domains.build_gap_intervals(0, h)
+        domains.build_domain(domains.gap_intervals(0), h)
 
 
 def test_gap_segment_index():
-    assert domains.gap_segment_index(-0.5) == 0
-    assert domains.gap_segment_index(0.0) == 0
-    assert domains.gap_segment_index(0.5) == 1
-    assert domains.gap_segment_index(0.75) == 1
-    assert domains.gap_segment_index(0.4) is None
-    assert domains.gap_segment_index(0.8) is None
-    assert domains.gap_segment_index(2.0**-5 * 1.25) == 5
+    assert gap_segment_index(-0.5) == 0
+    assert gap_segment_index(0.0) == 0
+    assert gap_segment_index(0.5) == 1
+    assert gap_segment_index(0.75) == 1
+    assert gap_segment_index(0.4) is None
+    assert gap_segment_index(0.8) is None
+    assert gap_segment_index(2.0**-5 * 1.25) == 5
 
 
 def test_build_cantor_slit_square():
     h = 2.0**-8
-    q, omega, approx = domains.build_cantor_slit_square(4, h)
+    slit = domains.cantor_slit_square(4)
+    q, omega = domains.build_domain(slit, h)
+    approx = slit.cover
     assert q.count == q.grid.point_count  # Q keeps the whole closed square
     assert approx.depth == 4
     # slit columns are removed from the open square for 0 <= t <= 1
@@ -178,7 +183,7 @@ def test_build_cantor_slit_square():
     s_gap = np.nonzero(q.grid.axis_coords(0) == 0.5)[0][0]
     assert omega.member[s_gap][inside_slit & (t_pos < 1.0)].all()
     with pytest.raises(ResolutionTooCoarseError):
-        domains.build_cantor_slit_square(4, 2.0**-6)
+        domains.build_domain(domains.cantor_slit_square(4), 2.0**-6)
 
 
 def test_regular_membership_exact():
@@ -197,13 +202,13 @@ def test_regular_membership_exact():
 
 
 def test_build_regular_extents():
-    q, omega = domains.build_regular(domains.rectangle(), 2.0**-4)
+    q, omega = domains.build_domain(domains.rectangle(), 2.0**-4)
     assert q.grid.extents == (17, 17)
     assert q.count == 17 * 17
-    q2, _ = domains.build_regular(domains.disk(), 2.0**-4)
+    q2, _ = domains.build_domain(domains.disk(), 2.0**-4)
     assert q2.grid.extents == (33, 33)
     assert q2.count < 33 * 33
-    q3, _ = domains.build_regular(domains.half_ball(), 2.0**-4)
+    q3, _ = domains.build_domain(domains.half_ball(), 2.0**-4)
     assert q3.grid.origin == (0.0, -1.0)
 
 
@@ -226,8 +231,34 @@ def test_spec_params():
     assert domains.disk((0.5, 0.0), 2.0).params() == {
         "center": [0.5, 0.0], "radius": 2.0}
     assert domains.rectangle().params()["bounds"] == [[0.0, 1.0], [0.0, 1.0]]
-    assert domains.cantor_slit_square(4).omega_convention == "slit"
-    assert domains.comb(6).omega_convention == "interior"
     assert domains.gap_intervals(3).dim == 1
     assert domains.half_ball().dim == 2
-    assert domains.comb(2).domain_id() == "comb"
+    # the comb's open set is the lattice interior of Q; the slit square's
+    # is not: its slits carve the interior of the closed square
+    q, omega = domains.build_domain(domains.comb(6), 2.0**-9)
+    assert np.array_equal(omega.member, interior_of(q).member)
+    q, omega = domains.build_domain(domains.cantor_slit_square(4), 2.0**-8)
+    assert not np.array_equal(omega.member, interior_of(q).member)
+
+
+def gap_oracle(values):
+    out = [gap_segment_index(v) for v in values]
+    return np.array([-1 if n is None else n for n in out])
+
+
+@pytest.mark.parametrize("h", [2.0**-10, 2.0**-14])
+def test_gap_segment_index_array_on_lattice_coordinates(h):
+    s = GridSpec.cover((-1.0,), (1.0,), h).axis_coords(0)
+    assert np.array_equal(domains.gap_segment_index_array(s), gap_oracle(s))
+
+
+def test_gap_segment_index_array_at_island_endpoints():
+    ends = [-1.0, 0.0]
+    for n in range(1, 1075):
+        s_n = math.ldexp(1.0, -n)
+        ends += [s_n, 1.5 * s_n]
+    s = np.array([v for e in ends
+                  for v in (e, np.nextafter(e, -2.0), np.nextafter(e, 2.0))])
+    got = domains.gap_segment_index_array(s)
+    assert np.array_equal(got, gap_oracle(s))
+    assert got.dtype == np.int64

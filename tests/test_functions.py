@@ -179,7 +179,7 @@ def test_example3_jet_region():
 
 def test_example3_sample_respects_teeth_bound():
     h = 2.0**-9
-    q6, _ = domains.build_comb(6, h)
+    q6, _ = domains.build_domain(domains.comb(6), h)
     bounded = functions.example3_jet(order=1, n_teeth=2)
     with pytest.raises(PointOutsideRegionError):
         bounded.sample(q6, order=1)

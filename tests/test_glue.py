@@ -11,14 +11,12 @@ from jetlab.glue import (
     bump_ball_partials,
     build_partition,
     chart_image_contains,
-    chart_roundtrip_defect,
     global_extend,
     interface_jet_mismatch,
     local_extend,
-    make_charts,
 )
 from jetlab.grid import GridMask, GridSpec
-from lattice_oracles import box_dilation, erosion
+from lattice_oracles import box_dilation, chart_roundtrip_defect, erosion
 
 
 def ball_points(n, radius=0.95, seed=3):
@@ -34,7 +32,7 @@ ALL_SPECS = [domains.rectangle(), domains.disk(), domains.half_ball()]
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
 def test_chart_roundtrip(spec):
     xi = ball_points(200)
-    for chart in make_charts(spec):
+    for chart in spec.charts():
         world = chart.forward(xi)
         assert chart_roundtrip_defect(chart, world) < 1e-12
         assert np.max(np.abs(chart.inverse(world) - xi)) < 1e-12
@@ -44,7 +42,7 @@ def test_chart_roundtrip(spec):
 def test_chart_jacobians_match_finite_differences(spec):
     xi = ball_points(40, radius=0.8)
     eps = 1e-6
-    for chart in make_charts(spec):
+    for chart in spec.charts():
         J = chart.jac_forward(xi)
         H = chart.hess_forward(xi)
         for c in range(2):
@@ -74,21 +72,21 @@ def test_chart_jacobians_match_finite_differences(spec):
 
 
 def test_atlas_shapes():
-    assert len(make_charts(domains.half_ball())) == 1
-    rect = make_charts(domains.rectangle())
+    assert len(domains.half_ball().charts()) == 1
+    rect = domains.rectangle().charts()
     assert len(rect) == 8
     assert [c.kind for c in rect] == ["edge"] * 4 + ["corner"] * 4
     assert [c.extension for c in rect] == ["half"] * 4 + ["quarter"] * 4
-    disk = make_charts(domains.disk())
+    disk = domains.disk().charts()
     assert len(disk) == 4
     assert all(c.half_exact for c in disk)
     with pytest.raises(UnsupportedDomainError):
-        make_charts(domains.comb(4))
+        domains.comb(4).charts()
 
 
 def test_half_exact_charts_put_domain_side_at_nonnegative_xi0():
     spec = domains.disk()
-    chart = make_charts(spec)[0]
+    chart = spec.charts()[0]
     pts = ball_points(300, radius=0.99, seed=9)
     world = chart.forward(pts)
     inside = np.hypot(world[:, 0], world[:, 1]) <= 1.0
@@ -130,7 +128,7 @@ def test_bump_hard_zero_outside_support():
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
 def test_partition_covers_and_sums_to_one(spec):
-    charts = make_charts(spec)
+    charts = spec.charts()
     part = build_partition(charts, spec, 1)
     assert part.sum_residual < 1e-9
     assert part.checked_points > 500
@@ -164,7 +162,7 @@ def test_boundary_collar_matches_iterated_box_dilation(width):
 
 def test_partition_chi_zero_far_outside():
     spec = domains.disk()
-    part = build_partition(make_charts(spec), spec, 1)
+    part = build_partition(spec.charts(), spec, 1)
     far = np.array([[5.0, 5.0], [-3.0, 0.0]])
     for nu in range(len(part.bumps)):
         assert np.array_equal(part.chi_many(nu, far, (0, 0)), np.zeros(2))
@@ -172,7 +170,7 @@ def test_partition_chi_zero_far_outside():
 
 def test_partition_chi_partials_match_finite_differences():
     spec = domains.disk()
-    part = build_partition(make_charts(spec), spec, 1)
+    part = build_partition(spec.charts(), spec, 1)
     pts = np.array([[1.02, 0.3], [0.2, 1.05], [-1.03, 0.15]])
     eps = 1e-6
     for nu in range(len(part.bumps)):
@@ -188,12 +186,12 @@ def test_partition_chi_partials_match_finite_differences():
 def test_thin_atlas_raises_cover_gap():
     spec = domains.disk()
     with pytest.raises(CoverGapError):
-        build_partition(make_charts(spec)[:2], spec, 1)
+        build_partition(spec.charts()[:2], spec, 1)
 
 
 def test_local_extension_reproduces_linear_fields():
     spec = domains.rectangle()
-    charts = make_charts(spec)
+    charts = spec.charts()
     x = get_function("sum_st", order=2)
     # past the bottom edge (chart 0) and past the (0,0) corner (chart 4)
     cases = [(charts[0], np.array([[0.5, -0.1], [0.3, -0.02]])),
@@ -210,7 +208,7 @@ def test_local_extension_reproduces_linear_fields():
 
 def test_local_extension_of_zero_is_zero():
     spec = domains.disk()
-    chart = make_charts(spec)[0]
+    chart = spec.charts()[0]
     z = polynomial_jet("z", {}, order=1)
     ext = local_extend(z.partial_many, chart, 1)
     pts = np.array([[1.05, 0.0], [1.01, 0.2]])
@@ -221,7 +219,7 @@ def test_local_extension_of_zero_is_zero():
 def test_local_extension_error_quadratic_in_distance():
     # order-1 reflection: value error past the wall is O(d^2)
     spec = domains.disk()
-    chart = make_charts(spec)[0]
+    chart = spec.charts()[0]
     x = get_function("sin_cos", order=2)
     ext = local_extend(x.partial_many, chart, 1)
     errs = []
@@ -236,7 +234,7 @@ def test_local_extension_error_quadratic_in_distance():
 
 def test_interior_chart_carries_no_extension():
     spec = domains.disk()
-    part = build_partition(make_charts(spec), spec, 1)
+    part = build_partition(spec.charts(), spec, 1)
     interior_bump = part.bumps[-1]
     assert interior_bump.label == "interior"
     with pytest.raises(UnsupportedDomainError):
@@ -320,7 +318,7 @@ def test_interface_scan_small_mismatch(spec, bound):
 def test_half_ball_face_partition_is_identity():
     # one boundary chart: its normalized bump is exactly 1 on the face
     spec = domains.half_ball()
-    part = build_partition(make_charts(spec), spec, 1)
+    part = build_partition(spec.charts(), spec, 1)
     ts = np.linspace(-0.85, 0.85, 41)
     pts = np.stack([np.zeros_like(ts), ts], axis=-1)
     chi0 = part.chi_many(0, pts, (0, 0))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from jetlab.errors import EmptyMaskError, MaskMismatchError, NoNeighborError
+from jetlab.errors import EmptyMaskError, MaskMismatchError
 from jetlab.grid import (
     GridMask,
     GridSpec,
@@ -12,7 +12,6 @@ from jetlab.grid import (
     boundary_of,
     closure_of,
     dilate_box,
-    fd_partial,
     interior_of,
     jet_add,
     jet_scale,
@@ -20,7 +19,9 @@ from jetlab.grid import (
     parse_alpha_key,
     sup_on_mask,
 )
-from lattice_oracles import box_dilation, connected_component_count, erosion
+from lattice_oracles import (
+    NoNeighborError, box_dilation, connected_component_count, erosion, fd_partial,
+)
 
 
 def brute_multi_indices(order, dim):
