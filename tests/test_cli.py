@@ -330,6 +330,7 @@ def test_dimension_mismatch_is_a_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "x.json"
     assert run(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
-    function, domain = argv[argv.index("--function") + 1], argv[3]
+    function = argv[argv.index("--function") + 1]
+    domain = argv[argv.index("--domain") + 1]
     assert f"function {function} is" in err and f"domain {domain} is" in err
     assert not out.exists()
