@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 from . import __version__, certify, domains, functions, glue, hestenes, io, spaces
@@ -56,7 +55,7 @@ def _provenance(argv: list[str]) -> dict:
 
 
 def _positive_float(text: str) -> float:
-    """argparse type of --h: a positive finite float."""
+    """argparse type of --h, --margin, --tol and --ceiling."""
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(
@@ -168,10 +167,8 @@ def _cmd_hestenes_extend(args, argv) -> int:
 
 def _cmd_extend_prop2(args, argv) -> int:
     domain, jet = _domain_and_function(args, max(args.order, 2))
-    result = glue.global_extend(
-        jet, domain, args.order, h=args.h, margin=args.margin,
-        workers=args.workers,
-    )
+    result = glue.global_extend(jet, domain, args.order, h=args.h,
+                                margin=args.margin)
     mismatch = glue.interface_jet_mismatch(result.field, h=DEFAULTS["h"])
     payload = {
         "domain": domain.kind,
@@ -340,9 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--h", type=_positive_float, default=DEFAULTS["h_prop2"],
                     help="lattice step of the exported window jet "
                          "(finer than 2^-7 gets large)")
-    pp.add_argument("--margin", type=float, default=DEFAULTS["margin"])
-    pp.add_argument("--workers", type=int,
-                    default=os.environ.get("JETLAB_THREADS", "1"))
+    pp.add_argument("--margin", type=_positive_float,
+                    default=DEFAULTS["margin"])
     pp.add_argument("--out", required=True)
     pp.add_argument("--csv")
     pp.set_defaults(func=_cmd_extend_prop2)
@@ -356,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--space", choices=("F", "E", "G"), default="F")
     pn.add_argument("--order", type=int, default=DEFAULTS["order"])
     pn.add_argument("--h", type=_positive_float, default=DEFAULTS["h"])
-    pn.add_argument("--tol", type=float, default=DEFAULTS["tol"])
+    pn.add_argument("--tol", type=_positive_float, default=DEFAULTS["tol"])
     pn.add_argument("--check", action="store_true",
                     help="also run the membership scan; exit 1 on violation")
     pn.add_argument("--out")
@@ -365,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="build counterexample certificates")
     p.add_argument("which", choices=("comb", "gap1d", "cantorslit"))
     p.add_argument("--n-max", type=int, default=DEFAULTS["n_max"])
-    p.add_argument("--ceiling", type=float, default=DEFAULTS["ceiling"])
+    p.add_argument("--ceiling", type=_positive_float,
+                   default=DEFAULTS["ceiling"])
     p.add_argument("--depth", type=int, default=DEFAULTS["depth"])
     p.add_argument("--out", required=True)
     p.add_argument("--csv")

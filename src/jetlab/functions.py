@@ -18,7 +18,7 @@ import numpy as np
 
 from . import domains
 from .errors import PointOutsideRegionError
-from .grid import GridMask, SampledJet, multi_indices
+from .grid import GridMask, Jet, SampledJet, multi_indices
 
 DEFAULT_PHI_DEPTH = 60
 
@@ -101,9 +101,10 @@ class AnalyticJet:
     """A field with closed-form partials, optionally tied to a region.
 
     evaluator(points, alpha) consumes an (..., dim) array and returns the
-    alpha-partial at each point.  member(*coords), when present, is the exact
-    region predicate of a domain, called with one coordinate array per axis;
-    scalar evaluation outside it raises.
+    alpha-partial at each point; it is the leaf below every jet_many.
+    member(*coords), when present, is the exact region predicate of a domain,
+    called with one coordinate array per axis; scalar evaluation outside it
+    raises.
     """
 
     name: str
@@ -122,6 +123,14 @@ class AnalyticJet:
         pts = np.asarray(points, dtype=np.float64)
         return np.asarray(self.evaluator(pts, tuple(alpha)), dtype=np.float64)
 
+    def jet_many(self, points, order: int) -> Jet:
+        """Every partial with |alpha| <= order, one evaluator call each."""
+        pts = np.asarray(points, dtype=np.float64)
+        return {
+            alpha: np.asarray(self.evaluator(pts, alpha), dtype=np.float64)
+            for alpha in multi_indices(order, self.dim)
+        }
+
     def partial(self, point, alpha) -> float:
         pts = np.asarray(point, dtype=np.float64).reshape(1, self.dim)
         if self.member is not None and not bool(self.contains(pts)[0]):
@@ -129,9 +138,6 @@ class AnalyticJet:
                 f"{self.name} is not defined at {tuple(np.ravel(point))}"
             )
         return float(self.partial_many(pts, alpha)[0])
-
-    def value(self, point) -> float:
-        return self.partial(point, (0,) * self.dim)
 
     def sample(self, mask: GridMask, order: int | None = None) -> SampledJet:
         """Evaluate every component on the masked lattice points."""

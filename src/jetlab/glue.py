@@ -9,6 +9,10 @@ to the quarter xi_0, xi_1 >= 0; no single C^1 chart flattens a corner, so
 those use a two-axis tensor reflection instead).  All reference-to-world
 differentiation is closed form through order 2.
 
+Every layer speaks the jet protocol of jetlab.grid: it asks its source for
+one whole jet per point set and applies the chain and Leibniz rules to whole
+jets, so no lower-order partial is derived twice.
+
 The blend convention off the covered zone is zero: a window point reached by
 no bump gets value 0, never an extrapolation.
 """
@@ -16,8 +20,6 @@ no bump gets value 0, never an extrapolation.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,15 +30,14 @@ from .domains import Chart, Domain
 from .errors import CoverGapError, UnsupportedDomainError
 from .functions import AnalyticJet
 from .grid import (
-    GridMask, GridSpec, SampledJet, dilate_box, interior_of, multi_indices,
+    GridMask, GridSpec, Jet, JetEvaluator, SampledJet, dilate_box, interior_of,
+    multi_indices,
 )
 from .hestenes import (
     HalfSpaceExtension,
     corner_extension,
     extend_analytic,
 )
-
-Evaluator = Callable[[np.ndarray, tuple[int, ...]], np.ndarray]
 
 BUMP_SHRINK = 0.9
 _BUMP_GUARD = 1.0 - 1.0 / 745.0
@@ -65,58 +66,63 @@ def _axis_pair(alpha: tuple[int, ...]) -> tuple[int, int]:
     return axes[0], axes[1]
 
 
-def chain_eval(f: Evaluator, mapped: np.ndarray, jac: np.ndarray | None,
-               hess: np.ndarray | None, alpha: tuple[int, ...]) -> np.ndarray:
-    """Partial of f composed with a map, given the map's jet at the points."""
-    total = sum(alpha)
-    if total == 0:
-        return f(mapped, alpha)
-    dim = len(alpha)
-    if total == 1:
-        c = alpha.index(1)
-        out = np.zeros(mapped.shape[:-1])
-        for a in range(dim):
-            out += f(mapped, _unit_alpha(a, dim)) * jac[..., a, c]
-        return out
-    if total == 2:
-        c, d = _axis_pair(alpha)
-        out = np.zeros(mapped.shape[:-1])
-        for a in range(dim):
-            for b in range(dim):
-                out += (
-                    f(mapped, _pair_alpha(a, b, dim))
-                    * jac[..., a, c]
-                    * jac[..., b, d]
-                )
-            out += f(mapped, _unit_alpha(a, dim)) * hess[..., a, c, d]
-        return out
-    raise ValueError("chart differentiation is closed-form through order 2")
+def chain_jet(f_jet: Jet, jac: np.ndarray | None, hess: np.ndarray | None,
+              order: int) -> Jet:
+    """Jet of f o map from f's jet at the mapped points and the map's jet."""
+    if order > 2:
+        raise ValueError("chart differentiation is closed-form through order 2")
+    dim = len(next(iter(f_jet)))
+    out = {}
+    for alpha in multi_indices(order, dim):
+        total = sum(alpha)
+        if total == 0:
+            out[alpha] = f_jet[alpha]
+        elif total == 1:
+            c = alpha.index(1)
+            comp = np.zeros(jac.shape[:-2])
+            for a in range(dim):
+                comp += f_jet[_unit_alpha(a, dim)] * jac[..., a, c]
+            out[alpha] = comp
+        else:
+            c, d = _axis_pair(alpha)
+            comp = np.zeros(jac.shape[:-2])
+            for a in range(dim):
+                for b in range(dim):
+                    comp += (
+                        f_jet[_pair_alpha(a, b, dim)]
+                        * jac[..., a, c]
+                        * jac[..., b, d]
+                    )
+                comp += f_jet[_unit_alpha(a, dim)] * hess[..., a, c, d]
+            out[alpha] = comp
+    return out
 
 
-def pullback(source: Evaluator, chart: Chart) -> Evaluator:
+def _compose(f: JetEvaluator, mapping: Callable, jac: Callable,
+             hess: Callable) -> JetEvaluator:
+    """f o mapping; the map, its Jacobian and its Hessian run once a call."""
+
+    def composed(pts: np.ndarray, order: int) -> Jet:
+        return chain_jet(
+            f(mapping(pts), order),
+            jac(pts) if order >= 1 else None,
+            hess(pts) if order >= 2 else None,
+            order,
+        )
+
+    return composed
+
+
+def pullback(source: JetEvaluator, chart: Chart) -> JetEvaluator:
     """u = x o phi on reference coordinates."""
-
-    def u(xi: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
-        total = sum(alpha)
-        mapped = chart.forward(xi)
-        jac = chart.jac_forward(xi) if total >= 1 else None
-        hess = chart.hess_forward(xi) if total >= 2 else None
-        return chain_eval(source, mapped, jac, hess, tuple(alpha))
-
-    return u
+    return _compose(source, chart.forward, chart.jac_forward,
+                    chart.hess_forward)
 
 
-def pushforward(ball_eval: Evaluator, chart: Chart) -> Evaluator:
+def pushforward(ball_eval: JetEvaluator, chart: Chart) -> JetEvaluator:
     """y = ubar o phi^-1 back on world coordinates."""
-
-    def y(pts: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
-        total = sum(alpha)
-        xi = chart.inverse(pts)
-        jac = chart.jac_inverse(pts) if total >= 1 else None
-        hess = chart.hess_inverse(pts) if total >= 2 else None
-        return chain_eval(ball_eval, xi, jac, hess, tuple(alpha))
-
-    return y
+    return _compose(ball_eval, chart.inverse, chart.jac_inverse,
+                    chart.hess_inverse)
 
 
 @dataclass(eq=False)
@@ -129,15 +135,19 @@ class LocalExtension:
 
     chart: Chart
     order: int
-    source: Evaluator
     reflected: HalfSpaceExtension
-    world: Evaluator
+
+    def jet_many(self, pts, order: int) -> Jet:
+        world = pushforward(self.reflected.jet_many, self.chart)
+        return world(np.asarray(pts, dtype=np.float64), order)
 
     def partial_many(self, pts, alpha) -> np.ndarray:
-        return self.world(np.asarray(pts, dtype=np.float64), tuple(alpha))
+        alpha = tuple(alpha)
+        return self.jet_many(pts, sum(alpha))[alpha]
 
 
-def local_extend(source: Evaluator, chart: Chart, order: int) -> LocalExtension:
+def local_extend(source: JetEvaluator, chart: Chart,
+                 order: int) -> LocalExtension:
     u = pullback(source, chart)
     pad = 1.0 + 1e-9
     if chart.extension == "quarter":
@@ -148,8 +158,7 @@ def local_extend(source: Evaluator, chart: Chart, order: int) -> LocalExtension:
         raise UnsupportedDomainError(
             f"chart kind {chart.kind!r} does not carry an extension"
         )
-    return LocalExtension(chart, order, source, reflected,
-                          pushforward(reflected.partial_many, chart))
+    return LocalExtension(chart, order, reflected)
 
 
 # ---------------------------------------------------------------------------
@@ -165,33 +174,36 @@ def chart_image_contains(chart: Chart, pts: np.ndarray) -> np.ndarray:
     return chart_ball_radius(chart, pts) < 1.0
 
 
-def bump_ball_partials(xi: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
+def bump_ball_jet(xi: np.ndarray, order: int) -> Jet:
     """Partials of exp(-1/(1 - (|xi|/0.9)^2)) in reference coordinates.
 
     Hard zero (all orders) once the exponent would underflow; the true value
     there is below 5e-324 so nothing is lost.
     """
+    if order > 2:
+        raise ValueError("bump partials available through order 2")
     c2 = BUMP_SHRINK**2
     q = (xi[..., 0] ** 2 + xi[..., 1] ** 2) / c2
     act = q < _BUMP_GUARD
     qa = np.where(act, q, 0.0)
     w = 1.0 / (1.0 - qa)
     f = np.where(act, np.exp(-w), 0.0)
-    total = sum(alpha)
-    if total == 0:
-        return f
-    f1 = -f * w**2
-    if total == 1:
-        c = alpha.index(1)
-        return f1 * (2.0 * xi[..., c] / c2)
-    if total == 2:
-        cc, dd = _axis_pair(alpha)
-        f2 = f * w**4 - 2.0 * f * w**3
-        out = f2 * (2.0 * xi[..., cc] / c2) * (2.0 * xi[..., dd] / c2)
-        if cc == dd:
-            out = out + f1 * (2.0 / c2)
-        return out
-    raise ValueError("bump partials available through order 2")
+    f1 = -f * w**2 if order >= 1 else None
+    f2 = f * w**4 - 2.0 * f * w**3 if order >= 2 else None
+    out = {}
+    for alpha in multi_indices(order, 2):
+        total = sum(alpha)
+        if total == 0:
+            out[alpha] = f
+        elif total == 1:
+            out[alpha] = f1 * (2.0 * xi[..., alpha.index(1)] / c2)
+        else:
+            cc, dd = _axis_pair(alpha)
+            comp = f2 * (2.0 * xi[..., cc] / c2) * (2.0 * xi[..., dd] / c2)
+            if cc == dd:
+                comp = comp + f1 * (2.0 / c2)
+            out[alpha] = comp
+    return out
 
 
 @dataclass(eq=False)
@@ -201,19 +213,16 @@ class Bump:
     chart: Chart
     label: str
 
-    def raw_many(self, pts: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
+    def raw_jet(self, pts: np.ndarray, order: int) -> Jet:
         pts = np.asarray(pts, dtype=np.float64)
         rho = chart_ball_radius(self.chart, pts)
         near = rho < BUMP_SHRINK
-        out = np.zeros(pts.shape[:-1])
+        out = {alpha: np.zeros(pts.shape[:-1])
+               for alpha in multi_indices(order, 2)}
         if near.any():
-            sub = pts[near]
-            total = sum(alpha)
-            xi = self.chart.inverse(sub)
-            jac = self.chart.jac_inverse(sub) if total >= 1 else None
-            hess = self.chart.hess_inverse(sub) if total >= 2 else None
-            out[near] = chain_eval(bump_ball_partials, xi, jac, hess,
-                                   tuple(alpha))
+            ball = pushforward(bump_ball_jet, self.chart)(pts[near], order)
+            for alpha, vals in ball.items():
+                out[alpha][near] = vals
         return out
 
     def support_contains(self, pts: np.ndarray) -> np.ndarray:
@@ -236,21 +245,8 @@ class BumpPartition:
     checked_points: int
     q_mask: GridMask
 
-    def raw_all(self, pts: np.ndarray,
-                alphas: list[tuple[int, ...]]) -> list[dict]:
-        return [
-            {alpha: b.raw_many(pts, alpha) for alpha in alphas}
-            for b in self.bumps
-        ]
-
-    def chi_many(self, nu: int, pts, alpha) -> np.ndarray:
-        """Normalized bump partial; zero wherever the bump sum vanishes."""
-        pts = np.asarray(pts, dtype=np.float64)
-        alpha = tuple(alpha)
-        betas = [b for b in multi_indices(sum(alpha), 2)]
-        raw = self.raw_all(pts, betas)
-        S = {b: sum(r[b] for r in raw) for b in betas}
-        return _chi_from_raw(raw[nu], S, alpha)
+    def raw_all(self, pts: np.ndarray, order: int) -> list[Jet]:
+        return [b.raw_jet(pts, order) for b in self.bumps]
 
 
 def _chi_from_raw(raw_nu: dict, S: dict, alpha: tuple[int, ...]) -> np.ndarray:
@@ -310,7 +306,7 @@ def build_partition(charts: list[Chart], domain: Domain, order: int,
     q_member = domains.regular_q_member(domain, pts[:, 0], pts[:, 1])
     q_mask = GridMask(grid, q_member.reshape(grid.extents))
 
-    raw0 = [b.raw_many(pts, (0, 0)) for b in bumps]
+    raw0 = [b.raw_jet(pts, 0)[(0, 0)] for b in bumps]
     total0 = sum(raw0)
 
     # boundary lattice points the atlas must cover
@@ -345,7 +341,7 @@ def build_partition(charts: list[Chart], domain: Domain, order: int,
     collar = _boundary_collar(q_mask, width=0.05) & domain.charted(s, t, 0.2)
     collar_pts = pts[collar.ravel()]
     if len(collar_pts):
-        raws = [b.raw_many(collar_pts, (0, 0)) for b in bumps]
+        raws = [b.raw_jet(collar_pts, 0)[(0, 0)] for b in bumps]
         s0 = np.zeros(len(collar_pts))
         for raw in raws:
             s0 += raw
@@ -390,56 +386,49 @@ class GlobalField:
     partition: BumpPartition
     local_exts: list[LocalExtension]
 
-    def jet_many(self, pts, alphas: list[tuple[int, ...]]) -> dict:
+    def jet_many(self, pts, order: int) -> Jet:
         pts = np.asarray(pts, dtype=np.float64)
+        alphas = multi_indices(order, 2)
         in_q = domains.regular_q_member(self.domain, pts[..., 0], pts[..., 1])
         out = {alpha: np.zeros(pts.shape[:-1]) for alpha in alphas}
         if in_q.any():
-            sub = pts[in_q]
+            own = self.source.jet_many(pts[in_q], order)
             for alpha in alphas:
-                out[alpha][in_q] = self.source.partial_many(sub, alpha)
+                out[alpha][in_q] = own[alpha]
         outside = ~in_q
         if not outside.any():
             return out
         pout = pts[outside]
-        max_total = max(sum(a) for a in alphas)
-        betas = multi_indices(min(2, max_total), 2)
-        raw = self.partition.raw_all(pout, betas)
-        S = {b: sum(r[b] for r in raw) for b in betas}
+        raw = self.partition.raw_all(pout, order)
+        S = {b: sum(r[b] for r in raw) for b in alphas}
         acc = {alpha: np.zeros(len(pout)) for alpha in alphas}
-        for nu, bump in enumerate(self.partition.bumps):
+        for nu in range(len(raw)):
             sel = raw[nu][(0, 0)] > 0.0
             if not sel.any():
                 continue
             sub = pout[sel]
-            raw_sel = {b: raw[nu][b][sel] for b in betas}
-            S_sel = {b: S[b][sel] for b in betas}
-            target = self._assigned(nu)
-            y_cache: dict[tuple[int, ...], np.ndarray] = {}
+            raw_sel = {b: raw[nu][b][sel] for b in alphas}
+            S_sel = {b: S[b][sel] for b in alphas}
+            chi = {b: _chi_from_raw(raw_sel, S_sel, b) for b in alphas}
+            y = self._assigned(nu)(sub, order)
             for alpha in alphas:
                 term = np.zeros(len(sub))
                 for beta, gamma, coeff in _leibniz_terms(alpha):
-                    chi_b = _chi_from_raw(raw_sel, S_sel, beta)
-                    if gamma not in y_cache:
-                        y_cache[gamma] = target(sub, gamma)
-                    term += coeff * chi_b * y_cache[gamma]
+                    term += coeff * chi[beta] * y[gamma]
                 acc[alpha][sel] += term
         for alpha in alphas:
             out[alpha][outside] = acc[alpha]
         return out
 
-    def _assigned(self, nu: int) -> Evaluator:
+    def _assigned(self, nu: int) -> JetEvaluator:
         i_nu = self.partition.assignment[nu]
         if i_nu < len(self.local_exts):
-            return self.local_exts[i_nu].partial_many
-        return self.source.partial_many
+            return self.local_exts[i_nu].jet_many
+        return self.source.jet_many
 
     def partial_many(self, pts, alpha) -> np.ndarray:
-        return self.jet_many(pts, [tuple(alpha)])[tuple(alpha)]
-
-    def partial(self, point, alpha) -> float:
-        pts = np.asarray(point, dtype=np.float64).reshape(1, 2)
-        return float(self.partial_many(pts, alpha)[0])
+        alpha = tuple(alpha)
+        return self.jet_many(pts, sum(alpha))[alpha]
 
 
 def _leibniz_terms(alpha: tuple[int, ...]):
@@ -463,50 +452,15 @@ class GlobalExtensionResult:
     uncovered_points: int
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("JETLAB_THREADS", "1")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
-def _eval_chunked(field: GlobalField, pts: np.ndarray,
-                  alphas: list[tuple[int, ...]],
-                  workers: int) -> dict:
-    """Fixed-size chunks so results are identical for any worker count."""
-    n = len(pts)
-    out = {alpha: np.zeros(n) for alpha in alphas}
-    spans = [(k, min(k + _CHUNK_ROWS, n)) for k in range(0, n, _CHUNK_ROWS)]
-
-    def run(span):
-        lo, hi = span
-        return lo, hi, field.jet_many(pts[lo:hi], alphas)
-
-    if workers <= 1 or len(spans) <= 1:
-        results = map(run, spans)
-        for lo, hi, chunk in results:
-            for alpha in alphas:
-                out[alpha][lo:hi] = chunk[alpha]
-        return out
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for lo, hi, chunk in pool.map(run, spans):
-            for alpha in alphas:
-                out[alpha][lo:hi] = chunk[alpha]
-    return out
-
-
 def global_extend(x: AnalyticJet, domain: Domain, order: int,
                   h: float = 2.0**-5, margin: float = 0.5,
-                  workers: int | None = None,
                   materialize: bool = True) -> GlobalExtensionResult:
     """Glue local reflections into one field over a margin-padded window.
 
     Values on Q-lattice points come straight from x; the blend only fills
     the complement.  materialize=False skips the lattice pass and returns
-    the field alone (the interface scan needs nothing else).
+    the field alone (the interface scan needs nothing else).  The window is
+    evaluated in fixed chunks of rows, which bounds the blend's temporaries.
     """
     if order > 2:
         raise ValueError(
@@ -523,7 +477,7 @@ def global_extend(x: AnalyticJet, domain: Domain, order: int,
     )
     partition = build_partition(charts, domain, order, grid=window)
     locals_ = [
-        local_extend(x.partial_many, chart, order) for chart in charts
+        local_extend(x.jet_many, chart, order) for chart in charts
     ]
     field = GlobalField(domain, order, x, charts, partition, locals_)
     if not materialize:
@@ -535,14 +489,19 @@ def global_extend(x: AnalyticJet, domain: Domain, order: int,
     q_mask = partition.q_mask
     q_member = q_mask.member.ravel()
     alphas = multi_indices(order, 2)
-    values = _eval_chunked(field, pts, alphas, _worker_count(workers))
+    values = {alpha: np.zeros(len(pts)) for alpha in alphas}
+    for lo in range(0, len(pts), _CHUNK_ROWS):
+        chunk = field.jet_many(pts[lo:lo + _CHUNK_ROWS], order)
+        for alpha in alphas:
+            values[alpha][lo:lo + _CHUNK_ROWS] = chunk[alpha]
     components = {
         alpha: values[alpha].reshape(window.extents) for alpha in alphas
     }
     all_mask = GridMask(window, np.ones(window.extents, dtype=bool))
     jet = SampledJet(order, window, all_mask, components)
     # count window points the blend could not reach (value convention 0)
-    raw0 = [b.raw_many(pts[~q_member], (0, 0)) for b in partition.bumps]
+    pout = pts[~q_member]
+    raw0 = [b.raw_jet(pout, 0)[(0, 0)] for b in partition.bumps]
     uncovered = int((sum(raw0) <= 0.0).sum()) if len(raw0) else 0
     return GlobalExtensionResult(
         field, jet, q_mask, window, partition.sum_residual, uncovered
@@ -563,15 +522,14 @@ def interface_jet_mismatch(field: GlobalField, h: float = 2.0**-10,
     the largest absolute difference.  O(h^2) for a C^1-matched extension.
     """
     pts, normals = field.domain.probes(n_probes)
-    alphas = multi_indices(field.order, 2)
     samples_in = [
-        field.jet_many(pts - k * h * normals, alphas) for k in (1, 2, 3)
+        field.jet_many(pts - k * h * normals, field.order) for k in (1, 2, 3)
     ]
     samples_out = [
-        field.jet_many(pts + k * h * normals, alphas) for k in (1, 2, 3)
+        field.jet_many(pts + k * h * normals, field.order) for k in (1, 2, 3)
     ]
     out = {}
-    for alpha in alphas:
+    for alpha in multi_indices(field.order, 2):
         inner = (
             3.0 * samples_in[0][alpha]
             - 3.0 * samples_in[1][alpha]

@@ -10,10 +10,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .errors import EmptyMaskError, MaskMismatchError
+
+# A jet at a point set: every partial with |alpha| <= order, one array each.
+Jet = dict[tuple[int, ...], np.ndarray]
+# The one evaluator protocol: (points of shape (..., dim), order) -> Jet.
+JetEvaluator = Callable[[np.ndarray, int], Jet]
 
 
 def multi_indices(order: int, dim: int) -> list[tuple[int, ...]]:

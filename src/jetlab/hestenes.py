@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
 from .errors import MaskMismatchError, ProbeOutsideMaskError
-from .grid import GridMask, GridSpec, SampledJet
+from .grid import (
+    GridMask, GridSpec, Jet, JetEvaluator, SampledJet, multi_indices,
+)
 
 MAX_ORDER = 12
 
@@ -103,29 +104,21 @@ def solve_coefficients(i: int) -> HestenesCoefficients:
     return HestenesCoefficients(i, tuple(_solve_exact(matrix, rhs)))
 
 
-Evaluator = Callable[[np.ndarray, tuple[int, ...]], np.ndarray]
-
-
-def _as_evaluator(source) -> Evaluator:
-    """Accept either a bare (points, alpha) callable or a jet object."""
-    pm = getattr(source, "partial_many", None)
-    return pm if pm is not None else source
-
-
 @dataclass(eq=False)
 class HalfSpaceExtension:
-    """Evaluator defined on both sides of the wall.
+    """Jet evaluator defined on both sides of the wall.
 
-    source(points, alpha) must be evaluable wherever the signed depth
-    inward * (x_axis - boundary) is >= 0; reflected points are combined per
-    the weight formula, with the alpha component along the axis picking up
-    the factor (-1/l)^j.  max_depth, when set, bounds how far past the wall
-    evaluation may reach (the deepest probe sits at depth/l = depth, so this
-    is also the guarantee required of the source side).
+    source(points, order) must be evaluable wherever the signed depth
+    inward * (x_axis - boundary) is >= 0; each component at the reflected
+    points is combined per the weight formula, the alpha component picking
+    up the factor (-1/l)^j with j its order along the axis.  max_depth, when
+    set, bounds how far past the wall evaluation may reach (the deepest probe
+    sits at depth/l = depth, so this is also the guarantee required of the
+    source side).
     """
 
     coeffs: HestenesCoefficients
-    source: Evaluator
+    source: JetEvaluator
     axis: int = 0
     boundary: float = 0.0
     inward: float = 1.0
@@ -135,15 +128,18 @@ class HalfSpaceExtension:
     def order(self) -> int:
         return self.coeffs.order
 
-    def partial_many(self, points, alpha) -> np.ndarray:
+    def jet_many(self, points, order: int) -> Jet:
+        """One source jet for the points inside, one per reflected probe."""
         pts = np.asarray(points, dtype=np.float64)
-        alpha = tuple(alpha)
+        alphas = multi_indices(order, pts.shape[-1])
         tau = self.inward * (pts[..., self.axis] - self.boundary)
         inside = tau >= 0.0
-        out = np.zeros(pts.shape[:-1], dtype=np.float64)
+        out = {alpha: np.zeros(pts.shape[:-1], dtype=np.float64)
+               for alpha in alphas}
         if inside.any():
-            src_pts = pts[inside]
-            out[inside] = self.source(src_pts, alpha)
+            src = self.source(pts[inside], order)
+            for alpha in alphas:
+                out[alpha][inside] = src[alpha]
         mirrored = ~inside
         if mirrored.any():
             depth = -tau[mirrored]
@@ -152,40 +148,43 @@ class HalfSpaceExtension:
                     f"reflection depth {depth.max():.6g} exceeds the available "
                     f"{self.max_depth:.6g} past the wall"
                 )
-            j = alpha[self.axis]
             probes = pts[mirrored]
-            acc = np.zeros(probes.shape[0], dtype=np.longdouble)
+            acc = {alpha: np.zeros(probes.shape[0], dtype=np.longdouble)
+                   for alpha in alphas}
             for l in range(1, self.order + 2):
                 reflected = probes.copy()
                 reflected[..., self.axis] = (
                     self.boundary + self.inward * depth / l
                 )
-                vals = np.asarray(self.source(reflected, alpha))
-                acc += self.coeffs.weight_longdouble(l, j) * vals.astype(
-                    np.longdouble
-                )
-            out[mirrored] = acc.astype(np.float64)
+                vals = self.source(reflected, order)
+                for alpha in alphas:
+                    weight = self.coeffs.weight_longdouble(l, alpha[self.axis])
+                    acc[alpha] += weight * np.asarray(vals[alpha]).astype(
+                        np.longdouble
+                    )
+            for alpha in alphas:
+                out[alpha][mirrored] = acc[alpha].astype(np.float64)
         return out
+
+    def partial_many(self, points, alpha) -> np.ndarray:
+        alpha = tuple(alpha)
+        return self.jet_many(points, sum(alpha))[alpha]
 
     def partial(self, point, alpha) -> float:
         pts = np.asarray(point, dtype=np.float64).reshape(1, -1)
         return float(self.partial_many(pts, alpha)[0])
 
-    def value(self, point) -> float:
-        dim = np.asarray(point).shape[-1] if np.ndim(point) else 1
-        return self.partial(point, (0,) * dim)
 
-
-def extend_analytic(source: Evaluator, i: int, axis: int = 0,
+def extend_analytic(source: JetEvaluator, i: int, axis: int = 0,
                     boundary: float = 0.0, inward: float = 1.0,
                     max_depth: float | None = None) -> HalfSpaceExtension:
     return HalfSpaceExtension(
-        solve_coefficients(i), _as_evaluator(source), axis, boundary, inward,
-        max_depth
+        solve_coefficients(i), source, axis, boundary, inward, max_depth
     )
 
 
-def corner_extension(source: Evaluator, i: int, axes: tuple[int, int] = (0, 1),
+def corner_extension(source: JetEvaluator, i: int,
+                     axes: tuple[int, int] = (0, 1),
                      boundary: tuple[float, float] = (0.0, 0.0),
                      inward: tuple[float, float] = (1.0, 1.0),
                      max_depth: float | None = None) -> HalfSpaceExtension:
@@ -197,11 +196,10 @@ def corner_extension(source: Evaluator, i: int, axes: tuple[int, int] = (0, 1),
     """
     coeffs = solve_coefficients(i)
     inner = HalfSpaceExtension(
-        coeffs, _as_evaluator(source), axes[1], boundary[1], inward[1],
-        max_depth
+        coeffs, source, axes[1], boundary[1], inward[1], max_depth
     )
     return HalfSpaceExtension(
-        coeffs, inner.partial_many, axes[0], boundary[0], inward[0], max_depth
+        coeffs, inner.jet_many, axes[0], boundary[0], inward[0], max_depth
     )
 
 

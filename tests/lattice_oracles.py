@@ -3,7 +3,8 @@
 jetlab itself runs on numpy alone; scipy is a test dependency and serves
 here as an independent implementation of the lattice morphology.  The
 scalar lookups, the finite-difference stencil and the chart round trip are
-the plain per-value versions of what jetlab computes in bulk.
+the plain per-value versions of what jetlab computes in bulk; chi_many reads
+one normalized bump partial off a partition.
 """
 
 import math
@@ -12,6 +13,8 @@ import numpy as np
 from scipy import ndimage
 
 from jetlab.domains import comb_a, comb_b
+from jetlab.glue import _chi_from_raw
+from jetlab.grid import multi_indices
 
 
 def erosion(member: np.ndarray) -> np.ndarray:
@@ -96,3 +99,13 @@ def chart_roundtrip_defect(chart, pts: np.ndarray) -> float:
     """max |phi(phi^-1(p)) - p| over the sample; identity check currency."""
     back = chart.forward(chart.inverse(pts))
     return float(np.max(np.abs(back - pts))) if len(pts) else 0.0
+
+
+def chi_many(partition, nu: int, pts, alpha) -> np.ndarray:
+    """Normalized bump partial; zero wherever the bump sum vanishes."""
+    pts = np.asarray(pts, dtype=np.float64)
+    alpha = tuple(alpha)
+    betas = multi_indices(sum(alpha), 2)
+    raw = partition.raw_all(pts, sum(alpha))
+    S = {b: sum(r[b] for r in raw) for b in betas}
+    return _chi_from_raw(raw[nu], S, alpha)

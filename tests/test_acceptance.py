@@ -27,7 +27,7 @@ import numpy as np
 from jetlab import domains, io
 from jetlab.certify import certify_cantor_slit, certify_comb, certify_gap1d
 from jetlab.cli import main as cli_main
-from jetlab.functions import get_function
+from jetlab.functions import AnalyticJet, get_function
 from jetlab.glue import global_extend, interface_jet_mismatch
 from jetlab.grid import GridMask, SampledJet, jet_add, jet_scale, multi_indices
 from jetlab.hestenes import extend_analytic, interface_mismatch, solve_coefficients
@@ -124,7 +124,8 @@ def test_02_monomial_reproduction():
                         assert alpha == (0, 0)
                         return p[..., 1] ** _j * _g(p[..., 0])
 
-                    ext = extend_analytic(source, i, axis=1)
+                    ext = extend_analytic(
+                        AnalyticJet("src", i, 2, source).jet_many, i, axis=1)
                     got = ext.partial_many(pts, (0, 0))
                     want = pts[..., 1] ** j * g(pts[..., 0])
                     scale = np.maximum(1.0, np.abs(want))
@@ -133,7 +134,8 @@ def test_02_monomial_reproduction():
 
 def test_03_interface_smoothness():
     with criterion(3, "interface-smoothness", 1.0):
-        ext = extend_analytic(get_function("exp1d", order=2), 2, axis=0)
+        ext = extend_analytic(get_function("exp1d", order=2).jet_many, 2,
+                              axis=0)
         tang = np.zeros((1, 0))
         fine = interface_mismatch(ext, tang, h=2.0**-10)
         coarse = interface_mismatch(ext, tang, h=2.0**-9)
@@ -147,7 +149,7 @@ def test_04_global_extension_pipeline():
     with criterion(4, "global-extension-pipeline", 30.0):
         rect = global_extend(
             get_function("sum_st", order=1), domains.rectangle(), 1,
-            h=2.0**-5, margin=0.5, workers=1)
+            h=2.0**-5, margin=0.5)
         s, t = rect.window.coord_grids()
         err = np.abs(rect.jet.components[(0, 0)] - (s + t))
         assert float(err.max()) < 1e-6

@@ -228,21 +228,19 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def test_bad_thread_env_is_a_usage_error(tmp_path, monkeypatch, capsys):
+def test_thread_env_is_ignored(tmp_path, monkeypatch):
+    # extend prop2 is single-threaded; no command reads the variable
     monkeypatch.setenv("JETLAB_THREADS", "two")
-    # commands without --workers ignore the variable
     assert run(["certify", "gap1d", "--out", str(tmp_path / "g.json")]) == 0
-    with pytest.raises(SystemExit) as exc:
-        run(["extend", "prop2", "--domain", "disk", "--function", "sin_cos",
-             "--out", str(tmp_path / "p.json")])
-    assert exc.value.code == 2
-    assert "--workers" in capsys.readouterr().err
+    assert run(["extend", "prop2", "--domain", "disk", "--function", "sin_cos",
+                "--out", str(tmp_path / "p.json")]) == 0
 
 
 def test_cli_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(jetlab.__file__))
     code = ("import jetlab.cli, sys; assert not any("
-            "m.split('.')[0] == 'scipy' for m in sys.modules)")
+            "m.split('.')[0] == 'scipy' for m in sys.modules); "
+            "assert 'concurrent.futures' not in sys.modules")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
@@ -269,6 +267,29 @@ def test_bad_h_is_a_usage_error(command, h, tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--h" in err and "positive finite" in err
+    assert not out.exists()
+
+
+BOUND_FLAGS = {
+    "--margin": ["extend", "prop2", "--function", "sin_cos", "--domain",
+                 "disk"],
+    "--tol": ["space", "norm", "--function", "sin_cos", "--domain", "disk",
+              "--check"],
+    "--ceiling": ["certify", "cantorslit"],
+}
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("flag", sorted(BOUND_FLAGS))
+def test_bad_positive_flag_is_a_usage_error(flag, value, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        run(BOUND_FLAGS[flag] + [flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert f"error: argument {flag}" in err and "positive finite" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -5,18 +5,21 @@ import pytest
 
 from jetlab import domains, glue
 from jetlab.errors import CoverGapError, UnsupportedDomainError
-from jetlab.functions import get_function, polynomial_jet
+from jetlab.functions import AnalyticJet, get_function, polynomial_jet
 from jetlab.glue import (
     Bump,
-    bump_ball_partials,
+    bump_ball_jet,
     build_partition,
     chart_image_contains,
     global_extend,
     interface_jet_mismatch,
     local_extend,
 )
-from jetlab.grid import GridMask, GridSpec
-from lattice_oracles import box_dilation, chart_roundtrip_defect, erosion
+from jetlab.grid import GridMask, GridSpec, multi_indices
+from jetlab.hestenes import corner_extension, extend_analytic
+from lattice_oracles import (
+    box_dilation, chart_roundtrip_defect, chi_many, erosion,
+)
 
 
 def ball_points(n, radius=0.95, seed=3):
@@ -96,33 +99,33 @@ def test_half_exact_charts_put_domain_side_at_nonnegative_xi0():
 def test_bump_partials_match_finite_differences():
     xi = ball_points(60, radius=0.85, seed=5)
     eps = 1e-6
-    f = bump_ball_partials(xi, (0, 0))
+    f = bump_ball_jet(xi, 0)[(0, 0)]
     assert (f > 0).all()
     for c, alpha in ((0, (1, 0)), (1, (0, 1))):
         dxi = np.zeros_like(xi)
         dxi[:, c] = eps
-        fd = (bump_ball_partials(xi + dxi, (0, 0))
-              - bump_ball_partials(xi - dxi, (0, 0))) / (2 * eps)
-        got = bump_ball_partials(xi, alpha)
+        fd = (bump_ball_jet(xi + dxi, 0)[(0, 0)]
+              - bump_ball_jet(xi - dxi, 0)[(0, 0)]) / (2 * eps)
+        got = bump_ball_jet(xi, 1)[alpha]
         assert np.max(np.abs(fd - got)) < 1e-7
     for alpha, (c, d) in (((2, 0), (0, 0)), ((1, 1), (0, 1)),
                           ((0, 2), (1, 1))):
         dxi = np.zeros_like(xi)
         dxi[:, d] = eps
         e_c = (1, 0) if c == 0 else (0, 1)
-        fd = (bump_ball_partials(xi + dxi, e_c)
-              - bump_ball_partials(xi - dxi, e_c)) / (2 * eps)
-        got = bump_ball_partials(xi, alpha)
+        fd = (bump_ball_jet(xi + dxi, 1)[e_c]
+              - bump_ball_jet(xi - dxi, 1)[e_c]) / (2 * eps)
+        got = bump_ball_jet(xi, 2)[alpha]
         assert np.max(np.abs(fd - got)) < 1e-6
 
 
 def test_bump_hard_zero_outside_support():
     xi = np.array([[0.9, 0.0], [0.95, 0.2]])
     for alpha in [(0, 0), (1, 0), (0, 2)]:
-        vals = bump_ball_partials(xi, alpha)
+        vals = bump_ball_jet(xi, sum(alpha))[alpha]
         assert vals[0] == 0.0 and vals[1] == 0.0
     # just inside the underflow guard the value is positive but tiny
-    v = bump_ball_partials(np.array([[0.8993, 0.0]]), (0, 0))
+    v = bump_ball_jet(np.array([[0.8993, 0.0]]), 0)[(0, 0)]
     assert 0.0 < v[0] < 1e-100
 
 
@@ -165,7 +168,7 @@ def test_partition_chi_zero_far_outside():
     part = build_partition(spec.charts(), spec, 1)
     far = np.array([[5.0, 5.0], [-3.0, 0.0]])
     for nu in range(len(part.bumps)):
-        assert np.array_equal(part.chi_many(nu, far, (0, 0)), np.zeros(2))
+        assert np.array_equal(chi_many(part, nu, far, (0, 0)), np.zeros(2))
 
 
 def test_partition_chi_partials_match_finite_differences():
@@ -177,9 +180,9 @@ def test_partition_chi_partials_match_finite_differences():
         for c, alpha in ((0, (1, 0)), (1, (0, 1))):
             d = np.zeros_like(pts)
             d[:, c] = eps
-            fd = (part.chi_many(nu, pts + d, (0, 0))
-                  - part.chi_many(nu, pts - d, (0, 0))) / (2 * eps)
-            got = part.chi_many(nu, pts, alpha)
+            fd = (chi_many(part, nu, pts + d, (0, 0))
+                  - chi_many(part, nu, pts - d, (0, 0))) / (2 * eps)
+            got = chi_many(part, nu, pts, alpha)
             assert np.max(np.abs(fd - got)) < 1e-6
 
 
@@ -198,7 +201,7 @@ def test_local_extension_reproduces_linear_fields():
              (charts[4], np.array([[-0.05, -0.05], [-0.1, 0.02]]))]
     for chart, pts in cases:
         assert chart_image_contains(chart, pts).all()
-        ext = local_extend(x.partial_many, chart, 1)
+        ext = local_extend(x.jet_many, chart, 1)
         got = ext.partial_many(pts, (0, 0))
         want = pts[:, 0] + pts[:, 1]
         assert np.max(np.abs(got - want)) < 1e-10
@@ -210,7 +213,7 @@ def test_local_extension_of_zero_is_zero():
     spec = domains.disk()
     chart = spec.charts()[0]
     z = polynomial_jet("z", {}, order=1)
-    ext = local_extend(z.partial_many, chart, 1)
+    ext = local_extend(z.jet_many, chart, 1)
     pts = np.array([[1.05, 0.0], [1.01, 0.2]])
     for alpha in [(0, 0), (1, 0), (0, 1)]:
         assert np.array_equal(ext.partial_many(pts, alpha), np.zeros(2))
@@ -221,7 +224,7 @@ def test_local_extension_error_quadratic_in_distance():
     spec = domains.disk()
     chart = spec.charts()[0]
     x = get_function("sin_cos", order=2)
-    ext = local_extend(x.partial_many, chart, 1)
+    ext = local_extend(x.jet_many, chart, 1)
     errs = []
     for d in (1e-2, 5e-3, 2.5e-3):
         p = np.array([[1.0 + d, 0.0]])
@@ -232,19 +235,72 @@ def test_local_extension_error_quadratic_in_distance():
     assert 3.5 < errs[1] / errs[2] < 4.5
 
 
+def counting_sin_cos():
+    """sin_cos whose closed-form evaluator records every call."""
+    x = get_function("sin_cos", order=2)
+    calls = []
+    leaf = x.evaluator
+
+    def evaluator(pts, alpha):
+        calls.append(alpha)
+        return leaf(pts, alpha)
+
+    x.evaluator = evaluator
+    return x, calls
+
+
+@pytest.mark.parametrize("k,walls,pts", [
+    (0, 1, [[0.5, -0.1], [0.3, -0.02]]),
+    (4, 2, [[-0.05, -0.05], [-0.1, -0.02]]),
+], ids=["edge", "corner"])
+def test_local_jet_asks_the_source_once_per_probe(k, walls, pts):
+    # past the bottom edge (chart 0) and past both walls of the (0,0) corner
+    # (chart 4): one source jet of 6 components per reflected probe, 3 probes
+    # per wall at order 2
+    chart = domains.rectangle().charts()[k]
+    pts = np.array(pts)
+    assert chart_image_contains(chart, pts).all()
+    assert (chart.inverse(pts)[:, :walls] < 0.0).all()
+    want = 3**walls * 6
+    x, calls = counting_sin_cos()
+    local_extend(x.jet_many, chart, 2).jet_many(pts, 2)
+    assert len(calls) == want
+
+
+def test_partial_many_is_the_projection_of_jet_many():
+    rng = np.random.default_rng(11)
+    x = get_function("sin_cos", order=2)
+    corner = domains.rectangle().charts()[4]
+    xi = ball_points(300, radius=0.85, seed=13)
+    field = global_extend(x, domains.disk(), 2, h=2.0**-5,
+                          materialize=False).field
+    box = rng.uniform(-0.5, 0.5, (300, 2))
+    cases = [
+        (extend_analytic(x.jet_many, 2, axis=1), box),
+        (corner_extension(x.jet_many, 2), box),
+        (local_extend(x.jet_many, corner, 2), corner.forward(xi)),
+        (field, rng.uniform(-1.5, 1.5, (600, 2))),
+    ]
+    for ext, pts in cases:
+        jet = ext.jet_many(pts, 2)
+        for alpha in multi_indices(2, 2):
+            assert np.array_equal(ext.partial_many(pts, alpha), jet[alpha])
+
+
 def test_interior_chart_carries_no_extension():
     spec = domains.disk()
     part = build_partition(spec.charts(), spec, 1)
     interior_bump = part.bumps[-1]
     assert interior_bump.label == "interior"
     with pytest.raises(UnsupportedDomainError):
-        local_extend(lambda p, a: p[..., 0], interior_bump.chart, 1)
+        local_extend(AnalyticJet("s", 1, 2, lambda p, a: p[..., 0]).jet_many,
+                     interior_bump.chart, 1)
 
 
 def test_global_extension_exact_for_linear_field():
     spec = domains.rectangle()
     x = get_function("sum_st", order=1)
-    res = global_extend(x, spec, 1, h=2.0**-5, margin=0.5, workers=1)
+    res = global_extend(x, spec, 1, h=2.0**-5, margin=0.5)
     s, t = res.window.coord_grids()
     err = np.abs(res.jet.components[(0, 0)] - (s + t))
     assert float(err.max()) < 1e-6
@@ -260,7 +316,7 @@ def test_global_extension_exact_for_linear_field():
 def test_global_extension_of_constant_is_constant():
     spec = domains.rectangle()
     one = polynomial_jet("one", {(0, 0): 1.0}, order=2)
-    res = global_extend(one, spec, 2, h=2.0**-5, margin=0.5, workers=1)
+    res = global_extend(one, spec, 2, h=2.0**-5, margin=0.5)
     assert float(np.abs(res.jet.components[(0, 0)] - 1.0).max()) < 1e-12
     for alpha in [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
         assert float(np.abs(res.jet.components[alpha]).max()) < 1e-9
@@ -288,15 +344,6 @@ def test_global_partials_match_finite_differences_outside():
     assert np.max(np.abs(fd - got)) < 1e-4
 
 
-def test_global_extension_worker_count_does_not_change_bytes():
-    spec = domains.rectangle()
-    x = get_function("sin_cos", order=1)
-    # h = 2^-8 puts the window past one chunk so the split path is exercised
-    a = global_extend(x, spec, 0, h=2.0**-8, margin=0.25, workers=1)
-    b = global_extend(x, spec, 0, h=2.0**-8, margin=0.25, workers=4)
-    assert np.array_equal(a.jet.components[(0, 0)], b.jet.components[(0, 0)])
-
-
 def test_global_extension_order_cap():
     with pytest.raises(ValueError):
         global_extend(get_function("sin_cos", order=3), domains.disk(), 3)
@@ -321,7 +368,7 @@ def test_half_ball_face_partition_is_identity():
     part = build_partition(spec.charts(), spec, 1)
     ts = np.linspace(-0.85, 0.85, 41)
     pts = np.stack([np.zeros_like(ts), ts], axis=-1)
-    chi0 = part.chi_many(0, pts, (0, 0))
+    chi0 = chi_many(part, 0, pts, (0, 0))
     assert np.max(np.abs(chi0 - 1.0)) == 0.0
     for alpha in [(1, 0), (0, 1)]:
-        assert np.max(np.abs(part.chi_many(0, pts, alpha))) == 0.0
+        assert np.max(np.abs(chi_many(part, 0, pts, alpha))) == 0.0

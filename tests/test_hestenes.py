@@ -8,7 +8,7 @@ import pytest
 
 from jetlab import functions, hestenes
 from jetlab.errors import MaskMismatchError, ProbeOutsideMaskError
-from jetlab.functions import get_function, polynomial_jet
+from jetlab.functions import AnalyticJet, get_function, polynomial_jet
 from jetlab.grid import GridMask, GridSpec
 from jetlab.hestenes import (
     HalfSpaceExtension,
@@ -112,7 +112,8 @@ def test_monomial_reproduction(i, g_name):
             assert alpha == (0, 0)
             return p[..., 1] ** j * g(p[..., 0])
 
-        ext = extend_analytic(source, i, axis=1)
+        ext = extend_analytic(AnalyticJet("src", i, 2, source).jet_many, i,
+                              axis=1)
         got = ext.partial_many(pts, (0, 0))
         want = pts[..., 1] ** j * g(pts[..., 0])
         scale = np.maximum(1.0, np.abs(want))
@@ -120,7 +121,8 @@ def test_monomial_reproduction(i, g_name):
 
 
 def test_exp_formula_and_order():
-    ext = extend_analytic(get_function("exp1d", order=2), 2, axis=0)
+    ext = extend_analytic(get_function("exp1d", order=2).jet_many, 2,
+                          axis=0)
     got = ext.partial(np.array([-0.1]), (0,))
     direct = 6 * math.exp(0.1) - 32 * math.exp(0.05) + 27 * math.exp(0.1 / 3)
     assert got == pytest.approx(direct, rel=1e-15)
@@ -132,7 +134,7 @@ def test_exp_formula_and_order():
 
 def test_extension_is_identity_inside():
     jet = get_function("exp1d", order=2)
-    ext = extend_analytic(jet, 2, axis=0)
+    ext = extend_analytic(jet.jet_many, 2, axis=0)
     pts = np.array([[0.3], [0.0], [0.9]])
     assert np.array_equal(ext.partial_many(pts, (0,)), np.exp(pts[:, 0]))
 
@@ -143,15 +145,15 @@ def test_linearity():
     w = polynomial_jet("w", {(3, 0): 2.0, (1, 1): -5.0}, order=2)
     pts = np.array([[0.4, -0.3], [0.1, -0.7], [0.9, -0.05]])
     for alpha in [(0, 0), (0, 1), (1, 1)]:
-        eu = extend_analytic(u, 2, axis=1).partial_many(pts, alpha)
-        ev = extend_analytic(v, 2, axis=1).partial_many(pts, alpha)
-        ew = extend_analytic(w, 2, axis=1).partial_many(pts, alpha)
+        eu = extend_analytic(u.jet_many, 2, axis=1).partial_many(pts, alpha)
+        ev = extend_analytic(v.jet_many, 2, axis=1).partial_many(pts, alpha)
+        ew = extend_analytic(w.jet_many, 2, axis=1).partial_many(pts, alpha)
         assert np.max(np.abs(ew - (2 * eu - 5 * ev))) < 1e-12
 
 
 def test_zero_source():
     z = polynomial_jet("z", {}, order=2)
-    ext = extend_analytic(z, 2, axis=0)
+    ext = extend_analytic(z.jet_many, 2, axis=0)
     pts = np.array([[-0.5, 0.1], [0.5, 0.3]])
     assert np.array_equal(ext.partial_many(pts, (0, 0)), np.zeros(2))
 
@@ -159,7 +161,7 @@ def test_zero_source():
 def test_derivative_factor():
     # d/dt of the extension of t^2 equals 2t below the wall too
     u = polynomial_jet("t2", {(0, 2): 1.0}, order=2)
-    ext = extend_analytic(u, 2, axis=1)
+    ext = extend_analytic(u.jet_many, 2, axis=1)
     pts = np.array([[0.0, -0.25], [0.0, -0.8]])
     got = ext.partial_many(pts, (0, 1))
     assert np.max(np.abs(got - 2 * pts[:, 1])) < 1e-9
@@ -167,7 +169,7 @@ def test_derivative_factor():
 
 def test_max_depth_guard():
     jet = get_function("exp1d", order=1)
-    ext = extend_analytic(jet, 1, axis=0, max_depth=0.2)
+    ext = extend_analytic(jet.jet_many, 1, axis=0, max_depth=0.2)
     ext.partial(np.array([-0.15]), (0,))
     with pytest.raises(ProbeOutsideMaskError):
         ext.partial(np.array([-0.25]), (0,))
@@ -177,7 +179,7 @@ def test_corner_extension_reproduces_products():
     # s^p t^q for p, q <= i through two nested reflections
     i = 2
     u = polynomial_jet("pq", {(2, 1): 1.0, (1, 2): 0.5}, order=2)
-    ext = corner_extension(u, i)
+    ext = corner_extension(u.jet_many, i)
     pts = np.array([[-0.3, -0.4], [-0.8, -0.1], [0.2, -0.5], [-0.5, 0.2]])
     want = pts[:, 0] ** 2 * pts[:, 1] + 0.5 * pts[:, 0] * pts[:, 1] ** 2
     got = ext.partial_many(pts, (0, 0))
@@ -188,7 +190,8 @@ def test_corner_extension_reproduces_products():
 
 
 def test_interface_mismatch_decay():
-    ext = extend_analytic(get_function("exp1d", order=2), 2, axis=0)
+    ext = extend_analytic(get_function("exp1d", order=2).jet_many, 2,
+                          axis=0)
     tang = np.zeros((1, 0))
     m_coarse = interface_mismatch(ext, tang, h=2.0**-9)
     m_fine = interface_mismatch(ext, tang, h=2.0**-10)
