@@ -1,9 +1,11 @@
 """Payload digests pinned byte for byte.
 
-Each digest is the sha256 of a payload's deterministic JSON text, recorded
-before the domains were rewritten as one class per kind.  A rasterizer, a
-membership predicate or a chart that moves a single lattice point or float
-bit changes a digest here.
+Each digest is the sha256 of a payload's deterministic JSON text (or of a
+command's stdout report), recorded before the code it covers was rewritten:
+the domains before one class per kind, the scan reports before sampling and
+scanning walked the lattice in row blocks.  A rasterizer, a membership
+predicate, a chart or a scan that moves a single lattice point, float bit or
+witness changes a digest here.
 """
 
 import hashlib
@@ -84,3 +86,38 @@ def test_field_sample_digest(function, tmp_path, capsys):
     assert main(["field", "sample", "--function", function, *args,
                  "--out", str(out)]) == 0
     assert sha256(io.strip_provenance(out.read_text())) == digest
+
+
+# `space norm --check` reports on stdout: norms, verdict and certificate.
+# The comb and cantor order-3 scans are violations whose witness is the first
+# of several tied maxima in row-major order.
+SCANS = {
+    "comb_example3_F1": (
+        ["--domain", "comb", "--n-teeth", "3", "--function", "example3",
+         "--space", "F", "--order", "1", "--h", "0.015625"], 1,
+        "d899aed78fd6029e357e5a0fc0966e69468ee7395767d6fac38a00d8a3a8f097"),
+    "cantor_example1_E1": (
+        ["--domain", "cantor_slit", "--depth", "4", "--function", "example1",
+         "--space", "E", "--order", "1", "--h", "0.00390625"], 0,
+        "e8c4262253d492088ef1455dab7ba2d07af6215633405c04f662d5ccf9b0578a"),
+    "cantor_example1_E3": (
+        ["--domain", "cantor_slit", "--depth", "4", "--function", "example1",
+         "--space", "E", "--order", "3", "--h", "0.00390625"], 1,
+        "1414a42527b50c562430375929928abe15b03f89477945b2cecdf051ee77c91e"),
+    "sin_cos_rectangle_field_F": (
+        ["--field", "field.json", "--space", "F"], 0,
+        "977d9cf8da6b5e82da54c659d73088da0e27e30665cbed0fb0d09865d1ba6b75"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCANS))
+def test_scan_report_digest(case, tmp_path, monkeypatch, capsys):
+    args, code, digest = SCANS[case]
+    monkeypatch.chdir(tmp_path)  # the --field path is the report's source
+    if "--field" in args:
+        assert main(["field", "sample", "--function", "sin_cos", "--domain",
+                     "rectangle", "--order", "1", "--h", "0.0078125",
+                     "--out", "field.json"]) == 0
+        capsys.readouterr()
+    assert main(["space", "norm", *args, "--check"]) == code
+    assert sha256(capsys.readouterr().out) == digest
