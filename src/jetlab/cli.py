@@ -55,11 +55,28 @@ def _provenance(argv: list[str]) -> dict:
 
 
 def _positive_float(text: str) -> float:
-    """argparse type of --h, --margin, --tol and --ceiling."""
+    """argparse type of --h, --margin, --tol, --ceiling and --tolerance."""
     value = float(text)
     if not (math.isfinite(value) and value > 0.0):
         raise argparse.ArgumentTypeError(
             f"must be a positive finite number, not {text!r}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of --boundary."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number, not {text!r}")
+    return value
+
+
+def _sign(text: str) -> float:
+    """argparse type of --inward: the side of the wall the jet sits on."""
+    value = float(text)
+    if value not in (1.0, -1.0):
+        raise argparse.ArgumentTypeError(f"must be 1 or -1, not {text!r}")
     return value
 
 
@@ -322,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--order", type=int, default=DEFAULTS["order"])
     pe.add_argument("--width", type=int, required=True)
     pe.add_argument("--axis", type=int, default=0)
-    pe.add_argument("--boundary", type=float, default=0.0)
-    pe.add_argument("--inward", type=float, default=1.0)
+    pe.add_argument("--boundary", type=_finite_float, default=0.0)
+    pe.add_argument("--inward", type=_sign, default=1.0)
     pe.add_argument("--out", required=True)
     pe.set_defaults(func=_cmd_hestenes_extend)
 
@@ -370,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="recompute a stored certificate")
     p.add_argument("--cert", required=True)
-    p.add_argument("--tolerance", type=float,
+    p.add_argument("--tolerance", type=_positive_float,
                    default=DEFAULTS["replay_tolerance"])
     p.set_defaults(func=_cmd_replay)
     return parser

@@ -18,7 +18,9 @@ import numpy as np
 
 from . import domains
 from .errors import PointOutsideRegionError
-from .grid import GridMask, Jet, SampledJet, multi_indices
+from .grid import (
+    GridMask, Jet, JetEvaluator, SampledJet, multi_indices, row_blocks,
+)
 
 DEFAULT_PHI_DEPTH = 60
 
@@ -100,8 +102,9 @@ def mollifier(t: float) -> tuple[float, float]:
 class AnalyticJet:
     """A field with closed-form partials, optionally tied to a region.
 
-    evaluator(points, alpha) consumes an (..., dim) array and returns the
-    alpha-partial at each point; it is the leaf below every jet_many.
+    evaluator(points, order) is the leaf below every jet_many: it consumes an
+    (..., dim) array and returns the whole jet there, every partial with
+    |alpha| <= order, computing the work the partials share once per call.
     member(*coords), when present, is the exact region predicate of a domain,
     called with one coordinate array per axis; scalar evaluation outside it
     raises.
@@ -110,7 +113,7 @@ class AnalyticJet:
     name: str
     order: int
     dim: int
-    evaluator: Callable[[np.ndarray, tuple[int, ...]], np.ndarray]
+    evaluator: JetEvaluator
     member: Callable[..., np.ndarray] | None = None
 
     def contains(self, points) -> np.ndarray:
@@ -119,17 +122,18 @@ class AnalyticJet:
             return np.ones(pts.shape[:-1], dtype=bool)
         return self.member(*np.moveaxis(pts, -1, 0))
 
-    def partial_many(self, points, alpha) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        return np.asarray(self.evaluator(pts, tuple(alpha)), dtype=np.float64)
-
     def jet_many(self, points, order: int) -> Jet:
-        """Every partial with |alpha| <= order, one evaluator call each."""
+        """Every partial with |alpha| <= order, from one evaluator call."""
         pts = np.asarray(points, dtype=np.float64)
+        jet = self.evaluator(pts, order)
         return {
-            alpha: np.asarray(self.evaluator(pts, alpha), dtype=np.float64)
+            alpha: np.asarray(jet[alpha], dtype=np.float64)
             for alpha in multi_indices(order, self.dim)
         }
+
+    def partial_many(self, points, alpha) -> np.ndarray:
+        alpha = tuple(alpha)
+        return self.jet_many(points, sum(alpha))[alpha]
 
     def partial(self, point, alpha) -> float:
         pts = np.asarray(point, dtype=np.float64).reshape(1, self.dim)
@@ -140,23 +144,37 @@ class AnalyticJet:
         return float(self.partial_many(pts, alpha)[0])
 
     def sample(self, mask: GridMask, order: int | None = None) -> SampledJet:
-        """Evaluate every component on the masked lattice points."""
+        """Evaluate every component on the masked lattice points.
+
+        The mask is taken in blocks of whole rows: one region check and one
+        evaluator call per block, written into zero-filled components.
+        """
         order = self.order if order is None else order
         if order > self.order:
             raise ValueError(f"{self.name} offers order {self.order} only")
-        pts = mask.points()
-        if self.member is not None and not bool(self.contains(pts).all()):
-            bad = pts[~self.contains(pts)][0]
-            raise PointOutsideRegionError(
-                f"mask point {tuple(bad)} lies outside the region of {self.name}"
-            )
-        idx = np.nonzero(mask.member)
-        components = {}
-        for alpha in multi_indices(order, mask.grid.dim):
-            arr = np.zeros(mask.grid.extents, dtype=np.float64)
-            arr[idx] = self.partial_many(pts, alpha)
-            components[alpha] = arr
-        return SampledJet(order, mask.grid, mask, components)
+        grid = mask.grid
+        components = {
+            alpha: np.zeros(grid.extents, dtype=np.float64)
+            for alpha in multi_indices(order, grid.dim)
+        }
+        for rows in row_blocks(grid.extents):
+            sub = mask.member[rows]
+            idx = np.nonzero(sub)
+            if not idx[0].size:
+                continue
+            pts = grid.points((idx[0] + rows.start,) + idx[1:])
+            if self.member is not None:
+                inside = self.contains(pts)
+                if not inside.all():
+                    bad = pts[~inside][0]
+                    raise PointOutsideRegionError(
+                        f"mask point {tuple(bad)} lies outside the region "
+                        f"of {self.name}"
+                    )
+            jet = self.evaluator(pts, order)
+            for alpha, arr in components.items():
+                arr[rows][sub] = jet[alpha]
+        return SampledJet(order, grid, mask, components)
 
 
 def _falling(p: int, k: int) -> float:
@@ -170,7 +188,7 @@ def polynomial_jet(name: str, terms: dict[tuple[int, ...], float], order: int,
                    dim: int = 2) -> AnalyticJet:
     """Jet of a polynomial given as {exponent tuple: coefficient}."""
 
-    def evaluator(pts: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
+    def partial(pts: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
         out = np.zeros(pts.shape[:-1], dtype=np.float64)
         for powers, coeff in terms.items():
             factor = coeff
@@ -189,6 +207,10 @@ def polynomial_jet(name: str, terms: dict[tuple[int, ...], float], order: int,
             out += term
         return out
 
+    def evaluator(pts: np.ndarray, order: int) -> Jet:
+        return {alpha: partial(pts, alpha)
+                for alpha in multi_indices(order, dim)}
+
     return AnalyticJet(name, order, dim, evaluator)
 
 
@@ -204,13 +226,13 @@ def sum_st_jet(order: int = 1) -> AnalyticJet:
 def sin_cos_jet(order: int = 3) -> AnalyticJet:
     """sin(s) cos(t) with partials of any requested order."""
 
-    def evaluator(pts: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
-        s = pts[..., 0]
-        t = pts[..., 1]
-        a, b = alpha
-        s_cycle = (np.sin, np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v))
-        t_cycle = (np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v), np.sin)
-        return s_cycle[a % 4](s) * t_cycle[b % 4](t)
+    def evaluator(pts: np.ndarray, order: int) -> Jet:
+        sin_s, cos_s = np.sin(pts[..., 0]), np.cos(pts[..., 0])
+        sin_t, cos_t = np.sin(pts[..., 1]), np.cos(pts[..., 1])
+        s_cycle = (sin_s, cos_s, -sin_s, -cos_s)
+        t_cycle = (cos_t, -sin_t, -cos_t, sin_t)
+        return {(a, b): s_cycle[a % 4] * t_cycle[b % 4]
+                for a, b in multi_indices(order, 2)}
 
     return AnalyticJet("sin_cos", order, 2, evaluator)
 
@@ -218,8 +240,10 @@ def sin_cos_jet(order: int = 3) -> AnalyticJet:
 def exp1d_jet(order: int = 3) -> AnalyticJet:
     """exp(s) on the line; every partial is exp itself."""
 
-    def evaluator(pts: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
-        return np.exp(pts[..., 0])
+    def evaluator(pts: np.ndarray, order: int) -> Jet:
+        value = np.exp(pts[..., 0])
+        value.setflags(write=False)  # shared by every partial
+        return {alpha: value for alpha in multi_indices(order, 1)}
 
     return AnalyticJet("exp1d", order, 1, evaluator)
 
@@ -227,32 +251,36 @@ def exp1d_jet(order: int = 3) -> AnalyticJet:
 _COMB = domains.Comb(None)
 
 
-def _example3_eval(pts: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
+# the comb field's closed-form partials in the tooth-shifted abscissa sloc;
+# every other partial vanishes
+_EXAMPLE3_PARTIALS = {
+    (0, 0): lambda sloc, t: sloc * t * t,
+    (1, 0): lambda sloc, t: t * t,
+    (0, 1): lambda sloc, t: 2.0 * sloc * t,
+    (1, 1): lambda sloc, t: 2.0 * t,
+    (0, 2): lambda sloc, t: 2.0 * sloc,
+}
+
+
+def _example3_eval(pts: np.ndarray, order: int) -> Jet:
     """Comb field: chi(s, t) on the base, its shifted copy on each tooth."""
     s = pts[..., 0]
     t = pts[..., 1]
-    a, b = alpha
     region = _COMB.q(s, t)
     # shifted abscissa: s on the base, s - a_n on tooth n, where the comb
     # meets the open positive quadrant
     sloc = np.array(s, dtype=np.float64)
-    if a == 0:
-        on_tooth = region & (s > 0.0) & (t > 0.0)
-        tooth = domains.comb_tooth_index_array(s[on_tooth]).astype(np.int32)
-        sloc[on_tooth] -= np.ldexp(0.75, -tooth)
-    if a == 0 and b == 0:
-        vals = sloc * t * t
-    elif a == 1 and b == 0:
-        vals = t * t
-    elif a == 0 and b == 1:
-        vals = 2.0 * sloc * t
-    elif a == 1 and b == 1:
-        vals = 2.0 * t
-    elif a == 0 and b == 2:
-        vals = 2.0 * sloc
-    else:
-        vals = np.zeros_like(sloc)
-    return np.where(region, vals, 0.0)
+    on_tooth = region & (s > 0.0) & (t > 0.0)
+    tooth = domains.comb_tooth_index_array(s[on_tooth]).astype(np.int32)
+    sloc[on_tooth] -= np.ldexp(0.75, -tooth)
+    out = {}
+    for alpha in multi_indices(order, 2):
+        if alpha in _EXAMPLE3_PARTIALS:
+            vals = _EXAMPLE3_PARTIALS[alpha](sloc, t)
+            out[alpha] = np.where(region, vals, 0.0)
+        else:
+            out[alpha] = np.zeros_like(sloc)
+    return out
 
 
 def example3_jet(order: int = 1, n_teeth: int | None = None) -> AnalyticJet:
@@ -266,23 +294,20 @@ def example3_jet(order: int = 1, n_teeth: int | None = None) -> AnalyticJet:
 def example3_value(s: float, t: float, alpha=(0, 0)) -> float:
     """Scalar comb field; exact for dyadic inputs."""
     pts = np.array([[s, t]], dtype=np.float64)
-    return float(_example3_eval(pts, tuple(alpha))[0])
+    alpha = tuple(alpha)
+    return float(_example3_eval(pts, sum(alpha))[alpha][0])
 
 
-def _gap1d_eval(pts: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
+def _gap1d_eval(pts: np.ndarray, order: int) -> Jet:
     s = pts[..., 0]
     seg = domains.gap_segment_index_array(s)
     inside = seg >= 0
-    (a,) = alpha
-    if a == 0:
-        n_safe = np.where(seg > 0, seg, 1).astype(np.int32)
-        shift = np.where(seg > 0, np.ldexp(1.0, -n_safe), 0.0)
-        vals = s - shift
-    elif a == 1:
-        vals = np.ones_like(s)
-    else:
-        vals = np.zeros_like(s)
-    return np.where(inside, vals, 0.0)
+    n_safe = np.where(seg > 0, seg, 1).astype(np.int32)
+    shift = np.where(seg > 0, np.ldexp(1.0, -n_safe), 0.0)
+    out = {(0,): np.where(inside, s - shift, 0.0)}
+    for a in range(1, order + 1):
+        out[(a,)] = np.where(inside, 1.0 if a == 1 else 0.0, 0.0)
+    return out
 
 
 def gap1d_jet(order: int = 1, n_segments: int | None = None) -> AnalyticJet:
@@ -293,23 +318,23 @@ def gap1d_jet(order: int = 1, n_segments: int | None = None) -> AnalyticJet:
 
 def gap1d_value(s: float, alpha=(0,)) -> float:
     pts = np.array([[s]], dtype=np.float64)
-    return float(_gap1d_eval(pts, tuple(alpha))[0])
+    alpha = tuple(alpha)
+    return float(_gap1d_eval(pts, sum(alpha))[alpha][0])
 
 
 def _example1_eval_factory(phi_depth: int):
-    def evaluator(pts: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
+    def evaluator(pts: np.ndarray, order: int) -> Jet:
         s = pts[..., 0]
         t = pts[..., 1]
-        a, b = alpha
-        out = np.zeros(pts.shape[:-1], dtype=np.float64)
-        if a >= 1:
-            # every s-partial vanishes off the slit columns
-            return out
+        # every s-partial vanishes off the slit columns
+        out = {alpha: np.zeros(pts.shape[:-1], dtype=np.float64)
+               for alpha in multi_indices(order, 2)}
         block = (s > 0.0) & (s <= 1.0) & (t > 0.0) & (t <= 1.0)
         if block.any():
             phi = cantor_phi_array(s[block], phi_depth)
-            f = mollifier_derivs(t[block], b)[b]
-            out[block] = phi * f
+            derivs = mollifier_derivs(t[block], order)
+            for b in range(order + 1):
+                out[(0, b)][block] = phi * derivs[b]
         return out
 
     return evaluator

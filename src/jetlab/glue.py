@@ -30,8 +30,8 @@ from .domains import Chart, Domain
 from .errors import CoverGapError, UnsupportedDomainError
 from .functions import AnalyticJet
 from .grid import (
-    GridMask, GridSpec, Jet, JetEvaluator, SampledJet, dilate_box, interior_of,
-    multi_indices,
+    CHUNK_POINTS, GridMask, GridSpec, Jet, JetEvaluator, SampledJet, dilate_box,
+    interior_of, multi_indices,
 )
 from .hestenes import (
     HalfSpaceExtension,
@@ -41,7 +41,6 @@ from .hestenes import (
 
 BUMP_SHRINK = 0.9
 _BUMP_GUARD = 1.0 - 1.0 / 745.0
-_CHUNK_ROWS = 65536
 
 
 # ---------------------------------------------------------------------------
@@ -490,10 +489,10 @@ def global_extend(x: AnalyticJet, domain: Domain, order: int,
     q_member = q_mask.member.ravel()
     alphas = multi_indices(order, 2)
     values = {alpha: np.zeros(len(pts)) for alpha in alphas}
-    for lo in range(0, len(pts), _CHUNK_ROWS):
-        chunk = field.jet_many(pts[lo:lo + _CHUNK_ROWS], order)
+    for lo in range(0, len(pts), CHUNK_POINTS):
+        chunk = field.jet_many(pts[lo:lo + CHUNK_POINTS], order)
         for alpha in alphas:
-            values[alpha][lo:lo + _CHUNK_ROWS] = chunk[alpha]
+            values[alpha][lo:lo + CHUNK_POINTS] = chunk[alpha]
     components = {
         alpha: values[alpha].reshape(window.extents) for alpha in alphas
     }

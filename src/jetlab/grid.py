@@ -8,9 +8,11 @@ floating point.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable
+import math
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -20,6 +22,17 @@ from .errors import EmptyMaskError, MaskMismatchError
 Jet = dict[tuple[int, ...], np.ndarray]
 # The one evaluator protocol: (points of shape (..., dim), order) -> Jet.
 JetEvaluator = Callable[[np.ndarray, int], Jet]
+
+# Bulk passes over a lattice take it in blocks of about this many points,
+# which bounds their temporaries.
+CHUNK_POINTS = 2**16
+
+
+def row_blocks(shape: tuple[int, ...]) -> Iterator[slice]:
+    """Consecutive blocks of whole axis-0 rows, about CHUNK_POINTS each."""
+    step = max(1, CHUNK_POINTS // max(1, math.prod(shape[1:])))
+    for r0 in range(0, shape[0], step):
+        yield slice(r0, min(r0 + step, shape[0]))
 
 
 def multi_indices(order: int, dim: int) -> list[tuple[int, ...]]:
@@ -84,6 +97,14 @@ class GridSpec:
     def coord(self, index: tuple[int, ...]) -> tuple[float, ...]:
         return tuple(self.origin[a] + index[a] * self.h for a in range(self.dim))
 
+    def points(self, index: tuple[np.ndarray, ...]) -> np.ndarray:
+        """Coordinates of the points index (one array per axis), (n, dim)."""
+        cols = [
+            self.origin[a] + index[a].astype(np.float64) * self.h
+            for a in range(self.dim)
+        ]
+        return np.stack(cols, axis=-1)
+
     def coord_grids(self) -> tuple[np.ndarray, ...]:
         """Meshgrid of coordinates, one array per axis, "ij" indexing."""
         axes = [self.axis_coords(a) for a in range(self.dim)]
@@ -126,15 +147,6 @@ class GridMask:
     @property
     def count(self) -> int:
         return int(self.member.sum())
-
-    def points(self) -> np.ndarray:
-        """Coordinates of the masked lattice points, shape (count, dim)."""
-        idx = np.nonzero(self.member)
-        cols = [
-            self.grid.origin[a] + idx[a].astype(np.float64) * self.grid.h
-            for a in range(self.grid.dim)
-        ]
-        return np.stack(cols, axis=-1)
 
     def same_lattice(self, other: "GridMask") -> bool:
         return self.grid == other.grid
@@ -196,7 +208,8 @@ class SampledJet:
 
     components maps each multi-index alpha with |alpha| <= order to an array
     of samples over the full lattice; entries off the mask are not meaningful
-    and are stored as 0.
+    and are stored as 0.  An array that already holds +0.0 off the mask is
+    adopted as a read-only view, any other is copied and cleaned.
     """
 
     order: int
@@ -211,17 +224,29 @@ class SampledJet:
         for alpha in expected:
             if alpha not in self.components:
                 raise ValueError(f"missing component {alpha}")
+        member = self.mask.member
+        off_mask = ~member
         cleaned = {}
         for alpha in expected:
             arr = np.asarray(self.components[alpha], dtype=np.float64)
             if arr.shape != self.grid.extents:
                 raise ValueError(f"component {alpha} has shape {arr.shape}")
-            if not np.isfinite(arr[self.mask.member]).all():
-                raise ValueError(f"component {alpha} is not finite on the mask")
-            out = np.where(self.mask.member, arr, 0.0)
+            # bitwise, so that -0.0 and nan off the mask are cleaned too
+            if np.any(arr.view(np.int64), where=off_mask):
+                out = np.where(member, arr, 0.0)
+            else:
+                out = arr.view()
             out.setflags(write=False)
+            if not np.isfinite(out).all():
+                raise ValueError(f"component {alpha} is not finite on the mask")
             cleaned[alpha] = out
         self.components = cleaned
+
+    @functools.cached_property
+    def sups(self) -> dict[tuple[int, ...], float]:
+        """max |component| over the mask for each alpha, computed once."""
+        return {alpha: sup_on_mask(self.components[alpha], self.mask)
+                for alpha in self.alphas()}
 
     def component(self, alpha: tuple[int, ...]) -> np.ndarray:
         return self.components[tuple(alpha)]
@@ -257,6 +282,6 @@ def sup_on_mask(values: np.ndarray, mask: GridMask) -> float:
     values = np.asarray(values)
     if values.shape != mask.grid.extents:
         raise MaskMismatchError("values do not match the lattice shape")
-    if mask.count == 0:
+    if not mask.member.any():
         raise EmptyMaskError("sup over an empty mask")
-    return float(np.max(np.abs(values[mask.member])))
+    return float(np.max(np.abs(values), where=mask.member, initial=0.0))

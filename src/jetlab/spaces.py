@@ -17,7 +17,7 @@ import numpy as np
 
 from .certify import CertTerm, Certificate
 from .errors import MaskMismatchError, NotAnExtensionError
-from .grid import GridMask, SampledJet, alpha_key, sup_on_mask
+from .grid import GridMask, SampledJet, alpha_key, row_blocks
 
 DEFAULT_TOL = 1e-2
 DEFAULT_C_FACTOR = 10.0
@@ -48,10 +48,7 @@ class NormReport:
 
 
 def norm_report(jet: SampledJet, space: str, mask_label: str) -> NormReport:
-    per = {
-        alpha: sup_on_mask(jet.components[alpha], jet.mask)
-        for alpha in jet.alphas()
-    }
+    per = dict(jet.sups)
     return NormReport(
         space, jet.order, mask_label, per, max(per.values()), jet.mask.count
     )
@@ -154,40 +151,47 @@ class MembershipVerdict:
         return payload
 
 
-def _central_triples(member: np.ndarray, axis: int):
-    """Boolean array marking points whose both axis neighbors are masked."""
-    ok = np.zeros_like(member)
-    sl_mid = [slice(None)] * member.ndim
-    sl_lo = [slice(None)] * member.ndim
-    sl_hi = [slice(None)] * member.ndim
-    sl_mid[axis] = slice(1, -1)
-    sl_lo[axis] = slice(0, -2)
-    sl_hi[axis] = slice(2, None)
-    ok[tuple(sl_mid)] = (
-        member[tuple(sl_mid)] & member[tuple(sl_lo)] & member[tuple(sl_hi)]
-    )
-    return ok
+def _stencil(arr: np.ndarray, axis: int, rows: slice, span: int,
+             j: int) -> np.ndarray:
+    """arr at the bases in rows of the stencils spanning span steps along
+    axis, shifted j steps along it.
+
+    A base is a lattice point k whose k + span * e_axis is still on the
+    lattice; rows selects whole axis-0 rows of bases.
+    """
+    if axis == 0:
+        return arr[rows.start + j:rows.stop + j]
+    return arr[rows, j:arr.shape[1] - span + j]
 
 
-def _adjacent_pairs(member: np.ndarray, axis: int):
-    """Mask pairs (p, p+e_axis) with both endpoints inside."""
-    sl_lo = [slice(None)] * member.ndim
-    sl_hi = [slice(None)] * member.ndim
-    sl_lo[axis] = slice(0, -1)
-    sl_hi[axis] = slice(1, None)
-    return member[tuple(sl_lo)] & member[tuple(sl_hi)], tuple(sl_lo), tuple(sl_hi)
-
-
-def _shift_diff(arr: np.ndarray, axis: int) -> np.ndarray:
-    sl_lo = [slice(None)] * arr.ndim
-    sl_hi = [slice(None)] * arr.ndim
-    sl_lo[axis] = slice(0, -2)
-    sl_hi[axis] = slice(2, None)
-    out = np.zeros_like(arr)
-    sl_mid = [slice(None)] * arr.ndim
-    sl_mid[axis] = slice(1, -1)
-    out[tuple(sl_mid)] = arr[tuple(sl_hi)] - arr[tuple(sl_lo)]
+def _stencil_bases(member: np.ndarray, axis: int, span: int) -> np.ndarray:
+    """Over the bases along axis: all span + 1 stencil points are masked."""
+    rows = slice(0, member.shape[0] - (span if axis == 0 else 0))
+    out = _stencil(member, axis, rows, span, 0).copy()
+    for j in range(1, span + 1):
+        out &= _stencil(member, axis, rows, span, j)
     return out
+
+
+def _block_max(bases: np.ndarray, values, floor: float):
+    """The largest values(rows) over the True bases if it exceeds floor, and
+    the base of its first occurrence in row-major order; else (floor, None).
+
+    values(rows) gives the values at one block of rows of bases, so the walk
+    holds one block's temporaries at a time.
+    """
+    worst, base = floor, None
+    for rows in row_blocks(bases.shape):
+        ok = bases[rows]
+        if not ok.any():
+            continue
+        block = np.where(ok, values(rows), 0.0)
+        top = float(block.max())
+        if top > worst:
+            i = np.unravel_index(int(block.argmax()), block.shape)
+            worst = top
+            base = (int(i[0]) + rows.start,) + tuple(int(v) for v in i[1:])
+    return worst, base
 
 
 def _scan(jet: SampledJet, space: str, tol: float,
@@ -195,107 +199,87 @@ def _scan(jet: SampledJet, space: str, tol: float,
     h = jet.grid.h
     dim = jet.grid.dim
     member = jet.mask.member
-    sup_all = max(
-        sup_on_mask(jet.components[a], jet.mask) for a in jet.alphas()
-    )
+    sup_all = max(jet.sups.values())
     c_bound = c_factor * max(1.0, sup_all) * h
+    triples = {a: _stencil_bases(member, a, 2)
+               for a in range(dim) if member.shape[a] > 2}
+    pairs = {a: _stencil_bases(member, a, 1)
+             for a in range(dim) if member.shape[a] > 1}
 
     fd_defect = 0.0
     fd_witness = None
     for alpha in jet.alphas():
-        total = sum(alpha)
-        if total == 0:
-            continue
-        for axis in range(dim):
+        for axis, triple in triples.items():
             if alpha[axis] == 0:
                 continue
             lower = list(alpha)
             lower[axis] -= 1
             lower = tuple(lower)
-            triple = _central_triples(member, axis)
-            if not triple.any():
-                continue
-            est = _shift_diff(jet.components[lower], axis) / (2.0 * h)
-            defect = np.where(triple, np.abs(est - jet.components[alpha]), 0.0)
-            worst = float(defect.max())
-            if worst > fd_defect:
-                fd_defect = worst
-                k = np.unravel_index(int(defect.argmax()), defect.shape)
-                fd_witness = (alpha, lower, axis, k, float(est[k]),
-                              float(jet.components[alpha][k]))
+            low = jet.components[lower]
+            declared = jet.components[alpha]
+            fd_defect, base = _block_max(triple, lambda rows: np.abs(
+                (_stencil(low, axis, rows, 2, 2)
+                 - _stencil(low, axis, rows, 2, 0)) / (2.0 * h)
+                - _stencil(declared, axis, rows, 2, 1)), fd_defect)
+            if base is not None:
+                fd_witness = (alpha, lower, axis, base)
 
     modulus: dict[int, float] = {}
     mod_witness = None
     for alpha in jet.alphas():
         order = sum(alpha)
         arr = jet.components[alpha]
-        for axis in range(dim):
-            pair, sl_lo, sl_hi = _adjacent_pairs(member, axis)
-            if not pair.any():
-                continue
-            step = np.where(pair, np.abs(arr[sl_hi] - arr[sl_lo]), 0.0)
-            worst = float(step.max())
-            if worst > modulus.get(order, 0.0):
+        for axis, pair in pairs.items():
+            worst, base = _block_max(pair, lambda rows: np.abs(
+                _stencil(arr, axis, rows, 1, 1)
+                - _stencil(arr, axis, rows, 1, 0)), modulus.get(order, 0.0))
+            if base is not None:
                 modulus[order] = worst
-                k = np.unravel_index(int(step.argmax()), step.shape)
-                mod_witness = (alpha, axis, k, worst)
+                mod_witness = (alpha, axis, base, worst)
     tolerances = {"fd_bound": c_bound, "modulus": tol}
     if tol_by_order:
         tolerances.update({f"modulus_order_{k}": v
                            for k, v in tol_by_order.items()})
 
     bad_fd = fd_defect > c_bound
-    bad_mod_order = None
-    for order, value in sorted(modulus.items()):
-        bound = (tol_by_order or {}).get(order, tol)
-        if value > bound:
-            bad_mod_order = order
-            break
-    if not bad_fd and bad_mod_order is None:
+    bad_mod = any(value > (tol_by_order or {}).get(order, tol)
+                  for order, value in modulus.items())
+    if not bad_fd and not bad_mod:
         return MembershipVerdict(
             space, "consistent-at-resolution", h, tolerances,
             fd_defect, modulus, None,
         )
-    terms = []
     if bad_fd:
-        alpha, lower, axis, k, est, declared = fd_witness
-        lo = list(k)
-        hi = list(k)
-        lo[axis] -= 1
-        hi[axis] += 1
-        terms.append(CertTerm(
-            n=0,
-            base=jet.grid.coord(tuple(lo)),
-            probe=jet.grid.coord(tuple(hi)),
-            quotient=est,
-            note=(
-                f"finite difference of {alpha_key(lower)} along axis {axis} "
-                f"is {est:.6g} but component {alpha_key(alpha)} declares "
-                f"{declared:.6g}"
-            ),
-        ))
-        claim = f"not-in-{space}-at-resolution"
+        alpha, lower, axis, base = fd_witness
+        mid = list(base)
+        mid[axis] += 1
+        probe = list(base)
+        probe[axis] += 2
+        low = jet.components[lower]
+        est = float((low[tuple(probe)] - low[base]) / (2.0 * h))
+        declared = float(jet.components[alpha][tuple(mid)])
+        quotient = est
         gap = abs(est - declared)
+        note = (
+            f"finite difference of {alpha_key(lower)} along axis {axis} "
+            f"is {est:.6g} but component {alpha_key(alpha)} declares "
+            f"{declared:.6g}"
+        )
     else:
-        alpha, axis, k, worst = mod_witness
-        hi = list(k)
-        hi[axis] += 1
-        terms.append(CertTerm(
-            n=0,
-            base=jet.grid.coord(tuple(k)),
-            probe=jet.grid.coord(tuple(hi)),
-            quotient=worst,
-            note=(
-                f"component {alpha_key(alpha)} jumps by {worst:.6g} across "
-                f"one lattice step on axis {axis}"
-            ),
-        ))
-        claim = f"not-in-{space}-at-resolution"
-        gap = worst
+        alpha, axis, base, gap = mod_witness
+        probe = list(base)
+        probe[axis] += 1
+        quotient = gap
+        note = (
+            f"component {alpha_key(alpha)} jumps by {gap:.6g} across "
+            f"one lattice step on axis {axis}"
+        )
     cert = Certificate(
         domain="lattice-scan",
-        claim=claim,
-        terms=tuple(terms),
+        claim=f"not-in-{space}-at-resolution",
+        terms=(CertTerm(n=0, base=jet.grid.coord(base),
+                        probe=jet.grid.coord(tuple(probe)),
+                        quotient=quotient, note=note),),
         interior_limit=0.0,
         interior_witness=(),
         gap=gap,

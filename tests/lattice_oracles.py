@@ -4,7 +4,9 @@ jetlab itself runs on numpy alone; scipy is a test dependency and serves
 here as an independent implementation of the lattice morphology.  The
 scalar lookups, the finite-difference stencil and the chart round trip are
 the plain per-value versions of what jetlab computes in bulk; chi_many reads
-one normalized bump partial off a partition.
+one normalized bump partial off a partition.  scatter_sample and
+full_lattice_scan are the whole-lattice, one-component-at-a-time versions of
+AnalyticJet.sample and the membership scan, which walk row blocks instead.
 """
 
 import math
@@ -12,9 +14,12 @@ import math
 import numpy as np
 from scipy import ndimage
 
+from jetlab.certify import CertTerm, Certificate
 from jetlab.domains import comb_a, comb_b
+from jetlab.errors import PointOutsideRegionError
 from jetlab.glue import _chi_from_raw
-from jetlab.grid import multi_indices
+from jetlab.grid import alpha_key, multi_indices
+from jetlab.spaces import MembershipVerdict
 
 
 def erosion(member: np.ndarray) -> np.ndarray:
@@ -109,3 +114,175 @@ def chi_many(partition, nu: int, pts, alpha) -> np.ndarray:
     raw = partition.raw_all(pts, sum(alpha))
     S = {b: sum(r[b] for r in raw) for b in betas}
     return _chi_from_raw(raw[nu], S, alpha)
+
+
+def scatter_sample(jet, mask, order: int) -> dict:
+    """Components of jet on the mask: every masked point at once, one
+    partial_many call and one scatter per alpha."""
+    pts = mask.grid.points(np.nonzero(mask.member))
+    if jet.member is not None and not bool(jet.contains(pts).all()):
+        bad = pts[~jet.contains(pts)][0]
+        raise PointOutsideRegionError(
+            f"mask point {tuple(bad)} lies outside the region of {jet.name}"
+        )
+    idx = np.nonzero(mask.member)
+    components = {}
+    for alpha in multi_indices(order, mask.grid.dim):
+        arr = np.zeros(mask.grid.extents, dtype=np.float64)
+        arr[idx] = jet.partial_many(pts, alpha)
+        components[alpha] = arr
+    return components
+
+
+def _central_triples(member: np.ndarray, axis: int):
+    """Boolean array marking points whose both axis neighbors are masked."""
+    ok = np.zeros_like(member)
+    sl_mid = [slice(None)] * member.ndim
+    sl_lo = [slice(None)] * member.ndim
+    sl_hi = [slice(None)] * member.ndim
+    sl_mid[axis] = slice(1, -1)
+    sl_lo[axis] = slice(0, -2)
+    sl_hi[axis] = slice(2, None)
+    ok[tuple(sl_mid)] = (
+        member[tuple(sl_mid)] & member[tuple(sl_lo)] & member[tuple(sl_hi)]
+    )
+    return ok
+
+
+def _adjacent_pairs(member: np.ndarray, axis: int):
+    """Mask pairs (p, p+e_axis) with both endpoints inside."""
+    sl_lo = [slice(None)] * member.ndim
+    sl_hi = [slice(None)] * member.ndim
+    sl_lo[axis] = slice(0, -1)
+    sl_hi[axis] = slice(1, None)
+    return member[tuple(sl_lo)] & member[tuple(sl_hi)], tuple(sl_lo), tuple(sl_hi)
+
+
+def _shift_diff(arr: np.ndarray, axis: int) -> np.ndarray:
+    sl_lo = [slice(None)] * arr.ndim
+    sl_hi = [slice(None)] * arr.ndim
+    sl_lo[axis] = slice(0, -2)
+    sl_hi[axis] = slice(2, None)
+    out = np.zeros_like(arr)
+    sl_mid = [slice(None)] * arr.ndim
+    sl_mid[axis] = slice(1, -1)
+    out[tuple(sl_mid)] = arr[tuple(sl_hi)] - arr[tuple(sl_lo)]
+    return out
+
+
+def full_lattice_scan(jet, space: str, tol: float = 1e-2,
+                      c_factor: float = 10.0,
+                      tol_by_order: dict | None = None) -> MembershipVerdict:
+    """The membership scan with full-lattice arrays per (alpha, axis): the
+    sup by boolean gather, the witness by argmax over the whole lattice."""
+    h = jet.grid.h
+    dim = jet.grid.dim
+    member = jet.mask.member
+    sup_all = max(
+        float(np.max(np.abs(jet.components[a][member]))) for a in jet.alphas()
+    )
+    c_bound = c_factor * max(1.0, sup_all) * h
+
+    fd_defect = 0.0
+    fd_witness = None
+    for alpha in jet.alphas():
+        total = sum(alpha)
+        if total == 0:
+            continue
+        for axis in range(dim):
+            if alpha[axis] == 0:
+                continue
+            lower = list(alpha)
+            lower[axis] -= 1
+            lower = tuple(lower)
+            triple = _central_triples(member, axis)
+            if not triple.any():
+                continue
+            est = _shift_diff(jet.components[lower], axis) / (2.0 * h)
+            defect = np.where(triple, np.abs(est - jet.components[alpha]), 0.0)
+            worst = float(defect.max())
+            if worst > fd_defect:
+                fd_defect = worst
+                k = np.unravel_index(int(defect.argmax()), defect.shape)
+                fd_witness = (alpha, lower, axis, k, float(est[k]),
+                              float(jet.components[alpha][k]))
+
+    modulus: dict[int, float] = {}
+    mod_witness = None
+    for alpha in jet.alphas():
+        order = sum(alpha)
+        arr = jet.components[alpha]
+        for axis in range(dim):
+            pair, sl_lo, sl_hi = _adjacent_pairs(member, axis)
+            if not pair.any():
+                continue
+            step = np.where(pair, np.abs(arr[sl_hi] - arr[sl_lo]), 0.0)
+            worst = float(step.max())
+            if worst > modulus.get(order, 0.0):
+                modulus[order] = worst
+                k = np.unravel_index(int(step.argmax()), step.shape)
+                mod_witness = (alpha, axis, k, worst)
+    tolerances = {"fd_bound": c_bound, "modulus": tol}
+    if tol_by_order:
+        tolerances.update({f"modulus_order_{k}": v
+                           for k, v in tol_by_order.items()})
+
+    bad_fd = fd_defect > c_bound
+    bad_mod_order = None
+    for order, value in sorted(modulus.items()):
+        bound = (tol_by_order or {}).get(order, tol)
+        if value > bound:
+            bad_mod_order = order
+            break
+    if not bad_fd and bad_mod_order is None:
+        return MembershipVerdict(
+            space, "consistent-at-resolution", h, tolerances,
+            fd_defect, modulus, None,
+        )
+    if bad_fd:
+        alpha, lower, axis, k, est, declared = fd_witness
+        lo = list(k)
+        hi = list(k)
+        lo[axis] -= 1
+        hi[axis] += 1
+        term = CertTerm(
+            n=0,
+            base=jet.grid.coord(tuple(lo)),
+            probe=jet.grid.coord(tuple(hi)),
+            quotient=est,
+            note=(
+                f"finite difference of {alpha_key(lower)} along axis {axis} "
+                f"is {est:.6g} but component {alpha_key(alpha)} declares "
+                f"{declared:.6g}"
+            ),
+        )
+        gap = abs(est - declared)
+    else:
+        alpha, axis, k, worst = mod_witness
+        hi = list(k)
+        hi[axis] += 1
+        term = CertTerm(
+            n=0,
+            base=jet.grid.coord(tuple(k)),
+            probe=jet.grid.coord(tuple(hi)),
+            quotient=worst,
+            note=(
+                f"component {alpha_key(alpha)} jumps by {worst:.6g} across "
+                f"one lattice step on axis {axis}"
+            ),
+        )
+        gap = worst
+    cert = Certificate(
+        domain="lattice-scan",
+        claim=f"not-in-{space}-at-resolution",
+        terms=(term,),
+        interior_limit=0.0,
+        interior_witness=(),
+        gap=gap,
+        diverges=False,
+        n_max=0,
+        config={"h": h, **{str(k): float(v) for k, v in tolerances.items()}},
+    )
+    return MembershipVerdict(
+        space, "violation", h, tolerances, fd_defect, modulus, cert
+    )

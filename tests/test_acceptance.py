@@ -120,9 +120,9 @@ def test_02_monomial_reproduction():
             for g in g_funcs.values():
                 for j in range(i + 1):
 
-                    def source(p, alpha, _j=j, _g=g):
-                        assert alpha == (0, 0)
-                        return p[..., 1] ** _j * _g(p[..., 0])
+                    def source(p, order, _j=j, _g=g):
+                        assert order == 0
+                        return {(0, 0): p[..., 1] ** _j * _g(p[..., 0])}
 
                     ext = extend_analytic(
                         AnalyticJet("src", i, 2, source).jet_many, i, axis=1)

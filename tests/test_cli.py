@@ -293,6 +293,54 @@ def test_bad_positive_flag_is_a_usage_error(flag, value, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_bad_replay_tolerance_is_a_usage_error(value, tmp_path, capsys):
+    # a tampered certificate that nan or inf used to let through
+    cert_path = tmp_path / "gap.json"
+    assert run(["certify", "gap1d", "--n-max", "4", "--out",
+                str(cert_path)]) == 0
+    doc = json.loads(cert_path.read_text())
+    doc["terms"][0]["quotient"] = 0.5
+    doc["gap"] = 7.0
+    cert_path.write_text(io.dumps(doc))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(["replay", "--cert", str(cert_path), "--tolerance", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --tolerance" in err and "positive finite" in err
+    assert run(["replay", "--cert", str(cert_path)]) == 1
+
+
+# wall flags of `hestenes extend` -> (value, accepted?)
+WALL_FLAGS = {
+    "--boundary": {"nan": False, "inf": False, "0": True},
+    "--inward": {"nan": False, "inf": False, "0": False},
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+@pytest.mark.parametrize("flag", sorted(WALL_FLAGS))
+def test_hestenes_extend_wall_flags(flag, value, tmp_path, capsys):
+    field = tmp_path / "f.json"
+    out = tmp_path / "ext.json"
+    assert run(["field", "sample", "--function", "sin_cos", "--domain",
+                "rectangle", "--h", "0.125", "--out", str(field)]) == 0
+    argv = ["hestenes", "extend", "--in", str(field), "--width", "4",
+            flag, value, "--out", str(out)]
+    if WALL_FLAGS[flag][value]:
+        assert run(argv) == 0
+        assert "extended 81 -> 117 points" in capsys.readouterr().out
+        return
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}" in err
+    assert ("finite number" if flag == "--boundary" else "1 or -1") in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["space", "norm", "--field", "{missing}"],
     ["hestenes", "extend", "--in", "{missing}", "--width", "4",

@@ -20,7 +20,9 @@ from jetlab.functions import (
     mollifier_derivs,
     polynomial_jet,
 )
-from jetlab.grid import GridMask, GridSpec
+from jetlab.grid import GridMask, GridSpec, row_blocks
+
+from lattice_oracles import scatter_sample
 
 
 def staircase_oracle(x, splits=80):
@@ -256,3 +258,88 @@ def test_registry():
     assert get_function("sin_cos", order=1).partial(
         np.array([0.3, 0.4]), (1, 1)) == pytest.approx(
             -math.cos(0.3) * math.sin(0.4), rel=1e-15)
+
+
+def thinned(mask: GridMask, seed: int) -> GridMask:
+    """mask with about 30% of its points and 10% of its rows dropped."""
+    rng = np.random.default_rng(seed)
+    member = mask.member & (rng.random(mask.grid.extents) < 0.7)
+    member[rng.random(mask.grid.extents[0]) < 0.1] = False
+    member[:3] = False
+    return GridMask(mask.grid, member)
+
+
+def full_mask(origin, h, extents) -> GridMask:
+    return GridMask(GridSpec(origin, h, extents), np.ones(extents, dtype=bool))
+
+
+# function, order, mask: the 2-D lattices span row blocks that do not divide
+# them; the one-row lattice is one block longer than the block size
+SAMPLE_CASES = {
+    "sin_cos": ("sin_cos", 3,
+                lambda: full_mask((-1.0, -1.0), 2.0**-7, (300, 301))),
+    "chi-one-row": ("chi", 2,
+                    lambda: full_mask((0.25, -1.0), 2.0**-7, (1, 70001))),
+    "example1": ("example1", 3, lambda: domains.build_domain(
+        domains.cantor_slit_square(3), 2.0**-7)[1]),
+    "example3": ("example3", 2, lambda: domains.build_domain(
+        domains.comb(3), 2.0**-7)[0]),
+    "gap1d": ("gap1d", 2, lambda: domains.build_domain(
+        domains.gap_intervals(4), 2.0**-16)[0]),
+    "exp1d": ("exp1d", 3, lambda: full_mask((-1.0,), 2.0**-16, (70001,))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLE_CASES))
+def test_sample_matches_the_scatter_oracle(case):
+    name, order, make = SAMPLE_CASES[case]
+    jet = get_function(name, order=order, depth=3)
+    for mask in (make(), thinned(make(), seed=len(case))):
+        got = jet.sample(mask, order).components
+        want = scatter_sample(jet, mask, order)
+        assert list(got) == list(want)
+        for alpha in want:
+            assert np.array_equal(got[alpha], want[alpha])
+            assert got[alpha].tobytes() == want[alpha].tobytes()
+
+
+def test_sample_names_the_first_point_outside_the_region():
+    # the open set plus closed-square points from the second row block on
+    q, omega = domains.build_domain(domains.cantor_slit_square(3), 2.0**-7)
+    blocks = list(row_blocks(q.grid.extents))
+    assert len(blocks) == 2
+    member = omega.member.copy()
+    member[blocks[1]] |= q.member[blocks[1]]
+    mask = GridMask(q.grid, member)
+    jet = get_function("example1", order=1, depth=3)
+    with pytest.raises(PointOutsideRegionError) as got:
+        jet.sample(mask, 1)
+    with pytest.raises(PointOutsideRegionError) as want:
+        scatter_sample(jet, mask, 1)
+    assert str(got.value) == str(want.value)
+
+
+def test_sample_calls_the_leaf_once_per_row_block(monkeypatch):
+    _, omega = domains.build_domain(domains.cantor_slit_square(4), 2.0**-9)
+    jet = get_function("example1", order=3, depth=4)
+    leaf = jet.evaluator
+    calls = []
+    moll = []
+
+    def evaluator(pts, order):
+        calls.append(order)
+        return leaf(pts, order)
+
+    def counted_mollifier(t, order):
+        moll.append(order)
+        return mollifier_derivs(t, order)
+
+    jet.evaluator = evaluator
+    monkeypatch.setattr(functions, "mollifier_derivs", counted_mollifier)
+    jet.sample(omega, 3)
+    blocks = [rows for rows in row_blocks(omega.grid.extents)
+              if omega.member[rows].any()]
+    assert len(blocks) > 10
+    assert calls == [3] * len(blocks)
+    # the blocks with s <= 0 hold no point of the field's support
+    assert moll == [3] * len(moll) and 0 < len(moll) < len(blocks)

@@ -241,9 +241,9 @@ def counting_sin_cos():
     calls = []
     leaf = x.evaluator
 
-    def evaluator(pts, alpha):
-        calls.append(alpha)
-        return leaf(pts, alpha)
+    def evaluator(pts, order):
+        calls.append(order)
+        return leaf(pts, order)
 
     x.evaluator = evaluator
     return x, calls
@@ -255,16 +255,16 @@ def counting_sin_cos():
 ], ids=["edge", "corner"])
 def test_local_jet_asks_the_source_once_per_probe(k, walls, pts):
     # past the bottom edge (chart 0) and past both walls of the (0,0) corner
-    # (chart 4): one source jet of 6 components per reflected probe, 3 probes
-    # per wall at order 2
+    # (chart 4): one whole-jet leaf call per reflected probe, 3 probes per
+    # wall at order 2
     chart = domains.rectangle().charts()[k]
     pts = np.array(pts)
     assert chart_image_contains(chart, pts).all()
     assert (chart.inverse(pts)[:, :walls] < 0.0).all()
-    want = 3**walls * 6
+    want = 3**walls
     x, calls = counting_sin_cos()
     local_extend(x.jet_many, chart, 2).jet_many(pts, 2)
-    assert len(calls) == want
+    assert calls == [2] * want
 
 
 def test_partial_many_is_the_projection_of_jet_many():
@@ -293,7 +293,7 @@ def test_interior_chart_carries_no_extension():
     interior_bump = part.bumps[-1]
     assert interior_bump.label == "interior"
     with pytest.raises(UnsupportedDomainError):
-        local_extend(AnalyticJet("s", 1, 2, lambda p, a: p[..., 0]).jet_many,
+        local_extend(AnalyticJet("s", 1, 2, lambda p, order: {(0, 0): p[..., 0]}).jet_many,
                      interior_bump.chart, 1)
 
 

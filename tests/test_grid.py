@@ -97,7 +97,7 @@ def test_mask_basics():
     g = GridSpec((0.0,), 0.5, (5,))
     m = GridMask(g, np.array([1, 0, 1, 1, 0], dtype=bool))
     assert m.count == 3
-    assert m.points().tolist() == [[0.0], [1.0], [1.5]]
+    assert g.points(np.nonzero(m.member)).tolist() == [[0.0], [1.0], [1.5]]
     assert not m.member.flags.writeable
     with pytest.raises(MaskMismatchError):
         GridMask(g, np.ones(4, dtype=bool))
@@ -209,6 +209,24 @@ def test_sampled_jet_validation():
         SampledJet(1, g2, m, comps)
 
 
+def test_sampled_jet_adopts_clean_arrays_only():
+    g = GridSpec((0.0,), 1.0, (4,))
+    m = GridMask(g, np.array([1, 1, 1, 0], dtype=bool))
+    clean = np.array([1.0, -0.0, 3.0, 0.0])
+    jet = SampledJet(0, g, m, {(0,): clean})
+    assert np.shares_memory(jet.component((0,)), clean)
+    assert not jet.component((0,)).flags.writeable
+    assert clean.flags.writeable
+    # -0.0 and nan off the mask are not zero bit for bit: copied and cleaned
+    for junk in (-0.0, np.nan, np.inf):
+        arr = np.array([1.0, 2.0, 3.0, junk])
+        got = SampledJet(0, g, m, {(0,): arr}).component((0,))
+        assert not np.shares_memory(got, arr)
+        assert got.tobytes() == np.array([1.0, 2.0, 3.0, 0.0]).tobytes()
+    with pytest.raises(ValueError, match="not finite"):
+        SampledJet(0, g, m, {(0,): np.array([1.0, np.inf, 3.0, 0.0])})
+
+
 def test_jet_algebra():
     g = GridSpec((0.0,), 0.5, (5,))
     m = GridMask(g, np.ones(5, dtype=bool))
@@ -246,6 +264,9 @@ def test_sup_on_mask():
     g = GridSpec((0.0,), 1.0, (4,))
     m = GridMask(g, np.array([1, 0, 1, 0], dtype=bool))
     assert sup_on_mask(np.array([1.0, -50.0, -3.0, 50.0]), m) == 3.0
+    zero = sup_on_mask(np.array([-0.0, 1.0, -0.0, 1.0]), m)
+    assert zero == 0.0 and not np.signbit(zero)
+    assert np.isnan(sup_on_mask(np.array([np.nan, 0.0, 1.0, 0.0]), m))
     with pytest.raises(EmptyMaskError):
         sup_on_mask(np.zeros(4), GridMask(g, np.zeros(4, dtype=bool)))
     with pytest.raises(MaskMismatchError):

@@ -108,9 +108,9 @@ def test_monomial_reproduction(i, g_name):
     g = g_funcs[g_name]
     for j in range(i + 1):
 
-        def source(p, alpha):
-            assert alpha == (0, 0)
-            return p[..., 1] ** j * g(p[..., 0])
+        def source(p, order):
+            assert order == 0
+            return {(0, 0): p[..., 1] ** j * g(p[..., 0])}
 
         ext = extend_analytic(AnalyticJet("src", i, 2, source).jet_many, i,
                               axis=1)

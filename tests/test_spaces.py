@@ -1,9 +1,11 @@
 """Norms, restriction, extension upper bounds, membership scans."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from jetlab import domains, spaces
+from jetlab import domains, grid, io, spaces
 from jetlab.errors import MaskMismatchError, NotAnExtensionError
 from jetlab.functions import get_function, polynomial_jet
 from jetlab.grid import (
@@ -13,6 +15,7 @@ from jetlab.grid import (
     jet_add,
     jet_scale,
     multi_indices,
+    row_blocks,
 )
 from jetlab.spaces import (
     check_membership_e,
@@ -23,6 +26,8 @@ from jetlab.spaces import (
     norm_g,
     restrict_to_omega,
 )
+
+from lattice_oracles import full_lattice_scan
 
 
 def comb_masks(h=2.0**-6, n_teeth=3):
@@ -230,3 +235,115 @@ def test_scan_e_on_open_mask_skips_straddling_pairs():
     omega = GridMask(g, punctured)
     jet_o = SampledJet(0, g, omega, {(0,): np.where(punctured, vals, 0.0)})
     assert check_membership_e(jet_o).consistent
+
+
+# lattice extents of the scan oracle cases: row blocks that do not divide the
+# lattice, one row, one column and a 1-D lattice of two blocks
+SCAN_SHAPES = {
+    "blocks": (300, 301),
+    "one-row": (1, 70001),
+    "one-column": (70001, 1),
+    "1d": (70001,),
+}
+
+
+def tied_jet(shape, h, order, seed):
+    """Components of small integers on a thinned mask with empty rows, so
+    that every scan maximum is tied many times over."""
+    rng = np.random.default_rng(seed)
+    grid = GridSpec((0.0,) * len(shape), h, shape)
+    member = rng.random(shape) < 0.8
+    if shape[0] > 2:
+        member[rng.random(shape[0]) < 0.1] = False
+        member[:2] = False
+    components = {
+        alpha: np.where(member, rng.integers(0, 3, shape), 0.0)
+        for alpha in multi_indices(order, len(shape))
+    }
+    return SampledJet(order, grid, GridMask(grid, member), components)
+
+
+def assert_same_verdict(jet, space, **kwargs):
+    checker = check_membership_e if space == "E" else check_membership_f
+    got = checker(jet, **kwargs).to_payload()
+    want = full_lattice_scan(jet, space, **kwargs).to_payload()
+    assert io.dumps(got) == io.dumps(want)
+    return got
+
+
+@pytest.mark.parametrize("h", [1.0, 2.0**-6], ids=["modulus", "fd"])
+@pytest.mark.parametrize("case", sorted(SCAN_SHAPES))
+def test_scan_matches_the_full_lattice_oracle(case, h):
+    # h = 1 keeps the finite-difference defect under its bound, so the
+    # modulus witness is reported; h = 2^-6 reports the fd witness
+    shape = SCAN_SHAPES[case]
+    jet = tied_jet(shape, h, 2, seed=len(case))
+    for space in ("F", "E"):
+        got = assert_same_verdict(jet, space)
+        assert got["verdict"] == "violation"
+        note = got["certificate"]["terms"][0]["note"]
+        assert ("jumps by" in note) == (h == 1.0)
+
+
+def test_scan_matches_the_oracle_on_a_consistent_field():
+    grid = GridSpec((-1.0, -1.0), 2.0**-8, (300, 301))
+    member = np.random.default_rng(5).random(grid.extents) < 0.8
+    member[100:120] = False
+    jet = get_function("sin_cos", order=2).sample(GridMask(grid, member), 2)
+    tols = {"tol_by_order": {0: 0.01, 1: 0.01, 2: 0.01}}
+    assert assert_same_verdict(jet, "F", **tols)["verdict"] == (
+        "consistent-at-resolution")
+
+
+def test_scan_witness_is_the_first_of_tied_maxima():
+    # equal unit bumps, two of them in the second row block; the first
+    # axis-0 pair in row-major order that touches a bump is the witness
+    grid = GridSpec((0.0, 0.0), 1.0, (300, 301))
+    blocks = list(row_blocks((299, 301)))
+    assert blocks[1].start == 217
+    vals = np.zeros(grid.extents)
+    for k in [(250, 7), (230, 300), (299, 0), (250, 3)]:
+        vals[k] = 1.0
+    jet = SampledJet(0, grid, GridMask(grid, np.ones(grid.extents, bool)),
+                     {(0, 0): vals})
+    verdict = assert_same_verdict(jet, "F")
+    term = verdict["certificate"]["terms"][0]
+    assert term["base"] == [[229, 1], [300, 1]]
+    assert term["probe"] == [[230, 1], [300, 1]]
+
+
+def test_norm_and_scan_share_each_sup(monkeypatch):
+    q, _ = comb_masks()
+    jet = random_jet(q, 2, seed=3)
+    calls = []
+    sup = grid.sup_on_mask
+
+    def counted(values, mask):
+        calls.append(1)
+        return sup(values, mask)
+
+    monkeypatch.setattr(grid, "sup_on_mask", counted)
+    report = norm_f(jet)
+    check_membership_f(jet)
+    assert len(calls) == len(jet.alphas()) == 6
+    assert report.overall == max(
+        float(np.abs(arr[q.member]).max()) for arr in jet.components.values())
+
+
+def test_sample_norm_and_scan_stay_near_their_components():
+    # the cantor E order-3 scan at 2^-9: ten full-lattice components and
+    # little beside them
+    _, omega = domains.build_domain(domains.cantor_slit_square(4), 2.0**-9)
+    field = get_function("example1", order=3, depth=4)
+    tracemalloc.start()
+    try:
+        jet = field.sample(omega, 3)
+        spaces.norm_report(jet, "E", "Omega")
+        verdict = check_membership_e(jet)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    components = sum(arr.nbytes for arr in jet.components.values())
+    assert components == 10 * 1025**2 * 8
+    assert peak < 1.3 * components
+    assert verdict.verdict == "violation"
