@@ -30,8 +30,8 @@ from .domains import Chart, Domain
 from .errors import CoverGapError, UnsupportedDomainError
 from .functions import AnalyticJet
 from .grid import (
-    CHUNK_POINTS, GridMask, GridSpec, Jet, JetEvaluator, SampledJet, dilate_box,
-    interior_of, multi_indices,
+    CHUNK_POINTS, GridMask, GridSpec, Jet, JetEvaluator, SampledJet,
+    dilate_box, interior_of, multi_indices,
 )
 from .hestenes import (
     HalfSpaceExtension,

@@ -292,8 +292,12 @@ def test_interior_chart_carries_no_extension():
     part = build_partition(spec.charts(), spec, 1)
     interior_bump = part.bumps[-1]
     assert interior_bump.label == "interior"
+
+    def s_leaf(p, order):
+        return {(0, 0): p[..., 0]}
+
     with pytest.raises(UnsupportedDomainError):
-        local_extend(AnalyticJet("s", 1, 2, lambda p, order: {(0, 0): p[..., 0]}).jet_many,
+        local_extend(AnalyticJet("s", 1, 2, s_leaf).jet_many,
                      interior_bump.chart, 1)
 
 

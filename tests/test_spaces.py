@@ -251,7 +251,7 @@ def tied_jet(shape, h, order, seed):
     """Components of small integers on a thinned mask with empty rows, so
     that every scan maximum is tied many times over."""
     rng = np.random.default_rng(seed)
-    grid = GridSpec((0.0,) * len(shape), h, shape)
+    g = GridSpec((0.0,) * len(shape), h, shape)
     member = rng.random(shape) < 0.8
     if shape[0] > 2:
         member[rng.random(shape[0]) < 0.1] = False
@@ -260,7 +260,7 @@ def tied_jet(shape, h, order, seed):
         alpha: np.where(member, rng.integers(0, 3, shape), 0.0)
         for alpha in multi_indices(order, len(shape))
     }
-    return SampledJet(order, grid, GridMask(grid, member), components)
+    return SampledJet(order, g, GridMask(g, member), components)
 
 
 def assert_same_verdict(jet, space, **kwargs):
@@ -286,30 +286,34 @@ def test_scan_matches_the_full_lattice_oracle(case, h):
 
 
 def test_scan_matches_the_oracle_on_a_consistent_field():
-    grid = GridSpec((-1.0, -1.0), 2.0**-8, (300, 301))
-    member = np.random.default_rng(5).random(grid.extents) < 0.8
+    g = GridSpec((-1.0, -1.0), 2.0**-8, (300, 301))
+    member = np.random.default_rng(5).random(g.extents) < 0.8
     member[100:120] = False
-    jet = get_function("sin_cos", order=2).sample(GridMask(grid, member), 2)
+    jet = get_function("sin_cos", order=2).sample(GridMask(g, member), 2)
     tols = {"tol_by_order": {0: 0.01, 1: 0.01, 2: 0.01}}
     assert assert_same_verdict(jet, "F", **tols)["verdict"] == (
         "consistent-at-resolution")
 
 
-def test_scan_witness_is_the_first_of_tied_maxima():
-    # equal unit bumps, two of them in the second row block; the first
-    # axis-0 pair in row-major order that touches a bump is the witness
-    grid = GridSpec((0.0, 0.0), 1.0, (300, 301))
-    blocks = list(row_blocks((299, 301)))
-    assert blocks[1].start == 217
-    vals = np.zeros(grid.extents)
-    for k in [(250, 7), (230, 300), (299, 0), (250, 3)]:
+@pytest.mark.parametrize("bumps,first", [
+    ([(250, 7), (230, 300), (299, 0), (250, 3)], 229),
+    ([(250, 7), (230, 300), (100, 5), (250, 3)], 99),
+], ids=["second-block", "both-blocks"])
+def test_scan_witness_is_the_first_of_tied_maxima(bumps, first):
+    # equal unit bumps; the witness is the first axis-0 pair in row-major
+    # order that touches one, whether or not an earlier row block holds a bump
+    g = GridSpec((0.0, 0.0), 1.0, (300, 301))
+    assert [rows.start for rows in row_blocks((299, 301))] == [0, 217]
+    vals = np.zeros(g.extents)
+    for k in bumps:
         vals[k] = 1.0
-    jet = SampledJet(0, grid, GridMask(grid, np.ones(grid.extents, bool)),
+    jet = SampledJet(0, g, GridMask(g, np.ones(g.extents, bool)),
                      {(0, 0): vals})
     verdict = assert_same_verdict(jet, "F")
     term = verdict["certificate"]["terms"][0]
-    assert term["base"] == [[229, 1], [300, 1]]
-    assert term["probe"] == [[230, 1], [300, 1]]
+    col = dict((r - 1, c) for r, c in bumps)[first]
+    assert term["base"] == [[first, 1], [col, 1]]
+    assert term["probe"] == [[first + 1, 1], [col, 1]]
 
 
 def test_norm_and_scan_share_each_sup(monkeypatch):
