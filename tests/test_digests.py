@@ -1,11 +1,12 @@
 """Payload digests pinned byte for byte.
 
 Each digest is the sha256 of a payload's deterministic JSON text (or of a
-command's stdout report), recorded before the code it covers was rewritten:
-the domains before one class per kind, the scan reports before sampling and
-scanning walked the lattice in row blocks.  A rasterizer, a membership
-predicate, a chart or a scan that moves a single lattice point, float bit or
-witness changes a digest here.
+command's stdout report, or of a CSV file), recorded before the code it
+covers was rewritten: the domains before one class per kind, the scan reports
+before sampling and scanning walked the lattice in row blocks, the CSV files
+and the ``hestenes extend`` payload before floats were formatted in bulk.  A
+rasterizer, a membership predicate, a chart or a scan that moves a single
+lattice point, float bit or witness changes a digest here.
 """
 
 import hashlib
@@ -121,3 +122,37 @@ def test_scan_report_digest(case, tmp_path, monkeypatch, capsys):
         capsys.readouterr()
     assert main(["space", "norm", *args, "--check"]) == code
     assert sha256(capsys.readouterr().out) == digest
+
+
+# `field sample --csv` files, byte for byte: the rectangle file has 66,049
+# rows, more than one encoding block.
+CSVS = {
+    "sin_cos_rectangle": (
+        ["--function", "sin_cos", "--domain", "rectangle", "--order", "1",
+         "--h", "0.00390625", "--mask", "q"],
+        "17cc0653ab38aa898efe9ac26e9be2fb810488d0c7a9162d53c74b44f4422f4f"),
+    "example3_comb": (
+        ["--function", "example3", "--domain", "comb", "--n-teeth", "3",
+         "--order", "2", "--h", "0.015625", "--mask", "q"],
+        "874f29c67fd1b01d08385d0bb399d5a93af840b74f4786bea60e6729e206775b"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CSVS))
+def test_field_sample_csv_digest(case, tmp_path, capsys):
+    args, digest = CSVS[case]
+    out = tmp_path / "field.csv"
+    assert main(["field", "sample", *args, "--out", str(tmp_path / "f.json"),
+                 "--csv", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_hestenes_extend_digest(tmp_path, capsys):
+    field, out = tmp_path / "field.json", tmp_path / "extended.json"
+    assert main(["field", "sample", "--function", "sin_cos", "--domain",
+                 "rectangle", "--order", "2", "--h", "0.0625",
+                 "--out", str(field)]) == 0
+    assert main(["hestenes", "extend", "--in", str(field), "--order", "2",
+                 "--width", "4", "--axis", "0", "--out", str(out)]) == 0
+    assert sha256(io.strip_provenance(out.read_text())) == (
+        "43a7bf5a1d39d9411b8259e87969e20942d67e9953fce481e13bce6cdd516c2f")
