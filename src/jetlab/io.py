@@ -4,12 +4,18 @@ The JSON writer is hand-rolled because payload bytes must be reproducible:
 floats are rendered with 17 significant digits (enough to round-trip binary64
 exactly) and keys keep insertion order.  Parsing uses the stdlib.
 
-Arrays take a fast path: a numpy array is encoded in bulk (0/1 masks as one
-byte buffer, floats with one finiteness check and one formatting pass) and the
-CSV writers build their rows a block at a time.  The bytes are those of the
+Arrays take a fast path.  A 0/1 mask is one byte buffer.  Floats go through
+``_float_cells``, a numpy kernel that writes each value's ``format_float``
+text as a fixed-width row of bytes, NUL-padded anywhere in the row: the 17
+digits come from a double-double product with an exact table of 10^p
+(Dekker, Numer. Math. 18 (1971) 224-242), and a value the product cannot
+decide (within 1e-9 of a rounding half, subnormal, or outside
+[1e-290, 1e290)) is formatted by ``format_float`` itself.  JSON arrays and
+CSV rows are those cells side by side with their separators, NULs dropped,
+built in blocks of 2^14 values or rows.  The bytes are those of the
 element-by-element encoding; ``tests/test_io.py`` checks them against that
-encoding kept as an oracle, and ``perfbench/seed_digests.json`` pins the
-payload digests of the CLI artifacts.
+encoding kept as an oracle, and ``tests/test_digests.py`` pins payload and
+CSV digests of the CLI.
 """
 
 from __future__ import annotations
@@ -17,34 +23,166 @@ from __future__ import annotations
 import csv
 import json
 from fractions import Fraction
-from itertools import repeat
+from functools import cache
 
 import numpy as np
 
 from .errors import JetlabError
 from .grid import GridMask, GridSpec, SampledJet, alpha_key, parse_alpha_key
 
-# Rows (or array elements) encoded per block; bounds the transient strings.
-_BLOCK = 1 << 16
-
-
-def _mark_float(text: str) -> str:
-    """A ``.17g`` text that reads as an integer gets ``.0``: it stays a float."""
-    return text if "." in text or "e" in text else text + ".0"
+# Values (or CSV rows) encoded per block; bounds the cell matrices.
+_BLOCK = 1 << 14
 
 
 def format_float(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
         raise ValueError("non-finite float in payload")
-    return _mark_float(format(float(x), ".17g"))
+    text = format(float(x), ".17g")
+    # a text that reads as an integer gets ``.0``: it stays a float
+    return text if "." in text or "e" in text else text + ".0"
 
 
-def _float_tokens(values) -> list[str]:
-    """``format_float`` of each value in C order, one finiteness check."""
-    vals = np.asarray(values, dtype=np.float64).ravel()
-    if not np.isfinite(vals).all():
+# --- the .17g kernel ---------------------------------------------------------
+#
+# For |x| in [1e-290, 1e290) with k = floor(log10|x|), the 17 digits are
+# N = round(|x| * 10^(16-k)) in [10^16, 10^17).  The product is taken as a
+# double-double, exact to ~1e-14 at that size, so N is decided unless the
+# fraction sits within _TIE of one half; the table of 10^p is built from
+# exact fractions on first use.  The text layout is that of ".17g": fixed
+# notation for -4 <= k < 17, otherwise d.ddde+XX, trailing zeros stripped,
+# then the ``.0`` mark.
+
+_POW_MIN, _POW_MAX = -280, 308  # p = 16 - k over the kernel's range of k
+_TIE = 1e-9
+# Cell columns: sign, "0.000" lead for -4 <= k < 0, 17 digits each followed
+# by a slot for the point, the mark's "0" after 17 integer digits, and
+# "e+XXX".
+_WIDTH = 46
+_POINT_COLS = slice(7, 41, 2)
+_DIGIT_INDEX = np.arange(17, dtype=np.int16)[:, None]
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a = hi + lo with hi and lo of 26 significant bits each (a >= 0)."""
+    bits = (a.view(np.uint64) + np.uint64(1 << 26)) & np.uint64(2**64 - 2**27)
+    hi = bits.view(np.float64)
+    return hi, a - hi
+
+
+@cache
+def _pow10() -> np.ndarray:
+    """Rows hi, hi split in two, lo: 10^p = hi + lo, p in [_POW_MIN, _POW_MAX]."""
+    hi, lo = [], []
+    for p in range(_POW_MIN, _POW_MAX + 1):
+        exact = Fraction(10) ** p
+        hi.append(float(exact))
+        lo.append(float(exact - Fraction(hi[-1])))
+    hi = np.array(hi)
+    table = np.stack([hi, *_split(hi), np.array(lo)])
+    table.flags.writeable = False
+    return table
+
+
+def _scaled(ax: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor(ax * 10^(16-k)) as int64, and the fraction it drops."""
+    hi, hi1, hi2, lo = _pow10()[:, 16 - _POW_MIN - k]
+    a1, a2 = _split(ax)
+    p = ax * hi
+    err = ((a1 * hi1 - p) + a1 * hi2 + a2 * hi1) + a2 * hi2 + ax * lo
+    whole = np.floor(p)
+    rest = (p - whole) + err
+    carry = np.floor(rest)
+    return whole.astype(np.int64) + carry.astype(np.int64), rest - carry
+
+
+def _float_cells(values) -> np.ndarray:
+    """``format_float`` of each value in C order, as (n, _WIDTH) uint8 rows.
+
+    A row holds the text's bytes in order with NULs between and after them;
+    dropping the NULs gives the text.  One finiteness check for all values.
+    """
+    x = np.asarray(values, dtype=np.float64).ravel()
+    if not np.isfinite(x).all():
         raise ValueError("non-finite float in payload")
-    return list(map(_mark_float, map(format, vals.tolist(), repeat(".17g"))))
+    n = x.size
+    ax = np.abs(x)
+    zero = ax == 0.0
+    defer = ~zero & ((ax < 1e-290) | (ax >= 1e290))
+    ax = np.where(zero | defer, 1.0, ax)
+    k = np.floor(np.log10(ax)).astype(np.int64)
+    N, frac = _scaled(ax, k)
+    # log10 can miss k by one next to a power of ten
+    for step, wrong in ((-1, N < 10**16), (1, N >= 10**17)):
+        fix = np.flatnonzero(wrong)
+        if fix.size:
+            k[fix] += step
+            N[fix], frac[fix] = _scaled(ax[fix], k[fix])
+    defer |= np.abs(frac - 0.5) < _TIE
+    N += frac > 0.5
+    defer |= (N < 10**16) | (N > 10**17)
+    carry = N == 10**17
+    N[carry] = 10**16
+    k += carry
+    N[zero] = 0
+    k[zero] = 0
+    k = k.astype(np.int16)
+
+    cells = np.zeros((_WIDTH, n), dtype=np.uint8)  # transposed while built
+    fixed = (k >= -4) & (k < 17)
+    sci = ~fixed
+    whole = fixed & (k >= 0)
+    keep = np.where(whole, k + 2, 1)  # digits shown even when zero
+    seen = np.zeros(n, dtype=bool)  # a nonzero digit at or right of this one
+    top = N // 10**8
+    low = N - top * 10**8
+    ten = np.uint32(10)
+    for v, cols in ((low.astype(np.uint32), range(16, 8, -1)),
+                    (top.astype(np.uint32), range(8, -1, -1))):
+        for c in cols:
+            q = v // ten
+            digit = v - q * ten
+            seen |= digit != 0
+            cells[6 + 2 * c] = (digit + 48) * (seen | (keep > c))
+            v = q
+    point = np.where(whole, k, np.where(sci & (cells[8] != 0), 0, -1))
+    cells[_POINT_COLS] = (_DIGIT_INDEX == point) * np.uint8(ord("."))
+    cells[0] = np.signbit(x) * np.uint8(ord("-"))
+    lead = fixed & (k < 0)
+    if lead.any():
+        cells[1] = lead * np.uint8(ord("0"))
+        cells[2] = lead * np.uint8(ord("."))
+        for j in range(3):
+            cells[3 + j] = (lead & (k <= -2 - j)) * np.uint8(ord("0"))
+    cells[40] = (k == 16) * np.uint8(ord("0"))
+    if sci.any():
+        e = np.abs(k).astype(np.uint16)
+        cells[41] = sci * np.uint8(ord("e"))
+        cells[42] = sci * np.where(k < 0, ord("-"), ord("+")).astype(np.uint8)
+        cells[43] = (e >= 100) * (e // 100 + 48)
+        cells[44] = sci * (e // 10 % 10 + 48)
+        cells[45] = sci * (e % 10 + 48)
+    for i in np.flatnonzero(defer):
+        text = format_float(x[i]).encode("ascii")
+        cells[:, i] = 0
+        cells[:len(text), i] = np.frombuffer(text, dtype=np.uint8)
+    return cells.T
+
+
+def _text_cells(texts: list[str]) -> np.ndarray:
+    """The given texts as NUL-padded uint8 rows."""
+    arr = np.array(texts, dtype="S")
+    return arr.view(np.uint8).reshape(arr.size, arr.itemsize)
+
+
+def _rows_text(cells: list[np.ndarray], end: bytes) -> str:
+    """Each row's cells joined by commas and ended by ``end``, NULs dropped."""
+    n = len(cells[0])
+    comma = np.broadcast_to(np.uint8(ord(",")), (n, 1))
+    tail = np.broadcast_to(np.frombuffer(end, dtype=np.uint8), (n, len(end)))
+    columns = [c for cell in cells for c in (cell, comma)]
+    columns[-1] = tail
+    return np.concatenate(columns, axis=1).tobytes().translate(
+        None, b"\0").decode("ascii")
 
 
 def dumps(obj) -> str:
@@ -106,10 +244,11 @@ def _write_array(arr: np.ndarray, parts: list[str]) -> None:
     if kind == "b":
         parts.append(",".join(map(("false", "true").__getitem__, arr.tolist())))
     elif kind == "f":
-        parts.append(",".join(
-            ",".join(_float_tokens(arr[i:i + _BLOCK]))
-            for i in range(0, arr.size, _BLOCK)
-        ))
+        if arr.size:
+            blocks = [_rows_text([_float_cells(arr[i:i + _BLOCK])], b",")
+                      for i in range(0, arr.size, _BLOCK)]
+            blocks[-1] = blocks[-1][:-1]
+            parts.extend(blocks)
     elif arr.size and arr.min() >= 0 and arr.max() <= 1:
         # 0/1 mask: digits interleaved with commas in one byte buffer
         buf = np.full(2 * arr.size - 1, ord(","), dtype=np.uint8)
@@ -193,9 +332,12 @@ def write_artifact(path: str, payload: dict, provenance: dict | None = None) -> 
     doc = dict(payload)
     if provenance is not None:
         doc["provenance"] = provenance
-    text = dumps(doc)  # before opening: a failed encode leaves the file as it was
+    # encoded before opening: a failed encode leaves the file as it was; the
+    # parts are written as they are, never joined into one more copy
+    parts: list[str] = []
+    _write(doc, parts)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+        fh.writelines(parts)
         fh.write("\n")
 
 
@@ -236,10 +378,10 @@ def _lattice_csv(path: str, grid: GridSpec, names: list[str],
     ``GridSpec.coord`` bit for bit.  Rows end in ``\\r\\n`` as with
     ``csv.writer``; only the header needs its quoting.
     """
-    index_text = [np.array([str(k) for k in range(n)], dtype=object)
-                  for n in grid.extents]
-    coord_text = [np.array(_float_tokens(grid.axis_coords(a)), dtype=object)
-                  for a in range(grid.dim)]
+    index_cells = [_text_cells([str(k) for k in range(n)])
+                   for n in grid.extents]
+    coord_cells = [_text_cells([format_float(c) for c in grid.axis_coords(a)])
+                   for a in range(grid.dim)]
     flat = [np.ravel(col, order="C") for col in columns]
     with open(path, "w", newline="", encoding="ascii") as fh:
         header = [f"i{a}" for a in range(grid.dim)]
@@ -248,13 +390,12 @@ def _lattice_csv(path: str, grid: GridSpec, names: list[str],
         for start in range(0, grid.point_count, _BLOCK):
             stop = min(start + _BLOCK, grid.point_count)
             index = np.unravel_index(np.arange(start, stop), grid.extents)
-            cells = [text[k].tolist() for text, k in zip(index_text, index)]
-            cells += [text[k].tolist() for text, k in zip(coord_text, index)]
+            cells = [text[k] for text, k in zip(index_cells, index)]
+            cells += [text[k] for text, k in zip(coord_cells, index)]
             for col in flat:
                 block = col[start:stop]
                 if block.dtype.kind == "f":
-                    cells.append(_float_tokens(block))
+                    cells.append(_float_cells(block))
                 else:
-                    cells.append(list(map(str, block.astype(np.int64).tolist())))
-            fh.write("\r\n".join(map(",".join, zip(*cells))))
-            fh.write("\r\n")
+                    cells.append((block.astype(np.uint8) + ord("0"))[:, None])
+            fh.write(_rows_text(cells, b"\r\n"))

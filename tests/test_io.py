@@ -3,11 +3,19 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+import jetlab
 from jetlab import domains, io
 from jetlab.functions import get_function
 from jetlab.grid import GridMask, GridSpec, alpha_key
@@ -274,3 +282,103 @@ def test_failed_write_keeps_existing_artifact(tmp_path):
     with pytest.raises(ValueError):
         io.write_artifact(str(path), {"x": np.array([1.0, float("nan")])})
     assert path.read_bytes() == before
+
+
+# --- the .17g kernel against the oracle
+
+def _ten_powers():
+    """Each binary64 power of ten and its neighbours: the k-fix and carry."""
+    tens = np.array([float(f"1e{p}") for p in range(-323, 309)])
+    return np.concatenate([tens, np.nextafter(tens, 0.0),
+                           np.nextafter(tens, np.inf)])
+
+
+KERNEL_EDGES = np.concatenate([
+    _ten_powers(),
+    # the fixed/exponent switches at 1e-4 / 1e-5 and 1e16 / 1e17
+    [1e-4, np.nextafter(1e-4, 0.0), 1e-5, np.nextafter(1e-5, 1.0),
+     1e16, np.nextafter(1e16, 0.0), 1e17, np.nextafter(1e17, 0.0)],
+    # exact ties at the 18th digit, -0.0 and the subnormal edge
+    [2.0**-25, -(2.0**-25), 3 * 2.0**-25, -0.0, 5e-324, -5e-324,
+     2.0**-1022, np.nextafter(2.0**-1022, 0.0), 1e-290, 1e290,
+     np.nextafter(1e290, 0.0), 1.7976931348623157e308],
+    2.0 ** -np.arange(0, 1075),
+])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+def test_kernel_edges_match_oracle(dtype, tmp_path):
+    with np.errstate(over="ignore", under="ignore"):
+        arr = KERNEL_EDGES.astype(dtype)
+    arr = np.concatenate([arr, -arr])
+    arr = arr[np.isfinite(arr)]
+    assert io.dumps({"a": arr}) == _oracle_dumps({"a": arr})
+    _check_csv_column(arr, str(tmp_path))
+
+
+def _check_csv_column(values, directory):
+    """A float column through ``_lattice_csv`` against the oracle writer."""
+    grid = GridSpec((0.0,), 0.5, (len(values),))
+    columns = [np.ones(len(values), dtype=bool), values]
+    io._lattice_csv(f"{directory}/a.csv", grid, ["mask", "v"], columns)
+    _oracle_csv(f"{directory}/b.csv", grid, ["mask", "v"], columns)
+    with open(f"{directory}/a.csv", "rb") as a, \
+            open(f"{directory}/b.csv", "rb") as b:
+        assert a.read() == b.read()
+
+
+def _is_tie(x):
+    """The exact value lies halfway between two 17-digit decimals."""
+    digits = Decimal(float(x)).normalize().as_tuple().digits
+    return len(digits) == 18 and digits[-1] == 5
+
+
+def test_kernel_defers_only_ties_next_to_ten_powers(monkeypatch):
+    # log10 misses k by one here; the kernel corrects k instead of deferring
+    tens = _ten_powers()
+    tens = tens[(tens >= 1e-290) & (tens < 1e290)]
+    deferred = []
+    monkeypatch.setattr(io, "format_float",
+                        lambda x: deferred.append(x) or _oracle_float(x))
+    assert io.dumps({"a": tens}) == _oracle_dumps({"a": tens})
+    assert deferred == [x for x in tens.tolist() if _is_tie(x)]
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, 40), elements=finite_floats))
+def test_float_arrays_match_oracle(arr):
+    assert io.dumps({"a": arr}) == _oracle_dumps({"a": arr})
+    with tempfile.TemporaryDirectory() as directory:
+        _check_csv_column(arr, directory)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_bit_patterns_match_oracle(bits):
+    arr = np.array(bits, dtype=np.uint64).view(np.float64)
+    arr = arr[np.isfinite(arr)]
+    assert io.dumps({"a": arr}) == _oracle_dumps({"a": arr})
+    if arr.size:
+        with tempfile.TemporaryDirectory() as directory:
+            _check_csv_column(arr, directory)
+
+
+@settings(max_examples=100, deadline=None)
+@given(hnp.arrays(np.float32, st.integers(1, 40),
+                  elements=st.floats(allow_nan=False, allow_infinity=False,
+                                     width=32)))
+def test_float32_arrays_match_oracle(arr):
+    assert io.dumps({"a": arr}) == _oracle_dumps({"a": arr})
+
+
+def test_cli_import_leaves_the_power_table_unbuilt():
+    src = os.path.dirname(os.path.dirname(jetlab.__file__))
+    code = ("import jetlab.cli, jetlab.io as io; "
+            "assert io._pow10.cache_info().currsize == 0")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
