@@ -234,6 +234,11 @@ def extend_half_space_lattice(
     """
     if width < 0:
         raise ValueError("width must be nonnegative")
+    if not 0 <= axis < jet.grid.dim:
+        raise ValueError(
+            f"axis {axis} is not an axis of a {jet.grid.dim}-D jet "
+            f"(0 to {jet.grid.dim - 1})"
+        )
     h = jet.grid.h
     sign = 1.0 if inward >= 0 else -1.0
     old_coords = jet.grid.axis_coords(axis)

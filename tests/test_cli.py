@@ -341,6 +341,26 @@ def test_hestenes_extend_wall_flags(flag, value, tmp_path, capsys):
     assert not out.exists()
 
 
+SAMPLE_2D = ["--function", "sin_cos", "--domain", "rectangle", "--h", "0.125"]
+SAMPLE_1D = ["--function", "exp1d", "--domain", "gap1d", "--n-segments", "1",
+             "--h", "0.015625"]
+
+
+@pytest.mark.parametrize("sample,axis", [
+    (SAMPLE_2D, "-1"), (SAMPLE_2D, "2"), (SAMPLE_2D, "7"), (SAMPLE_1D, "1"),
+])
+def test_hestenes_extend_rejects_a_foreign_axis(sample, axis, tmp_path,
+                                                capsys):
+    field = tmp_path / "f.json"
+    out = tmp_path / "ext.json"
+    assert run(["field", "sample", *sample, "--out", str(field)]) == 0
+    capsys.readouterr()
+    assert run(["hestenes", "extend", "--in", str(field), "--width", "4",
+                "--axis", axis, "--out", str(out)]) == 2
+    assert f"error: axis {axis} is not an axis of a" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["space", "norm", "--field", "{missing}"],
     ["hestenes", "extend", "--in", "{missing}", "--width", "4",
