@@ -234,7 +234,8 @@ class BumpPartition:
 
     assignment[nu] is the least index among the local-extension domains
     (chart images first, then Q itself) containing bump nu's support on the
-    check lattice; q_mask is Q on that lattice.
+    check lattice; q_mask is Q on that lattice, and unreached the lattice
+    points where every bump vanishes.
     """
 
     order: int
@@ -243,6 +244,7 @@ class BumpPartition:
     sum_residual: float
     checked_points: int
     q_mask: GridMask
+    unreached: GridMask
 
     def raw_all(self, pts: np.ndarray, order: int) -> list[Jet]:
         return [b.raw_jet(pts, order) for b in self.bumps]
@@ -306,12 +308,12 @@ def build_partition(charts: list[Chart], domain: Domain, order: int,
     q_mask = GridMask(grid, q_member.reshape(grid.extents))
 
     raw0 = [b.raw_jet(pts, 0)[(0, 0)] for b in bumps]
-    total0 = sum(raw0)
+    unreached = ~(sum(raw0) > 0.0)
 
     # boundary lattice points the atlas must cover
     inner = q_mask.member & ~interior_of(q_mask).member
     required = (inner & domain.charted(s, t, 0.5 * grid.h)).ravel()
-    uncovered = required & ~(total0 > 0.0)
+    uncovered = required & unreached
     if uncovered.any():
         where = pts[uncovered][0]
         raise CoverGapError(
@@ -357,7 +359,8 @@ def build_partition(charts: list[Chart], domain: Domain, order: int,
     else:
         residual = 0.0
     return BumpPartition(order, bumps, assignment, residual,
-                         int(len(collar_pts)), q_mask)
+                         int(len(collar_pts)), q_mask,
+                         GridMask(grid, unreached.reshape(grid.extents)))
 
 
 def _boundary_collar(q_mask: GridMask, width: float) -> np.ndarray:
@@ -486,7 +489,6 @@ def global_extend(x: AnalyticJet, domain: Domain, order: int,
     s, t = window.coord_grids()
     pts = np.stack([s.ravel(), t.ravel()], axis=-1)
     q_mask = partition.q_mask
-    q_member = q_mask.member.ravel()
     alphas = multi_indices(order, 2)
     values = {alpha: np.zeros(len(pts)) for alpha in alphas}
     for lo in range(0, len(pts), CHUNK_POINTS):
@@ -498,10 +500,8 @@ def global_extend(x: AnalyticJet, domain: Domain, order: int,
     }
     all_mask = GridMask(window, np.ones(window.extents, dtype=bool))
     jet = SampledJet(order, window, all_mask, components)
-    # count window points the blend could not reach (value convention 0)
-    pout = pts[~q_member]
-    raw0 = [b.raw_jet(pout, 0)[(0, 0)] for b in partition.bumps]
-    uncovered = int((sum(raw0) <= 0.0).sum()) if len(raw0) else 0
+    # window points off Q the blend could not reach (value convention 0)
+    uncovered = int((partition.unreached.member & ~q_mask.member).sum())
     return GlobalExtensionResult(
         field, jet, q_mask, window, partition.sum_residual, uncovered
     )
