@@ -96,7 +96,7 @@ def _scaled(ax: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _float_cells(values) -> np.ndarray:
-    """``format_float`` of each value in C order, as (n, _WIDTH) uint8 rows.
+    """``format_float`` of each value in C order, as (n, width) uint8 rows.
 
     A row holds the text's bytes in order with NULs between and after them;
     dropping the NULs gives the text.  One finiteness check for all values.
@@ -165,7 +165,7 @@ def _float_cells(values) -> np.ndarray:
         text = format_float(x[i]).encode("ascii")
         cells[:, i] = 0
         cells[:len(text), i] = np.frombuffer(text, dtype=np.uint8)
-    return cells.T
+    return cells[cells.any(axis=1)].T  # columns NUL in every row dropped
 
 
 def _text_cells(texts: list[str]) -> np.ndarray:
