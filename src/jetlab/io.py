@@ -71,7 +71,7 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @cache
 def _pow10() -> np.ndarray:
-    """Rows hi, hi split in two, lo: 10^p = hi + lo, p in [_POW_MIN, _POW_MAX]."""
+    """Rows hi, the two halves of hi, and lo: 10^p = hi + lo, p ascending."""
     hi, lo = [], []
     for p in range(_POW_MIN, _POW_MAX + 1):
         exact = Fraction(10) ** p
@@ -142,7 +142,7 @@ def _float_cells(values) -> np.ndarray:
             q = v // ten
             digit = v - q * ten
             seen |= digit != 0
-            cells[6 + 2 * c] = (digit + 48) * (seen | (keep > c))
+            cells[6 + 2 * c] = (digit + ord("0")) * (seen | (keep > c))
             v = q
     point = np.where(whole, k, np.where(sci & (cells[8] != 0), 0, -1))
     cells[_POINT_COLS] = (_DIGIT_INDEX == point) * np.uint8(ord("."))
@@ -158,9 +158,9 @@ def _float_cells(values) -> np.ndarray:
         e = np.abs(k).astype(np.uint16)
         cells[41] = sci * np.uint8(ord("e"))
         cells[42] = sci * np.where(k < 0, ord("-"), ord("+")).astype(np.uint8)
-        cells[43] = (e >= 100) * (e // 100 + 48)
-        cells[44] = sci * (e // 10 % 10 + 48)
-        cells[45] = sci * (e % 10 + 48)
+        cells[43] = (e >= 100) * (e // 100 + ord("0"))
+        cells[44] = sci * (e // 10 % 10 + ord("0"))
+        cells[45] = sci * (e % 10 + ord("0"))
     for i in np.flatnonzero(defer):
         text = format_float(x[i]).encode("ascii")
         cells[:, i] = 0
