@@ -4,9 +4,10 @@ Each digest is the sha256 of a payload's deterministic JSON text (or of a
 command's stdout report, or of a CSV file), recorded before the code it
 covers was rewritten: the domains before one class per kind, the scan reports
 before sampling and scanning walked the lattice in row blocks, the CSV files
-and the ``hestenes extend`` payload before floats were formatted in bulk.  A
-rasterizer, a membership predicate, a chart or a scan that moves a single
-lattice point, float bit or witness changes a digest here.
+and the ``hestenes extend`` payload before floats were formatted in bulk, the
+certificates before each kind was defined once.  A rasterizer, a membership
+predicate, a chart, a scan or a certificate kind that moves a single lattice
+point, float bit, rational or witness changes a digest here.
 """
 
 import hashlib
@@ -156,3 +157,34 @@ def test_hestenes_extend_digest(tmp_path, capsys):
                  "--width", "4", "--axis", "0", "--out", str(out)]) == 0
     assert sha256(io.strip_provenance(out.read_text())) == (
         "43a7bf5a1d39d9411b8259e87969e20942d67e9953fce481e13bce6cdd516c2f")
+
+
+# `certify --n-max 20` payloads and the stdout of replaying each of them.
+CERTS = {
+    "comb": ("20451b98179255cfced8e7fb4c756739c38fa56434a2f9f49e92f57061a7bff7",
+             "4a3c6c5e5a5b2b5b4b06b88bb679e5bd401cb28b4a1c971431d00293dcf5990a"),
+    "gap1d": ("6f8aee10734f316838b8cd3500a0e6d1b66999313a8e1241660eed0568298561",
+              "132d69068762a36f17518fa5e90657a8f95100eae6df5cfb32737a3f8a3e7f41"),
+    "cantorslit": (
+        "e2a4869230349070a9f3c217185579e237efb30c0a041522617756615239d982",
+        "b7c84728a12e7ef28739105f6e8911dc17519431d7bb31742d34e5f8d3570271"),
+}
+
+
+@pytest.mark.parametrize("which", sorted(CERTS))
+def test_certificate_digest(which, tmp_path, capsys):
+    payload_digest, replay_digest = CERTS[which]
+    out = tmp_path / "cert.json"
+    assert main(["certify", which, "--n-max", "20", "--out", str(out)]) == 0
+    assert sha256(io.strip_provenance(out.read_text())) == payload_digest
+    capsys.readouterr()
+    assert main(["replay", "--cert", str(out)]) == 0
+    assert sha256(capsys.readouterr().out) == replay_digest
+
+
+def test_certificate_csv_digest(tmp_path, capsys):
+    out = tmp_path / "cert.csv"
+    assert main(["certify", "cantorslit", "--n-max", "20",
+                 "--out", str(tmp_path / "cert.json"), "--csv", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "b250ca6e84e81504b20344971ccbca6ab501a235aca855f6d601d08c379c6013")
