@@ -6,6 +6,10 @@ contradicts.  Point coordinates are stored as exact rationals so a replay
 can reproduce every quotient to 1e-12 even at probes like 3^-n, which are
 not representable in binary floating point.
 
+A kind is a field, a witness and a probe sequence (see Kind), defined once
+in KINDS.  The builder and the replay take every quotient through the same
+_quotient, so a stored term cannot be computed one way and checked another.
+
 The comb and staircase certificates are tolerance-free: every quotient is
 the rational 0 and the gap is exactly 1.  The slit-square certificate is a
 divergence: quotients grow like (3/2)^n and cross the configured ceiling.
@@ -13,10 +17,12 @@ divergence: quotients grow like (3/2)^n and cross the configured ceiling.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import functions
+from . import functions, io
 from .domains import cantor_level
 from .errors import JetlabError, ReplayMismatchError
 
@@ -24,18 +30,6 @@ GAP_TOLERANCE = 1e-9
 REPLAY_TOLERANCE = 1e-12
 DEFAULT_N_MAX = 20
 DEFAULT_CEILING = 1e3
-
-
-def _as_fractions(point) -> tuple[Fraction, ...]:
-    return tuple(Fraction(c) for c in point)
-
-
-def _pair_list(point: tuple[Fraction, ...]) -> list:
-    return [[c.numerator, c.denominator] for c in point]
-
-
-def _point_from_pairs(pairs) -> tuple[Fraction, ...]:
-    return tuple(Fraction(int(num), int(den)) for num, den in pairs)
 
 
 @dataclass(frozen=True)
@@ -49,14 +43,14 @@ class CertTerm:
     note: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "base", _as_fractions(self.base))
-        object.__setattr__(self, "probe", _as_fractions(self.probe))
+        object.__setattr__(self, "base", tuple(map(Fraction, self.base)))
+        object.__setattr__(self, "probe", tuple(map(Fraction, self.probe)))
 
     def to_payload(self) -> dict:
         payload = {
             "n": self.n,
-            "base": _pair_list(self.base),
-            "probe": _pair_list(self.probe),
+            "base": [io.fraction_pair(c) for c in self.base],
+            "probe": [io.fraction_pair(c) for c in self.probe],
             "quotient": self.quotient,
         }
         if self.note:
@@ -67,11 +61,20 @@ class CertTerm:
     def from_payload(payload: dict) -> "CertTerm":
         return CertTerm(
             int(payload["n"]),
-            _point_from_pairs(payload["base"]),
-            _point_from_pairs(payload["probe"]),
+            tuple(io.pair_fraction(p) for p in payload["base"]),
+            tuple(io.pair_fraction(p) for p in payload["probe"]),
             float(payload["quotient"]),
             payload.get("note", ""),
         )
+
+
+def _first_crossing(terms, n_max: int, config: dict) -> int | None:
+    """The first n <= n_max with |d_n| above the configured ceiling."""
+    ceiling = float(config.get("ceiling", DEFAULT_CEILING))
+    return min(
+        (t.n for t in terms if t.n <= n_max and abs(t.quotient) > ceiling),
+        default=None,
+    )
 
 
 @dataclass(frozen=True)
@@ -94,15 +97,10 @@ class Certificate:
     first_exceed_n: int | None = None
 
     def validate(self) -> bool:
-        tol = float(self.config.get("gap_tolerance", GAP_TOLERANCE))
         if self.diverges:
-            ceiling = float(self.config.get("ceiling", DEFAULT_CEILING))
-            crossed = [
-                t.n for t in self.terms
-                if t.n <= self.n_max and abs(t.quotient) > ceiling
-            ]
-            return bool(crossed) and self.first_exceed_n == min(crossed)
-        return self.gap > tol
+            first = _first_crossing(self.terms, self.n_max, self.config)
+            return first is not None and self.first_exceed_n == first
+        return self.gap > float(self.config.get("gap_tolerance", GAP_TOLERANCE))
 
     def to_payload(self) -> dict:
         return {
@@ -120,10 +118,11 @@ class Certificate:
 
     @staticmethod
     def from_payload(payload: dict) -> "Certificate":
-        first = payload.get("first_exceed_n")
         try:
-            return Certificate(
-                payload["domain"],
+            first = payload.get("first_exceed_n")
+            config = dict(payload.get("config", {}))
+            cert = Certificate(
+                str(payload["domain"]),
                 payload["claim"],
                 tuple(CertTerm.from_payload(t) for t in payload["terms"]),
                 float(payload["interior_limit"]),
@@ -134,28 +133,115 @@ class Certificate:
                 float(payload["gap"]),
                 bool(payload["diverges"]),
                 int(payload["n_max"]),
-                dict(payload.get("config", {})),
+                config,
                 None if first is None else int(first),
             )
         except KeyError as err:
             raise JetlabError(
                 f"certificate artifact lacks the key {err}") from None
+        except (TypeError, ValueError, IndexError, ZeroDivisionError) as err:
+            raise JetlabError(
+                f"certificate artifact is malformed: {err}") from None
+        if not all(isinstance(v, (int, float)) and math.isfinite(v)
+                   for v in config.values()):
+            raise JetlabError("certificate config values must be finite numbers")
+        return cert
 
     def csv_rows(self) -> list[list]:
         dim = len(self.terms[0].base) if self.terms else 2
-        head = ["n"]
-        head += [f"base_{k}" for k in range(dim)]
-        head += [f"probe_{k}" for k in range(dim)]
-        head += ["d_n"]
-        rows = [head]
-        for t in self.terms:
-            rows.append(
-                [t.n]
-                + [float(c) for c in t.base]
-                + [float(c) for c in t.probe]
-                + [t.quotient]
-            )
-        return rows
+        head = ["n", *(f"base_{k}" for k in range(dim)),
+                *(f"probe_{k}" for k in range(dim)), "d_n"]
+        return [head] + [
+            [t.n, *map(float, t.base), *map(float, t.probe), t.quotient]
+            for t in self.terms
+        ]
+
+
+@dataclass(frozen=True)
+class Kind:
+    """What jetlab knows about one certificate kind.
+
+    Quotients of the exact field value(point, config) run from base to
+    probe(n), n = 1..n_max.  witness(kind, base, probe, config) is the
+    interior derivative at each row (k, base, probe) of witness_points(n_max,
+    config) and equals interior_limit.  build is the kind's public builder.
+    """
+
+    claim: str
+    dim: int
+    base: tuple
+    probe: Callable[[int], tuple]
+    value: Callable[[tuple, dict], float]
+    witness: Callable[..., float]
+    witness_points: Callable[[int, dict], list]
+    interior_limit: float
+    diverges: bool
+    build: Callable[..., Certificate]
+    note: str
+    witness_note: str
+
+
+def _quotient(kind: Kind, base, probe, config: dict) -> float:
+    """(f(probe) - f(base)) / (probe_0 - base_0), in exact rationals."""
+    step = probe[0] - base[0]
+    if step == 0:
+        raise JetlabError(f"quotient probe and base share the first "
+                          f"coordinate {base[0]}")
+    return float((Fraction(kind.value(probe, config))
+                  - Fraction(kind.value(base, config))) / step)
+
+
+def _base_block(n_max: int, rest: tuple) -> list:
+    """Witness rows at s = -2^-k, k = 1..n_max: the approach on the base."""
+    points = [(-Fraction(1, 2**k),) + rest for k in range(1, n_max + 1)]
+    return [(k, p, p) for k, p in enumerate(points, 1)]
+
+
+def _cover_gaps(n_max: int, config: dict) -> list:
+    """Witness rows across the middle half of each gap of the level-depth
+    cover at t = 1/2, where the staircase factor is locally constant."""
+    t_w = Fraction(1, 2)
+    rows = []
+    for k, (lo, hi) in enumerate(cantor_level(config["depth"]).gaps()):
+        mid, delta = (lo + hi) / 2, (hi - lo) / 4
+        rows.append((k, (mid - delta, t_w), (mid + delta, t_w)))
+    return rows
+
+
+def _build(domain: str, n_max: int, config: dict) -> Certificate:
+    """The certificate of KINDS[domain] under config, with n_max terms."""
+    if n_max < 2:
+        raise ValueError("n_max must be at least 2")
+    kind = KINDS[domain]
+    terms = []
+    for n in range(1, n_max + 1):
+        probe = kind.probe(n)
+        d_n = _quotient(kind, kind.base, probe, config)
+        terms.append(CertTerm(n, kind.base, probe, d_n, note=kind.note))
+    witness = tuple(
+        CertTerm(k, base, probe, kind.witness(kind, base, probe, config),
+                 note=kind.witness_note)
+        for k, base, probe in kind.witness_points(n_max, config)
+    )
+    first = _first_crossing(terms, n_max, config) if kind.diverges else None
+    if kind.diverges and first is None:
+        raise ValueError(
+            f"quotients reach only {abs(terms[-1].quotient):.6g} by "
+            f"n = {n_max}; raise n_max or lower the ceiling "
+            f"({config['ceiling']:g})"
+        )
+    return Certificate(
+        domain=domain,
+        claim=kind.claim,
+        terms=tuple(terms),
+        interior_limit=kind.interior_limit,
+        interior_witness=witness,
+        gap=abs(kind.interior_limit - terms[-1].quotient),
+        diverges=kind.diverges,
+        n_max=n_max,
+        config=config,
+        first_exceed_n=first,
+    )
 
 
 def certify_comb(n_max: int = DEFAULT_N_MAX) -> Certificate:
@@ -165,77 +251,12 @@ def certify_comb(n_max: int = DEFAULT_N_MAX) -> Certificate:
     is exactly 0, while the first partial on the base equals 1 along the
     whole approach s -> 0 from the left.  The gap is exactly 1.
     """
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
-    base = (Fraction(0), Fraction(1))
-    base_val = functions.example3_value(0.0, 1.0)
-    terms = []
-    for n in range(1, n_max + 1):
-        a_n = Fraction(3, 4) / 2**n
-        val = functions.example3_value(float(a_n), 1.0)
-        d_n = float((Fraction(val) - Fraction(base_val)) / a_n)
-        terms.append(CertTerm(
-            n, base, (a_n, Fraction(1)), d_n,
-            note="quotient across the gap between teeth",
-        ))
-    witness = []
-    for k in range(1, n_max + 1):
-        s = -Fraction(1, 2**k)
-        val = functions.example3_value(float(s), 1.0, alpha=(1, 0))
-        witness.append(CertTerm(
-            k, (s, Fraction(1)), (s, Fraction(1)), val,
-            note="first partial on the base block",
-        ))
-    limit = 1.0
-    gap = abs(limit - terms[-1].quotient)
-    return Certificate(
-        domain="comb",
-        claim="not-in-H",
-        terms=tuple(terms),
-        interior_limit=limit,
-        interior_witness=tuple(witness),
-        gap=gap,
-        diverges=False,
-        n_max=n_max,
-        config={"gap_tolerance": GAP_TOLERANCE},
-    )
+    return _build("comb", n_max, {"gap_tolerance": GAP_TOLERANCE})
 
 
 def certify_gap1d(n_max: int = DEFAULT_N_MAX) -> Certificate:
     """The one-dimensional version: islands sliding toward the origin."""
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
-    base = (Fraction(0),)
-    base_val = functions.gap1d_value(0.0)
-    terms = []
-    for n in range(1, n_max + 1):
-        s_n = Fraction(1, 2**n)
-        val = functions.gap1d_value(float(s_n))
-        d_n = float((Fraction(val) - Fraction(base_val)) / s_n)
-        terms.append(CertTerm(
-            n, base, (s_n,), d_n,
-            note="quotient from the origin to island n",
-        ))
-    witness = []
-    for k in range(1, n_max + 1):
-        s = -Fraction(1, 2**k)
-        val = functions.gap1d_value(float(s), alpha=(1,))
-        witness.append(CertTerm(
-            k, (s,), (s,), val, note="slope on the base interval",
-        ))
-    limit = 1.0
-    gap = abs(limit - terms[-1].quotient)
-    return Certificate(
-        domain="gap1d",
-        claim="not-in-H",
-        terms=tuple(terms),
-        interior_limit=limit,
-        interior_witness=tuple(witness),
-        gap=gap,
-        diverges=False,
-        n_max=n_max,
-        config={"gap_tolerance": GAP_TOLERANCE},
-    )
+    return _build("gap1d", n_max, {"gap_tolerance": GAP_TOLERANCE})
 
 
 def certify_cantor_slit(n_max: int = DEFAULT_N_MAX,
@@ -251,150 +272,122 @@ def certify_cantor_slit(n_max: int = DEFAULT_N_MAX,
     """
     if not 2 <= n_max <= 30:
         raise ValueError("n_max must lie in [2, 30]")
-    base = (Fraction(0), Fraction(1))
-    base_val = functions.example1_xbar(Fraction(0), Fraction(1),
-                                       phi_depth=phi_depth)
-    terms = []
-    first_exceed = None
-    for n in range(1, n_max + 1):
-        s = Fraction(1, 3**n)
-        val = functions.example1_xbar(s, Fraction(1), phi_depth=phi_depth)
-        d_n = float((Fraction(val) - Fraction(base_val)) / s)
-        if first_exceed is None and abs(d_n) > ceiling:
-            first_exceed = n
-        terms.append(CertTerm(
-            n, base, (s, Fraction(1)), d_n,
-            note="quotient of the closure extension along the top edge",
-        ))
-    approx = cantor_level(depth)
-    witness = []
-    for k, (lo, hi) in enumerate(approx.gaps()):
-        mid = (lo + hi) / 2
-        delta = (hi - lo) / 4
-        t_w = Fraction(1, 2)
-        left = functions.example1_xbar(mid - delta, t_w, phi_depth=phi_depth)
-        right = functions.example1_xbar(mid + delta, t_w, phi_depth=phi_depth)
-        fd = float((Fraction(right) - Fraction(left)) / (2 * delta))
-        witness.append(CertTerm(
-            k, (mid - delta, t_w), (mid + delta, t_w), fd,
-            note="first-partial difference quotient inside a cover gap",
-        ))
-    if first_exceed is None:
-        raise ValueError(
-            f"quotients reach only {abs(terms[-1].quotient):.6g} by "
-            f"n = {n_max}; raise n_max or lower the ceiling ({ceiling:g})"
-        )
-    gap = abs(0.0 - terms[-1].quotient)
-    return Certificate(
-        domain="cantor_slit",
+    if depth < 1:
+        raise ValueError("depth must be at least 1: the level-0 cover has "
+                         "no gap to witness the interior limit in")
+    return _build("cantor_slit", n_max, {
+        "gap_tolerance": GAP_TOLERANCE, "ceiling": ceiling, "depth": depth,
+        "phi_depth": phi_depth,
+    })
+
+
+KINDS = {
+    "comb": Kind(
+        claim="not-in-H",
+        dim=2,
+        base=(Fraction(0), Fraction(1)),
+        probe=lambda n: (Fraction(3, 4) / 2**n, Fraction(1)),
+        value=lambda p, config: functions.example3_value(float(p[0]),
+                                                         float(p[1])),
+        witness=lambda kind, base, probe, config: functions.example3_value(
+            float(base[0]), float(base[1]), alpha=(1, 0)),
+        witness_points=lambda n_max, config: _base_block(n_max, (Fraction(1),)),
+        interior_limit=1.0,
+        diverges=False,
+        build=certify_comb,
+        note="quotient across the gap between teeth",
+        witness_note="first partial on the base block",
+    ),
+    "gap1d": Kind(
+        claim="not-in-H",
+        dim=1,
+        base=(Fraction(0),),
+        probe=lambda n: (Fraction(1, 2**n),),
+        value=lambda p, config: functions.gap1d_value(float(p[0])),
+        witness=lambda kind, base, probe, config: functions.gap1d_value(
+            float(base[0]), alpha=(1,)),
+        witness_points=lambda n_max, config: _base_block(n_max, ()),
+        interior_limit=1.0,
+        diverges=False,
+        build=certify_gap1d,
+        note="quotient from the origin to island n",
+        witness_note="slope on the base interval",
+    ),
+    "cantor_slit": Kind(
         claim="not-in-F-extension",
-        terms=tuple(terms),
+        dim=2,
+        base=(Fraction(0), Fraction(1)),
+        probe=lambda n: (Fraction(1, 3**n), Fraction(1)),
+        value=lambda p, config: functions.example1_xbar(
+            p[0], p[1], phi_depth=int(config.get("phi_depth",
+                                                 functions.DEFAULT_PHI_DEPTH))),
+        witness=_quotient,
+        witness_points=_cover_gaps,
         interior_limit=0.0,
-        interior_witness=tuple(witness),
-        gap=gap,
         diverges=True,
-        n_max=n_max,
-        config={
-            "gap_tolerance": GAP_TOLERANCE,
-            "ceiling": ceiling,
-            "depth": depth,
-            "phi_depth": phi_depth,
-        },
-        first_exceed_n=first_exceed,
-    )
-
-
-_BUILDERS = {
-    "comb": certify_comb,
-    "gap1d": certify_gap1d,
-    "cantor_slit": certify_cantor_slit,
+        build=certify_cantor_slit,
+        note="quotient of the closure extension along the top edge",
+        witness_note="first-partial difference quotient inside a cover gap",
+    ),
 }
 
 
 def certify(domain: str, **kwargs) -> Certificate:
-    if domain not in _BUILDERS:
+    if domain not in KINDS:
         raise KeyError(
-            f"no certificate builder for {domain!r}; choices: {sorted(_BUILDERS)}"
+            f"no certificate builder for {domain!r}; choices: {sorted(KINDS)}"
         )
-    return _BUILDERS[domain](**kwargs)
+    return KINDS[domain].build(**kwargs)
 
 
 # Package-level alias; the bare name would shadow this module there.
 build_certificate = certify
 
 
-def _replay_value(cert: Certificate, term: CertTerm) -> float:
-    if cert.domain == "comb":
-        val = functions.example3_value(float(term.probe[0]),
-                                       float(term.probe[1]))
-        base = functions.example3_value(float(term.base[0]),
-                                        float(term.base[1]))
-        step = term.probe[0] - term.base[0]
-        return float((Fraction(val) - Fraction(base)) / step)
-    if cert.domain == "gap1d":
-        val = functions.gap1d_value(float(term.probe[0]))
-        base = functions.gap1d_value(float(term.base[0]))
-        step = term.probe[0] - term.base[0]
-        return float((Fraction(val) - Fraction(base)) / step)
-    if cert.domain == "cantor_slit":
-        phi_depth = int(cert.config.get("phi_depth",
-                                        functions.DEFAULT_PHI_DEPTH))
-        val = functions.example1_xbar(term.probe[0], term.probe[1],
-                                      phi_depth=phi_depth)
-        base = functions.example1_xbar(term.base[0], term.base[1],
-                                       phi_depth=phi_depth)
-        step = term.probe[0] - term.base[0]
-        return float((Fraction(val) - Fraction(base)) / step)
-    raise ValueError(f"certificate domain {cert.domain!r} has no replayer")
-
-
-def _replay_witness(cert: Certificate, term: CertTerm) -> float:
-    if cert.domain == "comb":
-        return functions.example3_value(
-            float(term.base[0]), float(term.base[1]), alpha=(1, 0)
-        )
-    if cert.domain == "gap1d":
-        return functions.gap1d_value(float(term.base[0]), alpha=(1,))
-    if cert.domain == "cantor_slit":
-        phi_depth = int(cert.config.get("phi_depth",
-                                        functions.DEFAULT_PHI_DEPTH))
-        left = functions.example1_xbar(term.base[0], term.base[1],
-                                       phi_depth=phi_depth)
-        right = functions.example1_xbar(term.probe[0], term.probe[1],
-                                        phi_depth=phi_depth)
-        step = term.probe[0] - term.base[0]
-        return float((Fraction(right) - Fraction(left)) / step)
-    raise ValueError(f"certificate domain {cert.domain!r} has no replayer")
+def _replayable_kind(cert: Certificate) -> Kind:
+    """The kind of cert, once its evidence has that kind's shape."""
+    kind = KINDS.get(cert.domain)
+    if kind is None:
+        raise JetlabError(f"certificate domain {cert.domain!r} has no replayer")
+    if not (cert.terms and cert.interior_witness):
+        raise JetlabError(f"{cert.domain} certificate needs at least one term "
+                          "and one interior witness")
+    for term in cert.terms + cert.interior_witness:
+        if not len(term.base) == len(term.probe) == kind.dim:
+            raise JetlabError(f"{cert.domain} certificate term {term.n} has "
+                              f"a point that is not {kind.dim}-D")
+    return kind
 
 
 def replay_certificate(cert: Certificate,
                        tolerance: float = REPLAY_TOLERANCE) -> bool:
-    """Recompute every term independently; mismatches raise at first index."""
+    """Recompute every term independently; mismatches raise at first index.
+
+    Witnesses must also equal the interior limit, and the gap (or the first
+    crossing) must match before validate() decides.  Evidence that does not
+    fit the kind raises JetlabError.
+    """
+    kind = _replayable_kind(cert)
     for idx, term in enumerate(cert.terms):
-        fresh = _replay_value(cert, term)
-        if abs(fresh - term.quotient) > tolerance * max(1.0, abs(term.quotient)):
+        fresh = _quotient(kind, term.base, term.probe, cert.config)
+        if not abs(fresh - term.quotient) <= tolerance * max(1.0, abs(term.quotient)):
             raise ReplayMismatchError(idx, "quotient", term.quotient, fresh)
     for idx, term in enumerate(cert.interior_witness):
-        fresh = _replay_witness(cert, term)
-        if abs(fresh - term.quotient) > tolerance:
+        fresh = kind.witness(kind, term.base, term.probe, cert.config)
+        if not abs(fresh - term.quotient) <= tolerance:
             raise ReplayMismatchError(idx, "interior_witness", term.quotient,
                                       fresh)
+        if not abs(fresh - cert.interior_limit) <= tolerance:
+            raise ReplayMismatchError(idx, "interior_limit",
+                                      cert.interior_limit, fresh)
     if cert.diverges:
-        ceiling = float(cert.config.get("ceiling", DEFAULT_CEILING))
-        crossed = [
-            t.n for t in cert.terms
-            if t.n <= cert.n_max and abs(t.quotient) > ceiling
-        ]
-        first = min(crossed) if crossed else None
-        if first != cert.first_exceed_n or first is None:
-            raise ReplayMismatchError(
-                -1, "first_exceed_n", cert.first_exceed_n, first
-            )
+        field_name, stored = "first_exceed_n", cert.first_exceed_n
+        fresh = _first_crossing(cert.terms, cert.n_max, cert.config)
+        agree = fresh == stored
     else:
-        gap = abs(cert.interior_limit - cert.terms[-1].quotient)
-        if abs(gap - cert.gap) > tolerance:
-            raise ReplayMismatchError(-1, "gap", cert.gap, gap)
-        tol = float(cert.config.get("gap_tolerance", GAP_TOLERANCE))
-        if not gap > tol:
-            raise ReplayMismatchError(-1, "gap", cert.gap, gap)
+        field_name, stored = "gap", cert.gap
+        fresh = abs(cert.interior_limit - cert.terms[-1].quotient)
+        agree = abs(fresh - stored) <= tolerance
+    if not (agree and cert.validate()):
+        raise ReplayMismatchError(-1, field_name, stored, fresh)
     return True

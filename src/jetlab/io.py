@@ -345,6 +345,8 @@ def read_artifact(path: str) -> dict:
     """Load an artifact, dropping the provenance key."""
     with open(path, "r", encoding="ascii") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise JetlabError(f"{path} holds no artifact: its JSON is not an object")
     doc.pop("provenance", None)
     return doc
 

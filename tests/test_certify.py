@@ -125,6 +125,43 @@ def test_tampered_gap_is_caught():
     assert err.value.field == "gap"
 
 
+def test_tampered_limit_is_caught():
+    # every witness replays to 1.0; the gap alone agrees with the fake limit
+    cert = certify_gap1d(n_max=6)
+    tampered = replace(cert, interior_limit=0.5, gap=0.5)
+    with pytest.raises(ReplayMismatchError) as err:
+        replay_certificate(tampered)
+    assert err.value.field == "interior_limit"
+    assert err.value.index == 0
+    assert err.value.stored == 0.5
+    assert err.value.recomputed == 1.0
+
+
+def test_nan_quotient_is_caught():
+    # nan compares false with every bound, so it must not read as agreement
+    cert = certify_comb(n_max=6)
+    bad_terms = list(cert.terms)
+    bad_terms[2] = replace(bad_terms[2], quotient=math.nan)
+    with pytest.raises(ReplayMismatchError) as err:
+        replay_certificate(replace(cert, terms=tuple(bad_terms)))
+    assert err.value.field == "quotient"
+    assert err.value.index == 2
+
+
+@pytest.mark.parametrize("tamper, field", [
+    (lambda c: replace(c, config={"gap_tolerance": 2.0}), "gap"),
+    (lambda c: replace(c, config={**c.config, "ceiling": 1e9},
+                       first_exceed_n=None), "first_exceed_n"),
+    (lambda c: replace(c, n_max=19), "first_exceed_n"),
+], ids=["gap-under-tolerance", "no-crossing", "crossing-past-n_max"])
+def test_replay_refuses_evidence_that_proves_nothing(tamper, field):
+    # every term reproduces, but the claim no longer follows from them
+    cert = certify_comb(6) if field == "gap" else certify_cantor_slit(20)
+    with pytest.raises(ReplayMismatchError) as err:
+        replay_certificate(tamper(cert))
+    assert err.value.field == field
+
+
 def test_tampered_first_exceed_is_caught():
     cert = certify_cantor_slit(n_max=20)
     tampered = replace(cert, first_exceed_n=19)

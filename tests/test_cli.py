@@ -410,6 +410,54 @@ def test_certificate_without_domain_is_a_usage_error(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def _first_term(doc, **change):
+    doc["terms"][0].update(change)
+    return doc
+
+
+# a gap1d certificate, broken one way each -> what the error names
+MALFORMED = {
+    "no-terms": (lambda d: {**d, "terms": []}, "needs at least one term"),
+    "zero-denominator": (lambda d: _first_term(d, base=[[1, 0]]),
+                         "malformed: Fraction(1, 0)"),
+    "zero-step": (lambda d: _first_term(d, probe=d["terms"][0]["base"]),
+                  "share the first coordinate"),
+    "terms-not-a-list": (lambda d: {**d, "terms": 5}, "malformed"),
+    "relabelled": (lambda d: {**d, "domain": "cantor_slit"}, "not 2-D"),
+    "base-of-2": (lambda d: _first_term(d, base=[[0, 1], [1, 1]]), "not 1-D"),
+    "no-witness": (lambda d: {**d, "interior_witness": []},
+                   "one interior witness"),
+    "config-null": (lambda d: {**d, "config": {"gap_tolerance": None}},
+                    "finite numbers"),
+    "lattice-scan": (lambda d: {**d, "domain": "lattice-scan"},
+                     "'lattice-scan' has no replayer"),
+    "not-an-object": (lambda d: [d], "its JSON is not an object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_certificate_is_a_usage_error(case, tmp_path, capsys):
+    break_it, message = MALFORMED[case]
+    cert = tmp_path / "cert.json"
+    assert run(["certify", "gap1d", "--n-max", "4", "--out", str(cert)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(break_it(json.loads(cert.read_text()))))
+    capsys.readouterr()
+    assert run(["replay", "--cert", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_certify_cantorslit_depth_0_exits_2(tmp_path, capsys):
+    # the level-0 cover has no gap, so no interior witness
+    out = tmp_path / "cs.json"
+    assert run(["certify", "cantorslit", "--depth", "0",
+                "--out", str(out)]) == 2
+    assert "error: depth must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["extend", "prop2", "--domain", "disk", "--function", "gap1d"],
     ["field", "sample", "--domain", "gap1d", "--function", "sin_cos"],
