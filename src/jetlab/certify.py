@@ -17,8 +17,9 @@ divergence: quotients grow like (3/2)^n and cross the configured ceiling.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Callable
+import itertools
+import sys
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -139,10 +140,11 @@ class Certificate:
         except KeyError as err:
             raise JetlabError(
                 f"certificate artifact lacks the key {err}") from None
-        except (TypeError, ValueError, IndexError, ZeroDivisionError) as err:
+        except (TypeError, ValueError, IndexError, ZeroDivisionError,
+                OverflowError) as err:
             raise JetlabError(
                 f"certificate artifact is malformed: {err}") from None
-        if not all(isinstance(v, (int, float)) and math.isfinite(v)
+        if not all(isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
                    for v in config.values()):
             raise JetlabError("certificate config values must be finite numbers")
         return cert
@@ -173,7 +175,7 @@ class Kind:
     probe: Callable[[int], tuple]
     value: Callable[[tuple, dict], float]
     witness: Callable[..., float]
-    witness_points: Callable[[int, dict], list]
+    witness_points: Callable[[int, dict], Iterable]
     interior_limit: float
     diverges: bool
     build: Callable[..., Certificate]
@@ -183,18 +185,15 @@ class Kind:
 
 def _quotient(kind: Kind, base, probe, config: dict) -> float:
     """(f(probe) - f(base)) / (probe_0 - base_0), in exact rationals."""
-    step = probe[0] - base[0]
-    if step == 0:
-        raise JetlabError(f"quotient probe and base share the first "
-                          f"coordinate {base[0]}")
     return float((Fraction(kind.value(probe, config))
-                  - Fraction(kind.value(base, config))) / step)
+                  - Fraction(kind.value(base, config))) / (probe[0] - base[0]))
 
 
-def _base_block(n_max: int, rest: tuple) -> list:
+def _base_block(n_max: int, rest: tuple) -> Iterable:
     """Witness rows at s = -2^-k, k = 1..n_max: the approach on the base."""
-    points = [(-Fraction(1, 2**k),) + rest for k in range(1, n_max + 1)]
-    return [(k, p, p) for k, p in enumerate(points, 1)]
+    for k in range(1, n_max + 1):
+        point = (-Fraction(1, 2**k),) + rest
+        yield k, point, point
 
 
 def _cover_gaps(n_max: int, config: dict) -> list:
@@ -345,7 +344,8 @@ build_certificate = certify
 
 
 def _replayable_kind(cert: Certificate) -> Kind:
-    """The kind of cert, once its evidence has that kind's shape."""
+    """The kind of cert, once its terms (n = 1, 2, ...) and witness rows are
+    exactly the kind's points, compared before any coordinate is a float."""
     kind = KINDS.get(cert.domain)
     if kind is None:
         raise JetlabError(f"certificate domain {cert.domain!r} has no replayer")
@@ -356,6 +356,23 @@ def _replayable_kind(cert: Certificate) -> Kind:
         if not len(term.base) == len(term.probe) == kind.dim:
             raise JetlabError(f"{cert.domain} certificate term {term.n} has "
                               f"a point that is not {kind.dim}-D")
+    for n, term in enumerate(cert.terms, 1):
+        if term.probe[0] == term.base[0]:
+            raise JetlabError(f"quotient probe and base share the first "
+                              f"coordinate {term.base[0]}")
+        if (term.n, term.base, term.probe) != (n, kind.base, kind.probe(n)):
+            raise JetlabError(f"{cert.domain} certificate term {n} is not at "
+                              f"the kind's points")
+    stored = [(w.n, w.base, w.probe) for w in cert.interior_witness]
+    try:
+        rows = list(itertools.islice(
+            kind.witness_points(cert.n_max, cert.config), len(stored) + 1))
+    except (KeyError, TypeError, ValueError) as err:
+        raise JetlabError(f"{cert.domain} certificate config gives no witness "
+                          f"points: {err!r}") from None
+    if stored != rows:
+        raise JetlabError(f"{cert.domain} certificate interior witnesses are "
+                          f"not the kind's witness rows")
     return kind
 
 

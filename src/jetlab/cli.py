@@ -170,7 +170,7 @@ def _cmd_hestenes_extend(args, argv) -> int:
     out_payload = {
         "jet": io.jet_to_payload(result.jet),
         "order": args.order,
-        "width": result.width,
+        "width": args.width,
         "probe_offset_max": result.probe_offset_max,
     }
     io.write_artifact(args.out, out_payload, _provenance(argv))

@@ -63,7 +63,7 @@ def cantor_level(depth: int, cap: int = DEFAULT_INTERVAL_CAP) -> CantorApprox:
     """Remove open middle thirds depth times, starting from [0, 1]."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if 2**depth > cap:
+    if depth >= cap.bit_length():  # 2^depth > cap, without forming 2^depth
         raise DepthTooLargeError(f"2^{depth} intervals exceeds cap {cap}")
     intervals = [(Fraction(0), Fraction(1))]
     for _ in range(depth):

@@ -9,15 +9,18 @@ and combining with weights a_0..a_i.  The weights solve
 which makes the continuation match all derivatives through order i at the
 wall and reproduce polynomials of degree <= i identically.
 
-The system is a Vandermonde system at the nodes -1/l and is hopeless in
-floating point beyond order 8 or so, so it is solved in exact rational
-arithmetic; floats are derived afterwards.  The weights alternate in sign and
-grow quickly (their absolute sum is ~6.3e6 at order 6), so the combination
-itself is accumulated in extended precision before rounding once at the end.
+This Vandermonde system at the nodes -1/l is hopeless in floating point
+beyond order 8 or so.  Its solution is the Lagrange basis at those nodes
+evaluated at 1, a_{l-1} = prod_{m != l} (1 + 1/m) / (1/m - 1/l), taken in
+exact rationals; floats are derived afterwards.  The weights alternate in
+sign and grow quickly (their absolute sum is ~6.3e6 at order 6), so
+HalfSpaceExtension.jet_many, the one place they are summed, accumulates in
+extended precision before rounding once at the end.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,33 +32,6 @@ from .grid import (
 )
 
 MAX_ORDER = 12
-
-
-def _solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination with exact rational pivots (partial pivoting)."""
-    n = len(rhs)
-    a = [row[:] for row in matrix]
-    b = list(rhs)
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[piv][col] == 0:
-            raise ZeroDivisionError("singular system")
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        for r in range(col + 1, n):
-            factor = a[r][col] / a[col][col]
-            if factor == 0:
-                continue
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-            b[r] -= factor * b[col]
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = b[r]
-        for c in range(r + 1, n):
-            acc -= a[r][c] * x[c]
-        x[r] = acc / a[r][r]
-    return x
 
 
 @dataclass(frozen=True)
@@ -82,26 +58,21 @@ class HestenesCoefficients:
     def weight_longdouble(self, l: int, j: int) -> np.longdouble:
         """a_{l-1} * (-1/l)^j rounded once into extended precision."""
         q = self.values[l - 1] * Fraction((-1) ** j, l**j)
-        return _fraction_longdouble(q)
-
-
-def _fraction_longdouble(q: Fraction) -> np.longdouble:
-    num, den = q.numerator, q.denominator
-    if abs(num) < 2**62 and den < 2**62:
-        return np.longdouble(num) / np.longdouble(den)
-    return np.longdouble(float(q))
+        if abs(q.numerator) < 2**62 and q.denominator < 2**62:
+            return np.longdouble(q.numerator) / np.longdouble(q.denominator)
+        return np.longdouble(float(q))
 
 
 def solve_coefficients(i: int) -> HestenesCoefficients:
     """Weights for the order-i reflection; exact, orders 0..12."""
     if not 0 <= i <= MAX_ORDER:
         raise ValueError(f"order must lie in [0, {MAX_ORDER}], got {i}")
-    n = i + 1
-    matrix = [
-        [Fraction((-1) ** j, l**j) for l in range(1, n + 1)] for j in range(n)
-    ]
-    rhs = [Fraction(1)] * n
-    return HestenesCoefficients(i, tuple(_solve_exact(matrix, rhs)))
+    nodes = range(1, i + 2)
+    return HestenesCoefficients(i, tuple(
+        math.prod(((1 + Fraction(1, m)) / (Fraction(1, m) - Fraction(1, l))
+                   for m in nodes if m != l), start=Fraction(1))
+        for l in nodes
+    ))
 
 
 @dataclass(eq=False)
@@ -213,8 +184,6 @@ class LatticeExtensionResult:
     """
 
     jet: SampledJet
-    coeffs: HestenesCoefficients
-    width: int
     probe_offset_max: float
 
 
@@ -228,9 +197,12 @@ def extend_half_space_lattice(
 ) -> LatticeExtensionResult:
     """Continue a sampled jet `width` lattice steps past the wall.
 
-    Off-lattice reflected depths fall back to the nearest sample along the
-    axis; raises ProbeOutsideMask when a needed sample is not in the jet's
-    mask (including when the band would reach deeper than the data).
+    The lines more than h/4 past the wall are HalfSpaceExtension over the
+    sampled jet, each reflected depth read at the nearest lattice line (half
+    even, in the widened grid's frame); a band point joins the mask when all
+    its probes are on the jet's mask.  Raises MaskMismatch when the mask
+    reaches past the wall, ProbeOutsideMask when the band would reach deeper
+    than the data or a probe falls off the grid.
     """
     if width < 0:
         raise ValueError("width must be nonnegative")
@@ -242,85 +214,63 @@ def extend_half_space_lattice(
     h = jet.grid.h
     sign = 1.0 if inward >= 0 else -1.0
     old_coords = jet.grid.axis_coords(axis)
-    tau_old = sign * (old_coords - boundary)
-    for k in np.nonzero(tau_old < -0.25 * h)[0]:
-        if _take_line(jet.mask.member, axis, int(k)).any():
-            raise MaskMismatchError(
-                "source mask has members past the wall; it must sit on one side"
-            )
+    if np.compress(sign * (old_coords - boundary) < -0.25 * h,
+                   jet.mask.member, axis=axis).any():
+        raise MaskMismatchError(
+            "source mask has members past the wall; it must sit on one side"
+        )
     # the window grows by `width` lines on the outward side of the wall
     origin = list(jet.grid.origin)
-    offset = 0
+    pad = [(0, 0)] * jet.grid.dim
+    pad[axis] = (width, 0) if sign > 0 else (0, width)
     if sign > 0:
         origin[axis] = float(old_coords[0]) - width * h
-        offset = width
-    extents = list(jet.grid.extents)
-    extents[axis] += width
-    grid = GridSpec(tuple(origin), h, tuple(extents))
-    placed = [slice(None)] * len(extents)
-    placed[axis] = slice(offset, offset + jet.grid.extents[axis])
-    placed = tuple(placed)
-    base_member = np.zeros(grid.extents, dtype=bool)
-    base_member[placed] = jet.mask.member
-    member = base_member.copy()
-    components = {}
-    for alpha, arr in jet.components.items():
-        full = np.zeros(grid.extents, dtype=np.float64)
-        full[placed] = arr
-        components[alpha] = full
-
-    coords = grid.axis_coords(axis)
-    tau = sign * (coords - boundary)
-    band = [int(k) for k in np.nonzero(tau < -0.25 * h)[0]]
-    source_depth = float(tau.max(initial=0.0))
-    deepest = max((-float(tau[k]) for k in band), default=0.0)
+    grid = GridSpec(tuple(origin), h, tuple(
+        n + sum(p) for n, p in zip(jet.grid.extents, pad)))
+    # the depths of its end lines, as axis_coords computes them, decide the
+    # refusal before anything window-sized is allocated
+    ends = sign * (grid.origin[axis]
+                   + np.array([0, grid.extents[axis] - 1]) * h - boundary)
+    deepest = -float(ends[0 if sign > 0 else 1])
+    source_depth = max(0.0, float(ends.max()))
     if deepest > source_depth + 0.5 * h:
         raise ProbeOutsideMaskError(
             f"band reaches depth {deepest:.6g} but the source data stops at "
             f"{source_depth:.6g}; refusing to extrapolate"
         )
-    probe_offset_max = 0.0
-    n_terms = coeffs.order + 2
-    for k in band:
-        depth = -float(tau[k])
-        probe_rows = []
-        for l in range(1, n_terms):
-            target = boundary + sign * depth / l
-            m = int(round((target - coords[0]) / h))
-            if not 0 <= m < coords.shape[0]:
-                raise ProbeOutsideMaskError(
-                    f"probe at axis coordinate {target:.6g} falls off the grid"
-                )
-            probe_offset_max = max(
-                probe_offset_max, abs(float(coords[m] - target))
+    member = np.pad(jet.mask.member, pad)
+    components = {alpha: np.pad(arr, pad)
+                  for alpha, arr in jet.components.items()}
+    coords = grid.axis_coords(axis)
+    offsets = [0.0]
+
+    def nearest(pts: np.ndarray, order: int) -> Jet:
+        """The widened jet at the nearest lattice point, NaN off the mask."""
+        index = np.rint((pts - grid.origin) / h).astype(np.intp)
+        off = ((index < 0) | (index >= grid.extents)).any(axis=-1)
+        if off.any():
+            raise ProbeOutsideMaskError(
+                f"probe at axis coordinate {pts[off.argmax(), axis]:.6g} "
+                f"falls off the grid"
             )
-            probe_rows.append(m)
-        covered = np.ones_like(_take_line(base_member, axis, k))
-        for m in probe_rows:
-            covered &= _take_line(base_member, axis, m)
-        if not covered.any():
-            continue
-        for alpha, arr in components.items():
-            j = alpha[axis]
-            acc = np.zeros(int(covered.sum()), dtype=np.longdouble)
-            for l, m in zip(range(1, n_terms), probe_rows):
-                src_line = _take_line(arr, axis, m)
-                acc += coeffs.weight_longdouble(l, j) * src_line[
-                    covered
-                ].astype(np.longdouble)
-            dst = _take_line(arr, axis, k)
-            dst[covered] = acc.astype(np.float64)
-        _take_line(member, axis, k)[...] |= covered
-    new_mask = GridMask(grid, member)
-    out = SampledJet(jet.order, grid, new_mask, components)
-    return LatticeExtensionResult(out, coeffs, width, probe_offset_max)
+        index = tuple(index.T)
+        offsets.append(float(np.max(np.abs(coords[index[axis]] - pts[:, axis]),
+                                    initial=0.0)))
+        return {alpha: np.where(member[index], arr[index], np.nan)
+                for alpha, arr in components.items()}
 
-
-def _take_line(arr: np.ndarray, axis: int, index: int) -> np.ndarray:
-    """Writable view of the lattice line at index along axis (axis kept)."""
-    slicer: list = [slice(None)] * arr.ndim
-    slicer[axis] = slice(index, index + 1)
-    return arr[tuple(slicer)]
+    band = sign * (coords - boundary) < -0.25 * h
+    lines = band.reshape([-1 if a == axis else 1 for a in range(grid.dim)])
+    where = np.nonzero(np.broadcast_to(lines, grid.extents))
+    values = HalfSpaceExtension(coeffs, nearest, axis, boundary, sign).jet_many(
+        grid.points(where), jet.order)
+    covered = ~np.isnan(values[(0,) * grid.dim])
+    hit = tuple(i[covered] for i in where)
+    for alpha, arr in components.items():
+        arr[hit] = values[alpha][covered]
+    member[hit] = True
+    out = SampledJet(jet.order, grid, GridMask(grid, member), components)
+    return LatticeExtensionResult(out, max(offsets))
 
 
 def interface_mismatch(ext: HalfSpaceExtension, tangential, h: float,

@@ -7,6 +7,9 @@ the plain per-value versions of what jetlab computes in bulk; chi_many reads
 one normalized bump partial off a partition.  scatter_sample and
 full_lattice_scan are the whole-lattice, one-component-at-a-time versions of
 AnalyticJet.sample and the membership scan, which walk row blocks instead.
+per_line_lattice_extension is the lattice reflection one band line at a time,
+with its own copy of the weighted sum, where jetlab runs the band through
+HalfSpaceExtension.jet_many.
 """
 
 import math
@@ -16,9 +19,12 @@ from scipy import ndimage
 
 from jetlab.certify import CertTerm, Certificate
 from jetlab.domains import comb_a, comb_b
-from jetlab.errors import PointOutsideRegionError
+from jetlab.errors import (
+    MaskMismatchError, PointOutsideRegionError, ProbeOutsideMaskError,
+)
 from jetlab.glue import _chi_from_raw
-from jetlab.grid import alpha_key, multi_indices
+from jetlab.grid import GridMask, GridSpec, SampledJet, alpha_key, multi_indices
+from jetlab.hestenes import LatticeExtensionResult
 from jetlab.spaces import MembershipVerdict
 
 
@@ -286,3 +292,100 @@ def full_lattice_scan(jet, space: str, tol: float = 1e-2,
     return MembershipVerdict(
         space, "violation", h, tolerances, fd_defect, modulus, cert
     )
+
+
+def _take_line(arr: np.ndarray, axis: int, index: int) -> np.ndarray:
+    """Writable view of the lattice line at index along axis (axis kept)."""
+    slicer: list = [slice(None)] * arr.ndim
+    slicer[axis] = slice(index, index + 1)
+    return arr[tuple(slicer)]
+
+
+def per_line_lattice_extension(jet, coeffs, width: int, axis: int = 0,
+                               boundary: float = 0.0,
+                               inward: float = 1.0) -> LatticeExtensionResult:
+    """extend_half_space_lattice one band line at a time: widen the window,
+    then for each line past the wall snap every reflected depth to the
+    nearest lattice line and sum the weighted samples where all are masked."""
+    if width < 0:
+        raise ValueError("width must be nonnegative")
+    if not 0 <= axis < jet.grid.dim:
+        raise ValueError(
+            f"axis {axis} is not an axis of a {jet.grid.dim}-D jet "
+            f"(0 to {jet.grid.dim - 1})"
+        )
+    h = jet.grid.h
+    sign = 1.0 if inward >= 0 else -1.0
+    old_coords = jet.grid.axis_coords(axis)
+    tau_old = sign * (old_coords - boundary)
+    for k in np.nonzero(tau_old < -0.25 * h)[0]:
+        if _take_line(jet.mask.member, axis, int(k)).any():
+            raise MaskMismatchError(
+                "source mask has members past the wall; it must sit on one side"
+            )
+    origin = list(jet.grid.origin)
+    offset = 0
+    if sign > 0:
+        origin[axis] = float(old_coords[0]) - width * h
+        offset = width
+    extents = list(jet.grid.extents)
+    extents[axis] += width
+    grid = GridSpec(tuple(origin), h, tuple(extents))
+    placed = [slice(None)] * len(extents)
+    placed[axis] = slice(offset, offset + jet.grid.extents[axis])
+    placed = tuple(placed)
+    base_member = np.zeros(grid.extents, dtype=bool)
+    base_member[placed] = jet.mask.member
+    member = base_member.copy()
+    components = {}
+    for alpha, arr in jet.components.items():
+        full = np.zeros(grid.extents, dtype=np.float64)
+        full[placed] = arr
+        components[alpha] = full
+
+    coords = grid.axis_coords(axis)
+    tau = sign * (coords - boundary)
+    band = [int(k) for k in np.nonzero(tau < -0.25 * h)[0]]
+    # a zero depth reads +0.0; tau.max(initial=0.0) gave -0.0 or 0.0 by
+    # numpy's reduction order when the wall sits on the first line
+    source_depth = max(0.0, float(tau.max()))
+    deepest = max((-float(tau[k]) for k in band), default=0.0)
+    if deepest > source_depth + 0.5 * h:
+        raise ProbeOutsideMaskError(
+            f"band reaches depth {deepest:.6g} but the source data stops at "
+            f"{source_depth:.6g}; refusing to extrapolate"
+        )
+    probe_offset_max = 0.0
+    n_terms = coeffs.order + 2
+    for k in band:
+        depth = -float(tau[k])
+        probe_rows = []
+        for l in range(1, n_terms):
+            target = boundary + sign * depth / l
+            m = int(round((target - coords[0]) / h))
+            if not 0 <= m < coords.shape[0]:
+                raise ProbeOutsideMaskError(
+                    f"probe at axis coordinate {target:.6g} falls off the grid"
+                )
+            probe_offset_max = max(
+                probe_offset_max, abs(float(coords[m] - target))
+            )
+            probe_rows.append(m)
+        covered = np.ones_like(_take_line(base_member, axis, k))
+        for m in probe_rows:
+            covered &= _take_line(base_member, axis, m)
+        if not covered.any():
+            continue
+        for alpha, arr in components.items():
+            j = alpha[axis]
+            acc = np.zeros(int(covered.sum()), dtype=np.longdouble)
+            for l, m in zip(range(1, n_terms), probe_rows):
+                src_line = _take_line(arr, axis, m)
+                acc += coeffs.weight_longdouble(l, j) * src_line[
+                    covered
+                ].astype(np.longdouble)
+            dst = _take_line(arr, axis, k)
+            dst[covered] = acc.astype(np.float64)
+        _take_line(member, axis, k)[...] |= covered
+    out = SampledJet(jet.order, grid, GridMask(grid, member), components)
+    return LatticeExtensionResult(out, probe_offset_max)

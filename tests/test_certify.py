@@ -16,7 +16,7 @@ from jetlab.certify import (
     certify_gap1d,
     replay_certificate,
 )
-from jetlab.errors import ReplayMismatchError
+from jetlab.errors import JetlabError, ReplayMismatchError
 
 
 def test_comb_quotients_exactly_zero():
@@ -160,6 +160,47 @@ def test_replay_refuses_evidence_that_proves_nothing(tamper, field):
     with pytest.raises(ReplayMismatchError) as err:
         replay_certificate(tamper(cert))
     assert err.value.field == field
+
+
+def _with_term(cert, index, **change):
+    terms = list(cert.terms)
+    terms[index] = replace(terms[index], **change)
+    return replace(cert, terms=tuple(terms))
+
+
+def _with_witness(cert, index, **change):
+    rows = list(cert.interior_witness)
+    rows[index] = replace(rows[index], **change)
+    return replace(cert, interior_witness=tuple(rows))
+
+
+@pytest.mark.parametrize("make, tamper, message", [
+    (certify_comb, lambda c: _with_term(c, 0, probe=(5, 1)),
+     "comb certificate term 1 is not at the kind's points"),
+    (certify_comb, lambda c: _with_term(c, 2, base=(0, Fraction(1, 2))),
+     "comb certificate term 3 is not at the kind's points"),
+    (certify_gap1d, lambda c: _with_term(c, 1, n=7),
+     "gap1d certificate term 2 is not at the kind's points"),
+    (certify_gap1d, lambda c: replace(c, terms=c.terms[1:]),
+     "gap1d certificate term 1 is not at the kind's points"),
+    (certify_gap1d, lambda c: _with_witness(c, 0, base=(Fraction(-1, 4),),
+                                            probe=(Fraction(-1, 4),)),
+     "interior witnesses are not the kind's witness rows"),
+    (certify_comb, lambda c: replace(c, n_max=5),
+     "interior witnesses are not the kind's witness rows"),
+    (certify_cantor_slit, lambda c: replace(c, config={**c.config, "depth": 3}),
+     "interior witnesses are not the kind's witness rows"),
+    (certify_cantor_slit,
+     lambda c: replace(c, config={k: v for k, v in c.config.items()
+                                  if k != "depth"}),
+     "config gives no witness points"),
+], ids=["probe-moved", "base-moved", "renumbered", "first-term-dropped",
+        "witness-moved", "n_max-moved", "depth-moved", "no-depth"])
+def test_replay_refuses_points_that_are_not_the_kinds(make, tamper, message):
+    # the points are checked before any quotient is recomputed
+    cert = make(n_max=20 if make is certify_cantor_slit else 6)
+    with pytest.raises(JetlabError, match=message):
+        replay_certificate(tamper(cert))
 
 
 def test_tampered_first_exceed_is_caught():

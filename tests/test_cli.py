@@ -247,6 +247,22 @@ def test_cli_import_loads_no_scipy():
     assert done.returncode == 0, done.stderr
 
 
+def test_perfbench_tracer_finds_every_name_it_wraps(tmp_path):
+    # perfbench/traced_cli.py wraps src/ names looked up by getattr at start,
+    # so a renamed or deleted one fails this before it fails a benchmark run
+    src = os.path.dirname(os.path.dirname(jetlab.__file__))
+    script = os.path.join(os.path.dirname(src), "perfbench", "traced_cli.py")
+    trace = tmp_path / "trace.json"
+    done = subprocess.run(
+        [sys.executable, script, str(trace), "coeffs", "hestenes", "coeffs",
+         "--order", "2"],
+        env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    spans = json.loads(trace.read_text())["spans"]
+    assert spans[0][0] == "cli.main"
+
+
 H_COMMANDS = {
     "domain build": ["domain", "build", "--domain", "comb"],
     "field sample": ["field", "sample", "--function", "sin_cos", "--domain",
@@ -432,6 +448,13 @@ MALFORMED = {
     "lattice-scan": (lambda d: {**d, "domain": "lattice-scan"},
                      "'lattice-scan' has no replayer"),
     "not-an-object": (lambda d: [d], "its JSON is not an object"),
+    "base-past-float-range": (lambda d: _first_term(d, base=[[10**400, 1]]),
+                              "term 1 is not at the kind's points"),
+    "quotient-past-float-range": (lambda d: _first_term(d, quotient=10**400),
+                                  "malformed: int too large"),
+    "config-past-float-range": (
+        lambda d: {**d, "config": {"gap_tolerance": 10**400}},
+        "finite numbers"),
 }
 
 
@@ -446,6 +469,21 @@ def test_malformed_certificate_is_a_usage_error(case, tmp_path, capsys):
     assert run(["replay", "--cert", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_moved_comb_probe_is_a_usage_error(tmp_path, capsys):
+    # the quotient from (0, 1) to (5, 1) is 0 as well; only the point is wrong
+    cert = tmp_path / "cert.json"
+    assert run(["certify", "comb", "--n-max", "6", "--out", str(cert)]) == 0
+    doc = json.loads(cert.read_text())
+    doc["terms"][0]["probe"] = [[5, 1], [1, 1]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["replay", "--cert", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "error: comb certificate term 1 is not at the kind's points" in err
     assert "Traceback" not in err
 
 

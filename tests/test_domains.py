@@ -64,6 +64,13 @@ def test_cantor_level_caps():
         domains.cantor_level(25)
 
 
+def test_cantor_level_cap_is_checked_without_forming_the_power():
+    assert len(domains.cantor_level(3, cap=8).intervals) == 8
+    for depth, cap in ((4, 8), (3, 7), (10**300, 2**20)):
+        with pytest.raises(DepthTooLargeError):
+            domains.cantor_level(depth, cap=cap)
+
+
 def test_comb_geometry():
     # tooth n spans [0.75, 1] * 2^-n; gaps have width 2^-n / 4
     assert domains.comb_a(0) == 0.75

@@ -3,13 +3,16 @@
 import math
 from fractions import Fraction
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetlab import functions, hestenes
-from jetlab.errors import MaskMismatchError, ProbeOutsideMaskError
+from jetlab.errors import JetlabError, MaskMismatchError, ProbeOutsideMaskError
 from jetlab.functions import AnalyticJet, get_function, polynomial_jet
-from jetlab.grid import GridMask, GridSpec
+from jetlab.grid import GridMask, GridSpec, SampledJet, multi_indices
 from jetlab.hestenes import (
     HalfSpaceExtension,
     corner_extension,
@@ -18,6 +21,7 @@ from jetlab.hestenes import (
     interface_mismatch,
     solve_coefficients,
 )
+from lattice_oracles import per_line_lattice_extension
 
 
 def cramer_coefficients(i):
@@ -272,3 +276,73 @@ def test_lattice_extension_2d_partials():
 def test_half_space_extension_order_property():
     ext = HalfSpaceExtension(solve_coefficients(3), lambda p, a: p[..., 0])
     assert ext.order == 3
+
+
+def test_band_deeper_than_the_data_is_refused_before_the_window():
+    h = 2.0**-4
+    mask = unit_mask((0.0, 0.0), (1.0, 1.0), h)
+    jet = get_function("sin_cos", order=2).sample(mask, order=2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProbeOutsideMaskError,
+                           match="refusing to extrapolate"):
+            extend_half_space_lattice(jet, solve_coefficients(2),
+                                      width=10**6, axis=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@st.composite
+def lattice_cases(draw):
+    """A random jet on a 1-D or 2-D lattice and a wall near or on it."""
+    dim = draw(st.sampled_from([1, 2]))
+    axis = draw(st.integers(0, dim - 1))
+    h = 2.0 ** -draw(st.integers(2, 6))
+    extents = tuple(draw(st.integers(2, 16)) for _ in range(dim))
+    origin = tuple(draw(st.integers(-8, 8)) * h for _ in range(dim))
+    inward = draw(st.sampled_from([1.0, -1.0]))
+    shift = draw(st.sampled_from([0.0, 0.25, -0.25, 0.5, -0.5])
+                 | st.floats(-0.5, 0.5))
+    line = draw(st.integers(-3, extents[axis] + 2))
+    boundary = origin[axis] + (line + shift) * h
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = GridSpec(origin, h, extents)
+    member = rng.random(extents) < draw(st.sampled_from([0.5, 0.9, 1.0]))
+    if draw(st.integers(0, 4)):  # mostly a mask on one side of the wall
+        tau = inward * (grid.coord_grids()[axis] - boundary)
+        member &= tau >= -0.25 * h
+    order = draw(st.integers(0, 2))
+    components = {alpha: np.where(member, rng.standard_normal(extents), 0.0)
+                  for alpha in multi_indices(order, dim)}
+    jet = SampledJet(order, grid, GridMask(grid, member), components)
+    coeffs = solve_coefficients(draw(st.integers(0, 3)))
+    return jet, coeffs, draw(st.integers(0, 9)), axis, boundary, inward
+
+
+def _extension_outcome(extend, case):
+    try:
+        return extend(*case)
+    except (ValueError, JetlabError) as err:
+        return type(err), str(err)
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_cases())
+def test_lattice_extension_matches_per_line_oracle(case):
+    got = _extension_outcome(extend_half_space_lattice, case)
+    want = _extension_outcome(per_line_lattice_extension, case)
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        assert got == want
+        return
+    assert got.jet.grid == want.jet.grid
+    assert np.array_equal(got.jet.mask.member, want.jet.mask.member)
+    for alpha, arr in want.jet.components.items():
+        assert np.array_equal(_bits(got.jet.components[alpha]), _bits(arr))
+    assert np.array_equal(_bits(got.probe_offset_max),
+                          _bits(want.probe_offset_max))
