@@ -5,7 +5,9 @@ command's stdout report, or of a CSV file), recorded before the code it
 covers was rewritten: the domains before one class per kind, the scan reports
 before sampling and scanning walked the lattice in row blocks, the CSV files
 and the ``hestenes extend`` payload before floats were formatted in bulk, the
-certificates before each kind was defined once.  A rasterizer, a membership
+certificates before each kind was defined once, the order-0 and order-1
+``extend prop2`` payloads before every layer of the glue became a plain jet
+evaluator.  A rasterizer, a membership
 predicate, a chart, a scan or a certificate kind that moves a single lattice
 point, float bit, rational or witness changes a digest here.
 """
@@ -65,6 +67,29 @@ def test_extend_prop2_digest(kind, tmp_path, capsys):
     assert main(["extend", "prop2", "--function", "sin_cos", "--domain", kind,
                  "--order", "2", "--h", "0.0625", "--out", str(out)]) == 0
     assert sha256(io.strip_provenance(out.read_text())) == PROP2[kind]
+
+
+# The glued extension at orders 0 and 1, where the blend and the interface
+# scan run on shorter jets than the order-2 pins above.
+PROP2_LOW = {
+    ("disk", 0): "075b697640024c0e2edcca65c31445ba7ed3a7ace6f9765d3bdcd9cddf5c567c",
+    ("disk", 1): "60c4344ee470b6c7f0123e747320e18dd28f87ee8554a756cdaca98b3b6124b5",
+    ("half_ball", 0): "39aa937a6010ac2a9f315cb8d1746d4f401e5095fc4b75f609a1f444d536cd41",
+    ("half_ball", 1): "3b06d7715084ad4a2e7a134f9baaa934b0db2350ed39b5e36418cf372ff1e29f",
+    ("rectangle", 0): "72455952c371f4f189424fe96f3f691af04cbcb22983ce2d838251f1f14231d6",
+    ("rectangle", 1): "13b939dfae95ba59f4da6642b01f8f7614341b30e5dc8fbaef77a57f27061e93",
+}
+
+
+@pytest.mark.parametrize("kind,order", sorted(PROP2_LOW),
+                         ids=lambda v: str(v))
+def test_extend_prop2_low_order_digest(kind, order, tmp_path, capsys):
+    out = tmp_path / "prop2.json"
+    assert main(["extend", "prop2", "--function", "sin_cos", "--domain", kind,
+                 "--order", str(order), "--h", "0.03125",
+                 "--out", str(out)]) == 0
+    assert sha256(io.strip_provenance(out.read_text())) == (
+        PROP2_LOW[(kind, order)])
 
 
 # The closed-form fields of the irregular domains, sampled on their masks.
