@@ -106,8 +106,9 @@ class AnalyticJet:
     (..., dim) array and returns the whole jet there, every partial with
     |alpha| <= order, computing the work the partials share once per call.
     member(*coords), when present, is the exact region predicate of a domain,
-    called with one coordinate array per axis; scalar evaluation outside it
-    raises.
+    called with one coordinate array per axis; check_region is the one test
+    against it, and sample, partial and glue.global_extend refuse points
+    outside it.
     """
 
     name: str
@@ -121,6 +122,18 @@ class AnalyticJet:
         if self.member is None:
             return np.ones(pts.shape[:-1], dtype=bool)
         return self.member(*np.moveaxis(pts, -1, 0))
+
+    def check_region(self, points: np.ndarray, what: str) -> None:
+        """Raise naming the first of the (n, dim) points off the region."""
+        if self.member is None:
+            return
+        inside = self.contains(points)
+        if not inside.all():
+            bad = points[~inside][0]
+            raise PointOutsideRegionError(
+                f"{what} {tuple(float(v) for v in bad)} lies outside the "
+                f"region of {self.name}"
+            )
 
     def jet_many(self, points, order: int) -> Jet:
         """Every partial with |alpha| <= order, from one evaluator call."""
@@ -137,10 +150,7 @@ class AnalyticJet:
 
     def partial(self, point, alpha) -> float:
         pts = np.asarray(point, dtype=np.float64).reshape(1, self.dim)
-        if self.member is not None and not bool(self.contains(pts)[0]):
-            raise PointOutsideRegionError(
-                f"{self.name} is not defined at {tuple(np.ravel(point))}"
-            )
+        self.check_region(pts, "point")
         return float(self.partial_many(pts, alpha)[0])
 
     def sample(self, mask: GridMask, order: int | None = None) -> SampledJet:
@@ -163,14 +173,7 @@ class AnalyticJet:
             if not idx[0].size:
                 continue
             pts = grid.points((idx[0] + rows.start,) + idx[1:])
-            if self.member is not None:
-                inside = self.contains(pts)
-                if not inside.all():
-                    bad = pts[~inside][0]
-                    raise PointOutsideRegionError(
-                        f"mask point {tuple(bad)} lies outside the region "
-                        f"of {self.name}"
-                    )
+            self.check_region(pts, "mask point")
             jet = self.evaluator(pts, order)
             for alpha, arr in components.items():
                 arr[rows][sub] = jet[alpha]

@@ -9,9 +9,12 @@ to the quarter xi_0, xi_1 >= 0; no single C^1 chart flattens a corner, so
 those use a two-axis tensor reflection instead).  All reference-to-world
 differentiation is closed form through order 2.
 
-Every layer speaks the jet protocol of jetlab.grid: it asks its source for
-one whole jet per point set and applies the chain and Leibniz rules to whole
-jets, so no lower-order partial is derived twice.
+Every layer is a plain jet evaluator of jetlab.grid or a function of a
+chart: a local extension is the reflected pullback pushed forward through
+its chart, a bump is its chart (bump_jet), and the global field pairs each
+bump with one extension.  Each layer asks its source for one whole jet per
+point set and applies the chain and Leibniz rules to whole jets, so no
+lower-order partial is derived twice.
 
 The blend convention off the covered zone is zero: a window point reached by
 no bump gets value 0, never an extrapolation.
@@ -124,29 +127,13 @@ def pushforward(ball_eval: JetEvaluator, chart: Chart) -> JetEvaluator:
                     chart.hess_inverse)
 
 
-@dataclass(eq=False)
-class LocalExtension:
+def local_extend(source: JetEvaluator, chart: Chart,
+                 order: int) -> JetEvaluator:
     """One chart's extended field y = ubar o phi^-1, world coordinates.
 
     Valid inside the chart image; the blend only ever queries it inside the
-    0.9-ball where its bump is positive.
+    0.9-ball where the chart's bump is positive.
     """
-
-    chart: Chart
-    order: int
-    reflected: HalfSpaceExtension
-
-    def jet_many(self, pts, order: int) -> Jet:
-        world = pushforward(self.reflected.jet_many, self.chart)
-        return world(np.asarray(pts, dtype=np.float64), order)
-
-    def partial_many(self, pts, alpha) -> np.ndarray:
-        alpha = tuple(alpha)
-        return self.jet_many(pts, sum(alpha))[alpha]
-
-
-def local_extend(source: JetEvaluator, chart: Chart,
-                 order: int) -> LocalExtension:
     u = pullback(source, chart)
     pad = 1.0 + 1e-9
     if chart.extension == "quarter":
@@ -157,7 +144,7 @@ def local_extend(source: JetEvaluator, chart: Chart,
         raise UnsupportedDomainError(
             f"chart kind {chart.kind!r} does not carry an extension"
         )
-    return LocalExtension(chart, order, reflected)
+    return pushforward(reflected.jet_many, chart)
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +154,6 @@ def local_extend(source: JetEvaluator, chart: Chart,
 def chart_ball_radius(chart: Chart, pts: np.ndarray) -> np.ndarray:
     xi = chart.inverse(np.asarray(pts, dtype=np.float64))
     return np.hypot(xi[..., 0], xi[..., 1])
-
-
-def chart_image_contains(chart: Chart, pts: np.ndarray) -> np.ndarray:
-    return chart_ball_radius(chart, pts) < 1.0
 
 
 def bump_ball_jet(xi: np.ndarray, order: int) -> Jet:
@@ -205,41 +188,32 @@ def bump_ball_jet(xi: np.ndarray, order: int) -> Jet:
     return out
 
 
-@dataclass(eq=False)
-class Bump:
-    """Unnormalized bump riding on one chart's reference ball."""
-
-    chart: Chart
-    label: str
-
-    def raw_jet(self, pts: np.ndarray, order: int) -> Jet:
-        pts = np.asarray(pts, dtype=np.float64)
-        rho = chart_ball_radius(self.chart, pts)
-        near = rho < BUMP_SHRINK
-        out = {alpha: np.zeros(pts.shape[:-1])
-               for alpha in multi_indices(order, 2)}
-        if near.any():
-            ball = pushforward(bump_ball_jet, self.chart)(pts[near], order)
-            for alpha, vals in ball.items():
-                out[alpha][near] = vals
-        return out
-
-    def support_contains(self, pts: np.ndarray) -> np.ndarray:
-        return chart_ball_radius(self.chart, pts) < BUMP_SHRINK
+def bump_jet(chart: Chart, pts: np.ndarray, order: int) -> Jet:
+    """Unnormalized bump riding on the chart's reference ball, world
+    coordinates; each chart, the interior one included, carries one."""
+    pts = np.asarray(pts, dtype=np.float64)
+    near = chart_ball_radius(chart, pts) < BUMP_SHRINK
+    out = {alpha: np.zeros(pts.shape[:-1])
+           for alpha in multi_indices(order, 2)}
+    if near.any():
+        ball = pushforward(bump_ball_jet, chart)(pts[near], order)
+        for alpha, vals in ball.items():
+            out[alpha][near] = vals
+    return out
 
 
 @dataclass(eq=False)
 class BumpPartition:
     """Normalized partition chi_nu = b_nu / sum(b) where the sum is positive.
 
-    assignment[nu] is the least index among the local-extension domains
-    (chart images first, then Q itself) containing bump nu's support on the
-    check lattice; q_mask is Q on that lattice, and unreached the lattice
-    points where every bump vanishes.
+    Bump nu rides on charts[nu]: the boundary charts, then the domain's
+    interior chart.  assignment[nu] is the least index among the
+    local-extension domains (chart images first, then Q itself) containing
+    bump nu's support on the check lattice; q_mask is Q on that lattice, and
+    unreached the lattice points where every bump vanishes.
     """
 
-    order: int
-    bumps: list[Bump]
+    charts: list[Chart]
     assignment: list[int]
     sum_residual: float
     checked_points: int
@@ -247,7 +221,7 @@ class BumpPartition:
     unreached: GridMask
 
     def raw_all(self, pts: np.ndarray, order: int) -> list[Jet]:
-        return [b.raw_jet(pts, order) for b in self.bumps]
+        return [bump_jet(c, pts, order) for c in self.charts]
 
 
 def _chi_from_raw(raw_nu: dict, S: dict, alpha: tuple[int, ...]) -> np.ndarray:
@@ -284,7 +258,7 @@ def _chi_from_raw(raw_nu: dict, S: dict, alpha: tuple[int, ...]) -> np.ndarray:
     return np.where(covered, out, 0.0)
 
 
-def build_partition(charts: list[Chart], domain: Domain, order: int,
+def build_partition(charts: list[Chart], domain: Domain,
                     grid: GridSpec | None = None) -> BumpPartition:
     """Bumps on every chart plus one interior bump, normalized and checked.
 
@@ -299,16 +273,23 @@ def build_partition(charts: list[Chart], domain: Domain, order: int,
         grid = GridSpec.cover(
             (lo[0] - pad, lo[1] - pad), (hi[0] + pad, hi[1] + pad), 2.0**-6
         )
-    bumps = [Bump(c, f"{c.kind}-{nu}") for nu, c in enumerate(charts)]
-    bumps.append(Bump(domain.interior_chart(), "interior"))
+    charts = [*charts, domain.interior_chart()]
 
     s, t = grid.coord_grids()
     pts = np.stack([s.ravel(), t.ravel()], axis=-1)
     q_member = domains.regular_q_member(domain, pts[:, 0], pts[:, 1])
     q_mask = GridMask(grid, q_member.reshape(grid.extents))
 
-    raw0 = [b.raw_jet(pts, 0)[(0, 0)] for b in bumps]
-    unreached = ~(sum(raw0) > 0.0)
+    # each chart's reference radius once: its bump's support is the 0.9-ball,
+    # its image the unit ball
+    supports, images = [], []
+    bump_sum = np.zeros(len(pts))
+    for chart in charts:
+        rho = chart_ball_radius(chart, pts)
+        supports.append(rho < BUMP_SHRINK)
+        images.append(rho < 1.0)
+        bump_sum += bump_jet(chart, pts, 0)[(0, 0)]
+    unreached = ~(bump_sum > 0.0)
 
     # boundary lattice points the atlas must cover
     inner = q_mask.member & ~interior_of(q_mask).member
@@ -322,19 +303,15 @@ def build_partition(charts: list[Chart], domain: Domain, order: int,
         )
 
     # subordination: least covering domain per bump, checked on the lattice
-    image_preds = [chart_image_contains(c, pts) for c in charts]
-    image_preds.append(q_member)
+    extension_domains = images[:-1] + [q_member]
     assignment = []
-    for nu, b in enumerate(bumps):
-        supp = b.support_contains(pts)
-        chosen = None
-        for i, dom in enumerate(image_preds):
-            if not (supp & ~dom).any():
-                chosen = i
-                break
+    for nu, supp in enumerate(supports):
+        chosen = next((i for i, dom in enumerate(extension_domains)
+                       if not (supp & ~dom).any()), None)
         if chosen is None:
             raise CoverGapError(
-                f"bump {b.label} is not subordinate to any extension domain"
+                f"bump {nu} ({charts[nu].kind} chart) is not subordinate to "
+                "any extension domain"
             )
         assignment.append(chosen)
 
@@ -342,7 +319,7 @@ def build_partition(charts: list[Chart], domain: Domain, order: int,
     collar = _boundary_collar(q_mask, width=0.05) & domain.charted(s, t, 0.2)
     collar_pts = pts[collar.ravel()]
     if len(collar_pts):
-        raws = [b.raw_jet(collar_pts, 0)[(0, 0)] for b in bumps]
+        raws = [bump_jet(c, collar_pts, 0)[(0, 0)] for c in charts]
         s0 = np.zeros(len(collar_pts))
         for raw in raws:
             s0 += raw
@@ -358,9 +335,8 @@ def build_partition(charts: list[Chart], domain: Domain, order: int,
         residual = float(np.max(np.abs(chi_sum - 1.0)))
     else:
         residual = 0.0
-    return BumpPartition(order, bumps, assignment, residual,
-                         int(len(collar_pts)), q_mask,
-                         GridMask(grid, unreached.reshape(grid.extents)))
+    return BumpPartition(charts, assignment, residual, int(len(collar_pts)),
+                         q_mask, GridMask(grid, unreached.reshape(grid.extents)))
 
 
 def _boundary_collar(q_mask: GridMask, width: float) -> np.ndarray:
@@ -377,16 +353,17 @@ def _boundary_collar(q_mask: GridMask, width: float) -> np.ndarray:
 class GlobalField:
     """The extension as an evaluator: x itself on Q, the blend outside.
 
-    Outside Q the value is sum over bumps of chi_nu times the assigned local
-    extension, assembled by the Leibniz rule; points no bump reaches are 0.
+    extensions holds one local extension per boundary chart, then x itself
+    for Q; bump nu is paired with extensions[partition.assignment[nu]].
+    Outside Q the value is sum over bumps of chi_nu times that extension,
+    assembled by the Leibniz rule; points no bump reaches are 0.
     """
 
     domain: Domain
     order: int
-    source: AnalyticJet
     charts: list[Chart]
     partition: BumpPartition
-    local_exts: list[LocalExtension]
+    extensions: list[JetEvaluator]
 
     def jet_many(self, pts, order: int) -> Jet:
         pts = np.asarray(pts, dtype=np.float64)
@@ -394,7 +371,7 @@ class GlobalField:
         in_q = domains.regular_q_member(self.domain, pts[..., 0], pts[..., 1])
         out = {alpha: np.zeros(pts.shape[:-1]) for alpha in alphas}
         if in_q.any():
-            own = self.source.jet_many(pts[in_q], order)
+            own = self.extensions[-1](pts[in_q], order)
             for alpha in alphas:
                 out[alpha][in_q] = own[alpha]
         outside = ~in_q
@@ -404,7 +381,7 @@ class GlobalField:
         raw = self.partition.raw_all(pout, order)
         S = {b: sum(r[b] for r in raw) for b in alphas}
         acc = {alpha: np.zeros(len(pout)) for alpha in alphas}
-        for nu in range(len(raw)):
+        for nu, i_nu in enumerate(self.partition.assignment):
             sel = raw[nu][(0, 0)] > 0.0
             if not sel.any():
                 continue
@@ -412,7 +389,7 @@ class GlobalField:
             raw_sel = {b: raw[nu][b][sel] for b in alphas}
             S_sel = {b: S[b][sel] for b in alphas}
             chi = {b: _chi_from_raw(raw_sel, S_sel, b) for b in alphas}
-            y = self._assigned(nu)(sub, order)
+            y = self.extensions[i_nu](sub, order)
             for alpha in alphas:
                 term = np.zeros(len(sub))
                 for beta, gamma, coeff in _leibniz_terms(alpha):
@@ -421,16 +398,6 @@ class GlobalField:
         for alpha in alphas:
             out[alpha][outside] = acc[alpha]
         return out
-
-    def _assigned(self, nu: int) -> JetEvaluator:
-        i_nu = self.partition.assignment[nu]
-        if i_nu < len(self.local_exts):
-            return self.local_exts[i_nu].jet_many
-        return self.source.jet_many
-
-    def partial_many(self, pts, alpha) -> np.ndarray:
-        alpha = tuple(alpha)
-        return self.jet_many(pts, sum(alpha))[alpha]
 
 
 def _leibniz_terms(alpha: tuple[int, ...]):
@@ -447,22 +414,22 @@ def _leibniz_terms(alpha: tuple[int, ...]):
 @dataclass(eq=False)
 class GlobalExtensionResult:
     field: GlobalField
-    jet: SampledJet | None
-    q_mask: GridMask | None
-    window: GridSpec | None
+    jet: SampledJet
+    q_mask: GridMask
+    window: GridSpec
     sum_residual: float
     uncovered_points: int
 
 
 def global_extend(x: AnalyticJet, domain: Domain, order: int,
-                  h: float = 2.0**-5, margin: float = 0.5,
-                  materialize: bool = True) -> GlobalExtensionResult:
+                  h: float = 2.0**-5,
+                  margin: float = 0.5) -> GlobalExtensionResult:
     """Glue local reflections into one field over a margin-padded window.
 
-    Values on Q-lattice points come straight from x; the blend only fills
-    the complement.  materialize=False skips the lattice pass and returns
-    the field alone (the interface scan needs nothing else).  The window is
-    evaluated in fixed chunks of rows, which bounds the blend's temporaries.
+    Values on Q-lattice points come straight from x, which must be defined
+    at every one of them; the blend only fills the complement.  The window
+    is evaluated in fixed chunks of rows, which bounds the blend's
+    temporaries.
     """
     if order > 2:
         raise ValueError(
@@ -477,18 +444,17 @@ def global_extend(x: AnalyticJet, domain: Domain, order: int,
         (hi[0] + steps * h, hi[1] + steps * h),
         h,
     )
-    partition = build_partition(charts, domain, order, grid=window)
-    locals_ = [
-        local_extend(x.jet_many, chart, order) for chart in charts
-    ]
-    field = GlobalField(domain, order, x, charts, partition, locals_)
-    if not materialize:
-        return GlobalExtensionResult(
-            field, None, None, window, partition.sum_residual, 0
-        )
+    partition = build_partition(charts, domain, grid=window)
+    q_mask = partition.q_mask
+    # Q's values are x's own, so a field tied to a region must cover Q
+    if x.member is not None:
+        x.check_region(window.points(np.nonzero(q_mask.member)),
+                       "Q lattice point")
+    extensions = [local_extend(x.jet_many, chart, order) for chart in charts]
+    extensions.append(x.jet_many)
+    field = GlobalField(domain, order, charts, partition, extensions)
     s, t = window.coord_grids()
     pts = np.stack([s.ravel(), t.ravel()], axis=-1)
-    q_mask = partition.q_mask
     alphas = multi_indices(order, 2)
     values = {alpha: np.zeros(len(pts)) for alpha in alphas}
     for lo in range(0, len(pts), CHUNK_POINTS):

@@ -129,7 +129,8 @@ def scatter_sample(jet, mask, order: int) -> dict:
     if jet.member is not None and not bool(jet.contains(pts).all()):
         bad = pts[~jet.contains(pts)][0]
         raise PointOutsideRegionError(
-            f"mask point {tuple(bad)} lies outside the region of {jet.name}"
+            f"mask point {tuple(float(v) for v in bad)} lies outside the "
+            f"region of {jet.name}"
         )
     idx = np.nonzero(mask.member)
     components = {}

@@ -157,7 +157,7 @@ def test_04_global_extension_pipeline():
 
         disk = global_extend(
             get_function("sin_cos", order=1), domains.disk(), 1,
-            h=2.0**-5, materialize=False)
+            h=2.0**-5)
         mm = interface_jet_mismatch(disk.field, h=2.0**-10, n_probes=256)
         assert set(mm) == {(0, 0), (1, 0), (0, 1)}
         assert max(mm.values()) <= 1e-3

@@ -252,15 +252,47 @@ def test_perfbench_tracer_finds_every_name_it_wraps(tmp_path):
     # so a renamed or deleted one fails this before it fails a benchmark run
     src = os.path.dirname(os.path.dirname(jetlab.__file__))
     script = os.path.join(os.path.dirname(src), "perfbench", "traced_cli.py")
+    env = dict(os.environ, PYTHONPATH=src)
     trace = tmp_path / "trace.json"
     done = subprocess.run(
         [sys.executable, script, str(trace), "coeffs", "hestenes", "coeffs",
          "--order", "2"],
-        env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
-        capture_output=True, text=True)
+        env=env, cwd=tmp_path, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     spans = json.loads(trace.read_text())["spans"]
     assert spans[0][0] == "cli.main"
+    # the after-hook of global_extend reads fields of its result
+    done = subprocess.run(
+        [sys.executable, script, str(trace), "prop2", "extend", "prop2",
+         "--function", "sin_cos", "--domain", "disk", "--order", "2",
+         "--h", "0.0625", "--out", str(tmp_path / "prop2.json")],
+        env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    counters = json.loads(trace.read_text())["counters"]
+    assert counters["glue.window_points"] == 2401
+    assert counters["glue.exterior_points"] == 1604
+    assert counters["glue.uncovered_points"] == 820
+
+
+@pytest.mark.parametrize("args", [
+    ["--domain", "disk", "--function", "example3"],
+    ["--domain", "half_ball", "--function", "example1"],
+    ["--domain", "rectangle", "--function", "example1", "--order", "2"],
+], ids=["disk-example3", "half_ball-example1", "rectangle-example1"])
+def test_prop2_refuses_a_field_off_its_region(args, tmp_path, capsys):
+    out = tmp_path / "p.json"
+    assert run(["extend", "prop2", *args, "--out", str(out)]) == 2
+    assert "outside the region" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_region_error_prints_plain_floats(tmp_path, capsys):
+    out = tmp_path / "f.json"
+    assert run(["field", "sample", "--domain", "disk", "--function",
+                "example3", "--h", "0.03125", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: mask point (0.15625, 0.03125) lies outside the region of "
+        "example3\n")
 
 
 H_COMMANDS = {
