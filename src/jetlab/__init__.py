@@ -13,55 +13,42 @@ Three families of tools share one lattice substrate:
 
 __version__ = "0.1.0"
 
-from .certify import Certificate, CertTerm, build_certificate, replay_certificate
-from .domains import Domain, build_domain
+from .certify import Certificate, replay_certificate
+from .domains import build_domain
 from .errors import JetlabError
 from .functions import AnalyticJet, get_function
 from .glue import GlobalField, global_extend
-from .grid import GridMask, GridSpec, SampledJet
+from .grid import SampledJet
 from .hestenes import (
     HalfSpaceExtension,
-    HestenesCoefficients,
-    corner_extension,
-    extend_analytic,
     extend_half_space_lattice,
+    interface_mismatch,
     solve_coefficients,
 )
 from .spaces import (
     check_membership_e,
     check_membership_f,
     h_norm_upper_bound,
-    norm_e,
-    norm_f,
-    norm_g,
+    norm_report,
 )
 
 __all__ = [
     "__version__",
     "AnalyticJet",
-    "CertTerm",
     "Certificate",
-    "Domain",
     "GlobalField",
-    "GridMask",
-    "GridSpec",
     "HalfSpaceExtension",
-    "HestenesCoefficients",
     "JetlabError",
     "SampledJet",
-    "build_certificate",
     "build_domain",
     "check_membership_e",
     "check_membership_f",
-    "corner_extension",
-    "extend_analytic",
     "extend_half_space_lattice",
     "get_function",
     "global_extend",
     "h_norm_upper_bound",
-    "norm_e",
-    "norm_f",
-    "norm_g",
+    "interface_mismatch",
+    "norm_report",
     "replay_certificate",
     "solve_coefficients",
 ]

@@ -339,10 +339,6 @@ def certify(domain: str, **kwargs) -> Certificate:
     return KINDS[domain].build(**kwargs)
 
 
-# Package-level alias; the bare name would shadow this module there.
-build_certificate = certify
-
-
 def _replayable_kind(cert: Certificate) -> Kind:
     """The kind of cert, once its terms (n = 1, 2, ...) and witness rows are
     exactly the kind's points, compared before any coordinate is a float."""

@@ -55,9 +55,6 @@ class CantorApprox:
             out.append((b, a2))
         return out
 
-    def total_length(self) -> Fraction:
-        return sum((b - a for a, b in self.intervals), Fraction(0))
-
 
 def cantor_level(depth: int, cap: int = DEFAULT_INTERVAL_CAP) -> CantorApprox:
     """Remove open middle thirds depth times, starting from [0, 1]."""
@@ -278,16 +275,8 @@ class Domain:
 
 
 # Comb geometry: tooth n occupies a_n <= s <= b_n, 0 < t <= 1, with
-# b_n = 2^-n and a_n = (3/4) b_n; the base B is the closed square minus
-# the open positive quadrant.
-
-def comb_b(n: int) -> float:
-    return math.ldexp(1.0, -n)
-
-
-def comb_a(n: int) -> float:
-    return math.ldexp(0.75, -n)
-
+# b_n = 2^-n and a_n = (3/4) b_n, so the gap below it is c_n = b_n / 4
+# wide; the base B is the closed square minus the open positive quadrant.
 
 def comb_c(n: int) -> float:
     return math.ldexp(0.25, -n)

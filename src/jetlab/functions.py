@@ -92,12 +92,6 @@ def mollifier_derivs(t, order: int) -> list[np.ndarray]:
     return out
 
 
-def mollifier(t: float) -> tuple[float, float]:
-    """Value and first derivative of exp(-1/t), zero-continued at t <= 0."""
-    val, der = mollifier_derivs(np.float64(t), 1)
-    return float(val), float(der)
-
-
 @dataclass(eq=False)
 class AnalyticJet:
     """A field with closed-form partials, optionally tied to a region.
@@ -107,8 +101,7 @@ class AnalyticJet:
     |alpha| <= order, computing the work the partials share once per call.
     member(*coords), when present, is the exact region predicate of a domain,
     called with one coordinate array per axis; check_region is the one test
-    against it, and sample, partial and glue.global_extend refuse points
-    outside it.
+    against it, and sample and glue.global_extend refuse points outside it.
     """
 
     name: str
@@ -143,15 +136,6 @@ class AnalyticJet:
             alpha: np.asarray(jet[alpha], dtype=np.float64)
             for alpha in multi_indices(order, self.dim)
         }
-
-    def partial_many(self, points, alpha) -> np.ndarray:
-        alpha = tuple(alpha)
-        return self.jet_many(points, sum(alpha))[alpha]
-
-    def partial(self, point, alpha) -> float:
-        pts = np.asarray(point, dtype=np.float64).reshape(1, self.dim)
-        self.check_region(pts, "point")
-        return float(self.partial_many(pts, alpha)[0])
 
     def sample(self, mask: GridMask, order: int | None = None) -> SampledJet:
         """Evaluate every component on the masked lattice points.

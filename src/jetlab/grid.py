@@ -148,9 +148,6 @@ class GridMask:
     def count(self) -> int:
         return int(self.member.sum())
 
-    def same_lattice(self, other: "GridMask") -> bool:
-        return self.grid == other.grid
-
 
 def interior_of(mask: GridMask) -> GridMask:
     """Points whose 2*dim axis neighbors all lie in the mask.
@@ -183,23 +180,6 @@ def dilate_box(member: np.ndarray, radius: int) -> np.ndarray:
         window = counts[2 * radius + 1:] > counts[:len(rows)]
         out = np.moveaxis(window, 0, axis)
     return out
-
-
-def closure_of(mask: GridMask) -> GridMask:
-    """The mask dilated by the full 3^dim neighborhood.
-
-    The box neighborhood (diagonals included) is what makes
-    closure_of(interior_of(m)) recover a fat rectangle's corners.
-    """
-    return GridMask(mask.grid, dilate_box(mask.member, 1))
-
-
-def boundary_of(mask: GridMask) -> GridMask:
-    """closure_of(mask) minus interior_of(mask)."""
-    return GridMask(
-        mask.grid,
-        closure_of(mask).member & ~interior_of(mask).member,
-    )
 
 
 @dataclass(eq=False)
@@ -248,33 +228,8 @@ class SampledJet:
         return {alpha: sup_on_mask(self.components[alpha], self.mask)
                 for alpha in self.alphas()}
 
-    def component(self, alpha: tuple[int, ...]) -> np.ndarray:
-        return self.components[tuple(alpha)]
-
     def alphas(self) -> list[tuple[int, ...]]:
         return multi_indices(self.order, self.grid.dim)
-
-
-def jet_scale(jet: SampledJet, factor: float) -> SampledJet:
-    return SampledJet(
-        jet.order,
-        jet.grid,
-        jet.mask,
-        {a: factor * arr for a, arr in jet.components.items()},
-    )
-
-
-def jet_add(a: SampledJet, b: SampledJet) -> SampledJet:
-    if a.grid != b.grid or a.order != b.order:
-        raise MaskMismatchError("jets must share lattice and order")
-    if not np.array_equal(a.mask.member, b.mask.member):
-        raise MaskMismatchError("jets must share the mask")
-    return SampledJet(
-        a.order,
-        a.grid,
-        a.mask,
-        {al: a.components[al] + b.components[al] for al in a.components},
-    )
 
 
 def sup_on_mask(values: np.ndarray, mask: GridMask) -> float:

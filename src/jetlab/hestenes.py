@@ -20,6 +20,7 @@ extended precision before rounding once at the end.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,19 +49,18 @@ class HestenesCoefficients:
         """Absolute weight mass; the naive operator-norm factor, reported only."""
         return float(sum(abs(v) for v in self.values))
 
-    def residual(self, j: int) -> Fraction:
-        """Exact defect of equation j; zero for a correct solve."""
-        total = Fraction(0)
-        for l, a in enumerate(self.values, start=1):
-            total += Fraction((-1) ** j, l**j) * a
-        return total - 1
-
     def weight_longdouble(self, l: int, j: int) -> np.longdouble:
         """a_{l-1} * (-1/l)^j rounded once into extended precision."""
-        q = self.values[l - 1] * Fraction((-1) ** j, l**j)
-        if abs(q.numerator) < 2**62 and q.denominator < 2**62:
-            return np.longdouble(q.numerator) / np.longdouble(q.denominator)
-        return np.longdouble(float(q))
+        return _weight(self.values[l - 1], l, j)
+
+
+@functools.cache
+def _weight(a: Fraction, l: int, j: int) -> np.longdouble:
+    """a * (-1/l)^j in extended precision, computed once per (a, l, j)."""
+    q = a * Fraction((-1) ** j, l**j)
+    if abs(q.numerator) < 2**62 and q.denominator < 2**62:
+        return np.longdouble(q.numerator) / np.longdouble(q.denominator)
+    return np.longdouble(float(q))
 
 
 def solve_coefficients(i: int) -> HestenesCoefficients:
@@ -138,12 +138,9 @@ class HalfSpaceExtension:
         return out
 
     def partial_many(self, points, alpha) -> np.ndarray:
+        """The alpha component of jet_many; perfbench's tracer wraps it."""
         alpha = tuple(alpha)
         return self.jet_many(points, sum(alpha))[alpha]
-
-    def partial(self, point, alpha) -> float:
-        pts = np.asarray(point, dtype=np.float64).reshape(1, -1)
-        return float(self.partial_many(pts, alpha)[0])
 
 
 def extend_analytic(source: JetEvaluator, i: int, axis: int = 0,
@@ -300,7 +297,7 @@ def interface_mismatch(ext: HalfSpaceExtension, tangential, h: float,
 
     alpha0 = tuple(0 for _ in range(dim))
     u = {
-        k: ext.partial_many(at(ext.inward * k * h), alpha0)
+        k: ext.jet_many(at(ext.inward * k * h), 0)[alpha0]
         for k in (-3, -2, -1, 0, 1, 2, 3)
     }
     out: dict[int, float] = {}

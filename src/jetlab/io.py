@@ -259,10 +259,6 @@ def _write_array(arr: np.ndarray, parts: list[str]) -> None:
     parts.append("]")
 
 
-def loads(text: str) -> dict:
-    return json.loads(text)
-
-
 def fraction_pair(q: Fraction) -> list[int]:
     q = Fraction(q)
     return [q.numerator, q.denominator]
@@ -324,6 +320,8 @@ def jet_from_payload(payload: dict) -> SampledJet:
         order = int(payload["order"])
     except KeyError as err:
         raise JetlabError(f"jet artifact lacks the key {err}") from None
+    except (TypeError, ValueError, AttributeError, OverflowError) as err:
+        raise JetlabError(f"jet artifact is malformed: {err}") from None
     return SampledJet(order, mask.grid, mask, components)
 
 

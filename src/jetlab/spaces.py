@@ -48,22 +48,12 @@ class NormReport:
 
 
 def norm_report(jet: SampledJet, space: str, mask_label: str) -> NormReport:
+    """The jet's sups read as the space's norm: F on Q, E on the open mask,
+    G on a window."""
     per = dict(jet.sups)
     return NormReport(
         space, jet.order, mask_label, per, max(per.values()), jet.mask.count
     )
-
-
-def norm_f(jet: SampledJet, mask_label: str = "Q") -> NormReport:
-    return norm_report(jet, "F", mask_label)
-
-
-def norm_e(jet: SampledJet, mask_label: str = "Omega") -> NormReport:
-    return norm_report(jet, "E", mask_label)
-
-
-def norm_g(jet: SampledJet, mask_label: str = "window") -> NormReport:
-    return norm_report(jet, "G", mask_label)
 
 
 def restrict_to_omega(jet: SampledJet, omega: GridMask) -> SampledJet:

@@ -9,16 +9,17 @@ full_lattice_scan are the whole-lattice, one-component-at-a-time versions of
 AnalyticJet.sample and the membership scan, which walk row blocks instead.
 per_line_lattice_extension is the lattice reflection one band line at a time,
 with its own copy of the weighted sum, where jetlab runs the band through
-HalfSpaceExtension.jet_many.
+HalfSpaceExtension.jet_many.  reflection_residual and cramer_coefficients
+check the reflection weights against the linear system they solve.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import ndimage
 
 from jetlab.certify import CertTerm, Certificate
-from jetlab.domains import comb_a, comb_b
 from jetlab.errors import (
     MaskMismatchError, PointOutsideRegionError, ProbeOutsideMaskError,
 )
@@ -54,7 +55,7 @@ def comb_tooth_index(s: float) -> int | None:
         return None
     guess = int(math.floor(-math.log2(s)))
     for n in (guess - 1, guess, guess + 1):
-        if n >= 0 and comb_a(n) <= s <= comb_b(n):
+        if n >= 0 and math.ldexp(0.75, -n) <= s <= math.ldexp(1.0, -n):
             return n
     return None
 
@@ -124,7 +125,7 @@ def chi_many(partition, nu: int, pts, alpha) -> np.ndarray:
 
 def scatter_sample(jet, mask, order: int) -> dict:
     """Components of jet on the mask: every masked point at once, one
-    partial_many call and one scatter per alpha."""
+    jet_many call and one scatter per alpha."""
     pts = mask.grid.points(np.nonzero(mask.member))
     if jet.member is not None and not bool(jet.contains(pts).all()):
         bad = pts[~jet.contains(pts)][0]
@@ -136,9 +137,31 @@ def scatter_sample(jet, mask, order: int) -> dict:
     components = {}
     for alpha in multi_indices(order, mask.grid.dim):
         arr = np.zeros(mask.grid.extents, dtype=np.float64)
-        arr[idx] = jet.partial_many(pts, alpha)
+        arr[idx] = jet.jet_many(pts, sum(alpha))[alpha]
         components[alpha] = arr
     return components
+
+
+def reflection_residual(coeffs, j: int) -> Fraction:
+    """sum_l (-l)^(-j) a_{l-1} - 1, exactly; zero for a correct solve."""
+    return sum(Fraction(-1, l) ** j * a
+               for l, a in enumerate(coeffs.values, start=1)) - 1
+
+
+def _det(m):
+    """Laplace expansion along the first row, exact on Fractions."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** c * m[0][c] * _det([r[:c] + r[c + 1:] for r in m[1:]])
+               for c in range(len(m)))
+
+
+def cramer_coefficients(i: int) -> tuple[Fraction, ...]:
+    """The order-i weights by Cramer's rule on sum_l (-l)^(-j) a_{l-1} = 1,
+    j = 0..i: independent of the closed form, and meant for small i."""
+    m = [[Fraction(-l) ** -j for l in range(1, i + 2)] for j in range(i + 1)]
+    return tuple(_det([[1 if c == k else v for c, v in enumerate(row)]
+                       for row in m]) / _det(m) for k in range(i + 1))
 
 
 def _central_triples(member: np.ndarray, axis: int):

@@ -17,6 +17,7 @@ so the gate can be read off a captured run at a glance:
 9. the CLI is byte-deterministic and its artifacts round-trip
 """
 
+import json
 import math
 import time
 from contextlib import contextmanager
@@ -29,16 +30,17 @@ from jetlab.certify import certify_cantor_slit, certify_comb, certify_gap1d
 from jetlab.cli import main as cli_main
 from jetlab.functions import AnalyticJet, get_function
 from jetlab.glue import global_extend, interface_jet_mismatch
-from jetlab.grid import GridMask, SampledJet, jet_add, jet_scale, multi_indices
+from jetlab.grid import GridMask, SampledJet, multi_indices
 from jetlab.hestenes import extend_analytic, interface_mismatch, solve_coefficients
 from jetlab.spaces import (
     check_membership_e,
     check_membership_f,
     h_norm_upper_bound,
-    norm_e,
-    norm_f,
+    norm_report,
     restrict_to_omega,
 )
+
+from lattice_oracles import cramer_coefficients, reflection_residual
 
 
 @contextmanager
@@ -57,51 +59,19 @@ def criterion(number, label, limit_seconds):
     print(f"ACCEPTANCE {number} {label}: PASS ({elapsed:.2f}s)")
 
 
-def _det2(m):
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
-def _det3(m):
-    return (
-        m[0][0] * _det2([r[1:] for r in m[1:]])
-        - m[0][1] * _det2([[r[0], r[2]] for r in m[1:]])
-        + m[0][2] * _det2([r[:2] for r in m[1:]])
-    )
-
-
-def _cramer(i):
-    # independent exact solve of sum_l (-l)^(-j) a_{l-1} = 1, j = 0..i
-    m = [[Fraction(-l) ** -j for l in range(1, i + 2)] for j in range(i + 1)]
-    rhs = [Fraction(1)] * (i + 1)
-    if i == 0:
-        return (rhs[0] / m[0][0],)
-    if i == 1:
-        d = _det2(m)
-        return (
-            _det2([[rhs[0], m[0][1]], [rhs[1], m[1][1]]]) / d,
-            _det2([[m[0][0], rhs[0]], [m[1][0], rhs[1]]]) / d,
-        )
-    d = _det3(m)
-    cols = []
-    for k in range(3):
-        mk = [[rhs[j] if c == k else m[j][c] for c in range(3)] for j in range(3)]
-        cols.append(_det3(mk) / d)
-    return tuple(cols)
-
-
 def test_01_reflection_weights_exact():
     with criterion(1, "reflection-weights-exact", 1.0):
         for i in range(13):
             c = solve_coefficients(i)
             assert all(isinstance(v, Fraction) for v in c.values)
             for j in range(i + 1):
-                assert c.residual(j) == 0
+                assert reflection_residual(c, j) == 0
         assert solve_coefficients(0).values == (Fraction(1),)
         assert solve_coefficients(1).values == (Fraction(-3), Fraction(4))
         assert solve_coefficients(2).values == (
             Fraction(6), Fraction(-32), Fraction(27))
         for i in range(3):
-            assert solve_coefficients(i).values == _cramer(i)
+            assert solve_coefficients(i).values == cramer_coefficients(i)
 
 
 def test_02_monomial_reproduction():
@@ -126,7 +96,7 @@ def test_02_monomial_reproduction():
 
                     ext = extend_analytic(
                         AnalyticJet("src", i, 2, source).jet_many, i, axis=1)
-                    got = ext.partial_many(pts, (0, 0))
+                    got = ext.jet_many(pts, 0)[(0, 0)]
                     want = pts[..., 1] ** j * g(pts[..., 0])
                     scale = np.maximum(1.0, np.abs(want))
                     assert np.max(np.abs(got - want) / scale) < 1e-9
@@ -236,15 +206,20 @@ def test_08_norm_algebra_exact():
                 comps_y[alpha] = ay
             x = SampledJet(1, q.grid, q, comps_x)
             y = SampledJet(1, q.grid, q, comps_y)
-            nx = norm_f(x).overall
-            ny = norm_f(y).overall
+            nx = norm_report(x, "F", "Q").overall
+            ny = norm_report(y, "F", "Q").overall
 
             lam = float(rng.uniform(0.25, 4.0)) * float(rng.choice([-1.0, 1.0]))
             # scaling by any float is exact: rounding is monotone, so the
             # max of the scaled samples is the scaled max
-            assert norm_f(jet_scale(x, lam)).overall == abs(lam) * nx
-            assert norm_f(jet_add(x, y)).overall <= nx + ny
-            assert norm_e(restrict_to_omega(x, omega)).overall <= nx
+            scaled = SampledJet(1, q.grid, q, {
+                a: lam * arr for a, arr in x.components.items()})
+            summed = SampledJet(1, q.grid, q, {
+                a: x.components[a] + y.components[a] for a in alphas})
+            assert norm_report(scaled, "F", "Q").overall == abs(lam) * nx
+            assert norm_report(summed, "F", "Q").overall <= nx + ny
+            omega_x = restrict_to_omega(x, omega)
+            assert norm_report(omega_x, "E", "Omega").overall <= nx
 
             # any window jet agreeing with x on the mask bounds the
             # quotient norm from above
@@ -313,6 +288,6 @@ def test_09_cli_determinism_and_round_trip(tmp_path, monkeypatch, capsys):
         for name, blob in first.items():
             if not name.endswith(".json"):
                 continue
-            payload = io.loads(io.strip_provenance(blob.decode()))
-            assert io.loads(io.dumps(payload)) == payload
+            payload = json.loads(io.strip_provenance(blob.decode()))
+            assert json.loads(io.dumps(payload)) == payload
         capsys.readouterr()

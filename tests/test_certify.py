@@ -1,5 +1,6 @@
 """Certificates: exact terms, replay, tamper detection, round-trips."""
 
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -10,7 +11,6 @@ from jetlab import certify as cert_mod
 from jetlab import io
 from jetlab.certify import (
     Certificate,
-    CertTerm,
     certify_cantor_slit,
     certify_comb,
     certify_gap1d,
@@ -88,7 +88,7 @@ def test_replay_round_trip_through_json(make):
     cert = make()
     assert replay_certificate(cert)
     text = io.dumps(cert.to_payload())
-    back = Certificate.from_payload(io.loads(text))
+    back = Certificate.from_payload(json.loads(text))
     assert back == cert
     assert replay_certificate(back)
 

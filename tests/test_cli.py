@@ -447,6 +447,37 @@ def test_jet_artifact_without_grid_is_a_usage_error(tmp_path, capsys):
     assert err.count("error: jet artifact lacks the key 'grid'") == 2
 
 
+def _set_extents(jet, extents):
+    return {**jet, "grid": {**jet["grid"], "extents": extents}}
+
+
+# a sampled field's jet, broken one way each
+MALFORMED_JET = {
+    "jet-not-an-object": lambda jet: [1, 2],
+    "grid-not-an-object": lambda jet: {**jet, "grid": 5},
+    "components-not-an-object": lambda jet: {**jet, "components": []},
+    "extents-not-a-list": lambda jet: _set_extents(jet, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_JET))
+def test_malformed_jet_artifact_is_a_usage_error(case, tmp_path, capsys):
+    field = tmp_path / "field.json"
+    assert run(["field", "sample", "--function", "sin_cos", "--domain",
+                "rectangle", "--h", "0.25", "--out", str(field)]) == 0
+    doc = json.loads(field.read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**doc, "jet": MALFORMED_JET[case](doc["jet"])}))
+    capsys.readouterr()
+    assert run(["space", "norm", "--field", str(bad)]) == 2
+    assert run(["hestenes", "extend", "--in", str(bad), "--width", "2",
+                "--out", str(tmp_path / "ext.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: jet artifact is malformed: ") == 2
+    assert "Traceback" not in err
+    assert not (tmp_path / "ext.json").exists()
+
+
 def test_certificate_without_domain_is_a_usage_error(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     assert run(["certify", "gap1d", "--n-max", "4", "--out", str(cert)]) == 0

@@ -16,7 +16,6 @@ from jetlab.functions import (
     example3_value,
     gap1d_value,
     get_function,
-    mollifier,
     mollifier_derivs,
     polynomial_jet,
 )
@@ -132,7 +131,7 @@ def test_mollifier_derivatives_against_finite_differences():
 def test_mollifier_cutoff_is_hard_zero():
     for t in (-1.0, 0.0, 1e-4, 1.0 / 746.0):
         assert all(float(v) == 0.0 for v in mollifier_derivs(t, 3))
-    val, der = mollifier(0.5)
+    val, der = (float(v) for v in mollifier_derivs(0.5, 1))
     assert val == pytest.approx(math.exp(-2.0), rel=1e-15)
     assert der == pytest.approx(4 * math.exp(-2.0), rel=1e-15)
     with pytest.raises(ValueError):
@@ -141,14 +140,10 @@ def test_mollifier_cutoff_is_hard_zero():
 
 def test_polynomial_jet_partials():
     p = polynomial_jet("p", {(2, 1): 3.0}, order=3)  # 3 s^2 t
-    pt = np.array([2.0, 5.0])
-    assert p.partial(pt, (0, 0)) == 60.0
-    assert p.partial(pt, (1, 0)) == 60.0
-    assert p.partial(pt, (1, 1)) == 12.0
-    assert p.partial(pt, (2, 0)) == 30.0
-    assert p.partial(pt, (2, 1)) == 6.0
-    assert p.partial(pt, (3, 0)) == 0.0
-    assert p.partial(pt, (0, 2)) == 0.0
+    jet = p.jet_many(np.array([[2.0, 5.0]]), 3)
+    want = {(0, 0): 60.0, (1, 0): 60.0, (1, 1): 12.0, (2, 0): 30.0,
+            (2, 1): 6.0, (3, 0): 0.0, (0, 2): 0.0}
+    assert {alpha: jet[alpha][0] for alpha in want} == want
 
 
 def test_example3_values():
@@ -169,14 +164,16 @@ def test_example3_values():
 
 def test_example3_jet_region():
     jet = get_function("example3", order=1)
-    assert jet.partial(np.array([-0.5, 0.5]), (0, 0)) == -0.125
+    inside = [[-0.5, 0.5], [-0.9, 1.0], [-0.5, 1.0], [-2.0**-10, 1.0]]
+    jet.check_region(np.array(inside), "point")
+    assert jet.jet_many(np.array([[-0.5, 0.5]]), 0)[(0, 0)][0] == -0.125
     with pytest.raises(PointOutsideRegionError):
-        jet.partial(np.array([0.7, 0.5]), (0, 0))
+        jet.check_region(np.array([[0.7, 0.5]]), "point")
     with pytest.raises(ValueError):
         functions.example3_jet(order=3)
     # derivative slope on the negative side at t = 1 is exactly 1
     for s in (-0.9, -0.5, -2.0**-10):
-        assert jet.partial(np.array([s, 1.0]), (1, 0)) == 1.0
+        assert jet.jet_many(np.array([[s, 1.0]]), 1)[(1, 0)][0] == 1.0
 
 
 def test_example3_sample_respects_teeth_bound():
@@ -199,8 +196,9 @@ def test_gap1d_values():
     assert gap1d_value(0.4) == 0.0       # gap
     jet = get_function("gap1d")
     with pytest.raises(PointOutsideRegionError):
-        jet.partial(np.array([0.4]), (0,))
-    assert jet.partial(np.array([0.625]), (1,)) == 1.0
+        jet.check_region(np.array([[0.4]]), "point")
+    jet.check_region(np.array([[0.625]]), "point")
+    assert jet.jet_many(np.array([[0.625]]), 1)[(1,)][0] == 1.0
 
 
 def test_example1_xbar():
@@ -232,11 +230,12 @@ def test_example1_jet_membership():
     member = jet.contains(pts)
     assert member.tolist() == [False, True, True, False]
     # s-partials vanish identically on the open set
-    assert jet.partial(np.array([0.5, 0.5]), (1, 0)) == 0.0
-    assert jet.partial(np.array([0.5, 0.5]), (0, 0)) == pytest.approx(
+    at_half = jet.jet_many(np.array([[0.5, 0.5]]), 1)
+    assert at_half[(1, 0)][0] == 0.0
+    assert at_half[(0, 0)][0] == pytest.approx(
         0.5 * math.exp(-2.0), rel=1e-15)
     with pytest.raises(PointOutsideRegionError):
-        jet.partial(np.array([1.0 / 3.0, 0.5]), (0, 0))
+        jet.check_region(np.array([[1.0 / 3.0, 0.5]]), "point")
 
 
 def test_sample_on_lattice():
@@ -244,8 +243,8 @@ def test_sample_on_lattice():
     g = GridSpec((0.0, 0.0), 0.5, (3, 3))
     mask = GridMask(g, np.ones((3, 3), dtype=bool))
     sj = jet.sample(mask, order=2)
-    assert sj.component((0, 0))[2, 2] == 1.0  # s t^2 at (1, 1)
-    assert sj.component((1, 1))[1, 1] == 1.0  # 2t at (0.5, 0.5)
+    assert sj.components[(0, 0)][2, 2] == 1.0  # s t^2 at (1, 1)
+    assert sj.components[(1, 1)][1, 1] == 1.0  # 2t at (0.5, 0.5)
     with pytest.raises(ValueError):
         jet.sample(mask, order=3)
 
@@ -255,8 +254,8 @@ def test_registry():
     assert functions.function_names() == sorted(functions.function_names())
     with pytest.raises(KeyError):
         get_function("nope")
-    assert get_function("sin_cos", order=1).partial(
-        np.array([0.3, 0.4]), (1, 1)) == pytest.approx(
+    assert get_function("sin_cos", order=1).jet_many(
+        np.array([[0.3, 0.4]]), 2)[(1, 1)][0] == pytest.approx(
             -math.cos(0.3) * math.sin(0.4), rel=1e-15)
 
 

@@ -9,12 +9,8 @@ from jetlab.grid import (
     GridSpec,
     SampledJet,
     alpha_key,
-    boundary_of,
-    closure_of,
     dilate_box,
     interior_of,
-    jet_add,
-    jet_scale,
     multi_indices,
     parse_alpha_key,
     sup_on_mask,
@@ -101,7 +97,6 @@ def test_mask_basics():
     assert not m.member.flags.writeable
     with pytest.raises(MaskMismatchError):
         GridMask(g, np.ones(4, dtype=bool))
-    assert m.same_lattice(GridMask(g, np.zeros(5, dtype=bool)))
 
 
 def test_interior_closure_boundary_2d():
@@ -115,11 +110,7 @@ def test_interior_closure_boundary_2d():
     expect_inner[2, 2] = True
     assert np.array_equal(inner.member, expect_inner)
 
-    closed = closure_of(m)
-    assert closed.count == 25
-
-    b = boundary_of(m)
-    assert np.array_equal(b.member, closed.member & ~inner.member)
+    assert dilate_box(m.member, 1).sum() == 25
 
 
 def test_interior_lattice_edge_never_interior():
@@ -135,8 +126,8 @@ def test_closure_recovers_corners():
     member = np.zeros((7, 7), dtype=bool)
     member[1:6, 1:6] = True
     m = GridMask(g, member)
-    again = closure_of(interior_of(m))
-    assert np.array_equal(again.member, member)
+    again = dilate_box(interior_of(m).member, 1)
+    assert np.array_equal(again, member)
 
 
 def test_component_count():
@@ -168,13 +159,6 @@ def test_interior_matches_cross_erosion():
         assert np.array_equal(got, erosion(member)), member.shape
 
 
-def test_closure_matches_box_dilation():
-    for member in oracle_masks():
-        g = GridSpec((0.0,) * member.ndim, 1.0, member.shape)
-        got = closure_of(GridMask(g, member)).member
-        assert np.array_equal(got, box_dilation(member)), member.shape
-
-
 @pytest.mark.parametrize("radius", [1, 2, 3, 5, 8])
 def test_dilate_box_matches_iterated_box_dilation(radius):
     for member in oracle_masks():
@@ -202,8 +186,8 @@ def test_sampled_jet_validation():
     # off-mask junk is zeroed
     comps = {(0,): np.array([1.0, 2.0, 3.0, 99.0]), (1,): np.ones(4)}
     jet = SampledJet(1, g, m, comps)
-    assert jet.component((0,))[3] == 0.0
-    assert not jet.component((0,)).flags.writeable
+    assert jet.components[(0,)][3] == 0.0
+    assert not jet.components[(0,)].flags.writeable
     g2 = GridSpec((0.0,), 1.0, (5,))
     with pytest.raises(MaskMismatchError):
         SampledJet(1, g2, m, comps)
@@ -214,31 +198,17 @@ def test_sampled_jet_adopts_clean_arrays_only():
     m = GridMask(g, np.array([1, 1, 1, 0], dtype=bool))
     clean = np.array([1.0, -0.0, 3.0, 0.0])
     jet = SampledJet(0, g, m, {(0,): clean})
-    assert np.shares_memory(jet.component((0,)), clean)
-    assert not jet.component((0,)).flags.writeable
+    assert np.shares_memory(jet.components[(0,)], clean)
+    assert not jet.components[(0,)].flags.writeable
     assert clean.flags.writeable
     # -0.0 and nan off the mask are not zero bit for bit: copied and cleaned
     for junk in (-0.0, np.nan, np.inf):
         arr = np.array([1.0, 2.0, 3.0, junk])
-        got = SampledJet(0, g, m, {(0,): arr}).component((0,))
+        got = SampledJet(0, g, m, {(0,): arr}).components[(0,)]
         assert not np.shares_memory(got, arr)
         assert got.tobytes() == np.array([1.0, 2.0, 3.0, 0.0]).tobytes()
     with pytest.raises(ValueError, match="not finite"):
         SampledJet(0, g, m, {(0,): np.array([1.0, np.inf, 3.0, 0.0])})
-
-
-def test_jet_algebra():
-    g = GridSpec((0.0,), 0.5, (5,))
-    m = GridMask(g, np.ones(5, dtype=bool))
-    j1 = make_jet(g, m, lambda a, x: x if a == (0,) else np.ones_like(x))
-    j2 = jet_scale(j1, -2.0)
-    assert np.array_equal(j2.component((0,)), -2.0 * j1.component((0,)))
-    s = jet_add(j1, j2)
-    assert np.array_equal(s.component((1,)), -np.ones(5))
-    other = SampledJet(1, g, GridMask(g, np.array([1, 1, 1, 1, 0], dtype=bool)),
-                       {(0,): np.zeros(5), (1,): np.zeros(5)})
-    with pytest.raises(MaskMismatchError):
-        jet_add(j1, other)
 
 
 def test_fd_partial_stencils():

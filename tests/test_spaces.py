@@ -7,13 +7,11 @@ import pytest
 
 from jetlab import domains, grid, io, spaces
 from jetlab.errors import MaskMismatchError, NotAnExtensionError
-from jetlab.functions import get_function, polynomial_jet
+from jetlab.functions import get_function
 from jetlab.grid import (
     GridMask,
     GridSpec,
     SampledJet,
-    jet_add,
-    jet_scale,
     multi_indices,
     row_blocks,
 )
@@ -21,9 +19,7 @@ from jetlab.spaces import (
     check_membership_e,
     check_membership_f,
     h_norm_upper_bound,
-    norm_e,
-    norm_f,
-    norm_g,
+    norm_report,
     restrict_to_omega,
 )
 
@@ -52,7 +48,7 @@ def test_norm_hand_value():
         {(0,): np.array([0.0, -3.0, 1.0, 0.5, 2.0]),
          (1,): np.array([1.0, 1.0, -4.0, 0.0, 0.0])},
     )
-    rep = norm_f(jet)
+    rep = norm_report(jet, "F", "Q")
     assert rep.per_alpha[(0,)] == 3.0
     assert rep.per_alpha[(1,)] == 4.0
     assert rep.overall == 4.0
@@ -66,13 +62,18 @@ def test_norm_algebra_on_random_jets():
     for seed in range(12):
         x = random_jet(q, 1, seed)
         y = random_jet(q, 1, 1000 + seed)
-        nx = norm_f(x).overall
-        ny = norm_f(y).overall
+        nx = norm_report(x, "F", "Q").overall
+        ny = norm_report(y, "F", "Q").overall
         # exact homogeneity, dyadic factor
-        assert norm_f(jet_scale(x, -2.0)).overall == 2.0 * nx
-        assert norm_f(jet_add(x, y)).overall <= nx + ny
+        scaled = SampledJet(1, q.grid, q, {
+            a: -2.0 * arr for a, arr in x.components.items()})
+        assert norm_report(scaled, "F", "Q").overall == 2.0 * nx
+        summed = SampledJet(1, q.grid, q, {
+            a: x.components[a] + y.components[a] for a in x.alphas()})
+        assert norm_report(summed, "F", "Q").overall <= nx + ny
         # restriction never increases the norm
-        assert norm_e(restrict_to_omega(x, omega)).overall <= nx
+        omega_x = restrict_to_omega(x, omega)
+        assert norm_report(omega_x, "E", "Omega").overall <= nx
 
 
 def test_restriction_zeroes_dropped_points():
@@ -108,7 +109,7 @@ def test_h_upper_bound_accepts_true_extension():
     rep = h_norm_upper_bound(x, xbar)
     assert rep.space == "H-upper"
     assert rep.overall == 3.0  # |s + t| peaks at the window corner
-    assert rep.overall >= norm_f(x).overall
+    assert rep.overall >= norm_report(x, "F", "Q").overall
 
 
 def test_h_upper_bound_rejects_non_extensions():
@@ -327,7 +328,7 @@ def test_norm_and_scan_share_each_sup(monkeypatch):
         return sup(values, mask)
 
     monkeypatch.setattr(grid, "sup_on_mask", counted)
-    report = norm_f(jet)
+    report = norm_report(jet, "F", "Q")
     check_membership_f(jet)
     assert len(calls) == len(jet.alphas()) == 6
     assert report.overall == max(
