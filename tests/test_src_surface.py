@@ -8,9 +8,12 @@ methods, dataclass hooks among them, are exempt.
 
 import ast
 import pathlib
+import re
 from collections import Counter
 
 import pytest
+
+import jetlab
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "jetlab"
 
@@ -82,6 +85,13 @@ def test_every_src_name_has_a_src_caller():
 
 def test_allowlist_names_are_defined_and_still_uncalled():
     assert ALLOWED <= uncalled(src_trees())
+
+
+def test_readme_public_api_line_is_all():
+    readme = (SRC.parent.parent / "README.md").read_text()
+    line = readme.split("Public API (`jetlab.__all__`):")[1].split(";")[0]
+    assert sorted(re.findall(r"`(\w+)`", line)) == sorted(
+        name for name in jetlab.__all__ if name != "__version__")
 
 
 # names the package dropped because only tests called them
