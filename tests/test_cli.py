@@ -11,7 +11,7 @@ import pytest
 import jetlab
 from jetlab import io
 from jetlab.certify import Certificate, replay_certificate
-from jetlab.cli import main
+from jetlab.cli import DEFAULTS, main
 from jetlab.grid import GridMask, GridSpec, SampledJet
 
 
@@ -220,6 +220,18 @@ def test_provenance_differs_but_payload_matches(tmp_path):
     ta, tb = a.read_text(), b.read_text()
     assert ta != tb  # --out path rides in the provenance block
     assert io.strip_provenance(ta) == io.strip_provenance(tb)
+
+
+def test_defaults_are_pinned():
+    # provenance records DEFAULTS and perfbench/README.md names its keys
+    expected = {
+        "h": 2.0**-10, "h_prop2": 2.0**-5, "order": 1, "n_max": 20,
+        "tol": 1e-2, "margin": 0.5, "ceiling": 1e3, "depth": 4,
+        "n_teeth": 6, "n_segments": 8, "replay_tolerance": 1e-12,
+    }
+    assert list(DEFAULTS.items()) == list(expected.items())
+    assert [type(v) for v in DEFAULTS.values()] == [
+        type(v) for v in expected.values()]
 
 
 def test_usage_error_exit_code():
