@@ -28,8 +28,7 @@ from .domains import cantor_level
 from .errors import JetlabError, ReplayMismatchError
 
 GAP_TOLERANCE = 1e-9
-REPLAY_TOLERANCE = 1e-12
-DEFAULT_N_MAX = 20
+# the ceiling of a divergence certificate whose config names none
 DEFAULT_CEILING = 1e3
 
 
@@ -243,7 +242,7 @@ def _build(domain: str, n_max: int, config: dict) -> Certificate:
     )
 
 
-def certify_comb(n_max: int = DEFAULT_N_MAX) -> Certificate:
+def certify_comb(n_max: int) -> Certificate:
     """Difference quotients along the tooth tips against the base slope.
 
     x vanishes at every tooth root (a_n, 1) and at (0, 1), so each quotient
@@ -253,21 +252,20 @@ def certify_comb(n_max: int = DEFAULT_N_MAX) -> Certificate:
     return _build("comb", n_max, {"gap_tolerance": GAP_TOLERANCE})
 
 
-def certify_gap1d(n_max: int = DEFAULT_N_MAX) -> Certificate:
+def certify_gap1d(n_max: int) -> Certificate:
     """The one-dimensional version: islands sliding toward the origin."""
     return _build("gap1d", n_max, {"gap_tolerance": GAP_TOLERANCE})
 
 
-def certify_cantor_slit(n_max: int = DEFAULT_N_MAX,
-                        ceiling: float = DEFAULT_CEILING,
-                        depth: int = 4,
-                        phi_depth: int = functions.DEFAULT_PHI_DEPTH) -> Certificate:
+def certify_cantor_slit(n_max: int, ceiling: float, depth: int) -> Certificate:
     """Divergent quotients of the continuous closure extension along t = 1.
 
     d_n = xbar(3^-n, 1) / 3^-n = (3/2)^n / e blows past any ceiling, while
     the first partial vanishes identically inside the domain (witnessed at
     gap midpoints of the level-depth cover, where the staircase factor is
-    locally constant).
+    locally constant).  The config records phi_depth, the ternary digits
+    the Cantor function reads (functions.DEFAULT_PHI_DEPTH); a replay reads
+    it back from there.
     """
     if not 2 <= n_max <= 30:
         raise ValueError("n_max must lie in [2, 30]")
@@ -276,7 +274,7 @@ def certify_cantor_slit(n_max: int = DEFAULT_N_MAX,
                          "no gap to witness the interior limit in")
     return _build("cantor_slit", n_max, {
         "gap_tolerance": GAP_TOLERANCE, "ceiling": ceiling, "depth": depth,
-        "phi_depth": phi_depth,
+        "phi_depth": functions.DEFAULT_PHI_DEPTH,
     })
 
 
@@ -372,8 +370,7 @@ def _replayable_kind(cert: Certificate) -> Kind:
     return kind
 
 
-def replay_certificate(cert: Certificate,
-                       tolerance: float = REPLAY_TOLERANCE) -> bool:
+def replay_certificate(cert: Certificate, tolerance: float) -> bool:
     """Recompute every term independently; mismatches raise at first index.
 
     Witnesses must also equal the interior limit, and the gap (or the first

@@ -27,7 +27,7 @@ DEFAULTS = {
     "n_max": 20,
     "tol": 1e-2,
     "margin": 0.5,
-    "ceiling": 1e3,
+    "ceiling": certify.DEFAULT_CEILING,
     "depth": 4,
     "n_teeth": 6,
     "n_segments": 8,

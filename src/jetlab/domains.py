@@ -84,7 +84,6 @@ class AffineChart:
     center: np.ndarray
     matrix: np.ndarray
     kind: str  # identity | edge | corner | interior
-    half_exact: bool
     extension: str  # half | quarter | none
 
     def __post_init__(self):
@@ -115,7 +114,8 @@ class AffineChart:
             "kind": self.kind,
             "center": [float(c) for c in self.center],
             "matrix": [[float(v) for v in row] for row in self.matrix],
-            "half_exact": self.half_exact,
+            # xi_0 >= 0 is exactly the domain side of every half chart
+            "half_exact": self.extension == "half",
             "extension": self.extension,
         }
 
@@ -134,9 +134,10 @@ class PolarSectorChart:
     theta_c: float
     width: float
     depth: float
-    kind: str = "polar"
-    half_exact: bool = True
-    extension: str = "half"
+
+    kind = "polar"
+    half_exact = True
+    extension = "half"
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=np.float64)
@@ -453,13 +454,13 @@ class Rectangle(Domain):
         cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
         charts: list[Chart] = [
             AffineChart((cx, y0), [[0.0, lx / 2], [normal, 0.0]],
-                        "edge", True, "half"),
+                        "edge", "half"),
             AffineChart((x1, cy), [[-normal, 0.0], [0.0, ly / 2]],
-                        "edge", True, "half"),
+                        "edge", "half"),
             AffineChart((cx, y1), [[0.0, lx / 2], [-normal, 0.0]],
-                        "edge", True, "half"),
+                        "edge", "half"),
             AffineChart((x0, cy), [[normal, 0.0], [0.0, ly / 2]],
-                        "edge", True, "half"),
+                        "edge", "half"),
         ]
         for corner, (sx, sy) in (
             ((x0, y0), (1.0, 1.0)),
@@ -469,7 +470,7 @@ class Rectangle(Domain):
         ):
             charts.append(
                 AffineChart(corner, [[sx * r_c, 0.0], [0.0, sy * r_c]],
-                            "corner", False, "quarter")
+                            "corner", "quarter")
             )
         return charts
 
@@ -478,7 +479,7 @@ class Rectangle(Domain):
         return AffineChart(
             (0.5 * (x0 + x1), 0.5 * (y0 + y1)),
             [[0.45 * (x1 - x0), 0.0], [0.0, 0.45 * (y1 - y0)]],
-            "interior", False, "none",
+            "interior", "none",
         )
 
     def probes(self, n_probes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -535,7 +536,7 @@ class Disk(Domain):
     def interior_chart(self) -> AffineChart:
         r = 0.8 * self.radius
         return AffineChart(self.center, [[r, 0.0], [0.0, r]],
-                           "interior", False, "none")
+                           "interior", "none")
 
     def probes(self, n_probes: int) -> tuple[np.ndarray, np.ndarray]:
         thetas = (np.arange(n_probes) + 0.5) * (2.0 * np.pi / n_probes)
@@ -556,12 +557,12 @@ class HalfBall(Domain):
 
     def charts(self) -> list[Chart]:
         return [
-            AffineChart((0.0, 0.0), np.eye(2), "identity", True, "half")
+            AffineChart((0.0, 0.0), np.eye(2), "identity", "half")
         ]
 
     def interior_chart(self) -> AffineChart:
         return AffineChart((0.45, 0.0), [[0.4, 0.0], [0.0, 0.55]],
-                           "interior", False, "none")
+                           "interior", "none")
 
     def probes(self, n_probes: int) -> tuple[np.ndarray, np.ndarray]:
         ts = np.linspace(-0.85, 0.85, n_probes)

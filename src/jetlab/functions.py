@@ -9,7 +9,6 @@ scalar entry points accept Fraction coordinates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -58,11 +57,11 @@ def cantor_phi(s, depth: int = DEFAULT_PHI_DEPTH) -> float:
     return float(value)
 
 
-def cantor_phi_array(values, depth: int = DEFAULT_PHI_DEPTH) -> np.ndarray:
+def cantor_phi_array(values) -> np.ndarray:
     """Vectorized Cantor function; memoized over the distinct inputs."""
     vals = np.asarray(values, dtype=np.float64)
     uniq, inverse = np.unique(vals, return_inverse=True)
-    table = np.array([cantor_phi(v, depth) for v in uniq], dtype=np.float64)
+    table = np.array([cantor_phi(v) for v in uniq], dtype=np.float64)
     return table[inverse].reshape(vals.shape)
 
 
@@ -137,13 +136,12 @@ class AnalyticJet:
             for alpha in multi_indices(order, self.dim)
         }
 
-    def sample(self, mask: GridMask, order: int | None = None) -> SampledJet:
+    def sample(self, mask: GridMask, order: int) -> SampledJet:
         """Evaluate every component on the masked lattice points.
 
         The mask is taken in blocks of whole rows: one region check and one
         evaluator call per block, written into zero-filled components.
         """
-        order = self.order if order is None else order
         if order > self.order:
             raise ValueError(f"{self.name} offers order {self.order} only")
         grid = mask.grid
@@ -171,9 +169,9 @@ def _falling(p: int, k: int) -> float:
     return out
 
 
-def polynomial_jet(name: str, terms: dict[tuple[int, ...], float], order: int,
-                   dim: int = 2) -> AnalyticJet:
-    """Jet of a polynomial given as {exponent tuple: coefficient}."""
+def polynomial_jet(name: str, terms: dict[tuple[int, ...], float],
+                   order: int) -> AnalyticJet:
+    """Jet of a planar polynomial given as {exponent tuple: coefficient}."""
 
     def partial(pts: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
         out = np.zeros(pts.shape[:-1], dtype=np.float64)
@@ -196,9 +194,9 @@ def polynomial_jet(name: str, terms: dict[tuple[int, ...], float], order: int,
 
     def evaluator(pts: np.ndarray, order: int) -> Jet:
         return {alpha: partial(pts, alpha)
-                for alpha in multi_indices(order, dim)}
+                for alpha in multi_indices(order, 2)}
 
-    return AnalyticJet(name, order, dim, evaluator)
+    return AnalyticJet(name, order, 2, evaluator)
 
 
 def chi_jet(order: int = 1) -> AnalyticJet:
@@ -235,7 +233,9 @@ def exp1d_jet(order: int = 3) -> AnalyticJet:
     return AnalyticJet("exp1d", order, 1, evaluator)
 
 
+# the regions of the comb and staircase fields: every tooth, every island
 _COMB = domains.Comb(None)
+_GAPS = domains.GapIntervals(None)
 
 
 # the comb field's closed-form partials in the tooth-shifted abscissa sloc;
@@ -270,12 +270,11 @@ def _example3_eval(pts: np.ndarray, order: int) -> Jet:
     return out
 
 
-def example3_jet(order: int = 1, n_teeth: int | None = None) -> AnalyticJet:
+def example3_jet(order: int = 1) -> AnalyticJet:
     """The comb counterexample field as an order-1 jet (order 2 available)."""
     if order > 2:
         raise ValueError("comb field jets are available to order 2")
-    return AnalyticJet("example3", order, 2, _example3_eval,
-                       domains.Comb(n_teeth).q)
+    return AnalyticJet("example3", order, 2, _example3_eval, _COMB.q)
 
 
 def example3_value(s: float, t: float, alpha=(0, 0)) -> float:
@@ -297,10 +296,9 @@ def _gap1d_eval(pts: np.ndarray, order: int) -> Jet:
     return out
 
 
-def gap1d_jet(order: int = 1, n_segments: int | None = None) -> AnalyticJet:
+def gap1d_jet(order: int = 1) -> AnalyticJet:
     """Identity-slope staircase on [-1, 0] and the islands [2^-n, (3/2)2^-n]."""
-    return AnalyticJet("gap1d", order, 1, _gap1d_eval,
-                       domains.GapIntervals(n_segments).q)
+    return AnalyticJet("gap1d", order, 1, _gap1d_eval, _GAPS.q)
 
 
 def gap1d_value(s: float, alpha=(0,)) -> float:
@@ -309,27 +307,22 @@ def gap1d_value(s: float, alpha=(0,)) -> float:
     return float(_gap1d_eval(pts, sum(alpha))[alpha][0])
 
 
-def _example1_eval_factory(phi_depth: int):
-    def evaluator(pts: np.ndarray, order: int) -> Jet:
-        s = pts[..., 0]
-        t = pts[..., 1]
-        # every s-partial vanishes off the slit columns
-        out = {alpha: np.zeros(pts.shape[:-1], dtype=np.float64)
-               for alpha in multi_indices(order, 2)}
-        block = (s > 0.0) & (s <= 1.0) & (t > 0.0) & (t <= 1.0)
-        if block.any():
-            phi = cantor_phi_array(s[block], phi_depth)
-            derivs = mollifier_derivs(t[block], order)
-            for b in range(order + 1):
-                out[(0, b)][block] = phi * derivs[b]
-        return out
-
-    return evaluator
+def _example1_eval(pts: np.ndarray, order: int) -> Jet:
+    s = pts[..., 0]
+    t = pts[..., 1]
+    # every s-partial vanishes off the slit columns
+    out = {alpha: np.zeros(pts.shape[:-1], dtype=np.float64)
+           for alpha in multi_indices(order, 2)}
+    block = (s > 0.0) & (s <= 1.0) & (t > 0.0) & (t <= 1.0)
+    if block.any():
+        phi = cantor_phi_array(s[block])
+        derivs = mollifier_derivs(t[block], order)
+        for b in range(order + 1):
+            out[(0, b)][block] = phi * derivs[b]
+    return out
 
 
-def example1_jet(
-    order: int = 1, depth: int = 4, phi_depth: int = DEFAULT_PHI_DEPTH
-) -> AnalyticJet:
+def example1_jet(order: int, depth: int) -> AnalyticJet:
     """Slit-square field phi(s) exp(-1/t) on the open square minus the slits.
 
     Defined (with all partials) on the open set only; the slit columns of the
@@ -337,42 +330,42 @@ def example1_jet(
     """
     if order > 3:
         raise ValueError("t-derivatives of the mollifier stop at order 3")
-    return AnalyticJet("example1", order, 2, _example1_eval_factory(phi_depth),
+    return AnalyticJet("example1", order, 2, _example1_eval,
                        domains.CantorSlit(depth).open)
 
 
-def example1_xbar(s, t, t_order: int = 0, phi_depth: int = DEFAULT_PHI_DEPTH) -> float:
+def example1_xbar(s, t, phi_depth: int = DEFAULT_PHI_DEPTH) -> float:
     """The continuous closure extension of the slit-square field on Q.
 
     Exact-rational friendly: s may be a Fraction (needed at s = 3^-n where
-    float rounding would disturb the ternary digits).  t_order selects a
-    t-partial, 0..3.
+    float rounding would disturb the ternary digits).
     """
     if not (-1 <= s <= 1 and -1 <= t <= 1):
         raise PointOutsideRegionError(f"({s}, {t}) is outside the closed square")
     if not (0 < s <= 1 and 0 < t <= 1):
         return 0.0
     phi = cantor_phi(s, phi_depth)
-    f = float(mollifier_derivs(np.float64(t), t_order)[t_order])
+    f = float(mollifier_derivs(np.float64(t), 0)[0])
     return phi * f
 
 
+# name -> its jet at (order, depth); only example1 reads the cover depth
 _REGISTRY = {
-    "example1": lambda order=1, depth=4: example1_jet(order=order, depth=depth),
-    "example3": lambda order=1, **_: example3_jet(order=order),
-    "gap1d": lambda order=1, **_: gap1d_jet(order=order),
-    "chi": lambda order=1, **_: chi_jet(order=order),
-    "sum_st": lambda order=1, **_: sum_st_jet(order=order),
-    "sin_cos": lambda order=1, **_: sin_cos_jet(order=max(order, 3)),
-    "exp1d": lambda order=1, **_: exp1d_jet(order=max(order, 3)),
+    "example1": example1_jet,
+    "example3": lambda order, depth: example3_jet(order),
+    "gap1d": lambda order, depth: gap1d_jet(order),
+    "chi": lambda order, depth: chi_jet(order),
+    "sum_st": lambda order, depth: sum_st_jet(order),
+    "sin_cos": lambda order, depth: sin_cos_jet(max(order, 3)),
+    "exp1d": lambda order, depth: exp1d_jet(max(order, 3)),
 }
 
 
-def get_function(name: str, order: int = 1, depth: int = 4) -> AnalyticJet:
+def get_function(name: str, order: int, depth: int) -> AnalyticJet:
     """CLI-addressable field lookup."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown function {name!r}; choices: {sorted(_REGISTRY)}")
-    return _REGISTRY[name](order=order, depth=depth)
+    return _REGISTRY[name](order, depth)
 
 
 def function_names() -> list[str]:

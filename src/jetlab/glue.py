@@ -36,11 +36,7 @@ from .grid import (
     CHUNK_POINTS, GridMask, GridSpec, Jet, JetEvaluator, SampledJet,
     dilate_box, interior_of, multi_indices,
 )
-from .hestenes import (
-    HalfSpaceExtension,
-    corner_extension,
-    extend_analytic,
-)
+from .hestenes import HalfSpaceExtension, corner_extension, solve_coefficients
 
 BUMP_SHRINK = 0.9
 _BUMP_GUARD = 1.0 - 1.0 / 745.0
@@ -139,7 +135,8 @@ def local_extend(source: JetEvaluator, chart: Chart,
     if chart.extension == "quarter":
         reflected = corner_extension(u, order, max_depth=pad)
     elif chart.extension == "half":
-        reflected = extend_analytic(u, order, axis=0, max_depth=pad)
+        reflected = HalfSpaceExtension(solve_coefficients(order), u,
+                                       max_depth=pad)
     else:
         raise UnsupportedDomainError(
             f"chart kind {chart.kind!r} does not carry an extension"
@@ -259,36 +256,35 @@ def _chi_from_raw(raw_nu: dict, S: dict, alpha: tuple[int, ...]) -> np.ndarray:
 
 
 def build_partition(charts: list[Chart], domain: Domain,
-                    grid: GridSpec | None = None) -> BumpPartition:
+                    grid: GridSpec) -> BumpPartition:
     """Bumps on every chart plus one interior bump, normalized and checked.
 
-    The lattice argument fixes where the subordination and cover checks run;
-    the default is a coarse grid over the domain's bounding box plus margin.
-    Raises CoverGap if some required boundary lattice point has zero bump
-    sum.
+    The subordination and cover checks run on the lattice grid.  Raises
+    CoverGap if some required boundary lattice point has zero bump sum.
     """
-    if grid is None:
-        lo, hi = domain.bbox
-        pad = 0.125
-        grid = GridSpec.cover(
-            (lo[0] - pad, lo[1] - pad), (hi[0] + pad, hi[1] + pad), 2.0**-6
-        )
     charts = [*charts, domain.interior_chart()]
 
     s, t = grid.coord_grids()
     pts = np.stack([s.ravel(), t.ravel()], axis=-1)
     q_member = domains.regular_q_member(domain, pts[:, 0], pts[:, 1])
     q_mask = GridMask(grid, q_member.reshape(grid.extents))
+    # the two-sided boundary collar where sum(chi) - 1 is measured
+    collar = (_boundary_collar(q_mask, width=0.05)
+              & domain.charted(s, t, 0.2)).ravel()
 
-    # each chart's reference radius once: its bump's support is the 0.9-ball,
-    # its image the unit ball
-    supports, images = [], []
+    # each chart maps the lattice to reference coordinates once: the radius
+    # there gives its bump's support (the 0.9-ball) and its image (the unit
+    # ball), the point itself the bump's value (zero off the 0.9-ball)
+    supports, images, collar_bumps = [], [], []
     bump_sum = np.zeros(len(pts))
     for chart in charts:
-        rho = chart_ball_radius(chart, pts)
+        xi = chart.inverse(pts)
+        rho = np.hypot(xi[..., 0], xi[..., 1])
         supports.append(rho < BUMP_SHRINK)
         images.append(rho < 1.0)
-        bump_sum += bump_jet(chart, pts, 0)[(0, 0)]
+        bump = bump_ball_jet(xi, 0)[(0, 0)]
+        bump_sum += bump
+        collar_bumps.append(bump[collar])
     unreached = ~(bump_sum > 0.0)
 
     # boundary lattice points the atlas must cover
@@ -315,14 +311,10 @@ def build_partition(charts: list[Chart], domain: Domain,
             )
         assignment.append(chosen)
 
-    # residual of sum(chi) - 1 on the two-sided boundary collar
-    collar = _boundary_collar(q_mask, width=0.05) & domain.charted(s, t, 0.2)
-    collar_pts = pts[collar.ravel()]
+    # residual of sum(chi) - 1 on the collar
+    collar_pts = pts[collar]
     if len(collar_pts):
-        raws = [bump_jet(c, collar_pts, 0)[(0, 0)] for c in charts]
-        s0 = np.zeros(len(collar_pts))
-        for raw in raws:
-            s0 += raw
+        s0 = bump_sum[collar]
         if not (s0 > 0.0).all():
             bad = collar_pts[~(s0 > 0.0)][0]
             raise CoverGapError(
@@ -330,8 +322,8 @@ def build_partition(charts: list[Chart], domain: Domain,
                 "zero bump sum"
             )
         chi_sum = np.zeros(len(collar_pts))
-        for raw in raws:
-            chi_sum += raw / s0
+        for bump in collar_bumps:
+            chi_sum += bump / s0
         residual = float(np.max(np.abs(chi_sum - 1.0)))
     else:
         residual = 0.0
@@ -421,9 +413,8 @@ class GlobalExtensionResult:
     uncovered_points: int
 
 
-def global_extend(x: AnalyticJet, domain: Domain, order: int,
-                  h: float = 2.0**-5,
-                  margin: float = 0.5) -> GlobalExtensionResult:
+def global_extend(x: AnalyticJet, domain: Domain, order: int, h: float,
+                  margin: float) -> GlobalExtensionResult:
     """Glue local reflections into one field over a margin-padded window.
 
     Values on Q-lattice points come straight from x, which must be defined
@@ -444,7 +435,7 @@ def global_extend(x: AnalyticJet, domain: Domain, order: int,
         (hi[0] + steps * h, hi[1] + steps * h),
         h,
     )
-    partition = build_partition(charts, domain, grid=window)
+    partition = build_partition(charts, domain, window)
     q_mask = partition.q_mask
     # Q's values are x's own, so a field tied to a region must cover Q
     if x.member is not None:
@@ -477,16 +468,17 @@ def global_extend(x: AnalyticJet, domain: Domain, order: int,
 # interface scan
 
 
-def interface_jet_mismatch(field: GlobalField, h: float = 2.0**-10,
-                           n_probes: int = 256) -> dict[tuple[int, ...], float]:
+def interface_jet_mismatch(field: GlobalField,
+                           h: float) -> dict[tuple[int, ...], float]:
     """Per-component disagreement of one-sided boundary extrapolations.
 
-    For each probe, every jet component is extrapolated to the boundary
-    point from three samples inside and three outside along the normal
-    (second-order extrapolation 3f(h) - 3f(2h) + f(3h)); the mismatch is
-    the largest absolute difference.  O(h^2) for a C^1-matched extension.
+    At each of the domain's 256 boundary probes, every jet component is
+    extrapolated to the boundary point from three samples inside and three
+    outside along the normal (second-order extrapolation 3f(h) - 3f(2h) +
+    f(3h)); the mismatch is the largest absolute difference.  O(h^2) for a
+    C^1-matched extension.
     """
-    pts, normals = field.domain.probes(n_probes)
+    pts, normals = field.domain.probes(256)
     samples_in = [
         field.jet_many(pts - k * h * normals, field.order) for k in (1, 2, 3)
     ]

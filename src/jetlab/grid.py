@@ -200,7 +200,14 @@ class SampledJet:
     def __post_init__(self):
         if self.mask.grid != self.grid:
             raise MaskMismatchError("jet mask lives on a different lattice")
-        expected = multi_indices(self.order, self.grid.dim)
+        dim = self.grid.dim
+        # counted first: enumerating the indices costs order^(dim + 1)
+        count = math.comb(self.order + dim, dim) if self.order >= 0 else 0
+        if len(self.components) < count:
+            raise ValueError(f"missing components: an order-{self.order} "
+                             f"jet in {dim}-D has {count}, found "
+                             f"{len(self.components)}")
+        expected = multi_indices(self.order, dim)
         for alpha in expected:
             if alpha not in self.components:
                 raise ValueError(f"missing component {alpha}")

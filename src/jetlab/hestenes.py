@@ -143,32 +143,18 @@ class HalfSpaceExtension:
         return self.jet_many(points, sum(alpha))[alpha]
 
 
-def extend_analytic(source: JetEvaluator, i: int, axis: int = 0,
-                    boundary: float = 0.0, inward: float = 1.0,
-                    max_depth: float | None = None) -> HalfSpaceExtension:
-    return HalfSpaceExtension(
-        solve_coefficients(i), source, axis, boundary, inward, max_depth
-    )
-
-
 def corner_extension(source: JetEvaluator, i: int,
-                     axes: tuple[int, int] = (0, 1),
-                     boundary: tuple[float, float] = (0.0, 0.0),
-                     inward: tuple[float, float] = (1.0, 1.0),
                      max_depth: float | None = None) -> HalfSpaceExtension:
-    """Tensor reflection off two walls meeting at a corner.
+    """Tensor reflection off the walls xi_0 = 0 and xi_1 = 0, which meet at
+    the origin with the source side the quarter xi_0, xi_1 >= 0.
 
     The inner extension clears the second wall for every probe the outer one
     emits; the per-axis derivative factors compose independently, so
     products s^p t^q with p, q <= i are still reproduced exactly.
     """
     coeffs = solve_coefficients(i)
-    inner = HalfSpaceExtension(
-        coeffs, source, axes[1], boundary[1], inward[1], max_depth
-    )
-    return HalfSpaceExtension(
-        coeffs, inner.jet_many, axes[0], boundary[0], inward[0], max_depth
-    )
+    inner = HalfSpaceExtension(coeffs, source, axis=1, max_depth=max_depth)
+    return HalfSpaceExtension(coeffs, inner.jet_many, max_depth=max_depth)
 
 
 @dataclass(eq=False)
@@ -270,17 +256,15 @@ def extend_half_space_lattice(
     return LatticeExtensionResult(out, max(offsets))
 
 
-def interface_mismatch(ext: HalfSpaceExtension, tangential, h: float,
-                       orders: range | None = None) -> dict[int, float]:
-    """One-sided derivative disagreement across the wall, per order.
+def interface_mismatch(ext: HalfSpaceExtension, tangential,
+                       h: float) -> dict[int, float]:
+    """One-sided derivative disagreement across the wall, per order 0..i.
 
     Uses second-order stencils from both sides at the given tangential
     coordinates; order 0 compares boundary-value extrapolations.  The
     disagreement of a correct order-i extension shrinks as h^2 for
     derivative orders <= i.
     """
-    if orders is None:
-        orders = range(ext.order + 1)
     tang = np.asarray(tangential, dtype=np.float64)
     if tang.ndim != 2:
         raise ValueError("tangential must have shape (M, dim - 1)")
@@ -301,7 +285,7 @@ def interface_mismatch(ext: HalfSpaceExtension, tangential, h: float,
         for k in (-3, -2, -1, 0, 1, 2, 3)
     }
     out: dict[int, float] = {}
-    for j in orders:
+    for j in range(ext.order + 1):
         if j == 0:
             left = 3.0 * u[-1] - 3.0 * u[-2] + u[-3]
             right = 3.0 * u[1] - 3.0 * u[2] + u[3]

@@ -19,7 +19,6 @@ from .certify import CertTerm, Certificate
 from .errors import MaskMismatchError, NotAnExtensionError
 from .grid import GridMask, SampledJet, alpha_key, row_blocks
 
-DEFAULT_TOL = 1e-2
 DEFAULT_C_FACTOR = 10.0
 
 
@@ -69,13 +68,13 @@ def restrict_to_omega(jet: SampledJet, omega: GridMask) -> SampledJet:
     return SampledJet(jet.order, jet.grid, omega, components)
 
 
-def h_norm_upper_bound(x: SampledJet, xbar: SampledJet,
-                       tol: float = 1e-9) -> NormReport:
+def h_norm_upper_bound(x: SampledJet, xbar: SampledJet) -> NormReport:
     """G-norm of one extension; an upper bound for the quotient norm.
 
     Verifies first that xbar actually restricts to x on x's mask (same
-    lattice spacing, window translated by whole steps).
+    lattice spacing, window translated by whole steps) to within 1e-9.
     """
+    tol = 1e-9
     if abs(x.grid.h - xbar.grid.h) > 1e-15:
         raise MaskMismatchError("extension uses a different lattice spacing")
     if x.order > xbar.order:
@@ -185,12 +184,12 @@ def _block_max(bases: np.ndarray, values, floor: float):
 
 
 def _scan(jet: SampledJet, space: str, tol: float,
-          c_factor: float, tol_by_order: dict | None) -> MembershipVerdict:
+          tol_by_order: dict | None) -> MembershipVerdict:
     h = jet.grid.h
     dim = jet.grid.dim
     member = jet.mask.member
     sup_all = max(jet.sups.values())
-    c_bound = c_factor * max(1.0, sup_all) * h
+    c_bound = DEFAULT_C_FACTOR * max(1.0, sup_all) * h
     triples = {a: _stencil_bases(member, a, 2)
                for a in range(dim) if member.shape[a] > 2}
     pairs = {a: _stencil_bases(member, a, 1)
@@ -282,24 +281,22 @@ def _scan(jet: SampledJet, space: str, tol: float,
     )
 
 
-def check_membership_f(jet: SampledJet, tol: float = DEFAULT_TOL,
-                       c_factor: float = DEFAULT_C_FACTOR,
+def check_membership_f(jet: SampledJet, tol: float,
                        tol_by_order: dict | None = None) -> MembershipVerdict:
     """Scan a jet on a closed mask Q for C^i-consistency at resolution h.
 
     Declared partials must match central differences of the next component
-    down (within c_factor * max(1, sup) * h), and every component's one-step
-    modulus of continuity must stay below the tolerance.
+    down (within DEFAULT_C_FACTOR * max(1, sup) * h), and every component's
+    one-step modulus of continuity must stay below the tolerance.
     """
-    return _scan(jet, "F", tol, c_factor, tol_by_order)
+    return _scan(jet, "F", tol, tol_by_order)
 
 
-def check_membership_e(jet: SampledJet, tol: float = DEFAULT_TOL,
-                       c_factor: float = DEFAULT_C_FACTOR,
+def check_membership_e(jet: SampledJet, tol: float,
                        tol_by_order: dict | None = None) -> MembershipVerdict:
     """Same scan over an open mask: the bounded-uniformly-continuous reading.
 
     Pairs and triples never straddle excluded points, so a field may pass
     here while failing the closed-mask scan; that asymmetry is the point.
     """
-    return _scan(jet, "E", tol, c_factor, tol_by_order)
+    return _scan(jet, "E", tol, tol_by_order)

@@ -27,11 +27,13 @@ import numpy as np
 
 from jetlab import domains, io
 from jetlab.certify import certify_cantor_slit, certify_comb, certify_gap1d
-from jetlab.cli import main as cli_main
+from jetlab.cli import DEFAULTS, main as cli_main
 from jetlab.functions import AnalyticJet, get_function
 from jetlab.glue import global_extend, interface_jet_mismatch
 from jetlab.grid import GridMask, SampledJet, multi_indices
-from jetlab.hestenes import extend_analytic, interface_mismatch, solve_coefficients
+from jetlab.hestenes import (
+    HalfSpaceExtension, interface_mismatch, solve_coefficients,
+)
 from jetlab.spaces import (
     check_membership_e,
     check_membership_f,
@@ -94,8 +96,9 @@ def test_02_monomial_reproduction():
                         assert order == 0
                         return {(0, 0): p[..., 1] ** _j * _g(p[..., 0])}
 
-                    ext = extend_analytic(
-                        AnalyticJet("src", i, 2, source).jet_many, i, axis=1)
+                    ext = HalfSpaceExtension(
+                        solve_coefficients(i),
+                        AnalyticJet("src", i, 2, source).jet_many, axis=1)
                     got = ext.jet_many(pts, 0)[(0, 0)]
                     want = pts[..., 1] ** j * g(pts[..., 0])
                     scale = np.maximum(1.0, np.abs(want))
@@ -104,8 +107,9 @@ def test_02_monomial_reproduction():
 
 def test_03_interface_smoothness():
     with criterion(3, "interface-smoothness", 1.0):
-        ext = extend_analytic(get_function("exp1d", order=2).jet_many, 2,
-                              axis=0)
+        ext = HalfSpaceExtension(
+            solve_coefficients(2),
+            get_function("exp1d", order=2, depth=4).jet_many, axis=0)
         tang = np.zeros((1, 0))
         fine = interface_mismatch(ext, tang, h=2.0**-10)
         coarse = interface_mismatch(ext, tang, h=2.0**-9)
@@ -118,7 +122,7 @@ def test_03_interface_smoothness():
 def test_04_global_extension_pipeline():
     with criterion(4, "global-extension-pipeline", 30.0):
         rect = global_extend(
-            get_function("sum_st", order=1), domains.rectangle(), 1,
+            get_function("sum_st", order=1, depth=4), domains.rectangle(), 1,
             h=2.0**-5, margin=0.5)
         s, t = rect.window.coord_grids()
         err = np.abs(rect.jet.components[(0, 0)] - (s + t))
@@ -126,9 +130,9 @@ def test_04_global_extension_pipeline():
         assert rect.sum_residual < 1e-9
 
         disk = global_extend(
-            get_function("sin_cos", order=1), domains.disk(), 1,
-            h=2.0**-5)
-        mm = interface_jet_mismatch(disk.field, h=2.0**-10, n_probes=256)
+            get_function("sin_cos", order=1, depth=4), domains.disk(), 1,
+            h=2.0**-5, margin=0.5)
+        mm = interface_jet_mismatch(disk.field, h=2.0**-10)
         assert set(mm) == {(0, 0), (1, 0), (0, 1)}
         assert max(mm.values()) <= 1e-3
         assert disk.sum_residual < 1e-9
@@ -147,8 +151,8 @@ def test_05_comb_certificate_and_membership():
         assert cert.validate()
 
         q, _ = domains.build_domain(domains.comb(6), 2.0**-10)
-        jet = get_function("example3", order=1).sample(q, 1)
-        assert check_membership_f(jet).consistent
+        jet = get_function("example3", order=1, depth=4).sample(q, 1)
+        assert check_membership_f(jet, DEFAULTS["tol"]).consistent
 
 
 def test_06_gap1d_certificate_and_membership():
@@ -160,13 +164,13 @@ def test_06_gap1d_certificate_and_membership():
         assert cert.validate()
 
         q, _ = domains.build_domain(domains.gap_intervals(8), 2.0**-10)
-        jet = get_function("gap1d", order=1).sample(q, 1)
-        assert check_membership_f(jet).consistent
+        jet = get_function("gap1d", order=1, depth=4).sample(q, 1)
+        assert check_membership_f(jet, DEFAULTS["tol"]).consistent
 
 
 def test_07_cantor_slit_certificate_and_membership():
     with criterion(7, "cantor-slit-certificate", 10.0):
-        cert = certify_cantor_slit(n_max=20, ceiling=1e3)
+        cert = certify_cantor_slit(n_max=20, ceiling=1e3, depth=4)
         assert cert.claim == "not-in-F-extension"
         for term in cert.terms:
             want = 1.5 ** term.n / math.e
@@ -185,7 +189,7 @@ def test_07_cantor_slit_certificate_and_membership():
             if alpha[0] >= 1:
                 assert float(np.abs(arr).max()) <= 1e-10
         verdict = check_membership_e(
-            jet, tol_by_order={1: 0.02, 2: 0.1, 3: 2.0})
+            jet, DEFAULTS["tol"], tol_by_order={1: 0.02, 2: 0.1, 3: 2.0})
         assert verdict.consistent
 
 

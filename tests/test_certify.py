@@ -16,6 +16,7 @@ from jetlab.certify import (
     certify_gap1d,
     replay_certificate,
 )
+from jetlab.cli import DEFAULTS
 from jetlab.errors import JetlabError, ReplayMismatchError
 
 
@@ -40,11 +41,11 @@ def test_gap1d_certificate_exact():
     assert all(w.quotient == 1.0 for w in cert.interior_witness)
     assert cert.gap == 1.0
     assert cert.validate()
-    assert replay_certificate(cert)
+    assert replay_certificate(cert, DEFAULTS["replay_tolerance"])
 
 
 def test_cantor_slit_quotients_follow_growth_law():
-    cert = certify_cantor_slit(n_max=20, ceiling=1e3)
+    cert = certify_cantor_slit(n_max=20, ceiling=1e3, depth=4)
     assert cert.claim == "not-in-F-extension"
     assert cert.diverges
     for t in cert.terms:
@@ -60,7 +61,7 @@ def test_cantor_slit_quotients_follow_growth_law():
 
 def test_cantor_slit_unreachable_ceiling_refused():
     with pytest.raises(ValueError):
-        certify_cantor_slit(n_max=5, ceiling=1e3)
+        certify_cantor_slit(n_max=5, ceiling=1e3, depth=4)
 
 
 def test_n_max_bounds():
@@ -68,9 +69,9 @@ def test_n_max_bounds():
         with pytest.raises(ValueError):
             builder(n_max=1)
     with pytest.raises(ValueError):
-        certify_cantor_slit(n_max=31)
+        certify_cantor_slit(n_max=31, ceiling=1e3, depth=4)
     with pytest.raises(ValueError):
-        certify_cantor_slit(n_max=1)
+        certify_cantor_slit(n_max=1, ceiling=1e3, depth=4)
 
 
 def test_dispatch():
@@ -82,15 +83,15 @@ def test_dispatch():
 @pytest.mark.parametrize("make", [
     lambda: certify_comb(n_max=6),
     lambda: certify_gap1d(n_max=6),
-    lambda: certify_cantor_slit(n_max=20),
+    lambda: certify_cantor_slit(n_max=20, ceiling=1e3, depth=4),
 ], ids=["comb", "gap1d", "cantor_slit"])
 def test_replay_round_trip_through_json(make):
     cert = make()
-    assert replay_certificate(cert)
+    assert replay_certificate(cert, DEFAULTS["replay_tolerance"])
     text = io.dumps(cert.to_payload())
     back = Certificate.from_payload(json.loads(text))
     assert back == cert
-    assert replay_certificate(back)
+    assert replay_certificate(back, DEFAULTS["replay_tolerance"])
 
 
 def test_tampered_quotient_is_caught():
@@ -99,7 +100,7 @@ def test_tampered_quotient_is_caught():
     bad_terms[3] = replace(bad_terms[3], quotient=0.25)
     tampered = replace(cert, terms=tuple(bad_terms))
     with pytest.raises(ReplayMismatchError) as err:
-        replay_certificate(tampered)
+        replay_certificate(tampered, DEFAULTS["replay_tolerance"])
     assert err.value.index == 3
     assert err.value.field == "quotient"
     assert err.value.stored == 0.25
@@ -112,7 +113,7 @@ def test_tampered_witness_is_caught():
     bad[0] = replace(bad[0], quotient=0.0)
     tampered = replace(cert, interior_witness=tuple(bad))
     with pytest.raises(ReplayMismatchError) as err:
-        replay_certificate(tampered)
+        replay_certificate(tampered, DEFAULTS["replay_tolerance"])
     assert err.value.field == "interior_witness"
     assert err.value.index == 0
 
@@ -121,7 +122,7 @@ def test_tampered_gap_is_caught():
     cert = certify_comb(n_max=6)
     tampered = replace(cert, gap=0.5)
     with pytest.raises(ReplayMismatchError) as err:
-        replay_certificate(tampered)
+        replay_certificate(tampered, DEFAULTS["replay_tolerance"])
     assert err.value.field == "gap"
 
 
@@ -130,7 +131,7 @@ def test_tampered_limit_is_caught():
     cert = certify_gap1d(n_max=6)
     tampered = replace(cert, interior_limit=0.5, gap=0.5)
     with pytest.raises(ReplayMismatchError) as err:
-        replay_certificate(tampered)
+        replay_certificate(tampered, DEFAULTS["replay_tolerance"])
     assert err.value.field == "interior_limit"
     assert err.value.index == 0
     assert err.value.stored == 0.5
@@ -143,7 +144,8 @@ def test_nan_quotient_is_caught():
     bad_terms = list(cert.terms)
     bad_terms[2] = replace(bad_terms[2], quotient=math.nan)
     with pytest.raises(ReplayMismatchError) as err:
-        replay_certificate(replace(cert, terms=tuple(bad_terms)))
+        replay_certificate(replace(cert, terms=tuple(bad_terms)),
+                           DEFAULTS["replay_tolerance"])
     assert err.value.field == "quotient"
     assert err.value.index == 2
 
@@ -156,9 +158,10 @@ def test_nan_quotient_is_caught():
 ], ids=["gap-under-tolerance", "no-crossing", "crossing-past-n_max"])
 def test_replay_refuses_evidence_that_proves_nothing(tamper, field):
     # every term reproduces, but the claim no longer follows from them
-    cert = certify_comb(6) if field == "gap" else certify_cantor_slit(20)
+    cert = (certify_comb(6) if field == "gap"
+            else certify_cantor_slit(20, 1e3, 4))
     with pytest.raises(ReplayMismatchError) as err:
-        replay_certificate(tamper(cert))
+        replay_certificate(tamper(cert), DEFAULTS["replay_tolerance"])
     assert err.value.field == field
 
 
@@ -198,22 +201,22 @@ def _with_witness(cert, index, **change):
         "witness-moved", "n_max-moved", "depth-moved", "no-depth"])
 def test_replay_refuses_points_that_are_not_the_kinds(make, tamper, message):
     # the points are checked before any quotient is recomputed
-    cert = make(n_max=20 if make is certify_cantor_slit else 6)
+    cert = make(20, 1e3, 4) if make is certify_cantor_slit else make(6)
     with pytest.raises(JetlabError, match=message):
-        replay_certificate(tamper(cert))
+        replay_certificate(tamper(cert), DEFAULTS["replay_tolerance"])
 
 
 def test_tampered_first_exceed_is_caught():
-    cert = certify_cantor_slit(n_max=20)
+    cert = certify_cantor_slit(n_max=20, ceiling=1e3, depth=4)
     tampered = replace(cert, first_exceed_n=19)
     with pytest.raises(ReplayMismatchError) as err:
-        replay_certificate(tampered)
+        replay_certificate(tampered, DEFAULTS["replay_tolerance"])
     assert err.value.field == "first_exceed_n"
 
 
 def test_probe_points_survive_json_exactly():
     # 3^-20 is not a binary float; the payload must carry it as a rational
-    cert = certify_cantor_slit(n_max=20)
+    cert = certify_cantor_slit(n_max=20, ceiling=1e3, depth=4)
     payload = cert.to_payload()
     last = payload["terms"][-1]
     assert last["probe"][0] == [1, 3**20]

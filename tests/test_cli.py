@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -164,7 +165,7 @@ def test_certify_and_replay_comb(tmp_path, capsys):
         "--out", str(cert_path), "--csv", str(csv_path),
     ]) == 0
     cert = Certificate.from_payload(io.read_artifact(str(cert_path)))
-    assert replay_certificate(cert)
+    assert replay_certificate(cert, DEFAULTS["replay_tolerance"])
     assert len(csv_path.read_text().splitlines()) == 11
     assert run(["replay", "--cert", str(cert_path)]) == 0
     out = capsys.readouterr().out
@@ -487,6 +488,28 @@ def test_malformed_jet_artifact_is_a_usage_error(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("error: jet artifact is malformed: ") == 2
     assert "Traceback" not in err
+    assert not (tmp_path / "ext.json").exists()
+
+
+def test_jet_artifact_of_a_huge_order_is_refused_at_once(tmp_path, capsys):
+    # C(order + 2, 2) components are due; enumerating their multi-indices
+    # first would take hours at this order
+    field = tmp_path / "field.json"
+    assert run(["field", "sample", "--function", "sin_cos", "--domain",
+                "rectangle", "--h", "0.25", "--out", str(field)]) == 0
+    doc = json.loads(field.read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**doc, "jet": {**doc["jet"], "order": 10**6}}))
+    capsys.readouterr()
+    for argv in (["space", "norm", "--field", str(bad)],
+                 ["hestenes", "extend", "--in", str(bad), "--width", "2",
+                  "--out", str(tmp_path / "ext.json")]):
+        start = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err == ("error: missing components: an order-1000000 jet in "
+                       "2-D has 500001500001, found 3\n")
     assert not (tmp_path / "ext.json").exists()
 
 

@@ -163,7 +163,7 @@ def test_example3_values():
 
 
 def test_example3_jet_region():
-    jet = get_function("example3", order=1)
+    jet = get_function("example3", order=1, depth=4)
     inside = [[-0.5, 0.5], [-0.9, 1.0], [-0.5, 1.0], [-2.0**-10, 1.0]]
     jet.check_region(np.array(inside), "point")
     assert jet.jet_many(np.array([[-0.5, 0.5]]), 0)[(0, 0)][0] == -0.125
@@ -176,12 +176,9 @@ def test_example3_jet_region():
         assert jet.jet_many(np.array([[s, 1.0]]), 1)[(1, 0)][0] == 1.0
 
 
-def test_example3_sample_respects_teeth_bound():
+def test_example3_samples_every_tooth():
     h = 2.0**-9
     q6, _ = domains.build_domain(domains.comb(6), h)
-    bounded = functions.example3_jet(order=1, n_teeth=2)
-    with pytest.raises(PointOutsideRegionError):
-        bounded.sample(q6, order=1)
     full = functions.example3_jet(order=1)
     jet = full.sample(q6, order=1)
     assert jet.mask.count == q6.count
@@ -194,7 +191,7 @@ def test_gap1d_values():
     assert gap1d_value(0.75) == 0.25
     assert gap1d_value(0.625, (1,)) == 1.0
     assert gap1d_value(0.4) == 0.0       # gap
-    jet = get_function("gap1d")
+    jet = get_function("gap1d", order=1, depth=4)
     with pytest.raises(PointOutsideRegionError):
         jet.check_region(np.array([[0.4]]), "point")
     jet.check_region(np.array([[0.625]]), "point")
@@ -212,9 +209,6 @@ def test_example1_xbar():
     for n in (1, 5, 20):
         got = example1_xbar(Fraction(1, 3**n), 1)
         assert got == pytest.approx(0.5**n * e1, rel=1e-14)
-    # t-partials
-    assert example1_xbar(Fraction(1, 2), 0.5, t_order=1) == pytest.approx(
-        0.5 * 4 * math.exp(-2.0), rel=1e-14)
     with pytest.raises(PointOutsideRegionError):
         example1_xbar(1.5, 0.5)
 
@@ -239,7 +233,7 @@ def test_example1_jet_membership():
 
 
 def test_sample_on_lattice():
-    jet = get_function("chi", order=2)
+    jet = get_function("chi", order=2, depth=4)
     g = GridSpec((0.0, 0.0), 0.5, (3, 3))
     mask = GridMask(g, np.ones((3, 3), dtype=bool))
     sj = jet.sample(mask, order=2)
@@ -253,8 +247,8 @@ def test_registry():
     assert "example1" in functions.function_names()
     assert functions.function_names() == sorted(functions.function_names())
     with pytest.raises(KeyError):
-        get_function("nope")
-    assert get_function("sin_cos", order=1).jet_many(
+        get_function("nope", order=1, depth=4)
+    assert get_function("sin_cos", order=1, depth=4).jet_many(
         np.array([[0.3, 0.4]]), 2)[(1, 1)][0] == pytest.approx(
             -math.cos(0.3) * math.sin(0.4), rel=1e-15)
 

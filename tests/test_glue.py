@@ -15,7 +15,9 @@ from jetlab.glue import (
     local_extend,
 )
 from jetlab.grid import GridMask, GridSpec, multi_indices
-from jetlab.hestenes import corner_extension, extend_analytic
+from jetlab.hestenes import (
+    HalfSpaceExtension, corner_extension, solve_coefficients,
+)
 from lattice_oracles import (
     box_dilation, chart_roundtrip_defect, chi_many, erosion,
 )
@@ -29,6 +31,13 @@ def ball_points(n, radius=0.95, seed=3):
 
 
 ALL_SPECS = [domains.rectangle(), domains.disk(), domains.half_ball()]
+
+
+def coarse_lattice(spec):
+    """Step 2^-6 over the domain's bounding box padded by 1/8."""
+    (x0, y0), (x1, y1) = spec.bbox
+    return GridSpec.cover((x0 - 0.125, y0 - 0.125), (x1 + 0.125, y1 + 0.125),
+                          2.0**-6)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
@@ -131,7 +140,7 @@ def test_bump_hard_zero_outside_support():
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
 def test_partition_covers_and_sums_to_one(spec):
     charts = spec.charts()
-    part = build_partition(charts, spec)
+    part = build_partition(charts, spec, coarse_lattice(spec))
     assert part.sum_residual < 1e-9
     assert part.checked_points > 500
     # least-index subordination; the interior bump rides on Q (last index)
@@ -163,7 +172,7 @@ def test_boundary_collar_matches_iterated_box_dilation(width):
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
-def test_partition_maps_the_lattice_through_each_chart_at_most_twice(spec):
+def test_partition_maps_the_lattice_through_each_chart_once(spec):
     grid = GridSpec.cover((-1.5, -1.5), (1.5, 1.5), 2.0**-5)
     charts = spec.charts()
     sizes = [[] for _ in charts]
@@ -175,14 +184,13 @@ def test_partition_maps_the_lattice_through_each_chart_at_most_twice(spec):
             return _inverse(pts)
 
         chart.inverse = counted
-    build_partition(charts, spec, grid=grid)
-    for seen in sizes:
-        assert 1 <= seen.count(grid.point_count) <= 2
+    build_partition(charts, spec, grid)
+    assert sizes == [[grid.point_count]] * len(charts)
 
 
 def test_partition_chi_zero_far_outside():
     spec = domains.disk()
-    part = build_partition(spec.charts(), spec)
+    part = build_partition(spec.charts(), spec, coarse_lattice(spec))
     far = np.array([[5.0, 5.0], [-3.0, 0.0]])
     for nu in range(len(part.charts)):
         assert np.array_equal(chi_many(part, nu, far, (0, 0)), np.zeros(2))
@@ -190,7 +198,7 @@ def test_partition_chi_zero_far_outside():
 
 def test_partition_chi_partials_match_finite_differences():
     spec = domains.disk()
-    part = build_partition(spec.charts(), spec)
+    part = build_partition(spec.charts(), spec, coarse_lattice(spec))
     pts = np.array([[1.02, 0.3], [0.2, 1.05], [-1.03, 0.15]])
     eps = 1e-6
     for nu in range(len(part.charts)):
@@ -206,13 +214,13 @@ def test_partition_chi_partials_match_finite_differences():
 def test_thin_atlas_raises_cover_gap():
     spec = domains.disk()
     with pytest.raises(CoverGapError):
-        build_partition(spec.charts()[:2], spec)
+        build_partition(spec.charts()[:2], spec, coarse_lattice(spec))
 
 
 def test_local_extension_reproduces_linear_fields():
     spec = domains.rectangle()
     charts = spec.charts()
-    x = get_function("sum_st", order=2)
+    x = get_function("sum_st", order=2, depth=4)
     # past the bottom edge (chart 0) and past the (0,0) corner (chart 4)
     cases = [(charts[0], np.array([[0.5, -0.1], [0.3, -0.02]])),
              (charts[4], np.array([[-0.05, -0.05], [-0.1, 0.02]]))]
@@ -240,7 +248,7 @@ def test_local_extension_error_quadratic_in_distance():
     # order-1 reflection: value error past the wall is O(d^2)
     spec = domains.disk()
     chart = spec.charts()[0]
-    x = get_function("sin_cos", order=2)
+    x = get_function("sin_cos", order=2, depth=4)
     ext = local_extend(x.jet_many, chart, 1)
     errs = []
     for d in (1e-2, 5e-3, 2.5e-3):
@@ -254,7 +262,7 @@ def test_local_extension_error_quadratic_in_distance():
 
 def counting_sin_cos():
     """sin_cos whose closed-form evaluator records every call."""
-    x = get_function("sin_cos", order=2)
+    x = get_function("sin_cos", order=2, depth=4)
     calls = []
     leaf = x.evaluator
 
@@ -286,10 +294,10 @@ def test_local_jet_asks_the_source_once_per_probe(k, walls, pts):
 
 def test_partial_many_is_the_projection_of_jet_many():
     rng = np.random.default_rng(11)
-    x = get_function("sin_cos", order=2)
+    x = get_function("sin_cos", order=2, depth=4)
     box = rng.uniform(-0.5, 0.5, (300, 2))
     cases = [
-        (extend_analytic(x.jet_many, 2, axis=1), box),
+        (HalfSpaceExtension(solve_coefficients(2), x.jet_many, axis=1), box),
         (corner_extension(x.jet_many, 2), box),
     ]
     for ext, pts in cases:
@@ -300,7 +308,7 @@ def test_partial_many_is_the_projection_of_jet_many():
 
 def test_interior_chart_carries_no_extension():
     spec = domains.disk()
-    part = build_partition(spec.charts(), spec)
+    part = build_partition(spec.charts(), spec, coarse_lattice(spec))
     assert part.charts[-1].kind == "interior"
 
     def s_leaf(p, order):
@@ -313,7 +321,7 @@ def test_interior_chart_carries_no_extension():
 
 def test_global_extension_exact_for_linear_field():
     spec = domains.rectangle()
-    x = get_function("sum_st", order=1)
+    x = get_function("sum_st", order=1, depth=4)
     res = global_extend(x, spec, 1, h=2.0**-5, margin=0.5)
     s, t = res.window.coord_grids()
     err = np.abs(res.jet.components[(0, 0)] - (s + t))
@@ -338,8 +346,8 @@ def test_global_extension_of_constant_is_constant():
 
 def test_global_partials_match_finite_differences_outside():
     spec = domains.disk()
-    x = get_function("sin_cos", order=2)
-    res = global_extend(x, spec, 2, h=2.0**-5)
+    x = get_function("sin_cos", order=2, depth=4)
+    res = global_extend(x, spec, 2, h=2.0**-5, margin=0.5)
     pts = np.array([[1.05, 0.2], [-0.3, 1.08], [0.75, 0.75]])
     eps = 1e-5
     for c, alpha in ((0, (1, 0)), (1, (0, 1))):
@@ -360,7 +368,8 @@ def test_global_partials_match_finite_differences_outside():
 
 def test_global_extension_order_cap():
     with pytest.raises(ValueError):
-        global_extend(get_function("sin_cos", order=3), domains.disk(), 3)
+        global_extend(get_function("sin_cos", order=3, depth=4),
+                      domains.disk(), 3, h=2.0**-5, margin=0.5)
 
 
 @pytest.mark.parametrize(
@@ -369,9 +378,9 @@ def test_global_extension_order_cap():
     ids=lambda v: v.kind if hasattr(v, "kind") else str(v),
 )
 def test_interface_scan_small_mismatch(spec, bound):
-    x = get_function("sin_cos", order=1)
-    res = global_extend(x, spec, 1, h=2.0**-5)
-    mm = interface_jet_mismatch(res.field, h=2.0**-8, n_probes=64)
+    x = get_function("sin_cos", order=1, depth=4)
+    res = global_extend(x, spec, 1, h=2.0**-5, margin=0.5)
+    mm = interface_jet_mismatch(res.field, h=2.0**-8)
     assert set(mm) == {(0, 0), (1, 0), (0, 1)}
     assert max(mm.values()) < bound
 
@@ -379,7 +388,7 @@ def test_interface_scan_small_mismatch(spec, bound):
 def test_half_ball_face_partition_is_identity():
     # one boundary chart: its normalized bump is exactly 1 on the face
     spec = domains.half_ball()
-    part = build_partition(spec.charts(), spec)
+    part = build_partition(spec.charts(), spec, coarse_lattice(spec))
     ts = np.linspace(-0.85, 0.85, 41)
     pts = np.stack([np.zeros_like(ts), ts], axis=-1)
     chi0 = chi_many(part, 0, pts, (0, 0))

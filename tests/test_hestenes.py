@@ -15,7 +15,6 @@ from jetlab.grid import GridMask, GridSpec, SampledJet, multi_indices
 from jetlab.hestenes import (
     HalfSpaceExtension,
     corner_extension,
-    extend_analytic,
     extend_half_space_lattice,
     interface_mismatch,
     solve_coefficients,
@@ -75,8 +74,9 @@ def test_monomial_reproduction(i, g_name):
             assert order == 0
             return {(0, 0): p[..., 1] ** j * g(p[..., 0])}
 
-        ext = extend_analytic(AnalyticJet("src", i, 2, source).jet_many, i,
-                              axis=1)
+        ext = HalfSpaceExtension(solve_coefficients(i),
+                                 AnalyticJet("src", i, 2, source).jet_many,
+                                 axis=1)
         got = ext.jet_many(pts, 0)[(0, 0)]
         want = pts[..., 1] ** j * g(pts[..., 0])
         scale = np.maximum(1.0, np.abs(want))
@@ -84,8 +84,9 @@ def test_monomial_reproduction(i, g_name):
 
 
 def test_exp_formula_and_order():
-    ext = extend_analytic(get_function("exp1d", order=2).jet_many, 2,
-                          axis=0)
+    ext = HalfSpaceExtension(
+        solve_coefficients(2),
+        get_function("exp1d", order=2, depth=4).jet_many, axis=0)
     got = float(ext.jet_many(np.array([[-0.1]]), 0)[(0,)][0])
     direct = 6 * math.exp(0.1) - 32 * math.exp(0.05) + 27 * math.exp(0.1 / 3)
     assert got == pytest.approx(direct, rel=1e-15)
@@ -96,8 +97,8 @@ def test_exp_formula_and_order():
 
 
 def test_extension_is_identity_inside():
-    jet = get_function("exp1d", order=2)
-    ext = extend_analytic(jet.jet_many, 2, axis=0)
+    jet = get_function("exp1d", order=2, depth=4)
+    ext = HalfSpaceExtension(solve_coefficients(2), jet.jet_many, axis=0)
     pts = np.array([[0.3], [0.0], [0.9]])
     assert np.array_equal(ext.jet_many(pts, 0)[(0,)], np.exp(pts[:, 0]))
 
@@ -109,15 +110,15 @@ def test_linearity():
     pts = np.array([[0.4, -0.3], [0.1, -0.7], [0.9, -0.05]])
     for alpha in [(0, 0), (0, 1), (1, 1)]:
         k = sum(alpha)
-        eu = extend_analytic(u.jet_many, 2, axis=1).jet_many(pts, k)[alpha]
-        ev = extend_analytic(v.jet_many, 2, axis=1).jet_many(pts, k)[alpha]
-        ew = extend_analytic(w.jet_many, 2, axis=1).jet_many(pts, k)[alpha]
+        eu, ev, ew = (
+            HalfSpaceExtension(solve_coefficients(2), f.jet_many, axis=1)
+            .jet_many(pts, k)[alpha] for f in (u, v, w))
         assert np.max(np.abs(ew - (2 * eu - 5 * ev))) < 1e-12
 
 
 def test_zero_source():
     z = polynomial_jet("z", {}, order=2)
-    ext = extend_analytic(z.jet_many, 2, axis=0)
+    ext = HalfSpaceExtension(solve_coefficients(2), z.jet_many, axis=0)
     pts = np.array([[-0.5, 0.1], [0.5, 0.3]])
     assert np.array_equal(ext.jet_many(pts, 0)[(0, 0)], np.zeros(2))
 
@@ -125,15 +126,16 @@ def test_zero_source():
 def test_derivative_factor():
     # d/dt of the extension of t^2 equals 2t below the wall too
     u = polynomial_jet("t2", {(0, 2): 1.0}, order=2)
-    ext = extend_analytic(u.jet_many, 2, axis=1)
+    ext = HalfSpaceExtension(solve_coefficients(2), u.jet_many, axis=1)
     pts = np.array([[0.0, -0.25], [0.0, -0.8]])
     got = ext.jet_many(pts, 1)[(0, 1)]
     assert np.max(np.abs(got - 2 * pts[:, 1])) < 1e-9
 
 
 def test_max_depth_guard():
-    jet = get_function("exp1d", order=1)
-    ext = extend_analytic(jet.jet_many, 1, axis=0, max_depth=0.2)
+    jet = get_function("exp1d", order=1, depth=4)
+    ext = HalfSpaceExtension(solve_coefficients(1), jet.jet_many, axis=0,
+                             max_depth=0.2)
     ext.jet_many(np.array([[-0.15]]), 0)
     with pytest.raises(ProbeOutsideMaskError):
         ext.jet_many(np.array([[-0.25]]), 0)
@@ -154,8 +156,9 @@ def test_corner_extension_reproduces_products():
 
 
 def test_interface_mismatch_decay():
-    ext = extend_analytic(get_function("exp1d", order=2).jet_many, 2,
-                          axis=0)
+    ext = HalfSpaceExtension(
+        solve_coefficients(2),
+        get_function("exp1d", order=2, depth=4).jet_many, axis=0)
     tang = np.zeros((1, 0))
     m_coarse = interface_mismatch(ext, tang, h=2.0**-9)
     m_fine = interface_mismatch(ext, tang, h=2.0**-10)
@@ -173,7 +176,7 @@ def unit_mask(lo, hi, h):
 def test_lattice_extension_widens_grid():
     h = 2.0**-6
     mask = unit_mask((0.0,), (1.0,), h)
-    jet = get_function("exp1d", order=2).sample(mask, order=2)
+    jet = get_function("exp1d", order=2, depth=4).sample(mask, order=2)
     coeffs = solve_coefficients(2)
     res = extend_half_space_lattice(jet, coeffs, width=8, axis=0)
     assert res.jet.grid.origin == (-0.125,)
@@ -190,7 +193,7 @@ def test_lattice_extension_widens_grid():
 def test_lattice_extension_other_direction():
     h = 2.0**-6
     mask = unit_mask((-1.0,), (0.0,), h)
-    jet = get_function("exp1d", order=2).sample(mask, order=2)
+    jet = get_function("exp1d", order=2, depth=4).sample(mask, order=2)
     res = extend_half_space_lattice(
         jet, solve_coefficients(2), width=4, axis=0, inward=-1.0)
     assert res.jet.grid.origin == (-1.0,)
@@ -203,11 +206,11 @@ def test_lattice_extension_other_direction():
 def test_lattice_extension_errors():
     h = 2.0**-6
     mask = unit_mask((-1.0,), (1.0,), h)
-    jet = get_function("exp1d", order=1).sample(mask, order=1)
+    jet = get_function("exp1d", order=1, depth=4).sample(mask, order=1)
     with pytest.raises(MaskMismatchError):
         extend_half_space_lattice(jet, solve_coefficients(1), width=2, axis=0)
     small = unit_mask((0.0,), (4 * h,), h)
-    jet2 = get_function("exp1d", order=1).sample(small, order=1)
+    jet2 = get_function("exp1d", order=1, depth=4).sample(small, order=1)
     with pytest.raises(ProbeOutsideMaskError):
         extend_half_space_lattice(jet2, solve_coefficients(1), width=8, axis=0)
     with pytest.raises(ValueError):
@@ -217,7 +220,7 @@ def test_lattice_extension_errors():
 def test_lattice_extension_2d_partials():
     h = 2.0**-5
     mask = unit_mask((0.0, 0.0), (1.0, 1.0), h)
-    jet = get_function("chi", order=2).sample(mask, order=2)  # s t^2
+    jet = get_function("chi", order=2, depth=4).sample(mask, order=2)  # s t^2
     res = extend_half_space_lattice(jet, solve_coefficients(2), width=2, axis=1)
     # t-partial picks up the (-1/l)^j factor; on-lattice probes at depth 2h:
     # 2h/1 = 2h, 2h/2 = h exact, 2h/3 snaps to h
@@ -241,7 +244,7 @@ def test_half_space_extension_order_property():
 def test_band_deeper_than_the_data_is_refused_before_the_window():
     h = 2.0**-4
     mask = unit_mask((0.0, 0.0), (1.0, 1.0), h)
-    jet = get_function("sin_cos", order=2).sample(mask, order=2)
+    jet = get_function("sin_cos", order=2, depth=4).sample(mask, order=2)
     tracemalloc.start()
     try:
         with pytest.raises(ProbeOutsideMaskError,

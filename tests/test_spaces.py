@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from jetlab import domains, grid, io, spaces
+from jetlab.cli import DEFAULTS
 from jetlab.errors import MaskMismatchError, NotAnExtensionError
 from jetlab.functions import get_function
 from jetlab.grid import (
@@ -102,10 +103,10 @@ def test_restriction_rejects_foreign_masks():
 def test_h_upper_bound_accepts_true_extension():
     spec = domains.rectangle()
     q, _ = domains.build_domain(spec, h=2.0**-4)
-    x = get_function("sum_st", order=1).sample(q, order=1)
+    x = get_function("sum_st", order=1, depth=4).sample(q, order=1)
     window = GridSpec.cover((-0.5, -0.5), (1.5, 1.5), 2.0**-4)
     all_mask = GridMask(window, np.ones(window.extents, dtype=bool))
-    xbar = get_function("sum_st", order=1).sample(all_mask, order=1)
+    xbar = get_function("sum_st", order=1, depth=4).sample(all_mask, order=1)
     rep = h_norm_upper_bound(x, xbar)
     assert rep.space == "H-upper"
     assert rep.overall == 3.0  # |s + t| peaks at the window corner
@@ -115,43 +116,43 @@ def test_h_upper_bound_accepts_true_extension():
 def test_h_upper_bound_rejects_non_extensions():
     spec = domains.rectangle()
     q, _ = domains.build_domain(spec, h=2.0**-4)
-    x = get_function("sum_st", order=1).sample(q, order=1)
+    x = get_function("sum_st", order=1, depth=4).sample(q, order=1)
     window = GridSpec.cover((-0.5, -0.5), (1.5, 1.5), 2.0**-4)
     all_mask = GridMask(window, np.ones(window.extents, dtype=bool))
     # wrong values on Q
-    wrong = get_function("sin_cos", order=1).sample(all_mask, order=1)
+    wrong = get_function("sin_cos", order=1, depth=4).sample(all_mask, order=1)
     with pytest.raises(NotAnExtensionError):
         h_norm_upper_bound(x, wrong)
     # window that misses part of Q
     small = GridSpec.cover((0.25, 0.25), (1.5, 1.5), 2.0**-4)
     small_mask = GridMask(small, np.ones(small.extents, dtype=bool))
-    clipped = get_function("sum_st", order=1).sample(small_mask, order=1)
+    clipped = get_function("sum_st", order=1, depth=4).sample(small_mask, 1)
     with pytest.raises(NotAnExtensionError):
         h_norm_upper_bound(x, clipped)
     # misaligned lattice
     shifted = GridSpec((-0.5 + 0.3 * 2.0**-4, -0.5), 2.0**-4, window.extents)
     sh_mask = GridMask(shifted, np.ones(shifted.extents, dtype=bool))
-    sh = get_function("sum_st", order=1).sample(sh_mask, order=1)
+    sh = get_function("sum_st", order=1, depth=4).sample(sh_mask, order=1)
     with pytest.raises(MaskMismatchError):
         h_norm_upper_bound(x, sh)
     # coarser lattice
     coarse_g = GridSpec.cover((-0.5, -0.5), (1.5, 1.5), 2.0**-3)
     coarse_mask = GridMask(coarse_g, np.ones(coarse_g.extents, dtype=bool))
-    coarse = get_function("sum_st", order=1).sample(coarse_mask, order=1)
+    coarse = get_function("sum_st", order=1, depth=4).sample(coarse_mask, 1)
     with pytest.raises(MaskMismatchError):
         h_norm_upper_bound(x, coarse)
 
 
 def test_smooth_field_scans_consistent():
     q, omega = comb_masks(h=2.0**-7, n_teeth=2)
-    jet = get_function("sin_cos", order=1).sample(q, order=1)
-    verdict = check_membership_f(jet)
+    jet = get_function("sin_cos", order=1, depth=4).sample(q, order=1)
+    verdict = check_membership_f(jet, DEFAULTS["tol"])
     assert verdict.consistent
     assert verdict.certificate is None
     assert verdict.fd_defect <= verdict.tolerances["fd_bound"]
     assert max(verdict.modulus.values()) < 1e-2
     r = restrict_to_omega(jet, omega)
-    assert check_membership_e(r).consistent
+    assert check_membership_e(r, DEFAULTS["tol"]).consistent
 
 
 def test_scan_catches_jump_discontinuity():
@@ -160,7 +161,7 @@ def test_scan_catches_jump_discontinuity():
     xs = g.axis_coords(0)
     step = np.where(xs < 0.5, 0.0, 1.0)
     jet = SampledJet(0, g, mask, {(0,): step})
-    verdict = check_membership_f(jet)
+    verdict = check_membership_f(jet, DEFAULTS["tol"])
     assert not verdict.consistent
     assert verdict.verdict == "violation"
     cert = verdict.certificate
@@ -181,7 +182,7 @@ def test_scan_catches_wrong_declared_partial():
         1, g, mask,
         {(0,): np.sin(xs), (1,): np.cos(xs) + 0.5},
     )
-    verdict = check_membership_f(jet)
+    verdict = check_membership_f(jet, DEFAULTS["tol"])
     assert not verdict.consistent
     assert verdict.fd_defect == pytest.approx(0.5, abs=1e-3)
     assert "finite difference" in verdict.certificate.terms[0].note
@@ -192,11 +193,11 @@ def test_scan_round_trips_through_payload():
     mask = GridMask(g, np.ones(g.extents, dtype=bool))
     xs = g.axis_coords(0)
     jet = SampledJet(0, g, mask, {(0,): np.where(xs < 0.5, 0.0, 1.0)})
-    verdict = check_membership_f(jet)
+    verdict = check_membership_f(jet, DEFAULTS["tol"])
     payload = verdict.to_payload()
     assert payload["verdict"] == "violation"
     assert payload["certificate"]["claim"] == "not-in-F-at-resolution"
-    assert payload["tolerances"]["modulus"] == spaces.DEFAULT_TOL
+    assert payload["tolerances"]["modulus"] == DEFAULTS["tol"]
 
 
 def test_tol_by_order_overrides_flat_tolerance():
@@ -216,8 +217,8 @@ def test_tol_by_order_overrides_flat_tolerance():
 
 def test_comb_field_passes_f_scan_on_fine_lattice():
     q, _ = comb_masks(h=2.0**-8, n_teeth=4)
-    jet = get_function("example3", order=1).sample(q, order=1)
-    verdict = check_membership_f(jet)
+    jet = get_function("example3", order=1, depth=4).sample(q, order=1)
+    verdict = check_membership_f(jet, DEFAULTS["tol"])
     assert verdict.consistent
     assert verdict.h == 2.0**-8
 
@@ -232,10 +233,10 @@ def test_scan_e_on_open_mask_skips_straddling_pairs():
     xs = g.axis_coords(0)
     vals = np.where(xs < 0.5, 0.0, 1.0)
     jet_q = SampledJet(0, g, full, {(0,): vals})
-    assert not check_membership_f(jet_q).consistent
+    assert not check_membership_f(jet_q, DEFAULTS["tol"]).consistent
     omega = GridMask(g, punctured)
     jet_o = SampledJet(0, g, omega, {(0,): np.where(punctured, vals, 0.0)})
-    assert check_membership_e(jet_o).consistent
+    assert check_membership_e(jet_o, DEFAULTS["tol"]).consistent
 
 
 # lattice extents of the scan oracle cases: row blocks that do not divide the
@@ -266,7 +267,7 @@ def tied_jet(shape, h, order, seed):
 
 def assert_same_verdict(jet, space, **kwargs):
     checker = check_membership_e if space == "E" else check_membership_f
-    got = checker(jet, **kwargs).to_payload()
+    got = checker(jet, DEFAULTS["tol"], **kwargs).to_payload()
     want = full_lattice_scan(jet, space, **kwargs).to_payload()
     assert io.dumps(got) == io.dumps(want)
     return got
@@ -290,7 +291,8 @@ def test_scan_matches_the_oracle_on_a_consistent_field():
     g = GridSpec((-1.0, -1.0), 2.0**-8, (300, 301))
     member = np.random.default_rng(5).random(g.extents) < 0.8
     member[100:120] = False
-    jet = get_function("sin_cos", order=2).sample(GridMask(g, member), 2)
+    jet = get_function("sin_cos", order=2, depth=4).sample(
+        GridMask(g, member), 2)
     tols = {"tol_by_order": {0: 0.01, 1: 0.01, 2: 0.01}}
     assert assert_same_verdict(jet, "F", **tols)["verdict"] == (
         "consistent-at-resolution")
@@ -329,7 +331,7 @@ def test_norm_and_scan_share_each_sup(monkeypatch):
 
     monkeypatch.setattr(grid, "sup_on_mask", counted)
     report = norm_report(jet, "F", "Q")
-    check_membership_f(jet)
+    check_membership_f(jet, DEFAULTS["tol"])
     assert len(calls) == len(jet.alphas()) == 6
     assert report.overall == max(
         float(np.abs(arr[q.member]).max()) for arr in jet.components.values())
@@ -344,7 +346,7 @@ def test_sample_norm_and_scan_stay_near_their_components():
     try:
         jet = field.sample(omega, 3)
         spaces.norm_report(jet, "E", "Omega")
-        verdict = check_membership_e(jet)
+        verdict = check_membership_e(jet, DEFAULTS["tol"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,12 +1,19 @@
-"""Every function, class and method in src/jetlab has a caller there.
+"""Every function, class and method in src/jetlab has a caller there, and
+every defaulted parameter a call there that sets it.
 
 A top-level name counts as called when the package reads it bare or as
 module.name, a method when the package reads an attribute of that name;
 __init__ does not count, nor does a definition reading itself.  Dunder
 methods, dataclass hooks among them, are exempt.
+
+A defaulted parameter of a top-level function or method, or a dataclass
+field with a default, counts as set when some call in src/ names it by
+keyword or reaches its position, the callee matched by its bare name (or
+a module-level alias of it).
 """
 
 import ast
+import math
 import pathlib
 import re
 from collections import Counter
@@ -116,3 +123,138 @@ def test_a_dropped_name_that_returns_is_caught(qualified):
             else f"def {name}(self, *args):\n    return args")
     body.extend(ast.parse(stub).body)
     assert qualified in uncalled(trees) - ALLOWED
+
+
+# defaulted parameters that no src/ call sets, each with why it stays
+UNSET_ALLOWED = {
+    "cli.main.argv": "the console entry point calls main() bare",
+    "domains.cantor_level.cap": "the seam tests use to reach the cap at 2^3",
+    "domains.Rectangle.bounds": "the domain's geometry, written to params",
+    "domains.Disk.center": "the domain's geometry, written to params",
+    "domains.Disk.radius": "the domain's geometry, written to params",
+    "spaces.check_membership_f.tol_by_order":
+        "ROADMAP item 2's explicit floors, which acceptance 7 sets",
+    "spaces.check_membership_e.tol_by_order":
+        "ROADMAP item 2's explicit floors, which acceptance 7 sets",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+
+
+def _parameters(node: ast.FunctionDef, method: bool):
+    """(positional names, defaulted names) of a def, self dropped."""
+    args = node.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaulted = positional[len(positional) - len(args.defaults):]
+    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+    static = any(ast.unparse(d) == "staticmethod"
+                 for d in node.decorator_list)
+    if method and not static:
+        positional = positional[1:]
+    return positional, defaulted
+
+
+def signatures(trees):
+    """(qualified name, callee name, positional names, defaulted names) of
+    every top-level function, method and dataclass constructor."""
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                yield (f"{module}.{node.name}", node.name,
+                       *_parameters(node, method=False))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if _is_dataclass(node):
+                fields = [sub for sub in node.body
+                          if isinstance(sub, ast.AnnAssign)
+                          and "init=False" not in ast.unparse(sub)]
+                yield (f"{module}.{node.name}", node.name,
+                       [f.target.id for f in fields],
+                       [f.target.id for f in fields if f.value is not None])
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    yield (f"{module}.{node.name}.{sub.name}", sub.name,
+                           *_parameters(sub, method=True))
+
+
+def calls(trees) -> dict:
+    """callee name -> (most positional arguments, keywords) over src/ calls."""
+    aliases = {node.targets[0].id: node.value.id
+               for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.Assign)
+               and isinstance(node.value, ast.Name)
+               and isinstance(node.targets[0], ast.Name)}
+    out = {}
+    for tree in trees.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute)
+                    else None)
+            if name is None:
+                continue
+            name = aliases.get(name, name)
+            positional = (math.inf if any(isinstance(a, ast.Starred)
+                                          for a in call.args)
+                          else len(call.args))
+            most, keywords = out.get(name, (0, set()))
+            out[name] = (max(most, positional),
+                         keywords | {k.arg for k in call.keywords if k.arg})
+    return out
+
+
+def unset(trees) -> set[str]:
+    """Qualified names of the defaulted parameters no src/ call sets."""
+    seen = calls(trees)
+    out = set()
+    for qualified, name, positional, defaulted in signatures(trees):
+        most, keywords = seen.get(name, (0, set()))
+        for param in defaulted:
+            at = (positional.index(param) if param in positional
+                  else math.inf)
+            if param not in keywords and at >= most:
+                out.add(f"{qualified}.{param}")
+    return out
+
+
+def test_every_defaulted_parameter_has_a_src_setter():
+    assert unset(src_trees()) - UNSET_ALLOWED.keys() == set()
+
+
+def test_unset_allowlist_entries_are_still_unset():
+    assert UNSET_ALLOWED.keys() <= unset(src_trees())
+
+
+# parameters the package dropped because no src/ call set them
+@pytest.mark.parametrize("qualified", [
+    "spaces.check_membership_f.c_factor", "spaces.check_membership_e.c_factor",
+    "spaces.h_norm_upper_bound.tol", "hestenes.interface_mismatch.orders",
+    "hestenes.corner_extension.axes", "hestenes.corner_extension.boundary",
+    "hestenes.corner_extension.inward", "hestenes.extend_analytic.axis",
+    "functions.polynomial_jet.dim", "functions.gap1d_jet.n_segments",
+    "functions.example3_jet.n_teeth", "functions.example1_jet.phi_depth",
+    "functions.example1_xbar.t_order", "functions.cantor_phi_array.depth",
+    "certify.certify_cantor_slit.phi_depth",
+    "glue.interface_jet_mismatch.n_probes",
+    "domains.PolarSectorChart.kind", "domains.PolarSectorChart.half_exact",
+    "domains.PolarSectorChart.extension",
+])
+def test_a_dropped_parameter_that_returns_is_caught(qualified):
+    trees = src_trees()
+    module, name, param = qualified.split(".")
+    body = trees[module].body
+    owner = next((n for n in body if getattr(n, "name", None) == name), None)
+    if owner is None:  # a dropped function: put back a stub of it
+        body.extend(ast.parse(f"def {name}({param}=None):\n"
+                              f"    return {param}").body)
+    elif isinstance(owner, ast.ClassDef):  # a dataclass field
+        owner.body.extend(ast.parse(f"{param}: object = None").body)
+    else:
+        owner.args.args.append(ast.arg(param))
+        owner.args.defaults.append(ast.Constant(None))
+    assert qualified in unset(trees) - UNSET_ALLOWED.keys()
