@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import sys
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import functions, io
@@ -40,7 +40,7 @@ class CertTerm:
     base: tuple
     probe: tuple
     quotient: float
-    note: str = ""
+    note: str
 
     def __post_init__(self):
         object.__setattr__(self, "base", tuple(map(Fraction, self.base)))
@@ -93,7 +93,7 @@ class Certificate:
     gap: float
     diverges: bool
     n_max: int
-    config: dict = field(default_factory=dict)
+    config: dict
     first_exceed_n: int | None = None
 
     def validate(self) -> bool:

@@ -89,10 +89,10 @@ def _add_domain_args(p: argparse.ArgumentParser, kinds=tuple(_DOMAINS),
     p.add_argument("--n-segments", type=int, default=DEFAULTS["n_segments"])
 
 
-def _domain_and_function(args, order: int):
+def _domain_and_function(args):
     """The --domain object and the --function jet, checked to share a dim."""
     domain = _DOMAINS[args.domain](args)
-    jet = functions.get_function(args.function, order=order, depth=args.depth)
+    jet = functions.get_function(args.function, args.depth)
     if jet.dim != domain.dim:
         raise JetlabError(f"function {args.function} is {jet.dim}-D but "
                           f"domain {domain.kind} is {domain.dim}-D")
@@ -119,7 +119,7 @@ def _cmd_domain_build(args, argv) -> int:
 
 
 def _cmd_field_sample(args, argv) -> int:
-    domain, jet = _domain_and_function(args, args.order)
+    domain, jet = _domain_and_function(args)
     q, open_mask = domains.build_domain(domain, args.h)
     mask = open_mask if args.mask == "open" else q
     sampled = jet.sample(mask, order=args.order)
@@ -183,7 +183,7 @@ def _cmd_hestenes_extend(args, argv) -> int:
 
 
 def _cmd_extend_prop2(args, argv) -> int:
-    domain, jet = _domain_and_function(args, max(args.order, 2))
+    domain, jet = _domain_and_function(args)
     result = glue.global_extend(jet, domain, args.order, h=args.h,
                                 margin=args.margin)
     mismatch = glue.interface_jet_mismatch(result.field, h=DEFAULTS["h"])
@@ -230,7 +230,7 @@ def _cmd_space_norm(args, argv) -> int:
             print("space norm needs --field or (--domain and --function)",
                   file=sys.stderr)
             return 2
-        domain, analytic = _domain_and_function(args, args.order)
+        domain, analytic = _domain_and_function(args)
         q, open_mask = domains.build_domain(domain, args.h)
         mask = open_mask if args.space == "E" else q
         jet = analytic.sample(mask, order=args.order)

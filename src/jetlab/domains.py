@@ -26,6 +26,8 @@ from .errors import (
 from .grid import GridMask, GridSpec, interior_of
 
 DEFAULT_INTERVAL_CAP = 2**20
+# boundary probes per chartable domain for the interface scan
+N_PROBES = 256
 
 
 @dataclass(frozen=True)
@@ -266,8 +268,8 @@ class Domain:
         """Pseudo-chart whose 0.9-ball carries the interior bump, well inside Q."""
         raise UnsupportedDomainError(f"no interior bump for {self.kind!r}")
 
-    def probes(self, n_probes: int) -> tuple[np.ndarray, np.ndarray]:
-        """(point, outward normal) pairs along the boundary, corners excluded."""
+    def probes(self) -> tuple[np.ndarray, np.ndarray]:
+        """N_PROBES (point, outward normal) pairs, no boundary corner."""
         raise UnsupportedDomainError(f"no boundary probes for {self.kind!r}")
 
     def charted(self, s, t, depth: float):
@@ -482,9 +484,9 @@ class Rectangle(Domain):
             "interior", "none",
         )
 
-    def probes(self, n_probes: int) -> tuple[np.ndarray, np.ndarray]:
+    def probes(self) -> tuple[np.ndarray, np.ndarray]:
         (x0, x1), (y0, y1) = self.bounds
-        per = max(4, n_probes // 4)
+        per = N_PROBES // 4
         # stay a tenth of the edge away from each corner
         fx = x0 + (x1 - x0) * (0.1 + 0.8 * (np.arange(per) + 0.5) / per)
         fy = y0 + (y1 - y0) * (0.1 + 0.8 * (np.arange(per) + 0.5) / per)
@@ -538,8 +540,8 @@ class Disk(Domain):
         return AffineChart(self.center, [[r, 0.0], [0.0, r]],
                            "interior", "none")
 
-    def probes(self, n_probes: int) -> tuple[np.ndarray, np.ndarray]:
-        thetas = (np.arange(n_probes) + 0.5) * (2.0 * np.pi / n_probes)
+    def probes(self) -> tuple[np.ndarray, np.ndarray]:
+        thetas = (np.arange(N_PROBES) + 0.5) * (2.0 * np.pi / N_PROBES)
         normals = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
         return np.array(self.center) + self.radius * normals, normals
 
@@ -564,10 +566,10 @@ class HalfBall(Domain):
         return AffineChart((0.45, 0.0), [[0.4, 0.0], [0.0, 0.55]],
                            "interior", "none")
 
-    def probes(self, n_probes: int) -> tuple[np.ndarray, np.ndarray]:
-        ts = np.linspace(-0.85, 0.85, n_probes)
+    def probes(self) -> tuple[np.ndarray, np.ndarray]:
+        ts = np.linspace(-0.85, 0.85, N_PROBES)
         pts = np.stack([np.zeros_like(ts), ts], axis=-1)
-        return pts, np.tile([-1.0, 0.0], (n_probes, 1))
+        return pts, np.tile([-1.0, 0.0], (N_PROBES, 1))
 
     def charted(self, s, t, depth: float):
         # The chart's bump has support radius 0.9: the face endpoints

@@ -15,11 +15,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import domains
+from . import domains, grid
 from .errors import PointOutsideRegionError
-from .grid import (
-    GridMask, Jet, JetEvaluator, SampledJet, multi_indices, row_blocks,
-)
+from .grid import GridMask, Jet, JetEvaluator, SampledJet, multi_indices
 
 DEFAULT_PHI_DEPTH = 60
 
@@ -98,13 +96,14 @@ class AnalyticJet:
     evaluator(points, order) is the leaf below every jet_many: it consumes an
     (..., dim) array and returns the whole jet there, every partial with
     |alpha| <= order, computing the work the partials share once per call.
-    member(*coords), when present, is the exact region predicate of a domain,
-    called with one coordinate array per axis; check_region is the one test
-    against it, and sample and glue.global_extend refuse points outside it.
+    A field has no order of its own: a leaf that cannot serve an order
+    raises ValueError for it at every point.  member(*coords), when present,
+    is the exact region predicate of a domain, called with one coordinate
+    array per axis; check_region is the one test against it, and sample and
+    glue.global_extend refuse points outside it.
     """
 
     name: str
-    order: int
     dim: int
     evaluator: JetEvaluator
     member: Callable[..., np.ndarray] | None = None
@@ -137,29 +136,14 @@ class AnalyticJet:
         }
 
     def sample(self, mask: GridMask, order: int) -> SampledJet:
-        """Evaluate every component on the masked lattice points.
+        """Every component on the masked lattice points, by grid.sample;
+        each row block passes the region check before its evaluation."""
 
-        The mask is taken in blocks of whole rows: one region check and one
-        evaluator call per block, written into zero-filled components.
-        """
-        if order > self.order:
-            raise ValueError(f"{self.name} offers order {self.order} only")
-        grid = mask.grid
-        components = {
-            alpha: np.zeros(grid.extents, dtype=np.float64)
-            for alpha in multi_indices(order, grid.dim)
-        }
-        for rows in row_blocks(grid.extents):
-            sub = mask.member[rows]
-            idx = np.nonzero(sub)
-            if not idx[0].size:
-                continue
-            pts = grid.points((idx[0] + rows.start,) + idx[1:])
+        def checked(pts: np.ndarray, order: int) -> Jet:
             self.check_region(pts, "mask point")
-            jet = self.evaluator(pts, order)
-            for alpha, arr in components.items():
-                arr[rows][sub] = jet[alpha]
-        return SampledJet(order, grid, mask, components)
+            return self.evaluator(pts, order)
+
+        return grid.sample(checked, mask, order)
 
 
 def _falling(p: int, k: int) -> float:
@@ -169,8 +153,8 @@ def _falling(p: int, k: int) -> float:
     return out
 
 
-def polynomial_jet(name: str, terms: dict[tuple[int, ...], float],
-                   order: int) -> AnalyticJet:
+def polynomial_jet(name: str,
+                   terms: dict[tuple[int, ...], float]) -> AnalyticJet:
     """Jet of a planar polynomial given as {exponent tuple: coefficient}."""
 
     def partial(pts: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
@@ -196,19 +180,19 @@ def polynomial_jet(name: str, terms: dict[tuple[int, ...], float],
         return {alpha: partial(pts, alpha)
                 for alpha in multi_indices(order, 2)}
 
-    return AnalyticJet(name, order, 2, evaluator)
+    return AnalyticJet(name, 2, evaluator)
 
 
-def chi_jet(order: int = 1) -> AnalyticJet:
+def chi_jet() -> AnalyticJet:
     """chi(s, t) = s t^2, the comb field's template."""
-    return polynomial_jet("chi", {(1, 2): 1.0}, order)
+    return polynomial_jet("chi", {(1, 2): 1.0})
 
 
-def sum_st_jet(order: int = 1) -> AnalyticJet:
-    return polynomial_jet("sum_st", {(1, 0): 1.0, (0, 1): 1.0}, order)
+def sum_st_jet() -> AnalyticJet:
+    return polynomial_jet("sum_st", {(1, 0): 1.0, (0, 1): 1.0})
 
 
-def sin_cos_jet(order: int = 3) -> AnalyticJet:
+def sin_cos_jet() -> AnalyticJet:
     """sin(s) cos(t) with partials of any requested order."""
 
     def evaluator(pts: np.ndarray, order: int) -> Jet:
@@ -219,10 +203,10 @@ def sin_cos_jet(order: int = 3) -> AnalyticJet:
         return {(a, b): s_cycle[a % 4] * t_cycle[b % 4]
                 for a, b in multi_indices(order, 2)}
 
-    return AnalyticJet("sin_cos", order, 2, evaluator)
+    return AnalyticJet("sin_cos", 2, evaluator)
 
 
-def exp1d_jet(order: int = 3) -> AnalyticJet:
+def exp1d_jet() -> AnalyticJet:
     """exp(s) on the line; every partial is exp itself."""
 
     def evaluator(pts: np.ndarray, order: int) -> Jet:
@@ -230,7 +214,7 @@ def exp1d_jet(order: int = 3) -> AnalyticJet:
         value.setflags(write=False)  # shared by every partial
         return {alpha: value for alpha in multi_indices(order, 1)}
 
-    return AnalyticJet("exp1d", order, 1, evaluator)
+    return AnalyticJet("exp1d", 1, evaluator)
 
 
 # the regions of the comb and staircase fields: every tooth, every island
@@ -251,6 +235,8 @@ _EXAMPLE3_PARTIALS = {
 
 def _example3_eval(pts: np.ndarray, order: int) -> Jet:
     """Comb field: chi(s, t) on the base, its shifted copy on each tooth."""
+    if order > 2:
+        raise ValueError("comb field jets are available to order 2")
     s = pts[..., 0]
     t = pts[..., 1]
     region = _COMB.q(s, t)
@@ -270,11 +256,9 @@ def _example3_eval(pts: np.ndarray, order: int) -> Jet:
     return out
 
 
-def example3_jet(order: int = 1) -> AnalyticJet:
-    """The comb counterexample field as an order-1 jet (order 2 available)."""
-    if order > 2:
-        raise ValueError("comb field jets are available to order 2")
-    return AnalyticJet("example3", order, 2, _example3_eval, _COMB.q)
+def example3_jet() -> AnalyticJet:
+    """The comb counterexample field; its jets stop at order 2."""
+    return AnalyticJet("example3", 2, _example3_eval, _COMB.q)
 
 
 def example3_value(s: float, t: float, alpha=(0, 0)) -> float:
@@ -296,9 +280,9 @@ def _gap1d_eval(pts: np.ndarray, order: int) -> Jet:
     return out
 
 
-def gap1d_jet(order: int = 1) -> AnalyticJet:
+def gap1d_jet() -> AnalyticJet:
     """Identity-slope staircase on [-1, 0] and the islands [2^-n, (3/2)2^-n]."""
-    return AnalyticJet("gap1d", order, 1, _gap1d_eval, _GAPS.q)
+    return AnalyticJet("gap1d", 1, _gap1d_eval, _GAPS.q)
 
 
 def gap1d_value(s: float, alpha=(0,)) -> float:
@@ -308,6 +292,8 @@ def gap1d_value(s: float, alpha=(0,)) -> float:
 
 
 def _example1_eval(pts: np.ndarray, order: int) -> Jet:
+    if order > 3:
+        raise ValueError("t-derivatives of the mollifier stop at order 3")
     s = pts[..., 0]
     t = pts[..., 1]
     # every s-partial vanishes off the slit columns
@@ -322,19 +308,18 @@ def _example1_eval(pts: np.ndarray, order: int) -> Jet:
     return out
 
 
-def example1_jet(order: int, depth: int) -> AnalyticJet:
+def example1_jet(depth: int) -> AnalyticJet:
     """Slit-square field phi(s) exp(-1/t) on the open square minus the slits.
 
-    Defined (with all partials) on the open set only; the slit columns of the
-    level-depth cover are excluded by the membership predicate.
+    Defined (with all partials through order 3) on the open set only; the
+    slit columns of the level-depth cover are excluded by the membership
+    predicate.
     """
-    if order > 3:
-        raise ValueError("t-derivatives of the mollifier stop at order 3")
-    return AnalyticJet("example1", order, 2, _example1_eval,
+    return AnalyticJet("example1", 2, _example1_eval,
                        domains.CantorSlit(depth).open)
 
 
-def example1_xbar(s, t, phi_depth: int = DEFAULT_PHI_DEPTH) -> float:
+def example1_xbar(s, t, phi_depth: int) -> float:
     """The continuous closure extension of the slit-square field on Q.
 
     Exact-rational friendly: s may be a Fraction (needed at s = 3^-n where
@@ -349,23 +334,23 @@ def example1_xbar(s, t, phi_depth: int = DEFAULT_PHI_DEPTH) -> float:
     return phi * f
 
 
-# name -> its jet at (order, depth); only example1 reads the cover depth
+# name -> its jet at the cover depth; only example1 reads the depth
 _REGISTRY = {
     "example1": example1_jet,
-    "example3": lambda order, depth: example3_jet(order),
-    "gap1d": lambda order, depth: gap1d_jet(order),
-    "chi": lambda order, depth: chi_jet(order),
-    "sum_st": lambda order, depth: sum_st_jet(order),
-    "sin_cos": lambda order, depth: sin_cos_jet(max(order, 3)),
-    "exp1d": lambda order, depth: exp1d_jet(max(order, 3)),
+    "example3": lambda depth: example3_jet(),
+    "gap1d": lambda depth: gap1d_jet(),
+    "chi": lambda depth: chi_jet(),
+    "sum_st": lambda depth: sum_st_jet(),
+    "sin_cos": lambda depth: sin_cos_jet(),
+    "exp1d": lambda depth: exp1d_jet(),
 }
 
 
-def get_function(name: str, order: int, depth: int) -> AnalyticJet:
+def get_function(name: str, depth: int) -> AnalyticJet:
     """CLI-addressable field lookup."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown function {name!r}; choices: {sorted(_REGISTRY)}")
-    return _REGISTRY[name](order, depth)
+    return _REGISTRY[name](depth)
 
 
 def function_names() -> list[str]:

@@ -33,8 +33,8 @@ from .domains import Chart, Domain
 from .errors import CoverGapError, UnsupportedDomainError
 from .functions import AnalyticJet
 from .grid import (
-    CHUNK_POINTS, GridMask, GridSpec, Jet, JetEvaluator, SampledJet,
-    dilate_box, interior_of, multi_indices,
+    GridMask, GridSpec, Jet, JetEvaluator, SampledJet, dilate_box,
+    interior_of, multi_indices, sample,
 )
 from .hestenes import HalfSpaceExtension, corner_extension, solve_coefficients
 
@@ -50,7 +50,7 @@ def _unit_alpha(axis: int, dim: int = 2) -> tuple[int, ...]:
     return tuple(1 if k == axis else 0 for k in range(dim))
 
 
-def _pair_alpha(a: int, b: int, dim: int = 2) -> tuple[int, ...]:
+def _pair_alpha(a: int, b: int, dim: int) -> tuple[int, ...]:
     out = [0] * dim
     out[a] += 1
     out[b] += 1
@@ -418,9 +418,8 @@ def global_extend(x: AnalyticJet, domain: Domain, order: int, h: float,
     """Glue local reflections into one field over a margin-padded window.
 
     Values on Q-lattice points come straight from x, which must be defined
-    at every one of them; the blend only fills the complement.  The window
-    is evaluated in fixed chunks of rows, which bounds the blend's
-    temporaries.
+    at every one of them; the blend only fills the complement.  grid.sample
+    walks the window in row blocks, which bounds the blend's temporaries.
     """
     if order > 2:
         raise ValueError(
@@ -444,19 +443,8 @@ def global_extend(x: AnalyticJet, domain: Domain, order: int, h: float,
     extensions = [local_extend(x.jet_many, chart, order) for chart in charts]
     extensions.append(x.jet_many)
     field = GlobalField(domain, order, charts, partition, extensions)
-    s, t = window.coord_grids()
-    pts = np.stack([s.ravel(), t.ravel()], axis=-1)
-    alphas = multi_indices(order, 2)
-    values = {alpha: np.zeros(len(pts)) for alpha in alphas}
-    for lo in range(0, len(pts), CHUNK_POINTS):
-        chunk = field.jet_many(pts[lo:lo + CHUNK_POINTS], order)
-        for alpha in alphas:
-            values[alpha][lo:lo + CHUNK_POINTS] = chunk[alpha]
-    components = {
-        alpha: values[alpha].reshape(window.extents) for alpha in alphas
-    }
     all_mask = GridMask(window, np.ones(window.extents, dtype=bool))
-    jet = SampledJet(order, window, all_mask, components)
+    jet = sample(field.jet_many, all_mask, order)
     # window points off Q the blend could not reach (value convention 0)
     uncovered = int((partition.unreached.member & ~q_mask.member).sum())
     return GlobalExtensionResult(
@@ -478,7 +466,7 @@ def interface_jet_mismatch(field: GlobalField,
     f(3h)); the mismatch is the largest absolute difference.  O(h^2) for a
     C^1-matched extension.
     """
-    pts, normals = field.domain.probes(256)
+    pts, normals = field.domain.probes()
     samples_in = [
         field.jet_many(pts - k * h * normals, field.order) for k in (1, 2, 3)
     ]

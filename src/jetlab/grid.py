@@ -1,4 +1,5 @@
-"""Uniform lattices, boolean masks, multi-indices, sampled jets, and sup norms.
+"""Uniform lattices, boolean masks, multi-indices, sampled jets, the one
+walk that samples an evaluator on a mask, and sup norms.
 
 Every lattice is an axis-aligned uniform grid with one spacing h shared by all
 axes.  Coordinates are always produced as origin + k*h with a single multiply,
@@ -237,6 +238,28 @@ class SampledJet:
 
     def alphas(self) -> list[tuple[int, ...]]:
         return multi_indices(self.order, self.grid.dim)
+
+
+def sample(evaluator: JetEvaluator, mask: GridMask, order: int) -> SampledJet:
+    """The one walk of a lattice with an evaluator: the masked points in
+    blocks of whole rows, one evaluator call per non-empty block, written
+    into zero-filled components."""
+    grid = mask.grid
+    components = {
+        alpha: np.zeros(grid.extents, dtype=np.float64)
+        for alpha in multi_indices(order, grid.dim)
+    }
+    for rows in row_blocks(grid.extents):
+        sub = mask.member[rows]
+        idx = np.nonzero(sub)
+        if not idx[0].size:
+            continue
+        pts = grid.points((idx[0] + rows.start,) + idx[1:])
+        del idx  # the points are all the evaluator needs
+        jet = evaluator(pts, order)
+        for alpha, arr in components.items():
+            arr[rows][sub] = jet[alpha]
+    return SampledJet(order, grid, mask, components)
 
 
 def sup_on_mask(values: np.ndarray, mask: GridMask) -> float:

@@ -144,7 +144,7 @@ class HalfSpaceExtension:
 
 
 def corner_extension(source: JetEvaluator, i: int,
-                     max_depth: float | None = None) -> HalfSpaceExtension:
+                     max_depth: float | None) -> HalfSpaceExtension:
     """Tensor reflection off the walls xi_0 = 0 and xi_1 = 0, which meet at
     the origin with the source side the quarter xi_0, xi_1 >= 0.
 
@@ -174,9 +174,9 @@ def extend_half_space_lattice(
     jet: SampledJet,
     coeffs: HestenesCoefficients,
     width: int,
-    axis: int = 0,
-    boundary: float = 0.0,
-    inward: float = 1.0,
+    axis: int,
+    boundary: float,
+    inward: float,
 ) -> LatticeExtensionResult:
     """Continue a sampled jet `width` lattice steps past the wall.
 

@@ -325,11 +325,9 @@ def jet_from_payload(payload: dict) -> SampledJet:
     return SampledJet(order, mask.grid, mask, components)
 
 
-def write_artifact(path: str, payload: dict, provenance: dict | None = None) -> None:
+def write_artifact(path: str, payload: dict, provenance: dict) -> None:
     """Write payload JSON; provenance rides along under its own key."""
-    doc = dict(payload)
-    if provenance is not None:
-        doc["provenance"] = provenance
+    doc = {**payload, "provenance": provenance}
     # encoded before opening: a failed encode leaves the file as it was; the
     # parts are written as they are, never joined into one more copy
     parts: list[str] = []

@@ -98,7 +98,7 @@ def test_02_monomial_reproduction():
 
                     ext = HalfSpaceExtension(
                         solve_coefficients(i),
-                        AnalyticJet("src", i, 2, source).jet_many, axis=1)
+                        AnalyticJet("src", 2, source).jet_many, axis=1)
                     got = ext.jet_many(pts, 0)[(0, 0)]
                     want = pts[..., 1] ** j * g(pts[..., 0])
                     scale = np.maximum(1.0, np.abs(want))
@@ -109,7 +109,7 @@ def test_03_interface_smoothness():
     with criterion(3, "interface-smoothness", 1.0):
         ext = HalfSpaceExtension(
             solve_coefficients(2),
-            get_function("exp1d", order=2, depth=4).jet_many, axis=0)
+            get_function("exp1d", depth=4).jet_many, axis=0)
         tang = np.zeros((1, 0))
         fine = interface_mismatch(ext, tang, h=2.0**-10)
         coarse = interface_mismatch(ext, tang, h=2.0**-9)
@@ -122,7 +122,7 @@ def test_03_interface_smoothness():
 def test_04_global_extension_pipeline():
     with criterion(4, "global-extension-pipeline", 30.0):
         rect = global_extend(
-            get_function("sum_st", order=1, depth=4), domains.rectangle(), 1,
+            get_function("sum_st", depth=4), domains.rectangle(), 1,
             h=2.0**-5, margin=0.5)
         s, t = rect.window.coord_grids()
         err = np.abs(rect.jet.components[(0, 0)] - (s + t))
@@ -130,7 +130,7 @@ def test_04_global_extension_pipeline():
         assert rect.sum_residual < 1e-9
 
         disk = global_extend(
-            get_function("sin_cos", order=1, depth=4), domains.disk(), 1,
+            get_function("sin_cos", depth=4), domains.disk(), 1,
             h=2.0**-5, margin=0.5)
         mm = interface_jet_mismatch(disk.field, h=2.0**-10)
         assert set(mm) == {(0, 0), (1, 0), (0, 1)}
@@ -151,7 +151,7 @@ def test_05_comb_certificate_and_membership():
         assert cert.validate()
 
         q, _ = domains.build_domain(domains.comb(6), 2.0**-10)
-        jet = get_function("example3", order=1, depth=4).sample(q, 1)
+        jet = get_function("example3", depth=4).sample(q, 1)
         assert check_membership_f(jet, DEFAULTS["tol"]).consistent
 
 
@@ -164,7 +164,7 @@ def test_06_gap1d_certificate_and_membership():
         assert cert.validate()
 
         q, _ = domains.build_domain(domains.gap_intervals(8), 2.0**-10)
-        jet = get_function("gap1d", order=1, depth=4).sample(q, 1)
+        jet = get_function("gap1d", depth=4).sample(q, 1)
         assert check_membership_f(jet, DEFAULTS["tol"]).consistent
 
 
@@ -184,7 +184,7 @@ def test_07_cantor_slit_certificate_and_membership():
         # the same field is a consistent member on the open side: every
         # s-partial vanishes and the t-partials obey their moduli
         _, omega = domains.build_domain(domains.cantor_slit_square(4), 2.0**-9)
-        jet = get_function("example1", order=3, depth=4).sample(omega, 3)
+        jet = get_function("example1", depth=4).sample(omega, 3)
         for alpha, arr in jet.components.items():
             if alpha[0] >= 1:
                 assert float(np.abs(arr).max()) <= 1e-10

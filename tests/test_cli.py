@@ -128,7 +128,7 @@ def test_space_norm_check_fails_on_discontinuous_artifact(tmp_path, capsys):
     xs = g.axis_coords(0)
     jet = SampledJet(0, g, mask, {(0,): np.where(xs < 0.5, 0.0, 1.0)})
     path = tmp_path / "bad.json"
-    io.write_artifact(str(path), {"jet": io.jet_to_payload(jet)})
+    io.write_artifact(str(path), {"jet": io.jet_to_payload(jet)}, {})
     code = run(["space", "norm", "--field", str(path), "--check"])
     assert code == 1
     assert "violation" in capsys.readouterr().out
@@ -139,7 +139,7 @@ def test_space_norm_g_check_is_a_usage_error(tmp_path, capsys):
     mask = GridMask(g, np.ones(g.extents, dtype=bool))
     jet = SampledJet(0, g, mask, {(0,): g.axis_coords(0)})
     path = tmp_path / "field.json"
-    io.write_artifact(str(path), {"jet": io.jet_to_payload(jet)})
+    io.write_artifact(str(path), {"jet": io.jet_to_payload(jet)}, {})
     out = tmp_path / "norm.json"
     code = run(["space", "norm", "--field", str(path), "--space", "G",
                 "--check", "--out", str(out)])
@@ -299,6 +299,17 @@ def test_prop2_refuses_a_field_off_its_region(args, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_field_sample_past_the_comb_fields_order_is_a_usage_error(
+        tmp_path, capsys):
+    out = tmp_path / "f.json"
+    assert run(["field", "sample", "--domain", "comb", "--function",
+                "example3", "--n-teeth", "3", "--order", "3",
+                "--h", str(2.0**-6), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: comb field jets are available to order 2\n"
+    assert not out.exists()
+
+
 def test_region_error_prints_plain_floats(tmp_path, capsys):
     out = tmp_path / "f.json"
     assert run(["field", "sample", "--domain", "disk", "--function",
@@ -442,7 +453,7 @@ def test_missing_file_is_a_usage_error(argv, tmp_path, capsys):
 def _write_without(path, payload, key):
     payload = dict(payload)
     del payload[key]
-    io.write_artifact(str(path), payload)
+    io.write_artifact(str(path), payload, {})
 
 
 def test_jet_artifact_without_grid_is_a_usage_error(tmp_path, capsys):

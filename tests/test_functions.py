@@ -10,6 +10,7 @@ from jetlab import domains, functions
 from jetlab.domains import cantor_level
 from jetlab.errors import PointOutsideRegionError
 from jetlab.functions import (
+    DEFAULT_PHI_DEPTH,
     cantor_phi,
     cantor_phi_array,
     example1_xbar,
@@ -139,7 +140,7 @@ def test_mollifier_cutoff_is_hard_zero():
 
 
 def test_polynomial_jet_partials():
-    p = polynomial_jet("p", {(2, 1): 3.0}, order=3)  # 3 s^2 t
+    p = polynomial_jet("p", {(2, 1): 3.0})  # 3 s^2 t
     jet = p.jet_many(np.array([[2.0, 5.0]]), 3)
     want = {(0, 0): 60.0, (1, 0): 60.0, (1, 1): 12.0, (2, 0): 30.0,
             (2, 1): 6.0, (3, 0): 0.0, (0, 2): 0.0}
@@ -163,14 +164,14 @@ def test_example3_values():
 
 
 def test_example3_jet_region():
-    jet = get_function("example3", order=1, depth=4)
+    jet = get_function("example3", depth=4)
     inside = [[-0.5, 0.5], [-0.9, 1.0], [-0.5, 1.0], [-2.0**-10, 1.0]]
     jet.check_region(np.array(inside), "point")
     assert jet.jet_many(np.array([[-0.5, 0.5]]), 0)[(0, 0)][0] == -0.125
     with pytest.raises(PointOutsideRegionError):
         jet.check_region(np.array([[0.7, 0.5]]), "point")
     with pytest.raises(ValueError):
-        functions.example3_jet(order=3)
+        jet.jet_many(np.array([[-0.5, 0.5]]), 3)
     # derivative slope on the negative side at t = 1 is exactly 1
     for s in (-0.9, -0.5, -2.0**-10):
         assert jet.jet_many(np.array([[s, 1.0]]), 1)[(1, 0)][0] == 1.0
@@ -179,7 +180,7 @@ def test_example3_jet_region():
 def test_example3_samples_every_tooth():
     h = 2.0**-9
     q6, _ = domains.build_domain(domains.comb(6), h)
-    full = functions.example3_jet(order=1)
+    full = functions.example3_jet()
     jet = full.sample(q6, order=1)
     assert jet.mask.count == q6.count
 
@@ -191,7 +192,7 @@ def test_gap1d_values():
     assert gap1d_value(0.75) == 0.25
     assert gap1d_value(0.625, (1,)) == 1.0
     assert gap1d_value(0.4) == 0.0       # gap
-    jet = get_function("gap1d", order=1, depth=4)
+    jet = get_function("gap1d", depth=4)
     with pytest.raises(PointOutsideRegionError):
         jet.check_region(np.array([[0.4]]), "point")
     jet.check_region(np.array([[0.625]]), "point")
@@ -200,21 +201,23 @@ def test_gap1d_values():
 
 def test_example1_xbar():
     e1 = math.exp(-1.0)
-    assert example1_xbar(Fraction(1, 2), 1) == pytest.approx(0.5 * e1, rel=1e-15)
+    depth = DEFAULT_PHI_DEPTH
+    assert example1_xbar(Fraction(1, 2), 1, depth) == pytest.approx(
+        0.5 * e1, rel=1e-15)
     # the closure extension vanishes off the open block
-    assert example1_xbar(0, 1) == 0.0
-    assert example1_xbar(-0.5, 0.5) == 0.0
-    assert example1_xbar(0.5, -0.5) == 0.0
+    assert example1_xbar(0, 1, depth) == 0.0
+    assert example1_xbar(-0.5, 0.5, depth) == 0.0
+    assert example1_xbar(0.5, -0.5, depth) == 0.0
     # d_n engine: xbar(3^-n, 1) = 2^-n / e
     for n in (1, 5, 20):
-        got = example1_xbar(Fraction(1, 3**n), 1)
+        got = example1_xbar(Fraction(1, 3**n), 1, depth)
         assert got == pytest.approx(0.5**n * e1, rel=1e-14)
     with pytest.raises(PointOutsideRegionError):
-        example1_xbar(1.5, 0.5)
+        example1_xbar(1.5, 0.5, depth)
 
 
 def test_example1_jet_membership():
-    jet = get_function("example1", order=1, depth=4)
+    jet = get_function("example1", depth=4)
     pts = np.array([
         [1.0 / 3.0, 0.5],   # slit column (approximately; 1/3 rounds into the cover)
         [0.5, 0.5],         # gap column
@@ -233,22 +236,52 @@ def test_example1_jet_membership():
 
 
 def test_sample_on_lattice():
-    jet = get_function("chi", order=2, depth=4)
+    jet = get_function("chi", depth=4)
     g = GridSpec((0.0, 0.0), 0.5, (3, 3))
     mask = GridMask(g, np.ones((3, 3), dtype=bool))
     sj = jet.sample(mask, order=2)
     assert sj.components[(0, 0)][2, 2] == 1.0  # s t^2 at (1, 1)
     assert sj.components[(1, 1)][1, 1] == 1.0  # 2t at (0.5, 0.5)
-    with pytest.raises(ValueError):
-        jet.sample(mask, order=3)
+    # the comb field's leaf stops at order 2; [-1, 0]^2 lies in its base
+    base = GridMask(GridSpec((-1.0, -1.0), 0.5, (3, 3)),
+                    np.ones((3, 3), dtype=bool))
+    with pytest.raises(ValueError, match="order 2"):
+        get_function("example3", depth=4).sample(base, order=3)
+
+
+def test_example3_refuses_order_3_at_every_point():
+    # s t^2 has d_s d_t^2 = 2: the leaf serves order 2 and refuses order 3
+    # rather than report a zero for it
+    jet = functions.example3_jet()
+    pts = np.array([[-0.5, -0.5], [-0.25, 0.75], [0.4375, 0.5]])
+    assert jet.jet_many(pts, 2)[(0, 2)].tolist() == [-1.0, -0.5, 0.125]
+    with pytest.raises(ValueError, match="available to order 2"):
+        jet.jet_many(pts, 3)
+    q, _ = domains.build_domain(domains.comb(3), 2.0**-6)
+    with pytest.raises(ValueError, match="available to order 2"):
+        jet.sample(q, 3)
+
+
+def test_example1_refuses_order_4_off_its_block():
+    # s <= 0 holds no point of the mollifier's block, yet order 4 is refused
+    jet = get_function("example1", depth=3)
+    pts = np.array([[-0.5, 0.5], [0.0, -0.5], [-0.75, -0.25]])
+    with pytest.raises(ValueError, match="stop at order 3"):
+        jet.jet_many(pts, 4)
+    _, omega = domains.build_domain(domains.cantor_slit_square(3), 2.0**-6)
+    s, _ = omega.grid.coord_grids()
+    left = GridMask(omega.grid, omega.member & (s <= 0.0))
+    assert left.count > 0
+    with pytest.raises(ValueError, match="stop at order 3"):
+        jet.sample(left, 4)
 
 
 def test_registry():
     assert "example1" in functions.function_names()
     assert functions.function_names() == sorted(functions.function_names())
     with pytest.raises(KeyError):
-        get_function("nope", order=1, depth=4)
-    assert get_function("sin_cos", order=1, depth=4).jet_many(
+        get_function("nope", depth=4)
+    assert get_function("sin_cos", depth=4).jet_many(
         np.array([[0.3, 0.4]]), 2)[(1, 1)][0] == pytest.approx(
             -math.cos(0.3) * math.sin(0.4), rel=1e-15)
 
@@ -286,7 +319,7 @@ SAMPLE_CASES = {
 @pytest.mark.parametrize("case", sorted(SAMPLE_CASES))
 def test_sample_matches_the_scatter_oracle(case):
     name, order, make = SAMPLE_CASES[case]
-    jet = get_function(name, order=order, depth=3)
+    jet = get_function(name, depth=3)
     for mask in (make(), thinned(make(), seed=len(case))):
         got = jet.sample(mask, order).components
         want = scatter_sample(jet, mask, order)
@@ -304,7 +337,7 @@ def test_sample_names_the_first_point_outside_the_region():
     member = omega.member.copy()
     member[blocks[1]] |= q.member[blocks[1]]
     mask = GridMask(q.grid, member)
-    jet = get_function("example1", order=1, depth=3)
+    jet = get_function("example1", depth=3)
     with pytest.raises(PointOutsideRegionError) as got:
         jet.sample(mask, 1)
     with pytest.raises(PointOutsideRegionError) as want:
@@ -314,7 +347,7 @@ def test_sample_names_the_first_point_outside_the_region():
 
 def test_sample_calls_the_leaf_once_per_row_block(monkeypatch):
     _, omega = domains.build_domain(domains.cantor_slit_square(4), 2.0**-9)
-    jet = get_function("example1", order=3, depth=4)
+    jet = get_function("example1", depth=4)
     leaf = jet.evaluator
     calls = []
     moll = []

@@ -14,7 +14,8 @@ from jetlab.glue import (
     interface_jet_mismatch,
     local_extend,
 )
-from jetlab.grid import GridMask, GridSpec, multi_indices
+from jetlab import grid
+from jetlab.grid import GridMask, GridSpec, multi_indices, row_blocks
 from jetlab.hestenes import (
     HalfSpaceExtension, corner_extension, solve_coefficients,
 )
@@ -220,7 +221,7 @@ def test_thin_atlas_raises_cover_gap():
 def test_local_extension_reproduces_linear_fields():
     spec = domains.rectangle()
     charts = spec.charts()
-    x = get_function("sum_st", order=2, depth=4)
+    x = get_function("sum_st", depth=4)
     # past the bottom edge (chart 0) and past the (0,0) corner (chart 4)
     cases = [(charts[0], np.array([[0.5, -0.1], [0.3, -0.02]])),
              (charts[4], np.array([[-0.05, -0.05], [-0.1, 0.02]]))]
@@ -237,7 +238,7 @@ def test_local_extension_reproduces_linear_fields():
 def test_local_extension_of_zero_is_zero():
     spec = domains.disk()
     chart = spec.charts()[0]
-    z = polynomial_jet("z", {}, order=1)
+    z = polynomial_jet("z", {})
     ext = local_extend(z.jet_many, chart, 1)
     pts = np.array([[1.05, 0.0], [1.01, 0.2]])
     for alpha in [(0, 0), (1, 0), (0, 1)]:
@@ -248,7 +249,7 @@ def test_local_extension_error_quadratic_in_distance():
     # order-1 reflection: value error past the wall is O(d^2)
     spec = domains.disk()
     chart = spec.charts()[0]
-    x = get_function("sin_cos", order=2, depth=4)
+    x = get_function("sin_cos", depth=4)
     ext = local_extend(x.jet_many, chart, 1)
     errs = []
     for d in (1e-2, 5e-3, 2.5e-3):
@@ -262,7 +263,7 @@ def test_local_extension_error_quadratic_in_distance():
 
 def counting_sin_cos():
     """sin_cos whose closed-form evaluator records every call."""
-    x = get_function("sin_cos", order=2, depth=4)
+    x = get_function("sin_cos", depth=4)
     calls = []
     leaf = x.evaluator
 
@@ -294,11 +295,11 @@ def test_local_jet_asks_the_source_once_per_probe(k, walls, pts):
 
 def test_partial_many_is_the_projection_of_jet_many():
     rng = np.random.default_rng(11)
-    x = get_function("sin_cos", order=2, depth=4)
+    x = get_function("sin_cos", depth=4)
     box = rng.uniform(-0.5, 0.5, (300, 2))
     cases = [
         (HalfSpaceExtension(solve_coefficients(2), x.jet_many, axis=1), box),
-        (corner_extension(x.jet_many, 2), box),
+        (corner_extension(x.jet_many, 2, max_depth=None), box),
     ]
     for ext, pts in cases:
         jet = ext.jet_many(pts, 2)
@@ -315,13 +316,13 @@ def test_interior_chart_carries_no_extension():
         return {(0, 0): p[..., 0]}
 
     with pytest.raises(UnsupportedDomainError):
-        local_extend(AnalyticJet("s", 1, 2, s_leaf).jet_many,
+        local_extend(AnalyticJet("s", 2, s_leaf).jet_many,
                      part.charts[-1], 1)
 
 
 def test_global_extension_exact_for_linear_field():
     spec = domains.rectangle()
-    x = get_function("sum_st", order=1, depth=4)
+    x = get_function("sum_st", depth=4)
     res = global_extend(x, spec, 1, h=2.0**-5, margin=0.5)
     s, t = res.window.coord_grids()
     err = np.abs(res.jet.components[(0, 0)] - (s + t))
@@ -337,7 +338,7 @@ def test_global_extension_exact_for_linear_field():
 
 def test_global_extension_of_constant_is_constant():
     spec = domains.rectangle()
-    one = polynomial_jet("one", {(0, 0): 1.0}, order=2)
+    one = polynomial_jet("one", {(0, 0): 1.0})
     res = global_extend(one, spec, 2, h=2.0**-5, margin=0.5)
     assert float(np.abs(res.jet.components[(0, 0)] - 1.0).max()) < 1e-12
     for alpha in [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
@@ -346,7 +347,7 @@ def test_global_extension_of_constant_is_constant():
 
 def test_global_partials_match_finite_differences_outside():
     spec = domains.disk()
-    x = get_function("sin_cos", order=2, depth=4)
+    x = get_function("sin_cos", depth=4)
     res = global_extend(x, spec, 2, h=2.0**-5, margin=0.5)
     pts = np.array([[1.05, 0.2], [-0.3, 1.08], [0.75, 0.75]])
     eps = 1e-5
@@ -368,7 +369,7 @@ def test_global_partials_match_finite_differences_outside():
 
 def test_global_extension_order_cap():
     with pytest.raises(ValueError):
-        global_extend(get_function("sin_cos", order=3, depth=4),
+        global_extend(get_function("sin_cos", depth=4),
                       domains.disk(), 3, h=2.0**-5, margin=0.5)
 
 
@@ -378,7 +379,7 @@ def test_global_extension_order_cap():
     ids=lambda v: v.kind if hasattr(v, "kind") else str(v),
 )
 def test_interface_scan_small_mismatch(spec, bound):
-    x = get_function("sin_cos", order=1, depth=4)
+    x = get_function("sin_cos", depth=4)
     res = global_extend(x, spec, 1, h=2.0**-5, margin=0.5)
     mm = interface_jet_mismatch(res.field, h=2.0**-8)
     assert set(mm) == {(0, 0), (1, 0), (0, 1)}
@@ -395,3 +396,35 @@ def test_half_ball_face_partition_is_identity():
     assert np.max(np.abs(chi0 - 1.0)) == 0.0
     for alpha in [(1, 0), (0, 1)]:
         assert np.max(np.abs(chi_many(part, 0, pts, alpha))) == 0.0
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.kind)
+def test_window_jet_is_one_jet_many_over_the_window(spec):
+    x = get_function("sin_cos", depth=4)
+    res = global_extend(x, spec, 2, h=2.0**-5, margin=0.5)
+    everywhere = np.nonzero(np.ones(res.window.extents, dtype=bool))
+    want = res.field.jet_many(res.window.points(everywhere), 2)
+    assert list(res.jet.components) == list(want)
+    for alpha, arr in want.items():
+        got = res.jet.components[alpha].ravel()
+        assert np.array_equal(got.view(np.int64), arr.view(np.int64))
+
+
+def test_window_walk_asks_once_per_row_block_for_each_point(monkeypatch):
+    # at 2^-7 the half-ball's window spans two row blocks
+    calls = []
+
+    def counted_sample(evaluator, mask, order):
+        def counted(pts, order):
+            calls.append(pts.copy())
+            return evaluator(pts, order)
+
+        return grid.sample(counted, mask, order)
+
+    monkeypatch.setattr(glue, "sample", counted_sample)
+    res = global_extend(get_function("sin_cos", depth=4), domains.half_ball(),
+                        1, h=2.0**-7, margin=0.5)
+    window = res.window
+    assert len(calls) == len(list(row_blocks(window.extents))) == 2
+    everywhere = np.nonzero(np.ones(window.extents, dtype=bool))
+    assert np.array_equal(np.concatenate(calls), window.points(everywhere))

@@ -13,6 +13,8 @@ from jetlab.grid import (
     interior_of,
     multi_indices,
     parse_alpha_key,
+    row_blocks,
+    sample,
     sup_on_mask,
 )
 from lattice_oracles import (
@@ -241,3 +243,29 @@ def test_sup_on_mask():
         sup_on_mask(np.zeros(4), GridMask(g, np.zeros(4, dtype=bool)))
     with pytest.raises(MaskMismatchError):
         sup_on_mask(np.zeros(5), m)
+
+
+def test_sample_passes_each_masked_point_once_per_non_empty_block():
+    # three row blocks of 218 rows; the middle one is emptied
+    g = GridSpec((-1.0, 0.5), 2.0**-6, (600, 300))
+    rng = np.random.default_rng(4)
+    member = rng.random(g.extents) < 0.6
+    blocks = list(row_blocks(g.extents))
+    assert len(blocks) == 3
+    member[blocks[1]] = False
+    mask = GridMask(g, member)
+    calls = []
+
+    def evaluator(pts, order):  # s + 2t to order 1
+        calls.append(pts.copy())
+        return {(0, 0): pts[:, 0] + 2.0 * pts[:, 1],
+                (1, 0): np.ones(len(pts)), (0, 1): np.full(len(pts), 2.0)}
+
+    jet = sample(evaluator, mask, 1)
+    assert len(calls) == 2
+    want = g.points(np.nonzero(member))
+    assert np.array_equal(np.concatenate(calls), want)
+    s, t = g.coord_grids()
+    assert np.array_equal(jet.components[(0, 0)],
+                          np.where(member, s + 2.0 * t, 0.0))
+    assert np.array_equal(jet.components[(0, 1)], np.where(member, 2.0, 0.0))

@@ -75,7 +75,7 @@ def test_monomial_reproduction(i, g_name):
             return {(0, 0): p[..., 1] ** j * g(p[..., 0])}
 
         ext = HalfSpaceExtension(solve_coefficients(i),
-                                 AnalyticJet("src", i, 2, source).jet_many,
+                                 AnalyticJet("src", 2, source).jet_many,
                                  axis=1)
         got = ext.jet_many(pts, 0)[(0, 0)]
         want = pts[..., 1] ** j * g(pts[..., 0])
@@ -86,7 +86,7 @@ def test_monomial_reproduction(i, g_name):
 def test_exp_formula_and_order():
     ext = HalfSpaceExtension(
         solve_coefficients(2),
-        get_function("exp1d", order=2, depth=4).jet_many, axis=0)
+        get_function("exp1d", depth=4).jet_many, axis=0)
     got = float(ext.jet_many(np.array([[-0.1]]), 0)[(0,)][0])
     direct = 6 * math.exp(0.1) - 32 * math.exp(0.05) + 27 * math.exp(0.1 / 3)
     assert got == pytest.approx(direct, rel=1e-15)
@@ -97,16 +97,16 @@ def test_exp_formula_and_order():
 
 
 def test_extension_is_identity_inside():
-    jet = get_function("exp1d", order=2, depth=4)
+    jet = get_function("exp1d", depth=4)
     ext = HalfSpaceExtension(solve_coefficients(2), jet.jet_many, axis=0)
     pts = np.array([[0.3], [0.0], [0.9]])
     assert np.array_equal(ext.jet_many(pts, 0)[(0,)], np.exp(pts[:, 0]))
 
 
 def test_linearity():
-    u = polynomial_jet("u", {(3, 0): 1.0}, order=2)
-    v = polynomial_jet("v", {(1, 1): 1.0}, order=2)
-    w = polynomial_jet("w", {(3, 0): 2.0, (1, 1): -5.0}, order=2)
+    u = polynomial_jet("u", {(3, 0): 1.0})
+    v = polynomial_jet("v", {(1, 1): 1.0})
+    w = polynomial_jet("w", {(3, 0): 2.0, (1, 1): -5.0})
     pts = np.array([[0.4, -0.3], [0.1, -0.7], [0.9, -0.05]])
     for alpha in [(0, 0), (0, 1), (1, 1)]:
         k = sum(alpha)
@@ -117,7 +117,7 @@ def test_linearity():
 
 
 def test_zero_source():
-    z = polynomial_jet("z", {}, order=2)
+    z = polynomial_jet("z", {})
     ext = HalfSpaceExtension(solve_coefficients(2), z.jet_many, axis=0)
     pts = np.array([[-0.5, 0.1], [0.5, 0.3]])
     assert np.array_equal(ext.jet_many(pts, 0)[(0, 0)], np.zeros(2))
@@ -125,7 +125,7 @@ def test_zero_source():
 
 def test_derivative_factor():
     # d/dt of the extension of t^2 equals 2t below the wall too
-    u = polynomial_jet("t2", {(0, 2): 1.0}, order=2)
+    u = polynomial_jet("t2", {(0, 2): 1.0})
     ext = HalfSpaceExtension(solve_coefficients(2), u.jet_many, axis=1)
     pts = np.array([[0.0, -0.25], [0.0, -0.8]])
     got = ext.jet_many(pts, 1)[(0, 1)]
@@ -133,7 +133,7 @@ def test_derivative_factor():
 
 
 def test_max_depth_guard():
-    jet = get_function("exp1d", order=1, depth=4)
+    jet = get_function("exp1d", depth=4)
     ext = HalfSpaceExtension(solve_coefficients(1), jet.jet_many, axis=0,
                              max_depth=0.2)
     ext.jet_many(np.array([[-0.15]]), 0)
@@ -144,8 +144,8 @@ def test_max_depth_guard():
 def test_corner_extension_reproduces_products():
     # s^p t^q for p, q <= i through two nested reflections
     i = 2
-    u = polynomial_jet("pq", {(2, 1): 1.0, (1, 2): 0.5}, order=2)
-    ext = corner_extension(u.jet_many, i)
+    u = polynomial_jet("pq", {(2, 1): 1.0, (1, 2): 0.5})
+    ext = corner_extension(u.jet_many, i, max_depth=None)
     pts = np.array([[-0.3, -0.4], [-0.8, -0.1], [0.2, -0.5], [-0.5, 0.2]])
     want = pts[:, 0] ** 2 * pts[:, 1] + 0.5 * pts[:, 0] * pts[:, 1] ** 2
     got = ext.jet_many(pts, 0)[(0, 0)]
@@ -158,7 +158,7 @@ def test_corner_extension_reproduces_products():
 def test_interface_mismatch_decay():
     ext = HalfSpaceExtension(
         solve_coefficients(2),
-        get_function("exp1d", order=2, depth=4).jet_many, axis=0)
+        get_function("exp1d", depth=4).jet_many, axis=0)
     tang = np.zeros((1, 0))
     m_coarse = interface_mismatch(ext, tang, h=2.0**-9)
     m_fine = interface_mismatch(ext, tang, h=2.0**-10)
@@ -176,9 +176,10 @@ def unit_mask(lo, hi, h):
 def test_lattice_extension_widens_grid():
     h = 2.0**-6
     mask = unit_mask((0.0,), (1.0,), h)
-    jet = get_function("exp1d", order=2, depth=4).sample(mask, order=2)
+    jet = get_function("exp1d", depth=4).sample(mask, order=2)
     coeffs = solve_coefficients(2)
-    res = extend_half_space_lattice(jet, coeffs, width=8, axis=0)
+    res = extend_half_space_lattice(jet, coeffs, width=8, axis=0,
+                                    boundary=0.0, inward=1.0)
     assert res.jet.grid.origin == (-0.125,)
     assert res.jet.mask.count == mask.count + 8
     assert res.probe_offset_max <= 0.5 * h
@@ -193,9 +194,10 @@ def test_lattice_extension_widens_grid():
 def test_lattice_extension_other_direction():
     h = 2.0**-6
     mask = unit_mask((-1.0,), (0.0,), h)
-    jet = get_function("exp1d", order=2, depth=4).sample(mask, order=2)
+    jet = get_function("exp1d", depth=4).sample(mask, order=2)
     res = extend_half_space_lattice(
-        jet, solve_coefficients(2), width=4, axis=0, inward=-1.0)
+        jet, solve_coefficients(2), width=4, axis=0, boundary=0.0,
+        inward=-1.0)
     assert res.jet.grid.origin == (-1.0,)
     assert res.jet.grid.extents == (69,)
     want = (6 * math.exp(-0.0625) - 32 * math.exp(-0.03125)
@@ -206,22 +208,26 @@ def test_lattice_extension_other_direction():
 def test_lattice_extension_errors():
     h = 2.0**-6
     mask = unit_mask((-1.0,), (1.0,), h)
-    jet = get_function("exp1d", order=1, depth=4).sample(mask, order=1)
+    jet = get_function("exp1d", depth=4).sample(mask, order=1)
     with pytest.raises(MaskMismatchError):
-        extend_half_space_lattice(jet, solve_coefficients(1), width=2, axis=0)
+        extend_half_space_lattice(jet, solve_coefficients(1), width=2, axis=0,
+                                  boundary=0.0, inward=1.0)
     small = unit_mask((0.0,), (4 * h,), h)
-    jet2 = get_function("exp1d", order=1, depth=4).sample(small, order=1)
+    jet2 = get_function("exp1d", depth=4).sample(small, order=1)
     with pytest.raises(ProbeOutsideMaskError):
-        extend_half_space_lattice(jet2, solve_coefficients(1), width=8, axis=0)
+        extend_half_space_lattice(jet2, solve_coefficients(1), width=8, axis=0,
+                                  boundary=0.0, inward=1.0)
     with pytest.raises(ValueError):
-        extend_half_space_lattice(jet2, solve_coefficients(1), width=-1, axis=0)
+        extend_half_space_lattice(jet2, solve_coefficients(1), width=-1,
+                                  axis=0, boundary=0.0, inward=1.0)
 
 
 def test_lattice_extension_2d_partials():
     h = 2.0**-5
     mask = unit_mask((0.0, 0.0), (1.0, 1.0), h)
-    jet = get_function("chi", order=2, depth=4).sample(mask, order=2)  # s t^2
-    res = extend_half_space_lattice(jet, solve_coefficients(2), width=2, axis=1)
+    jet = get_function("chi", depth=4).sample(mask, order=2)  # s t^2
+    res = extend_half_space_lattice(jet, solve_coefficients(2), width=2,
+                                    axis=1, boundary=0.0, inward=1.0)
     # t-partial picks up the (-1/l)^j factor; on-lattice probes at depth 2h:
     # 2h/1 = 2h, 2h/2 = h exact, 2h/3 snaps to h
     arr = res.jet.components[(0, 1)]
@@ -244,13 +250,14 @@ def test_half_space_extension_order_property():
 def test_band_deeper_than_the_data_is_refused_before_the_window():
     h = 2.0**-4
     mask = unit_mask((0.0, 0.0), (1.0, 1.0), h)
-    jet = get_function("sin_cos", order=2, depth=4).sample(mask, order=2)
+    jet = get_function("sin_cos", depth=4).sample(mask, order=2)
     tracemalloc.start()
     try:
         with pytest.raises(ProbeOutsideMaskError,
                            match="refusing to extrapolate"):
             extend_half_space_lattice(jet, solve_coefficients(2),
-                                      width=10**6, axis=0)
+                                      width=10**6, axis=0, boundary=0.0,
+                                      inward=1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -83,7 +83,7 @@ def test_mask_round_trip():
 
 def test_jet_round_trip_through_files(tmp_path):
     q, _ = domains.build_domain(domains.rectangle(), h=2.0**-4)
-    jet = get_function("sin_cos", order=2, depth=4).sample(q, order=2)
+    jet = get_function("sin_cos", depth=4).sample(q, order=2)
     path = tmp_path / "jet.json"
     io.write_artifact(str(path), io.jet_to_payload(jet), {"tool": "t"})
     back = io.jet_from_payload(io.read_artifact(str(path)))
@@ -109,7 +109,7 @@ def test_strip_provenance_canonicalizes():
 
 def test_jet_csv_shape(tmp_path):
     q, _ = domains.build_domain(domains.rectangle(), h=2.0**-3)
-    jet = get_function("sum_st", order=1, depth=4).sample(q, order=1)
+    jet = get_function("sum_st", depth=4).sample(q, order=1)
     path = tmp_path / "jet.csv"
     io.jet_to_csv(jet, str(path))
     lines = path.read_text().splitlines()
@@ -230,7 +230,7 @@ def test_format_float_matches_oracle(x):
 
 def test_payloads_match_oracle():
     q, _ = domains.build_domain(domains.comb(2), h=2.0**-6)
-    jet = get_function("sin_cos", order=2, depth=4).sample(q, order=2)
+    jet = get_function("sin_cos", depth=4).sample(q, order=2)
     for payload in (io.mask_to_payload(q), io.jet_to_payload(jet)):
         assert io.dumps(payload) == _oracle_dumps(payload)
 
@@ -247,8 +247,8 @@ def test_array_encoder_rejects_non_finite(bad):
 def _lattice_jets():
     q1, _ = domains.build_domain(domains.gap_intervals(3), h=2.0**-5)
     q2, _ = domains.build_domain(domains.disk(), h=2.0**-4)
-    return [get_function("sin_cos", order=1, depth=4).sample(q2, order=1),
-            get_function("gap1d", order=1, depth=4).sample(q1, order=1)]
+    return [get_function("sin_cos", depth=4).sample(q2, order=1),
+            get_function("gap1d", depth=4).sample(q1, order=1)]
 
 
 @pytest.mark.parametrize("jet", _lattice_jets(), ids=["2d", "1d"])
@@ -277,10 +277,11 @@ def test_csv_blocks_match_oracle(tmp_path):
 
 def test_failed_write_keeps_existing_artifact(tmp_path):
     path = tmp_path / "a.json"
-    io.write_artifact(str(path), {"x": 1.5})
+    io.write_artifact(str(path), {"x": 1.5}, {})
     before = path.read_bytes()
     with pytest.raises(ValueError):
-        io.write_artifact(str(path), {"x": np.array([1.0, float("nan")])})
+        io.write_artifact(str(path), {"x": np.array([1.0, float("nan")])},
+                          {})
     assert path.read_bytes() == before
 
 

@@ -103,10 +103,10 @@ def test_restriction_rejects_foreign_masks():
 def test_h_upper_bound_accepts_true_extension():
     spec = domains.rectangle()
     q, _ = domains.build_domain(spec, h=2.0**-4)
-    x = get_function("sum_st", order=1, depth=4).sample(q, order=1)
+    x = get_function("sum_st", depth=4).sample(q, order=1)
     window = GridSpec.cover((-0.5, -0.5), (1.5, 1.5), 2.0**-4)
     all_mask = GridMask(window, np.ones(window.extents, dtype=bool))
-    xbar = get_function("sum_st", order=1, depth=4).sample(all_mask, order=1)
+    xbar = get_function("sum_st", depth=4).sample(all_mask, order=1)
     rep = h_norm_upper_bound(x, xbar)
     assert rep.space == "H-upper"
     assert rep.overall == 3.0  # |s + t| peaks at the window corner
@@ -116,36 +116,36 @@ def test_h_upper_bound_accepts_true_extension():
 def test_h_upper_bound_rejects_non_extensions():
     spec = domains.rectangle()
     q, _ = domains.build_domain(spec, h=2.0**-4)
-    x = get_function("sum_st", order=1, depth=4).sample(q, order=1)
+    x = get_function("sum_st", depth=4).sample(q, order=1)
     window = GridSpec.cover((-0.5, -0.5), (1.5, 1.5), 2.0**-4)
     all_mask = GridMask(window, np.ones(window.extents, dtype=bool))
     # wrong values on Q
-    wrong = get_function("sin_cos", order=1, depth=4).sample(all_mask, order=1)
+    wrong = get_function("sin_cos", depth=4).sample(all_mask, order=1)
     with pytest.raises(NotAnExtensionError):
         h_norm_upper_bound(x, wrong)
     # window that misses part of Q
     small = GridSpec.cover((0.25, 0.25), (1.5, 1.5), 2.0**-4)
     small_mask = GridMask(small, np.ones(small.extents, dtype=bool))
-    clipped = get_function("sum_st", order=1, depth=4).sample(small_mask, 1)
+    clipped = get_function("sum_st", depth=4).sample(small_mask, 1)
     with pytest.raises(NotAnExtensionError):
         h_norm_upper_bound(x, clipped)
     # misaligned lattice
     shifted = GridSpec((-0.5 + 0.3 * 2.0**-4, -0.5), 2.0**-4, window.extents)
     sh_mask = GridMask(shifted, np.ones(shifted.extents, dtype=bool))
-    sh = get_function("sum_st", order=1, depth=4).sample(sh_mask, order=1)
+    sh = get_function("sum_st", depth=4).sample(sh_mask, order=1)
     with pytest.raises(MaskMismatchError):
         h_norm_upper_bound(x, sh)
     # coarser lattice
     coarse_g = GridSpec.cover((-0.5, -0.5), (1.5, 1.5), 2.0**-3)
     coarse_mask = GridMask(coarse_g, np.ones(coarse_g.extents, dtype=bool))
-    coarse = get_function("sum_st", order=1, depth=4).sample(coarse_mask, 1)
+    coarse = get_function("sum_st", depth=4).sample(coarse_mask, 1)
     with pytest.raises(MaskMismatchError):
         h_norm_upper_bound(x, coarse)
 
 
 def test_smooth_field_scans_consistent():
     q, omega = comb_masks(h=2.0**-7, n_teeth=2)
-    jet = get_function("sin_cos", order=1, depth=4).sample(q, order=1)
+    jet = get_function("sin_cos", depth=4).sample(q, order=1)
     verdict = check_membership_f(jet, DEFAULTS["tol"])
     assert verdict.consistent
     assert verdict.certificate is None
@@ -217,7 +217,7 @@ def test_tol_by_order_overrides_flat_tolerance():
 
 def test_comb_field_passes_f_scan_on_fine_lattice():
     q, _ = comb_masks(h=2.0**-8, n_teeth=4)
-    jet = get_function("example3", order=1, depth=4).sample(q, order=1)
+    jet = get_function("example3", depth=4).sample(q, order=1)
     verdict = check_membership_f(jet, DEFAULTS["tol"])
     assert verdict.consistent
     assert verdict.h == 2.0**-8
@@ -291,7 +291,7 @@ def test_scan_matches_the_oracle_on_a_consistent_field():
     g = GridSpec((-1.0, -1.0), 2.0**-8, (300, 301))
     member = np.random.default_rng(5).random(g.extents) < 0.8
     member[100:120] = False
-    jet = get_function("sin_cos", order=2, depth=4).sample(
+    jet = get_function("sin_cos", depth=4).sample(
         GridMask(g, member), 2)
     tols = {"tol_by_order": {0: 0.01, 1: 0.01, 2: 0.01}}
     assert assert_same_verdict(jet, "F", **tols)["verdict"] == (
@@ -341,7 +341,7 @@ def test_sample_norm_and_scan_stay_near_their_components():
     # the cantor E order-3 scan at 2^-9: ten full-lattice components and
     # little beside them
     _, omega = domains.build_domain(domains.cantor_slit_square(4), 2.0**-9)
-    field = get_function("example1", order=3, depth=4)
+    field = get_function("example1", depth=4)
     tracemalloc.start()
     try:
         jet = field.sample(omega, 3)

@@ -1,5 +1,5 @@
 """Every function, class and method in src/jetlab has a caller there, and
-every defaulted parameter a call there that sets it.
+every defaulted parameter a call there that sets it and one that leaves it.
 
 A top-level name counts as called when the package reads it bare or as
 module.name, a method when the package reads an attribute of that name;
@@ -9,7 +9,8 @@ methods, dataclass hooks among them, are exempt.
 A defaulted parameter of a top-level function or method, or a dataclass
 field with a default, counts as set when some call in src/ names it by
 keyword or reaches its position, the callee matched by its bare name (or
-a module-level alias of it).
+a module-level alias of it).  A default that every such call sets is a
+default nothing reads.
 """
 
 import ast
@@ -139,6 +140,10 @@ UNSET_ALLOWED = {
 }
 
 
+# defaulted parameters that every src/ call sets, each with why it stays
+ALWAYS_SET_ALLOWED: dict[str, str] = {}
+
+
 def _is_dataclass(node: ast.ClassDef) -> bool:
     return any("dataclass" in ast.unparse(d) for d in node.decorator_list)
 
@@ -181,7 +186,7 @@ def signatures(trees):
 
 
 def calls(trees) -> dict:
-    """callee name -> (most positional arguments, keywords) over src/ calls."""
+    """callee name -> (positional arguments, keywords) of each src/ call."""
     aliases = {node.targets[0].id: node.value.id
                for tree in trees.values() for node in tree.body
                if isinstance(node, ast.Assign)
@@ -202,24 +207,34 @@ def calls(trees) -> dict:
             positional = (math.inf if any(isinstance(a, ast.Starred)
                                           for a in call.args)
                           else len(call.args))
-            most, keywords = out.get(name, (0, set()))
-            out[name] = (max(most, positional),
-                         keywords | {k.arg for k in call.keywords if k.arg})
+            out.setdefault(name, []).append(
+                (positional, {k.arg for k in call.keywords if k.arg}))
     return out
+
+
+def setters(trees):
+    """(qualified parameter, how many src/ calls reach its callee, how
+    many of them set it) for every defaulted parameter."""
+    seen = calls(trees)
+    for qualified, name, positional, defaulted in signatures(trees):
+        for param in defaulted:
+            at = (positional.index(param) if param in positional
+                  else math.inf)
+            reached = seen.get(name, [])
+            hits = sum(param in keywords or at < count
+                       for count, keywords in reached)
+            yield f"{qualified}.{param}", len(reached), hits
 
 
 def unset(trees) -> set[str]:
     """Qualified names of the defaulted parameters no src/ call sets."""
-    seen = calls(trees)
-    out = set()
-    for qualified, name, positional, defaulted in signatures(trees):
-        most, keywords = seen.get(name, (0, set()))
-        for param in defaulted:
-            at = (positional.index(param) if param in positional
-                  else math.inf)
-            if param not in keywords and at >= most:
-                out.add(f"{qualified}.{param}")
-    return out
+    return {param for param, _, hits in setters(trees) if not hits}
+
+
+def always_set(trees) -> set[str]:
+    """Qualified names of the defaulted parameters every src/ call sets."""
+    return {param for param, reached, hits in setters(trees)
+            if reached and hits == reached}
 
 
 def test_every_defaulted_parameter_has_a_src_setter():
@@ -228,6 +243,14 @@ def test_every_defaulted_parameter_has_a_src_setter():
 
 def test_unset_allowlist_entries_are_still_unset():
     assert UNSET_ALLOWED.keys() <= unset(src_trees())
+
+
+def test_every_defaulted_parameter_has_a_src_call_that_leaves_it():
+    assert always_set(src_trees()) - ALWAYS_SET_ALLOWED.keys() == set()
+
+
+def test_always_set_allowlist_entries_are_still_always_set():
+    assert ALWAYS_SET_ALLOWED.keys() <= always_set(src_trees())
 
 
 # parameters the package dropped because no src/ call set them
@@ -258,3 +281,38 @@ def test_a_dropped_parameter_that_returns_is_caught(qualified):
         owner.args.args.append(ast.arg(param))
         owner.args.defaults.append(ast.Constant(None))
     assert qualified in unset(trees) - UNSET_ALLOWED.keys()
+
+
+# defaults the package dropped because every src/ call set them: the
+# fields' orders, which their leaves now bound, and nine values the callers
+# always wrote themselves
+@pytest.mark.parametrize("qualified", [
+    "functions.chi_jet.order", "functions.sum_st_jet.order",
+    "functions.sin_cos_jet.order", "functions.exp1d_jet.order",
+    "functions.example3_jet.order", "functions.gap1d_jet.order",
+    "hestenes.extend_half_space_lattice.axis",
+    "hestenes.extend_half_space_lattice.boundary",
+    "hestenes.extend_half_space_lattice.inward",
+    "hestenes.corner_extension.max_depth", "functions.example1_xbar.phi_depth",
+    "glue._pair_alpha.dim", "certify.CertTerm.note",
+    "certify.Certificate.config", "io.write_artifact.provenance",
+])
+def test_a_dropped_default_that_returns_is_caught(qualified):
+    trees = src_trees()
+    module, name, param = qualified.split(".")
+    owner = next(n for n in trees[module].body
+                 if getattr(n, "name", None) == name)
+    if isinstance(owner, ast.ClassDef):  # a dataclass field
+        target = next(f for f in owner.body if isinstance(f, ast.AnnAssign)
+                      and f.target.id == param)
+        target.value = ast.Constant(None)
+    else:  # defaults run to the last positional parameter
+        args = owner.args
+        names = [a.arg for a in args.args]
+        if param not in names:
+            args.args.append(ast.arg(param))
+            names.append(param)
+        args.defaults = [ast.Constant(None)] * (len(names)
+                                                - names.index(param))
+    allowed = UNSET_ALLOWED.keys() | ALWAYS_SET_ALLOWED.keys()
+    assert qualified in (unset(trees) | always_set(trees)) - allowed
