@@ -18,7 +18,7 @@ import sys
 
 from . import __version__, certify, domains, functions, glue, hestenes, io, spaces
 from .errors import JetlabError, ReplayMismatchError
-from .grid import alpha_key
+from .grid import alpha_key, walk
 
 DEFAULTS = {
     "h": 2.0**-10,
@@ -224,6 +224,7 @@ def _cmd_space_norm(args, argv) -> int:
     if args.field:
         payload = io.read_artifact(args.field)
         jet = io.jet_from_payload(payload.get("jet", payload))
+        mask, order, blocks = jet.mask, jet.order, jet.blocks()
         label = args.field
     else:
         if not args.function or not args.domain:
@@ -233,17 +234,20 @@ def _cmd_space_norm(args, argv) -> int:
         domain, analytic = _domain_and_function(args)
         q, open_mask = domains.build_domain(domain, args.h)
         mask = open_mask if args.space == "E" else q
-        jet = analytic.sample(mask, order=args.order)
+        order = args.order
+        blocks = walk(analytic.checked, mask, order)
         label = f"{args.function} on {domain.kind}"
+    # one walk of the blocks serves the report and the scan
+    reduction = spaces.reduce_blocks(blocks, mask, order, args.check)
     report = spaces.norm_report(
-        jet, args.space, "Omega" if args.space == "E" else "Q"
+        reduction, args.space, "Omega" if args.space == "E" else "Q"
     )
     out_payload = {"source": label, "norm": report.to_payload()}
     verdict = None
     if args.check:
         checker = (spaces.check_membership_e if args.space == "E"
                    else spaces.check_membership_f)
-        verdict = checker(jet, tol=args.tol)
+        verdict = checker(reduction, tol=args.tol)
         out_payload["membership"] = verdict.to_payload()
     if args.out:
         io.write_artifact(args.out, out_payload, _provenance(argv))

@@ -135,15 +135,14 @@ class AnalyticJet:
             for alpha in multi_indices(order, self.dim)
         }
 
+    def checked(self, pts: np.ndarray, order: int) -> Jet:
+        """The leaf behind the region check, as grid.walk calls it."""
+        self.check_region(pts, "mask point")
+        return self.evaluator(pts, order)
+
     def sample(self, mask: GridMask, order: int) -> SampledJet:
-        """Every component on the masked lattice points, by grid.sample;
-        each row block passes the region check before its evaluation."""
-
-        def checked(pts: np.ndarray, order: int) -> Jet:
-            self.check_region(pts, "mask point")
-            return self.evaluator(pts, order)
-
-        return grid.sample(checked, mask, order)
+        """Every component on the masked lattice points, by grid.sample."""
+        return grid.sample(self.checked, mask, order)
 
 
 def _falling(p: int, k: int) -> float:

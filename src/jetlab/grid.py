@@ -1,5 +1,5 @@
-"""Uniform lattices, boolean masks, multi-indices, sampled jets, the one
-walk that samples an evaluator on a mask, and sup norms.
+"""Uniform lattices, boolean masks, multi-indices, sampled jets, and the one
+walk that samples an evaluator on a mask.
 
 Every lattice is an axis-aligned uniform grid with one spacing h shared by all
 axes.  Coordinates are always produced as origin + k*h with a single multiply,
@@ -9,7 +9,6 @@ floating point.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import EmptyMaskError, MaskMismatchError
+from .errors import MaskMismatchError
 
 # A jet at a point set: every partial with |alpha| <= order, one array each.
 Jet = dict[tuple[int, ...], np.ndarray]
@@ -230,25 +229,21 @@ class SampledJet:
             cleaned[alpha] = out
         self.components = cleaned
 
-    @functools.cached_property
-    def sups(self) -> dict[tuple[int, ...], float]:
-        """max |component| over the mask for each alpha, computed once."""
-        return {alpha: sup_on_mask(self.components[alpha], self.mask)
-                for alpha in self.alphas()}
-
     def alphas(self) -> list[tuple[int, ...]]:
         return multi_indices(self.order, self.grid.dim)
 
+    def blocks(self) -> Iterator[tuple[slice, Jet]]:
+        """The components as slices over row_blocks, the blocks of walk."""
+        for rows in row_blocks(self.grid.extents):
+            yield rows, {a: arr[rows] for a, arr in self.components.items()}
 
-def sample(evaluator: JetEvaluator, mask: GridMask, order: int) -> SampledJet:
+
+def walk(evaluator: JetEvaluator, mask: GridMask,
+         order: int) -> Iterator[tuple[slice, Jet]]:
     """The one walk of a lattice with an evaluator: the masked points in
-    blocks of whole rows, one evaluator call per non-empty block, written
-    into zero-filled components."""
+    blocks of whole rows, one evaluator call per non-empty block, each
+    yielded as (rows, the jet over those rows, 0 off the mask)."""
     grid = mask.grid
-    components = {
-        alpha: np.zeros(grid.extents, dtype=np.float64)
-        for alpha in multi_indices(order, grid.dim)
-    }
     for rows in row_blocks(grid.extents):
         sub = mask.member[rows]
         idx = np.nonzero(sub)
@@ -257,16 +252,19 @@ def sample(evaluator: JetEvaluator, mask: GridMask, order: int) -> SampledJet:
         pts = grid.points((idx[0] + rows.start,) + idx[1:])
         del idx  # the points are all the evaluator needs
         jet = evaluator(pts, order)
+        block = {}
+        for alpha in multi_indices(order, grid.dim):
+            block[alpha] = np.zeros(sub.shape)
+            block[alpha][sub] = jet[alpha]
+        del jet
+        yield rows, block
+
+
+def sample(evaluator: JetEvaluator, mask: GridMask, order: int) -> SampledJet:
+    """walk's blocks, stored into full-lattice components."""
+    components = {alpha: np.zeros(mask.grid.extents)
+                  for alpha in multi_indices(order, mask.grid.dim)}
+    for rows, block in walk(evaluator, mask, order):
         for alpha, arr in components.items():
-            arr[rows][sub] = jet[alpha]
-    return SampledJet(order, grid, mask, components)
-
-
-def sup_on_mask(values: np.ndarray, mask: GridMask) -> float:
-    """max |values| over the masked points."""
-    values = np.asarray(values)
-    if values.shape != mask.grid.extents:
-        raise MaskMismatchError("values do not match the lattice shape")
-    if not mask.member.any():
-        raise EmptyMaskError("sup over an empty mask")
-    return float(np.max(np.abs(values), where=mask.member, initial=0.0))
+            arr[rows] = block[alpha]
+    return SampledJet(order, mask.grid, mask, components)

@@ -11,13 +11,15 @@ violation carried as a certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .certify import CertTerm, Certificate
-from .errors import MaskMismatchError, NotAnExtensionError
-from .grid import GridMask, SampledJet, alpha_key, row_blocks
+from .errors import EmptyMaskError, MaskMismatchError, NotAnExtensionError
+from .grid import GridMask, Jet, SampledJet, alpha_key, multi_indices
 
 DEFAULT_C_FACTOR = 10.0
 
@@ -46,13 +48,13 @@ class NormReport:
         }
 
 
-def norm_report(jet: SampledJet, space: str, mask_label: str) -> NormReport:
+def norm_report(jet: SampledJet | Reduction, space: str,
+                mask_label: str) -> NormReport:
     """The jet's sups read as the space's norm: F on Q, E on the open mask,
     G on a window."""
-    per = dict(jet.sups)
-    return NormReport(
-        space, jet.order, mask_label, per, max(per.values()), jet.mask.count
-    )
+    sups = _reduced(jet, False).sups
+    return NormReport(space, jet.order, mask_label, dict(sups),
+                      max(sups.values()), jet.mask.count)
 
 
 def restrict_to_omega(jet: SampledJet, omega: GridMask) -> SampledJet:
@@ -140,114 +142,151 @@ class MembershipVerdict:
         return payload
 
 
-def _stencil(arr: np.ndarray, axis: int, rows: slice, span: int,
-             j: int) -> np.ndarray:
-    """arr at the bases in rows of the stencils spanning span steps along
-    axis, shifted j steps along it.
-
-    A base is a lattice point k whose k + span * e_axis is still on the
-    lattice; rows selects whole axis-0 rows of bases.
-    """
+def _stencils(arr: np.ndarray, axis: int, span: int,
+              held: int) -> tuple[list[np.ndarray], int]:
+    """arr at the span + 1 points, j = 0..span steps along axis, of each
+    stencil ending past the first held rows of the window arr, and the
+    window row of the first of their bases."""
     if axis == 0:
-        return arr[rows.start + j:rows.stop + j]
-    return arr[rows, j:arr.shape[1] - span + j]
+        lo = max(0, held - span)
+        hi = max(lo, len(arr) - span)
+        return [arr[lo + j:hi + j] for j in range(span + 1)], lo
+    cols = max(0, arr.shape[1] - span)
+    return [arr[held:, j:cols + j] for j in range(span + 1)], held
 
 
-def _stencil_bases(member: np.ndarray, axis: int, span: int) -> np.ndarray:
-    """Over the bases along axis: all span + 1 stencil points are masked."""
-    rows = slice(0, member.shape[0] - (span if axis == 0 else 0))
-    out = _stencil(member, axis, rows, span, 0).copy()
-    for j in range(1, span + 1):
-        out &= _stencil(member, axis, rows, span, j)
-    return out
+def _lower(alpha: tuple[int, ...], axis: int) -> tuple[int, ...]:
+    """alpha with one derivative fewer along axis."""
+    return tuple(a - (b == axis) for b, a in enumerate(alpha))
 
 
-def _block_max(bases: np.ndarray, values, floor: float):
-    """The largest values(rows) over the True bases if it exceeds floor, and
-    the base of its first occurrence in row-major order; else (floor, None).
+def _fold(tables: dict, key, ok: np.ndarray, values: np.ndarray, row: int,
+          stencil: tuple = ()) -> None:
+    """Keep the largest of values over the ok bases if it beats the table's,
+    with its first base in row-major order (row the lattice row of values'
+    first) and the stencil arrays' values there."""
+    block = np.where(ok, values, 0.0)
+    i = int(block.argmax())
+    top = float(block.flat[i])
+    if top > tables.get(key, (0.0,))[0]:
+        k = np.unravel_index(i, block.shape)
+        tables[key] = (top, (int(k[0]) + row,) + tuple(int(v) for v in k[1:]),
+                       tuple(float(arr[k]) for arr in stencil))
 
-    values(rows) gives the values at one block of rows of bases, so the walk
-    holds one block's temporaries at a time.
-    """
-    worst, base = floor, None
-    for rows in row_blocks(bases.shape):
-        ok = bases[rows]
-        if not ok.any():
+
+@dataclass(frozen=True)
+class Reduction:
+    """What one walk of a jet's row blocks keeps: each component's sup and,
+    for a scan, the largest finite-difference defect and one-step jump of
+    each (alpha, axis), with the first base holding it in row-major order;
+    None without the scan."""
+
+    mask: GridMask
+    order: int
+    sups: dict
+    # (alpha, axis) -> (defect, base, (low[base], low[probe], declared[mid]))
+    defects: dict | None
+    jumps: dict | None  # (alpha, axis) -> (jump, base, ())
+
+
+def reduce_blocks(blocks: Iterable[tuple[slice, Jet]], mask: GridMask,
+                  order: int, scan: bool) -> Reduction:
+    """Fold a jet's (rows, block) pairs, in row order and 0 off the mask,
+    into its sups and, if scan, the scan's tables, dropping each block.
+
+    The last 2 rows of each component ride along to the next block, so each
+    stencil along axis 0 is read once, in the block holding its last point.
+    A block that does not follow on from the last starts afresh: a stencil
+    across the skipped rows has a point off the mask."""
+    if not mask.member.any():
+        raise EmptyMaskError("sup over an empty mask")
+    alphas = multi_indices(order, mask.grid.dim)
+    sups = dict.fromkeys(alphas, 0.0)
+    defects, jumps = ({}, {}) if scan else (None, None)
+    halo: Jet = {}
+    next_row = 0
+    for rows, block in blocks:
+        for alpha in alphas:
+            top = float(np.abs(block[alpha]).max())
+            if not math.isfinite(top):
+                raise ValueError(f"component {alpha} is not finite on the mask")
+            sups[alpha] = max(sups[alpha], top)
+        if not scan:
             continue
-        block = np.where(ok, values(rows), 0.0)
-        top = float(block.max())
-        if top > worst:
-            i = np.unravel_index(int(block.argmax()), block.shape)
-            worst = top
-            base = (int(i[0]) + rows.start,) + tuple(int(v) for v in i[1:])
-    return worst, base
+        held = len(halo[alphas[0]]) if halo and rows.start == next_row else 0
+        window = {a: np.concatenate((halo[a], block[a])) if held else block[a]
+                  for a in alphas}
+        start = rows.start - held
+        inside = mask.member[start:rows.stop]
+        for axis in range(mask.grid.dim):
+            ends, row = _stencils(inside, axis, 1, held)
+            ok = ends[0] & ends[1]
+            for alpha in alphas if ok.any() else ():
+                lo, hi = _stencils(window[alpha], axis, 1, held)[0]
+                _fold(jumps, (alpha, axis), ok, np.abs(hi - lo), start + row)
+            ends, row = _stencils(inside, axis, 2, held)
+            ok = ends[0] & ends[1] & ends[2]
+            for alpha in alphas if ok.any() else ():
+                if not alpha[axis]:
+                    continue
+                lo, _, hi = _stencils(window[_lower(alpha, axis)], axis, 2,
+                                      held)[0]
+                mid = _stencils(window[alpha], axis, 2, held)[0][1]
+                _fold(defects, (alpha, axis), ok,
+                      np.abs((hi - lo) / (2.0 * mask.grid.h) - mid),
+                      start + row, (lo, hi, mid))
+        halo = {a: arr[-2:].copy() for a, arr in window.items()}
+        next_row = rows.stop
+    return Reduction(mask, order, sups, defects, jumps)
 
 
-def _scan(jet: SampledJet, space: str, tol: float,
-          tol_by_order: dict | None) -> MembershipVerdict:
-    h = jet.grid.h
-    dim = jet.grid.dim
-    member = jet.mask.member
-    sup_all = max(jet.sups.values())
-    c_bound = DEFAULT_C_FACTOR * max(1.0, sup_all) * h
-    triples = {a: _stencil_bases(member, a, 2)
-               for a in range(dim) if member.shape[a] > 2}
-    pairs = {a: _stencil_bases(member, a, 1)
-             for a in range(dim) if member.shape[a] > 1}
+def _reduced(jet: SampledJet | Reduction, scan: bool) -> Reduction:
+    """A held jet's blocks folded, or a Reduction as it is."""
+    if not isinstance(jet, Reduction):
+        return reduce_blocks(jet.blocks(), jet.mask, jet.order, scan)
+    if scan and jet.defects is None:
+        raise ValueError("a reduction of the sups alone has no scan")
+    return jet
 
-    fd_defect = 0.0
-    fd_witness = None
-    for alpha in jet.alphas():
-        for axis, triple in triples.items():
-            if alpha[axis] == 0:
-                continue
-            lower = list(alpha)
-            lower[axis] -= 1
-            lower = tuple(lower)
-            low = jet.components[lower]
-            declared = jet.components[alpha]
-            fd_defect, base = _block_max(triple, lambda rows: np.abs(
-                (_stencil(low, axis, rows, 2, 2)
-                 - _stencil(low, axis, rows, 2, 0)) / (2.0 * h)
-                - _stencil(declared, axis, rows, 2, 1)), fd_defect)
-            if base is not None:
-                fd_witness = (alpha, lower, axis, base)
 
-    modulus: dict[int, float] = {}
-    mod_witness = None
-    for alpha in jet.alphas():
+def _verdict(r: Reduction, space: str, tol: float,
+             tol_by_order: dict | None) -> MembershipVerdict:
+    """The tables reduced in (alpha, axis) order with strict >: the defect
+    against DEFAULT_C_FACTOR * max(1, sup) * h, each order's modulus against
+    its tolerance.  The witness is the first maximum of the defect if that
+    is too large, else of the highest order whose modulus is."""
+    grid = r.mask.grid
+    h = grid.h
+    c_bound = DEFAULT_C_FACTOR * max(1.0, max(r.sups.values())) * h
+    fd_defect, fd_witness = 0.0, None
+    modulus, jump_witness = {}, {}
+    for alpha in multi_indices(r.order, grid.dim):
         order = sum(alpha)
-        arr = jet.components[alpha]
-        for axis, pair in pairs.items():
-            worst, base = _block_max(pair, lambda rows: np.abs(
-                _stencil(arr, axis, rows, 1, 1)
-                - _stencil(arr, axis, rows, 1, 0)), modulus.get(order, 0.0))
-            if base is not None:
-                modulus[order] = worst
-                mod_witness = (alpha, axis, base, worst)
+        for axis in range(grid.dim):
+            defect = r.defects.get((alpha, axis))
+            if defect and defect[0] > fd_defect:
+                fd_defect, fd_witness = defect[0], (alpha, axis) + defect[1:]
+            jump = r.jumps.get((alpha, axis))
+            if jump and jump[0] > modulus.get(order, 0.0):
+                modulus[order] = jump[0]
+                jump_witness[order] = (alpha, axis, jump[1])
     tolerances = {"fd_bound": c_bound, "modulus": tol}
     if tol_by_order:
         tolerances.update({f"modulus_order_{k}": v
                            for k, v in tol_by_order.items()})
 
     bad_fd = fd_defect > c_bound
-    bad_mod = any(value > (tol_by_order or {}).get(order, tol)
-                  for order, value in modulus.items())
+    bad_mod = [order for order, value in modulus.items()
+               if value > (tol_by_order or {}).get(order, tol)]
     if not bad_fd and not bad_mod:
-        return MembershipVerdict(
-            space, "consistent-at-resolution", h, tolerances,
-            fd_defect, modulus, None,
-        )
+        return MembershipVerdict(space, "consistent-at-resolution", h,
+                                 tolerances, fd_defect, modulus, None)
     if bad_fd:
-        alpha, lower, axis, base = fd_witness
-        mid = list(base)
-        mid[axis] += 1
+        alpha, axis, base, (low_base, low_probe, declared) = fd_witness
+        lower = _lower(alpha, axis)
         probe = list(base)
         probe[axis] += 2
-        low = jet.components[lower]
-        est = float((low[tuple(probe)] - low[base]) / (2.0 * h))
-        declared = float(jet.components[alpha][tuple(mid)])
-        quotient = est
+        quotient = est = (low_probe - low_base) / (2.0 * h)
         gap = abs(est - declared)
         note = (
             f"finite difference of {alpha_key(lower)} along axis {axis} "
@@ -255,10 +294,10 @@ def _scan(jet: SampledJet, space: str, tol: float,
             f"{declared:.6g}"
         )
     else:
-        alpha, axis, base, gap = mod_witness
+        alpha, axis, base = jump_witness[bad_mod[-1]]
         probe = list(base)
         probe[axis] += 1
-        quotient = gap
+        quotient = gap = modulus[bad_mod[-1]]
         note = (
             f"component {alpha_key(alpha)} jumps by {gap:.6g} across "
             f"one lattice step on axis {axis}"
@@ -266,8 +305,8 @@ def _scan(jet: SampledJet, space: str, tol: float,
     cert = Certificate(
         domain="lattice-scan",
         claim=f"not-in-{space}-at-resolution",
-        terms=(CertTerm(n=0, base=jet.grid.coord(base),
-                        probe=jet.grid.coord(tuple(probe)),
+        terms=(CertTerm(n=0, base=grid.coord(base),
+                        probe=grid.coord(tuple(probe)),
                         quotient=quotient, note=note),),
         interior_limit=0.0,
         interior_witness=(),
@@ -276,27 +315,27 @@ def _scan(jet: SampledJet, space: str, tol: float,
         n_max=0,
         config={"h": h, **{str(k): float(v) for k, v in tolerances.items()}},
     )
-    return MembershipVerdict(
-        space, "violation", h, tolerances, fd_defect, modulus, cert
-    )
+    return MembershipVerdict(space, "violation", h, tolerances, fd_defect,
+                             modulus, cert)
 
 
-def check_membership_f(jet: SampledJet, tol: float,
+def check_membership_f(jet: SampledJet | Reduction, tol: float,
                        tol_by_order: dict | None = None) -> MembershipVerdict:
     """Scan a jet on a closed mask Q for C^i-consistency at resolution h.
 
     Declared partials must match central differences of the next component
     down (within DEFAULT_C_FACTOR * max(1, sup) * h), and every component's
-    one-step modulus of continuity must stay below the tolerance.
+    one-step modulus of continuity must stay below the tolerance.  jet may
+    be the Reduction of a walk that folded the scan.
     """
-    return _scan(jet, "F", tol, tol_by_order)
+    return _verdict(_reduced(jet, True), "F", tol, tol_by_order)
 
 
-def check_membership_e(jet: SampledJet, tol: float,
+def check_membership_e(jet: SampledJet | Reduction, tol: float,
                        tol_by_order: dict | None = None) -> MembershipVerdict:
     """Same scan over an open mask: the bounded-uniformly-continuous reading.
 
     Pairs and triples never straddle excluded points, so a field may pass
     here while failing the closed-mask scan; that asymmetry is the point.
     """
-    return _scan(jet, "E", tol, tol_by_order)
+    return _verdict(_reduced(jet, True), "E", tol, tol_by_order)

@@ -237,8 +237,10 @@ def full_lattice_scan(jet, space: str, tol: float = 1e-2,
                 fd_witness = (alpha, lower, axis, k, float(est[k]),
                               float(jet.components[alpha][k]))
 
+    # each order's modulus and the first of its maxima in (alpha, axis,
+    # row-major) order
     modulus: dict[int, float] = {}
-    mod_witness = None
+    mod_witness = {}
     for alpha in jet.alphas():
         order = sum(alpha)
         arr = jet.components[alpha]
@@ -251,19 +253,18 @@ def full_lattice_scan(jet, space: str, tol: float = 1e-2,
             if worst > modulus.get(order, 0.0):
                 modulus[order] = worst
                 k = np.unravel_index(int(step.argmax()), step.shape)
-                mod_witness = (alpha, axis, k, worst)
+                mod_witness[order] = (alpha, axis, k, worst)
     tolerances = {"fd_bound": c_bound, "modulus": tol}
     if tol_by_order:
         tolerances.update({f"modulus_order_{k}": v
                            for k, v in tol_by_order.items()})
 
     bad_fd = fd_defect > c_bound
+    # the witness of a modulus violation is that of the highest bad order
     bad_mod_order = None
     for order, value in sorted(modulus.items()):
-        bound = (tol_by_order or {}).get(order, tol)
-        if value > bound:
+        if value > (tol_by_order or {}).get(order, tol):
             bad_mod_order = order
-            break
     if not bad_fd and bad_mod_order is None:
         return MembershipVerdict(
             space, "consistent-at-resolution", h, tolerances,
@@ -288,7 +289,7 @@ def full_lattice_scan(jet, space: str, tol: float = 1e-2,
         )
         gap = abs(est - declared)
     else:
-        alpha, axis, k, worst = mod_witness
+        alpha, axis, k, worst = mod_witness[bad_mod_order]
         hi = list(k)
         hi[axis] += 1
         term = CertTerm(

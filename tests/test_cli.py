@@ -134,6 +134,30 @@ def test_space_norm_check_fails_on_discontinuous_artifact(tmp_path, capsys):
     assert "violation" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("field,space,code", [
+    (["--function", "example3", "--domain", "comb", "--n-teeth", "3",
+      "--order", "1", "--h", str(2.0**-6)], "F", 1),
+    (["--function", "example1", "--domain", "cantor_slit", "--depth", "4",
+      "--order", "1", "--h", str(2.0**-8)], "E", 0),
+], ids=["comb-F-violation", "cantor-E-consistent"])
+def test_space_norm_reads_the_same_from_field_and_domain(field, space, code,
+                                                         tmp_path, capsys):
+    # the walk of the leaf and the read of its sampled artifact give the
+    # same norm and membership bytes; only the source differs
+    path = tmp_path / "field.json"
+    assert run(["field", "sample", *field, "--mask",
+                "open" if space == "E" else "q", "--out", str(path)]) == 0
+    capsys.readouterr()
+    reports = []
+    for source in (field, ["--field", str(path)]):
+        assert run(["space", "norm", *source, "--space", space,
+                    "--check"]) == code
+        line = capsys.readouterr().out.splitlines()[0]
+        reports.append(line[line.index(',"norm":'):])
+    assert reports[0] == reports[1]
+    assert '"membership":' in reports[0]
+
+
 def test_space_norm_g_check_is_a_usage_error(tmp_path, capsys):
     g = GridSpec.cover((0.0,), (1.0,), 2.0**-5)
     mask = GridMask(g, np.ones(g.extents, dtype=bool))

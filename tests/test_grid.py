@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from jetlab.errors import EmptyMaskError, MaskMismatchError
+from jetlab.errors import MaskMismatchError
 from jetlab.grid import (
     GridMask,
     GridSpec,
@@ -15,7 +15,7 @@ from jetlab.grid import (
     parse_alpha_key,
     row_blocks,
     sample,
-    sup_on_mask,
+    walk,
 )
 from lattice_oracles import (
     NoNeighborError, box_dilation, connected_component_count, erosion, fd_partial,
@@ -232,19 +232,6 @@ def test_fd_partial_stencils():
         fd_partial(jet2, (0,), 0, (2,))
 
 
-def test_sup_on_mask():
-    g = GridSpec((0.0,), 1.0, (4,))
-    m = GridMask(g, np.array([1, 0, 1, 0], dtype=bool))
-    assert sup_on_mask(np.array([1.0, -50.0, -3.0, 50.0]), m) == 3.0
-    zero = sup_on_mask(np.array([-0.0, 1.0, -0.0, 1.0]), m)
-    assert zero == 0.0 and not np.signbit(zero)
-    assert np.isnan(sup_on_mask(np.array([np.nan, 0.0, 1.0, 0.0]), m))
-    with pytest.raises(EmptyMaskError):
-        sup_on_mask(np.zeros(4), GridMask(g, np.zeros(4, dtype=bool)))
-    with pytest.raises(MaskMismatchError):
-        sup_on_mask(np.zeros(5), m)
-
-
 def test_sample_passes_each_masked_point_once_per_non_empty_block():
     # three row blocks of 218 rows; the middle one is emptied
     g = GridSpec((-1.0, 0.5), 2.0**-6, (600, 300))
@@ -269,3 +256,14 @@ def test_sample_passes_each_masked_point_once_per_non_empty_block():
     assert np.array_equal(jet.components[(0, 0)],
                           np.where(member, s + 2.0 * t, 0.0))
     assert np.array_equal(jet.components[(0, 1)], np.where(member, 2.0, 0.0))
+    # walk yields the blocks sample stores, and the held jet serves them again
+    # as slices over the same row blocks, the emptied one among them
+    walked = {rows.start: block for rows, block in walk(evaluator, mask, 1)}
+    assert list(walked) == [blocks[0].start, blocks[2].start]
+    held = list(jet.blocks())
+    assert [rows for rows, _ in held] == blocks
+    for rows, block in held:
+        for alpha, arr in block.items():
+            assert np.shares_memory(arr, jet.components[alpha])
+            if rows.start in walked:
+                assert arr.tobytes() == walked[rows.start][alpha].tobytes()

@@ -1,26 +1,31 @@
 """Norms, restriction, extension upper bounds, membership scans."""
 
+import contextlib
+import io as stdio
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from jetlab import domains, grid, io, spaces
-from jetlab.cli import DEFAULTS
-from jetlab.errors import MaskMismatchError, NotAnExtensionError
-from jetlab.functions import get_function
+from jetlab import domains, functions, io
+from jetlab.cli import DEFAULTS, main
+from jetlab.errors import EmptyMaskError, MaskMismatchError, NotAnExtensionError
+from jetlab.functions import get_function, polynomial_jet
 from jetlab.grid import (
     GridMask,
     GridSpec,
     SampledJet,
     multi_indices,
     row_blocks,
+    walk,
 )
 from jetlab.spaces import (
     check_membership_e,
     check_membership_f,
     h_norm_upper_bound,
     norm_report,
+    reduce_blocks,
     restrict_to_omega,
 )
 
@@ -56,6 +61,27 @@ def test_norm_hand_value():
     assert rep.space == "F"
     assert rep.point_count == 5
     assert rep.to_payload()["per_alpha"] == {"0": 3.0, "1": 4.0}
+
+
+def test_norm_report_reads_the_sup_over_the_mask():
+    g = GridSpec((0.0,), 1.0, (4,))
+    m = GridMask(g, np.array([1, 0, 1, 0], dtype=bool))
+    jet = SampledJet(0, g, m, {(0,): np.array([1.0, -50.0, -3.0, 50.0])})
+    assert norm_report(jet, "F", "Q").overall == 3.0
+    zeros = SampledJet(0, g, m, {(0,): np.array([-0.0, 1.0, -0.0, 1.0])})
+    zero = norm_report(zeros, "F", "Q").overall
+    assert zero == 0.0 and not np.signbit(zero)
+    empty = SampledJet(0, g, GridMask(g, np.zeros(4, dtype=bool)),
+                       {(0,): np.zeros(4)})
+    for read in (lambda: norm_report(empty, "F", "Q"),
+                 lambda: check_membership_f(empty, DEFAULTS["tol"])):
+        with pytest.raises(EmptyMaskError):
+            read()
+    # a walked block carries no SampledJet; the reducer checks it instead
+    nan_leaf = walk(lambda pts, order: {(0,): np.full(len(pts), np.nan)},
+                    m, 0)
+    with pytest.raises(ValueError, match="not finite on the mask"):
+        reduce_blocks(nan_leaf, m, 0, False)
 
 
 def test_norm_algebra_on_random_jets():
@@ -239,13 +265,29 @@ def test_scan_e_on_open_mask_skips_straddling_pairs():
     assert check_membership_e(jet_o, DEFAULTS["tol"]).consistent
 
 
+def test_modulus_witness_is_of_the_highest_bad_order():
+    # the order-0 modulus 0.0157 fails h/2; the order-1 jumps, 3.1e-05, do
+    # not, so the witness is an order-0 jump
+    h = 2.0**-6
+    q, _ = domains.build_domain(domains.rectangle(), h)
+    jet = polynomial_jet("p", {(1, 0): 1.0, (2, 0): 1e-3}).sample(q, 1)
+    verdict = check_membership_f(jet, h / 2)
+    assert verdict.modulus[0] > h / 2 > verdict.modulus[1]
+    term = verdict.certificate.terms[0]
+    assert term.note.startswith("component 0,0 jumps by 0.0156")
+    assert term.quotient == verdict.certificate.gap == verdict.modulus[0]
+    assert_same_verdict(jet, "F", tol=h / 2)
+
+
 # lattice extents of the scan oracle cases: row blocks that do not divide the
-# lattice, one row, one column and a 1-D lattice of two blocks
+# lattice, one row, one column, a 1-D lattice of two blocks, and two rows of
+# one-row blocks, with no triples along axis 0
 SCAN_SHAPES = {
     "blocks": (300, 301),
     "one-row": (1, 70001),
     "one-column": (70001, 1),
     "1d": (70001,),
+    "two-rows": (2, 40000),
 }
 
 
@@ -265,10 +307,10 @@ def tied_jet(shape, h, order, seed):
     return SampledJet(order, g, GridMask(g, member), components)
 
 
-def assert_same_verdict(jet, space, **kwargs):
+def assert_same_verdict(jet, space, tol=DEFAULTS["tol"], **kwargs):
     checker = check_membership_e if space == "E" else check_membership_f
-    got = checker(jet, DEFAULTS["tol"], **kwargs).to_payload()
-    want = full_lattice_scan(jet, space, **kwargs).to_payload()
+    got = checker(jet, tol, **kwargs).to_payload()
+    want = full_lattice_scan(jet, space, tol, **kwargs).to_payload()
     assert io.dumps(got) == io.dumps(want)
     return got
 
@@ -285,6 +327,35 @@ def test_scan_matches_the_full_lattice_oracle(case, h):
         assert got["verdict"] == "violation"
         note = got["certificate"]["terms"][0]["note"]
         assert ("jumps by" in note) == (h == 1.0)
+
+
+@pytest.mark.parametrize("case,h", [
+    ("blocks", 1.0), ("blocks", 2.0**-6), ("1d", 1.0), ("1d", 2.0**-6),
+    ("two-rows", 1.0),
+], ids=["blocks-modulus", "blocks-fd", "1d-modulus", "1d-fd",
+        "two-rows-modulus"])
+def test_scan_witness_straddles_a_row_block_seam(case, h):
+    # every component is 0 on the span rows before the second block, and
+    # from its first row on every order-2 component (a modulus witness: the
+    # pair from the row above) or order-1 one (an fd witness: the triple
+    # from two rows above) is 10; a halo off by one row would move either
+    jet = tied_jet(SCAN_SHAPES[case], h, 2, seed=len(case))
+    seam = list(row_blocks(jet.grid.extents))[1].start
+    span = 1 if h == 1.0 else 2
+    member = jet.mask.member.copy()
+    member[seam - span:seam + span + 1] = True
+    components = {}
+    for alpha, arr in jet.components.items():
+        arr = arr.copy()
+        arr[seam - span:seam] = 0.0
+        if sum(alpha) == 3 - span:
+            arr[seam:] = 10.0
+        components[alpha] = arr
+    jet = SampledJet(2, jet.grid, GridMask(jet.grid, member), components)
+    got = assert_same_verdict(jet, "F")
+    term = got["certificate"]["terms"][0]
+    assert Fraction(*term["base"][0]) == (seam - span) * Fraction(h)
+    assert ("jumps by 10" in term["note"]) == (h == 1.0)
 
 
 def test_scan_matches_the_oracle_on_a_consistent_field():
@@ -319,38 +390,79 @@ def test_scan_witness_is_the_first_of_tied_maxima(bumps, first):
     assert term["probe"] == [[first + 1, 1], [col, 1]]
 
 
-def test_norm_and_scan_share_each_sup(monkeypatch):
+def test_norm_and_scan_share_each_sup():
+    # one walk of the blocks serves the report and the scan, and they read
+    # as a walk for each would
     q, _ = comb_masks()
     jet = random_jet(q, 2, seed=3)
-    calls = []
-    sup = grid.sup_on_mask
+    walked = []
 
-    def counted(values, mask):
-        calls.append(1)
-        return sup(values, mask)
+    def blocks():
+        for rows, block in jet.blocks():
+            walked.append(rows)
+            yield rows, block
 
-    monkeypatch.setattr(grid, "sup_on_mask", counted)
-    report = norm_report(jet, "F", "Q")
-    check_membership_f(jet, DEFAULTS["tol"])
-    assert len(calls) == len(jet.alphas()) == 6
+    reduction = reduce_blocks(blocks(), q, 2, True)
+    assert walked == list(row_blocks(q.grid.extents))
+    report = norm_report(reduction, "F", "Q")
+    assert report == norm_report(jet, "F", "Q")
     assert report.overall == max(
         float(np.abs(arr[q.member]).max()) for arr in jet.components.values())
+    assert io.dumps(check_membership_f(reduction, DEFAULTS["tol"])
+                    .to_payload()) == io.dumps(
+        check_membership_f(jet, DEFAULTS["tol"]).to_payload())
+    sups_only = reduce_blocks(jet.blocks(), q, 2, False)
+    assert norm_report(sups_only, "F", "Q") == report
+    with pytest.raises(ValueError, match="has no scan"):
+        check_membership_f(sups_only, DEFAULTS["tol"])
 
 
-def test_sample_norm_and_scan_stay_near_their_components():
-    # the cantor E order-3 scan at 2^-9: ten full-lattice components and
-    # little beside them
-    _, omega = domains.build_domain(domains.cantor_slit_square(4), 2.0**-9)
+CANTOR_E3 = ["space", "norm", "--domain", "cantor_slit", "--depth", "4",
+             "--function", "example1", "--space", "E", "--order", "3",
+             "--check"]
+
+
+def test_one_pass_norm_evaluates_each_masked_point_once(monkeypatch):
+    # one leaf call per non-empty row block, each masked point once: the
+    # halo rows are carried to the next block, not evaluated again
+    h = 2.0**-8
+    _, omega = domains.build_domain(domains.cantor_slit_square(4), h)
+    calls = []
     field = get_function("example1", depth=4)
+    leaf = field.evaluator
+
+    def counted(pts, order):
+        calls.append(len(pts))
+        return leaf(pts, order)
+
+    field.evaluator = counted
+    monkeypatch.setattr(functions, "get_function", lambda name, depth: field)
+    with contextlib.redirect_stdout(stdio.StringIO()):
+        assert main(CANTOR_E3 + ["--h", str(h)]) == 1
+    blocks = [rows for rows in row_blocks(omega.grid.extents)
+              if omega.member[rows].any()]
+    assert len(blocks) > 1
+    assert len(calls) == len(blocks)
+    assert sum(calls) == omega.count
+
+
+def test_one_pass_norm_holds_a_few_row_blocks():
+    # the cantor E order-3 scan at 2^-9 never holds its 10 components over
+    # the lattice (84 MB): the leaf's output, its block, the window with its
+    # halo and the stencil temporaries are a few block jets, beside the masks
+    h = 2.0**-9
+    q, omega = domains.build_domain(domains.cantor_slit_square(4), h)
+    rows = next(row_blocks(omega.grid.extents))
+    block_jet = 10 * omega.member[rows].size * 8
+    masks = q.member.nbytes + omega.member.nbytes
+    assert 10 * omega.member.size * 8 > 15 * block_jet
+    out = stdio.StringIO()
     tracemalloc.start()
     try:
-        jet = field.sample(omega, 3)
-        spaces.norm_report(jet, "E", "Omega")
-        verdict = check_membership_e(jet, DEFAULTS["tol"])
+        with contextlib.redirect_stdout(out):
+            code = main(CANTOR_E3 + ["--h", str(h)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    components = sum(arr.nbytes for arr in jet.components.values())
-    assert components == 10 * 1025**2 * 8
-    assert peak < 1.3 * components
-    assert verdict.verdict == "violation"
+    assert code == 1 and "membership: violation" in out.getvalue()
+    assert peak < 6 * block_jet + masks
