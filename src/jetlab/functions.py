@@ -94,8 +94,11 @@ class AnalyticJet:
     """A field with closed-form partials, optionally tied to a region.
 
     evaluator(points, order) is the leaf below every jet_many: it consumes an
-    (..., dim) array and returns the whole jet there, every partial with
+    (..., dim) array and returns the jet there, the partials with
     |alpha| <= order, computing the work the partials share once per call.
+    It may leave out a partial that is identically zero on the region at
+    that order, the same ones at every point; jet_many and sample fill
+    those with zeros, and the walk of a norm scan skips them.
     A field has no order of its own: a leaf that cannot serve an order
     raises ValueError for it at every point.  member(*coords), when present,
     is the exact region predicate of a domain, called with one coordinate
@@ -127,11 +130,13 @@ class AnalyticJet:
             )
 
     def jet_many(self, points, order: int) -> Jet:
-        """Every partial with |alpha| <= order, from one evaluator call."""
+        """Every partial with |alpha| <= order, from one evaluator call; the
+        ones it leaves out are zeros."""
         pts = np.asarray(points, dtype=np.float64)
         jet = self.evaluator(pts, order)
         return {
-            alpha: np.asarray(jet[alpha], dtype=np.float64)
+            alpha: np.asarray(jet[alpha], dtype=np.float64) if alpha in jet
+            else np.zeros(pts.shape[:-1])
             for alpha in multi_indices(order, self.dim)
         }
 
@@ -154,7 +159,9 @@ def _falling(p: int, k: int) -> float:
 
 def polynomial_jet(name: str,
                    terms: dict[tuple[int, ...], float]) -> AnalyticJet:
-    """Jet of a planar polynomial given as {exponent tuple: coefficient}."""
+    """Jet of a planar polynomial given as {exponent tuple: coefficient}.
+
+    The leaf leaves out every partial past every term's degree."""
 
     def partial(pts: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
         out = np.zeros(pts.shape[:-1], dtype=np.float64)
@@ -177,7 +184,9 @@ def polynomial_jet(name: str,
 
     def evaluator(pts: np.ndarray, order: int) -> Jet:
         return {alpha: partial(pts, alpha)
-                for alpha in multi_indices(order, 2)}
+                for alpha in multi_indices(order, 2)
+                if any(all(a <= p for a, p in zip(alpha, powers))
+                       for powers in terms)}
 
     return AnalyticJet(name, 2, evaluator)
 
@@ -222,7 +231,7 @@ _GAPS = domains.GapIntervals(None)
 
 
 # the comb field's closed-form partials in the tooth-shifted abscissa sloc;
-# every other partial vanishes
+# the leaf leaves out the other one, (2, 0), which vanishes
 _EXAMPLE3_PARTIALS = {
     (0, 0): lambda sloc, t: sloc * t * t,
     (1, 0): lambda sloc, t: t * t,
@@ -238,21 +247,17 @@ def _example3_eval(pts: np.ndarray, order: int) -> Jet:
         raise ValueError("comb field jets are available to order 2")
     s = pts[..., 0]
     t = pts[..., 1]
-    region = _COMB.q(s, t)
-    # shifted abscissa: s on the base, s - a_n on tooth n, where the comb
-    # meets the open positive quadrant
+    # one tooth lookup gives the region, _COMB.q, and the shifted abscissa:
+    # s on the base, s - a_n on tooth n, where the comb meets the open
+    # positive quadrant
+    tooth = domains.comb_tooth_index_array(s)
+    on_tooth = (tooth >= 0) & (t > 0.0) & (t <= 1.0)
+    region = domains.comb_in_base(s, t) | on_tooth
     sloc = np.array(s, dtype=np.float64)
-    on_tooth = region & (s > 0.0) & (t > 0.0)
-    tooth = domains.comb_tooth_index_array(s[on_tooth]).astype(np.int32)
-    sloc[on_tooth] -= np.ldexp(0.75, -tooth)
-    out = {}
-    for alpha in multi_indices(order, 2):
-        if alpha in _EXAMPLE3_PARTIALS:
-            vals = _EXAMPLE3_PARTIALS[alpha](sloc, t)
-            out[alpha] = np.where(region, vals, 0.0)
-        else:
-            out[alpha] = np.zeros_like(sloc)
-    return out
+    sloc[on_tooth] -= np.ldexp(0.75, -tooth[on_tooth].astype(np.int32))
+    return {alpha: np.where(region, _EXAMPLE3_PARTIALS[alpha](sloc, t), 0.0)
+            for alpha in multi_indices(order, 2)
+            if alpha in _EXAMPLE3_PARTIALS}
 
 
 def example3_jet() -> AnalyticJet:
@@ -262,20 +267,20 @@ def example3_jet() -> AnalyticJet:
 
 def example3_value(s: float, t: float, alpha=(0, 0)) -> float:
     """Scalar comb field; exact for dyadic inputs."""
-    pts = np.array([[s, t]], dtype=np.float64)
     alpha = tuple(alpha)
-    return float(_example3_eval(pts, sum(alpha))[alpha][0])
+    return float(example3_jet().jet_many([[s, t]], sum(alpha))[alpha][0])
 
 
 def _gap1d_eval(pts: np.ndarray, order: int) -> Jet:
+    """Slope 1 on every piece; the leaf leaves out orders 2 and up."""
     s = pts[..., 0]
     seg = domains.gap_segment_index_array(s)
     inside = seg >= 0
     n_safe = np.where(seg > 0, seg, 1).astype(np.int32)
     shift = np.where(seg > 0, np.ldexp(1.0, -n_safe), 0.0)
     out = {(0,): np.where(inside, s - shift, 0.0)}
-    for a in range(1, order + 1):
-        out[(a,)] = np.where(inside, 1.0 if a == 1 else 0.0, 0.0)
+    if order >= 1:
+        out[(1,)] = np.where(inside, 1.0, 0.0)
     return out
 
 
@@ -285,9 +290,8 @@ def gap1d_jet() -> AnalyticJet:
 
 
 def gap1d_value(s: float, alpha=(0,)) -> float:
-    pts = np.array([[s]], dtype=np.float64)
     alpha = tuple(alpha)
-    return float(_gap1d_eval(pts, sum(alpha))[alpha][0])
+    return float(gap1d_jet().jet_many([[s]], sum(alpha))[alpha][0])
 
 
 def _example1_eval(pts: np.ndarray, order: int) -> Jet:
@@ -295,9 +299,10 @@ def _example1_eval(pts: np.ndarray, order: int) -> Jet:
         raise ValueError("t-derivatives of the mollifier stop at order 3")
     s = pts[..., 0]
     t = pts[..., 1]
-    # every s-partial vanishes off the slit columns
-    out = {alpha: np.zeros(pts.shape[:-1], dtype=np.float64)
-           for alpha in multi_indices(order, 2)}
+    # every s-partial vanishes off the slit columns, so the leaf leaves
+    # them out
+    out = {(0, b): np.zeros(pts.shape[:-1], dtype=np.float64)
+           for b in range(order + 1)}
     block = (s > 0.0) & (s <= 1.0) & (t > 0.0) & (t <= 1.0)
     if block.any():
         phi = cantor_phi_array(s[block])

@@ -19,6 +19,11 @@ import numpy as np
 from .errors import MaskMismatchError
 
 # A jet at a point set: every partial with |alpha| <= order, one array each.
+# A leaf may leave out a partial that is identically zero on its field's
+# region at that order; which ones it leaves out depends on the order alone,
+# never on the points.  walk passes the partials a leaf returned, and every
+# reader that needs the whole jet (sample, AnalyticJet.jet_many) fills the
+# rest with zeros.
 Jet = dict[tuple[int, ...], np.ndarray]
 # The one evaluator protocol: (points of shape (..., dim), order) -> Jet.
 JetEvaluator = Callable[[np.ndarray, int], Jet]
@@ -242,7 +247,8 @@ def walk(evaluator: JetEvaluator, mask: GridMask,
          order: int) -> Iterator[tuple[slice, Jet]]:
     """The one walk of a lattice with an evaluator: the masked points in
     blocks of whole rows, one evaluator call per non-empty block, each
-    yielded as (rows, the jet over those rows, 0 off the mask)."""
+    yielded as (rows, the partials it returned over those rows, 0 off the
+    mask)."""
     grid = mask.grid
     for rows in row_blocks(grid.extents):
         sub = mask.member[rows]
@@ -254,17 +260,19 @@ def walk(evaluator: JetEvaluator, mask: GridMask,
         jet = evaluator(pts, order)
         block = {}
         for alpha in multi_indices(order, grid.dim):
-            block[alpha] = np.zeros(sub.shape)
-            block[alpha][sub] = jet[alpha]
+            if alpha in jet:
+                block[alpha] = np.zeros(sub.shape)
+                block[alpha][sub] = jet[alpha]
         del jet
         yield rows, block
 
 
 def sample(evaluator: JetEvaluator, mask: GridMask, order: int) -> SampledJet:
-    """walk's blocks, stored into full-lattice components."""
+    """walk's blocks, stored into full-lattice components; a partial the
+    evaluator leaves out stays 0."""
     components = {alpha: np.zeros(mask.grid.extents)
                   for alpha in multi_indices(order, mask.grid.dim)}
     for rows, block in walk(evaluator, mask, order):
-        for alpha, arr in components.items():
-            arr[rows] = block[alpha]
+        for alpha, arr in block.items():
+            components[alpha][rows] = arr
     return SampledJet(order, mask.grid, mask, components)

@@ -194,6 +194,9 @@ def reduce_blocks(blocks: Iterable[tuple[slice, Jet]], mask: GridMask,
     """Fold a jet's (rows, block) pairs, in row order and 0 off the mask,
     into its sups and, if scan, the scan's tables, dropping each block.
 
+    A block may leave out partials that are 0 on the mask, the same ones in
+    every block: they keep sup 0, have no jump, and their finite-difference
+    pairs are checked against 0 wherever they meet a partial that is there.
     The last 2 rows of each component ride along to the next block, so each
     stencil along axis 0 is read once, in the block holding its last point.
     A block that does not follow on from the last starts afresh: a stencil
@@ -203,40 +206,53 @@ def reduce_blocks(blocks: Iterable[tuple[slice, Jet]], mask: GridMask,
     alphas = multi_indices(order, mask.grid.dim)
     sups = dict.fromkeys(alphas, 0.0)
     defects, jumps = ({}, {}) if scan else (None, None)
+    live = None
     halo: Jet = {}
-    next_row = 0
+    carried, next_row = 0, 0
     for rows, block in blocks:
-        for alpha in alphas:
+        present = [a for a in alphas if a in block]
+        if live is None:
+            live = present
+        elif present != live:
+            raise ValueError(
+                f"rows {rows.start}:{rows.stop} hold the partials {present} "
+                f"but the first block {live}; the partials left out must "
+                f"depend on the order alone")
+        for alpha in live:
             top = float(np.abs(block[alpha]).max())
             if not math.isfinite(top):
                 raise ValueError(f"component {alpha} is not finite on the mask")
             sups[alpha] = max(sups[alpha], top)
         if not scan:
             continue
-        held = len(halo[alphas[0]]) if halo and rows.start == next_row else 0
+        held = carried if rows.start == next_row else 0
         window = {a: np.concatenate((halo[a], block[a])) if held else block[a]
-                  for a in alphas}
+                  for a in live}
         start = rows.start - held
         inside = mask.member[start:rows.stop]
         for axis in range(mask.grid.dim):
             ends, row = _stencils(inside, axis, 1, held)
             ok = ends[0] & ends[1]
-            for alpha in alphas if ok.any() else ():
+            for alpha in live if ok.any() else ():
                 lo, hi = _stencils(window[alpha], axis, 1, held)[0]
                 _fold(jumps, (alpha, axis), ok, np.abs(hi - lo), start + row)
             ends, row = _stencils(inside, axis, 2, held)
             ok = ends[0] & ends[1] & ends[2]
+            zero = (np.broadcast_to(0.0, ok.shape),) * 3
             for alpha in alphas if ok.any() else ():
-                if not alpha[axis]:
+                lower = _lower(alpha, axis)
+                if not alpha[axis] or (lower not in window
+                                       and alpha not in window):
                     continue
-                lo, _, hi = _stencils(window[_lower(alpha, axis)], axis, 2,
-                                      held)[0]
-                mid = _stencils(window[alpha], axis, 2, held)[0][1]
+                lo, _, hi = (_stencils(window[lower], axis, 2, held)[0]
+                             if lower in window else zero)
+                mid = (_stencils(window[alpha], axis, 2, held)[0]
+                       if alpha in window else zero)[1]
                 _fold(defects, (alpha, axis), ok,
                       np.abs((hi - lo) / (2.0 * mask.grid.h) - mid),
                       start + row, (lo, hi, mid))
         halo = {a: arr[-2:].copy() for a, arr in window.items()}
-        next_row = rows.stop
+        carried, next_row = min(2, rows.stop - start), rows.stop
     return Reduction(mask, order, sups, defects, jumps)
 
 

@@ -1,12 +1,17 @@
 """Closed-form fields: staircase, mollifier, counterexample jets."""
 
+import contextlib
+import dataclasses
+import io as stdio
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from jetlab import domains, functions
+from jetlab import domains, functions, io
+from jetlab.cli import main
 from jetlab.domains import cantor_level
 from jetlab.errors import PointOutsideRegionError
 from jetlab.functions import (
@@ -15,12 +20,13 @@ from jetlab.functions import (
     cantor_phi_array,
     example1_xbar,
     example3_value,
+    function_names,
     gap1d_value,
     get_function,
     mollifier_derivs,
     polynomial_jet,
 )
-from jetlab.grid import GridMask, GridSpec, row_blocks
+from jetlab.grid import GridMask, GridSpec, multi_indices, row_blocks
 
 from lattice_oracles import scatter_sample
 
@@ -369,3 +375,97 @@ def test_sample_calls_the_leaf_once_per_row_block(monkeypatch):
     assert calls == [3] * len(blocks)
     # the blocks with s <= 0 hold no point of the field's support
     assert moll == [3] * len(moll) and 0 < len(moll) < len(blocks)
+
+
+def served_orders(field):
+    """The orders 0..4 the field's leaf serves: the others raise."""
+    for order in range(5):
+        try:
+            field.evaluator(np.zeros((1, field.dim)), order)
+        except ValueError:
+            continue
+        yield order
+
+
+coords = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(function_names()),
+       st.lists(st.tuples(coords, coords), min_size=1, max_size=16))
+def test_a_leaf_leaves_out_only_partials_that_vanish(name, points):
+    # a partial a leaf leaves out is a derivative of its lower partial, so
+    # the lower partial's central difference vanishes wherever its stencil
+    # lies in the region; 2^-12 is narrower than any depth-4 slit
+    field = get_function(name, depth=4)
+    pts = np.array(points)[:, :field.dim]
+    step = 2.0**-12
+    for order in served_orders(field):
+        kept = set(field.evaluator(pts, order))
+        # the same partials at any points: they depend on the order alone
+        assert kept == set(field.evaluator(np.zeros((1, field.dim)), order))
+        for alpha in set(multi_indices(order, field.dim)) - kept:
+            for axis in range(field.dim):
+                if not alpha[axis]:
+                    continue
+                lower = tuple(a - (b == axis) for b, a in enumerate(alpha))
+                shift = np.zeros(field.dim)
+                shift[axis] = step
+                ends = (pts - shift, pts + shift)
+                inside = (field.contains(ends[0]) & field.contains(pts)
+                          & field.contains(ends[1]))
+                lo, hi = (field.jet_many(end[inside], order)[lower]
+                          for end in ends)
+                assert np.abs(hi - lo).max(initial=0.0) / (2 * step) < 1e-9
+
+
+def test_the_fields_leave_out_their_zero_partials():
+    left_out = {
+        ("example1", 3): {(1, 0), (2, 0), (1, 1), (3, 0), (2, 1), (1, 2)},
+        ("example3", 2): {(2, 0)},
+        ("gap1d", 4): {(2,), (3,), (4,)},
+        ("chi", 3): {(2, 0), (3, 0), (2, 1), (0, 3)},
+        ("sum_st", 2): {(2, 0), (1, 1), (0, 2)},
+        ("sin_cos", 3): set(),
+        ("exp1d", 3): set(),
+    }
+    assert {name for name, _ in left_out} == set(function_names())
+    for (name, order), want in left_out.items():
+        field = get_function(name, depth=4)
+        kept = field.evaluator(np.zeros((1, field.dim)), order)
+        assert set(multi_indices(order, field.dim)) - set(kept) == want
+
+
+def test_scalar_readers_read_a_partial_left_out_as_zero():
+    assert example3_value(0.8, 0.5, (2, 0)) == 0.0
+    assert example3_value(-0.5, 0.5, (2, 0)) == 0.0
+    assert gap1d_value(0.625, (2,)) == 0.0
+    assert gap1d_value(-0.5, (3,)) == 0.0
+
+
+@pytest.mark.parametrize("name,args", [
+    ("example1", ["--domain", "cantor_slit", "--depth", "3", "--mask",
+                  "open", "--order", "3", "--h", str(2.0**-6)]),
+    ("example3", ["--domain", "comb", "--n-teeth", "3", "--order", "2",
+                  "--h", str(2.0**-6)]),
+    ("gap1d", ["--domain", "gap1d", "--n-segments", "4", "--order", "3",
+               "--h", str(2.0**-8)]),
+    ("chi", ["--domain", "rectangle", "--order", "4", "--h", str(2.0**-5)]),
+])
+def test_field_sample_pads_the_partials_a_leaf_leaves_out(name, args,
+                                                           tmp_path,
+                                                           monkeypatch):
+    # the same field with a leaf that returns every partial, zeros for the
+    # ones its own leaf leaves out
+    field = get_function(name, depth=3)
+    dense = dataclasses.replace(field, evaluator=field.jet_many)
+    texts = []
+    for jet in (field, dense):
+        monkeypatch.setattr(functions, "get_function",
+                            lambda _name, _depth, jet=jet: jet)
+        out = tmp_path / f"{len(texts)}.json"
+        with contextlib.redirect_stdout(stdio.StringIO()):
+            assert main(["field", "sample", "--function", name, *args,
+                         "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    assert io.strip_provenance(texts[0]) == io.strip_provenance(texts[1])

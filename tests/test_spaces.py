@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jetlab import domains, functions, io
+from jetlab import cli, domains, functions, io
 from jetlab.cli import DEFAULTS, main
 from jetlab.errors import EmptyMaskError, MaskMismatchError, NotAnExtensionError
 from jetlab.functions import get_function, polynomial_jet
@@ -424,10 +424,11 @@ CANTOR_E3 = ["space", "norm", "--domain", "cantor_slit", "--depth", "4",
 
 def test_one_pass_norm_evaluates_each_masked_point_once(monkeypatch):
     # one leaf call per non-empty row block, each masked point once: the
-    # halo rows are carried to the next block, not evaluated again
+    # halo rows are carried to the next block, not evaluated again; each
+    # block holds the 4 partials that are not 0, phi(s) times a t-partial
     h = 2.0**-8
     _, omega = domains.build_domain(domains.cantor_slit_square(4), h)
-    calls = []
+    calls, held = [], []
     field = get_function("example1", depth=4)
     leaf = field.evaluator
 
@@ -435,8 +436,14 @@ def test_one_pass_norm_evaluates_each_masked_point_once(monkeypatch):
         calls.append(len(pts))
         return leaf(pts, order)
 
+    def walked(evaluator, mask, order):
+        for rows, block in walk(evaluator, mask, order):
+            held.append(list(block))
+            yield rows, block
+
     field.evaluator = counted
     monkeypatch.setattr(functions, "get_function", lambda name, depth: field)
+    monkeypatch.setattr(cli, "walk", walked)
     with contextlib.redirect_stdout(stdio.StringIO()):
         assert main(CANTOR_E3 + ["--h", str(h)]) == 1
     blocks = [rows for rows in row_blocks(omega.grid.extents)
@@ -444,16 +451,18 @@ def test_one_pass_norm_evaluates_each_masked_point_once(monkeypatch):
     assert len(blocks) > 1
     assert len(calls) == len(blocks)
     assert sum(calls) == omega.count
+    assert held == [[(0, 0), (0, 1), (0, 2), (0, 3)]] * len(blocks)
 
 
 def test_one_pass_norm_holds_a_few_row_blocks():
     # the cantor E order-3 scan at 2^-9 never holds its 10 components over
     # the lattice (84 MB): the leaf's output, its block, the window with its
-    # halo and the stencil temporaries are a few block jets, beside the masks
+    # halo and the stencil temporaries are a few block jets of the 4
+    # partials that are not 0, beside the masks
     h = 2.0**-9
     q, omega = domains.build_domain(domains.cantor_slit_square(4), h)
     rows = next(row_blocks(omega.grid.extents))
-    block_jet = 10 * omega.member[rows].size * 8
+    block_jet = 4 * omega.member[rows].size * 8
     masks = q.member.nbytes + omega.member.nbytes
     assert 10 * omega.member.size * 8 > 15 * block_jet
     out = stdio.StringIO()
@@ -466,3 +475,54 @@ def test_one_pass_norm_holds_a_few_row_blocks():
         tracemalloc.stop()
     assert code == 1 and "membership: violation" in out.getvalue()
     assert peak < 6 * block_jet + masks
+
+
+def s_leaf(pts, order):
+    """The whole order-1 jet of the field s."""
+    s = pts[..., 0]
+    return {(0, 0): s.copy(), (1, 0): np.ones_like(s),
+            (0, 1): np.zeros_like(s)}
+
+
+@pytest.mark.parametrize("left_out", [(1, 0), (0, 0)])
+def test_a_partial_left_out_is_scanned_as_zero(left_out):
+    # a leaf that wrongly leaves out a partial of s that is not 0 gets the
+    # verdict and the note of the leaf that returns zeros for it: the fd
+    # check stays wherever a partial left out meets one that is there
+    q, _ = comb_masks(h=2.0**-6)
+
+    def omitting(pts, order):
+        jet = s_leaf(pts, order)
+        del jet[left_out]
+        return jet
+
+    def zeroed(pts, order):
+        jet = s_leaf(pts, order)
+        jet[left_out] = np.zeros_like(jet[left_out])
+        return jet
+
+    omitted, dense = (
+        check_membership_f(reduce_blocks(walk(leaf, q, 1), q, 1, True),
+                           tol=0.1)
+        for leaf in (omitting, zeroed))
+    assert omitted.verdict == "violation"
+    assert omitted.to_payload() == dense.to_payload()
+    assert omitted.certificate.terms[0].note.startswith(
+        "finite difference of 0,0 along axis 0")
+
+
+def test_a_leaf_whose_partials_change_between_blocks_is_refused():
+    # the halo carries the partials of the first block, so a leaf that
+    # leaves out a partial in some blocks only cannot be scanned
+    q, _ = domains.build_domain(domains.rectangle(), 2.0**-9)
+
+    def fickle(pts, order):
+        jet = s_leaf(pts, order)
+        if pts[..., 0].max() < 0.5:
+            del jet[(0, 1)]
+        return jet
+
+    assert len(list(row_blocks(q.grid.extents))) > 2
+    for scan in (False, True):
+        with pytest.raises(ValueError, match="depend on the order alone"):
+            reduce_blocks(walk(fickle, q, 1), q, 1, scan)
