@@ -160,8 +160,7 @@ def _cmd_hestenes_coeffs(args, argv) -> int:
 
 
 def _cmd_hestenes_extend(args, argv) -> int:
-    payload = io.read_artifact(args.infile)
-    jet = io.jet_from_payload(payload.get("jet", payload))
+    jet = io.read_jet(args.infile)
     coeffs = hestenes.solve_coefficients(args.order)
     result = hestenes.extend_half_space_lattice(
         jet, coeffs, width=args.width, axis=args.axis,
@@ -222,8 +221,7 @@ def _cmd_space_norm(args, argv) -> int:
               file=sys.stderr)
         return 2
     if args.field:
-        payload = io.read_artifact(args.field)
-        jet = io.jet_from_payload(payload.get("jet", payload))
+        jet = io.read_jet(args.field)
         mask, order, blocks = jet.mask, jet.order, jet.blocks()
         label = args.field
     else:

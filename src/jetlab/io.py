@@ -2,26 +2,37 @@
 
 The JSON writer is hand-rolled because payload bytes must be reproducible:
 floats are rendered with 17 significant digits (enough to round-trip binary64
-exactly) and keys keep insertion order.  Parsing uses the stdlib.
+exactly) and keys keep insertion order.  It hands each piece of text to a
+``write`` callable as it is encoded: ``dumps`` collects the pieces, and
+``write_artifact`` writes them to a temporary file beside the target and
+renames it onto the target when complete.
 
-Arrays take a fast path.  A 0/1 mask is one byte buffer.  Floats go through
-``_float_cells``, a numpy kernel that writes each value's ``format_float``
-text as a fixed-width row of bytes, NUL-padded anywhere in the row: the 17
-digits come from a double-double product with an exact table of 10^p
-(Dekker, Numer. Math. 18 (1971) 224-242), and a value the product cannot
-decide (within 1e-9 of a rounding half, subnormal, or outside
+Arrays take a fast path.  A 0/1 mask is one digit per value.  Floats go
+through ``_float_cells``, a numpy kernel that writes each value's
+``format_float`` text as a fixed-width row of bytes, NUL-padded anywhere in
+the row: the 17 digits come from a double-double product with an exact
+table of 10^p (Dekker, Numer. Math. 18 (1971) 224-242), and a value the
+product cannot decide (within 1e-9 of a rounding half, subnormal, or outside
 [1e-290, 1e290)) is formatted by ``format_float`` itself.  JSON arrays and
 CSV rows are those cells side by side with their separators, NULs dropped,
-built in blocks of 2^14 values or rows.  The bytes are those of the
-element-by-element encoding; ``tests/test_io.py`` checks them against that
-encoding kept as an oracle, and ``tests/test_digests.py`` pins payload and
-CSV digests of the CLI.
+built and written in blocks of 2^14 values or rows.  The bytes are those of
+the element-by-element encoding; ``tests/test_io.py`` checks them against
+that encoding kept as an oracle, and ``tests/test_digests.py`` pins payload
+and CSV digests of the CLI.
+
+``read_artifact`` reads the file's bytes once.  Each long flat array of
+0/1 digits or of floats in the strict JSON number grammar goes to numpy
+(int8 or float64); the stdlib decoder reads the rest.  The result is that
+of ``json.loads``, an ndarray standing for a list of its values, and text
+``json`` refuses is refused (see ``_loads``).
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
+import re
 from fractions import Fraction
 from functools import cache
 
@@ -32,6 +43,8 @@ from .grid import GridMask, GridSpec, SampledJet, alpha_key, parse_alpha_key
 
 # Values (or CSV rows) encoded per block; bounds the cell matrices.
 _BLOCK = 1 << 14
+# Characters of float text numpy reads per call; bounds the text copied.
+_PIECE = 1 << 18
 
 
 def format_float(x: float) -> str:
@@ -188,75 +201,76 @@ def _rows_text(cells: list[np.ndarray], end: bytes) -> str:
 def dumps(obj) -> str:
     """Serialize a payload deterministically (insertion-ordered keys)."""
     parts: list[str] = []
-    _write(obj, parts)
+    _write(obj, parts.append)
     return "".join(parts)
 
 
-def _write(obj, parts: list[str]) -> None:
+def _write(obj, write) -> None:
+    """Hand the text of ``obj`` to ``write`` piece by piece."""
     if obj is None:
-        parts.append("null")
+        write("null")
     elif obj is True:
-        parts.append("true")
+        write("true")
     elif obj is False:
-        parts.append("false")
+        write("false")
     elif isinstance(obj, str):
-        parts.append(json.dumps(obj, ensure_ascii=True))
+        write(json.dumps(obj, ensure_ascii=True))
     elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
+        write(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        parts.append(format_float(float(obj)))
+        write(format_float(float(obj)))
     elif isinstance(obj, dict):
-        parts.append("{")
+        write("{")
         for i, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
                 raise TypeError(f"non-string key {key!r}")
             if i:
-                parts.append(",")
-            parts.append(json.dumps(key, ensure_ascii=True))
-            parts.append(":")
-            _write(value, parts)
-        parts.append("}")
+                write(",")
+            write(json.dumps(key, ensure_ascii=True))
+            write(":")
+            _write(value, write)
+        write("}")
     elif isinstance(obj, np.ndarray):
-        _write_array(obj, parts)
+        _write_array(obj, write)
     elif isinstance(obj, (list, tuple)):
-        parts.append("[")
+        write("[")
         for i, value in enumerate(obj):
             if i:
-                parts.append(",")
-            _write(value, parts)
-        parts.append("]")
+                write(",")
+            _write(value, write)
+        write("]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _write_array(arr: np.ndarray, parts: list[str]) -> None:
+def _write_array(arr: np.ndarray, write) -> None:
     """Same text as ``_write(arr.tolist())``: nested lists in C order."""
     if arr.ndim == 0:
         raise TypeError("cannot serialize a 0-d array")
     kind = arr.dtype.kind
     if kind not in "biuf":
-        _write(arr.tolist(), parts)
+        _write(arr.tolist(), write)
         return
     if arr.ndim > 1:
-        _write(list(arr), parts)  # one row at a time
+        _write(list(arr), write)  # one row at a time
         return
-    parts.append("[")
+    write("[")
     if kind == "b":
-        parts.append(",".join(map(("false", "true").__getitem__, arr.tolist())))
-    elif kind == "f":
-        if arr.size:
-            blocks = [_rows_text([_float_cells(arr[i:i + _BLOCK])], b",")
-                      for i in range(0, arr.size, _BLOCK)]
-            blocks[-1] = blocks[-1][:-1]
-            parts.extend(blocks)
-    elif arr.size and arr.min() >= 0 and arr.max() <= 1:
-        # 0/1 mask: digits interleaved with commas in one byte buffer
-        buf = np.full(2 * arr.size - 1, ord(","), dtype=np.uint8)
-        buf[::2] = arr.astype(np.uint8) + ord("0")
-        parts.append(buf.tobytes().decode("ascii"))
+        write(",".join(map(("false", "true").__getitem__, arr.tolist())))
+    elif kind == "f" or (arr.size and arr.min() >= 0 and arr.max() <= 1):
+        # one block at a time, each value followed by a comma but the last
+        for start in range(0, arr.size, _BLOCK):
+            block = arr[start:start + _BLOCK]
+            if kind == "f":
+                text = _rows_text([_float_cells(block)], b",")
+            else:  # 0/1 mask: digits interleaved with commas
+                buf = np.full(2 * block.size, ord(","), dtype=np.uint8)
+                buf[::2] = block + ord("0")
+                text = buf.tobytes().decode("ascii")
+            write(text if start + _BLOCK < arr.size else text[:-1])
     else:
-        parts.append(",".join(map(str, arr.tolist())))
-    parts.append("]")
+        write(",".join(map(str, arr.tolist())))
+    write("]")
 
 
 def fraction_pair(q: Fraction) -> list[int]:
@@ -325,22 +339,48 @@ def jet_from_payload(payload: dict) -> SampledJet:
     return SampledJet(order, mask.grid, mask, components)
 
 
+def read_jet(path: str) -> SampledJet:
+    """The jet of a jet artifact: its ``jet`` key, or the whole payload."""
+    payload = read_artifact(path)
+    return jet_from_payload(payload.get("jet", payload))
+
+
 def write_artifact(path: str, payload: dict, provenance: dict) -> None:
-    """Write payload JSON; provenance rides along under its own key."""
+    """Write payload JSON; provenance rides along under its own key.
+
+    Each piece goes to a sibling temporary file as it is encoded, and the
+    finished file is renamed onto ``path`` (onto its target, if a symlink):
+    a failed or interrupted encode leaves the file at ``path`` as it was.
+    A pipe or device at ``path`` cannot be renamed onto and takes the text
+    as it comes.
+    """
     doc = {**payload, "provenance": provenance}
-    # encoded before opening: a failed encode leaves the file as it was; the
-    # parts are written as they are, never joined into one more copy
-    parts: list[str] = []
-    _write(doc, parts)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.writelines(parts)
-        fh.write("\n")
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(path, "w", encoding="ascii") as fh:
+            _write(doc, fh.write)
+            fh.write("\n")
+        return
+    head, name = os.path.split(target)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        fh = open(tmp, "x", encoding="ascii")
+    except OSError as err:  # name the file the caller asked for
+        raise OSError(err.errno, err.strerror, path) from None
+    try:
+        with fh:
+            _write(doc, fh.write)
+            fh.write("\n")
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_artifact(path: str) -> dict:
     """Load an artifact, dropping the provenance key."""
-    with open(path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
+    with open(path, "rb") as fh:
+        doc = _loads(fh.read())
     if not isinstance(doc, dict):
         raise JetlabError(f"{path} holds no artifact: its JSON is not an object")
     doc.pop("provenance", None)
@@ -352,6 +392,82 @@ def strip_provenance(text: str) -> str:
     doc = json.loads(text)
     doc.pop("provenance", None)
     return dumps(doc)
+
+
+# A flat array of 0/1 digits, or of numbers each with a fraction or an
+# exponent, in the strict JSON number grammar.  The quantifiers are
+# possessive, so a match is linear and keeps no backtracking state.  It is
+# compiled (and cached by ``re``) on the first read, not on import.
+_FLOAT = (rb"-?+(?:0|[1-9][0-9]*+)"
+          rb"(?:\.[0-9]++(?:[eE][-+]?+[0-9]++)?+|[eE][-+]?+[0-9]++)")
+_NUMBER_ARRAY = (rb"\[(?:(?P<mask>[01](?:,[01])*+)|(?P<floats>%s(?:,%s)*+))\]"
+                 % (_FLOAT, _FLOAT))
+
+
+def _loads(data: bytes):
+    """``json.loads(data)``, with each long flat number array an ndarray.
+
+    An array of at least ``_BLOCK`` characters that ``_NUMBER_ARRAY`` matches
+    whole is cut out of the text and read by numpy, its digits as int8 and
+    its floats as float64.  The decoder reads the rest, where each cut array
+    is left empty, and puts the ndarray there.  A cut the decoder does not
+    meet as an array (it lay inside a string), and text the decoder refuses,
+    send the whole text to ``json.loads``: the result, or the refusal, is
+    json's.  The text is never held as a str beside its bytes.
+    """
+    cuts: dict[int, re.Match] = {}  # position of "[" in the rest -> match
+    rest, done, size = [], 0, 0
+    for m in re.finditer(_NUMBER_ARRAY, data):
+        start, end = m.span()
+        if end - start - 2 < _BLOCK:
+            continue
+        rest.append(data[done:start + 1])
+        size += start + 1 - done
+        cuts[size - 1] = m
+        done = end - 1
+    rest.append(data[done:])
+    text = b"".join(rest).decode("ascii")
+
+    def parse_array(s_and_end, scan_once):
+        m = cuts.pop(s_and_end[1] - 1, None)
+        if m is None:
+            return json.decoder.JSONArray(s_and_end, scan_once)
+        return _number_array(m), s_and_end[1] + 1
+
+    decoder = json.JSONDecoder()
+    decoder.parse_array = parse_array
+    decoder.scan_once = json.scanner.py_make_scanner(decoder)
+    try:
+        doc = decoder.decode(text)
+        if not cuts:  # each was met as an array
+            return doc
+    except (ValueError, RecursionError):  # the py scanner nests less deep
+        pass
+    # the py scanner is a reference cycle: drop its hold on ``data`` now
+    cuts.clear()
+    return json.loads(data)
+
+
+def _number_array(m: re.Match) -> np.ndarray:
+    """The values of a ``_NUMBER_ARRAY`` match; floats in ``_PIECE`` pieces."""
+    data = m.string
+    if m["mask"] is not None:
+        start, end = m.span("mask")
+        digits = np.frombuffer(data, np.uint8, end - start, start)[::2]
+        return (digits - ord("0")).view(np.int8)
+    start, end = m.span("floats")
+    out = np.empty(data.count(b",", start, end) + 1)
+    filled = 0
+    while start < end:
+        stop = data.find(b",", start + _PIECE, end)
+        stop = end if stop < 0 else stop
+        piece = np.fromstring(data[start:stop], dtype=np.float64, sep=",")
+        out[filled:filled + piece.size] = piece
+        filled += piece.size
+        start = stop + 1
+    if filled != out.size:
+        raise ValueError("numpy read a different number of floats")
+    return out
 
 
 def jet_to_csv(jet: SampledJet, path: str) -> None:

@@ -469,9 +469,13 @@ def test_hestenes_extend_rejects_a_foreign_axis(sample, axis, tmp_path,
         "build-out"])
 def test_missing_file_is_a_usage_error(argv, tmp_path, capsys):
     fill = {"missing": str(tmp_path / "absent.json"), "tmp": str(tmp_path)}
-    assert run([a.format(**fill) for a in argv]) == 2
+    argv = [a.format(**fill) for a in argv]
+    assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "No such file or directory" in err
+    # named after the path given, not a temporary file beside it
+    named = next(a for a in argv if "absent" in a or "no/dir" in a)
+    assert err.rstrip().endswith(f"'{named}'")
 
 
 def _write_without(path, payload, key):
@@ -522,6 +526,30 @@ def test_malformed_jet_artifact_is_a_usage_error(case, tmp_path, capsys):
                 "--out", str(tmp_path / "ext.json")]) == 2
     err = capsys.readouterr().err
     assert err.count("error: jet artifact is malformed: ") == 2
+    assert "Traceback" not in err
+    assert not (tmp_path / "ext.json").exists()
+
+
+@pytest.mark.parametrize("token", ["+1", "01", "1.", ".5", "1e5.3", ""])
+def test_refused_number_in_a_long_array_is_a_usage_error(token, tmp_path,
+                                                         capsys):
+    # the component arrays are long enough for numpy to read; "" leaves a
+    # trailing comma
+    field = tmp_path / "field.json"
+    assert run(["field", "sample", "--function", "sin_cos", "--domain",
+                "rectangle", "--h", "0.03125", "--out", str(field)]) == 0
+    text = field.read_text()
+    close = text.index("]", text.index('"components":'))
+    bad = tmp_path / "bad.json"
+    bad.write_text(f"{text[:close]},{token}{text[close:]}")
+    with pytest.raises(ValueError) as refused:
+        json.loads(bad.read_text())
+    capsys.readouterr()
+    assert run(["space", "norm", "--field", str(bad)]) == 2
+    assert run(["hestenes", "extend", "--in", str(bad), "--width", "2",
+                "--out", str(tmp_path / "ext.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"error: {refused.value}\n") == 2
     assert "Traceback" not in err
     assert not (tmp_path / "ext.json").exists()
 

@@ -4,9 +4,12 @@ import csv
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -18,7 +21,7 @@ from hypothesis.extra import numpy as hnp
 import jetlab
 from jetlab import domains, io
 from jetlab.functions import get_function
-from jetlab.grid import GridMask, GridSpec, alpha_key
+from jetlab.grid import GridMask, GridSpec, SampledJet, alpha_key
 
 
 def test_format_float_round_trips_binary64():
@@ -279,10 +282,34 @@ def test_failed_write_keeps_existing_artifact(tmp_path):
     path = tmp_path / "a.json"
     io.write_artifact(str(path), {"x": 1.5}, {})
     before = path.read_bytes()
-    with pytest.raises(ValueError):
-        io.write_artifact(str(path), {"x": np.array([1.0, float("nan")])},
-                          {})
-    assert path.read_bytes() == before
+    # a NaN in the last block of three: two are written before it fails
+    streamed = np.ones(3 * io._BLOCK)
+    streamed[-1] = float("nan")
+    for values in (np.array([1.0, float("nan")]), streamed):
+        with pytest.raises(ValueError, match="non-finite"):
+            io.write_artifact(str(path), {"x": values}, {})
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["a.json"]
+
+
+def test_write_goes_through_a_symlink_and_into_a_pipe(tmp_path):
+    real = tmp_path / "real.json"
+    io.write_artifact(str(real), {"x": 1.5}, {})
+    (tmp_path / "link.json").symlink_to(real)
+    io.write_artifact(str(tmp_path / "link.json"), {"x": 2.5}, {})
+    assert (tmp_path / "link.json").is_symlink()
+    assert io.read_artifact(str(real)) == {"x": 2.5}
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()),
+                              daemon=True)
+    reader.start()
+    io.write_artifact(str(pipe), {"x": 3.5}, {})
+    reader.join(timeout=30)
+    assert got == [b'{"x":3.5,"provenance":{}}\n']
+    assert stat.S_ISFIFO(os.lstat(pipe).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "pipe", "real.json"]
 
 
 # --- the .17g kernel against the oracle
@@ -383,3 +410,145 @@ def test_cli_import_leaves_the_power_table_unbuilt():
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+# --- streaming: the writer holds a block, the reader builds no float lists
+
+def test_write_and_read_stay_within_their_memory_bounds(tmp_path):
+    grid = GridSpec((0.0, 0.0), 2.0**-9, (512, 512))
+    rng = np.random.default_rng(11)
+    member = rng.random(grid.extents) < 0.9
+    jet = SampledJet(1, grid, GridMask(grid, member), {
+        alpha: np.where(member, rng.standard_normal(grid.extents), 0.0)
+        for alpha in ((0, 0), (0, 1), (1, 0))
+    })
+    payload = io.jet_to_payload(jet)  # 2^20 values with the mask
+    path = str(tmp_path / "jet.json")
+    tracemalloc.start()
+    try:
+        io.write_artifact(path, payload, {})
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        back = io.read_artifact(path)
+        read_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    text = os.path.getsize(path)
+    arrays = [back["mask"], *back["components"].values()]
+    assert write_peak < text / 4
+    assert read_peak < text + 2 * sum(a.nbytes for a in arrays)
+    assert back["mask"].dtype == np.int8
+    assert np.array_equal(back["mask"], payload["mask"])
+    for key, values in payload["components"].items():
+        assert np.array_equal(back["components"][key].view(np.uint64),
+                              values.view(np.uint64))
+
+
+def _same(got, want) -> bool:
+    """``got`` reads as ``want``; an ndarray as the list of its values."""
+    if isinstance(got, np.ndarray):
+        if got.dtype == np.int8:
+            return ({type(w) for w in want} == {int}
+                    and got.tolist() == want)
+        return ({type(w) for w in want} == {float} and got.dtype == np.float64
+                and np.array_equal(got.view(np.uint64),
+                                   np.array(want).view(np.uint64)))
+    if isinstance(want, dict):
+        return (type(got) is dict and list(got) == list(want)
+                and all(_same(got[k], want[k]) for k in want))
+    if isinstance(want, list):
+        return (type(got) is list and len(got) == len(want)
+                and all(map(_same, got, want)))
+    return type(got) is type(want) and repr(got) == repr(want)
+
+
+def _reads_as_json(text: str):
+    """``io._loads`` of ``text``, checked against ``json.loads`` of it: the
+    same value, or a refusal where json refuses."""
+    try:
+        want = json.loads(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            io._loads(text.encode("ascii"))
+        return None
+    got = io._loads(text.encode("ascii"))
+    assert _same(got, want)
+    return got
+
+
+def _float_body(length: int) -> str:
+    """Float tokens joined by commas, ``length`` characters in all."""
+    n = (length + 1) // 4 - 1
+    return ",".join(["0.5"] * n) + "0" * (length - (4 * n - 1))
+
+
+def _digit_body(n: int) -> str:
+    return ",".join("01"[i % 2] for i in range(n))
+
+
+@pytest.mark.parametrize("body,numpy_read", [
+    (_float_body(io._BLOCK - 1), False),
+    (_float_body(io._BLOCK), True),
+    (_float_body(io._BLOCK + 1), True),
+    (_digit_body(io._BLOCK // 2), False),  # _BLOCK - 1 characters
+    (_digit_body(io._BLOCK // 2 + 1), True),
+], ids=["floats-below", "floats-at", "floats-above", "digits-below",
+        "digits-above"])
+def test_reader_hands_long_number_arrays_to_numpy(body, numpy_read):
+    doc = _reads_as_json('{"a":[%s],"b":[[%s],[1,2]]}' % (body, body))
+    assert isinstance(doc["a"], np.ndarray) == numpy_read
+    assert isinstance(doc["b"][0], np.ndarray) == numpy_read
+
+
+def test_reader_leaves_a_number_list_inside_a_string_to_json():
+    body = _float_body(io._BLOCK)
+    doc = _reads_as_json('{"s":"[%s]","a":[%s]}' % (body, body))
+    assert doc["s"] == f"[{body}]"
+
+
+def test_reader_reads_deep_nesting_as_json():
+    # deeper than the pure-Python scanner goes, within json's C scanner
+    text = "[" * 400 + "]" * 400
+    assert io._loads(text.encode("ascii")) == json.loads(text)
+
+
+def test_kernel_edges_read_back_bit_exact(tmp_path):
+    arr = np.concatenate([KERNEL_EDGES, -KERNEL_EDGES])
+    path = tmp_path / "a.json"
+    io.write_artifact(str(path), {"a": arr}, {})
+    back = io.read_artifact(str(path))["a"]
+    assert np.array_equal(back.view(np.uint64), arr.view(np.uint64))
+    assert _same(back, json.loads(path.read_text())["a"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40),
+       st.integers(0, io._BLOCK))
+def test_written_floats_read_back_bit_exact(bits, at):
+    arr = np.array(bits, dtype=np.uint64).view(np.float64)
+    arr = np.insert(np.full(io._BLOCK // 3, 0.5), min(at, io._BLOCK // 3),
+                    arr[np.isfinite(arr)])
+    back = _reads_as_json(io.dumps({"a": arr}))["a"]
+    assert np.array_equal(back.view(np.uint64), arr.view(np.uint64))
+
+
+# tokens json reads though the writer never emits them, and tokens json
+# refuses; "" makes a doubled comma
+_FOREIGN_TOKENS = ["1E5", "-0.0", "0", "1", "2", "12345678901234567890",
+                   "NaN", "Infinity", "-Infinity", " 1.0", "1.0 ", "\n2.5",
+                   "1e400", "-1e-400", "5e-324", "2.2250738585072011e-308",
+                   "+1", "01", "1.", ".5", "1e5.3", "", "inf", "1e", "-",
+                   "1.0.0", "0x10", "true", '"1.0"']
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(_FOREIGN_TOKENS) | st.from_regex(
+           r"-?(0|[1-9][0-9]{0,30})(\.[0-9]{1,30})?([eE][-+]?[0-9]{1,3})?",
+           fullmatch=True), min_size=1, max_size=6),
+       st.sampled_from(["0.5", "1"]), st.integers(0, io._BLOCK // 2),
+       st.sampled_from(["", ","]))
+def test_reader_matches_json_inside_long_arrays(tokens, fill, at, tail):
+    values = [fill] * (io._BLOCK // 2 + 1)
+    values[at:at] = tokens
+    _reads_as_json('{"a":[%s%s]}' % (",".join(values), tail))
