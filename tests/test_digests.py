@@ -10,39 +10,96 @@ certificates before each kind was defined once, the order-0 and order-1
 evaluator.  A rasterizer, a membership
 predicate, a chart, a scan or a certificate kind that moves a single lattice
 point, float bit, rational or witness changes a digest here.
+
+Each pinned mask and jet payload also has a content digest, taken of what
+``io.read_artifact`` reads back and so independent of how the arrays are
+encoded: a change of the array format moves the text digest and keeps the
+content digest.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from jetlab import domains, io
 from jetlab.cli import main
+from jetlab.grid import alpha_key
 
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
+def content_digest(path) -> str:
+    """sha256 of an artifact's content as ``io.read_artifact`` reads it.
+
+    Each mask and jet payload is decoded by ``io.mask_from_payload`` or
+    ``io.jet_from_payload``, and each of its arrays counts by key path,
+    dtype, shape and raw little-endian bytes.  Every other value counts by
+    key path, type and repr; an ndarray the reader returns for a list counts
+    as that list.
+    """
+    digest = hashlib.sha256()
+
+    def add(key, text, data=b""):
+        digest.update(f"{key}\t{text}\n".encode("ascii"))
+        digest.update(data)
+
+    def visit(key, node):
+        if isinstance(node, dict) and "grid" in node and "mask" in node:
+            arrays = {}
+            if "components" in node:
+                jet = io.jet_from_payload(node)
+                mask = jet.mask
+                add(f"{key}/order", repr(jet.order))
+                arrays = {f"{key}/components/{alpha_key(a)}": jet.components[a]
+                          for a in jet.alphas()}
+            else:
+                mask = io.mask_from_payload(node)
+            visit(f"{key}/grid", io.grid_to_payload(mask.grid))
+            for name, arr in {f"{key}/mask": mask.member, **arrays}.items():
+                arr = arr.astype(arr.dtype.newbyteorder("<"), order="C")
+                add(name, f"{arr.dtype.str} {arr.shape}", arr.tobytes())
+        elif isinstance(node, dict):
+            for k, value in node.items():
+                visit(f"{key}/{k}", value)
+        elif isinstance(node, (list, np.ndarray)):
+            for i, value in enumerate(list(node) if isinstance(node, list)
+                                      else node.tolist()):
+                visit(f"{key}/{i}", value)
+        else:
+            add(key, f"{type(node).__name__} {node!r}")
+
+    visit("", io.read_artifact(str(path)))
+    return digest.hexdigest()
+
+
 MASKS = {
     "comb": (lambda: domains.comb(3), 2.0**-6,
-             "51031b5c49180145e5b19c03f2994f49f277f413a2f623a2596b395c6b606b35"),
+             "51031b5c49180145e5b19c03f2994f49f277f413a2f623a2596b395c6b606b35",
+             "42f453f7899a7165620fc76fb8ed0ae67f21f1ab9c41fa21b6118a8619183fd0"),
     "gap1d": (lambda: domains.gap_intervals(4), 2.0**-8,
-              "54febed7788913d6f2e3f65a7296e6861b225314aea6284dda87938aa937c9f3"),
+              "54febed7788913d6f2e3f65a7296e6861b225314aea6284dda87938aa937c9f3",
+              "2ba7686b4ee9294f562c18728367494b8f37b93d0fec26e9cdb46d0b2a762e6b"),
     "cantor_slit": (lambda: domains.cantor_slit_square(3), 2.0**-7,
-                    "ca656bed2eadd54295a1eccb511534a85d028b3096fd7080d306b088f243c24a"),
+                    "ca656bed2eadd54295a1eccb511534a85d028b3096fd7080d306b088f243c24a",
+                    "81c65811379f9e18d543c33a62c69c9ff8be086984f5e0ca3d5bca379a5644bd"),
     "rectangle": (domains.rectangle, 2.0**-4,
-                  "4f36d3d8425aba6d8ebbd8e70363eebed62611ef51f3643ed42ac3e0716e6a6d"),
+                  "4f36d3d8425aba6d8ebbd8e70363eebed62611ef51f3643ed42ac3e0716e6a6d",
+                  "4a273ddef8aaa1d98a04e1a4d31a12a219c2f0f284c88ad2b6ac8294949552d0"),
     "disk": (domains.disk, 2.0**-4,
-             "1a8758b8af833af07948c47c0e4424c33e0a7a80f83cbc41967db548d522be45"),
+             "1a8758b8af833af07948c47c0e4424c33e0a7a80f83cbc41967db548d522be45",
+             "2994eb6884c7336498f7c54d8852a57dbe90b4c0ecddb5c612c08e1fea247b6f"),
     "half_ball": (domains.half_ball, 2.0**-4,
-                  "35224a8386b84a984e7815afe1cb119ea835b7dc2bd2389d1dd5c6d8975e82df"),
+                  "35224a8386b84a984e7815afe1cb119ea835b7dc2bd2389d1dd5c6d8975e82df",
+                  "ef286a256a660513d9def48afffad4dd3b99908e85be5f66aacbdf900be4d344"),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(MASKS))
-def test_domain_mask_digest(kind):
-    make, h, digest = MASKS[kind]
+def test_domain_mask_digest(kind, tmp_path):
+    make, h, digest, content = MASKS[kind]
     domain = make()
     q, open_mask = domains.build_domain(domain, h)
     payload = {
@@ -52,12 +109,18 @@ def test_domain_mask_digest(kind):
         "open": io.mask_to_payload(open_mask),
     }
     assert sha256(io.dumps(payload)) == digest
+    path = tmp_path / "domain.json"
+    io.write_artifact(str(path), payload, {})
+    assert content_digest(path) == content
 
 
 PROP2 = {
-    "rectangle": "27409facff06fa0e426ae0af45aad8877375762cac4204a734a4808e5b9ef368",
-    "disk": "033123e36e85c21c8b05fde56af23c0309260fbcf0c78dab2d6df313cb4de057",
-    "half_ball": "00ff9a0cc107e24dbd7528cc23f451d5c18cbc76e1c598d799a585d279951025",
+    "rectangle": ("27409facff06fa0e426ae0af45aad8877375762cac4204a734a4808e5b9ef368",
+                  "866d0c0ae3097fe2e4c5464ea1054bebfd9e24cc036fb953ee49074919dd0df6"),
+    "disk": ("033123e36e85c21c8b05fde56af23c0309260fbcf0c78dab2d6df313cb4de057",
+             "f403ff4a4e6b805ef806d2ac0024141ba16874d664ff3fce9d57576af08175d1"),
+    "half_ball": ("00ff9a0cc107e24dbd7528cc23f451d5c18cbc76e1c598d799a585d279951025",
+                  "c144e3ff4a4d149a9c561b7538643a1136aa2d50e450f1a20843ed36f5d61276"),
 }
 
 
@@ -66,18 +129,32 @@ def test_extend_prop2_digest(kind, tmp_path, capsys):
     out = tmp_path / "prop2.json"
     assert main(["extend", "prop2", "--function", "sin_cos", "--domain", kind,
                  "--order", "2", "--h", "0.0625", "--out", str(out)]) == 0
-    assert sha256(io.strip_provenance(out.read_text())) == PROP2[kind]
+    digest, content = PROP2[kind]
+    assert sha256(io.strip_provenance(out.read_text())) == digest
+    assert content_digest(out) == content
 
 
 # The glued extension at orders 0 and 1, where the blend and the interface
 # scan run on shorter jets than the order-2 pins above.
 PROP2_LOW = {
-    ("disk", 0): "075b697640024c0e2edcca65c31445ba7ed3a7ace6f9765d3bdcd9cddf5c567c",
-    ("disk", 1): "60c4344ee470b6c7f0123e747320e18dd28f87ee8554a756cdaca98b3b6124b5",
-    ("half_ball", 0): "39aa937a6010ac2a9f315cb8d1746d4f401e5095fc4b75f609a1f444d536cd41",
-    ("half_ball", 1): "3b06d7715084ad4a2e7a134f9baaa934b0db2350ed39b5e36418cf372ff1e29f",
-    ("rectangle", 0): "72455952c371f4f189424fe96f3f691af04cbcb22983ce2d838251f1f14231d6",
-    ("rectangle", 1): "13b939dfae95ba59f4da6642b01f8f7614341b30e5dc8fbaef77a57f27061e93",
+    ("disk", 0): (
+        "075b697640024c0e2edcca65c31445ba7ed3a7ace6f9765d3bdcd9cddf5c567c",
+        "564b78a3bd702282aedfe0472c25c59e8da45d3821eff6b555b9f53ae3fc2f85"),
+    ("disk", 1): (
+        "60c4344ee470b6c7f0123e747320e18dd28f87ee8554a756cdaca98b3b6124b5",
+        "38efe87e574b7df22ed3a2af3061311ab3fb9b55643f477901f65faadc85cecc"),
+    ("half_ball", 0): (
+        "39aa937a6010ac2a9f315cb8d1746d4f401e5095fc4b75f609a1f444d536cd41",
+        "9414e3c9bdfb4faad6d1e968304fe5c20b78f80e79df66e98076dc4fdca7e6f4"),
+    ("half_ball", 1): (
+        "3b06d7715084ad4a2e7a134f9baaa934b0db2350ed39b5e36418cf372ff1e29f",
+        "5ef1e397c09007f1c4b804163f34faf287decf1f49a6d78324c5b090b31e0d4f"),
+    ("rectangle", 0): (
+        "72455952c371f4f189424fe96f3f691af04cbcb22983ce2d838251f1f14231d6",
+        "b9920753b87aff7e230cc4d013f1824e26456332b4410d6c9aa7619321b903cf"),
+    ("rectangle", 1): (
+        "13b939dfae95ba59f4da6642b01f8f7614341b30e5dc8fbaef77a57f27061e93",
+        "a7483d46f339789d0ec8f8d50cab3a5fcfb47353d132e07404108fa2af8fcdb6"),
 }
 
 
@@ -88,31 +165,36 @@ def test_extend_prop2_low_order_digest(kind, order, tmp_path, capsys):
     assert main(["extend", "prop2", "--function", "sin_cos", "--domain", kind,
                  "--order", str(order), "--h", "0.03125",
                  "--out", str(out)]) == 0
-    assert sha256(io.strip_provenance(out.read_text())) == (
-        PROP2_LOW[(kind, order)])
+    digest, content = PROP2_LOW[(kind, order)]
+    assert sha256(io.strip_provenance(out.read_text())) == digest
+    assert content_digest(out) == content
 
 
 # The closed-form fields of the irregular domains, sampled on their masks.
 SAMPLES = {
     "example3": (["--domain", "comb", "--n-teeth", "3", "--order", "2",
                   "--h", "0.015625", "--mask", "q"],
-                 "0d022b578ab5766bea0f8fb6d3072acebe4a1f560728e86b5937ef56630467ee"),
+                 "0d022b578ab5766bea0f8fb6d3072acebe4a1f560728e86b5937ef56630467ee",
+                 "3534f472dcfbaefb89ec8501439b7128898e9f2aee0c5764ac46eba4cef3f7fd"),
     "gap1d": (["--domain", "gap1d", "--n-segments", "4", "--order", "2",
                "--h", "0.00390625", "--mask", "q"],
-              "07f5be0f094f003867d31e1c20af8f47428bb77525a6e0f10a90251624e631ef"),
+              "07f5be0f094f003867d31e1c20af8f47428bb77525a6e0f10a90251624e631ef",
+              "b5a42575c5e45d18b118cafe0a97f9f9e70757ba865cac5a8b68d4679ef9ec25"),
     "example1": (["--domain", "cantor_slit", "--depth", "3", "--order", "3",
                   "--h", "0.0078125", "--mask", "open"],
-                 "3cf6ca2b81f850680a5e70b7cc3e3a238c4d329f2793b7581188b4cf54ad9a9d"),
+                 "3cf6ca2b81f850680a5e70b7cc3e3a238c4d329f2793b7581188b4cf54ad9a9d",
+                 "e48fd908afabd86468f90f109940db65e855cb883d79ad73c0c7ab57b19ac88e"),
 }
 
 
 @pytest.mark.parametrize("function", sorted(SAMPLES))
 def test_field_sample_digest(function, tmp_path, capsys):
-    args, digest = SAMPLES[function]
+    args, digest, content = SAMPLES[function]
     out = tmp_path / "field.json"
     assert main(["field", "sample", "--function", function, *args,
                  "--out", str(out)]) == 0
     assert sha256(io.strip_provenance(out.read_text())) == digest
+    assert content_digest(out) == content
 
 
 # `space norm --check` reports on stdout: norms, verdict and certificate.
@@ -182,6 +264,8 @@ def test_hestenes_extend_digest(tmp_path, capsys):
                  "--width", "4", "--axis", "0", "--out", str(out)]) == 0
     assert sha256(io.strip_provenance(out.read_text())) == (
         "43a7bf5a1d39d9411b8259e87969e20942d67e9953fce481e13bce6cdd516c2f")
+    assert content_digest(out) == (
+        "befc18b65fa0a7da1ad2391f12a6ce476fb9ef4fe726c7dec7940a24e3c127bd")
 
 
 # `certify --n-max 20` payloads and the stdout of replaying each of them.
