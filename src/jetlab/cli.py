@@ -216,10 +216,6 @@ def _cmd_extend_prop2(args, argv) -> int:
 
 
 def _cmd_space_norm(args, argv) -> int:
-    if args.check and args.space == "G":
-        print("the membership scan is defined for F and E only, not G",
-              file=sys.stderr)
-        return 2
     if args.field:
         jet = io.read_jet(args.field)
         mask, order, blocks = jet.mask, jet.order, jet.blocks()
@@ -368,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     pn.add_argument("--field", help="jet artifact to read")
     pn.add_argument("--function", choices=functions.function_names())
     _add_domain_args(pn, required=False)
-    pn.add_argument("--space", choices=("F", "E", "G"), default="F")
+    pn.add_argument("--space", choices=("F", "E"), default="F")
     pn.add_argument("--order", type=int, default=DEFAULTS["order"])
     pn.add_argument("--h", type=_positive_float, default=DEFAULTS["h"])
     pn.add_argument("--tol", type=_positive_float, default=DEFAULTS["tol"])

@@ -7,32 +7,37 @@ exactly) and keys keep insertion order.  It hands each piece of text to a
 ``write_artifact`` writes them to a temporary file beside the target and
 renames it onto the target when complete.
 
-Arrays take a fast path.  A 0/1 mask is one digit per value.  Floats go
-through ``_float_cells``, a numpy kernel that writes each value's
-``format_float`` text as a fixed-width row of bytes, NUL-padded anywhere in
-the row: the 17 digits come from a double-double product with an exact
-table of 10^p (Dekker, Numer. Math. 18 (1971) 224-242), and a value the
-product cannot decide (within 1e-9 of a rounding half, subnormal, or outside
-[1e-290, 1e290)) is formatted by ``format_float`` itself.  JSON arrays and
-CSV rows are those cells side by side with their separators, NULs dropped,
-built and written in blocks of 2^14 values or rows.  The bytes are those of
-the element-by-element encoding; ``tests/test_io.py`` checks them against
-that encoding kept as an oracle, and ``tests/test_digests.py`` pins payload
-and CSV digests of the CLI.
+Arrays are binary.  Mask and jet payloads carry ``"format_version": 2``
+first, and an ndarray is written as ``{"dtype", "shape", "data"}`` with
+``data`` in base64: a float array as ``"<f8"``, its little-endian float64
+bytes, a bool array as ``"bool"``, its bits packed least significant first
+with zero pad bits.  The writer encodes ``_BLOCK`` values at a time, a
+multiple of 24, so each block's bytes are a multiple of 3 and the block texts
+join into one base64 string.  ``read_artifact`` is ``json.load``;
+``mask_from_payload`` and ``jet_from_payload`` decode the arrays and refuse
+any text but strict base64, a length other than the grid's, non-zero pad
+bits, a foreign dtype and a ``format_version`` other than 2.  A payload
+without the key is version 1, whose arrays are JSON lists; it still reads.
 
-``read_artifact`` reads the file's bytes once.  Each long flat array of
-0/1 digits or of floats in the strict JSON number grammar goes to numpy
-(int8 or float64); the stdlib decoder reads the rest.  The result is that
-of ``json.loads``, an ndarray standing for a list of its values, and text
-``json`` refuses is refused (see ``_loads``).
+CSV is the readable output.  Its floats go through ``_float_cells``, a numpy
+kernel that writes each value's ``format_float`` text as a fixed-width row of
+bytes, NUL-padded anywhere in the row: the 17 digits come from a double-double
+product with an exact table of 10^p (Dekker, Numer. Math. 18 (1971) 224-242),
+and a value the product cannot decide (within 1e-9 of a rounding half,
+subnormal, or outside [1e-290, 1e290)) is formatted by ``format_float``
+itself.  Rows are those cells side by side with their separators, NULs
+dropped, built and written in blocks of ``_BLOCK`` rows.  The bytes are those
+of ``csv.writer`` over ``format_float``; ``tests/test_io.py`` checks them
+against that encoding kept as an oracle, and ``tests/test_digests.py`` pins
+payload and CSV digests of the CLI.
 """
 
 from __future__ import annotations
 
+import binascii
 import csv
 import json
 import os
-import re
 from fractions import Fraction
 from functools import cache
 
@@ -41,10 +46,11 @@ import numpy as np
 from .errors import JetlabError
 from .grid import GridMask, GridSpec, SampledJet, alpha_key, parse_alpha_key
 
-# Values (or CSV rows) encoded per block; bounds the cell matrices.
-_BLOCK = 1 << 14
-# Characters of float text numpy reads per call; bounds the text copied.
-_PIECE = 1 << 18
+# Values (or CSV rows) encoded per block; bounds the cell matrices.  A
+# multiple of 24: a block of floats or of packed bits is whole base64 quanta.
+_BLOCK = 3 << 13
+# The format of mask and jet payloads; a payload without it is version 1.
+_VERSION = 2
 
 
 def format_float(x: float) -> str:
@@ -244,33 +250,25 @@ def _write(obj, write) -> None:
 
 
 def _write_array(arr: np.ndarray, write) -> None:
-    """Same text as ``_write(arr.tolist())``: nested lists in C order."""
-    if arr.ndim == 0:
-        raise TypeError("cannot serialize a 0-d array")
-    kind = arr.dtype.kind
-    if kind not in "biuf":
-        _write(arr.tolist(), write)
-        return
-    if arr.ndim > 1:
-        _write(list(arr), write)  # one row at a time
-        return
-    write("[")
-    if kind == "b":
-        write(",".join(map(("false", "true").__getitem__, arr.tolist())))
-    elif kind == "f" or (arr.size and arr.min() >= 0 and arr.max() <= 1):
-        # one block at a time, each value followed by a comma but the last
-        for start in range(0, arr.size, _BLOCK):
-            block = arr[start:start + _BLOCK]
-            if kind == "f":
-                text = _rows_text([_float_cells(block)], b",")
-            else:  # 0/1 mask: digits interleaved with commas
-                buf = np.full(2 * block.size, ord(","), dtype=np.uint8)
-                buf[::2] = block + ord("0")
-                text = buf.tobytes().decode("ascii")
-            write(text if start + _BLOCK < arr.size else text[:-1])
-    else:
-        write(",".join(map(str, arr.tolist())))
-    write("]")
+    """``{"dtype", "shape", "data"}``: the base64 of the little-endian
+    float64 bytes, or of the bits packed least significant first."""
+    bits = arr.dtype.kind == "b"
+    if not bits and arr.dtype.kind != "f":
+        raise TypeError(f"cannot serialize a {arr.dtype} array")
+    shape = ",".join(map(str, arr.shape))
+    write(f'{{"dtype":"{"bool" if bits else "<f8"}","shape":[{shape}],'
+          '"data":"')
+    flat = arr.ravel()
+    for start in range(0, flat.size, _BLOCK):
+        block = flat[start:start + _BLOCK]
+        if bits:
+            data = np.packbits(block, bitorder="little")
+        else:
+            data = np.ascontiguousarray(block, dtype="<f8")
+            if not np.isfinite(data).all():
+                raise ValueError("non-finite float in payload")
+        write(binascii.b2a_base64(data, newline=False).decode("ascii"))
+    write('"}')
 
 
 def fraction_pair(q: Fraction) -> list[int]:
@@ -299,22 +297,24 @@ def grid_from_payload(payload: dict) -> GridSpec:
 
 def mask_to_payload(mask: GridMask) -> dict:
     return {
+        "format_version": _VERSION,
         "grid": grid_to_payload(mask.grid),
-        "mask": mask.member.astype(np.int8).ravel(order="C"),
+        "mask": mask.member.ravel(order="C"),
     }
 
 
 def mask_from_payload(payload: dict) -> GridMask:
     grid = grid_from_payload(payload["grid"])
-    member = np.asarray(payload["mask"], dtype=bool).reshape(grid.extents, order="C")
-    return GridMask(grid, member)
+    member = _read_array(payload, payload["mask"], "bool", grid.point_count)
+    return GridMask(grid, member.reshape(grid.extents, order="C"))
 
 
 def jet_to_payload(jet: SampledJet) -> dict:
     return {
+        "format_version": _VERSION,
         "grid": grid_to_payload(jet.grid),
         "order": jet.order,
-        "mask": jet.mask.member.astype(np.int8).ravel(order="C"),
+        "mask": jet.mask.member.ravel(order="C"),
         "components": {
             alpha_key(alpha): jet.components[alpha].ravel(order="C")
             for alpha in jet.alphas()
@@ -325,18 +325,44 @@ def jet_to_payload(jet: SampledJet) -> dict:
 def jet_from_payload(payload: dict) -> SampledJet:
     try:
         mask = mask_from_payload(payload)
+        grid = mask.grid
         components = {
-            parse_alpha_key(key): np.asarray(vals, dtype=np.float64).reshape(
-                mask.grid.extents, order="C"
-            )
-            for key, vals in payload["components"].items()
+            parse_alpha_key(key): _read_array(
+                payload, node, "<f8", grid.point_count,
+            ).reshape(grid.extents, order="C")
+            for key, node in payload["components"].items()
         }
         order = int(payload["order"])
     except KeyError as err:
         raise JetlabError(f"jet artifact lacks the key {err}") from None
     except (TypeError, ValueError, AttributeError, OverflowError) as err:
         raise JetlabError(f"jet artifact is malformed: {err}") from None
-    return SampledJet(order, mask.grid, mask, components)
+    return SampledJet(order, grid, mask, components)
+
+
+def _read_array(payload: dict, node, dtype: str, count: int) -> np.ndarray:
+    """One of ``payload``'s arrays of ``count`` values, ``"<f8"`` or
+    ``"bool"``: a ``_write_array`` object, or a list at version 1."""
+    if "format_version" not in payload:
+        return np.asarray(node, dtype=np.float64 if dtype == "<f8" else bool)
+    if payload["format_version"] != _VERSION:
+        raise ValueError(f"format_version {payload['format_version']!r} "
+                         f"is not {_VERSION}")
+    if node["dtype"] != dtype:
+        raise ValueError(f"array dtype {node['dtype']!r} is not {dtype!r}")
+    if node["shape"] != [count]:
+        raise ValueError(f"array shape {node['shape']!r} is not [{count}]")
+    data = binascii.a2b_base64(node["data"], strict_mode=True)
+    size = 8 * count if dtype == "<f8" else -(-count // 8)
+    if len(data) != size:
+        raise ValueError(f"array data holds {len(data)} bytes, not {size}")
+    if dtype == "<f8":
+        return np.frombuffer(data, dtype="<f8")
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8),
+                         bitorder="little")
+    if bits[count:].any():
+        raise ValueError("array pad bits are not zero")
+    return bits[:count].view(bool)
 
 
 def read_jet(path: str) -> SampledJet:
@@ -379,8 +405,8 @@ def write_artifact(path: str, payload: dict, provenance: dict) -> None:
 
 def read_artifact(path: str) -> dict:
     """Load an artifact, dropping the provenance key."""
-    with open(path, "rb") as fh:
-        doc = _loads(fh.read())
+    with open(path, encoding="ascii") as fh:
+        doc = json.load(fh)
     if not isinstance(doc, dict):
         raise JetlabError(f"{path} holds no artifact: its JSON is not an object")
     doc.pop("provenance", None)
@@ -392,82 +418,6 @@ def strip_provenance(text: str) -> str:
     doc = json.loads(text)
     doc.pop("provenance", None)
     return dumps(doc)
-
-
-# A flat array of 0/1 digits, or of numbers each with a fraction or an
-# exponent, in the strict JSON number grammar.  The quantifiers are
-# possessive, so a match is linear and keeps no backtracking state.  It is
-# compiled (and cached by ``re``) on the first read, not on import.
-_FLOAT = (rb"-?+(?:0|[1-9][0-9]*+)"
-          rb"(?:\.[0-9]++(?:[eE][-+]?+[0-9]++)?+|[eE][-+]?+[0-9]++)")
-_NUMBER_ARRAY = (rb"\[(?:(?P<mask>[01](?:,[01])*+)|(?P<floats>%s(?:,%s)*+))\]"
-                 % (_FLOAT, _FLOAT))
-
-
-def _loads(data: bytes):
-    """``json.loads(data)``, with each long flat number array an ndarray.
-
-    An array of at least ``_BLOCK`` characters that ``_NUMBER_ARRAY`` matches
-    whole is cut out of the text and read by numpy, its digits as int8 and
-    its floats as float64.  The decoder reads the rest, where each cut array
-    is left empty, and puts the ndarray there.  A cut the decoder does not
-    meet as an array (it lay inside a string), and text the decoder refuses,
-    send the whole text to ``json.loads``: the result, or the refusal, is
-    json's.  The text is never held as a str beside its bytes.
-    """
-    cuts: dict[int, re.Match] = {}  # position of "[" in the rest -> match
-    rest, done, size = [], 0, 0
-    for m in re.finditer(_NUMBER_ARRAY, data):
-        start, end = m.span()
-        if end - start - 2 < _BLOCK:
-            continue
-        rest.append(data[done:start + 1])
-        size += start + 1 - done
-        cuts[size - 1] = m
-        done = end - 1
-    rest.append(data[done:])
-    text = b"".join(rest).decode("ascii")
-
-    def parse_array(s_and_end, scan_once):
-        m = cuts.pop(s_and_end[1] - 1, None)
-        if m is None:
-            return json.decoder.JSONArray(s_and_end, scan_once)
-        return _number_array(m), s_and_end[1] + 1
-
-    decoder = json.JSONDecoder()
-    decoder.parse_array = parse_array
-    decoder.scan_once = json.scanner.py_make_scanner(decoder)
-    try:
-        doc = decoder.decode(text)
-        if not cuts:  # each was met as an array
-            return doc
-    except (ValueError, RecursionError):  # the py scanner nests less deep
-        pass
-    # the py scanner is a reference cycle: drop its hold on ``data`` now
-    cuts.clear()
-    return json.loads(data)
-
-
-def _number_array(m: re.Match) -> np.ndarray:
-    """The values of a ``_NUMBER_ARRAY`` match; floats in ``_PIECE`` pieces."""
-    data = m.string
-    if m["mask"] is not None:
-        start, end = m.span("mask")
-        digits = np.frombuffer(data, np.uint8, end - start, start)[::2]
-        return (digits - ord("0")).view(np.int8)
-    start, end = m.span("floats")
-    out = np.empty(data.count(b",", start, end) + 1)
-    filled = 0
-    while start < end:
-        stop = data.find(b",", start + _PIECE, end)
-        stop = end if stop < 0 else stop
-        piece = np.fromstring(data[start:stop], dtype=np.float64, sep=",")
-        out[filled:filled + piece.size] = piece
-        filled += piece.size
-        start = stop + 1
-    if filled != out.size:
-        raise ValueError("numpy read a different number of floats")
-    return out
 
 
 def jet_to_csv(jet: SampledJet, path: str) -> None:

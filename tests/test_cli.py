@@ -1,5 +1,6 @@
 """Command-line behavior: artifacts, exit codes, determinism."""
 
+import binascii
 import json
 import os
 import subprocess
@@ -159,22 +160,22 @@ def test_space_norm_reads_the_same_from_field_and_domain(field, space, code,
 
 
 def test_space_norm_g_check_is_a_usage_error(tmp_path, capsys):
+    # G printed the F report under another label; it is no choice of --space
     g = GridSpec.cover((0.0,), (1.0,), 2.0**-5)
     mask = GridMask(g, np.ones(g.extents, dtype=bool))
     jet = SampledJet(0, g, mask, {(0,): g.axis_coords(0)})
     path = tmp_path / "field.json"
     io.write_artifact(str(path), {"jet": io.jet_to_payload(jet)}, {})
     out = tmp_path / "norm.json"
-    code = run(["space", "norm", "--field", str(path), "--space", "G",
-                "--check", "--out", str(out)])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert "F and E only" in captured.err
-    assert captured.out == ""
+    for flags in (["--check", "--out", str(out)], []):
+        with pytest.raises(SystemExit) as exc:
+            run(["space", "norm", "--field", str(path), "--space", "G",
+                 *flags])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "invalid choice: 'G'" in captured.err
+        assert captured.out == ""
     assert not out.exists()
-    # the G norm report itself needs no scan
-    assert run(["space", "norm", "--field", str(path), "--space", "G"]) == 0
-    assert "overall G-norm" in capsys.readouterr().out
 
 
 def test_space_norm_requires_a_source(capsys):
@@ -277,7 +278,8 @@ def test_cli_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(jetlab.__file__))
     code = ("import jetlab.cli, sys; assert not any("
             "m.split('.')[0] == 'scipy' for m in sys.modules); "
-            "assert 'concurrent.futures' not in sys.modules")
+            "assert 'concurrent.futures' not in sys.modules; "
+            "assert 'base64' not in sys.modules")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
@@ -503,12 +505,69 @@ def _set_extents(jet, extents):
     return {**jet, "grid": {**jet["grid"], "extents": extents}}
 
 
-# a sampled field's jet, broken one way each
+def _set_array(jet, key, **fields):
+    """The jet with fields of its mask ("mask") or a component replaced;
+    a callable field maps the old value to the new."""
+    def change(node):
+        return {k: fields[k](v) if callable(fields.get(k)) else fields.get(k, v)
+                for k, v in node.items()}
+    if key == "mask":
+        return {**jet, "mask": change(jet["mask"])}
+    return {**jet, "components": {**jet["components"],
+                                  key: change(jet["components"][key])}}
+
+
+def _bytes_of(change):
+    """A map of base64 text: decode, change the bytes, encode."""
+    def of(text):
+        data = change(bytearray(binascii.a2b_base64(text)))
+        return binascii.b2a_base64(bytes(data), newline=False).decode("ascii")
+    return of
+
+
+def _set_pad_bit(data):
+    data[-1] |= 0x80  # the field's 25 points leave 7 pad bits
+    return data
+
+
+# a sampled field's jet (25 points), broken one way each, and the reason
+# its reader gives
 MALFORMED_JET = {
-    "jet-not-an-object": lambda jet: [1, 2],
-    "grid-not-an-object": lambda jet: {**jet, "grid": 5},
-    "components-not-an-object": lambda jet: {**jet, "components": []},
-    "extents-not-a-list": lambda jet: _set_extents(jet, 3),
+    "jet-not-an-object": (lambda jet: [1, 2], "list indices"),
+    "grid-not-an-object": (lambda jet: {**jet, "grid": 5},
+                           "'int' object is not subscriptable"),
+    "components-not-an-object": (lambda jet: {**jet, "components": []},
+                                 "'list' object has no attribute 'items'"),
+    "extents-not-a-list": (lambda jet: _set_extents(jet, 3),
+                           "'int' object is not iterable"),
+    "data-not-base64": (lambda jet: _set_array(
+        jet, "0,1", data=lambda d: d[:8] + "*" + d[9:]),
+        "Only base64 data is allowed"),
+    "data-padding-dropped": (lambda jet: _set_array(
+        jet, "mask", data=lambda d: d.rstrip("=")), "Incorrect padding"),
+    "data-padding-doubled": (lambda jet: _set_array(
+        jet, "0,0", data=lambda d: d + "="), "Excess data after padding"),
+    "data-a-float-short": (lambda jet: _set_array(
+        jet, "1,0", data=_bytes_of(lambda b: b[:-8])),
+        "array data holds 192 bytes, not 200"),
+    "data-a-byte-long": (lambda jet: _set_array(
+        jet, "mask", data=_bytes_of(lambda b: b + b"\0")),
+        "array data holds 5 bytes, not 4"),
+    "pad-bit-set": (lambda jet: _set_array(
+        jet, "mask", data=_bytes_of(_set_pad_bit)),
+        "array pad bits are not zero"),
+    "dtype-unknown": (lambda jet: _set_array(jet, "0,0", dtype="<f4"),
+                      "array dtype '<f4' is not '<f8'"),
+    "mask-dtype-float": (lambda jet: _set_array(jet, "mask", dtype="<f8"),
+                         "array dtype '<f8' is not 'bool'"),
+    "format-version-1": (lambda jet: {**jet, "format_version": 1},
+                         "format_version 1 is not 2"),
+    "format-version-3": (lambda jet: {**jet, "format_version": 3},
+                         "format_version 3 is not 2"),
+    "shape-past-point-count": (lambda jet: _set_array(
+        jet, "0,1", shape=[26]), "array shape [26] is not [25]"),
+    "shape-of-the-lattice": (lambda jet: _set_array(
+        jet, "mask", shape=[5, 5]), "array shape [5, 5] is not [25]"),
 }
 
 
@@ -518,14 +577,18 @@ def test_malformed_jet_artifact_is_a_usage_error(case, tmp_path, capsys):
     assert run(["field", "sample", "--function", "sin_cos", "--domain",
                 "rectangle", "--h", "0.25", "--out", str(field)]) == 0
     doc = json.loads(field.read_text())
+    assert doc["jet"]["grid"]["extents"] == [5, 5]
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({**doc, "jet": MALFORMED_JET[case](doc["jet"])}))
+    breaker, reason = MALFORMED_JET[case]
+    jet = breaker(doc["jet"])
+    assert jet != doc["jet"]
+    bad.write_text(json.dumps({**doc, "jet": jet}))
     capsys.readouterr()
     assert run(["space", "norm", "--field", str(bad)]) == 2
     assert run(["hestenes", "extend", "--in", str(bad), "--width", "2",
                 "--out", str(tmp_path / "ext.json")]) == 2
     err = capsys.readouterr().err
-    assert err.count("error: jet artifact is malformed: ") == 2
+    assert err.count(f"error: jet artifact is malformed: {reason}") == 2
     assert "Traceback" not in err
     assert not (tmp_path / "ext.json").exists()
 
@@ -533,8 +596,8 @@ def test_malformed_jet_artifact_is_a_usage_error(case, tmp_path, capsys):
 @pytest.mark.parametrize("token", ["+1", "01", "1.", ".5", "1e5.3", ""])
 def test_refused_number_in_a_long_array_is_a_usage_error(token, tmp_path,
                                                          capsys):
-    # the component arrays are long enough for numpy to read; "" leaves a
-    # trailing comma
+    # the token lands in the first component's shape; "" leaves a trailing
+    # comma
     field = tmp_path / "field.json"
     assert run(["field", "sample", "--function", "sin_cos", "--domain",
                 "rectangle", "--h", "0.03125", "--out", str(field)]) == 0

@@ -14,7 +14,9 @@ point, float bit, rational or witness changes a digest here.
 Each pinned mask and jet payload also has a content digest, taken of what
 ``io.read_artifact`` reads back and so independent of how the arrays are
 encoded: a change of the array format moves the text digest and keeps the
-content digest.
+content digest.  The content digests were recorded with the version 1
+arrays (JSON lists); the text digests of those payloads are of the version 2
+arrays (base64), and the content digests did not move between the two.
 """
 
 import hashlib
@@ -77,22 +79,22 @@ def content_digest(path) -> str:
 
 MASKS = {
     "comb": (lambda: domains.comb(3), 2.0**-6,
-             "51031b5c49180145e5b19c03f2994f49f277f413a2f623a2596b395c6b606b35",
+             "0bf602881769d5797f1481b7cf4a5a6df5319f21cf3a11866ae4b4df1cecfed4",
              "42f453f7899a7165620fc76fb8ed0ae67f21f1ab9c41fa21b6118a8619183fd0"),
     "gap1d": (lambda: domains.gap_intervals(4), 2.0**-8,
-              "54febed7788913d6f2e3f65a7296e6861b225314aea6284dda87938aa937c9f3",
+              "ae1826cad5ad3b04452dcd89e1822edba09b45df2c1ec991a6c91fcae6fe6ad0",
               "2ba7686b4ee9294f562c18728367494b8f37b93d0fec26e9cdb46d0b2a762e6b"),
     "cantor_slit": (lambda: domains.cantor_slit_square(3), 2.0**-7,
-                    "ca656bed2eadd54295a1eccb511534a85d028b3096fd7080d306b088f243c24a",
+                    "0f262754f5e46a1ff67aa484cdb3408d30f393cd90f78242fd78e0fb121d6f37",
                     "81c65811379f9e18d543c33a62c69c9ff8be086984f5e0ca3d5bca379a5644bd"),
     "rectangle": (domains.rectangle, 2.0**-4,
-                  "4f36d3d8425aba6d8ebbd8e70363eebed62611ef51f3643ed42ac3e0716e6a6d",
+                  "a9e47ef3e86af0a1cd82e879c2b5e3bc032ccd1e6db0676e3971a4a7c27f4da6",
                   "4a273ddef8aaa1d98a04e1a4d31a12a219c2f0f284c88ad2b6ac8294949552d0"),
     "disk": (domains.disk, 2.0**-4,
-             "1a8758b8af833af07948c47c0e4424c33e0a7a80f83cbc41967db548d522be45",
+             "584e55251ed223d2b31b4485b2d7f31c8e65b1b8df7cf16fad2bb9aa7450bf11",
              "2994eb6884c7336498f7c54d8852a57dbe90b4c0ecddb5c612c08e1fea247b6f"),
     "half_ball": (domains.half_ball, 2.0**-4,
-                  "35224a8386b84a984e7815afe1cb119ea835b7dc2bd2389d1dd5c6d8975e82df",
+                  "e25c57efba1299bea03d866eed9d04f374246fa2eb239a28b374aecfbee9aa95",
                   "ef286a256a660513d9def48afffad4dd3b99908e85be5f66aacbdf900be4d344"),
 }
 
@@ -115,11 +117,11 @@ def test_domain_mask_digest(kind, tmp_path):
 
 
 PROP2 = {
-    "rectangle": ("27409facff06fa0e426ae0af45aad8877375762cac4204a734a4808e5b9ef368",
+    "rectangle": ("4b6ffef5ebb5f2c618df4b58c4ee644a1ec0c9c96bfc8f8dab64ca9d500ca131",
                   "866d0c0ae3097fe2e4c5464ea1054bebfd9e24cc036fb953ee49074919dd0df6"),
-    "disk": ("033123e36e85c21c8b05fde56af23c0309260fbcf0c78dab2d6df313cb4de057",
+    "disk": ("375053389330581593c75a9b575a425a62ed0331273596d75cab50eb2990df31",
              "f403ff4a4e6b805ef806d2ac0024141ba16874d664ff3fce9d57576af08175d1"),
-    "half_ball": ("00ff9a0cc107e24dbd7528cc23f451d5c18cbc76e1c598d799a585d279951025",
+    "half_ball": ("c752051c31aa3db79d890d8936a827cf7fa9326d9a14fec5e02b8a3862c5d0ae",
                   "c144e3ff4a4d149a9c561b7538643a1136aa2d50e450f1a20843ed36f5d61276"),
 }
 
@@ -138,22 +140,22 @@ def test_extend_prop2_digest(kind, tmp_path, capsys):
 # scan run on shorter jets than the order-2 pins above.
 PROP2_LOW = {
     ("disk", 0): (
-        "075b697640024c0e2edcca65c31445ba7ed3a7ace6f9765d3bdcd9cddf5c567c",
+        "cb98cfec60b9fbaef739384beb2267ce34155e350f9fdb434e337d16f2b7a0f5",
         "564b78a3bd702282aedfe0472c25c59e8da45d3821eff6b555b9f53ae3fc2f85"),
     ("disk", 1): (
-        "60c4344ee470b6c7f0123e747320e18dd28f87ee8554a756cdaca98b3b6124b5",
+        "1c5174a5671511d689879e5328f3191b1315392328f2d345e726adc4fbbcd24b",
         "38efe87e574b7df22ed3a2af3061311ab3fb9b55643f477901f65faadc85cecc"),
     ("half_ball", 0): (
-        "39aa937a6010ac2a9f315cb8d1746d4f401e5095fc4b75f609a1f444d536cd41",
+        "327390e97ff5b13540ca7840daaac20aa8a7d7fbda48688c7850a1d35c1cee2f",
         "9414e3c9bdfb4faad6d1e968304fe5c20b78f80e79df66e98076dc4fdca7e6f4"),
     ("half_ball", 1): (
-        "3b06d7715084ad4a2e7a134f9baaa934b0db2350ed39b5e36418cf372ff1e29f",
+        "e2701df8c2b2de73dbcb23a7fc875c883b49a33d28b52f52a60fd453219bb5f9",
         "5ef1e397c09007f1c4b804163f34faf287decf1f49a6d78324c5b090b31e0d4f"),
     ("rectangle", 0): (
-        "72455952c371f4f189424fe96f3f691af04cbcb22983ce2d838251f1f14231d6",
+        "fbcdbb475c3ea3fff3b7627435a7ee2bba4ecadeab23507d40d0c3db5a18967c",
         "b9920753b87aff7e230cc4d013f1824e26456332b4410d6c9aa7619321b903cf"),
     ("rectangle", 1): (
-        "13b939dfae95ba59f4da6642b01f8f7614341b30e5dc8fbaef77a57f27061e93",
+        "921c92eb3d7604c8ce2fc6141817119f4b948338f68af54a6281f291483dc577",
         "a7483d46f339789d0ec8f8d50cab3a5fcfb47353d132e07404108fa2af8fcdb6"),
 }
 
@@ -174,15 +176,15 @@ def test_extend_prop2_low_order_digest(kind, order, tmp_path, capsys):
 SAMPLES = {
     "example3": (["--domain", "comb", "--n-teeth", "3", "--order", "2",
                   "--h", "0.015625", "--mask", "q"],
-                 "0d022b578ab5766bea0f8fb6d3072acebe4a1f560728e86b5937ef56630467ee",
+                 "e83795622d4e8eccab54df2e006e278088f2ffce66c64be073d52c1371cfb327",
                  "3534f472dcfbaefb89ec8501439b7128898e9f2aee0c5764ac46eba4cef3f7fd"),
     "gap1d": (["--domain", "gap1d", "--n-segments", "4", "--order", "2",
                "--h", "0.00390625", "--mask", "q"],
-              "07f5be0f094f003867d31e1c20af8f47428bb77525a6e0f10a90251624e631ef",
+              "3e37df94786b908818c616f5e7321482c1309474f827283fc3b0f969a6ce95ac",
               "b5a42575c5e45d18b118cafe0a97f9f9e70757ba865cac5a8b68d4679ef9ec25"),
     "example1": (["--domain", "cantor_slit", "--depth", "3", "--order", "3",
                   "--h", "0.0078125", "--mask", "open"],
-                 "3cf6ca2b81f850680a5e70b7cc3e3a238c4d329f2793b7581188b4cf54ad9a9d",
+                 "ad5e9e631e70584083009f11dc92b2c295f4b49ac3da4bc6f874a5c2b58a097e",
                  "e48fd908afabd86468f90f109940db65e855cb883d79ad73c0c7ab57b19ac88e"),
 }
 
@@ -263,7 +265,7 @@ def test_hestenes_extend_digest(tmp_path, capsys):
     assert main(["hestenes", "extend", "--in", str(field), "--order", "2",
                  "--width", "4", "--axis", "0", "--out", str(out)]) == 0
     assert sha256(io.strip_provenance(out.read_text())) == (
-        "43a7bf5a1d39d9411b8259e87969e20942d67e9953fce481e13bce6cdd516c2f")
+        "e92a2d510deb950be05a873254c01d3456fefcf8886d111b1495cfa4991ee7dd")
     assert content_digest(out) == (
         "befc18b65fa0a7da1ad2391f12a6ce476fb9ef4fe726c7dec7940a24e3c127bd")
 

@@ -1,10 +1,12 @@
 """Serialization: byte determinism, round-trips, CSV shape."""
 
+import base64
 import csv
 import json
 import math
 import os
 import stat
+import struct
 import subprocess
 import sys
 import tempfile
@@ -79,7 +81,7 @@ def test_grid_round_trip():
 
 def test_mask_round_trip():
     q, _ = domains.build_domain(domains.comb(2), h=2.0**-6)
-    back = io.mask_from_payload(io.mask_to_payload(q))
+    back = io.mask_from_payload(json.loads(io.dumps(io.mask_to_payload(q))))
     assert back.grid == q.grid
     assert np.array_equal(back.member, q.member)
 
@@ -134,7 +136,9 @@ def test_mask_csv_counts(tmp_path):
     assert ones == q.count
 
 
-# --- reference oracle: the element-by-element encoders the fast paths replace
+# --- reference oracle: element-by-element encoders.  ``_oracle_dumps`` is the
+# version 1 writer, arrays as lists of their values; ``_v2_oracle`` turns each
+# array into its version 2 object, packed value by value and encoded whole.
 
 def _oracle_float(x):
     if x != x or x in (float("inf"), float("-inf")):
@@ -185,6 +189,47 @@ def _oracle_dumps(obj):
     return "".join(parts)
 
 
+def _v2_oracle(obj):
+    if isinstance(obj, dict):
+        return {key: _v2_oracle(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_v2_oracle(value) for value in obj]
+    if not isinstance(obj, np.ndarray):
+        return obj
+    values = obj.ravel().tolist()
+    if obj.dtype.kind == "b":
+        dtype = "bool"
+        data = bytes(sum(bit << i for i, bit in enumerate(values[j:j + 8]))
+                     for j in range(0, len(values), 8))
+    elif obj.dtype.kind == "f":
+        dtype = "<f8"
+        for x in values:
+            _oracle_float(x)  # refuses a non-finite value
+        data = struct.pack(f"<{len(values)}d", *values)
+    else:
+        raise TypeError(f"cannot serialize a {obj.dtype} array")
+    return {"dtype": dtype, "shape": list(obj.shape),
+            "data": base64.b64encode(data).decode("ascii")}
+
+
+def _check_dumps(obj):
+    """``io.dumps(obj)`` is the oracle's version 2 text, or both refuse."""
+    try:
+        want = _oracle_dumps(_v2_oracle(obj))
+    except (TypeError, ValueError) as err:
+        with pytest.raises(type(err)):
+            io.dumps(obj)
+        return
+    assert io.dumps(obj) == want
+
+
+def _check_float_text(values):
+    """``_float_cells`` rows through ``_rows_text`` are the oracle's text."""
+    got = io._rows_text([io._float_cells(values)], b"\n")
+    assert got == "".join(_oracle_float(x) + "\n"
+                          for x in np.ravel(values).tolist())
+
+
 def _oracle_csv(path, grid, names, columns):
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
@@ -223,7 +268,9 @@ _EDGE_FLOATS = [-0.0, 0.0, 1.0, -3.0, 1e16, 1e17, 5e-324, 1e-300, 0.1,
     np.array(["a", "b"]),
 ])
 def test_array_encoder_matches_oracle(arr):
-    assert io.dumps({"a": arr}) == _oracle_dumps({"a": arr})
+    _check_dumps({"a": arr})
+    if arr.dtype.kind == "f":
+        _check_float_text(arr)
 
 
 @pytest.mark.parametrize("x", _EDGE_FLOATS + [np.float32(0.1), 2.0**-1074])
@@ -235,7 +282,7 @@ def test_payloads_match_oracle():
     q, _ = domains.build_domain(domains.comb(2), h=2.0**-6)
     jet = get_function("sin_cos", depth=4).sample(q, order=2)
     for payload in (io.mask_to_payload(q), io.jet_to_payload(jet)):
-        assert io.dumps(payload) == _oracle_dumps(payload)
+        _check_dumps(payload)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -340,7 +387,8 @@ def test_kernel_edges_match_oracle(dtype, tmp_path):
         arr = KERNEL_EDGES.astype(dtype)
     arr = np.concatenate([arr, -arr])
     arr = arr[np.isfinite(arr)]
-    assert io.dumps({"a": arr}) == _oracle_dumps({"a": arr})
+    _check_float_text(arr)
+    _check_dumps({"a": arr})
     _check_csv_column(arr, str(tmp_path))
 
 
@@ -368,7 +416,7 @@ def test_kernel_defers_only_ties_next_to_ten_powers(monkeypatch):
     deferred = []
     monkeypatch.setattr(io, "format_float",
                         lambda x: deferred.append(x) or _oracle_float(x))
-    assert io.dumps({"a": tens}) == _oracle_dumps({"a": tens})
+    _check_float_text(tens)
     assert deferred == [x for x in tens.tolist() if _is_tie(x)]
 
 
@@ -378,7 +426,8 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 @settings(max_examples=300, deadline=None)
 @given(hnp.arrays(np.float64, st.integers(1, 40), elements=finite_floats))
 def test_float_arrays_match_oracle(arr):
-    assert io.dumps({"a": arr}) == _oracle_dumps({"a": arr})
+    _check_float_text(arr)
+    _check_dumps({"a": arr})
     with tempfile.TemporaryDirectory() as directory:
         _check_csv_column(arr, directory)
 
@@ -388,7 +437,8 @@ def test_float_arrays_match_oracle(arr):
 def test_bit_patterns_match_oracle(bits):
     arr = np.array(bits, dtype=np.uint64).view(np.float64)
     arr = arr[np.isfinite(arr)]
-    assert io.dumps({"a": arr}) == _oracle_dumps({"a": arr})
+    _check_float_text(arr)
+    _check_dumps({"a": arr})
     if arr.size:
         with tempfile.TemporaryDirectory() as directory:
             _check_csv_column(arr, directory)
@@ -399,7 +449,8 @@ def test_bit_patterns_match_oracle(bits):
                   elements=st.floats(allow_nan=False, allow_infinity=False,
                                      width=32)))
 def test_float32_arrays_match_oracle(arr):
-    assert io.dumps({"a": arr}) == _oracle_dumps({"a": arr})
+    _check_float_text(arr)
+    _check_dumps({"a": arr})
 
 
 def test_cli_import_leaves_the_power_table_unbuilt():
@@ -412,7 +463,7 @@ def test_cli_import_leaves_the_power_table_unbuilt():
     assert done.returncode == 0, done.stderr
 
 
-# --- streaming: the writer holds a block, the reader builds no float lists
+# --- version 2 arrays: streamed writes, bit-exact reads, version 1 still read
 
 def test_write_and_read_stay_within_their_memory_bounds(tmp_path):
     grid = GridSpec((0.0, 0.0), 2.0**-9, (512, 512))
@@ -430,125 +481,107 @@ def test_write_and_read_stay_within_their_memory_bounds(tmp_path):
         write_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         held = tracemalloc.get_traced_memory()[0]
-        back = io.read_artifact(path)
+        back = io.read_jet(path)
         read_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
     text = os.path.getsize(path)
-    arrays = [back["mask"], *back["components"].values()]
+    arrays = [back.mask.member, *back.components.values()]
     assert write_peak < text / 4
     assert read_peak < text + 2 * sum(a.nbytes for a in arrays)
-    assert back["mask"].dtype == np.int8
-    assert np.array_equal(back["mask"], payload["mask"])
-    for key, values in payload["components"].items():
-        assert np.array_equal(back["components"][key].view(np.uint64),
+    assert np.array_equal(back.mask.member, member)
+    for alpha, values in jet.components.items():
+        assert np.array_equal(back.components[alpha].view(np.uint64),
                               values.view(np.uint64))
 
 
-def _same(got, want) -> bool:
-    """``got`` reads as ``want``; an ndarray as the list of its values."""
-    if isinstance(got, np.ndarray):
-        if got.dtype == np.int8:
-            return ({type(w) for w in want} == {int}
-                    and got.tolist() == want)
-        return ({type(w) for w in want} == {float} and got.dtype == np.float64
-                and np.array_equal(got.view(np.uint64),
-                                   np.array(want).view(np.uint64)))
-    if isinstance(want, dict):
-        return (type(got) is dict and list(got) == list(want)
-                and all(_same(got[k], want[k]) for k in want))
-    if isinstance(want, list):
-        return (type(got) is list and len(got) == len(want)
-                and all(map(_same, got, want)))
-    return type(got) is type(want) and repr(got) == repr(want)
+def test_reader_reads_deep_nesting_as_json(tmp_path):
+    text = '{"a":' + "[" * 400 + "]" * 400 + "}"
+    path = tmp_path / "a.json"
+    path.write_text(text)
+    assert io.read_artifact(str(path)) == json.loads(text)
 
 
-def _reads_as_json(text: str):
-    """``io._loads`` of ``text``, checked against ``json.loads`` of it: the
-    same value, or a refusal where json refuses."""
-    try:
-        want = json.loads(text)
-    except ValueError:
-        with pytest.raises(ValueError):
-            io._loads(text.encode("ascii"))
-        return None
-    got = io._loads(text.encode("ascii"))
-    assert _same(got, want)
-    return got
-
-
-def _float_body(length: int) -> str:
-    """Float tokens joined by commas, ``length`` characters in all."""
-    n = (length + 1) // 4 - 1
-    return ",".join(["0.5"] * n) + "0" * (length - (4 * n - 1))
-
-
-def _digit_body(n: int) -> str:
-    return ",".join("01"[i % 2] for i in range(n))
-
-
-@pytest.mark.parametrize("body,numpy_read", [
-    (_float_body(io._BLOCK - 1), False),
-    (_float_body(io._BLOCK), True),
-    (_float_body(io._BLOCK + 1), True),
-    (_digit_body(io._BLOCK // 2), False),  # _BLOCK - 1 characters
-    (_digit_body(io._BLOCK // 2 + 1), True),
-], ids=["floats-below", "floats-at", "floats-above", "digits-below",
-        "digits-above"])
-def test_reader_hands_long_number_arrays_to_numpy(body, numpy_read):
-    doc = _reads_as_json('{"a":[%s],"b":[[%s],[1,2]]}' % (body, body))
-    assert isinstance(doc["a"], np.ndarray) == numpy_read
-    assert isinstance(doc["b"][0], np.ndarray) == numpy_read
-
-
-def test_reader_leaves_a_number_list_inside_a_string_to_json():
-    body = _float_body(io._BLOCK)
-    doc = _reads_as_json('{"s":"[%s]","a":[%s]}' % (body, body))
-    assert doc["s"] == f"[{body}]"
-
-
-def test_reader_reads_deep_nesting_as_json():
-    # deeper than the pure-Python scanner goes, within json's C scanner
-    text = "[" * 400 + "]" * 400
-    assert io._loads(text.encode("ascii")) == json.loads(text)
+def _read_back(values, directory) -> np.ndarray:
+    """``values`` as an order-0 jet on a full 1-D mask, written and read."""
+    grid = GridSpec((0.0,), 1.0, (len(values),))
+    mask = GridMask(grid, np.ones(grid.extents, dtype=bool))
+    jet = SampledJet(0, grid, mask, {(0,): values})
+    path = os.path.join(directory, "jet.json")
+    io.write_artifact(path, {"jet": io.jet_to_payload(jet)}, {})
+    return io.read_jet(path).components[(0,)]
 
 
 def test_kernel_edges_read_back_bit_exact(tmp_path):
     arr = np.concatenate([KERNEL_EDGES, -KERNEL_EDGES])
-    path = tmp_path / "a.json"
-    io.write_artifact(str(path), {"a": arr}, {})
-    back = io.read_artifact(str(path))["a"]
+    back = _read_back(arr, str(tmp_path))
     assert np.array_equal(back.view(np.uint64), arr.view(np.uint64))
-    assert _same(back, json.loads(path.read_text())["a"])
+
+
+_EDGE_BITS = np.concatenate([
+    KERNEL_EDGES, -KERNEL_EDGES, [-np.finfo(np.float64).max],
+]).view(np.uint64).tolist()
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40),
-       st.integers(0, io._BLOCK))
+@given(st.lists(st.integers(0, 2**64 - 1) | st.sampled_from(_EDGE_BITS),
+                min_size=1, max_size=40),
+       st.integers(0, io._BLOCK + 5))
 def test_written_floats_read_back_bit_exact(bits, at):
+    # inserted anywhere in a run of more than one block, seams included
     arr = np.array(bits, dtype=np.uint64).view(np.float64)
-    arr = np.insert(np.full(io._BLOCK // 3, 0.5), min(at, io._BLOCK // 3),
-                    arr[np.isfinite(arr)])
-    back = _reads_as_json(io.dumps({"a": arr}))["a"]
+    arr = np.insert(np.full(io._BLOCK + 5, 0.5), at, arr[np.isfinite(arr)])
+    with tempfile.TemporaryDirectory() as directory:
+        back = _read_back(arr, directory)
     assert np.array_equal(back.view(np.uint64), arr.view(np.uint64))
 
 
-# tokens json reads though the writer never emits them, and tokens json
-# refuses; "" makes a doubled comma
-_FOREIGN_TOKENS = ["1E5", "-0.0", "0", "1", "2", "12345678901234567890",
-                   "NaN", "Infinity", "-Infinity", " 1.0", "1.0 ", "\n2.5",
-                   "1e400", "-1e-400", "5e-324", "2.2250738585072011e-308",
-                   "+1", "01", "1.", ".5", "1e5.3", "", "inf", "1e", "-",
-                   "1.0.0", "0x10", "true", '"1.0"']
+def _grids_of(n: int):
+    """A 1-D and a 2-D lattice of n points."""
+    rows = max(d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
+    return [GridSpec((0.0,), 2.0**-6, (n,)),
+            GridSpec((0.0, 0.0), 2.0**-6, (rows, n // rows))]
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.sampled_from(_FOREIGN_TOKENS) | st.from_regex(
-           r"-?(0|[1-9][0-9]{0,30})(\.[0-9]{1,30})?([eE][-+]?[0-9]{1,3})?",
-           fullmatch=True), min_size=1, max_size=6),
-       st.sampled_from(["0.5", "1"]), st.integers(0, io._BLOCK // 2),
-       st.sampled_from(["", ","]))
-def test_reader_matches_json_inside_long_arrays(tokens, fill, at, tail):
-    values = [fill] * (io._BLOCK // 2 + 1)
-    values[at:at] = tokens
-    _reads_as_json('{"a":[%s%s]}' % (",".join(values), tail))
+@pytest.mark.parametrize("n", range(50))
+def test_masks_of_every_length_round_trip(n, tmp_path):
+    # every residue of 8 (the bits of a byte) and of 24 (a base64 quantum)
+    gap1d, _ = domains.build_domain(domains.gap_intervals(4), h=2.0**-6)
+    patterns = [gap1d.member[:n], np.ones(n, dtype=bool),
+                np.random.default_rng(n).random(n) < 0.5]
+    path = str(tmp_path / "mask.json")
+    for member in patterns:
+        _check_dumps({"a": member})
+        doc = json.loads(io.dumps({"format_version": 2, "a": member}))
+        back = io._read_array(doc, doc["a"], "bool", n)
+        assert np.array_equal(back, member)
+        for grid in _grids_of(n) if n else []:
+            mask = GridMask(grid, member.reshape(grid.extents))
+            io.write_artifact(path, io.mask_to_payload(mask), {})
+            back = io.mask_from_payload(io.read_artifact(path))
+            assert back.grid == grid
+            assert np.array_equal(back.member, mask.member)
+
+
+def test_version_1_artifact_reads_as_its_version_2_rewrite(tmp_path):
+    q, _ = domains.build_domain(domains.comb(2), h=2.0**-6)
+    jet = get_function("sin_cos", depth=4).sample(q, order=2)
+    v2 = io.jet_to_payload(jet)
+    # version 1: no format_version, the mask as 0/1 digits, floats as text
+    v1 = {key: value for key, value in v2.items() if key != "format_version"}
+    v1["mask"] = v1["mask"].astype(np.int8)
+    (tmp_path / "v1.json").write_text(_oracle_dumps({"jet": v1}) + "\n")
+    io.write_artifact(str(tmp_path / "v2.json"), {"jet": v2}, {})
+    old = io.read_jet(str(tmp_path / "v1.json"))
+    new = io.read_jet(str(tmp_path / "v2.json"))
+    assert (old.order, old.grid) == (new.order, new.grid) == (2, jet.grid)
+    assert np.array_equal(old.mask.member, new.mask.member)
+    assert np.array_equal(new.mask.member, jet.mask.member)
+    for alpha in jet.alphas():
+        assert np.array_equal(old.components[alpha].view(np.uint64),
+                              new.components[alpha].view(np.uint64))
+        assert np.array_equal(new.components[alpha].view(np.uint64),
+                              jet.components[alpha].view(np.uint64))
+    mask_v1 = json.loads(_oracle_dumps(
+        {"grid": v1["grid"], "mask": v1["mask"]}))
+    assert np.array_equal(io.mask_from_payload(mask_v1).member, q.member)
