@@ -67,8 +67,8 @@ def content_digest(path) -> str:
             for k, value in node.items():
                 visit(f"{key}/{k}", value)
         elif isinstance(node, (list, np.ndarray)):
-            for i, value in enumerate(list(node) if isinstance(node, list)
-                                      else node.tolist()):
+            for i, value in enumerate(node.tolist()
+                                      if isinstance(node, np.ndarray) else node):
                 visit(f"{key}/{i}", value)
         else:
             add(key, f"{type(node).__name__} {node!r}")
