@@ -11,10 +11,13 @@ import numpy as np
 import pytest
 
 import jetlab
-from jetlab import io
+from jetlab import domains, functions, io
 from jetlab.certify import Certificate, replay_certificate
 from jetlab.cli import DEFAULTS, main
-from jetlab.grid import GridMask, GridSpec, SampledJet
+from jetlab.errors import PointOutsideRegionError
+from jetlab.grid import GridMask, GridSpec, SampledJet, row_blocks
+
+from lattice_oracles import scatter_sample
 
 
 def run(argv):
@@ -343,6 +346,41 @@ def test_region_error_prints_plain_floats(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: mask point (0.15625, 0.03125) lies outside the region of "
         "example3\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["space", "norm", "--domain", "cantor_slit", "--depth", "3",
+      "--function", "example1", "--space", "F", "--h", "0.0078125"],
+     "error: mask point (-1.0, -1.0) lies outside the region of example1\n"),
+    (["extend", "prop2", "--domain", "half_ball", "--function", "example1"],
+     "error: Q lattice point (0.0, -1.0) lies outside the region of "
+     "example1\n"),
+], ids=["space-norm", "extend-prop2"])
+def test_region_refusal_text_is_pinned(argv, err, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
+def test_space_norm_names_the_first_point_off_the_region_past_block_0(
+        tmp_path, capsys):
+    # the disk's left half lies in the comb's base, so its first point off
+    # the comb field's region, in row-major order, is in a later row block
+    h = 2.0**-8
+    q, _ = domains.build_domain(domains.disk(), h)
+    with pytest.raises(PointOutsideRegionError) as want:
+        scatter_sample(functions.get_function("example3", 4), q, 0)
+    assert str(want.value) == ("mask point (0.01953125, 0.00390625) lies "
+                               "outside the region of example3")
+    row = round((0.01953125 - q.grid.origin[0]) / h)
+    assert row >= next(row_blocks(q.grid.extents)).stop
+    out = tmp_path / "n.json"
+    assert run(["space", "norm", "--domain", "disk", "--function", "example3",
+                "--space", "F", "--h", str(h), "--check",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {want.value}\n"
+    assert not out.exists()
 
 
 H_COMMANDS = {
