@@ -166,6 +166,8 @@ class Kind:
     probe(n), n = 1..n_max.  witness(kind, base, probe, config) is the
     interior derivative at each row (k, base, probe) of witness_points(n_max,
     config) and equals interior_limit.  build is the kind's public builder.
+    float_field says that value and witness read each coordinate as a
+    float, which must then hold it exactly (see _check_floats).
     """
 
     claim: str
@@ -180,12 +182,30 @@ class Kind:
     build: Callable[..., Certificate]
     note: str
     witness_note: str
+    float_field: bool
 
 
 def _quotient(kind: Kind, base, probe, config: dict) -> float:
     """(f(probe) - f(base)) / (probe_0 - base_0), in exact rationals."""
     return float((Fraction(kind.value(probe, config))
                   - Fraction(kind.value(base, config))) / (probe[0] - base[0]))
+
+
+def _check_floats(domain: str, kind: Kind, terms: Iterable,
+                  witness: Iterable) -> None:
+    """Refuse a row (n, base, probe) with a coordinate that float would
+    round, for a kind whose field reads floats: its value there would be
+    the field's at another point.  3/4 * 2^-n and 2^-n stop being binary64
+    numbers past n = 1072 and n = 1074."""
+    if not kind.float_field:
+        return
+    for what, rows in (("term", terms), ("interior witness", witness)):
+        for n, base, probe in rows:
+            if any(Fraction(float(c)) != c for c in base + probe):
+                raise JetlabError(
+                    f"{domain} certificate {what} {n} has a coordinate that "
+                    f"is not a binary64 number; its field would be "
+                    f"evaluated at a rounded point")
 
 
 def _base_block(n_max: int, rest: tuple) -> Iterable:
@@ -211,15 +231,16 @@ def _build(domain: str, n_max: int, config: dict) -> Certificate:
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     kind = KINDS[domain]
-    terms = []
-    for n in range(1, n_max + 1):
-        probe = kind.probe(n)
-        d_n = _quotient(kind, kind.base, probe, config)
-        terms.append(CertTerm(n, kind.base, probe, d_n, note=kind.note))
+    rows = [(n, kind.base, kind.probe(n)) for n in range(1, n_max + 1)]
+    witness_rows = list(kind.witness_points(n_max, config))
+    _check_floats(domain, kind, rows, witness_rows)
+    terms = [CertTerm(n, base, probe, _quotient(kind, base, probe, config),
+                      note=kind.note)
+             for n, base, probe in rows]
     witness = tuple(
         CertTerm(k, base, probe, kind.witness(kind, base, probe, config),
                  note=kind.witness_note)
-        for k, base, probe in kind.witness_points(n_max, config)
+        for k, base, probe in witness_rows
     )
     first = _first_crossing(terms, n_max, config) if kind.diverges else None
     if kind.diverges and first is None:
@@ -294,6 +315,7 @@ KINDS = {
         build=certify_comb,
         note="quotient across the gap between teeth",
         witness_note="first partial on the base block",
+        float_field=True,
     ),
     "gap1d": Kind(
         claim="not-in-H",
@@ -309,6 +331,7 @@ KINDS = {
         build=certify_gap1d,
         note="quotient from the origin to island n",
         witness_note="slope on the base interval",
+        float_field=True,
     ),
     "cantor_slit": Kind(
         claim="not-in-F-extension",
@@ -325,6 +348,7 @@ KINDS = {
         build=certify_cantor_slit,
         note="quotient of the closure extension along the top edge",
         witness_note="first-partial difference quotient inside a cover gap",
+        float_field=False,
     ),
 }
 
@@ -367,6 +391,8 @@ def _replayable_kind(cert: Certificate) -> Kind:
     if stored != rows:
         raise JetlabError(f"{cert.domain} certificate interior witnesses are "
                           f"not the kind's witness rows")
+    _check_floats(cert.domain, kind,
+                  [(t.n, t.base, t.probe) for t in cert.terms], stored)
     return kind
 
 

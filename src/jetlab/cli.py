@@ -229,7 +229,8 @@ def _cmd_space_norm(args, argv) -> int:
         q, open_mask = domains.build_domain(domain, args.h)
         mask = open_mask if args.space == "E" else q
         order = args.order
-        blocks = walk(analytic.checked, mask, order)
+        analytic.check_mask(mask, "mask point")
+        blocks = walk(analytic.evaluator, mask, order)
         label = f"{args.function} on {domain.kind}"
     # one walk of the blocks serves the report and the scan
     reduction = spaces.reduce_blocks(blocks, mask, order, args.check)

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import domains, grid
 from .errors import PointOutsideRegionError
-from .grid import GridMask, Jet, JetEvaluator, SampledJet, multi_indices
+from .grid import (GridMask, Jet, JetEvaluator, SampledJet, multi_indices,
+                   row_blocks)
 
 DEFAULT_PHI_DEPTH = 60
 
@@ -101,9 +102,10 @@ class AnalyticJet:
     those with zeros, and the walk of a norm scan skips them.
     A field has no order of its own: a leaf that cannot serve an order
     raises ValueError for it at every point.  member(*coords), when present,
-    is the exact region predicate of a domain, called with one coordinate
-    array per axis; check_region is the one test against it, and sample and
-    glue.global_extend refuse points outside it.
+    is the exact region predicate of a domain, called with one broadcastable
+    coordinate array per axis; check_mask is the one test against it, run on
+    lattice lines before a walk, and sample, space norm and
+    glue.global_extend refuse a mask with a point outside it.
     """
 
     name: str
@@ -111,23 +113,25 @@ class AnalyticJet:
     evaluator: JetEvaluator
     member: Callable[..., np.ndarray] | None = None
 
-    def contains(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=np.float64)
-        if self.member is None:
-            return np.ones(pts.shape[:-1], dtype=bool)
-        return self.member(*np.moveaxis(pts, -1, 0))
-
-    def check_region(self, points: np.ndarray, what: str) -> None:
-        """Raise naming the first of the (n, dim) points off the region."""
+    def check_mask(self, mask: GridMask, what: str) -> None:
+        """Raise naming the first masked point off the region, in row-major
+        order.  member runs once per non-empty row block on np.ix_ axes, the
+        block's rows by the whole lattice line, as in build_domain."""
         if self.member is None:
             return
-        inside = self.contains(points)
-        if not inside.all():
-            bad = points[~inside][0]
-            raise PointOutsideRegionError(
-                f"{what} {tuple(float(v) for v in bad)} lies outside the "
-                f"region of {self.name}"
-            )
+        grid = mask.grid
+        axes = [grid.axis_coords(a) for a in range(grid.dim)]
+        for rows in row_blocks(grid.extents):
+            sub = mask.member[rows]
+            if not sub.any():
+                continue
+            off = sub & ~self.member(*np.ix_(axes[0][rows], *axes[1:]))
+            if off.any():
+                k = np.argwhere(off)[0]
+                k[0] += rows.start
+                bad = grid.coord(tuple(int(v) for v in k))
+                raise PointOutsideRegionError(
+                    f"{what} {bad} lies outside the region of {self.name}")
 
     def jet_many(self, points, order: int) -> Jet:
         """Every partial with |alpha| <= order, from one evaluator call; the
@@ -140,14 +144,11 @@ class AnalyticJet:
             for alpha in multi_indices(order, self.dim)
         }
 
-    def checked(self, pts: np.ndarray, order: int) -> Jet:
-        """The leaf behind the region check, as grid.walk calls it."""
-        self.check_region(pts, "mask point")
-        return self.evaluator(pts, order)
-
     def sample(self, mask: GridMask, order: int) -> SampledJet:
-        """Every component on the masked lattice points, by grid.sample."""
-        return grid.sample(self.checked, mask, order)
+        """Every component on the masked lattice points, by grid.sample,
+        once the mask is checked against the region."""
+        self.check_mask(mask, "mask point")
+        return grid.sample(self.evaluator, mask, order)
 
 
 def _falling(p: int, k: int) -> float:

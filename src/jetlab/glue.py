@@ -437,9 +437,7 @@ def global_extend(x: AnalyticJet, domain: Domain, order: int, h: float,
     partition = build_partition(charts, domain, window)
     q_mask = partition.q_mask
     # Q's values are x's own, so a field tied to a region must cover Q
-    if x.member is not None:
-        x.check_region(window.points(np.nonzero(q_mask.member)),
-                       "Q lattice point")
+    x.check_mask(q_mask, "Q lattice point")
     extensions = [local_extend(x.jet_many, chart, order) for chart in charts]
     extensions.append(x.jet_many)
     field = GlobalField(domain, order, charts, partition, extensions)

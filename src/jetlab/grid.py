@@ -103,12 +103,12 @@ class GridSpec:
         return tuple(self.origin[a] + index[a] * self.h for a in range(self.dim))
 
     def points(self, index: tuple[np.ndarray, ...]) -> np.ndarray:
-        """Coordinates of the points index (one array per axis), (n, dim)."""
-        cols = [
-            self.origin[a] + index[a].astype(np.float64) * self.h
-            for a in range(self.dim)
-        ]
-        return np.stack(cols, axis=-1)
+        """Coordinates of the points index (one array per axis), (n, dim),
+        read off the lattice axes: origin + k*h with axis_coords' bits."""
+        out = np.empty((len(index[0]), self.dim))
+        for a in range(self.dim):
+            out[:, a] = self.axis_coords(a)[index[a]]
+        return out
 
     def coord_grids(self) -> tuple[np.ndarray, ...]:
         """Meshgrid of coordinates, one array per axis, "ij" indexing."""

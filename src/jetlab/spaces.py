@@ -164,12 +164,14 @@ def _fold(tables: dict, key, ok: np.ndarray, values: np.ndarray, row: int,
           stencil: tuple = ()) -> None:
     """Keep the largest of values over the ok bases if it beats the table's,
     with its first base in row-major order (row the lattice row of values'
-    first) and the stencil arrays' values there."""
-    block = np.where(ok, values, 0.0)
-    i = int(block.argmax())
-    top = float(block.flat[i])
+    first) and the stencil arrays' values there.  values is the caller's
+    temporary: it is made absolute and zeroed off ok in place."""
+    np.abs(values, out=values)
+    np.copyto(values, 0.0, where=~ok)
+    i = int(values.argmax())
+    top = float(values.flat[i])
     if top > tables.get(key, (0.0,))[0]:
-        k = np.unravel_index(i, block.shape)
+        k = np.unravel_index(i, values.shape)
         tables[key] = (top, (int(k[0]) + row,) + tuple(int(v) for v in k[1:]),
                        tuple(float(arr[k]) for arr in stencil))
 
@@ -235,7 +237,8 @@ def reduce_blocks(blocks: Iterable[tuple[slice, Jet]], mask: GridMask,
             ok = ends[0] & ends[1]
             for alpha in live if ok.any() else ():
                 lo, hi = _stencils(window[alpha], axis, 1, held)[0]
-                _fold(jumps, (alpha, axis), ok, np.abs(hi - lo), start + row)
+                _fold(jumps, (alpha, axis), ok, np.subtract(hi, lo),
+                      start + row)
             ends, row = _stencils(inside, axis, 2, held)
             ok = ends[0] & ends[1] & ends[2]
             zero = (np.broadcast_to(0.0, ok.shape),) * 3
@@ -248,9 +251,12 @@ def reduce_blocks(blocks: Iterable[tuple[slice, Jet]], mask: GridMask,
                              if lower in window else zero)
                 mid = (_stencils(window[alpha], axis, 2, held)[0]
                        if alpha in window else zero)[1]
-                _fold(defects, (alpha, axis), ok,
-                      np.abs((hi - lo) / (2.0 * mask.grid.h) - mid),
-                      start + row, (lo, hi, mid))
+                defect = np.subtract(hi, lo)
+                defect /= 2.0 * mask.grid.h
+                defect -= mid
+                _fold(defects, (alpha, axis), ok, defect, start + row,
+                      (lo, hi, mid))
+                del defect  # freed before the next one is made
         halo = {a: arr[-2:].copy() for a, arr in window.items()}
         carried, next_row = min(2, rows.stop - start), rows.stop
     return Reduction(mask, order, sups, defects, jumps)

@@ -127,8 +127,9 @@ def scatter_sample(jet, mask, order: int) -> dict:
     """Components of jet on the mask: every masked point at once, one
     jet_many call and one scatter per alpha."""
     pts = mask.grid.points(np.nonzero(mask.member))
-    if jet.member is not None and not bool(jet.contains(pts).all()):
-        bad = pts[~jet.contains(pts)][0]
+    inside = True if jet.member is None else jet.member(*pts.T)
+    if not np.all(inside):
+        bad = pts[~inside][0]
         raise PointOutsideRegionError(
             f"mask point {tuple(float(v) for v in bad)} lies outside the "
             f"region of {jet.name}"

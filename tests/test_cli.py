@@ -12,7 +12,7 @@ import pytest
 
 import jetlab
 from jetlab import domains, functions, io
-from jetlab.certify import Certificate, replay_certificate
+from jetlab.certify import KINDS, CertTerm, Certificate, replay_certificate
 from jetlab.cli import DEFAULTS, main
 from jetlab.errors import PointOutsideRegionError
 from jetlab.grid import GridMask, GridSpec, SampledJet, row_blocks
@@ -225,6 +225,38 @@ def test_replay_rejects_tampered_file(tmp_path, capsys):
     cert_path.write_text(io.dumps(doc))
     assert run(["replay", "--cert", str(cert_path)]) == 1
     assert "replay failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, last", [("comb", 1072), ("gap1d", 1074)])
+def test_certify_and_replay_refuse_a_point_that_float_rounds(kind, last,
+                                                             tmp_path, capsys):
+    # the comb probe 3/4 * 2^-n and the gap1d probe 2^-n are binary64
+    # numbers up to n = last; one term further, each field would be read
+    # at a rounded point
+    good = tmp_path / "good.json"
+    assert run(["certify", kind, "--n-max", str(last), "--out", str(good)]) == 0
+    assert run(["replay", "--cert", str(good)]) == 0
+    capsys.readouterr()
+    n = last + 1
+    refusal = (f"error: {kind} certificate term {n} has a coordinate that is "
+               f"not a binary64 number; its field would be evaluated at a "
+               f"rounded point\n")
+    bad = tmp_path / "bad.json"
+    assert run(["certify", kind, "--n-max", str(n), "--out", str(bad)]) == 2
+    assert capsys.readouterr().err == refusal
+    assert not bad.exists()
+    # the same certificate written by hand is refused on replay
+    spec = KINDS[kind]
+    doc = json.loads(good.read_text())
+    doc["terms"].append(CertTerm(n, spec.base, spec.probe(n), 0.0,
+                                 spec.note).to_payload())
+    *_, (k, base, probe) = spec.witness_points(n, {})
+    doc["interior_witness"].append(
+        CertTerm(k, base, probe, 1.0, spec.witness_note).to_payload())
+    doc["n_max"] = n
+    bad.write_text(io.dumps(doc))
+    assert run(["replay", "--cert", str(bad)]) == 2
+    assert capsys.readouterr().err == refusal
 
 
 def test_artifacts_identical_across_directories(tmp_path, monkeypatch):

@@ -1,17 +1,25 @@
 """Norms, restriction, extension upper bounds, membership scans."""
 
 import contextlib
+import dataclasses
 import io as stdio
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
-from jetlab import cli, domains, functions, io
+from jetlab import cli, domains, functions, grid, io
 from jetlab.cli import DEFAULTS, main
-from jetlab.errors import EmptyMaskError, MaskMismatchError, NotAnExtensionError
-from jetlab.functions import get_function, polynomial_jet
+from jetlab.errors import (
+    EmptyMaskError,
+    MaskMismatchError,
+    NotAnExtensionError,
+    PointOutsideRegionError,
+)
+from jetlab.functions import function_names, get_function, polynomial_jet
 from jetlab.grid import (
     GridMask,
     GridSpec,
@@ -454,6 +462,42 @@ def test_one_pass_norm_evaluates_each_masked_point_once(monkeypatch):
     assert held == [[(0, 0), (0, 1), (0, 2), (0, 3)]] * len(blocks)
 
 
+COMB_F = ["space", "norm", "--domain", "comb", "--n-teeth", "4",
+          "--function", "example3", "--space", "F", "--order", "1", "--check"]
+
+
+@pytest.mark.parametrize("argv, domain, space", [
+    (COMB_F, domains.comb(4), "F"),
+    (CANTOR_E3, domains.cantor_slit_square(4), "E"),
+], ids=["comb-F", "cantor-E3"])
+def test_a_scan_checks_the_region_once_per_row_block(argv, domain, space,
+                                                     monkeypatch):
+    # the region predicate runs on lattice lines, as the rasterizer's
+    # does: a column of the block's abscissae by the whole ordinate axis,
+    # never on the gathered points
+    h = 2.0**-8
+    q, omega = domains.build_domain(domain, h)
+    mask = omega if space == "E" else q
+    field = get_function(argv[argv.index("--function") + 1], 4)
+    region = field.member
+    shapes = []
+
+    def counted(*coords):
+        shapes.append([np.shape(c) for c in coords])
+        return region(*coords)
+
+    monkeypatch.setattr(functions, "get_function", lambda name, depth:
+                        dataclasses.replace(field, member=counted))
+    with contextlib.redirect_stdout(stdio.StringIO()):
+        assert main(argv + ["--h", str(h)]) in (0, 1)
+    blocks = [rows for rows in row_blocks(mask.grid.extents)
+              if mask.member[rows].any()]
+    assert len(blocks) > 1
+    cols = mask.grid.extents[1]
+    assert shapes == [[(rows.stop - rows.start, 1), (1, cols)]
+                      for rows in blocks]
+
+
 def test_one_pass_norm_holds_a_few_row_blocks():
     # the cantor E order-3 scan at 2^-9 never holds its 10 components over
     # the lattice (84 MB): the leaf's output, its block, the window with its
@@ -526,3 +570,58 @@ def test_a_leaf_whose_partials_change_between_blocks_is_refused():
     for scan in (False, True):
         with pytest.raises(ValueError, match="depend on the order alone"):
             reduce_blocks(walk(fickle, q, 1), q, 1, scan)
+
+
+# each domain at its coarsest dyadic h = 2^-k that check_resolution takes
+RELATION_DOMAINS = [
+    (domains.comb(3), 6),
+    (domains.gap_intervals(3), 5),
+    (domains.cantor_slit_square(2), 5),
+    (domains.rectangle(), 3),
+    (domains.disk(), 3),
+    (domains.half_ball(), 3),
+]
+
+
+def reduced_on(field, mask, order, scan):
+    """field on mask through the region check, the walk and the reducer."""
+    field.check_mask(mask, "mask point")
+    return reduce_blocks(walk(field.evaluator, mask, order), mask, order, scan)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(function_names()),
+       st.sampled_from(RELATION_DOMAINS), st.integers(0, 1), st.integers(0, 2),
+       st.sampled_from([2**6, 2**9, grid.CHUNK_POINTS]))
+def test_the_readings_obey_their_exact_relations(name, domain_at, finer,
+                                                 order, chunk):
+    # The h lattice is the even points of the h/2 one, with the same bits
+    # (GridSpec.cover anchors both at the bbox corner), and the open mask
+    # lies in Q.  So, with no tolerance: each sup, defect and jump over the
+    # open mask is at most Q's (E <= F), and each sup over Q(h) is at most
+    # Q(h/2)'s (F(h) <= F(h/2)).  A field enters where Q is in its region.
+    # Small chunks split these coarse lattices into many row blocks.
+    domain, coarsest = domain_at
+    field = get_function(name, depth=2)
+    if field.dim != domain.dim:
+        reject()
+    h = 2.0 ** -(coarsest + finer)
+    with mock.patch.object(grid, "CHUNK_POINTS", chunk):
+        q, omega = domains.build_domain(domain, h)
+        try:
+            f = reduced_on(field, q, order, True)
+        except PointOutsideRegionError:
+            reject()
+        e = reduced_on(field, omega, order, True)
+        half, _ = domains.build_domain(domain, h / 2)
+        f_half = reduced_on(field, half, order, False)
+    for alpha, sup in e.sups.items():
+        assert sup <= f.sups[alpha]
+    for key, (defect, *_) in e.defects.items():
+        assert defect <= f.defects[key][0]
+    for key, (jump, *_) in e.jumps.items():
+        assert jump <= f.jumps[key][0]
+    shared = half.member[(slice(None, None, 2),) * q.grid.dim]
+    assert np.array_equal(shared & q.member, q.member)
+    for alpha, sup in f.sups.items():
+        assert sup <= f_half.sups[alpha]
