@@ -6,8 +6,8 @@ line and the active defaults; it is the part excluded from byte-for-byte
 comparisons between runs.
 
 Exit codes: 0 success, 1 a requested verification failed (membership or
-replay), 2 usage or validation errors, unreadable inputs or unwritable
-outputs.
+replay), 2 usage or validation errors, unreadable inputs, unwritable
+outputs or a lattice too large to allocate.
 """
 
 from __future__ import annotations
@@ -80,9 +80,9 @@ def _sign(text: str) -> float:
     return value
 
 
-def _add_domain_args(p: argparse.ArgumentParser, kinds=tuple(_DOMAINS),
+def _add_domain_args(p: argparse.ArgumentParser,
                      required: bool = True) -> None:
-    p.add_argument("--domain", required=required, choices=kinds)
+    p.add_argument("--domain", required=required, choices=tuple(_DOMAINS))
     p.add_argument("--depth", type=int, default=DEFAULTS["depth"],
                    help="cover level for cantor_slit")
     p.add_argument("--n-teeth", type=int, default=DEFAULTS["n_teeth"])
@@ -217,7 +217,14 @@ def _cmd_extend_prop2(args, argv) -> int:
 
 def _cmd_space_norm(args, argv) -> int:
     if args.field:
-        jet = io.read_jet(args.field)
+        payload = io.read_artifact(args.field)
+        # field sample records the mask it sampled beside the jet
+        recorded = payload.get("mask") if "jet" in payload else None
+        wanted = "open" if args.space == "E" else "q"
+        if isinstance(recorded, str) and recorded != wanted:
+            raise JetlabError(f"{args.field} holds a jet on mask {recorded!r}; "
+                              f"space {args.space} reads mask {wanted!r}")
+        jet = io.jet_from_payload(payload.get("jet", payload))
         mask, order, blocks = jet.mask, jet.order, jet.blocks()
         label = args.field
     else:
@@ -346,7 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extend", help="global extension pipeline")
     esub = p.add_subparsers(dest="subcommand", required=True)
     pp = esub.add_parser("prop2", help="chart, reflect, and glue")
-    _add_domain_args(pp, kinds=("rectangle", "disk", "half_ball"))
+    pp.add_argument("--domain", required=True,
+                    choices=("rectangle", "disk", "half_ball"))
     pp.add_argument("--function", required=True,
                     choices=functions.function_names())
     pp.add_argument("--order", type=int, default=DEFAULTS["order"])
@@ -357,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default=DEFAULTS["margin"])
     pp.add_argument("--out", required=True)
     pp.add_argument("--csv")
-    pp.set_defaults(func=_cmd_extend_prop2)
+    pp.set_defaults(func=_cmd_extend_prop2, depth=DEFAULTS["depth"])
 
     p = sub.add_parser("space", help="norms and membership scans")
     ssub = p.add_subparsers(dest="subcommand", required=True)
@@ -398,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, argv)
-    except (JetlabError, ValueError, OSError) as err:
+    except (JetlabError, ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

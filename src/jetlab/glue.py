@@ -11,10 +11,10 @@ differentiation is closed form through order 2.
 
 Every layer is a plain jet evaluator of jetlab.grid or a function of a
 chart: a local extension is the reflected pullback pushed forward through
-its chart, a bump is its chart (bump_jet), and the global field pairs each
-bump with one extension.  Each layer asks its source for one whole jet per
-point set and applies the chain and Leibniz rules to whole jets, so no
-lower-order partial is derived twice.
+its chart, a bump is its chart (bump_jet, one map through its inverse per
+point set), and the global field pairs each bump with one extension.  Each
+layer asks its source for one whole jet per point set and applies the chain
+and Leibniz rules to whole jets, so no lower-order partial is derived twice.
 
 The blend convention off the covered zone is zero: a window point reached by
 no bump gets value 0, never an extrapolation.
@@ -64,11 +64,14 @@ def _axis_pair(alpha: tuple[int, ...]) -> tuple[int, int]:
     return axes[0], axes[1]
 
 
-def chain_jet(f_jet: Jet, jac: np.ndarray | None, hess: np.ndarray | None,
+def chain_jet(f_jet: Jet, jac: Callable, hess: Callable, pts: np.ndarray,
               order: int) -> Jet:
-    """Jet of f o map from f's jet at the mapped points and the map's jet."""
+    """Jet of f o map at pts from f's jet at the mapped points; the map's
+    Jacobian and Hessian are taken at pts as far as the order needs them."""
     if order > 2:
         raise ValueError("chart differentiation is closed-form through order 2")
+    jac = jac(pts) if order >= 1 else None
+    hess = hess(pts) if order >= 2 else None
     dim = len(next(iter(f_jet)))
     out = {}
     for alpha in multi_indices(order, dim):
@@ -101,12 +104,7 @@ def _compose(f: JetEvaluator, mapping: Callable, jac: Callable,
     """f o mapping; the map, its Jacobian and its Hessian run once a call."""
 
     def composed(pts: np.ndarray, order: int) -> Jet:
-        return chain_jet(
-            f(mapping(pts), order),
-            jac(pts) if order >= 1 else None,
-            hess(pts) if order >= 2 else None,
-            order,
-        )
+        return chain_jet(f(mapping(pts), order), jac, hess, pts, order)
 
     return composed
 
@@ -148,11 +146,6 @@ def local_extend(source: JetEvaluator, chart: Chart,
 # bumps and the partition of unity
 
 
-def chart_ball_radius(chart: Chart, pts: np.ndarray) -> np.ndarray:
-    xi = chart.inverse(np.asarray(pts, dtype=np.float64))
-    return np.hypot(xi[..., 0], xi[..., 1])
-
-
 def bump_ball_jet(xi: np.ndarray, order: int) -> Jet:
     """Partials of exp(-1/(1 - (|xi|/0.9)^2)) in reference coordinates.
 
@@ -185,18 +178,18 @@ def bump_ball_jet(xi: np.ndarray, order: int) -> Jet:
     return out
 
 
-def bump_jet(chart: Chart, pts: np.ndarray, order: int) -> Jet:
+def bump_jet(chart: Chart, pts: np.ndarray,
+             order: int) -> tuple[np.ndarray, Jet]:
     """Unnormalized bump riding on the chart's reference ball, world
-    coordinates; each chart, the interior one included, carries one."""
-    pts = np.asarray(pts, dtype=np.float64)
-    near = chart_ball_radius(chart, pts) < BUMP_SHRINK
-    out = {alpha: np.zeros(pts.shape[:-1])
-           for alpha in multi_indices(order, 2)}
-    if near.any():
-        ball = pushforward(bump_ball_jet, chart)(pts[near], order)
-        for alpha, vals in ball.items():
-            out[alpha][near] = vals
-    return out
+    coordinates; each chart, the interior one included, carries one.  One
+    map through chart.inverse gives the points' reference radius and the
+    bump's jet at those of radius below BUMP_SHRINK (zero at the others)."""
+    xi = chart.inverse(pts)
+    rho = np.hypot(xi[..., 0], xi[..., 1])
+    near = rho < BUMP_SHRINK
+    jet = chain_jet(bump_ball_jet(xi[near], order), chart.jac_inverse,
+                    chart.hess_inverse, pts[near], order)
+    return rho, jet
 
 
 @dataclass(eq=False)
@@ -217,42 +210,39 @@ class BumpPartition:
     q_mask: GridMask
     unreached: GridMask
 
-    def raw_all(self, pts: np.ndarray, order: int) -> list[Jet]:
-        return [bump_jet(c, pts, order) for c in self.charts]
 
+def _chi_jet(raw: Jet, S: Jet, order: int) -> Jet:
+    """Quotient rule for one bump's b/S with the convention 0 where S = 0.
 
-def _chi_from_raw(raw_nu: dict, S: dict, alpha: tuple[int, ...]) -> np.ndarray:
-    """Quotient rule for b/S with the convention 0 where S = 0.
-
-    Every term is built from ratios (raw/S, S_beta/S); powers of S as
-    denominators would underflow in the bump tails where S ~ 1e-300.
+    Every term is built from ratios (raw/S, S_beta/S), each taken once;
+    powers of S as denominators would underflow in the bump tails where
+    S ~ 1e-300.
     """
     s0 = S[(0, 0)]
     covered = s0 > 0.0
     s_safe = np.where(covered, s0, 1.0)
-
-    def r(term: dict, beta: tuple[int, ...]) -> np.ndarray:
-        return term[beta] / s_safe
-
-    total = sum(alpha)
-    if total == 0:
-        out = r(raw_nu, (0, 0))
-    elif total == 1:
-        out = r(raw_nu, alpha) - r(raw_nu, (0, 0)) * r(S, alpha)
-    elif total == 2:
-        c, d = _axis_pair(alpha)
-        ec, ed = _unit_alpha(c), _unit_alpha(d)
-        q0 = r(raw_nu, (0, 0))
-        out = (
-            r(raw_nu, alpha)
-            - r(raw_nu, ec) * r(S, ed)
-            - r(raw_nu, ed) * r(S, ec)
-            - q0 * r(S, alpha)
-            + 2.0 * q0 * r(S, ec) * r(S, ed)
-        )
-    else:
-        raise ValueError("partition partials available through order 2")
-    return np.where(covered, out, 0.0)
+    q = {beta: raw[beta] / s_safe for beta in raw}
+    qs = {beta: S[beta] / s_safe for beta in S if sum(beta)}
+    q0 = q[(0, 0)]
+    out = {}
+    for alpha in multi_indices(order, 2):
+        total = sum(alpha)
+        if total == 0:
+            chi = q0
+        elif total == 1:
+            chi = q[alpha] - q0 * qs[alpha]
+        else:  # bump_jet refuses orders past 2
+            c, d = _axis_pair(alpha)
+            ec, ed = _unit_alpha(c), _unit_alpha(d)
+            chi = (
+                q[alpha]
+                - q[ec] * qs[ed]
+                - q[ed] * qs[ec]
+                - q0 * qs[alpha]
+                + 2.0 * q0 * qs[ec] * qs[ed]
+            )
+        out[alpha] = np.where(covered, chi, 0.0)
+    return out
 
 
 def build_partition(charts: list[Chart], domain: Domain,
@@ -272,17 +262,17 @@ def build_partition(charts: list[Chart], domain: Domain,
     collar = (_boundary_collar(q_mask, width=0.05)
               & domain.charted(s, t, 0.2)).ravel()
 
-    # each chart maps the lattice to reference coordinates once: the radius
-    # there gives its bump's support (the 0.9-ball) and its image (the unit
-    # ball), the point itself the bump's value (zero off the 0.9-ball)
+    # the reference radius of each chart's bump gives its support (the
+    # 0.9-ball) and its image (the unit ball)
     supports, images, collar_bumps = [], [], []
     bump_sum = np.zeros(len(pts))
     for chart in charts:
-        xi = chart.inverse(pts)
-        rho = np.hypot(xi[..., 0], xi[..., 1])
-        supports.append(rho < BUMP_SHRINK)
+        rho, jet = bump_jet(chart, pts, 0)
+        near = rho < BUMP_SHRINK
+        supports.append(near)
         images.append(rho < 1.0)
-        bump = bump_ball_jet(xi, 0)[(0, 0)]
+        bump = np.zeros(len(pts))
+        bump[near] = jet[(0, 0)]
         bump_sum += bump
         collar_bumps.append(bump[collar])
     unreached = ~(bump_sum > 0.0)
@@ -370,23 +360,29 @@ class GlobalField:
         if not outside.any():
             return out
         pout = pts[outside]
-        raw = self.partition.raw_all(pout, order)
-        S = {b: sum(r[b] for r in raw) for b in alphas}
+        # each bump's jet at the points of its support, and their sum
+        bumps = []
+        S = {b: np.zeros(len(pout)) for b in alphas}
+        for chart in self.partition.charts:
+            rho, raw = bump_jet(chart, pout, order)
+            near = np.flatnonzero(rho < BUMP_SHRINK)
+            bumps.append((near, raw))
+            for b in alphas:
+                S[b][near] += raw[b]
         acc = {alpha: np.zeros(len(pout)) for alpha in alphas}
-        for nu, i_nu in enumerate(self.partition.assignment):
-            sel = raw[nu][(0, 0)] > 0.0
+        for (near, raw), i_nu in zip(bumps, self.partition.assignment):
+            sel = raw[(0, 0)] > 0.0
             if not sel.any():
                 continue
-            sub = pout[sel]
-            raw_sel = {b: raw[nu][b][sel] for b in alphas}
-            S_sel = {b: S[b][sel] for b in alphas}
-            chi = {b: _chi_from_raw(raw_sel, S_sel, b) for b in alphas}
-            y = self.extensions[i_nu](sub, order)
+            idx = near[sel]
+            chi = _chi_jet({b: raw[b][sel] for b in alphas},
+                           {b: S[b][idx] for b in alphas}, order)
+            y = self.extensions[i_nu](pout[idx], order)
             for alpha in alphas:
-                term = np.zeros(len(sub))
+                term = np.zeros(len(idx))
                 for beta, gamma, coeff in _leibniz_terms(alpha):
                     term += coeff * chi[beta] * y[gamma]
-                acc[alpha][sel] += term
+                acc[alpha][idx] += term
         for alpha in alphas:
             out[alpha][outside] = acc[alpha]
         return out

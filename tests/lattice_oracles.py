@@ -23,7 +23,7 @@ from jetlab.certify import CertTerm, Certificate
 from jetlab.errors import (
     MaskMismatchError, PointOutsideRegionError, ProbeOutsideMaskError,
 )
-from jetlab.glue import _chi_from_raw
+from jetlab.glue import BUMP_SHRINK, _chi_jet, bump_jet
 from jetlab.grid import GridMask, GridSpec, SampledJet, alpha_key, multi_indices
 from jetlab.hestenes import LatticeExtensionResult
 from jetlab.spaces import MembershipVerdict
@@ -117,10 +117,16 @@ def chi_many(partition, nu: int, pts, alpha) -> np.ndarray:
     """Normalized bump partial; zero wherever the bump sum vanishes."""
     pts = np.asarray(pts, dtype=np.float64)
     alpha = tuple(alpha)
-    betas = multi_indices(sum(alpha), 2)
-    raw = partition.raw_all(pts, sum(alpha))
-    S = {b: sum(r[b] for r in raw) for b in betas}
-    return _chi_from_raw(raw[nu], S, alpha)
+    order = sum(alpha)
+    raw = []
+    for chart in partition.charts:
+        rho, near_jet = bump_jet(chart, pts, order)
+        full = {b: np.zeros(len(pts)) for b in near_jet}
+        for b, vals in near_jet.items():
+            full[b][rho < BUMP_SHRINK] = vals
+        raw.append(full)
+    S = {b: sum(r[b] for r in raw) for b in multi_indices(order, 2)}
+    return _chi_jet(raw[nu], S, order)[alpha]
 
 
 def scatter_sample(jet, mask, order: int) -> dict:

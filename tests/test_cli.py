@@ -3,6 +3,7 @@
 import binascii
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -802,4 +803,77 @@ def test_dimension_mismatch_is_a_usage_error(argv, tmp_path, capsys):
     function = argv[argv.index("--function") + 1]
     domain = argv[argv.index("--domain") + 1]
     assert f"function {function} is" in err and f"domain {domain} is" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mask,space,code", [
+    ("q", "F", 0), ("open", "E", 0), ("q", "E", 2), ("open", "F", 2),
+])
+def test_space_norm_field_reads_only_the_mask_its_space_names(
+        mask, space, code, tmp_path, capsys):
+    field = tmp_path / "field.json"
+    assert run(["field", "sample", "--function", "sin_cos", "--domain",
+                "rectangle", "--h", "0.125", "--mask", mask,
+                "--out", str(field)]) == 0
+    capsys.readouterr()
+    assert run(["space", "norm", "--field", str(field),
+                "--space", space]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {field} holds a jet on mask {mask!r}; space {space} "
+            f"reads mask {'open' if space == 'E' else 'q'!r}\n")
+    else:
+        report = json.loads(captured.out.splitlines()[0])["norm"]
+        assert report["mask"] == ("Omega" if space == "E" else "Q")
+        assert report["point_count"] == (49 if mask == "open" else 81)
+
+
+@pytest.mark.parametrize("space", ["F", "E"])
+def test_space_norm_reads_a_bare_jet_under_either_space(space, tmp_path,
+                                                        capsys):
+    # a bare jet payload's "mask" is its bit array, not a recorded name
+    field = tmp_path / "field.json"
+    assert run(["field", "sample", "--function", "sin_cos", "--domain",
+                "rectangle", "--h", "0.125", "--mask", "open",
+                "--out", str(field)]) == 0
+    bare = tmp_path / "bare.json"
+    io.write_artifact(str(bare), io.read_artifact(str(field))["jet"], {})
+    capsys.readouterr()
+    assert run(["space", "norm", "--field", str(bare), "--space", space]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[0])["norm"]
+    assert report["point_count"] == 49
+
+
+def test_a_lattice_too_large_to_allocate_is_a_usage_error(tmp_path):
+    # the address-space cap makes the allocation fail at once, whatever
+    # the machine's overcommit policy
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2**32, 2**32))
+
+    src = os.path.dirname(os.path.dirname(jetlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "jetlab", "domain", "build", "--domain",
+         "rectangle", "--h", "1e-6", "--out", str(tmp_path / "big.json")],
+        env=env, cwd=tmp_path, capture_output=True, text=True,
+        preexec_fn=cap_address_space)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "big.json").exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--depth", "9"), ("--n-teeth", "3"), ("--n-segments", "5"),
+])
+def test_prop2_takes_no_flag_of_another_domain(flag, value, tmp_path,
+                                               capsys):
+    out = tmp_path / "p.json"
+    with pytest.raises(SystemExit) as exc:
+        run(["extend", "prop2", "--domain", "disk", "--function", "sin_cos",
+             flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not out.exists()

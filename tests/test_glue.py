@@ -9,7 +9,7 @@ from jetlab.functions import AnalyticJet, get_function, polynomial_jet
 from jetlab.glue import (
     bump_ball_jet,
     build_partition,
-    chart_ball_radius,
+    bump_jet,
     global_extend,
     interface_jet_mismatch,
     local_extend,
@@ -226,7 +226,7 @@ def test_local_extension_reproduces_linear_fields():
     cases = [(charts[0], np.array([[0.5, -0.1], [0.3, -0.02]])),
              (charts[4], np.array([[-0.05, -0.05], [-0.1, 0.02]]))]
     for chart, pts in cases:
-        assert (chart_ball_radius(chart, pts) < 1.0).all()
+        assert (bump_jet(chart, pts, 0)[0] < 1.0).all()
         ext = local_extend(x.jet_many, chart, 1)
         got = ext(pts, 0)[(0, 0)]
         want = pts[:, 0] + pts[:, 1]
@@ -285,7 +285,7 @@ def test_local_jet_asks_the_source_once_per_probe(k, walls, pts):
     # wall at order 2
     chart = domains.rectangle().charts()[k]
     pts = np.array(pts)
-    assert (chart_ball_radius(chart, pts) < 1.0).all()
+    assert (bump_jet(chart, pts, 0)[0] < 1.0).all()
     assert (chart.inverse(pts)[:, :walls] < 0.0).all()
     want = 3**walls
     x, calls = counting_sin_cos()
@@ -428,3 +428,79 @@ def test_window_walk_asks_once_per_row_block_for_each_point(monkeypatch):
     assert len(calls) == len(list(row_blocks(window.extents))) == 2
     everywhere = np.nonzero(np.ones(window.extents, dtype=bool))
     assert np.array_equal(np.concatenate(calls), window.points(everywhere))
+
+
+def count_inverse_points(charts):
+    """Wrap each chart's inverse; the list of point counts per chart."""
+    sizes = [[] for _ in charts]
+    for chart, seen in zip(charts, sizes):
+        inverse = chart.inverse
+
+        def counted(pts, _inverse=inverse, _seen=seen):
+            _seen.append(len(pts))
+            return _inverse(pts)
+
+        chart.inverse = counted
+    return sizes
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+def test_bump_ball_jet_sees_only_its_support(spec, monkeypatch):
+    radii = []
+
+    def counted(xi, order):
+        radii.append(np.hypot(xi[..., 0], xi[..., 1]))
+        return bump_ball_jet(xi, order)
+
+    monkeypatch.setattr(glue, "bump_ball_jet", counted)
+    global_extend(get_function("sin_cos", depth=4), spec, 2, h=2.0**-5,
+                  margin=0.5)
+    seen = np.concatenate(radii)
+    assert len(seen) > 0
+    assert (seen < glue.BUMP_SHRINK).all()
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+def test_blend_maps_its_points_through_each_bump_chart_once(spec):
+    res = global_extend(get_function("sin_cos", depth=4), spec, 2,
+                        h=2.0**-5, margin=0.5)
+    # the extensions hold the inverse they were built with, so only the
+    # bumps see the wrapped one
+    sizes = count_inverse_points(res.field.partition.charts)
+    (x0, y0), (x1, y1) = spec.bbox
+    pts = np.stack(np.meshgrid(np.linspace(x0 - 0.3, x1 + 0.3, 23),
+                               np.linspace(y0 - 0.3, y1 + 0.3, 19)),
+                   axis=-1).reshape(-1, 2)
+    outside = ~domains.regular_q_member(spec, pts[:, 0], pts[:, 1])
+    res.field.jet_many(pts, 2)
+    assert sizes == [[int(outside.sum())]] * len(sizes)
+
+
+@pytest.mark.parametrize("spec,inverse_points,bump_points", [
+    (domains.rectangle(), [7761] * 4 + [8397] * 4 + [7361],
+     [1275] * 4 + [2621] * 4 + [517]),
+    (domains.disk(), [16463] * 4 + [15609], [2289] * 4 + [1669]),
+    (domains.half_ball(), [11837, 10973], [3061, 569]),
+], ids=["rectangle", "disk", "half_ball"])
+def test_global_extend_chart_and_bump_points_are_pinned(
+        spec, inverse_points, bump_points, monkeypatch):
+    # at 2^-5 the window is one row block: each chart maps it once for the
+    # partition and its exterior once for the blend, and a boundary chart's
+    # extension maps the exterior points its bump reaches
+    charts, interior = spec.charts(), spec.interior_chart()
+    sizes = count_inverse_points([*charts, interior])
+    monkeypatch.setattr(type(spec), "charts", lambda self: charts)
+    monkeypatch.setattr(type(spec), "interior_chart", lambda self: interior)
+    seen = {id(c): 0 for c in [*charts, interior]}
+
+    def counted(chart, pts, order):
+        rho, jet = bump_jet(chart, pts, order)
+        seen[id(chart)] += len(jet[(0, 0)])
+        return rho, jet
+
+    monkeypatch.setattr(glue, "bump_jet", counted)
+    global_extend(get_function("sin_cos", depth=4), spec, 2, h=2.0**-5,
+                  margin=0.5)
+    assert [len(s) for s in sizes] == [3] * len(charts) + [2]
+    assert [sum(s) for s in sizes] == inverse_points
+    assert list(seen.values()) == bump_points
