@@ -217,6 +217,10 @@ def _cmd_extend_prop2(args, argv) -> int:
 
 def _cmd_space_norm(args, argv) -> int:
     if args.field:
+        if args.domain or args.function:
+            print("space norm --field reads its jet from the file; it takes "
+                  "no --domain or --function", file=sys.stderr)
+            return 2
         payload = io.read_artifact(args.field)
         # field sample records the mask it sampled beside the jet
         recorded = payload.get("mask") if "jet" in payload else None
@@ -265,9 +269,9 @@ def _cmd_space_norm(args, argv) -> int:
 
 def _cmd_certify(args, argv) -> int:
     name = {"cantorslit": "cantor_slit"}.get(args.which, args.which)
-    kwargs = {"n_max": args.n_max}
-    if name == "cantor_slit":
-        kwargs.update(ceiling=args.ceiling, depth=args.depth)
+    # a kind's parser holds exactly the flags its builder reads
+    kwargs = {key: getattr(args, key) for key in ("n_max", "ceiling", "depth")
+              if key in args}
     cert = certify.certify(name, **kwargs)
     if not cert.validate():
         print("certificate failed its own validity invariant", file=sys.stderr)
@@ -383,14 +387,17 @@ def build_parser() -> argparse.ArgumentParser:
     pn.set_defaults(func=_cmd_space_norm)
 
     p = sub.add_parser("certify", help="build counterexample certificates")
-    p.add_argument("which", choices=("comb", "gap1d", "cantorslit"))
-    p.add_argument("--n-max", type=int, default=DEFAULTS["n_max"])
-    p.add_argument("--ceiling", type=_positive_float,
-                   default=DEFAULTS["ceiling"])
-    p.add_argument("--depth", type=int, default=DEFAULTS["depth"])
-    p.add_argument("--out", required=True)
-    p.add_argument("--csv")
-    p.set_defaults(func=_cmd_certify)
+    ksub = p.add_subparsers(dest="which", required=True)
+    for which in ("comb", "gap1d", "cantorslit"):
+        pk = ksub.add_parser(which)
+        pk.add_argument("--n-max", type=int, default=DEFAULTS["n_max"])
+        if which == "cantorslit":
+            pk.add_argument("--ceiling", type=_positive_float,
+                            default=DEFAULTS["ceiling"])
+            pk.add_argument("--depth", type=int, default=DEFAULTS["depth"])
+        pk.add_argument("--out", required=True)
+        pk.add_argument("--csv")
+        pk.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("replay", help="recompute a stored certificate")
     p.add_argument("--cert", required=True)

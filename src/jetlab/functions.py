@@ -96,16 +96,18 @@ class AnalyticJet:
 
     evaluator(points, order) is the leaf below every jet_many: it consumes an
     (..., dim) array and returns the jet there, the partials with
-    |alpha| <= order, computing the work the partials share once per call.
+    |alpha| <= order, computing the work the partials share once per call;
+    it computes its formulas only, whatever they give off the region.
     It may leave out a partial that is identically zero on the region at
     that order, the same ones at every point; jet_many and sample fill
     those with zeros, and the walk of a norm scan skips them.
     A field has no order of its own: a leaf that cannot serve an order
     raises ValueError for it at every point.  member(*coords), when present,
     is the exact region predicate of a domain, called with one broadcastable
-    coordinate array per axis; check_mask is the one test against it, run on
-    lattice lines before a walk, and sample, space norm and
-    glue.global_extend refuse a mask with a point outside it.
+    coordinate array per axis, the one statement of the region: check_mask
+    tests a mask against it on lattice lines before a walk of the bare leaf
+    (sample, space norm and glue.global_extend refuse a mask with a point
+    outside it), and jet_many, the reader at any points, is 0 off it.
     """
 
     name: str
@@ -135,9 +137,12 @@ class AnalyticJet:
 
     def jet_many(self, points, order: int) -> Jet:
         """Every partial with |alpha| <= order, from one evaluator call; the
-        ones it leaves out are zeros."""
+        ones it leaves out, and every partial off member, are zeros."""
         pts = np.asarray(points, dtype=np.float64)
         jet = self.evaluator(pts, order)
+        if self.member is not None:
+            inside = self.member(*np.moveaxis(pts, -1, 0))
+            jet = {a: np.where(inside, arr, 0.0) for a, arr in jet.items()}
         return {
             alpha: np.asarray(jet[alpha], dtype=np.float64) if alpha in jet
             else np.zeros(pts.shape[:-1])
@@ -248,15 +253,13 @@ def _example3_eval(pts: np.ndarray, order: int) -> Jet:
         raise ValueError("comb field jets are available to order 2")
     s = pts[..., 0]
     t = pts[..., 1]
-    # one tooth lookup gives the region, _COMB.q, and the shifted abscissa:
-    # s on the base, s - a_n on tooth n, where the comb meets the open
-    # positive quadrant
+    # the tooth lookup gives the shifted abscissa: s on the base, s - a_n
+    # on tooth n, where the comb meets the open positive quadrant
     tooth = domains.comb_tooth_index_array(s)
     on_tooth = (tooth >= 0) & (t > 0.0) & (t <= 1.0)
-    region = domains.comb_in_base(s, t) | on_tooth
     sloc = np.array(s, dtype=np.float64)
     sloc[on_tooth] -= np.ldexp(0.75, -tooth[on_tooth].astype(np.int32))
-    return {alpha: np.where(region, _EXAMPLE3_PARTIALS[alpha](sloc, t), 0.0)
+    return {alpha: _EXAMPLE3_PARTIALS[alpha](sloc, t)
             for alpha in multi_indices(order, 2)
             if alpha in _EXAMPLE3_PARTIALS}
 
@@ -276,12 +279,11 @@ def _gap1d_eval(pts: np.ndarray, order: int) -> Jet:
     """Slope 1 on every piece; the leaf leaves out orders 2 and up."""
     s = pts[..., 0]
     seg = domains.gap_segment_index_array(s)
-    inside = seg >= 0
     n_safe = np.where(seg > 0, seg, 1).astype(np.int32)
     shift = np.where(seg > 0, np.ldexp(1.0, -n_safe), 0.0)
-    out = {(0,): np.where(inside, s - shift, 0.0)}
+    out = {(0,): s - shift}
     if order >= 1:
-        out[(1,)] = np.where(inside, 1.0, 0.0)
+        out[(1,)] = np.ones(s.shape)
     return out
 
 

@@ -249,18 +249,23 @@ def build_partition(charts: list[Chart], domain: Domain,
                     grid: GridSpec) -> BumpPartition:
     """Bumps on every chart plus one interior bump, normalized and checked.
 
-    The subordination and cover checks run on the lattice grid.  Raises
-    CoverGap if some required boundary lattice point has zero bump sum.
+    The subordination and cover checks run on the lattice grid, where Q and
+    the charted faces are read on lattice lines, as build_domain reads them.
+    Raises CoverGap if some required boundary lattice point has zero bump
+    sum.
     """
     charts = [*charts, domain.interior_chart()]
 
-    s, t = grid.coord_grids()
-    pts = np.stack([s.ravel(), t.ravel()], axis=-1)
-    q_member = domains.regular_q_member(domain, pts[:, 0], pts[:, 1])
-    q_mask = GridMask(grid, q_member.reshape(grid.extents))
-    # the two-sided boundary collar where sum(chi) - 1 is measured
-    collar = (_boundary_collar(q_mask, width=0.05)
-              & domain.charted(s, t, 0.2)).ravel()
+    axes = np.ix_(*(grid.axis_coords(a) for a in range(grid.dim)))
+    q_mask = GridMask(grid, np.broadcast_to(domain.q(*axes), grid.extents))
+    # Q's lattice boundary; the two-sided collar around it is where
+    # sum(chi) - 1 is measured
+    ring = q_mask.member & ~interior_of(q_mask).member
+    steps = max(1, int(math.ceil(0.05 / grid.h)))
+    collar = (dilate_box(ring, steps) & domain.charted(*axes, 0.2)).ravel()
+    # boundary lattice points the atlas must cover
+    required = (ring & domain.charted(*axes, 0.5 * grid.h)).ravel()
+    pts = grid.points(np.indices(grid.extents).reshape(grid.dim, -1))
 
     # the reference radius of each chart's bump gives its support (the
     # 0.9-ball) and its image (the unit ball)
@@ -277,9 +282,6 @@ def build_partition(charts: list[Chart], domain: Domain,
         collar_bumps.append(bump[collar])
     unreached = ~(bump_sum > 0.0)
 
-    # boundary lattice points the atlas must cover
-    inner = q_mask.member & ~interior_of(q_mask).member
-    required = (inner & domain.charted(s, t, 0.5 * grid.h)).ravel()
     uncovered = required & unreached
     if uncovered.any():
         where = pts[uncovered][0]
@@ -289,7 +291,7 @@ def build_partition(charts: list[Chart], domain: Domain,
         )
 
     # subordination: least covering domain per bump, checked on the lattice
-    extension_domains = images[:-1] + [q_member]
+    extension_domains = images[:-1] + [q_mask.member.ravel()]
     assignment = []
     for nu, supp in enumerate(supports):
         chosen = next((i for i, dom in enumerate(extension_domains)
@@ -319,12 +321,6 @@ def build_partition(charts: list[Chart], domain: Domain,
         residual = 0.0
     return BumpPartition(charts, assignment, residual, int(len(collar_pts)),
                          q_mask, GridMask(grid, unreached.reshape(grid.extents)))
-
-
-def _boundary_collar(q_mask: GridMask, width: float) -> np.ndarray:
-    inner = q_mask.member & ~interior_of(q_mask).member
-    steps = max(1, int(math.ceil(width / q_mask.grid.h)))
-    return dilate_box(inner, steps)
 
 
 # ---------------------------------------------------------------------------

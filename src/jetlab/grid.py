@@ -110,13 +110,6 @@ class GridSpec:
             out[:, a] = self.axis_coords(a)[index[a]]
         return out
 
-    def coord_grids(self) -> tuple[np.ndarray, ...]:
-        """Meshgrid of coordinates, one array per axis, "ij" indexing."""
-        axes = [self.axis_coords(a) for a in range(self.dim)]
-        if self.dim == 1:
-            return (axes[0],)
-        return tuple(np.meshgrid(*axes, indexing="ij"))
-
     @staticmethod
     def cover(lo, hi, h: float) -> "GridSpec":
         """Smallest grid with origin lo reaching hi; (hi-lo)/h must be integral."""
@@ -189,7 +182,7 @@ def dilate_box(member: np.ndarray, radius: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class SampledJet:
-    """Partial-derivative samples on a masked lattice.
+    """Partial-derivative samples on a masked lattice; grid is the mask's.
 
     components maps each multi-index alpha with |alpha| <= order to an array
     of samples over the full lattice; entries off the mask are not meaningful
@@ -198,13 +191,14 @@ class SampledJet:
     """
 
     order: int
-    grid: GridSpec
     mask: GridMask
     components: dict[tuple[int, ...], np.ndarray]
 
+    @property
+    def grid(self) -> GridSpec:
+        return self.mask.grid
+
     def __post_init__(self):
-        if self.mask.grid != self.grid:
-            raise MaskMismatchError("jet mask lives on a different lattice")
         dim = self.grid.dim
         # counted first: enumerating the indices costs order^(dim + 1)
         count = math.comb(self.order + dim, dim) if self.order >= 0 else 0
@@ -275,4 +269,4 @@ def sample(evaluator: JetEvaluator, mask: GridMask, order: int) -> SampledJet:
     for rows, block in walk(evaluator, mask, order):
         for alpha, arr in block.items():
             components[alpha][rows] = arr
-    return SampledJet(order, mask.grid, mask, components)
+    return SampledJet(order, mask, components)

@@ -252,7 +252,7 @@ def extend_half_space_lattice(
     for alpha, arr in components.items():
         arr[hit] = values[alpha][covered]
     member[hit] = True
-    out = SampledJet(jet.order, grid, GridMask(grid, member), components)
+    out = SampledJet(jet.order, GridMask(grid, member), components)
     return LatticeExtensionResult(out, max(offsets))
 
 

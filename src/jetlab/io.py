@@ -337,7 +337,7 @@ def jet_from_payload(payload: dict) -> SampledJet:
         raise JetlabError(f"jet artifact lacks the key {err}") from None
     except (TypeError, ValueError, AttributeError, OverflowError) as err:
         raise JetlabError(f"jet artifact is malformed: {err}") from None
-    return SampledJet(order, grid, mask, components)
+    return SampledJet(order, mask, components)
 
 
 def _read_array(payload: dict, node, dtype: str, count: int) -> np.ndarray:

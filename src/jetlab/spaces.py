@@ -67,7 +67,7 @@ def restrict_to_omega(jet: SampledJet, omega: GridMask) -> SampledJet:
         alpha: np.where(omega.member, arr, 0.0)
         for alpha, arr in jet.components.items()
     }
-    return SampledJet(jet.order, jet.grid, omega, components)
+    return SampledJet(jet.order, omega, components)
 
 
 def h_norm_upper_bound(x: SampledJet, xbar: SampledJet) -> NormReport:

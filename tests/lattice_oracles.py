@@ -11,6 +11,8 @@ per_line_lattice_extension is the lattice reflection one band line at a time,
 with its own copy of the weighted sum, where jetlab runs the band through
 HalfSpaceExtension.jet_many.  reflection_residual and cramer_coefficients
 check the reflection weights against the linear system they solve.
+coord_grids is the meshgrid of a lattice's coordinates, which jetlab reads
+on np.ix_ lattice lines instead.
 """
 
 import math
@@ -33,6 +35,13 @@ def erosion(member: np.ndarray) -> np.ndarray:
     """Cross-structure erosion, off-lattice points absent."""
     cross = ndimage.generate_binary_structure(member.ndim, 1)
     return ndimage.binary_erosion(member, structure=cross, border_value=0)
+
+
+def coord_grids(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """Meshgrid of the lattice coordinates, one array per axis, "ij"
+    indexing."""
+    axes = [grid.axis_coords(a) for a in range(grid.dim)]
+    return tuple(np.meshgrid(*axes, indexing="ij"))
 
 
 def box_dilation(member: np.ndarray, iterations: int = 1) -> np.ndarray:
@@ -419,5 +428,5 @@ def per_line_lattice_extension(jet, coeffs, width: int, axis: int = 0,
             dst = _take_line(arr, axis, k)
             dst[covered] = acc.astype(np.float64)
         _take_line(member, axis, k)[...] |= covered
-    out = SampledJet(jet.order, grid, GridMask(grid, member), components)
+    out = SampledJet(jet.order, GridMask(grid, member), components)
     return LatticeExtensionResult(out, probe_offset_max)

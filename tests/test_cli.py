@@ -18,7 +18,7 @@ from jetlab.cli import DEFAULTS, main
 from jetlab.errors import PointOutsideRegionError
 from jetlab.grid import GridMask, GridSpec, SampledJet, row_blocks
 
-from lattice_oracles import scatter_sample
+from lattice_oracles import coord_grids, scatter_sample
 
 
 def run(argv):
@@ -60,7 +60,7 @@ def test_field_sample_round_trip(tmp_path):
     assert code == 0
     jet = io.jet_from_payload(io.read_artifact(str(out))["jet"])
     assert jet.order == 1
-    s, t = jet.grid.coord_grids()
+    s, t = coord_grids(jet.grid)
     assert np.allclose(jet.components[(0, 0)], np.sin(s) * np.cos(t))
 
 
@@ -131,7 +131,7 @@ def test_space_norm_check_fails_on_discontinuous_artifact(tmp_path, capsys):
     g = GridSpec.cover((0.0,), (1.0,), 2.0**-5)
     mask = GridMask(g, np.ones(g.extents, dtype=bool))
     xs = g.axis_coords(0)
-    jet = SampledJet(0, g, mask, {(0,): np.where(xs < 0.5, 0.0, 1.0)})
+    jet = SampledJet(0, mask, {(0,): np.where(xs < 0.5, 0.0, 1.0)})
     path = tmp_path / "bad.json"
     io.write_artifact(str(path), {"jet": io.jet_to_payload(jet)}, {})
     code = run(["space", "norm", "--field", str(path), "--check"])
@@ -167,7 +167,7 @@ def test_space_norm_g_check_is_a_usage_error(tmp_path, capsys):
     # G printed the F report under another label; it is no choice of --space
     g = GridSpec.cover((0.0,), (1.0,), 2.0**-5)
     mask = GridMask(g, np.ones(g.extents, dtype=bool))
-    jet = SampledJet(0, g, mask, {(0,): g.axis_coords(0)})
+    jet = SampledJet(0, mask, {(0,): g.axis_coords(0)})
     path = tmp_path / "field.json"
     io.write_artifact(str(path), {"jet": io.jet_to_payload(jet)}, {})
     out = tmp_path / "norm.json"
@@ -877,3 +877,38 @@ def test_prop2_takes_no_flag_of_another_domain(flag, value, tmp_path,
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind,flag,value", [
+    ("comb", "--ceiling", "5"), ("comb", "--depth", "9"),
+    ("gap1d", "--ceiling", "5"), ("gap1d", "--depth", "2"),
+])
+def test_certify_takes_no_flag_its_kind_does_not_read(kind, flag, value,
+                                                      tmp_path, capsys):
+    out = tmp_path / "c.json"
+    with pytest.raises(SystemExit) as exc:
+        run(["certify", kind, "--n-max", "6", flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {value}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--domain", "comb", "--function", "example3"],
+    ["--domain", "disk"],
+    ["--function", "sin_cos"],
+], ids=["both", "domain", "function"])
+def test_space_norm_field_takes_no_domain_or_function(flags, tmp_path,
+                                                      capsys):
+    path = tmp_path / "field.json"
+    assert run(["field", "sample", "--function", "sin_cos", "--domain",
+                "disk", "--h", "0.25", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert run(["space", "norm", "--field", str(path), *flags,
+                "--space", "F"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--field" in captured.err
+    assert "--domain or --function" in captured.err

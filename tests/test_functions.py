@@ -28,7 +28,7 @@ from jetlab.functions import (
 )
 from jetlab.grid import GridMask, GridSpec, multi_indices, row_blocks
 
-from lattice_oracles import scatter_sample
+from lattice_oracles import coord_grids, scatter_sample
 
 
 def staircase_oracle(x, splits=80):
@@ -247,6 +247,33 @@ def test_example1_jet_membership():
         jet.check_mask(one_point_mask(1.0 / 3.0, 0.5), "point")
 
 
+@pytest.mark.parametrize("name,order,inside,outside", [
+    # base, tooth 1 ([3/8, 1/2] x (0, 1]); a gap, above a tooth, far field
+    ("example3", 2, [[-0.5, 0.5], [0.5, -0.5], [0.4375, 0.5]],
+     [[0.3, 0.5], [0.4375, 1.5], [1.5, 0.0]]),
+    # [-1, 0] and islands 1 and 2; the gaps beside them and the far field
+    ("gap1d", 1, [[-0.5], [0.625], [0.3125]], [[0.8], [0.4], [-1.5]]),
+    # the gap column at 1/2; slit columns of the depth-4 cover, the edge
+    ("example1", 3, [[0.5, 0.5], [0.5, 0.875]],
+     [[0.1, 0.5], [0.9, 0.25], [1.0, 0.5]]),
+])
+def test_jet_many_is_the_leaf_on_member_and_0_off_it(name, order, inside,
+                                                      outside):
+    field = get_function(name, depth=4)
+    pts = np.array(inside + outside, dtype=np.float64)
+    n = len(inside)
+    assert field.member(*pts.T).tolist() == [True] * n + [False] * (
+        len(pts) - n)
+    leaf = field.evaluator(pts, order)
+    # the leaf's formulas reach past the region; jet_many stops at it
+    assert (leaf[(0,) * field.dim][n:] != 0.0).any()
+    got = field.jet_many(pts, order)
+    for alpha in multi_indices(order, field.dim):
+        want = leaf.get(alpha, np.zeros(len(pts)))
+        assert got[alpha][:n].tobytes() == want[:n].tobytes(), alpha
+        assert got[alpha][n:].tobytes() == np.zeros(len(pts) - n).tobytes()
+
+
 def test_sample_on_lattice():
     jet = get_function("chi", depth=4)
     g = GridSpec((0.0, 0.0), 0.5, (3, 3))
@@ -281,7 +308,7 @@ def test_example1_refuses_order_4_off_its_block():
     with pytest.raises(ValueError, match="stop at order 3"):
         jet.jet_many(pts, 4)
     _, omega = domains.build_domain(domains.cantor_slit_square(3), 2.0**-6)
-    s, _ = omega.grid.coord_grids()
+    s, _ = coord_grids(omega.grid)
     left = GridMask(omega.grid, omega.member & (s <= 0.0))
     assert left.count > 0
     with pytest.raises(ValueError, match="stop at order 3"):

@@ -1,5 +1,7 @@
 """Charts, bumps, partition of unity, and the blended global extension."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,14 @@ from jetlab.glue import (
     local_extend,
 )
 from jetlab import grid
-from jetlab.grid import GridMask, GridSpec, multi_indices, row_blocks
+from jetlab.grid import (
+    GridMask, GridSpec, dilate_box, interior_of, multi_indices, row_blocks,
+)
 from jetlab.hestenes import (
     HalfSpaceExtension, corner_extension, solve_coefficients,
 )
 from lattice_oracles import (
-    box_dilation, chart_roundtrip_defect, chi_many, erosion,
+    box_dilation, chart_roundtrip_defect, chi_many, coord_grids, erosion,
 )
 
 
@@ -157,7 +161,7 @@ def test_partition_covers_and_sums_to_one(spec):
 def test_boundary_collar_matches_iterated_box_dilation(width):
     h = 2.0**-4
     grid = GridSpec((-1.0, -1.0), h, (33, 41))
-    s, t = grid.coord_grids()
+    s, t = coord_grids(grid)
     rng = np.random.default_rng(5)
     members = [
         s**2 + t**2 <= 0.6,
@@ -167,9 +171,74 @@ def test_boundary_collar_matches_iterated_box_dilation(width):
     ]
     steps = max(1, int(np.ceil(width / h)))
     for member in members:
-        got = glue._boundary_collar(GridMask(grid, member), width)
+        # the partition's collar: the ring of Q, box-dilated steps times
+        ring = member & ~interior_of(GridMask(grid, member)).member
+        got = dilate_box(ring, steps)
         want = box_dilation(member & ~erosion(member), steps)
         assert np.array_equal(got, want)
+
+
+def stacked_point_partition_sets(domain, grid):
+    """(Q, collar radius, collar, required points) as build_partition once
+    read them: Q by regular_q_member on the stacked points of a meshgrid,
+    and Q's lattice boundary taken twice, once for the collar and once for
+    the points the atlas must cover."""
+    s, t = coord_grids(grid)
+    pts = np.stack([s.ravel(), t.ravel()], axis=-1)
+    q_member = domains.regular_q_member(domain, pts[:, 0], pts[:, 1])
+    q_mask = GridMask(grid, q_member.reshape(grid.extents))
+    inner = q_mask.member & ~interior_of(q_mask).member
+    steps = max(1, int(math.ceil(0.05 / grid.h)))
+    collar = dilate_box(inner, steps) & domain.charted(s, t, 0.2)
+    inner = q_mask.member & ~interior_of(q_mask).member
+    required = inner & domain.charted(s, t, 0.5 * grid.h)
+    return q_mask.member, steps, collar, required
+
+
+@pytest.mark.parametrize("h", [2.0**-k for k in range(3, 8)],
+                         ids=lambda h: f"2^{int(math.log2(h))}")
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+def test_partition_reads_the_lattice_as_the_stacked_points_did(spec, h,
+                                                               monkeypatch):
+    # the window of global_extend at the default margin
+    pad = math.ceil(0.5 / h) * h
+    (x0, y0), (x1, y1) = spec.bbox
+    window = GridSpec.cover((x0 - pad, y0 - pad), (x1 + pad, y1 + pad), h)
+    q, steps, collar, required = stacked_point_partition_sets(spec, window)
+    interiors, dilations, charted = [], [], {}
+
+    def spy_interior(mask):
+        interiors.append(mask.member)
+        return interior_of(mask)
+
+    def spy_dilate(member, radius):
+        dilations.append((member, radius, dilate_box(member, radius)))
+        return dilations[-1][-1]
+
+    charted_of = type(spec).charted
+
+    def spy_charted(self, s, t, depth):
+        charted[depth] = np.broadcast_to(charted_of(self, s, t, depth),
+                                         window.extents)
+        return charted[depth]
+
+    def pointwise_q(*args):
+        raise AssertionError("Q read point by point")
+
+    monkeypatch.setattr(glue, "interior_of", spy_interior)
+    monkeypatch.setattr(glue, "dilate_box", spy_dilate)
+    monkeypatch.setattr(type(spec), "charted", spy_charted)
+    monkeypatch.setattr(domains, "regular_q_member", pointwise_q)
+    part = build_partition(spec.charts(), spec, window)
+    assert part.q_mask.member.tobytes() == q.tobytes()
+    # Q's lattice boundary is taken once and feeds the collar and the
+    # required points
+    assert len(interiors) == 1 and np.array_equal(interiors[0], q)
+    [(ring, radius, dilated)] = dilations
+    assert radius == steps
+    assert (dilated & charted[0.2]).tobytes() == collar.tobytes()
+    assert (ring & charted[0.5 * h]).tobytes() == required.tobytes()
+    assert part.checked_points == int(collar.sum())
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
@@ -324,7 +393,7 @@ def test_global_extension_exact_for_linear_field():
     spec = domains.rectangle()
     x = get_function("sum_st", depth=4)
     res = global_extend(x, spec, 1, h=2.0**-5, margin=0.5)
-    s, t = res.window.coord_grids()
+    s, t = coord_grids(res.window)
     err = np.abs(res.jet.components[(0, 0)] - (s + t))
     assert float(err.max()) < 1e-6
     assert res.uncovered_points == 0

@@ -20,7 +20,8 @@ from jetlab.hestenes import (
     solve_coefficients,
 )
 from lattice_oracles import (
-    cramer_coefficients, per_line_lattice_extension, reflection_residual,
+    coord_grids, cramer_coefficients, per_line_lattice_extension,
+    reflection_residual,
 )
 
 
@@ -281,12 +282,12 @@ def lattice_cases(draw):
     grid = GridSpec(origin, h, extents)
     member = rng.random(extents) < draw(st.sampled_from([0.5, 0.9, 1.0]))
     if draw(st.integers(0, 4)):  # mostly a mask on one side of the wall
-        tau = inward * (grid.coord_grids()[axis] - boundary)
+        tau = inward * (coord_grids(grid)[axis] - boundary)
         member &= tau >= -0.25 * h
     order = draw(st.integers(0, 2))
     components = {alpha: np.where(member, rng.standard_normal(extents), 0.0)
                   for alpha in multi_indices(order, dim)}
-    jet = SampledJet(order, grid, GridMask(grid, member), components)
+    jet = SampledJet(order, GridMask(grid, member), components)
     coeffs = solve_coefficients(draw(st.integers(0, 3)))
     return jet, coeffs, draw(st.integers(0, 9)), axis, boundary, inward
 

@@ -469,7 +469,7 @@ def test_write_and_read_stay_within_their_memory_bounds(tmp_path):
     grid = GridSpec((0.0, 0.0), 2.0**-9, (512, 512))
     rng = np.random.default_rng(11)
     member = rng.random(grid.extents) < 0.9
-    jet = SampledJet(1, grid, GridMask(grid, member), {
+    jet = SampledJet(1, GridMask(grid, member), {
         alpha: np.where(member, rng.standard_normal(grid.extents), 0.0)
         for alpha in ((0, 0), (0, 1), (1, 0))
     })
@@ -506,7 +506,7 @@ def _read_back(values, directory) -> np.ndarray:
     """``values`` as an order-0 jet on a full 1-D mask, written and read."""
     grid = GridSpec((0.0,), 1.0, (len(values),))
     mask = GridMask(grid, np.ones(grid.extents, dtype=bool))
-    jet = SampledJet(0, grid, mask, {(0,): values})
+    jet = SampledJet(0, mask, {(0,): values})
     path = os.path.join(directory, "jet.json")
     io.write_artifact(path, {"jet": io.jet_to_payload(jet)}, {})
     return io.read_jet(path).components[(0,)]

@@ -51,14 +51,14 @@ def random_jet(mask, order, seed):
         arr = np.zeros(mask.grid.extents)
         arr[mask.member] = rng.uniform(-5.0, 5.0, mask.count)
         components[alpha] = arr
-    return SampledJet(order, mask.grid, mask, components)
+    return SampledJet(order, mask, components)
 
 
 def test_norm_hand_value():
     g = GridSpec.cover((0.0,), (1.0,), 0.25)
     mask = GridMask(g, np.ones(5, dtype=bool))
     jet = SampledJet(
-        1, g, mask,
+        1, mask,
         {(0,): np.array([0.0, -3.0, 1.0, 0.5, 2.0]),
          (1,): np.array([1.0, 1.0, -4.0, 0.0, 0.0])},
     )
@@ -74,12 +74,12 @@ def test_norm_hand_value():
 def test_norm_report_reads_the_sup_over_the_mask():
     g = GridSpec((0.0,), 1.0, (4,))
     m = GridMask(g, np.array([1, 0, 1, 0], dtype=bool))
-    jet = SampledJet(0, g, m, {(0,): np.array([1.0, -50.0, -3.0, 50.0])})
+    jet = SampledJet(0, m, {(0,): np.array([1.0, -50.0, -3.0, 50.0])})
     assert norm_report(jet, "F", "Q").overall == 3.0
-    zeros = SampledJet(0, g, m, {(0,): np.array([-0.0, 1.0, -0.0, 1.0])})
+    zeros = SampledJet(0, m, {(0,): np.array([-0.0, 1.0, -0.0, 1.0])})
     zero = norm_report(zeros, "F", "Q").overall
     assert zero == 0.0 and not np.signbit(zero)
-    empty = SampledJet(0, g, GridMask(g, np.zeros(4, dtype=bool)),
+    empty = SampledJet(0, GridMask(g, np.zeros(4, dtype=bool)),
                        {(0,): np.zeros(4)})
     for read in (lambda: norm_report(empty, "F", "Q"),
                  lambda: check_membership_f(empty, DEFAULTS["tol"])):
@@ -100,10 +100,10 @@ def test_norm_algebra_on_random_jets():
         nx = norm_report(x, "F", "Q").overall
         ny = norm_report(y, "F", "Q").overall
         # exact homogeneity, dyadic factor
-        scaled = SampledJet(1, q.grid, q, {
+        scaled = SampledJet(1, q, {
             a: -2.0 * arr for a, arr in x.components.items()})
         assert norm_report(scaled, "F", "Q").overall == 2.0 * nx
-        summed = SampledJet(1, q.grid, q, {
+        summed = SampledJet(1, q, {
             a: x.components[a] + y.components[a] for a in x.alphas()})
         assert norm_report(summed, "F", "Q").overall <= nx + ny
         # restriction never increases the norm
@@ -194,7 +194,7 @@ def test_scan_catches_jump_discontinuity():
     mask = GridMask(g, np.ones(g.extents, dtype=bool))
     xs = g.axis_coords(0)
     step = np.where(xs < 0.5, 0.0, 1.0)
-    jet = SampledJet(0, g, mask, {(0,): step})
+    jet = SampledJet(0, mask, {(0,): step})
     verdict = check_membership_f(jet, DEFAULTS["tol"])
     assert not verdict.consistent
     assert verdict.verdict == "violation"
@@ -213,7 +213,7 @@ def test_scan_catches_wrong_declared_partial():
     mask = GridMask(g, np.ones(g.extents, dtype=bool))
     xs = g.axis_coords(0)
     jet = SampledJet(
-        1, g, mask,
+        1, mask,
         {(0,): np.sin(xs), (1,): np.cos(xs) + 0.5},
     )
     verdict = check_membership_f(jet, DEFAULTS["tol"])
@@ -226,7 +226,7 @@ def test_scan_round_trips_through_payload():
     g = GridSpec.cover((0.0,), (1.0,), 2.0**-5)
     mask = GridMask(g, np.ones(g.extents, dtype=bool))
     xs = g.axis_coords(0)
-    jet = SampledJet(0, g, mask, {(0,): np.where(xs < 0.5, 0.0, 1.0)})
+    jet = SampledJet(0, mask, {(0,): np.where(xs < 0.5, 0.0, 1.0)})
     verdict = check_membership_f(jet, DEFAULTS["tol"])
     payload = verdict.to_payload()
     assert payload["verdict"] == "violation"
@@ -240,7 +240,7 @@ def test_tol_by_order_overrides_flat_tolerance():
     mask = GridMask(g, np.ones(g.extents, dtype=bool))
     xs = g.axis_coords(0)
     jet = SampledJet(
-        1, g, mask, {(0,): np.abs(np.sin(xs)), (1,): np.sign(xs) * np.cos(xs)}
+        1, mask, {(0,): np.abs(np.sin(xs)), (1,): np.sign(xs) * np.cos(xs)}
     )
     strict = check_membership_f(jet, tol=1e-2)
     assert not strict.consistent
@@ -266,10 +266,10 @@ def test_scan_e_on_open_mask_skips_straddling_pairs():
     punctured[16] = False  # s = 1/2
     xs = g.axis_coords(0)
     vals = np.where(xs < 0.5, 0.0, 1.0)
-    jet_q = SampledJet(0, g, full, {(0,): vals})
+    jet_q = SampledJet(0, full, {(0,): vals})
     assert not check_membership_f(jet_q, DEFAULTS["tol"]).consistent
     omega = GridMask(g, punctured)
-    jet_o = SampledJet(0, g, omega, {(0,): np.where(punctured, vals, 0.0)})
+    jet_o = SampledJet(0, omega, {(0,): np.where(punctured, vals, 0.0)})
     assert check_membership_e(jet_o, DEFAULTS["tol"]).consistent
 
 
@@ -312,7 +312,7 @@ def tied_jet(shape, h, order, seed):
         alpha: np.where(member, rng.integers(0, 3, shape), 0.0)
         for alpha in multi_indices(order, len(shape))
     }
-    return SampledJet(order, g, GridMask(g, member), components)
+    return SampledJet(order, GridMask(g, member), components)
 
 
 def assert_same_verdict(jet, space, tol=DEFAULTS["tol"], **kwargs):
@@ -359,7 +359,7 @@ def test_scan_witness_straddles_a_row_block_seam(case, h):
         if sum(alpha) == 3 - span:
             arr[seam:] = 10.0
         components[alpha] = arr
-    jet = SampledJet(2, jet.grid, GridMask(jet.grid, member), components)
+    jet = SampledJet(2, GridMask(jet.grid, member), components)
     got = assert_same_verdict(jet, "F")
     term = got["certificate"]["terms"][0]
     assert Fraction(*term["base"][0]) == (seam - span) * Fraction(h)
@@ -389,7 +389,7 @@ def test_scan_witness_is_the_first_of_tied_maxima(bumps, first):
     vals = np.zeros(g.extents)
     for k in bumps:
         vals[k] = 1.0
-    jet = SampledJet(0, g, GridMask(g, np.ones(g.extents, bool)),
+    jet = SampledJet(0, GridMask(g, np.ones(g.extents, bool)),
                      {(0, 0): vals})
     verdict = assert_same_verdict(jet, "F")
     term = verdict["certificate"]["terms"][0]

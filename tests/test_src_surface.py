@@ -14,6 +14,7 @@ default nothing reads.
 """
 
 import ast
+import importlib
 import math
 import pathlib
 import re
@@ -24,6 +25,7 @@ import pytest
 import jetlab
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "jetlab"
+TRACED_CLI = SRC.parent.parent / "perfbench" / "traced_cli.py"
 
 ALLOWED = {
     # perfbench/traced_cli.py wraps it by name to count reflections
@@ -316,3 +318,54 @@ def test_a_dropped_default_that_returns_is_caught(qualified):
                                                 - names.index(param))
     allowed = UNSET_ALLOWED.keys() | ALWAYS_SET_ALLOWED.keys()
     assert qualified in (unset(trees) | always_set(trees)) - allowed
+
+
+def perfbench_names() -> list[tuple[str, str]]:
+    """(owner, name) of every wrap and count_calls in perfbench's
+    traced_cli.install, the names of a loop spelled out; the owner is the
+    expression traced_cli writes, such as "grid.SampledJet"."""
+    tree = ast.parse(TRACED_CLI.read_text())
+    install = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "install")
+    loops = {node.target.id: ast.literal_eval(node.iter)
+             for node in ast.walk(install) if isinstance(node, ast.For)}
+    out = []
+    for call in ast.walk(install):
+        if not (isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr in ("wrap", "count_calls")):
+            continue
+        owner, name = call.args[:2]
+        names = ([name.value] if isinstance(name, ast.Constant)
+                 else loops[name.id])
+        out.extend((ast.unparse(owner), n) for n in names)
+    return out
+
+
+def unresolved_perfbench_names() -> list[tuple[str, str]]:
+    """The perfbench names that jetlab no longer defines."""
+    out = []
+    for owner, name in perfbench_names():
+        module, *attrs = owner.split(".")
+        obj = importlib.import_module(f"jetlab.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr)
+        if not hasattr(obj, name):
+            out.append((owner, name))
+    return out
+
+
+def test_every_name_perfbench_wraps_resolves():
+    names = perfbench_names()
+    # the loop over io's converters and a counted method are read too
+    assert ("io", "jet_from_payload") in names
+    assert ("hestenes.HestenesCoefficients", "weight_longdouble") in names
+    assert unresolved_perfbench_names() == []
+
+
+def test_a_renamed_perfbench_name_is_caught(monkeypatch):
+    monkeypatch.delattr("jetlab.domains.regular_q_member")
+    monkeypatch.delattr("jetlab.grid.SampledJet.__post_init__")
+    assert unresolved_perfbench_names() == [
+        ("domains", "regular_q_member"), ("grid.SampledJet", "__post_init__")]
