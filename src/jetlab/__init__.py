@@ -11,44 +11,43 @@ Three families of tools share one lattice substrate:
   (:mod:`jetlab.spaces`, :mod:`jetlab.certify`).
 """
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .certify import Certificate, replay_certificate
-from .domains import build_domain
-from .errors import JetlabError
-from .functions import AnalyticJet, get_function
-from .glue import GlobalField, global_extend
-from .grid import SampledJet
-from .hestenes import (
-    HalfSpaceExtension,
-    extend_half_space_lattice,
-    interface_mismatch,
-    solve_coefficients,
-)
-from .spaces import (
-    check_membership_e,
-    check_membership_f,
-    h_norm_upper_bound,
-    norm_report,
-)
+# public name -> the module that defines it, imported on first use (PEP
+# 562), so that a command imports only the modules it runs
+_EXPORTS = {
+    "AnalyticJet": "functions",
+    "Certificate": "certify",
+    "GlobalField": "glue",
+    "HalfSpaceExtension": "hestenes",
+    "JetlabError": "errors",
+    "SampledJet": "grid",
+    "build_domain": "domains",
+    "check_membership_e": "spaces",
+    "check_membership_f": "spaces",
+    "extend_half_space_lattice": "hestenes",
+    "get_function": "functions",
+    "global_extend": "glue",
+    "h_norm_upper_bound": "spaces",
+    "interface_mismatch": "hestenes",
+    "norm_report": "spaces",
+    "replay_certificate": "certify",
+    "solve_coefficients": "hestenes",
+}
 
-__all__ = [
-    "__version__",
-    "AnalyticJet",
-    "Certificate",
-    "GlobalField",
-    "HalfSpaceExtension",
-    "JetlabError",
-    "SampledJet",
-    "build_domain",
-    "check_membership_e",
-    "check_membership_f",
-    "extend_half_space_lattice",
-    "get_function",
-    "global_extend",
-    "h_norm_upper_bound",
-    "interface_mismatch",
-    "norm_report",
-    "replay_certificate",
-    "solve_coefficients",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__),
+                    name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

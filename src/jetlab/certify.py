@@ -10,9 +10,12 @@ A kind is a field, a witness and a probe sequence (see Kind), defined once
 in KINDS.  The builder and the replay take every quotient through the same
 _quotient, so a stored term cannot be computed one way and checked another.
 
-The comb and staircase certificates are tolerance-free: every quotient is
-the rational 0 and the gap is exactly 1.  The slit-square certificate is a
-divergence: quotients grow like (3/2)^n and cross the configured ceiling.
+The comb and staircase certificates are tolerance-free: their fields are
+exact rationals (jetlab.exact), every quotient is the rational 0 and the gap
+is exactly 1.  The slit-square certificate is a divergence: quotients grow
+like (3/2)^n and cross the configured ceiling.
+
+Nothing here imports numpy.
 """
 
 from __future__ import annotations
@@ -23,8 +26,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import functions, io
-from .domains import cantor_level
+from . import exact, io
 from .errors import JetlabError, ReplayMismatchError
 
 GAP_TOLERANCE = 1e-9
@@ -165,16 +167,15 @@ class Kind:
     Quotients of the exact field value(point, config) run from base to
     probe(n), n = 1..n_max.  witness(kind, base, probe, config) is the
     interior derivative at each row (k, base, probe) of witness_points(n_max,
-    config) and equals interior_limit.  build is the kind's public builder.
-    float_field says that value and witness read each coordinate as a
-    float, which must then hold it exactly (see _check_floats).
+    config) and equals interior_limit.  build is the kind's public builder,
+    and n_max must lie in [2, max_n].
     """
 
     claim: str
     dim: int
     base: tuple
     probe: Callable[[int], tuple]
-    value: Callable[[tuple, dict], float]
+    value: Callable[[tuple, dict], Fraction | float]
     witness: Callable[..., float]
     witness_points: Callable[[int, dict], Iterable]
     interior_limit: float
@@ -182,30 +183,13 @@ class Kind:
     build: Callable[..., Certificate]
     note: str
     witness_note: str
-    float_field: bool
+    max_n: int
 
 
 def _quotient(kind: Kind, base, probe, config: dict) -> float:
     """(f(probe) - f(base)) / (probe_0 - base_0), in exact rationals."""
     return float((Fraction(kind.value(probe, config))
                   - Fraction(kind.value(base, config))) / (probe[0] - base[0]))
-
-
-def _check_floats(domain: str, kind: Kind, terms: Iterable,
-                  witness: Iterable) -> None:
-    """Refuse a row (n, base, probe) with a coordinate that float would
-    round, for a kind whose field reads floats: its value there would be
-    the field's at another point.  3/4 * 2^-n and 2^-n stop being binary64
-    numbers past n = 1072 and n = 1074."""
-    if not kind.float_field:
-        return
-    for what, rows in (("term", terms), ("interior witness", witness)):
-        for n, base, probe in rows:
-            if any(Fraction(float(c)) != c for c in base + probe):
-                raise JetlabError(
-                    f"{domain} certificate {what} {n} has a coordinate that "
-                    f"is not a binary64 number; its field would be "
-                    f"evaluated at a rounded point")
 
 
 def _base_block(n_max: int, rest: tuple) -> Iterable:
@@ -220,7 +204,7 @@ def _cover_gaps(n_max: int, config: dict) -> list:
     cover at t = 1/2, where the staircase factor is locally constant."""
     t_w = Fraction(1, 2)
     rows = []
-    for k, (lo, hi) in enumerate(cantor_level(config["depth"]).gaps()):
+    for k, (lo, hi) in enumerate(exact.cantor_level(config["depth"]).gaps()):
         mid, delta = (lo + hi) / 2, (hi - lo) / 4
         rows.append((k, (mid - delta, t_w), (mid + delta, t_w)))
     return rows
@@ -228,12 +212,11 @@ def _cover_gaps(n_max: int, config: dict) -> list:
 
 def _build(domain: str, n_max: int, config: dict) -> Certificate:
     """The certificate of KINDS[domain] under config, with n_max terms."""
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
     kind = KINDS[domain]
+    if not 2 <= n_max <= kind.max_n:
+        raise ValueError(f"n_max must lie in [2, {kind.max_n}]")
     rows = [(n, kind.base, kind.probe(n)) for n in range(1, n_max + 1)]
-    witness_rows = list(kind.witness_points(n_max, config))
-    _check_floats(domain, kind, rows, witness_rows)
+    witness_rows = kind.witness_points(n_max, config)
     terms = [CertTerm(n, base, probe, _quotient(kind, base, probe, config),
                       note=kind.note)
              for n, base, probe in rows]
@@ -285,17 +268,15 @@ def certify_cantor_slit(n_max: int, ceiling: float, depth: int) -> Certificate:
     the first partial vanishes identically inside the domain (witnessed at
     gap midpoints of the level-depth cover, where the staircase factor is
     locally constant).  The config records phi_depth, the ternary digits
-    the Cantor function reads (functions.DEFAULT_PHI_DEPTH); a replay reads
-    it back from there.
+    the Cantor function reads (exact.DEFAULT_PHI_DEPTH); a replay reads it
+    back from there.
     """
-    if not 2 <= n_max <= 30:
-        raise ValueError("n_max must lie in [2, 30]")
     if depth < 1:
         raise ValueError("depth must be at least 1: the level-0 cover has "
                          "no gap to witness the interior limit in")
     return _build("cantor_slit", n_max, {
         "gap_tolerance": GAP_TOLERANCE, "ceiling": ceiling, "depth": depth,
-        "phi_depth": functions.DEFAULT_PHI_DEPTH,
+        "phi_depth": exact.DEFAULT_PHI_DEPTH,
     })
 
 
@@ -305,42 +286,44 @@ KINDS = {
         dim=2,
         base=(Fraction(0), Fraction(1)),
         probe=lambda n: (Fraction(3, 4) / 2**n, Fraction(1)),
-        value=lambda p, config: functions.example3_value(float(p[0]),
-                                                         float(p[1])),
-        witness=lambda kind, base, probe, config: functions.example3_value(
-            float(base[0]), float(base[1]), alpha=(1, 0)),
+        value=lambda p, config: exact.comb_field(p, (0, 0)),
+        witness=lambda kind, base, probe, config: float(
+            exact.comb_field(base, (1, 0))),
         witness_points=lambda n_max, config: _base_block(n_max, (Fraction(1),)),
         interior_limit=1.0,
         diverges=False,
         build=certify_comb,
         note="quotient across the gap between teeth",
         witness_note="first partial on the base block",
-        float_field=True,
+        # 3/4 * 2^-n is a binary64 number up to n = 1072: csv_rows writes
+        # each coordinate as a float
+        max_n=1072,
     ),
     "gap1d": Kind(
         claim="not-in-H",
         dim=1,
         base=(Fraction(0),),
         probe=lambda n: (Fraction(1, 2**n),),
-        value=lambda p, config: functions.gap1d_value(float(p[0])),
-        witness=lambda kind, base, probe, config: functions.gap1d_value(
-            float(base[0]), alpha=(1,)),
+        value=lambda p, config: exact.staircase(p[0], (0,)),
+        witness=lambda kind, base, probe, config: float(
+            exact.staircase(base[0], (1,))),
         witness_points=lambda n_max, config: _base_block(n_max, ()),
         interior_limit=1.0,
         diverges=False,
         build=certify_gap1d,
         note="quotient from the origin to island n",
         witness_note="slope on the base interval",
-        float_field=True,
+        # 2^-n is a binary64 number up to n = 1074
+        max_n=1074,
     ),
     "cantor_slit": Kind(
         claim="not-in-F-extension",
         dim=2,
         base=(Fraction(0), Fraction(1)),
         probe=lambda n: (Fraction(1, 3**n), Fraction(1)),
-        value=lambda p, config: functions.example1_xbar(
+        value=lambda p, config: exact.example1_xbar(
             p[0], p[1], phi_depth=int(config.get("phi_depth",
-                                                 functions.DEFAULT_PHI_DEPTH))),
+                                                 exact.DEFAULT_PHI_DEPTH))),
         witness=_quotient,
         witness_points=_cover_gaps,
         interior_limit=0.0,
@@ -348,7 +331,7 @@ KINDS = {
         build=certify_cantor_slit,
         note="quotient of the closure extension along the top edge",
         witness_note="first-partial difference quotient inside a cover gap",
-        float_field=False,
+        max_n=30,
     ),
 }
 
@@ -374,6 +357,9 @@ def _replayable_kind(cert: Certificate) -> Kind:
         if not len(term.base) == len(term.probe) == kind.dim:
             raise JetlabError(f"{cert.domain} certificate term {term.n} has "
                               f"a point that is not {kind.dim}-D")
+    if max(cert.n_max, len(cert.terms)) > kind.max_n:
+        raise JetlabError(f"{cert.domain} certificate runs past n = "
+                          f"{kind.max_n}, the kind's largest n_max")
     for n, term in enumerate(cert.terms, 1):
         if term.probe[0] == term.base[0]:
             raise JetlabError(f"quotient probe and base share the first "
@@ -391,8 +377,6 @@ def _replayable_kind(cert: Certificate) -> Kind:
     if stored != rows:
         raise JetlabError(f"{cert.domain} certificate interior witnesses are "
                           f"not the kind's witness rows")
-    _check_floats(cert.domain, kind,
-                  [(t.n, t.base, t.probe) for t in cert.terms], stored)
     return kind
 
 

@@ -8,17 +8,25 @@ comparisons between runs.
 Exit codes: 0 success, 1 a requested verification failed (membership or
 replay), 2 usage or validation errors, unreadable inputs, unwritable
 outputs or a lattice too large to allocate.
+
+Each command imports the modules it runs and calls into them through the
+module (domains.build_domain, functions.get_function, ...), so a wrapper
+set on a module attribute, as perfbench/traced_cli.py sets them, applies.
+certify, io and the parser import no numpy, so --help, certify and replay
+start without it.  main runs OpenBLAS on one thread unless the caller set
+OPENBLAS_NUM_THREADS: jetlab is single-threaded, and its only BLAS calls
+are the (n, 2) @ (2, 2) maps of affine charts.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
-from . import __version__, certify, domains, functions, glue, hestenes, io, spaces
+from . import __version__, certify, io
 from .errors import JetlabError, ReplayMismatchError
-from .grid import alpha_key, walk
 
 DEFAULTS = {
     "h": 2.0**-10,
@@ -34,15 +42,32 @@ DEFAULTS = {
     "replay_tolerance": 1e-12,
 }
 
-# --domain choice -> its constructor, fed the parsed arguments
+# --domain choice -> its constructor in domains, fed the parsed arguments
 _DOMAINS = {
-    "comb": lambda args: domains.comb(args.n_teeth),
-    "gap1d": lambda args: domains.gap_intervals(args.n_segments),
-    "cantor_slit": lambda args: domains.cantor_slit_square(args.depth),
-    "rectangle": lambda args: domains.rectangle(),
-    "disk": lambda args: domains.disk(),
-    "half_ball": lambda args: domains.half_ball(),
+    "comb": lambda domains, args: domains.comb(args.n_teeth),
+    "gap1d": lambda domains, args: domains.gap_intervals(args.n_segments),
+    "cantor_slit": lambda domains, args: domains.cantor_slit_square(args.depth),
+    "rectangle": lambda domains, args: domains.rectangle(),
+    "disk": lambda domains, args: domains.disk(),
+    "half_ball": lambda domains, args: domains.half_ball(),
 }
+
+
+class _FieldNames:
+    """The --function choices, functions.function_names() read on first
+    use: building the parser, and a parse that names no field, import no
+    numpy."""
+
+    def __contains__(self, name) -> bool:
+        return name in self._names()
+
+    def __iter__(self):
+        return iter(self._names())
+
+    @staticmethod
+    def _names() -> list[str]:
+        from . import functions
+        return functions.function_names()
 
 
 def _provenance(argv: list[str]) -> dict:
@@ -89,9 +114,22 @@ def _add_domain_args(p: argparse.ArgumentParser,
     p.add_argument("--n-segments", type=int, default=DEFAULTS["n_segments"])
 
 
+def _add_function_arg(p: argparse.ArgumentParser, required: bool) -> None:
+    # a metavar: argparse would otherwise list the choices as it adds them
+    p.add_argument("--function", required=required, choices=_FieldNames(),
+                   metavar="FUNCTION", help="one of %(choices)s")
+
+
+def _domain(args):
+    """The --domain object."""
+    from . import domains
+    return _DOMAINS[args.domain](domains, args)
+
+
 def _domain_and_function(args):
     """The --domain object and the --function jet, checked to share a dim."""
-    domain = _DOMAINS[args.domain](args)
+    from . import functions
+    domain = _domain(args)
     jet = functions.get_function(args.function, args.depth)
     if jet.dim != domain.dim:
         raise JetlabError(f"function {args.function} is {jet.dim}-D but "
@@ -100,7 +138,8 @@ def _domain_and_function(args):
 
 
 def _cmd_domain_build(args, argv) -> int:
-    domain = _DOMAINS[args.domain](args)
+    from . import domains
+    domain = _domain(args)
     q, open_mask = domains.build_domain(domain, args.h)
     payload = {
         "kind": domain.kind,
@@ -119,6 +158,7 @@ def _cmd_domain_build(args, argv) -> int:
 
 
 def _cmd_field_sample(args, argv) -> int:
+    from . import domains
     domain, jet = _domain_and_function(args)
     q, open_mask = domains.build_domain(domain, args.h)
     mask = open_mask if args.mask == "open" else q
@@ -137,6 +177,7 @@ def _cmd_field_sample(args, argv) -> int:
 
 
 def _cmd_hestenes_coeffs(args, argv) -> int:
+    from . import hestenes
     coeffs = hestenes.solve_coefficients(args.order)
     floats = " ".join(io.format_float(v) for v in coeffs.floats())
     rationals = " ".join(
@@ -160,6 +201,7 @@ def _cmd_hestenes_coeffs(args, argv) -> int:
 
 
 def _cmd_hestenes_extend(args, argv) -> int:
+    from . import hestenes
     jet = io.read_jet(args.infile)
     coeffs = hestenes.solve_coefficients(args.order)
     result = hestenes.extend_half_space_lattice(
@@ -182,6 +224,7 @@ def _cmd_hestenes_extend(args, argv) -> int:
 
 
 def _cmd_extend_prop2(args, argv) -> int:
+    from . import glue, grid
     domain, jet = _domain_and_function(args)
     result = glue.global_extend(jet, domain, args.order, h=args.h,
                                 margin=args.margin)
@@ -199,7 +242,7 @@ def _cmd_extend_prop2(args, argv) -> int:
             "sum_residual": result.sum_residual,
             "uncovered_points": result.uncovered_points,
             "interface_mismatch": {
-                alpha_key(a): v for a, v in mismatch.items()
+                grid.alpha_key(a): v for a, v in mismatch.items()
             },
         },
     }
@@ -216,6 +259,7 @@ def _cmd_extend_prop2(args, argv) -> int:
 
 
 def _cmd_space_norm(args, argv) -> int:
+    from . import domains, grid, spaces
     if args.field:
         if args.domain or args.function:
             print("space norm --field reads its jet from the file; it takes "
@@ -241,7 +285,7 @@ def _cmd_space_norm(args, argv) -> int:
         mask = open_mask if args.space == "E" else q
         order = args.order
         analytic.check_mask(mask, "mask point")
-        blocks = walk(analytic.evaluator, mask, order)
+        blocks = grid.walk(analytic.evaluator, mask, order)
         label = f"{args.function} on {domain.kind}"
     # one walk of the blocks serves the report and the scan
     reduction = spaces.reduce_blocks(blocks, mask, order, args.check)
@@ -328,8 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("field", help="sample closed-form fields")
     fsub = p.add_subparsers(dest="subcommand", required=True)
     pf = fsub.add_parser("sample", help="sample a field on a domain mask")
-    pf.add_argument("--function", required=True,
-                    choices=functions.function_names())
+    _add_function_arg(pf, required=True)
     _add_domain_args(pf)
     pf.add_argument("--order", type=int, default=DEFAULTS["order"])
     pf.add_argument("--h", type=_positive_float, default=DEFAULTS["h"])
@@ -359,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp = esub.add_parser("prop2", help="chart, reflect, and glue")
     pp.add_argument("--domain", required=True,
                     choices=("rectangle", "disk", "half_ball"))
-    pp.add_argument("--function", required=True,
-                    choices=functions.function_names())
+    _add_function_arg(pp, required=True)
     pp.add_argument("--order", type=int, default=DEFAULTS["order"])
     pp.add_argument("--h", type=_positive_float, default=DEFAULTS["h_prop2"],
                     help="lattice step of the exported window jet "
@@ -375,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     ssub = p.add_subparsers(dest="subcommand", required=True)
     pn = ssub.add_parser("norm", help="sup-norm report of a sampled jet")
     pn.add_argument("--field", help="jet artifact to read")
-    pn.add_argument("--function", choices=functions.function_names())
+    _add_function_arg(pn, required=False)
     _add_domain_args(pn, required=False)
     pn.add_argument("--space", choices=("F", "E"), default="F")
     pn.add_argument("--order", type=int, default=DEFAULTS["order"])
@@ -409,6 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    # before any command imports numpy; a value the caller set stays
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

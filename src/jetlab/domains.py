@@ -11,68 +11,18 @@ interval endpoints are thirds, so those comparisons run through Fraction.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    DepthTooLargeError,
-    ResolutionTooCoarseError,
-    UnsupportedDomainError,
-)
+from .errors import ResolutionTooCoarseError, UnsupportedDomainError
+from .exact import CantorApprox, cantor_level
 from .grid import GridMask, GridSpec, interior_of
 
-DEFAULT_INTERVAL_CAP = 2**20
 # boundary probes per chartable domain for the interface scan
 N_PROBES = 256
-
-
-@dataclass(frozen=True)
-class CantorApprox:
-    """Level-d middle-thirds cover of the Cantor set: 2^d closed intervals."""
-
-    depth: int
-    intervals: tuple[tuple[Fraction, Fraction], ...]
-    lefts: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "lefts", tuple(a for a, _ in self.intervals))
-
-    def contains(self, s) -> bool:
-        """Exact membership of s in the union of intervals."""
-        q = Fraction(s)
-        i = bisect.bisect_right(self.lefts, q) - 1
-        if i < 0:
-            return False
-        a, b = self.intervals[i]
-        return a <= q <= b
-
-    def gaps(self) -> list[tuple[Fraction, Fraction]]:
-        """Open gaps between consecutive intervals."""
-        out = []
-        for (_, b), (a2, _) in zip(self.intervals, self.intervals[1:]):
-            out.append((b, a2))
-        return out
-
-
-def cantor_level(depth: int, cap: int = DEFAULT_INTERVAL_CAP) -> CantorApprox:
-    """Remove open middle thirds depth times, starting from [0, 1]."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    if depth >= cap.bit_length():  # 2^depth > cap, without forming 2^depth
-        raise DepthTooLargeError(f"2^{depth} intervals exceeds cap {cap}")
-    intervals = [(Fraction(0), Fraction(1))]
-    for _ in range(depth):
-        refined = []
-        for a, b in intervals:
-            third = (b - a) / 3
-            refined.append((a, a + third))
-            refined.append((b - third, b))
-        intervals = refined
-    return CantorApprox(depth, tuple(intervals))
 
 
 # ---------------------------------------------------------------------------

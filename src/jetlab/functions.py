@@ -2,58 +2,22 @@
 fields whose boundary behavior the certificates exercise.
 
 Evaluators are vectorized over point arrays of shape (..., dim).  The
-certificate paths also need exact scalar values at awkward rationals such as
-3^-n, so the Cantor function walks ternary digits in exact arithmetic and the
-scalar entry points accept Fraction coordinates.
+certificates read the exact statements of the same fields, at rational
+points such as 3^-n, from jetlab.exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from . import domains, grid
 from .errors import PointOutsideRegionError
+from .exact import COMB_PARTIALS, MOLL_CUTOFF, cantor_phi
 from .grid import (GridMask, Jet, JetEvaluator, SampledJet, multi_indices,
                    row_blocks)
-
-DEFAULT_PHI_DEPTH = 60
-
-# Below this t the mollifier value underflows to zero anyway and the inverse
-# powers would overflow, so everything is clamped to exact zero.
-_MOLL_CUTOFF = 1.0 / 745.0
-
-
-def cantor_phi(s, depth: int = DEFAULT_PHI_DEPTH) -> float:
-    """Cantor-Lebesgue function by the ternary-to-binary digit map.
-
-    Exact once a ternary digit 1 appears or the expansion terminates; after
-    depth digits the remainder is truncated, an error of at most 2^-depth.
-    Accepts float, int, or Fraction.
-    """
-    if s <= 0:
-        return 0.0
-    if s >= 1:
-        return 1.0
-    x = Fraction(s)
-    value = Fraction(0)
-    weight = Fraction(1, 2)
-    for _ in range(depth):
-        x *= 3
-        digit = int(x)
-        x -= digit
-        if digit == 1:
-            value += weight
-            break
-        if digit == 2:
-            value += weight
-        weight /= 2
-        if x == 0:
-            break
-    return float(value)
 
 
 def cantor_phi_array(values) -> np.ndarray:
@@ -78,7 +42,7 @@ def mollifier_derivs(t, order: int) -> list[np.ndarray]:
     if order > 3:
         raise ValueError("mollifier derivatives implemented to order 3")
     t = np.asarray(t, dtype=np.float64)
-    active = t > _MOLL_CUTOFF
+    active = t > MOLL_CUTOFF
     u = np.where(active, 1.0 / np.where(active, t, 1.0), 0.0)
     f = np.where(active, np.exp(-u), 0.0)
     out = []
@@ -236,17 +200,6 @@ _COMB = domains.Comb(None)
 _GAPS = domains.GapIntervals(None)
 
 
-# the comb field's closed-form partials in the tooth-shifted abscissa sloc;
-# the leaf leaves out the other one, (2, 0), which vanishes
-_EXAMPLE3_PARTIALS = {
-    (0, 0): lambda sloc, t: sloc * t * t,
-    (1, 0): lambda sloc, t: t * t,
-    (0, 1): lambda sloc, t: 2.0 * sloc * t,
-    (1, 1): lambda sloc, t: 2.0 * t,
-    (0, 2): lambda sloc, t: 2.0 * sloc,
-}
-
-
 def _example3_eval(pts: np.ndarray, order: int) -> Jet:
     """Comb field: chi(s, t) on the base, its shifted copy on each tooth."""
     if order > 2:
@@ -259,20 +212,13 @@ def _example3_eval(pts: np.ndarray, order: int) -> Jet:
     on_tooth = (tooth >= 0) & (t > 0.0) & (t <= 1.0)
     sloc = np.array(s, dtype=np.float64)
     sloc[on_tooth] -= np.ldexp(0.75, -tooth[on_tooth].astype(np.int32))
-    return {alpha: _EXAMPLE3_PARTIALS[alpha](sloc, t)
-            for alpha in multi_indices(order, 2)
-            if alpha in _EXAMPLE3_PARTIALS}
+    return {alpha: COMB_PARTIALS[alpha](sloc, t)
+            for alpha in multi_indices(order, 2) if alpha in COMB_PARTIALS}
 
 
 def example3_jet() -> AnalyticJet:
     """The comb counterexample field; its jets stop at order 2."""
     return AnalyticJet("example3", 2, _example3_eval, _COMB.q)
-
-
-def example3_value(s: float, t: float, alpha=(0, 0)) -> float:
-    """Scalar comb field; exact for dyadic inputs."""
-    alpha = tuple(alpha)
-    return float(example3_jet().jet_many([[s, t]], sum(alpha))[alpha][0])
 
 
 def _gap1d_eval(pts: np.ndarray, order: int) -> Jet:
@@ -290,11 +236,6 @@ def _gap1d_eval(pts: np.ndarray, order: int) -> Jet:
 def gap1d_jet() -> AnalyticJet:
     """Identity-slope staircase on [-1, 0] and the islands [2^-n, (3/2)2^-n]."""
     return AnalyticJet("gap1d", 1, _gap1d_eval, _GAPS.q)
-
-
-def gap1d_value(s: float, alpha=(0,)) -> float:
-    alpha = tuple(alpha)
-    return float(gap1d_jet().jet_many([[s]], sum(alpha))[alpha][0])
 
 
 def _example1_eval(pts: np.ndarray, order: int) -> Jet:
@@ -324,21 +265,6 @@ def example1_jet(depth: int) -> AnalyticJet:
     """
     return AnalyticJet("example1", 2, _example1_eval,
                        domains.CantorSlit(depth).open)
-
-
-def example1_xbar(s, t, phi_depth: int) -> float:
-    """The continuous closure extension of the slit-square field on Q.
-
-    Exact-rational friendly: s may be a Fraction (needed at s = 3^-n where
-    float rounding would disturb the ternary digits).
-    """
-    if not (-1 <= s <= 1 and -1 <= t <= 1):
-        raise PointOutsideRegionError(f"({s}, {t}) is outside the closed square")
-    if not (0 < s <= 1 and 0 < t <= 1):
-        return 0.0
-    phi = cantor_phi(s, phi_depth)
-    f = float(mollifier_derivs(np.float64(t), 0)[0])
-    return phi * f
 
 
 # name -> its jet at the cover depth; only example1 reads the depth

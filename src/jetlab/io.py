@@ -5,7 +5,9 @@ floats are rendered with 17 significant digits (enough to round-trip binary64
 exactly) and keys keep insertion order.  It hands each piece of text to a
 ``write`` callable as it is encoded: ``dumps`` collects the pieces, and
 ``write_artifact`` writes them to a temporary file beside the target and
-renames it onto the target when complete.
+renames it onto the target when complete.  numpy and ``jetlab.grid`` are
+imported by the functions that encode or decode arrays or write CSV, so a
+payload without arrays is written and read without them.
 
 Arrays are binary.  Mask and jet payloads carry ``"format_version": 2``
 first, and an ndarray is written as ``{"dtype", "shape", "data"}`` with
@@ -38,13 +40,11 @@ import binascii
 import csv
 import json
 import os
+import sys
 from fractions import Fraction
 from functools import cache
 
-import numpy as np
-
 from .errors import JetlabError
-from .grid import GridMask, GridSpec, SampledJet, alpha_key, parse_alpha_key
 
 # Values (or CSV rows) encoded per block; bounds the cell matrices.  A
 # multiple of 24: a block of floats or of packed bits is whole base64 quanta.
@@ -78,11 +78,11 @@ _TIE = 1e-9
 # "e+XXX".
 _WIDTH = 46
 _POINT_COLS = slice(7, 41, 2)
-_DIGIT_INDEX = np.arange(17, dtype=np.int16)[:, None]
 
 
 def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """a = hi + lo with hi and lo of 26 significant bits each (a >= 0)."""
+    import numpy as np
     bits = (a.view(np.uint64) + np.uint64(1 << 26)) & np.uint64(2**64 - 2**27)
     hi = bits.view(np.float64)
     return hi, a - hi
@@ -91,6 +91,7 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @cache
 def _pow10() -> np.ndarray:
     """Rows hi, the two halves of hi, and lo: 10^p = hi + lo, p ascending."""
+    import numpy as np
     hi, lo = [], []
     for p in range(_POW_MIN, _POW_MAX + 1):
         exact = Fraction(10) ** p
@@ -104,6 +105,7 @@ def _pow10() -> np.ndarray:
 
 def _scaled(ax: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """floor(ax * 10^(16-k)) as int64, and the fraction it drops."""
+    import numpy as np
     hi, hi1, hi2, lo = _pow10()[:, 16 - _POW_MIN - k]
     a1, a2 = _split(ax)
     p = ax * hi
@@ -120,6 +122,7 @@ def _float_cells(values) -> np.ndarray:
     A row holds the text's bytes in order with NULs between and after them;
     dropping the NULs gives the text.  One finiteness check for all values.
     """
+    import numpy as np
     x = np.asarray(values, dtype=np.float64).ravel()
     if not np.isfinite(x).all():
         raise ValueError("non-finite float in payload")
@@ -164,7 +167,8 @@ def _float_cells(values) -> np.ndarray:
             cells[6 + 2 * c] = (digit + ord("0")) * (seen | (keep > c))
             v = q
     point = np.where(whole, k, np.where(sci & (cells[8] != 0), 0, -1))
-    cells[_POINT_COLS] = (_DIGIT_INDEX == point) * np.uint8(ord("."))
+    digit_index = np.arange(17, dtype=np.int16)[:, None]
+    cells[_POINT_COLS] = (digit_index == point) * np.uint8(ord("."))
     cells[0] = np.signbit(x) * np.uint8(ord("-"))
     lead = fixed & (k < 0)
     if lead.any():
@@ -189,12 +193,14 @@ def _float_cells(values) -> np.ndarray:
 
 def _text_cells(texts: list[str]) -> np.ndarray:
     """The given texts as NUL-padded uint8 rows."""
+    import numpy as np
     arr = np.array(texts, dtype="S")
     return arr.view(np.uint8).reshape(arr.size, arr.itemsize)
 
 
 def _rows_text(cells: list[np.ndarray], end: bytes) -> str:
     """Each row's cells joined by commas and ended by ``end``, NULs dropped."""
+    import numpy as np
     n = len(cells[0])
     comma = np.broadcast_to(np.uint8(ord(",")), (n, 1))
     tail = np.broadcast_to(np.frombuffer(end, dtype=np.uint8), (n, len(end)))
@@ -212,7 +218,10 @@ def dumps(obj) -> str:
 
 
 def _write(obj, write) -> None:
-    """Hand the text of ``obj`` to ``write`` piece by piece."""
+    """Hand the text of ``obj`` to ``write`` piece by piece.  The numpy
+    types are looked for only once numpy is loaded: before that, no object
+    can be one."""
+    np = sys.modules.get("numpy")
     if obj is None:
         write("null")
     elif obj is True:
@@ -221,9 +230,9 @@ def _write(obj, write) -> None:
         write("false")
     elif isinstance(obj, str):
         write(json.dumps(obj, ensure_ascii=True))
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, int) or np and isinstance(obj, np.integer):
         write(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, float) or np and isinstance(obj, np.floating):
         write(format_float(float(obj)))
     elif isinstance(obj, dict):
         write("{")
@@ -236,7 +245,7 @@ def _write(obj, write) -> None:
             write(":")
             _write(value, write)
         write("}")
-    elif isinstance(obj, np.ndarray):
+    elif np and isinstance(obj, np.ndarray):
         _write_array(obj, write)
     elif isinstance(obj, (list, tuple)):
         write("[")
@@ -252,6 +261,7 @@ def _write(obj, write) -> None:
 def _write_array(arr: np.ndarray, write) -> None:
     """``{"dtype", "shape", "data"}``: the base64 of the little-endian
     float64 bytes, or of the bits packed least significant first."""
+    import numpy as np
     bits = arr.dtype.kind == "b"
     if not bits and arr.dtype.kind != "f":
         raise TypeError(f"cannot serialize a {arr.dtype} array")
@@ -290,6 +300,7 @@ def grid_to_payload(grid: GridSpec) -> dict:
 
 
 def grid_from_payload(payload: dict) -> GridSpec:
+    from .grid import GridSpec
     return GridSpec(
         tuple(payload["origin"]), float(payload["h"]), tuple(payload["extents"])
     )
@@ -304,12 +315,14 @@ def mask_to_payload(mask: GridMask) -> dict:
 
 
 def mask_from_payload(payload: dict) -> GridMask:
+    from .grid import GridMask
     grid = grid_from_payload(payload["grid"])
     member = _read_array(payload, payload["mask"], "bool", grid.point_count)
     return GridMask(grid, member.reshape(grid.extents, order="C"))
 
 
 def jet_to_payload(jet: SampledJet) -> dict:
+    from .grid import alpha_key
     return {
         "format_version": _VERSION,
         "grid": grid_to_payload(jet.grid),
@@ -323,6 +336,7 @@ def jet_to_payload(jet: SampledJet) -> dict:
 
 
 def jet_from_payload(payload: dict) -> SampledJet:
+    from .grid import SampledJet, parse_alpha_key
     try:
         mask = mask_from_payload(payload)
         grid = mask.grid
@@ -343,6 +357,7 @@ def jet_from_payload(payload: dict) -> SampledJet:
 def _read_array(payload: dict, node, dtype: str, count: int) -> np.ndarray:
     """One of ``payload``'s arrays of ``count`` values, ``"<f8"`` or
     ``"bool"``: a ``_write_array`` object, or a list at version 1."""
+    import numpy as np
     if "format_version" not in payload:
         return np.asarray(node, dtype=np.float64 if dtype == "<f8" else bool)
     if payload["format_version"] != _VERSION:
@@ -422,6 +437,7 @@ def strip_provenance(text: str) -> str:
 
 def jet_to_csv(jet: SampledJet, path: str) -> None:
     """One row per lattice point: index, coordinates, mask bit, components."""
+    from .grid import alpha_key
     alphas = jet.alphas()
     _lattice_csv(
         path, jet.grid, ["mask"] + [alpha_key(a) for a in alphas],
@@ -442,6 +458,7 @@ def _lattice_csv(path: str, grid: GridSpec, names: list[str],
     ``GridSpec.coord`` bit for bit.  Rows end in ``\\r\\n`` as with
     ``csv.writer``; only the header needs its quoting.
     """
+    import numpy as np
     index_cells = [_text_cells([str(k) for k in range(n)])
                    for n in grid.extents]
     coord_cells = [_text_cells([format_float(c) for c in grid.axis_coords(a)])

@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -231,23 +232,27 @@ def test_replay_rejects_tampered_file(tmp_path, capsys):
 @pytest.mark.parametrize("kind, last", [("comb", 1072), ("gap1d", 1074)])
 def test_certify_and_replay_refuse_a_point_that_float_rounds(kind, last,
                                                              tmp_path, capsys):
-    # the comb probe 3/4 * 2^-n and the gap1d probe 2^-n are binary64
-    # numbers up to n = last; one term further, each field would be read
-    # at a rounded point
+    # the fields are exact rationals, but the CSV writes each coordinate as
+    # a float: the comb probe 3/4 * 2^-n and the gap1d probe 2^-n are
+    # binary64 numbers up to n = last, the kind's largest n_max, and one
+    # term further is refused before any row is built
     good = tmp_path / "good.json"
-    assert run(["certify", kind, "--n-max", str(last), "--out", str(good)]) == 0
+    csv = tmp_path / "good.csv"
+    assert run(["certify", kind, "--n-max", str(last), "--out", str(good),
+                "--csv", str(csv)]) == 0
     assert run(["replay", "--cert", str(good)]) == 0
     capsys.readouterr()
+    head, *rows = [line.split(",") for line in csv.read_text().splitlines()]
+    column = head.index("probe_0")
+    spec = KINDS[kind]
+    assert [Fraction(float(row[column])) for row in rows] == [
+        spec.probe(n)[0] for n in range(1, last + 1)]
     n = last + 1
-    refusal = (f"error: {kind} certificate term {n} has a coordinate that is "
-               f"not a binary64 number; its field would be evaluated at a "
-               f"rounded point\n")
     bad = tmp_path / "bad.json"
     assert run(["certify", kind, "--n-max", str(n), "--out", str(bad)]) == 2
-    assert capsys.readouterr().err == refusal
+    assert capsys.readouterr().err == f"error: n_max must lie in [2, {last}]\n"
     assert not bad.exists()
     # the same certificate written by hand is refused on replay
-    spec = KINDS[kind]
     doc = json.loads(good.read_text())
     doc["terms"].append(CertTerm(n, spec.base, spec.probe(n), 0.0,
                                  spec.note).to_payload())
@@ -257,7 +262,9 @@ def test_certify_and_replay_refuse_a_point_that_float_rounds(kind, last,
     doc["n_max"] = n
     bad.write_text(io.dumps(doc))
     assert run(["replay", "--cert", str(bad)]) == 2
-    assert capsys.readouterr().err == refusal
+    assert capsys.readouterr().err == (
+        f"error: {kind} certificate runs past n = {last}, the kind's "
+        f"largest n_max\n")
 
 
 def test_artifacts_identical_across_directories(tmp_path, monkeypatch):
@@ -320,6 +327,57 @@ def test_cli_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+# the command line in a child; after it, whether numpy is loaded, the
+# threads the process holds and its OPENBLAS_NUM_THREADS
+_CHILD = """
+import os, sys
+from jetlab.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+tasks = (len(os.listdir("/proc/self/task"))
+         if os.path.isdir("/proc/self/task") else -1)
+print("numpy" in sys.modules, tasks, os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.exit(code)
+"""
+
+
+def _child(argv, cwd, **env):
+    """(numpy loaded, thread count, OPENBLAS_NUM_THREADS) after the command
+    argv, run in a child whose environment sets only env of that variable."""
+    src = os.path.dirname(os.path.dirname(jetlab.__file__))
+    base = {k: v for k, v in os.environ.items()
+            if k != "OPENBLAS_NUM_THREADS"}
+    done = subprocess.run([sys.executable, "-c", _CHILD, *argv],
+                          env=dict(base, PYTHONPATH=src, **env), cwd=cwd,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    numpy, tasks, blas = done.stdout.splitlines()[-1].split()
+    return numpy == "True", int(tasks), blas
+
+
+def test_help_starts_without_numpy(tmp_path):
+    assert not _child(["--help"], tmp_path)[0]
+
+
+@pytest.mark.parametrize("kind", ["comb", "gap1d", "cantorslit"])
+def test_certify_and_replay_start_without_numpy(kind, tmp_path):
+    assert not _child(["certify", kind, "--out", "c.json", "--csv", "c.csv"],
+                      tmp_path)[0]
+    assert not _child(["replay", "--cert", "c.json"], tmp_path)[0]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="no /proc/self/task to count threads in")
+def test_an_array_command_runs_one_blas_thread(tmp_path):
+    argv = ["domain", "build", "--domain", "disk", "--h", "0.25",
+            "--out", "d.json"]
+    assert _child(argv, tmp_path) == (True, 1, "1")
+    # a value the caller set is left as given
+    assert _child(argv, tmp_path, OPENBLAS_NUM_THREADS="2")[2] == "2"
 
 
 def test_perfbench_tracer_finds_every_name_it_wraps(tmp_path):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jetlab import domains
+from jetlab import domains, exact
 from jetlab.errors import (
     DepthTooLargeError,
     ResolutionTooCoarseError,
@@ -31,13 +31,13 @@ def ternary_cover_intervals(depth):
 
 @pytest.mark.parametrize("depth", [0, 1, 2, 3, 5])
 def test_cantor_level_matches_digit_oracle(depth):
-    approx = domains.cantor_level(depth)
+    approx = exact.cantor_level(depth)
     assert list(approx.intervals) == ternary_cover_intervals(depth)
     assert sum(b - a for a, b in approx.intervals) == Fraction(2, 3) ** depth
 
 
 def test_cantor_contains_exact():
-    approx = domains.cantor_level(3)
+    approx = exact.cantor_level(3)
     assert approx.contains(Fraction(0))
     assert approx.contains(Fraction(1))
     assert approx.contains(Fraction(1, 3))  # interval endpoint stays in
@@ -45,11 +45,11 @@ def test_cantor_contains_exact():
     assert not approx.contains(Fraction(4, 10))
     # 1/4 is in the true Cantor set, hence in every cover level
     for d in range(7):
-        assert domains.cantor_level(d).contains(Fraction(1, 4))
+        assert exact.cantor_level(d).contains(Fraction(1, 4))
 
 
 def test_cantor_gaps():
-    approx = domains.cantor_level(2)
+    approx = exact.cantor_level(2)
     gaps = approx.gaps()
     assert len(gaps) == 3
     assert gaps[0] == (Fraction(1, 9), Fraction(2, 9))
@@ -59,16 +59,16 @@ def test_cantor_gaps():
 
 def test_cantor_level_caps():
     with pytest.raises(ValueError):
-        domains.cantor_level(-1)
+        exact.cantor_level(-1)
     with pytest.raises(DepthTooLargeError):
-        domains.cantor_level(25)
+        exact.cantor_level(25)
 
 
 def test_cantor_level_cap_is_checked_without_forming_the_power():
-    assert len(domains.cantor_level(3, cap=8).intervals) == 8
+    assert len(exact.cantor_level(3, cap=8).intervals) == 8
     for depth, cap in ((4, 8), (3, 7), (10**300, 2**20)):
         with pytest.raises(DepthTooLargeError):
-            domains.cantor_level(depth, cap=cap)
+            exact.cantor_level(depth, cap=cap)
 
 
 def test_comb_geometry():

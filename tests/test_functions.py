@@ -8,20 +8,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jetlab import domains, functions, io
 from jetlab.cli import main
-from jetlab.domains import cantor_level
 from jetlab.errors import PointOutsideRegionError
-from jetlab.functions import (
+from jetlab.exact import (
     DEFAULT_PHI_DEPTH,
+    cantor_level,
     cantor_phi,
-    cantor_phi_array,
+    comb_field,
     example1_xbar,
-    example3_value,
+    staircase,
+)
+from jetlab.functions import (
+    cantor_phi_array,
     function_names,
-    gap1d_value,
     get_function,
     mollifier_derivs,
     polynomial_jet,
@@ -154,19 +156,20 @@ def test_polynomial_jet_partials():
 
 
 def test_example3_values():
-    # base: chi itself
-    assert example3_value(-0.5, 0.5) == -0.125
-    assert example3_value(-0.5, 1.0, (1, 0)) == 1.0
+    # the exact comb field; base: chi itself
+    half, s = Fraction(1, 2), Fraction(4, 5)
+    assert comb_field((-half, half), (0, 0)) == Fraction(-1, 8)
+    assert comb_field((-half, 1), (1, 0)) == 1
     # tooth 0 spans [0.75, 1]: the abscissa restarts at the tooth root
-    assert example3_value(0.8, 0.5) == pytest.approx(0.05 * 0.25, abs=1e-15)
-    assert example3_value(0.75, 0.5) == 0.0
-    assert example3_value(0.8, 0.5, (1, 0)) == 0.25
-    assert example3_value(0.8, 0.5, (0, 1)) == pytest.approx(2 * 0.05 * 0.5)
-    assert example3_value(0.8, 0.5, (1, 1)) == 1.0
-    assert example3_value(0.8, 0.5, (0, 2)) == pytest.approx(0.1)
-    # gap points and far field evaluate to zero through the raw evaluator
-    assert example3_value(0.7, 0.5) == 0.0
-    assert example3_value(0.8, 1.5) == 0.0
+    assert comb_field((s, half), (0, 0)) == Fraction(1, 20) / 4
+    assert comb_field((Fraction(3, 4), half), (0, 0)) == 0
+    assert comb_field((s, half), (1, 0)) == Fraction(1, 4)
+    assert comb_field((s, half), (0, 1)) == Fraction(1, 20)
+    assert comb_field((s, half), (1, 1)) == 1
+    assert comb_field((s, half), (0, 2)) == Fraction(1, 10)
+    # gap points and far field are off the comb
+    assert comb_field((Fraction(7, 10), half), (0, 0)) == 0
+    assert comb_field((s, Fraction(3, 2)), (0, 0)) == 0
 
 
 def one_point_mask(*coords):
@@ -198,12 +201,13 @@ def test_example3_samples_every_tooth():
 
 
 def test_gap1d_values():
-    assert gap1d_value(-0.5) == -0.5
-    assert gap1d_value(0.0) == 0.0
-    assert gap1d_value(0.5) == 0.0       # island 1 starts at 2^-1
-    assert gap1d_value(0.75) == 0.25
-    assert gap1d_value(0.625, (1,)) == 1.0
-    assert gap1d_value(0.4) == 0.0       # gap
+    # the exact staircase
+    assert staircase(Fraction(-1, 2), (0,)) == Fraction(-1, 2)
+    assert staircase(0, (0,)) == 0
+    assert staircase(Fraction(1, 2), (0,)) == 0  # island 1 starts at 2^-1
+    assert staircase(Fraction(3, 4), (0,)) == Fraction(1, 4)
+    assert staircase(Fraction(5, 8), (1,)) == 1
+    assert staircase(Fraction(2, 5), (0,)) == 0  # gap
     jet = get_function("gap1d", depth=4)
     with pytest.raises(PointOutsideRegionError, match=r"\(0\.4,\)"):
         jet.check_mask(one_point_mask(0.4), "point")
@@ -472,10 +476,63 @@ def test_the_fields_leave_out_their_zero_partials():
 
 
 def test_scalar_readers_read_a_partial_left_out_as_zero():
-    assert example3_value(0.8, 0.5, (2, 0)) == 0.0
-    assert example3_value(-0.5, 0.5, (2, 0)) == 0.0
-    assert gap1d_value(0.625, (2,)) == 0.0
-    assert gap1d_value(-0.5, (3,)) == 0.0
+    assert comb_field((Fraction(4, 5), Fraction(1, 2)), (2, 0)) == 0
+    assert comb_field((Fraction(-1, 2), Fraction(1, 2)), (2, 0)) == 0
+    assert staircase(Fraction(5, 8), (2,)) == 0
+    assert staircase(Fraction(-1, 2), (3,)) == 0
+
+
+# Dyadic abscissae with few significant bits: on the base and past it, and
+# m * 2^-n for m in [1/2, 1] and [1, 2], which puts s on a_n (m = 3/4), b_n
+# (m = 1/2, 1), a tooth, a gap between teeth, an island or the gap past it.
+# With an ordinate of 8 fraction bits every comb partial, at most three
+# factors, is a binary64 number.
+_BASE = st.integers(-2**12 - 8, 2**12 + 8).map(lambda k: Fraction(k, 2**12))
+_TEETH = st.builds(lambda k, n: Fraction(k, 2**(10 + n)),
+                   st.integers(2**9, 2**10), st.integers(0, 1000))
+_ISLANDS = st.builds(lambda k, n: Fraction(k, 2**(10 + n)),
+                     st.integers(2**10, 2**11), st.integers(0, 1000))
+_ORDINATE = st.integers(-2**8 - 4, 2**8 + 4).map(lambda k: Fraction(k, 2**8))
+
+
+def _read(jet, *coords):
+    """The jet's partials at the point coords, binary64 numbers themselves,
+    as exact rationals."""
+    assert all(Fraction(float(c)) == c for c in coords)
+    values = jet.jet_many(np.array([[float(c) for c in coords]]), 2)
+    return {alpha: Fraction(float(v[0])) for alpha, v in values.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_BASE, _TEETH), _ORDINATE)
+@example(Fraction(0.8), Fraction(0.5))
+@example(Fraction(-0.5), Fraction(0.5))
+@example(Fraction(-0.5), Fraction(1))
+@example(Fraction(0.75), Fraction(0.5))
+@example(Fraction(0.7), Fraction(0.5))
+@example(Fraction(0.8), Fraction(1.5))
+@example(Fraction(3, 4) / 2**1072, Fraction(1))
+@example(Fraction(1, 2**1072), Fraction(1))
+@example(-Fraction(1, 2**1074), Fraction(1))
+def test_the_exact_comb_field_is_its_jet(s, t):
+    # the certificates' Fraction field and the lattices' numpy field agree
+    # at every partial, on the base, the teeth, the gaps and off the comb
+    jet = _read(functions.example3_jet(), s, t)
+    assert jet == {alpha: comb_field((s, t), alpha) for alpha in jet}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_BASE, _ISLANDS))
+@example(Fraction(-0.5))
+@example(Fraction(0))
+@example(Fraction(0.5))
+@example(Fraction(0.75))
+@example(Fraction(0.625))
+@example(Fraction(0.4))
+@example(Fraction(1, 2**1074))
+def test_the_exact_staircase_is_its_jet(s):
+    jet = _read(functions.gap1d_jet(), s)
+    assert jet == {alpha: staircase(s, alpha) for alpha in jet}
 
 
 @pytest.mark.parametrize("name,args", [

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from jetlab import cli, domains, functions, grid, io
+from jetlab import domains, functions, grid, io
 from jetlab.cli import DEFAULTS, main
 from jetlab.errors import (
     EmptyMaskError,
@@ -451,7 +451,7 @@ def test_one_pass_norm_evaluates_each_masked_point_once(monkeypatch):
 
     field.evaluator = counted
     monkeypatch.setattr(functions, "get_function", lambda name, depth: field)
-    monkeypatch.setattr(cli, "walk", walked)
+    monkeypatch.setattr(grid, "walk", walked)
     with contextlib.redirect_stdout(stdio.StringIO()):
         assert main(CANTOR_E3 + ["--h", str(h)]) == 1
     blocks = [rows for rows in row_blocks(omega.grid.extents)

@@ -16,8 +16,11 @@ default nothing reads.
 import ast
 import importlib
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -104,16 +107,33 @@ def test_readme_public_api_line_is_all():
         name for name in jetlab.__all__ if name != "__version__")
 
 
+def test_the_package_resolves_its_public_names_on_first_use():
+    for name in jetlab.__all__:
+        assert getattr(jetlab, name) is not None
+    assert set(jetlab.__all__) <= set(dir(jetlab))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        jetlab.no_such_name
+
+
+def test_importing_the_package_imports_no_module_of_it():
+    code = ("import jetlab, sys; "
+            "assert not [m for m in sys.modules if m.startswith('jetlab.')]")
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 # names the package dropped because only tests called them
 @pytest.mark.parametrize("qualified", [
     "grid.jet_add", "grid.jet_scale", "grid.closure_of", "grid.boundary_of",
     "grid.GridMask.same_lattice", "grid.SampledJet.component",
-    "domains.CantorApprox.total_length", "domains.comb_a", "domains.comb_b",
+    "exact.CantorApprox.total_length", "domains.comb_a", "domains.comb_b",
     "spaces.norm_f", "spaces.norm_e", "spaces.norm_g", "functions.mollifier",
     "functions.AnalyticJet.partial", "functions.AnalyticJet.partial_many",
     "hestenes.HalfSpaceExtension.partial",
     "hestenes.HestenesCoefficients.residual", "certify.build_certificate",
-    "io.loads",
+    "io.loads", "functions.example3_value", "functions.gap1d_value",
 ])
 def test_a_dropped_name_that_returns_is_caught(qualified):
     trees = src_trees()
@@ -131,7 +151,7 @@ def test_a_dropped_name_that_returns_is_caught(qualified):
 # defaulted parameters that no src/ call sets, each with why it stays
 UNSET_ALLOWED = {
     "cli.main.argv": "the console entry point calls main() bare",
-    "domains.cantor_level.cap": "the seam tests use to reach the cap at 2^3",
+    "exact.cantor_level.cap": "the seam tests use to reach the cap at 2^3",
     "domains.Rectangle.bounds": "the domain's geometry, written to params",
     "domains.Disk.center": "the domain's geometry, written to params",
     "domains.Disk.radius": "the domain's geometry, written to params",
@@ -263,7 +283,7 @@ def test_always_set_allowlist_entries_are_still_always_set():
     "hestenes.corner_extension.inward", "hestenes.extend_analytic.axis",
     "functions.polynomial_jet.dim", "functions.gap1d_jet.n_segments",
     "functions.example3_jet.n_teeth", "functions.example1_jet.phi_depth",
-    "functions.example1_xbar.t_order", "functions.cantor_phi_array.depth",
+    "exact.example1_xbar.t_order", "functions.cantor_phi_array.depth",
     "certify.certify_cantor_slit.phi_depth",
     "glue.interface_jet_mismatch.n_probes",
     "domains.PolarSectorChart.kind", "domains.PolarSectorChart.half_exact",
@@ -295,7 +315,7 @@ def test_a_dropped_parameter_that_returns_is_caught(qualified):
     "hestenes.extend_half_space_lattice.axis",
     "hestenes.extend_half_space_lattice.boundary",
     "hestenes.extend_half_space_lattice.inward",
-    "hestenes.corner_extension.max_depth", "functions.example1_xbar.phi_depth",
+    "hestenes.corner_extension.max_depth", "exact.example1_xbar.phi_depth",
     "glue._pair_alpha.dim", "certify.CertTerm.note",
     "certify.Certificate.config", "io.write_artifact.provenance",
 ])
