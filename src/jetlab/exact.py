@@ -9,7 +9,7 @@ and domains.gap_segment_index_array written for one exact number.  The
 vectorized jets of functions read the same comb partials (COMB_PARTIALS)
 and mollifier cutoff, and domains the same Cantor cover.
 
-No module here imports numpy, so certify and replay start without it.
+This module imports no numpy, so certify and replay start without it.
 """
 
 from __future__ import annotations
