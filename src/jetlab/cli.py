@@ -21,6 +21,8 @@ are the (n, 2) @ (2, 2) maps of affine charts.
 from __future__ import annotations
 
 import argparse
+import csv
+import importlib
 import math
 import os
 import sys
@@ -42,32 +44,30 @@ DEFAULTS = {
     "replay_tolerance": 1e-12,
 }
 
-# --domain choice -> its constructor in domains, fed the parsed arguments
-_DOMAINS = {
-    "comb": lambda domains, args: domains.comb(args.n_teeth),
-    "gap1d": lambda domains, args: domains.gap_intervals(args.n_segments),
-    "cantor_slit": lambda domains, args: domains.cantor_slit_square(args.depth),
-    "rectangle": lambda domains, args: domains.rectangle(),
-    "disk": lambda domains, args: domains.disk(),
-    "half_ball": lambda domains, args: domains.half_ball(),
-}
+# the domain kinds' parameter flags (Domain.required_fields)
+_PARAMS = ("depth", "n_teeth", "n_segments")
 
 
-class _FieldNames:
-    """The --function choices, functions.function_names() read on first
-    use: building the parser, and a parse that names no field, import no
-    numpy."""
+def _module(name: str):
+    return importlib.import_module(f".{name}", __package__)
+
+
+class _Choices:
+    """argparse choices that names() lists when argparse first reads them."""
+
+    def __init__(self, names):
+        self.names = names
 
     def __contains__(self, name) -> bool:
-        return name in self._names()
+        return name in self.names()
 
     def __iter__(self):
-        return iter(self._names())
+        return iter(self.names())
 
-    @staticmethod
-    def _names() -> list[str]:
-        from . import functions
-        return functions.function_names()
+
+_FUNCTIONS = _Choices(lambda: _module("functions").function_names())
+_KINDS = _Choices(lambda: _module("domains").KINDS)
+_CHARTABLE = _Choices(lambda: _module("domains").CHARTABLE)
 
 
 def _provenance(argv: list[str]) -> dict:
@@ -79,58 +79,79 @@ def _provenance(argv: list[str]) -> dict:
     }
 
 
-def _positive_float(text: str) -> float:
-    """argparse type of --h, --margin, --tol, --ceiling and --tolerance."""
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(
-            f"must be a positive finite number, not {text!r}")
-    return value
+def _float_type(accepts, what: str):
+    """The argparse type of a float for which accepts(value) holds."""
+    def number(text: str) -> float:  # argparse names it for a non-number
+        value = float(text)
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, not {text!r}")
+        return value
+    return number
 
 
-def _finite_float(text: str) -> float:
-    """argparse type of --boundary."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number, not {text!r}")
-    return value
+_positive_float = _float_type(lambda v: math.isfinite(v) and v > 0.0,
+                              "a positive finite number")
+_finite_float = _float_type(math.isfinite, "a finite number")
+_sign = _float_type(lambda v: v in (1.0, -1.0), "1 or -1")  # a wall side
 
 
-def _sign(text: str) -> float:
-    """argparse type of --inward: the side of the wall the jet sits on."""
-    value = float(text)
-    if value not in (1.0, -1.0):
-        raise argparse.ArgumentTypeError(f"must be 1 or -1, not {text!r}")
-    return value
+def _add_choice_arg(p: argparse.ArgumentParser, flag: str,
+                    choices: _Choices, required: bool) -> None:
+    # a metavar: argparse would otherwise list the choices as it adds them
+    p.add_argument(flag, required=required, choices=choices,
+                   metavar=flag[2:].upper(), help="one of %(choices)s")
 
 
 def _add_domain_args(p: argparse.ArgumentParser,
                      required: bool = True) -> None:
-    p.add_argument("--domain", required=required, choices=tuple(_DOMAINS))
-    p.add_argument("--depth", type=int, default=DEFAULTS["depth"],
-                   help="cover level for cantor_slit")
-    p.add_argument("--n-teeth", type=int, default=DEFAULTS["n_teeth"])
-    p.add_argument("--n-segments", type=int, default=DEFAULTS["n_segments"])
+    _add_choice_arg(p, "--domain", _KINDS, required)
+    for name in _PARAMS:
+        p.add_argument("--" + name.replace("_", "-"), type=int)
 
 
-def _add_function_arg(p: argparse.ArgumentParser, required: bool) -> None:
-    # a metavar: argparse would otherwise list the choices as it adds them
-    p.add_argument("--function", required=required, choices=_FieldNames(),
-                   metavar="FUNCTION", help="one of %(choices)s")
-
-
-def _domain(args):
-    """The --domain object."""
-    from . import domains
-    return _DOMAINS[args.domain](domains, args)
+def _check_flags(args) -> None:
+    """Refuse each flag given that the chosen path does not read; set
+    DEFAULTS on each None-default flag it reads: a kind's parameter
+    (--depth also DEPTH_FIELD's) and space norm's --h, --order and --tol."""
+    flags = vars(args)
+    if "domain" not in flags:  # a command with no --domain reads every flag
+        return
+    path = f"{args.command} {args.subcommand}"
+    reads = {"tol"} if flags.get("check", True) else set()
+    if flags.get("field") is not None:
+        path += " --field"
+    else:
+        path += "".join(f" --{k} {flags[k]}" for k in ("domain", "function")
+                        if flags.get(k) is not None)
+        reads |= {"function", "domain", "order", "h"}
+        if flags.get("domain"):
+            kind = _module("domains").KINDS[args.domain]
+            reads.update(kind.required_fields())
+        if flags.get("function") == _module("functions").DEPTH_FIELD:
+            reads.add("depth")
+            flags.setdefault("depth", None)  # extend prop2 has no --depth
+    unread = ["--" + k.replace("_", "-")
+              for k in ("function", "domain", *_PARAMS, "order", "h", "tol")
+              if k not in reads and flags.get(k) is not None]
+    if unread:
+        raise JetlabError(f"{path} does not read {', '.join(unread)}")
+    for k in reads:
+        if flags.get(k, 0) is None:
+            if k not in DEFAULTS:  # space norm's --domain or --function
+                raise JetlabError("space norm needs --field or (--domain "
+                                  "and --function)")
+            flags[k] = DEFAULTS[k]
 
 
 def _domain_and_function(args):
-    """The --domain object and the --function jet, checked to share a dim."""
-    from . import functions
-    domain = _domain(args)
-    jet = functions.get_function(args.function, args.depth)
+    """The --domain object, built by its kind's class, and the --function
+    jet (None for domain build), checked to share a dim."""
+    from . import domains, functions
+    kind = domains.KINDS[args.domain]
+    domain = kind(*(getattr(args, name) for name in kind.required_fields()))
+    if "function" not in args:
+        return domain, None
+    jet = functions.get_function(args.function, getattr(args, "depth", None))
     if jet.dim != domain.dim:
         raise JetlabError(f"function {args.function} is {jet.dim}-D but "
                           f"domain {domain.kind} is {domain.dim}-D")
@@ -139,7 +160,7 @@ def _domain_and_function(args):
 
 def _cmd_domain_build(args, argv) -> int:
     from . import domains
-    domain = _domain(args)
+    domain, _ = _domain_and_function(args)
     q, open_mask = domains.build_domain(domain, args.h)
     payload = {
         "kind": domain.kind,
@@ -180,11 +201,7 @@ def _cmd_hestenes_coeffs(args, argv) -> int:
     from . import hestenes
     coeffs = hestenes.solve_coefficients(args.order)
     floats = " ".join(io.format_float(v) for v in coeffs.floats())
-    rationals = " ".join(
-        f"{v.numerator}/{v.denominator}" if v.denominator != 1
-        else str(v.numerator)
-        for v in coeffs.values
-    )
+    rationals = " ".join(map(str, coeffs.values))
     print(f"order {args.order}")
     print(f"rational: {rationals}")
     print(f"decimal:  {floats}")
@@ -260,11 +277,8 @@ def _cmd_extend_prop2(args, argv) -> int:
 
 def _cmd_space_norm(args, argv) -> int:
     from . import domains, grid, spaces
+    label = "Omega" if args.space == "E" else "Q"
     if args.field:
-        if args.domain or args.function:
-            print("space norm --field reads its jet from the file; it takes "
-                  "no --domain or --function", file=sys.stderr)
-            return 2
         payload = io.read_artifact(args.field)
         # field sample records the mask it sampled beside the jet
         recorded = payload.get("mask") if "jet" in payload else None
@@ -274,25 +288,20 @@ def _cmd_space_norm(args, argv) -> int:
                               f"space {args.space} reads mask {wanted!r}")
         jet = io.jet_from_payload(payload.get("jet", payload))
         mask, order, blocks = jet.mask, jet.order, jet.blocks()
-        label = args.field
+        source = args.field
+        label = "window" if "margin" in payload else label  # extend prop2
     else:
-        if not args.function or not args.domain:
-            print("space norm needs --field or (--domain and --function)",
-                  file=sys.stderr)
-            return 2
         domain, analytic = _domain_and_function(args)
         q, open_mask = domains.build_domain(domain, args.h)
         mask = open_mask if args.space == "E" else q
         order = args.order
         analytic.check_mask(mask, "mask point")
         blocks = grid.walk(analytic.evaluator, mask, order)
-        label = f"{args.function} on {domain.kind}"
+        source = f"{args.function} on {domain.kind}"
     # one walk of the blocks serves the report and the scan
     reduction = spaces.reduce_blocks(blocks, mask, order, args.check)
-    report = spaces.norm_report(
-        reduction, args.space, "Omega" if args.space == "E" else "Q"
-    )
-    out_payload = {"source": label, "norm": report.to_payload()}
+    report = spaces.norm_report(reduction, args.space, label)
+    out_payload = {"source": source, "norm": report.to_payload()}
     verdict = None
     if args.check:
         checker = (spaces.check_membership_e if args.space == "E"
@@ -322,13 +331,10 @@ def _cmd_certify(args, argv) -> int:
         return 1
     io.write_artifact(args.out, cert.to_payload(), _provenance(argv))
     if args.csv:
-        rows = cert.csv_rows()
-        with open(args.csv, "w") as fh:
-            for row in rows:
-                fh.write(",".join(
-                    io.format_float(v) if isinstance(v, float) else str(v)
-                    for v in row
-                ) + "\n")
+        with open(args.csv, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [io.format_float(v) if isinstance(v, float) else v
+                 for v in row] for row in cert.csv_rows())
     if cert.diverges:
         print(
             f"wrote {args.out}: diverges, first |d_n| > "
@@ -372,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("field", help="sample closed-form fields")
     fsub = p.add_subparsers(dest="subcommand", required=True)
     pf = fsub.add_parser("sample", help="sample a field on a domain mask")
-    _add_function_arg(pf, required=True)
+    _add_choice_arg(pf, "--function", _FUNCTIONS, required=True)
     _add_domain_args(pf)
     pf.add_argument("--order", type=int, default=DEFAULTS["order"])
     pf.add_argument("--h", type=_positive_float, default=DEFAULTS["h"])
@@ -400,9 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extend", help="global extension pipeline")
     esub = p.add_subparsers(dest="subcommand", required=True)
     pp = esub.add_parser("prop2", help="chart, reflect, and glue")
-    pp.add_argument("--domain", required=True,
-                    choices=("rectangle", "disk", "half_ball"))
-    _add_function_arg(pp, required=True)
+    _add_choice_arg(pp, "--domain", _CHARTABLE, required=True)
+    _add_choice_arg(pp, "--function", _FUNCTIONS, required=True)
     pp.add_argument("--order", type=int, default=DEFAULTS["order"])
     pp.add_argument("--h", type=_positive_float, default=DEFAULTS["h_prop2"],
                     help="lattice step of the exported window jet "
@@ -411,18 +416,18 @@ def build_parser() -> argparse.ArgumentParser:
                     default=DEFAULTS["margin"])
     pp.add_argument("--out", required=True)
     pp.add_argument("--csv")
-    pp.set_defaults(func=_cmd_extend_prop2, depth=DEFAULTS["depth"])
+    pp.set_defaults(func=_cmd_extend_prop2)
 
     p = sub.add_parser("space", help="norms and membership scans")
     ssub = p.add_subparsers(dest="subcommand", required=True)
     pn = ssub.add_parser("norm", help="sup-norm report of a sampled jet")
     pn.add_argument("--field", help="jet artifact to read")
-    _add_function_arg(pn, required=False)
+    _add_choice_arg(pn, "--function", _FUNCTIONS, required=False)
     _add_domain_args(pn, required=False)
     pn.add_argument("--space", choices=("F", "E"), default="F")
-    pn.add_argument("--order", type=int, default=DEFAULTS["order"])
-    pn.add_argument("--h", type=_positive_float, default=DEFAULTS["h"])
-    pn.add_argument("--tol", type=_positive_float, default=DEFAULTS["tol"])
+    pn.add_argument("--order", type=int)
+    pn.add_argument("--h", type=_positive_float)
+    pn.add_argument("--tol", type=_positive_float, help="tolerance of --check")
     pn.add_argument("--check", action="store_true",
                     help="also run the membership scan; exit 1 on violation")
     pn.add_argument("--out")
@@ -456,6 +461,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args, argv)
     except (JetlabError, ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -12,7 +12,7 @@ interval endpoints are thirds, so those comparisons run through Fraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -189,12 +189,12 @@ Chart = AffineChart | PolarSectorChart
 class Domain:
     """A closed set Q on the line or in the plane, with exact membership.
 
-    Subclasses set kind (the payload name) and bbox and define params and
-    the closure predicate q, which takes one broadcastable coordinate array
-    per axis.  open is None when the open set is the lattice interior of Q,
-    else a predicate like q.  Only the chartable kinds have charts,
-    interior_chart and probes: a pathological boundary is the obstruction
-    under study, not an implementation gap.
+    Subclasses set kind (the payload and --domain name) and bbox and define
+    params and the closure predicate q, which takes one broadcastable
+    coordinate array per axis.  open is None when the open set is the
+    lattice interior of Q, else a predicate like q.  Only the chartable
+    kinds have charts, interior_chart and probes: a pathological boundary
+    is the obstruction under study, not an implementation gap.
     """
 
     kind: str
@@ -204,6 +204,12 @@ class Domain:
 
     def params(self) -> dict:
         return {}
+
+    @classmethod
+    def required_fields(cls) -> tuple[str, ...]:
+        """The init fields with no default: the kind's parameter, if any."""
+        return tuple(f.name for f in fields(cls)
+                     if f.init and f.default is MISSING)
 
     def check_resolution(self, h: float) -> None:
         """Raise ResolutionTooCoarseError when h cannot resolve the domain."""
@@ -527,18 +533,17 @@ class HalfBall(Domain):
         return (np.abs(s) <= depth) & (np.abs(t) <= 0.85)
 
 
-# the public constructors
-comb = Comb
-gap_intervals = GapIntervals
-cantor_slit_square = CantorSlit
-rectangle = Rectangle
-disk = Disk
-half_ball = HalfBall
+# kind -> its class
+KINDS = {cls.kind: cls for cls in (Comb, GapIntervals, CantorSlit,
+                                    Rectangle, Disk, HalfBall)}
+# the kinds with an atlas of their boundary
+CHARTABLE = tuple(kind for kind, cls in KINDS.items()
+                  if cls.charts is not Domain.charts)
 
 
 def regular_q_member(domain: Domain, s, t):
     """Closure membership of a chartable domain; the others raise."""
-    if not isinstance(domain, (Rectangle, Disk, HalfBall)):
+    if domain.kind not in CHARTABLE:
         raise UnsupportedDomainError(f"{domain.kind} is not a regular domain")
     return domain.q(np.asarray(s, dtype=np.float64),
                     np.asarray(t, dtype=np.float64))

@@ -8,6 +8,7 @@ points such as 3^-n, from jetlab.exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -120,13 +121,6 @@ class AnalyticJet:
         return grid.sample(self.evaluator, mask, order)
 
 
-def _falling(p: int, k: int) -> float:
-    out = 1.0
-    for j in range(k):
-        out *= p - j
-    return out
-
-
 def polynomial_jet(name: str,
                    terms: dict[tuple[int, ...], float]) -> AnalyticJet:
     """Jet of a planar polynomial given as {exponent tuple: coefficient}.
@@ -136,15 +130,11 @@ def polynomial_jet(name: str,
     def partial(pts: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
         out = np.zeros(pts.shape[:-1], dtype=np.float64)
         for powers, coeff in terms.items():
-            factor = coeff
-            ok = True
-            for a, p in zip(alpha, powers):
-                if a > p:
-                    ok = False
-                    break
-                factor *= _falling(p, a)
-            if not ok:
+            if any(a > p for a, p in zip(alpha, powers)):
                 continue
+            factor = coeff
+            for a, p in zip(alpha, powers):
+                factor *= math.perm(p, a)  # the falling factorial p!/(p-a)!
             term = np.full(pts.shape[:-1], factor, dtype=np.float64)
             for axis, (a, p) in enumerate(zip(alpha, powers)):
                 if p - a > 0:
@@ -267,23 +257,26 @@ def example1_jet(depth: int) -> AnalyticJet:
                        domains.CantorSlit(depth).open)
 
 
-# name -> its jet at the cover depth; only example1 reads the depth
+# name -> the factory of its jet
 _REGISTRY = {
     "example1": example1_jet,
-    "example3": lambda depth: example3_jet(),
-    "gap1d": lambda depth: gap1d_jet(),
-    "chi": lambda depth: chi_jet(),
-    "sum_st": lambda depth: sum_st_jet(),
-    "sin_cos": lambda depth: sin_cos_jet(),
-    "exp1d": lambda depth: exp1d_jet(),
+    "example3": example3_jet,
+    "gap1d": gap1d_jet,
+    "chi": chi_jet,
+    "sum_st": sum_st_jet,
+    "sin_cos": sin_cos_jet,
+    "exp1d": exp1d_jet,
 }
+# the one field that reads a cover depth: its region is the slit square's
+DEPTH_FIELD = "example1"
 
 
-def get_function(name: str, depth: int) -> AnalyticJet:
-    """CLI-addressable field lookup."""
+def get_function(name: str, depth: int | None) -> AnalyticJet:
+    """CLI-addressable field lookup; depth goes to DEPTH_FIELD alone."""
     if name not in _REGISTRY:
-        raise KeyError(f"unknown function {name!r}; choices: {sorted(_REGISTRY)}")
-    return _REGISTRY[name](depth)
+        raise KeyError(f"unknown function {name!r}; "
+                       f"choices: {function_names()}")
+    return _REGISTRY[name](depth) if name == DEPTH_FIELD else _REGISTRY[name]()
 
 
 def function_names() -> list[str]:

@@ -28,6 +28,9 @@ Jet = dict[tuple[int, ...], np.ndarray]
 # The one evaluator protocol: (points of shape (..., dim), order) -> Jet.
 JetEvaluator = Callable[[np.ndarray, int], Jet]
 
+# The highest jet order jetlab takes, the reflection's included.
+MAX_ORDER = 12
+
 # Bulk passes over a lattice take it in blocks of about this many points,
 # which bounds their temporaries.
 CHUNK_POINTS = 2**16
@@ -42,17 +45,12 @@ def row_blocks(shape: tuple[int, ...]) -> Iterator[slice]:
 
 def multi_indices(order: int, dim: int) -> list[tuple[int, ...]]:
     """All multi-indices with |alpha| <= order, graded then lexicographic."""
-    if order < 0 or dim < 1:
-        raise ValueError("order must be >= 0 and dim >= 1")
-    out = []
-    for total in range(order + 1):
-        block = [
-            alpha
-            for alpha in itertools.product(range(total + 1), repeat=dim)
-            if sum(alpha) == total
-        ]
-        out.extend(sorted(block))
-    return out
+    if not 0 <= order <= MAX_ORDER or dim < 1:
+        raise ValueError(f"order must lie in [0, {MAX_ORDER}] and dim be "
+                         f">= 1, got order {order} in {dim}-D")
+    cube = itertools.product(range(order + 1), repeat=dim)
+    return sorted((a for a in cube if sum(a) <= order),
+                  key=lambda a: (sum(a), a))
 
 
 def alpha_key(alpha: tuple[int, ...]) -> str:

@@ -28,11 +28,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import MaskMismatchError, ProbeOutsideMaskError
-from .grid import (
-    GridMask, GridSpec, Jet, JetEvaluator, SampledJet, multi_indices,
-)
-
-MAX_ORDER = 12
+from .grid import (MAX_ORDER, GridMask, GridSpec, Jet, JetEvaluator,
+                   SampledJet, multi_indices)
 
 
 @dataclass(frozen=True)

@@ -124,7 +124,7 @@ def test_03_interface_smoothness():
 def test_04_global_extension_pipeline():
     with criterion(4, "global-extension-pipeline", 30.0):
         rect = global_extend(
-            get_function("sum_st", depth=4), domains.rectangle(), 1,
+            get_function("sum_st", depth=4), domains.Rectangle(), 1,
             h=2.0**-5, margin=0.5)
         s, t = coord_grids(rect.window)
         err = np.abs(rect.jet.components[(0, 0)] - (s + t))
@@ -132,7 +132,7 @@ def test_04_global_extension_pipeline():
         assert rect.sum_residual < 1e-9
 
         disk = global_extend(
-            get_function("sin_cos", depth=4), domains.disk(), 1,
+            get_function("sin_cos", depth=4), domains.Disk(), 1,
             h=2.0**-5, margin=0.5)
         mm = interface_jet_mismatch(disk.field, h=2.0**-10)
         assert set(mm) == {(0, 0), (1, 0), (0, 1)}
@@ -152,7 +152,7 @@ def test_05_comb_certificate_and_membership():
         assert cert.gap == 1.0
         assert cert.validate()
 
-        q, _ = domains.build_domain(domains.comb(6), 2.0**-10)
+        q, _ = domains.build_domain(domains.Comb(6), 2.0**-10)
         jet = get_function("example3", depth=4).sample(q, 1)
         assert check_membership_f(jet, DEFAULTS["tol"]).consistent
 
@@ -165,7 +165,7 @@ def test_06_gap1d_certificate_and_membership():
         assert cert.gap == 1.0
         assert cert.validate()
 
-        q, _ = domains.build_domain(domains.gap_intervals(8), 2.0**-10)
+        q, _ = domains.build_domain(domains.GapIntervals(8), 2.0**-10)
         jet = get_function("gap1d", depth=4).sample(q, 1)
         assert check_membership_f(jet, DEFAULTS["tol"]).consistent
 
@@ -185,7 +185,7 @@ def test_07_cantor_slit_certificate_and_membership():
 
         # the same field is a consistent member on the open side: every
         # s-partial vanishes and the t-partials obey their moduli
-        _, omega = domains.build_domain(domains.cantor_slit_square(4), 2.0**-9)
+        _, omega = domains.build_domain(domains.CantorSlit(4), 2.0**-9)
         jet = get_function("example1", depth=4).sample(omega, 3)
         for alpha, arr in jet.components.items():
             if alpha[0] >= 1:
@@ -197,7 +197,7 @@ def test_07_cantor_slit_certificate_and_membership():
 
 def test_08_norm_algebra_exact():
     with criterion(8, "norm-algebra-exact", 5.0):
-        q, omega = domains.build_domain(domains.comb(3), 2.0**-6)
+        q, omega = domains.build_domain(domains.Comb(3), 2.0**-6)
         rng = np.random.default_rng(7)
         alphas = multi_indices(1, 2)
         for _ in range(100):

@@ -1,5 +1,6 @@
 """Command-line behavior: artifacts, exit codes, determinism."""
 
+import argparse
 import binascii
 import json
 import os
@@ -13,9 +14,9 @@ import numpy as np
 import pytest
 
 import jetlab
-from jetlab import domains, functions, io
+from jetlab import cli, domains, functions, io
 from jetlab.certify import KINDS, CertTerm, Certificate, replay_certificate
-from jetlab.cli import DEFAULTS, main
+from jetlab.cli import DEFAULTS, build_parser, main
 from jetlab.errors import PointOutsideRegionError
 from jetlab.grid import GridMask, GridSpec, SampledJet, row_blocks
 
@@ -459,7 +460,7 @@ def test_space_norm_names_the_first_point_off_the_region_past_block_0(
     # the disk's left half lies in the comb's base, so its first point off
     # the comb field's region, in row-major order, is in a later row block
     h = 2.0**-8
-    q, _ = domains.build_domain(domains.disk(), h)
+    q, _ = domains.build_domain(domains.Disk(), h)
     with pytest.raises(PointOutsideRegionError) as want:
         scatter_sample(functions.get_function("example3", 4), q, 0)
     assert str(want.value) == ("mask point (0.01953125, 0.00390625) lies "
@@ -968,5 +969,187 @@ def test_space_norm_field_takes_no_domain_or_function(flags, tmp_path,
                 "--space", "F"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--field" in captured.err
-    assert "--domain or --function" in captured.err
+    assert captured.err.startswith("error: space norm --field does not read")
+    assert all(flag in captured.err for flag in flags if flag.startswith("--"))
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["space", "norm", "--field", "field.json", "--h", "0.5", "--order", "3",
+      "--depth", "9"],
+     "space norm --field does not read --depth, --order, --h"),
+    (["domain", "build", "--domain", "disk", "--n-teeth", "3",
+      "--out", "out.json"], "domain build --domain disk does not read "
+                            "--n-teeth"),
+    (["space", "norm", "--field", "field.json", "--tol", "0.5"],
+     "space norm --field does not read --tol"),
+    (["field", "sample", "--domain", "rectangle", "--function", "sin_cos",
+      "--depth", "3", "--out", "out.json"],
+     "field sample --domain rectangle --function sin_cos does not read "
+     "--depth"),
+], ids=["field-h-order-depth", "disk-n-teeth", "tol-without-check",
+        "rectangle-sin_cos-depth"])
+def test_an_unread_flag_is_named(argv, err, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["field", "sample", "--function", "sin_cos", "--domain",
+                "rectangle", "--h", "0.25", "--out", "field.json"]) == 0
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["field", "sample", "--out", "f.json"], ["space", "norm"],
+], ids=["field-sample", "space-norm"])
+@pytest.mark.parametrize("order", [13, 10**5])
+def test_an_order_past_max_order_is_refused_at_once(command, order, tmp_path,
+                                                    monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    assert run([*command, "--function", "sin_cos", "--domain", "rectangle",
+                "--h", "0.5", "--order", str(order)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == (
+        "", "error: order must lie in [0, 12] and dim be >= 1, got order "
+        f"{order} in 2-D\n")
+    assert not (tmp_path / "f.json").exists()
+
+
+@pytest.mark.parametrize("space", ["F", "E"])
+def test_space_norm_field_reports_a_prop2_jet_on_its_window(space, tmp_path,
+                                                            capsys):
+    field = tmp_path / "p.json"
+    assert run(["extend", "prop2", "--domain", "disk", "--function",
+                "sin_cos", "--h", "0.25", "--out", str(field)]) == 0
+    capsys.readouterr()
+    assert run(["space", "norm", "--field", str(field),
+                "--space", space]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[0])["norm"]
+    assert (report["mask"], report["point_count"]) == ("window", 169)
+
+
+def leaf_parsers(parser, words=()):
+    """(command words, parser) of each subcommand that runs."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield words, parser
+    for name, sub in (subs[0].choices.items() if subs else ()):
+        yield from leaf_parsers(sub, words + (name,))
+
+
+# each --domain choice on a lattice it resolves, its parameter given
+KIND_FLAGS = {
+    "comb": ["--domain", "comb", "--n-teeth", "1", "--h", "0.0625"],
+    "gap1d": ["--domain", "gap1d", "--n-segments", "2", "--h", "0.0625"],
+    "cantor_slit": ["--domain", "cantor_slit", "--depth", "1",
+                    "--h", "0.0625"],
+    "rectangle": ["--domain", "rectangle", "--h", "0.25"],
+    "disk": ["--domain", "disk", "--h", "0.25"],
+    "half_ball": ["--domain", "half_ball", "--h", "0.25"],
+}
+FIELD_OF = {kind: "exp1d" if kind == "gap1d" else "sin_cos"
+            for kind in KIND_FLAGS}
+
+# per subcommand, a command for each of its paths: every --domain choice,
+# example1 (which reads --depth), and space norm's --field with and
+# without --check
+PATHS = {
+    ("domain", "build"): [[*KIND_FLAGS[k], "--out", "out.json"]
+                          for k in KIND_FLAGS],
+    ("field", "sample"): [
+        *([*KIND_FLAGS[k], "--function", FIELD_OF[k], "--out", "out.json"]
+          for k in KIND_FLAGS),
+        [*KIND_FLAGS["cantor_slit"], "--function", "example1", "--mask",
+         "open", "--out", "out.json"]],
+    ("hestenes", "coeffs"): [["--order", "2"]],
+    ("hestenes", "extend"): [["--in", "field.json", "--width", "2",
+                              "--out", "out.json"]],
+    ("extend", "prop2"): [["--domain", k, "--function", "sin_cos",
+                           "--h", "0.25", "--out", "out.json"]
+                          for k in ("rectangle", "disk", "half_ball")],
+    ("space", "norm"): [
+        *([*KIND_FLAGS[k], "--function", FIELD_OF[k]] for k in KIND_FLAGS),
+        ["--field", "field.json"], ["--field", "field.json", "--check"]],
+    ("certify", "comb"): [["--out", "out.json"]],
+    ("certify", "gap1d"): [["--out", "out.json"]],
+    ("certify", "cantorslit"): [["--out", "out.json"]],
+    ("replay",): [["--cert", "cert.json"]],
+}
+
+# a value for each flag a path's command does not give already
+FLAG_VALUES = {
+    "--domain": "disk", "--function": "sin_cos", "--field": "field.json",
+    "--depth": "2", "--n-teeth": "2", "--n-segments": "3", "--h": "0.125",
+    "--order": "2", "--mask": "open", "--space": "E", "--tol": "0.5",
+    "--check": None, "--margin": "0.25", "--axis": "1", "--boundary": "0.0",
+    "--inward": "1", "--n-max": "6", "--ceiling": "4", "--csv": "out.csv",
+    "--tolerance": "1e-9", "--out": "other.json",
+}
+
+
+@pytest.fixture
+def noted_reads(monkeypatch):
+    """The flag dests the command of the last main call read once the
+    unread-flag rule let it run; empty when the rule refused it."""
+    read = set()
+
+    class Noted(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    rule = cli._check_flags
+
+    def rule_then_note(args):
+        read.clear()
+        rule(args)
+        args.__class__ = Noted
+
+    monkeypatch.setattr(cli, "_check_flags", rule_then_note)
+    return read
+
+
+def test_every_subcommand_has_its_paths():
+    assert sorted(words for words, _ in leaf_parsers(build_parser())) == (
+        sorted(PATHS))
+
+
+@pytest.mark.parametrize("words", sorted(PATHS), ids="-".join)
+def test_a_flag_given_is_read_or_refused(words, noted_reads, tmp_path,
+                                         monkeypatch, capsys):
+    # each flag the subcommand accepts, given to each of its paths, is read
+    # by that path's command, or exits 2 naming it, with no traceback and
+    # nothing written; and some path reads it
+    parser = dict(leaf_parsers(build_parser()))[words]
+    dests = {a.option_strings[-1]: a.dest for a in parser._actions
+             if a.option_strings and a.dest != "help"}
+    monkeypatch.chdir(tmp_path)
+    assert run(["field", "sample", "--function", "sin_cos", "--domain",
+                "rectangle", "--h", "0.25", "--out", "field.json"]) == 0
+    assert run(["certify", "comb", "--n-max", "6", "--out", "cert.json"]) == 0
+    inputs = set(os.listdir())
+    read_somewhere = set()
+    for path in PATHS[words]:
+        given = [flag for flag in path if flag in dests]
+        for flag in [None, *(f for f in dests if f not in given)]:
+            argv = [*words, *path]
+            if flag is not None:
+                value = FLAG_VALUES[flag]
+                argv += [flag] if value is None else [flag, value]
+            capsys.readouterr()
+            code = run(argv)
+            err = capsys.readouterr().err
+            written = set(os.listdir()) - inputs
+            for name in written:
+                os.remove(name)
+            assert "Traceback" not in err, argv
+            if flag is None:
+                assert code in (0, 1), (argv, err)
+                assert {dests[f] for f in given} <= noted_reads, argv
+                read_somewhere.update(given)
+            elif dests[flag] in noted_reads:
+                read_somewhere.add(flag)
+            else:
+                assert code == 2 and flag in err and not written, (argv, err)
+    assert read_somewhere == set(dests)

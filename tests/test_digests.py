@@ -78,22 +78,22 @@ def content_digest(path) -> str:
 
 
 MASKS = {
-    "comb": (lambda: domains.comb(3), 2.0**-6,
+    "comb": (lambda: domains.Comb(3), 2.0**-6,
              "0bf602881769d5797f1481b7cf4a5a6df5319f21cf3a11866ae4b4df1cecfed4",
              "42f453f7899a7165620fc76fb8ed0ae67f21f1ab9c41fa21b6118a8619183fd0"),
-    "gap1d": (lambda: domains.gap_intervals(4), 2.0**-8,
+    "gap1d": (lambda: domains.GapIntervals(4), 2.0**-8,
               "ae1826cad5ad3b04452dcd89e1822edba09b45df2c1ec991a6c91fcae6fe6ad0",
               "2ba7686b4ee9294f562c18728367494b8f37b93d0fec26e9cdb46d0b2a762e6b"),
-    "cantor_slit": (lambda: domains.cantor_slit_square(3), 2.0**-7,
+    "cantor_slit": (lambda: domains.CantorSlit(3), 2.0**-7,
                     "0f262754f5e46a1ff67aa484cdb3408d30f393cd90f78242fd78e0fb121d6f37",
                     "81c65811379f9e18d543c33a62c69c9ff8be086984f5e0ca3d5bca379a5644bd"),
-    "rectangle": (domains.rectangle, 2.0**-4,
+    "rectangle": (domains.Rectangle, 2.0**-4,
                   "a9e47ef3e86af0a1cd82e879c2b5e3bc032ccd1e6db0676e3971a4a7c27f4da6",
                   "4a273ddef8aaa1d98a04e1a4d31a12a219c2f0f284c88ad2b6ac8294949552d0"),
-    "disk": (domains.disk, 2.0**-4,
+    "disk": (domains.Disk, 2.0**-4,
              "584e55251ed223d2b31b4485b2d7f31c8e65b1b8df7cf16fad2bb9aa7450bf11",
              "2994eb6884c7336498f7c54d8852a57dbe90b4c0ecddb5c612c08e1fea247b6f"),
-    "half_ball": (domains.half_ball, 2.0**-4,
+    "half_ball": (domains.HalfBall, 2.0**-4,
                   "e25c57efba1299bea03d866eed9d04f374246fa2eb239a28b374aecfbee9aa95",
                   "ef286a256a660513d9def48afffad4dd3b99908e85be5f66aacbdf900be4d344"),
 }

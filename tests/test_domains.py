@@ -119,7 +119,7 @@ def test_comb_membership():
     assert domains.comb_in_base(0.0, 1.0)
     assert not domains.comb_in_base(0.5, 0.5)
     assert not domains.comb_in_base(-1.5, 0.0)
-    q = domains.comb(6).q
+    q = domains.Comb(6).q
     assert q(0.8, 0.5)
     assert q(0.8, 1.0)
     assert not q(0.7, 0.5)  # in the gap between teeth 1 and 0
@@ -130,7 +130,7 @@ def test_comb_membership():
 
 def test_build_comb():
     h = 2.0**-9
-    q, omega = domains.build_domain(domains.comb(6), h)
+    q, omega = domains.build_domain(domains.Comb(6), h)
     assert q.grid.extents == (1025, 1025)
     assert omega.count < q.count
     # teeth are thinner than their gaps, so they contribute separate
@@ -138,14 +138,14 @@ def test_build_comb():
     assert connected_component_count(q) == 1
     assert np.array_equal(omega.member, interior_of(q).member)
     with pytest.raises(ResolutionTooCoarseError):
-        domains.build_domain(domains.comb(6), 2.0**-7)
+        domains.build_domain(domains.Comb(6), 2.0**-7)
     with pytest.raises(ValueError):
-        domains.build_domain(domains.comb(-1), h)
+        domains.build_domain(domains.Comb(-1), h)
 
 
 def test_build_gap_intervals():
     h = 2.0**-10
-    q, omega = domains.build_domain(domains.gap_intervals(8), h)
+    q, omega = domains.build_domain(domains.GapIntervals(8), h)
     assert q.grid.dim == 1
     # [-1,0] plus 8 islands
     assert connected_component_count(q) == 9
@@ -156,9 +156,9 @@ def test_build_gap_intervals():
     assert gap_pts.any()
     assert not q.member[gap_pts].any()
     with pytest.raises(ResolutionTooCoarseError):
-        domains.build_domain(domains.gap_intervals(8), 2.0**-8)
+        domains.build_domain(domains.GapIntervals(8), 2.0**-8)
     with pytest.raises(ValueError):
-        domains.build_domain(domains.gap_intervals(0), h)
+        domains.build_domain(domains.GapIntervals(0), h)
 
 
 def test_gap_segment_index():
@@ -173,7 +173,7 @@ def test_gap_segment_index():
 
 def test_build_cantor_slit_square():
     h = 2.0**-8
-    slit = domains.cantor_slit_square(4)
+    slit = domains.CantorSlit(4)
     q, omega = domains.build_domain(slit, h)
     approx = slit.cover
     assert q.count == q.grid.point_count  # Q keeps the whole closed square
@@ -188,61 +188,81 @@ def test_build_cantor_slit_square():
     s_gap = np.nonzero(q.grid.axis_coords(0) == 0.5)[0][0]
     assert omega.member[s_gap][inside_slit & (t_pos < 1.0)].all()
     with pytest.raises(ResolutionTooCoarseError):
-        domains.build_domain(domains.cantor_slit_square(4), 2.0**-6)
+        domains.build_domain(domains.CantorSlit(4), 2.0**-6)
 
 
 def test_regular_membership_exact():
-    rect = domains.rectangle()
+    rect = domains.Rectangle()
     assert domains.regular_q_member(rect, 0.0, 0.0)
     assert domains.regular_q_member(rect, 1.0, 1.0)
     assert not domains.regular_q_member(rect, 1.0 + 1e-12, 0.5)
-    d = domains.disk()
+    d = domains.Disk()
     assert domains.regular_q_member(d, 0.6, 0.8)  # on the circle exactly
     assert not domains.regular_q_member(d, 0.6, 0.8 + 1e-8)
-    hb = domains.half_ball()
+    hb = domains.HalfBall()
     assert domains.regular_q_member(hb, 0.0, -1.0)
     assert not domains.regular_q_member(hb, -1e-12, 0.0)
     with pytest.raises(UnsupportedDomainError):
-        domains.regular_q_member(domains.comb(3), 0.0, 0.0)
+        domains.regular_q_member(domains.Comb(3), 0.0, 0.0)
 
 
 def test_build_regular_extents():
-    q, omega = domains.build_domain(domains.rectangle(), 2.0**-4)
+    q, omega = domains.build_domain(domains.Rectangle(), 2.0**-4)
     assert q.grid.extents == (17, 17)
     assert q.count == 17 * 17
-    q2, _ = domains.build_domain(domains.disk(), 2.0**-4)
+    q2, _ = domains.build_domain(domains.Disk(), 2.0**-4)
     assert q2.grid.extents == (33, 33)
     assert q2.count < 33 * 33
-    q3, _ = domains.build_domain(domains.half_ball(), 2.0**-4)
+    q3, _ = domains.build_domain(domains.HalfBall(), 2.0**-4)
     assert q3.grid.origin == (0.0, -1.0)
 
 
 def test_build_domain_dispatch():
     for spec, h in [
-        (domains.comb(4), 2.0**-9),
-        (domains.gap_intervals(4), 2.0**-9),
-        (domains.cantor_slit_square(3), 2.0**-7),
-        (domains.rectangle(), 2.0**-4),
-        (domains.disk(), 2.0**-4),
-        (domains.half_ball(), 2.0**-4),
+        (domains.Comb(4), 2.0**-9),
+        (domains.GapIntervals(4), 2.0**-9),
+        (domains.CantorSlit(3), 2.0**-7),
+        (domains.Rectangle(), 2.0**-4),
+        (domains.Disk(), 2.0**-4),
+        (domains.HalfBall(), 2.0**-4),
     ]:
         q, omega = domains.build_domain(spec, h)
         assert q.count >= omega.count
         assert q.grid == omega.grid
 
 
+def test_each_kind_is_its_class():
+    assert {kind: cls.__name__ for kind, cls in domains.KINDS.items()} == {
+        "comb": "Comb", "gap1d": "GapIntervals", "cantor_slit": "CantorSlit",
+        "rectangle": "Rectangle", "disk": "Disk", "half_ball": "HalfBall"}
+    # a kind's parameter is its one required field; the regular kinds
+    # build from their defaults
+    assert [cls.required_fields() for cls in domains.KINDS.values()] == [
+        ("n_teeth",), ("n_segments",), ("depth",), (), (), ()]
+    assert domains.CantorSlit(3).depth == 3
+    # the chartable kinds are those with an atlas, and no other has one
+    assert domains.CHARTABLE == ("rectangle", "disk", "half_ball")
+    for kind, cls in domains.KINDS.items():
+        domain = cls(*(2 for _ in cls.required_fields()))
+        if kind in domains.CHARTABLE:
+            assert domain.charts()
+        else:
+            with pytest.raises(UnsupportedDomainError):
+                domain.charts()
+
+
 def test_spec_params():
-    assert domains.comb(6).params() == {"nTeeth": 6}
-    assert domains.disk((0.5, 0.0), 2.0).params() == {
+    assert domains.Comb(6).params() == {"nTeeth": 6}
+    assert domains.Disk((0.5, 0.0), 2.0).params() == {
         "center": [0.5, 0.0], "radius": 2.0}
-    assert domains.rectangle().params()["bounds"] == [[0.0, 1.0], [0.0, 1.0]]
-    assert domains.gap_intervals(3).dim == 1
-    assert domains.half_ball().dim == 2
+    assert domains.Rectangle().params()["bounds"] == [[0.0, 1.0], [0.0, 1.0]]
+    assert domains.GapIntervals(3).dim == 1
+    assert domains.HalfBall().dim == 2
     # the comb's open set is the lattice interior of Q; the slit square's
     # is not: its slits carve the interior of the closed square
-    q, omega = domains.build_domain(domains.comb(6), 2.0**-9)
+    q, omega = domains.build_domain(domains.Comb(6), 2.0**-9)
     assert np.array_equal(omega.member, interior_of(q).member)
-    q, omega = domains.build_domain(domains.cantor_slit_square(4), 2.0**-8)
+    q, omega = domains.build_domain(domains.CantorSlit(4), 2.0**-8)
     assert not np.array_equal(omega.member, interior_of(q).member)
 
 

@@ -194,7 +194,7 @@ def test_example3_jet_region():
 
 def test_example3_samples_every_tooth():
     h = 2.0**-9
-    q6, _ = domains.build_domain(domains.comb(6), h)
+    q6, _ = domains.build_domain(domains.Comb(6), h)
     full = functions.example3_jet()
     jet = full.sample(q6, order=1)
     assert jet.mask.count == q6.count
@@ -300,7 +300,7 @@ def test_example3_refuses_order_3_at_every_point():
     assert jet.jet_many(pts, 2)[(0, 2)].tolist() == [-1.0, -0.5, 0.125]
     with pytest.raises(ValueError, match="available to order 2"):
         jet.jet_many(pts, 3)
-    q, _ = domains.build_domain(domains.comb(3), 2.0**-6)
+    q, _ = domains.build_domain(domains.Comb(3), 2.0**-6)
     with pytest.raises(ValueError, match="available to order 2"):
         jet.sample(q, 3)
 
@@ -311,7 +311,7 @@ def test_example1_refuses_order_4_off_its_block():
     pts = np.array([[-0.5, 0.5], [0.0, -0.5], [-0.75, -0.25]])
     with pytest.raises(ValueError, match="stop at order 3"):
         jet.jet_many(pts, 4)
-    _, omega = domains.build_domain(domains.cantor_slit_square(3), 2.0**-6)
+    _, omega = domains.build_domain(domains.CantorSlit(3), 2.0**-6)
     s, _ = coord_grids(omega.grid)
     left = GridMask(omega.grid, omega.member & (s <= 0.0))
     assert left.count > 0
@@ -324,6 +324,14 @@ def test_registry():
     assert functions.function_names() == sorted(functions.function_names())
     with pytest.raises(KeyError):
         get_function("nope", depth=4)
+    # example1's region is a cover of the depth; no other field reads one
+    assert [name for name in function_names()
+            if name == functions.DEPTH_FIELD] == ["example1"]
+    # s = 0.15 lies in the level-1 cover's first third, in a level-2 gap
+    assert get_function("example1", depth=2).member(
+        np.array(0.15), np.array(0.5))
+    assert not get_function("example1", depth=1).member(
+        np.array(0.15), np.array(0.5))
     assert get_function("sin_cos", depth=4).jet_many(
         np.array([[0.3, 0.4]]), 2)[(1, 1)][0] == pytest.approx(
             -math.cos(0.3) * math.sin(0.4), rel=1e-15)
@@ -350,11 +358,11 @@ SAMPLE_CASES = {
     "chi-one-row": ("chi", 2,
                     lambda: full_mask((0.25, -1.0), 2.0**-7, (1, 70001))),
     "example1": ("example1", 3, lambda: domains.build_domain(
-        domains.cantor_slit_square(3), 2.0**-7)[1]),
+        domains.CantorSlit(3), 2.0**-7)[1]),
     "example3": ("example3", 2, lambda: domains.build_domain(
-        domains.comb(3), 2.0**-7)[0]),
+        domains.Comb(3), 2.0**-7)[0]),
     "gap1d": ("gap1d", 2, lambda: domains.build_domain(
-        domains.gap_intervals(4), 2.0**-16)[0]),
+        domains.GapIntervals(4), 2.0**-16)[0]),
     "exp1d": ("exp1d", 3, lambda: full_mask((-1.0,), 2.0**-16, (70001,))),
 }
 
@@ -374,7 +382,7 @@ def test_sample_matches_the_scatter_oracle(case):
 
 def test_sample_names_the_first_point_outside_the_region():
     # the open set plus closed-square points from the second row block on
-    q, omega = domains.build_domain(domains.cantor_slit_square(3), 2.0**-7)
+    q, omega = domains.build_domain(domains.CantorSlit(3), 2.0**-7)
     blocks = list(row_blocks(q.grid.extents))
     assert len(blocks) == 2
     member = omega.member.copy()
@@ -389,7 +397,7 @@ def test_sample_names_the_first_point_outside_the_region():
 
 
 def test_sample_calls_the_leaf_once_per_row_block(monkeypatch):
-    _, omega = domains.build_domain(domains.cantor_slit_square(4), 2.0**-9)
+    _, omega = domains.build_domain(domains.CantorSlit(4), 2.0**-9)
     jet = get_function("example1", depth=4)
     leaf = jet.evaluator
     calls = []

@@ -35,7 +35,7 @@ def ball_points(n, radius=0.95, seed=3):
     return np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
 
 
-ALL_SPECS = [domains.rectangle(), domains.disk(), domains.half_ball()]
+ALL_SPECS = [domains.Rectangle(), domains.Disk(), domains.HalfBall()]
 
 
 def coarse_lattice(spec):
@@ -88,20 +88,20 @@ def test_chart_jacobians_match_finite_differences(spec):
 
 
 def test_atlas_shapes():
-    assert len(domains.half_ball().charts()) == 1
-    rect = domains.rectangle().charts()
+    assert len(domains.HalfBall().charts()) == 1
+    rect = domains.Rectangle().charts()
     assert len(rect) == 8
     assert [c.kind for c in rect] == ["edge"] * 4 + ["corner"] * 4
     assert [c.extension for c in rect] == ["half"] * 4 + ["quarter"] * 4
-    disk = domains.disk().charts()
+    disk = domains.Disk().charts()
     assert len(disk) == 4
     assert all(c.half_exact for c in disk)
     with pytest.raises(UnsupportedDomainError):
-        domains.comb(4).charts()
+        domains.Comb(4).charts()
 
 
 def test_half_exact_charts_put_domain_side_at_nonnegative_xi0():
-    spec = domains.disk()
+    spec = domains.Disk()
     chart = spec.charts()[0]
     pts = ball_points(300, radius=0.99, seed=9)
     world = chart.forward(pts)
@@ -259,7 +259,7 @@ def test_partition_maps_the_lattice_through_each_chart_once(spec):
 
 
 def test_partition_chi_zero_far_outside():
-    spec = domains.disk()
+    spec = domains.Disk()
     part = build_partition(spec.charts(), spec, coarse_lattice(spec))
     far = np.array([[5.0, 5.0], [-3.0, 0.0]])
     for nu in range(len(part.charts)):
@@ -267,7 +267,7 @@ def test_partition_chi_zero_far_outside():
 
 
 def test_partition_chi_partials_match_finite_differences():
-    spec = domains.disk()
+    spec = domains.Disk()
     part = build_partition(spec.charts(), spec, coarse_lattice(spec))
     pts = np.array([[1.02, 0.3], [0.2, 1.05], [-1.03, 0.15]])
     eps = 1e-6
@@ -282,13 +282,13 @@ def test_partition_chi_partials_match_finite_differences():
 
 
 def test_thin_atlas_raises_cover_gap():
-    spec = domains.disk()
+    spec = domains.Disk()
     with pytest.raises(CoverGapError):
         build_partition(spec.charts()[:2], spec, coarse_lattice(spec))
 
 
 def test_local_extension_reproduces_linear_fields():
-    spec = domains.rectangle()
+    spec = domains.Rectangle()
     charts = spec.charts()
     x = get_function("sum_st", depth=4)
     # past the bottom edge (chart 0) and past the (0,0) corner (chart 4)
@@ -305,7 +305,7 @@ def test_local_extension_reproduces_linear_fields():
 
 
 def test_local_extension_of_zero_is_zero():
-    spec = domains.disk()
+    spec = domains.Disk()
     chart = spec.charts()[0]
     z = polynomial_jet("z", {})
     ext = local_extend(z.jet_many, chart, 1)
@@ -316,7 +316,7 @@ def test_local_extension_of_zero_is_zero():
 
 def test_local_extension_error_quadratic_in_distance():
     # order-1 reflection: value error past the wall is O(d^2)
-    spec = domains.disk()
+    spec = domains.Disk()
     chart = spec.charts()[0]
     x = get_function("sin_cos", depth=4)
     ext = local_extend(x.jet_many, chart, 1)
@@ -352,7 +352,7 @@ def test_local_jet_asks_the_source_once_per_probe(k, walls, pts):
     # past the bottom edge (chart 0) and past both walls of the (0,0) corner
     # (chart 4): one whole-jet leaf call per reflected probe, 3 probes per
     # wall at order 2
-    chart = domains.rectangle().charts()[k]
+    chart = domains.Rectangle().charts()[k]
     pts = np.array(pts)
     assert (bump_jet(chart, pts, 0)[0] < 1.0).all()
     assert (chart.inverse(pts)[:, :walls] < 0.0).all()
@@ -377,7 +377,7 @@ def test_partial_many_is_the_projection_of_jet_many():
 
 
 def test_interior_chart_carries_no_extension():
-    spec = domains.disk()
+    spec = domains.Disk()
     part = build_partition(spec.charts(), spec, coarse_lattice(spec))
     assert part.charts[-1].kind == "interior"
 
@@ -390,7 +390,7 @@ def test_interior_chart_carries_no_extension():
 
 
 def test_global_extension_exact_for_linear_field():
-    spec = domains.rectangle()
+    spec = domains.Rectangle()
     x = get_function("sum_st", depth=4)
     res = global_extend(x, spec, 1, h=2.0**-5, margin=0.5)
     s, t = coord_grids(res.window)
@@ -406,7 +406,7 @@ def test_global_extension_exact_for_linear_field():
 
 
 def test_global_extension_of_constant_is_constant():
-    spec = domains.rectangle()
+    spec = domains.Rectangle()
     one = polynomial_jet("one", {(0, 0): 1.0})
     res = global_extend(one, spec, 2, h=2.0**-5, margin=0.5)
     assert float(np.abs(res.jet.components[(0, 0)] - 1.0).max()) < 1e-12
@@ -415,7 +415,7 @@ def test_global_extension_of_constant_is_constant():
 
 
 def test_global_partials_match_finite_differences_outside():
-    spec = domains.disk()
+    spec = domains.Disk()
     x = get_function("sin_cos", depth=4)
     res = global_extend(x, spec, 2, h=2.0**-5, margin=0.5)
     pts = np.array([[1.05, 0.2], [-0.3, 1.08], [0.75, 0.75]])
@@ -439,12 +439,12 @@ def test_global_partials_match_finite_differences_outside():
 def test_global_extension_order_cap():
     with pytest.raises(ValueError):
         global_extend(get_function("sin_cos", depth=4),
-                      domains.disk(), 3, h=2.0**-5, margin=0.5)
+                      domains.Disk(), 3, h=2.0**-5, margin=0.5)
 
 
 @pytest.mark.parametrize(
     "spec,bound",
-    [(domains.disk(), 1e-4), (domains.half_ball(), 1e-4)],
+    [(domains.Disk(), 1e-4), (domains.HalfBall(), 1e-4)],
     ids=lambda v: v.kind if hasattr(v, "kind") else str(v),
 )
 def test_interface_scan_small_mismatch(spec, bound):
@@ -457,7 +457,7 @@ def test_interface_scan_small_mismatch(spec, bound):
 
 def test_half_ball_face_partition_is_identity():
     # one boundary chart: its normalized bump is exactly 1 on the face
-    spec = domains.half_ball()
+    spec = domains.HalfBall()
     part = build_partition(spec.charts(), spec, coarse_lattice(spec))
     ts = np.linspace(-0.85, 0.85, 41)
     pts = np.stack([np.zeros_like(ts), ts], axis=-1)
@@ -491,7 +491,7 @@ def test_window_walk_asks_once_per_row_block_for_each_point(monkeypatch):
         return grid.sample(counted, mask, order)
 
     monkeypatch.setattr(glue, "sample", counted_sample)
-    res = global_extend(get_function("sin_cos", depth=4), domains.half_ball(),
+    res = global_extend(get_function("sin_cos", depth=4), domains.HalfBall(),
                         1, h=2.0**-7, margin=0.5)
     window = res.window
     assert len(calls) == len(list(row_blocks(window.extents))) == 2
@@ -546,10 +546,10 @@ def test_blend_maps_its_points_through_each_bump_chart_once(spec):
 
 
 @pytest.mark.parametrize("spec,inverse_points,bump_points", [
-    (domains.rectangle(), [7761] * 4 + [8397] * 4 + [7361],
+    (domains.Rectangle(), [7761] * 4 + [8397] * 4 + [7361],
      [1275] * 4 + [2621] * 4 + [517]),
-    (domains.disk(), [16463] * 4 + [15609], [2289] * 4 + [1669]),
-    (domains.half_ball(), [11837, 10973], [3061, 569]),
+    (domains.Disk(), [16463] * 4 + [15609], [2289] * 4 + [1669]),
+    (domains.HalfBall(), [11837, 10973], [3061, 569]),
 ], ids=["rectangle", "disk", "half_ball"])
 def test_global_extend_chart_and_bump_points_are_pinned(
         spec, inverse_points, bump_points, monkeypatch):

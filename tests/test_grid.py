@@ -5,6 +5,7 @@ import pytest
 
 from jetlab.errors import MaskMismatchError
 from jetlab.grid import (
+    MAX_ORDER,
     GridMask,
     GridSpec,
     SampledJet,
@@ -52,6 +53,10 @@ def test_multi_indices_rejects_bad_args():
         multi_indices(-1, 2)
     with pytest.raises(ValueError):
         multi_indices(2, 0)
+    # the order bound is checked before anything is listed
+    assert len(multi_indices(MAX_ORDER, 2)) == 91
+    with pytest.raises(ValueError, match="got order 13 in 2-D"):
+        multi_indices(MAX_ORDER + 1, 2)
 
 
 def test_alpha_key_round_trip():

@@ -80,14 +80,14 @@ def test_grid_round_trip():
 
 
 def test_mask_round_trip():
-    q, _ = domains.build_domain(domains.comb(2), h=2.0**-6)
+    q, _ = domains.build_domain(domains.Comb(2), h=2.0**-6)
     back = io.mask_from_payload(json.loads(io.dumps(io.mask_to_payload(q))))
     assert back.grid == q.grid
     assert np.array_equal(back.member, q.member)
 
 
 def test_jet_round_trip_through_files(tmp_path):
-    q, _ = domains.build_domain(domains.rectangle(), h=2.0**-4)
+    q, _ = domains.build_domain(domains.Rectangle(), h=2.0**-4)
     jet = get_function("sin_cos", depth=4).sample(q, order=2)
     path = tmp_path / "jet.json"
     io.write_artifact(str(path), io.jet_to_payload(jet), {"tool": "t"})
@@ -113,7 +113,7 @@ def test_strip_provenance_canonicalizes():
 
 
 def test_jet_csv_shape(tmp_path):
-    q, _ = domains.build_domain(domains.rectangle(), h=2.0**-3)
+    q, _ = domains.build_domain(domains.Rectangle(), h=2.0**-3)
     jet = get_function("sum_st", depth=4).sample(q, order=1)
     path = tmp_path / "jet.csv"
     io.jet_to_csv(jet, str(path))
@@ -127,7 +127,7 @@ def test_jet_csv_shape(tmp_path):
 
 
 def test_mask_csv_counts(tmp_path):
-    q, _ = domains.build_domain(domains.gap_intervals(3), h=2.0**-5)
+    q, _ = domains.build_domain(domains.GapIntervals(3), h=2.0**-5)
     path = tmp_path / "m.csv"
     io.mask_to_csv(q, str(path))
     lines = path.read_text().splitlines()
@@ -279,7 +279,7 @@ def test_format_float_matches_oracle(x):
 
 
 def test_payloads_match_oracle():
-    q, _ = domains.build_domain(domains.comb(2), h=2.0**-6)
+    q, _ = domains.build_domain(domains.Comb(2), h=2.0**-6)
     jet = get_function("sin_cos", depth=4).sample(q, order=2)
     for payload in (io.mask_to_payload(q), io.jet_to_payload(jet)):
         _check_dumps(payload)
@@ -295,8 +295,8 @@ def test_array_encoder_rejects_non_finite(bad):
 
 
 def _lattice_jets():
-    q1, _ = domains.build_domain(domains.gap_intervals(3), h=2.0**-5)
-    q2, _ = domains.build_domain(domains.disk(), h=2.0**-4)
+    q1, _ = domains.build_domain(domains.GapIntervals(3), h=2.0**-5)
+    q2, _ = domains.build_domain(domains.Disk(), h=2.0**-4)
     return [get_function("sin_cos", depth=4).sample(q2, order=1),
             get_function("gap1d", depth=4).sample(q1, order=1)]
 
@@ -546,7 +546,7 @@ def _grids_of(n: int):
 @pytest.mark.parametrize("n", range(50))
 def test_masks_of_every_length_round_trip(n, tmp_path):
     # every residue of 8 (the bits of a byte) and of 24 (a base64 quantum)
-    gap1d, _ = domains.build_domain(domains.gap_intervals(4), h=2.0**-6)
+    gap1d, _ = domains.build_domain(domains.GapIntervals(4), h=2.0**-6)
     patterns = [gap1d.member[:n], np.ones(n, dtype=bool),
                 np.random.default_rng(n).random(n) < 0.5]
     path = str(tmp_path / "mask.json")
@@ -564,7 +564,7 @@ def test_masks_of_every_length_round_trip(n, tmp_path):
 
 
 def test_version_1_artifact_reads_as_its_version_2_rewrite(tmp_path):
-    q, _ = domains.build_domain(domains.comb(2), h=2.0**-6)
+    q, _ = domains.build_domain(domains.Comb(2), h=2.0**-6)
     jet = get_function("sin_cos", depth=4).sample(q, order=2)
     v2 = io.jet_to_payload(jet)
     # version 1: no format_version, the mask as 0/1 digits, floats as text

@@ -41,7 +41,7 @@ from lattice_oracles import full_lattice_scan
 
 
 def comb_masks(h=2.0**-6, n_teeth=3):
-    return domains.build_domain(domains.comb(n_teeth), h=h)
+    return domains.build_domain(domains.Comb(n_teeth), h=h)
 
 
 def random_jet(mask, order, seed):
@@ -135,7 +135,7 @@ def test_restriction_rejects_foreign_masks():
 
 
 def test_h_upper_bound_accepts_true_extension():
-    spec = domains.rectangle()
+    spec = domains.Rectangle()
     q, _ = domains.build_domain(spec, h=2.0**-4)
     x = get_function("sum_st", depth=4).sample(q, order=1)
     window = GridSpec.cover((-0.5, -0.5), (1.5, 1.5), 2.0**-4)
@@ -148,7 +148,7 @@ def test_h_upper_bound_accepts_true_extension():
 
 
 def test_h_upper_bound_rejects_non_extensions():
-    spec = domains.rectangle()
+    spec = domains.Rectangle()
     q, _ = domains.build_domain(spec, h=2.0**-4)
     x = get_function("sum_st", depth=4).sample(q, order=1)
     window = GridSpec.cover((-0.5, -0.5), (1.5, 1.5), 2.0**-4)
@@ -277,7 +277,7 @@ def test_modulus_witness_is_of_the_highest_bad_order():
     # the order-0 modulus 0.0157 fails h/2; the order-1 jumps, 3.1e-05, do
     # not, so the witness is an order-0 jump
     h = 2.0**-6
-    q, _ = domains.build_domain(domains.rectangle(), h)
+    q, _ = domains.build_domain(domains.Rectangle(), h)
     jet = polynomial_jet("p", {(1, 0): 1.0, (2, 0): 1e-3}).sample(q, 1)
     verdict = check_membership_f(jet, h / 2)
     assert verdict.modulus[0] > h / 2 > verdict.modulus[1]
@@ -435,7 +435,7 @@ def test_one_pass_norm_evaluates_each_masked_point_once(monkeypatch):
     # halo rows are carried to the next block, not evaluated again; each
     # block holds the 4 partials that are not 0, phi(s) times a t-partial
     h = 2.0**-8
-    _, omega = domains.build_domain(domains.cantor_slit_square(4), h)
+    _, omega = domains.build_domain(domains.CantorSlit(4), h)
     calls, held = [], []
     field = get_function("example1", depth=4)
     leaf = field.evaluator
@@ -467,8 +467,8 @@ COMB_F = ["space", "norm", "--domain", "comb", "--n-teeth", "4",
 
 
 @pytest.mark.parametrize("argv, domain, space", [
-    (COMB_F, domains.comb(4), "F"),
-    (CANTOR_E3, domains.cantor_slit_square(4), "E"),
+    (COMB_F, domains.Comb(4), "F"),
+    (CANTOR_E3, domains.CantorSlit(4), "E"),
 ], ids=["comb-F", "cantor-E3"])
 def test_a_scan_checks_the_region_once_per_row_block(argv, domain, space,
                                                      monkeypatch):
@@ -504,7 +504,7 @@ def test_one_pass_norm_holds_a_few_row_blocks():
     # halo and the stencil temporaries are a few block jets of the 4
     # partials that are not 0, beside the masks
     h = 2.0**-9
-    q, omega = domains.build_domain(domains.cantor_slit_square(4), h)
+    q, omega = domains.build_domain(domains.CantorSlit(4), h)
     rows = next(row_blocks(omega.grid.extents))
     block_jet = 4 * omega.member[rows].size * 8
     masks = q.member.nbytes + omega.member.nbytes
@@ -558,7 +558,7 @@ def test_a_partial_left_out_is_scanned_as_zero(left_out):
 def test_a_leaf_whose_partials_change_between_blocks_is_refused():
     # the halo carries the partials of the first block, so a leaf that
     # leaves out a partial in some blocks only cannot be scanned
-    q, _ = domains.build_domain(domains.rectangle(), 2.0**-9)
+    q, _ = domains.build_domain(domains.Rectangle(), 2.0**-9)
 
     def fickle(pts, order):
         jet = s_leaf(pts, order)
@@ -574,12 +574,12 @@ def test_a_leaf_whose_partials_change_between_blocks_is_refused():
 
 # each domain at its coarsest dyadic h = 2^-k that check_resolution takes
 RELATION_DOMAINS = [
-    (domains.comb(3), 6),
-    (domains.gap_intervals(3), 5),
-    (domains.cantor_slit_square(2), 5),
-    (domains.rectangle(), 3),
-    (domains.disk(), 3),
-    (domains.half_ball(), 3),
+    (domains.Comb(3), 6),
+    (domains.GapIntervals(3), 5),
+    (domains.CantorSlit(2), 5),
+    (domains.Rectangle(), 3),
+    (domains.Disk(), 3),
+    (domains.HalfBall(), 3),
 ]
 
 

@@ -134,6 +134,8 @@ def test_importing_the_package_imports_no_module_of_it():
     "hestenes.HalfSpaceExtension.partial",
     "hestenes.HestenesCoefficients.residual", "certify.build_certificate",
     "io.loads", "functions.example3_value", "functions.gap1d_value",
+    "domains.comb", "domains.gap_intervals", "domains.cantor_slit_square",
+    "domains.rectangle", "domains.disk", "domains.half_ball", "cli._domain",
 ])
 def test_a_dropped_name_that_returns_is_caught(qualified):
     trees = src_trees()
