@@ -6,7 +6,8 @@ turns any of them into lattice masks.
 Rasterization convention: a lattice point belongs to a mask iff its exact
 coordinates satisfy the defining inequalities.  All comparison data (tooth
 edges, segment endpoints) is dyadic and therefore exact in float64; Cantor
-interval endpoints are thirds, so those comparisons run through Fraction.
+interval endpoints are thirds, which CantorSlit rounds inward to floats once,
+through Fraction, so that a float tests against them exactly.
 """
 
 from __future__ import annotations
@@ -349,12 +350,28 @@ class CantorSlit(Domain):
 
     depth: int
     cover: CantorApprox = field(init=False, repr=False, compare=False)
+    # the cover's ends rounded inward to floats: the least float >= each
+    # left end and the greatest float <= each right end, so a float lies
+    # in an interval exactly when it lies between that interval's two
+    lows: np.ndarray = field(init=False, repr=False, compare=False)
+    highs: np.ndarray = field(init=False, repr=False, compare=False)
 
     kind = "cantor_slit"
     bbox = ((-1.0, -1.0), (1.0, 1.0))
 
     def __post_init__(self):
-        object.__setattr__(self, "cover", cantor_level(self.depth))
+        cover = cantor_level(self.depth)
+        # the nearest float to an end lies within half a step of it, far
+        # inside its interval or its gap: one that falls outside the cover
+        # steps one float toward its interval
+        lows, highs = [], []
+        for a, b in cover.intervals:
+            lo, hi = float(a), float(b)
+            lows.append(lo if cover.contains(lo) else math.nextafter(lo, 2.0))
+            highs.append(hi if cover.contains(hi) else math.nextafter(hi, -1.0))
+        object.__setattr__(self, "cover", cover)
+        object.__setattr__(self, "lows", np.array(lows))
+        object.__setattr__(self, "highs", np.array(highs))
 
     def params(self) -> dict:
         return {"depth": self.depth}
@@ -371,10 +388,10 @@ class CantorSlit(Domain):
         return (np.abs(s) <= 1.0) & (np.abs(t) <= 1.0)
 
     def open(self, s, t):
-        # one exact Fraction test per distinct abscissa
-        uniq, inverse = np.unique(s, return_inverse=True)
-        in_cover = np.array([self.cover.contains(v) for v in uniq], dtype=bool)
-        slit = in_cover[inverse].reshape(np.shape(s)) & (t >= 0.0) & (t <= 1.0)
+        # the last interval starting at or before s holds it, if any does
+        i = np.searchsorted(self.lows, s, side="right") - 1
+        in_cover = (i >= 0) & (s <= self.highs[i])
+        slit = in_cover & ((t >= 0.0) & (t <= 1.0))
         return (np.abs(s) < 1.0) & (np.abs(t) < 1.0) & ~slit
 
 

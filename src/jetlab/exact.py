@@ -98,22 +98,15 @@ def cantor_phi(s, depth: int = DEFAULT_PHI_DEPTH) -> float:
         return 0.0
     if s >= 1:
         return 1.0
-    x = Fraction(s)
-    value = Fraction(0)
-    weight = Fraction(1, 2)
-    for _ in range(depth):
-        x *= 3
-        digit = int(x)
-        x -= digit
-        if digit == 1:
-            value += weight
+    # s = num / den; the binary digits so far are those of bits / 2^n
+    num, den = Fraction(s).as_integer_ratio()
+    bits = n = 0
+    while n < depth:
+        digit, num = divmod(3 * num, den)
+        bits, n = 2 * bits + (digit > 0), n + 1
+        if digit == 1 or num == 0:
             break
-        if digit == 2:
-            value += weight
-        weight /= 2
-        if x == 0:
-            break
-    return float(value)
+    return bits / (1 << n)
 
 
 def example1_xbar(s, t, phi_depth: int) -> float:

@@ -1,7 +1,10 @@
 """Closed-form jets: the Cantor function, a one-sided mollifier, and the
 fields whose boundary behavior the certificates exercise.
 
-Evaluators are vectorized over point arrays of shape (..., dim).  The
+Evaluators are vectorized over point arrays of shape (..., dim).  Each leaf
+reads its points through grid.coordinate_lines and computes by
+broadcasting, so on a block of lattice points the Cantor function, the
+tooth lookup, the mollifier and the trig run once per lattice line.  The
 certificates read the exact statements of the same fields, at rational
 points such as 3^-n, from jetlab.exact.
 """
@@ -17,8 +20,8 @@ import numpy as np
 from . import domains, grid
 from .errors import PointOutsideRegionError
 from .exact import COMB_PARTIALS, MOLL_CUTOFF, cantor_phi
-from .grid import (GridMask, Jet, JetEvaluator, SampledJet, multi_indices,
-                   row_blocks)
+from .grid import (GridMask, Jet, JetEvaluator, SampledJet, coordinate_lines,
+                   multi_indices, row_blocks)
 
 
 def cantor_phi_array(values) -> np.ndarray:
@@ -101,18 +104,21 @@ class AnalyticJet:
                     f"{what} {bad} lies outside the region of {self.name}")
 
     def jet_many(self, points, order: int) -> Jet:
-        """Every partial with |alpha| <= order, from one evaluator call; the
-        ones it leaves out, and every partial off member, are zeros."""
+        """Every partial with |alpha| <= order at the points' shape, from one
+        evaluator call; the ones it leaves out, and every partial off
+        member, are zeros."""
         pts = np.asarray(points, dtype=np.float64)
+        shape = pts.shape[:-1]
         jet = self.evaluator(pts, order)
         if self.member is not None:
-            inside = self.member(*np.moveaxis(pts, -1, 0))
+            inside = self.member(*coordinate_lines(pts))
             jet = {a: np.where(inside, arr, 0.0) for a, arr in jet.items()}
-        return {
-            alpha: np.asarray(jet[alpha], dtype=np.float64) if alpha in jet
-            else np.zeros(pts.shape[:-1])
-            for alpha in multi_indices(order, self.dim)
-        }
+        out = {}
+        for alpha in multi_indices(order, self.dim):
+            arr = np.asarray(jet.get(alpha, 0.0), dtype=np.float64)
+            out[alpha] = arr if arr.shape == shape else np.broadcast_to(
+                arr, shape)
+        return out
 
     def sample(self, mask: GridMask, order: int) -> SampledJet:
         """Every component on the masked lattice points, by grid.sample,
@@ -127,23 +133,24 @@ def polynomial_jet(name: str,
 
     The leaf leaves out every partial past every term's degree."""
 
-    def partial(pts: np.ndarray, alpha: tuple[int, ...]) -> np.ndarray:
-        out = np.zeros(pts.shape[:-1], dtype=np.float64)
+    def partial(coords: list[np.ndarray],
+                alpha: tuple[int, ...]) -> np.ndarray:
+        out = np.float64(0.0)
         for powers, coeff in terms.items():
             if any(a > p for a, p in zip(alpha, powers)):
                 continue
-            factor = coeff
+            term = np.float64(coeff)
             for a, p in zip(alpha, powers):
-                factor *= math.perm(p, a)  # the falling factorial p!/(p-a)!
-            term = np.full(pts.shape[:-1], factor, dtype=np.float64)
-            for axis, (a, p) in enumerate(zip(alpha, powers)):
+                term *= math.perm(p, a)  # the falling factorial p!/(p-a)!
+            for x, (a, p) in zip(coords, zip(alpha, powers)):
                 if p - a > 0:
-                    term = term * pts[..., axis] ** (p - a)
-            out += term
-        return out
+                    term = term * x ** (p - a)
+            out = out + term  # from +0.0, so a -0.0 term sums to +0.0
+        return np.asarray(out)
 
     def evaluator(pts: np.ndarray, order: int) -> Jet:
-        return {alpha: partial(pts, alpha)
+        coords = coordinate_lines(pts)
+        return {alpha: partial(coords, alpha)
                 for alpha in multi_indices(order, 2)
                 if any(all(a <= p for a, p in zip(alpha, powers))
                        for powers in terms)}
@@ -164,8 +171,9 @@ def sin_cos_jet() -> AnalyticJet:
     """sin(s) cos(t) with partials of any requested order."""
 
     def evaluator(pts: np.ndarray, order: int) -> Jet:
-        sin_s, cos_s = np.sin(pts[..., 0]), np.cos(pts[..., 0])
-        sin_t, cos_t = np.sin(pts[..., 1]), np.cos(pts[..., 1])
+        s, t = coordinate_lines(pts)
+        sin_s, cos_s = np.sin(s), np.cos(s)
+        sin_t, cos_t = np.sin(t), np.cos(t)
         s_cycle = (sin_s, cos_s, -sin_s, -cos_s)
         t_cycle = (cos_t, -sin_t, -cos_t, sin_t)
         return {(a, b): s_cycle[a % 4] * t_cycle[b % 4]
@@ -178,7 +186,7 @@ def exp1d_jet() -> AnalyticJet:
     """exp(s) on the line; every partial is exp itself."""
 
     def evaluator(pts: np.ndarray, order: int) -> Jet:
-        value = np.exp(pts[..., 0])
+        value = np.exp(coordinate_lines(pts)[0])
         value.setflags(write=False)  # shared by every partial
         return {alpha: value for alpha in multi_indices(order, 1)}
 
@@ -194,14 +202,13 @@ def _example3_eval(pts: np.ndarray, order: int) -> Jet:
     """Comb field: chi(s, t) on the base, its shifted copy on each tooth."""
     if order > 2:
         raise ValueError("comb field jets are available to order 2")
-    s = pts[..., 0]
-    t = pts[..., 1]
+    s, t = coordinate_lines(pts)
     # the tooth lookup gives the shifted abscissa: s on the base, s - a_n
     # on tooth n, where the comb meets the open positive quadrant
     tooth = domains.comb_tooth_index_array(s)
-    on_tooth = (tooth >= 0) & (t > 0.0) & (t <= 1.0)
-    sloc = np.array(s, dtype=np.float64)
-    sloc[on_tooth] -= np.ldexp(0.75, -tooth[on_tooth].astype(np.int32))
+    shifted = s - np.ldexp(0.75, -tooth.astype(np.int32))
+    on_tooth = (tooth >= 0) & ((t > 0.0) & (t <= 1.0))
+    sloc = np.where(on_tooth, shifted, s)
     return {alpha: COMB_PARTIALS[alpha](sloc, t)
             for alpha in multi_indices(order, 2) if alpha in COMB_PARTIALS}
 
@@ -213,7 +220,7 @@ def example3_jet() -> AnalyticJet:
 
 def _gap1d_eval(pts: np.ndarray, order: int) -> Jet:
     """Slope 1 on every piece; the leaf leaves out orders 2 and up."""
-    s = pts[..., 0]
+    s, = coordinate_lines(pts)
     seg = domains.gap_segment_index_array(s)
     n_safe = np.where(seg > 0, seg, 1).astype(np.int32)
     shift = np.where(seg > 0, np.ldexp(1.0, -n_safe), 0.0)
@@ -231,18 +238,17 @@ def gap1d_jet() -> AnalyticJet:
 def _example1_eval(pts: np.ndarray, order: int) -> Jet:
     if order > 3:
         raise ValueError("t-derivatives of the mollifier stop at order 3")
-    s = pts[..., 0]
-    t = pts[..., 1]
+    s, t = coordinate_lines(pts)
     # every s-partial vanishes off the slit columns, so the leaf leaves
     # them out
-    out = {(0, b): np.zeros(pts.shape[:-1], dtype=np.float64)
-           for b in range(order + 1)}
-    block = (s > 0.0) & (s <= 1.0) & (t > 0.0) & (t <= 1.0)
+    block = ((s > 0.0) & (s <= 1.0)) & ((t > 0.0) & (t <= 1.0))
+    out = {(0, b): np.zeros(block.shape) for b in range(order + 1)}
     if block.any():
-        phi = cantor_phi_array(s[block])
-        derivs = mollifier_derivs(t[block], order)
-        for b in range(order + 1):
-            out[(0, b)][block] = phi * derivs[b]
+        # multiplied on the block only: off it the partials stay +0.0,
+        # where phi = 0 times a negative derivative would give -0.0
+        phi = cantor_phi_array(s)
+        for b, d in enumerate(mollifier_derivs(t, order)):
+            np.multiply(phi, d, out=out[(0, b)], where=block)
     return out
 
 

@@ -26,6 +26,8 @@ from .errors import MaskMismatchError
 # rest with zeros.
 Jet = dict[tuple[int, ...], np.ndarray]
 # The one evaluator protocol: (points of shape (..., dim), order) -> Jet.
+# A partial is any array that broadcasts to the points' shape (...,), so a
+# leaf that reads coordinate_lines computes each factor once per line.
 JetEvaluator = Callable[[np.ndarray, int], Jet]
 
 # The highest jet order jetlab takes, the reflection's included.
@@ -235,26 +237,48 @@ class SampledJet:
             yield rows, {a: arr[rows] for a, arr in self.components.items()}
 
 
+def coordinate_lines(pts) -> list[np.ndarray]:
+    """The coordinate arrays of pts (..., dim), one per axis, each cut to
+    length 1 along every leading axis where it does not vary, compared bit
+    for bit (so -0.0 and +0.0, or two NaNs, never merge).  On a block of
+    lattice points these are the np.ix_ lines, on arbitrary points
+    pts[..., a]; either way they broadcast back to pts[..., a]."""
+    pts = np.asarray(pts, dtype=np.float64)
+    lines = []
+    for a in range(pts.shape[-1]):
+        line = pts[..., a]
+        for axis, n in enumerate(line.shape):
+            bits = line.view(np.int64)
+            at = (slice(None),) * axis
+            first = bits[at + (slice(1),)]
+            # the last index first: it tells most varying axes apart at once
+            if n > 1 and (bits[at + (slice(n - 1, n),)] == first).all() and (
+                    bits == first).all():
+                line = line[at + (slice(1),)]
+        lines.append(line)
+    return lines
+
+
 def walk(evaluator: JetEvaluator, mask: GridMask,
          order: int) -> Iterator[tuple[slice, Jet]]:
-    """The one walk of a lattice with an evaluator: the masked points in
-    blocks of whole rows, one evaluator call per non-empty block, each
-    yielded as (rows, the partials it returned over those rows, 0 off the
-    mask)."""
+    """The one walk of a lattice with an evaluator: the lattice in blocks of
+    whole rows, one evaluator call per block holding a masked point, on
+    all the block's lattice points as one (rows, ..., dim) array, each
+    yielded as (rows, the partials it returned over those rows, +0.0 off
+    the mask)."""
     grid = mask.grid
+    axes = [grid.axis_coords(a) for a in range(grid.dim)]
     for rows in row_blocks(grid.extents):
         sub = mask.member[rows]
-        idx = np.nonzero(sub)
-        if not idx[0].size:
+        if not sub.any():
             continue
-        pts = grid.points((idx[0] + rows.start,) + idx[1:])
-        del idx  # the points are all the evaluator needs
+        pts = np.empty(sub.shape + (grid.dim,))
+        for a, line in enumerate(np.ix_(axes[0][rows], *axes[1:])):
+            pts[..., a] = line
         jet = evaluator(pts, order)
-        block = {}
-        for alpha in multi_indices(order, grid.dim):
-            if alpha in jet:
-                block[alpha] = np.zeros(sub.shape)
-                block[alpha][sub] = jet[alpha]
+        del pts  # the block's partials are all the walk needs
+        block = {alpha: np.where(sub, jet[alpha], 0.0)
+                 for alpha in multi_indices(order, grid.dim) if alpha in jet}
         del jet
         yield rows, block
 

@@ -202,7 +202,9 @@ def reduce_blocks(blocks: Iterable[tuple[slice, Jet]], mask: GridMask,
     The last 2 rows of each component ride along to the next block, so each
     stencil along axis 0 is read once, in the block holding its last point.
     A block that does not follow on from the last starts afresh: a stencil
-    across the skipped rows has a point off the mask."""
+    across the skipped rows has a point off the mask.  A component that is
+    0 over its whole window, halo rows included, is left out of the folds,
+    which keep only a strict > over 0."""
     if not mask.member.any():
         raise EmptyMaskError("sup over an empty mask")
     alphas = multi_indices(order, mask.grid.dim)
@@ -220,22 +222,26 @@ def reduce_blocks(blocks: Iterable[tuple[slice, Jet]], mask: GridMask,
                 f"rows {rows.start}:{rows.stop} hold the partials {present} "
                 f"but the first block {live}; the partials left out must "
                 f"depend on the order alone")
+        tops = {}
         for alpha in live:
-            top = float(np.abs(block[alpha]).max())
-            if not math.isfinite(top):
+            tops[alpha] = float(np.abs(block[alpha]).max())
+            if not math.isfinite(tops[alpha]):
                 raise ValueError(f"component {alpha} is not finite on the mask")
-            sups[alpha] = max(sups[alpha], top)
+            sups[alpha] = max(sups[alpha], tops[alpha])
         if not scan:
             continue
         held = carried if rows.start == next_row else 0
         window = {a: np.concatenate((halo[a], block[a])) if held else block[a]
                   for a in live}
+        # the components nonzero somewhere in the window: the others'
+        # differences are all 0
+        moving = [a for a in live if tops[a] or (held and halo[a].any())]
         start = rows.start - held
         inside = mask.member[start:rows.stop]
         for axis in range(mask.grid.dim):
             ends, row = _stencils(inside, axis, 1, held)
             ok = ends[0] & ends[1]
-            for alpha in live if ok.any() else ():
+            for alpha in moving if ok.any() else ():
                 lo, hi = _stencils(window[alpha], axis, 1, held)[0]
                 _fold(jumps, (alpha, axis), ok, np.subtract(hi, lo),
                       start + row)
@@ -244,8 +250,8 @@ def reduce_blocks(blocks: Iterable[tuple[slice, Jet]], mask: GridMask,
             zero = (np.broadcast_to(0.0, ok.shape),) * 3
             for alpha in alphas if ok.any() else ():
                 lower = _lower(alpha, axis)
-                if not alpha[axis] or (lower not in window
-                                       and alpha not in window):
+                if not alpha[axis] or (lower not in moving
+                                       and alpha not in moving):
                     continue
                 lo, _, hi = (_stencils(window[lower], axis, 2, held)[0]
                              if lower in window else zero)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jetlab import domains, exact
 from jetlab.errors import (
@@ -46,6 +47,28 @@ def test_cantor_contains_exact():
     # 1/4 is in the true Cantor set, hence in every cover level
     for d in range(7):
         assert exact.cantor_level(d).contains(Fraction(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 8), st.data())
+def test_the_slit_cover_test_is_the_exact_one(depth, data):
+    # the open set's float test against the cover's exact one: at random
+    # floats, at the nearest float to each end, at the inward-rounded
+    # bounds, and at the next float on either side of each
+    slit = domains.CantorSlit(depth)
+    ends = [float(e) for pair in slit.cover.intervals for e in pair]
+    ends += [*slit.lows, *slit.highs]
+    ends += [math.nextafter(e, d) for e in ends for d in (-2.0, 2.0)]
+    s = np.array(data.draw(st.lists(
+        st.one_of(st.floats(-1.5, 1.5, allow_nan=False), st.sampled_from(ends)),
+        min_size=1, max_size=64)))
+    in_cover = np.array([slit.cover.contains(v) for v in s])
+    # at an ordinate of the slits, open is the square minus the cover
+    for t in (np.full(len(s), 0.5), np.array(0.5)):
+        assert np.array_equal(slit.open(s, t), (np.abs(s) < 1.0) & ~in_cover)
+    assert all(slit.cover.contains(v) for v in (*slit.lows, *slit.highs))
+    assert not any(slit.cover.contains(math.nextafter(v, -2.0))
+                   for v in slit.lows)
 
 
 def test_cantor_gaps():

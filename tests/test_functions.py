@@ -400,26 +400,100 @@ def test_sample_calls_the_leaf_once_per_row_block(monkeypatch):
     _, omega = domains.build_domain(domains.CantorSlit(4), 2.0**-9)
     jet = get_function("example1", depth=4)
     leaf = jet.evaluator
-    calls = []
-    moll = []
+    calls, phis, moll = [], [], []
 
     def evaluator(pts, order):
-        calls.append(order)
+        calls.append((order, pts.shape))
         return leaf(pts, order)
 
+    def counted_phi(s):
+        phis.append(np.shape(s))
+        return cantor_phi_array(s)
+
     def counted_mollifier(t, order):
-        moll.append(order)
+        moll.append((order, np.shape(t)))
         return mollifier_derivs(t, order)
 
     jet.evaluator = evaluator
+    monkeypatch.setattr(functions, "cantor_phi_array", counted_phi)
     monkeypatch.setattr(functions, "mollifier_derivs", counted_mollifier)
     jet.sample(omega, 3)
     blocks = [rows for rows in row_blocks(omega.grid.extents)
               if omega.member[rows].any()]
     assert len(blocks) > 10
-    assert calls == [3] * len(blocks)
-    # the blocks with s <= 0 hold no point of the field's support
-    assert moll == [3] * len(moll) and 0 < len(moll) < len(blocks)
+    # each call holds a block's lattice points
+    cols = omega.grid.extents[1]
+    assert calls == [(3, (rows.stop - rows.start, cols, 2))
+                     for rows in blocks]
+    # the blocks with s <= 0 hold no point of the field's support; in the
+    # others phi runs on the block's column of abscissae and the mollifier
+    # on the ordinate axis, once per lattice line
+    assert 0 < len(moll) == len(phis) < len(blocks)
+    assert moll == [(3, (1, cols))] * len(moll)
+    assert phis == [(rows.stop - rows.start, 1)
+                    for rows in blocks[-len(phis):]]
+
+
+@pytest.mark.parametrize("name", function_names())
+def test_a_leaf_gives_the_same_bits_on_lattice_lines_and_on_points(name):
+    # a lattice block, and the same points flattened and shuffled: every
+    # partial the leaf gives, broadcast to the points, has the same bits
+    field = get_function(name, depth=4)
+    g = GridSpec((-1.0,) * field.dim, 2.0**-5, (65,) * field.dim)
+    lattice = np.stack(np.meshgrid(*(g.axis_coords(a) for a in range(g.dim)),
+                                   indexing="ij"), axis=-1)
+    block = lattice[16:60]
+    order = np.random.default_rng(7).permutation(block.size // g.dim)
+    points = block.reshape(-1, g.dim)[order]
+    for k in served_orders(field):
+        on_block = field.evaluator(block, k)
+        on_points = field.evaluator(points, k)
+        assert set(on_block) == set(on_points)
+        for alpha, arr in on_block.items():
+            flat = np.broadcast_to(arr, block.shape[:-1]).reshape(-1)[order]
+            want = np.broadcast_to(on_points[alpha], points.shape[:-1])
+            assert flat.view(np.int64).tolist() == (
+                want.view(np.int64).tolist()), (alpha, k)
+        # jet_many gives each partial at the points' shape
+        assert {arr.shape for arr in field.jet_many(block, k).values()} == {
+            block.shape[:-1]}
+
+
+def fraction_digit_walk(s, depth=DEFAULT_PHI_DEPTH):
+    """The Cantor function's ternary-to-binary digit map in Fraction
+    arithmetic, digit by digit."""
+    if s <= 0:
+        return 0.0
+    if s >= 1:
+        return 1.0
+    x, value, weight = Fraction(s), Fraction(0), Fraction(1, 2)
+    for _ in range(depth):
+        x *= 3
+        digit = int(x)
+        x -= digit
+        if digit:
+            value += weight
+        if digit == 1 or x == 0:
+            break
+        weight /= 2
+    return float(value)
+
+
+_THIRDS = st.builds(lambda k, n: Fraction(k, 3**n), st.sampled_from([1, 2]),
+                    st.integers(0, 40))
+_DYADICS = st.builds(lambda k, n: Fraction(k, 2**n), st.integers(0, 2**12),
+                     st.integers(0, 60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_THIRDS, _THIRDS.map(float), _DYADICS,
+                 st.floats(-0.5, 1.5, allow_nan=False)),
+       st.sampled_from([0, 1, 5, 20, DEFAULT_PHI_DEPTH]))
+@example(Fraction(1, 3**33), DEFAULT_PHI_DEPTH)
+@example(2.0**-1074, DEFAULT_PHI_DEPTH)
+@example(float(Fraction(2, 3**12)), DEFAULT_PHI_DEPTH)
+def test_cantor_phi_is_the_fraction_digit_walk(s, depth):
+    assert cantor_phi(s, depth) == fraction_digit_walk(s, depth)
 
 
 def served_orders(field):

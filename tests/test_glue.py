@@ -494,9 +494,14 @@ def test_window_walk_asks_once_per_row_block_for_each_point(monkeypatch):
     res = global_extend(get_function("sin_cos", depth=4), domains.HalfBall(),
                         1, h=2.0**-7, margin=0.5)
     window = res.window
-    assert len(calls) == len(list(row_blocks(window.extents))) == 2
+    # each block's lattice points in one array, each window point once
+    blocks = list(row_blocks(window.extents))
+    assert len(calls) == len(blocks) == 2
+    assert [pts.shape[:-1] for pts in calls] == [
+        (rows.stop - rows.start, window.extents[1]) for rows in blocks]
     everywhere = np.nonzero(np.ones(window.extents, dtype=bool))
-    assert np.array_equal(np.concatenate(calls), window.points(everywhere))
+    assert np.concatenate(calls).reshape(-1, 2).tobytes() == window.points(
+        everywhere).tobytes()
 
 
 def count_inverse_points(charts):

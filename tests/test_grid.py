@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from jetlab.errors import MaskMismatchError
 from jetlab.grid import (
@@ -10,6 +12,7 @@ from jetlab.grid import (
     GridSpec,
     SampledJet,
     alpha_key,
+    coordinate_lines,
     dilate_box,
     interior_of,
     multi_indices,
@@ -246,16 +249,20 @@ def test_sample_passes_each_masked_point_once_per_non_empty_block():
     mask = GridMask(g, member)
     calls = []
 
-    def evaluator(pts, order):  # s + 2t to order 1
+    def evaluator(pts, order):  # s + 2t to order 1; (0, 1) as a scalar
         calls.append(pts.copy())
-        return {(0, 0): pts[:, 0] + 2.0 * pts[:, 1],
-                (1, 0): np.ones(len(pts)), (0, 1): np.full(len(pts), 2.0)}
+        return {(0, 0): pts[..., 0] + 2.0 * pts[..., 1],
+                (1, 0): np.ones(pts.shape[:-1]), (0, 1): np.float64(2.0)}
 
     jet = sample(evaluator, mask, 1)
-    assert len(calls) == 2
-    want = g.points(np.nonzero(member))
-    assert np.array_equal(np.concatenate(calls), want)
+    # one call per non-empty block, on all its lattice points: each point
+    # of those blocks once, in row-major order
     s, t = coord_grids(g)
+    lattice = np.stack((s, t), axis=-1)
+    assert [pts.shape for pts in calls] == [lattice[blocks[0]].shape,
+                                            lattice[blocks[2]].shape]
+    assert np.concatenate(calls).tobytes() == np.concatenate(
+        (lattice[blocks[0]], lattice[blocks[2]])).tobytes()
     assert np.array_equal(jet.components[(0, 0)],
                           np.where(member, s + 2.0 * t, 0.0))
     assert np.array_equal(jet.components[(0, 1)], np.where(member, 2.0, 0.0))
@@ -270,3 +277,59 @@ def test_sample_passes_each_masked_point_once_per_non_empty_block():
             assert np.shares_memory(arr, jet.components[alpha])
             if rows.start in walked:
                 assert arr.tobytes() == walked[rows.start][alpha].tobytes()
+
+
+def test_walk_stores_plus_zero_off_the_mask():
+    # whatever a leaf gives at a point off the mask, -0.0, nan or inf, the
+    # walk's block holds +0.0 there and the leaf's own bits on the mask
+    g = GridSpec((0.0,), 0.5, (6,))
+    member = np.array([True, False, True, False, True, False])
+    given_ = np.array([-0.0, -0.0, np.nan, np.nan, -np.inf, np.inf])
+    [(_, block)] = walk(lambda pts, order: {(0,): given_},
+                        GridMask(g, member), 0)
+    want = np.where(member, given_, 0.0)
+    assert block[(0,)].view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+_BITS = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan, -np.nan, np.inf])
+
+
+def constant_along(arr: np.ndarray, axis: int) -> bool:
+    """Whether arr holds the same bits at every index along axis."""
+    bits = arr.view(np.int64)
+    return bool((bits == bits.take([0], axis=axis)).all())
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                    st.integers(1, 2)), elements=_BITS))
+@example(np.zeros((0, 2)))
+@example(np.array([[-0.0, np.nan]]))
+@example(np.array([[0.0, np.nan], [-0.0, np.nan]]))
+@example(np.stack(np.meshgrid([0.0, -0.0, 1.0], [np.nan, 2.0],
+                              indexing="ij"), axis=-1))
+def test_coordinate_lines_cut_exactly_where_a_coordinate_is_constant(pts):
+    # empty, single-point, +-0.0 and nan columns among them: an axis is
+    # cut to length 1 exactly when the coordinate's bits do not vary on it
+    for a, line in enumerate(coordinate_lines(pts)):
+        coord = pts[..., a]
+        assert line.ndim == coord.ndim
+        for axis, n in enumerate(coord.shape):
+            cut = n > 1 and constant_along(coord, axis)
+            assert line.shape[axis] == (1 if cut else n)
+        # the line broadcasts back to the coordinate, bit for bit
+        back = np.broadcast_to(line, coord.shape)
+        assert back.view(np.int64).tolist() == coord.view(np.int64).tolist()
+
+
+def test_coordinate_lines_of_a_lattice_block_are_its_axes():
+    g = GridSpec((-1.0, -0.5), 2.0**-4, (20, 9))
+    s, t = coord_grids(g)
+    got = coordinate_lines(np.stack((s, t), axis=-1)[3:11])
+    want = np.ix_(g.axis_coords(0)[3:11], g.axis_coords(1))
+    assert [line.tobytes() for line in got] == [w.tobytes() for w in want]
+    assert [line.shape for line in got] == [(8, 1), (1, 9)]
+    # arbitrary points are their own coordinates
+    pts = np.array([[0.5, 0.25], [0.5, -0.25], [-0.0, 0.25]])
+    assert [line.tobytes() for line in coordinate_lines(pts)] == [
+        pts[:, 0].tobytes(), pts[:, 1].tobytes()]

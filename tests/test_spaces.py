@@ -366,6 +366,29 @@ def test_scan_witness_straddles_a_row_block_seam(case, h):
     assert ("jumps by 10" in term["note"]) == (h == 1.0)
 
 
+@pytest.mark.parametrize("side", ["zero-then-nonzero", "nonzero-then-zero"])
+@pytest.mark.parametrize("h", [1.0, 2.0**-6], ids=["modulus", "fd"])
+def test_a_component_zero_on_whole_blocks_is_scanned_exactly(side, h):
+    # every component is 0 on the whole row block on one side of the seam;
+    # on the other the components of one order are 10: order 2 for the
+    # modulus witness, and for the fd one order 1 after the seam or order
+    # 0 before it.  Each witness is the first stencil across the seam, read
+    # in the second block, whose own rows or halo rows are all 0
+    g = GridSpec((0.0, 0.0), h, (300, 301))
+    seam = list(row_blocks(g.extents))[1].start
+    loud = slice(seam, None) if side == "zero-then-nonzero" else slice(seam)
+    order = 2 if h == 1.0 else int(side == "zero-then-nonzero")
+    components = {}
+    for alpha in multi_indices(2, 2):
+        components[alpha] = np.zeros(g.extents)
+        if sum(alpha) == order:
+            components[alpha][loud] = 10.0
+    jet = SampledJet(2, GridMask(g, np.ones(g.extents, bool)), components)
+    for space in ("F", "E"):
+        term = assert_same_verdict(jet, space)["certificate"]["terms"][0]
+        assert seam - 2 <= Fraction(*term["base"][0]) / Fraction(h) < seam
+
+
 def test_scan_matches_the_oracle_on_a_consistent_field():
     g = GridSpec((-1.0, -1.0), 2.0**-8, (300, 301))
     member = np.random.default_rng(5).random(g.extents) < 0.8
@@ -431,9 +454,10 @@ CANTOR_E3 = ["space", "norm", "--domain", "cantor_slit", "--depth", "4",
 
 
 def test_one_pass_norm_evaluates_each_masked_point_once(monkeypatch):
-    # one leaf call per non-empty row block, each masked point once: the
-    # halo rows are carried to the next block, not evaluated again; each
-    # block holds the 4 partials that are not 0, phi(s) times a t-partial
+    # one leaf call per non-empty row block, on that block's lattice points,
+    # each point once: the halo rows are carried to the next block, not
+    # evaluated again; each block holds the 4 partials that are not 0,
+    # phi(s) times a t-partial
     h = 2.0**-8
     _, omega = domains.build_domain(domains.CantorSlit(4), h)
     calls, held = [], []
@@ -441,7 +465,7 @@ def test_one_pass_norm_evaluates_each_masked_point_once(monkeypatch):
     leaf = field.evaluator
 
     def counted(pts, order):
-        calls.append(len(pts))
+        calls.append(pts.copy())
         return leaf(pts, order)
 
     def walked(evaluator, mask, order):
@@ -457,8 +481,12 @@ def test_one_pass_norm_evaluates_each_masked_point_once(monkeypatch):
     blocks = [rows for rows in row_blocks(omega.grid.extents)
               if omega.member[rows].any()]
     assert len(blocks) > 1
-    assert len(calls) == len(blocks)
-    assert sum(calls) == omega.count
+    lattice = np.stack(np.meshgrid(*(omega.grid.axis_coords(a)
+                                     for a in range(2)), indexing="ij"), -1)
+    assert [pts.shape[:-1] for pts in calls] == [
+        omega.member[rows].shape for rows in blocks]
+    assert np.concatenate(calls).tobytes() == np.concatenate(
+        [lattice[rows] for rows in blocks]).tobytes()
     assert held == [[(0, 0), (0, 1), (0, 2), (0, 3)]] * len(blocks)
 
 
