@@ -14,6 +14,9 @@ Three families of tools share one lattice substrate:
 import importlib
 
 __version__ = "0.1.0"
+# the ceiling of a divergence certificate whose config names none, and the
+# default of certify cantorslit --ceiling
+DEFAULT_CEILING = 1e3
 
 # public name -> the module that defines it, imported on first use (PEP
 # 562), so that a command imports only the modules it runs

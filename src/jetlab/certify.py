@@ -26,12 +26,10 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import exact, io
+from . import DEFAULT_CEILING, exact, io
 from .errors import JetlabError, ReplayMismatchError
 
 GAP_TOLERANCE = 1e-9
-# the ceiling of a divergence certificate whose config names none
-DEFAULT_CEILING = 1e3
 
 
 @dataclass(frozen=True)

@@ -12,22 +12,22 @@ outputs or a lattice too large to allocate.
 Each command imports the modules it runs and calls into them through the
 module (domains.build_domain, functions.get_function, ...), so a wrapper
 set on a module attribute, as perfbench/traced_cli.py sets them, applies.
-certify, io and the parser import no numpy, so --help, certify and replay
-start without it.  main runs OpenBLAS on one thread unless the caller set
-OPENBLAS_NUM_THREADS: jetlab is single-threaded, and its only BLAS calls
-are the (n, 2) @ (2, 2) maps of affine charts.
+The parser imports none of them, so --help loads the package, this module
+and jetlab.errors alone; certify and io import no numpy, so certify and
+replay start without it.  main runs OpenBLAS on one thread unless the
+caller set OPENBLAS_NUM_THREADS: jetlab is single-threaded, and its only
+BLAS calls are the (n, 2) @ (2, 2) maps of affine charts.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import importlib
 import math
 import os
 import sys
 
-from . import __version__, certify, io
+from . import DEFAULT_CEILING, __version__
 from .errors import JetlabError, ReplayMismatchError
 
 DEFAULTS = {
@@ -37,7 +37,7 @@ DEFAULTS = {
     "n_max": 20,
     "tol": 1e-2,
     "margin": 0.5,
-    "ceiling": certify.DEFAULT_CEILING,
+    "ceiling": DEFAULT_CEILING,
     "depth": 4,
     "n_teeth": 6,
     "n_segments": 8,
@@ -159,7 +159,7 @@ def _domain_and_function(args):
 
 
 def _cmd_domain_build(args, argv) -> int:
-    from . import domains
+    from . import domains, io
     domain, _ = _domain_and_function(args)
     q, open_mask = domains.build_domain(domain, args.h)
     payload = {
@@ -179,7 +179,7 @@ def _cmd_domain_build(args, argv) -> int:
 
 
 def _cmd_field_sample(args, argv) -> int:
-    from . import domains
+    from . import domains, io
     domain, jet = _domain_and_function(args)
     q, open_mask = domains.build_domain(domain, args.h)
     mask = open_mask if args.mask == "open" else q
@@ -198,7 +198,7 @@ def _cmd_field_sample(args, argv) -> int:
 
 
 def _cmd_hestenes_coeffs(args, argv) -> int:
-    from . import hestenes
+    from . import hestenes, io
     coeffs = hestenes.solve_coefficients(args.order)
     floats = " ".join(io.format_float(v) for v in coeffs.floats())
     rationals = " ".join(map(str, coeffs.values))
@@ -218,7 +218,7 @@ def _cmd_hestenes_coeffs(args, argv) -> int:
 
 
 def _cmd_hestenes_extend(args, argv) -> int:
-    from . import hestenes
+    from . import hestenes, io
     jet = io.read_jet(args.infile)
     coeffs = hestenes.solve_coefficients(args.order)
     result = hestenes.extend_half_space_lattice(
@@ -241,7 +241,7 @@ def _cmd_hestenes_extend(args, argv) -> int:
 
 
 def _cmd_extend_prop2(args, argv) -> int:
-    from . import glue, grid
+    from . import glue, grid, io
     domain, jet = _domain_and_function(args)
     result = glue.global_extend(jet, domain, args.order, h=args.h,
                                 margin=args.margin)
@@ -276,7 +276,7 @@ def _cmd_extend_prop2(args, argv) -> int:
 
 
 def _cmd_space_norm(args, argv) -> int:
-    from . import domains, grid, spaces
+    from . import domains, grid, io, spaces
     label = "Omega" if args.space == "E" else "Q"
     if args.field:
         payload = io.read_artifact(args.field)
@@ -321,6 +321,9 @@ def _cmd_space_norm(args, argv) -> int:
 
 
 def _cmd_certify(args, argv) -> int:
+    import csv
+
+    from . import certify, io
     name = {"cantorslit": "cantor_slit"}.get(args.which, args.which)
     # a kind's parser holds exactly the flags its builder reads
     kwargs = {key: getattr(args, key) for key in ("n_max", "ceiling", "depth")
@@ -346,6 +349,7 @@ def _cmd_certify(args, argv) -> int:
 
 
 def _cmd_replay(args, argv) -> int:
+    from . import certify, io
     payload = io.read_artifact(args.cert)
     cert = certify.Certificate.from_payload(payload)
     try:

@@ -28,11 +28,28 @@ N_PROBES = 256
 
 # ---------------------------------------------------------------------------
 # charts of the chartable boundaries
+#
+# A chart maps reference coordinates xi to world points.  forward and
+# inverse are the value maps; forward_derivatives(xi, order) and
+# inverse_derivatives(pts, order) give each map's Jacobian (..., 2, 2) and
+# Hessian (..., 2, 2, 2) in one call, None where the order needs none; an
+# affine chart gives its constant 2 x 2 matrix and no Hessian.  box() is a
+# world box holding the image of the unit reference ball.
+
+
+def _guarded(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """The box [lo, hi] grown by a rounding guard, 2^-32 of the farthest
+    coordinate it reaches.  An inverse map rounds a point's radius by a few
+    ulps of its coordinates, far less than the guard moves it, so no point
+    outside the grown box maps below radius 1 where the exact box's edge
+    touches the unit ball's image."""
+    guard = 2.0**-32 * np.maximum(np.abs(lo), np.abs(hi))
+    return lo - guard, hi + guard
 
 
 @dataclass(eq=False)
 class AffineChart:
-    """phi(xi) = center + A @ xi; Jacobians constant, Hessians zero."""
+    """phi(xi) = center + A @ xi: the Jacobian is A, the Hessian zero."""
 
     center: np.ndarray
     matrix: np.ndarray
@@ -50,17 +67,17 @@ class AffineChart:
     def inverse(self, pts: np.ndarray) -> np.ndarray:
         return (pts - self.center) @ self._inv.T
 
-    def jac_forward(self, xi: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self.matrix, xi.shape[:-1] + (2, 2))
+    def forward_derivatives(self, xi: np.ndarray, order: int):
+        return self.matrix, None
 
-    def hess_forward(self, xi: np.ndarray) -> np.ndarray:
-        return np.zeros(xi.shape[:-1] + (2, 2, 2))
+    def inverse_derivatives(self, pts: np.ndarray, order: int):
+        return self._inv, None
 
-    def jac_inverse(self, pts: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(self._inv, pts.shape[:-1] + (2, 2))
-
-    def hess_inverse(self, pts: np.ndarray) -> np.ndarray:
-        return np.zeros(pts.shape[:-1] + (2, 2, 2))
+    def box(self) -> tuple[np.ndarray, np.ndarray]:
+        """The box of the ellipse the unit ball maps to: row i of the
+        matrix has norm the ellipse's reach along world axis i."""
+        half = np.hypot(self.matrix[:, 0], self.matrix[:, 1])
+        return _guarded(self.center - half, self.center + half)
 
     def describe(self) -> dict:
         return {
@@ -112,60 +129,71 @@ class PolarSectorChart:
             [(self.radius - r) / self.depth, dth / self.width], axis=-1
         )
 
-    def jac_forward(self, xi: np.ndarray) -> np.ndarray:
+    def forward_derivatives(self, xi: np.ndarray, order: int):
+        """Jacobian and Hessian at xi as far as order needs them, from one
+        cos and one sin of the angle."""
+        if order == 0:
+            return None, None
         th = self._theta(xi)
         r = self.radius - self.depth * xi[..., 0]
+        cos, sin = np.cos(th), np.sin(th)
         J = np.empty(xi.shape[:-1] + (2, 2))
-        J[..., 0, 0] = -self.depth * np.cos(th)
-        J[..., 1, 0] = -self.depth * np.sin(th)
-        J[..., 0, 1] = -r * self.width * np.sin(th)
-        J[..., 1, 1] = r * self.width * np.cos(th)
-        return J
-
-    def hess_forward(self, xi: np.ndarray) -> np.ndarray:
-        th = self._theta(xi)
-        r = self.radius - self.depth * xi[..., 0]
+        J[..., 0, 0] = -self.depth * cos
+        J[..., 1, 0] = -self.depth * sin
+        J[..., 0, 1] = -r * self.width * sin
+        J[..., 1, 1] = r * self.width * cos
+        if order == 1:
+            return J, None
         H = np.zeros(xi.shape[:-1] + (2, 2, 2))
         dw = self.depth * self.width
-        H[..., 0, 0, 1] = dw * np.sin(th)
-        H[..., 0, 1, 0] = dw * np.sin(th)
-        H[..., 1, 0, 1] = -dw * np.cos(th)
-        H[..., 1, 1, 0] = -dw * np.cos(th)
-        H[..., 0, 1, 1] = -r * self.width**2 * np.cos(th)
-        H[..., 1, 1, 1] = -r * self.width**2 * np.sin(th)
-        return H
+        H[..., 0, 0, 1] = H[..., 0, 1, 0] = dw * sin
+        H[..., 1, 0, 1] = H[..., 1, 1, 0] = -dw * cos
+        H[..., 0, 1, 1] = -r * self.width**2 * cos
+        H[..., 1, 1, 1] = -r * self.width**2 * sin
+        return J, H
 
-    def jac_inverse(self, pts: np.ndarray) -> np.ndarray:
-        v = pts - self.center
-        x, y = v[..., 0], v[..., 1]
-        r2 = x * x + y * y
-        r = np.sqrt(r2)
-        safe_r = np.where(r > 0, r, 1.0)
-        safe_r2 = np.where(r2 > 0, r2, 1.0)
-        J = np.empty(pts.shape[:-1] + (2, 2))
-        J[..., 0, 0] = -x / (self.depth * safe_r)
-        J[..., 0, 1] = -y / (self.depth * safe_r)
-        J[..., 1, 0] = -y / (safe_r2 * self.width)
-        J[..., 1, 1] = x / (safe_r2 * self.width)
-        return J
-
-    def hess_inverse(self, pts: np.ndarray) -> np.ndarray:
+    def inverse_derivatives(self, pts: np.ndarray, order: int):
+        """Jacobian and Hessian of the inverse at pts as far as order needs
+        them, from one pts - center and one x^2 + y^2."""
+        if order == 0:
+            return None, None
         v = pts - self.center
         x, y = v[..., 0], v[..., 1]
         r2 = x * x + y * y
         safe = np.where(r2 > 0, r2, 1.0)
+        r = np.sqrt(r2)
+        safe_r = np.where(r > 0, r, 1.0)
+        J = np.empty(pts.shape[:-1] + (2, 2))
+        J[..., 0, 0] = -x / (self.depth * safe_r)
+        J[..., 0, 1] = -y / (self.depth * safe_r)
+        J[..., 1, 0] = -y / (safe * self.width)
+        J[..., 1, 1] = x / (safe * self.width)
+        if order == 1:
+            return J, None
         r3 = safe ** 1.5
         r4 = safe * safe
         H = np.empty(pts.shape[:-1] + (2, 2, 2))
         H[..., 0, 0, 0] = -(y * y) / (self.depth * r3)
-        H[..., 0, 0, 1] = x * y / (self.depth * r3)
-        H[..., 0, 1, 0] = x * y / (self.depth * r3)
+        H[..., 0, 0, 1] = H[..., 0, 1, 0] = x * y / (self.depth * r3)
         H[..., 0, 1, 1] = -(x * x) / (self.depth * r3)
         H[..., 1, 0, 0] = 2.0 * x * y / (self.width * r4)
-        H[..., 1, 0, 1] = (y * y - x * x) / (self.width * r4)
-        H[..., 1, 1, 0] = (y * y - x * x) / (self.width * r4)
+        H[..., 1, 0, 1] = H[..., 1, 1, 0] = (y * y - x * x) / (self.width * r4)
         H[..., 1, 1, 1] = -2.0 * x * y / (self.width * r4)
-        return H
+        return J, H
+
+    def box(self) -> tuple[np.ndarray, np.ndarray]:
+        """The box of the annular sector |xi_0|, |xi_1| <= 1, which holds
+        the unit ball's image: x and y are bilinear in the radius and in
+        cos and sin of the angle, so their extremes sit at the end radii
+        and at the arc's ends or the axis directions it crosses."""
+        lo, hi = self.theta_c - self.width, self.theta_c + self.width
+        quarter = np.pi / 2.0
+        axes = np.arange(math.ceil(lo / quarter), math.floor(hi / quarter) + 1)
+        th = np.concatenate(([lo, hi], axes * quarter))
+        r = np.array([self.radius - self.depth, self.radius + self.depth])
+        reach = r[:, None, None] * np.stack([np.cos(th), np.sin(th)])
+        return _guarded(self.center + reach.min(axis=(0, 2)),
+                        self.center + reach.max(axis=(0, 2)))
 
     def describe(self) -> dict:
         return {

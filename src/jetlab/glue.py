@@ -11,8 +11,9 @@ differentiation is closed form through order 2.
 
 Every layer is a plain jet evaluator of jetlab.grid or a function of a
 chart: a local extension is the reflected pullback pushed forward through
-its chart, a bump is its chart (bump_jet, one map through its inverse per
-point set), and the global field pairs each bump with one extension.  Each
+its chart, a bump is its chart (bump_jet, one map through its inverse of
+the points in its box), and the global field pairs each bump with one
+extension.  Each
 layer asks its source for one whole jet per point set and applies the chain
 and Leibniz rules to whole jets, so no lower-order partial is derived twice.
 
@@ -64,15 +65,21 @@ def _axis_pair(alpha: tuple[int, ...]) -> tuple[int, int]:
     return axes[0], axes[1]
 
 
-def chain_jet(f_jet: Jet, jac: Callable, hess: Callable, pts: np.ndarray,
-              order: int) -> Jet:
-    """Jet of f o map at pts from f's jet at the mapped points; the map's
-    Jacobian and Hessian are taken at pts as far as the order needs them."""
+def chain_jet(f_jet: Jet, jac, hess, order: int) -> Jet:
+    """Jet of f o map from f's jet at the mapped points and the map's
+    Jacobian and Hessian at the points, as a chart's derivative call gives
+    them: per-point arrays, or a constant matrix and no Hessian.  A constant
+    zero entry adds no term; the sums start at +0, which adding +-0 keeps,
+    and x + (+-0) = x, so the bits are those of the full sum."""
     if order > 2:
         raise ValueError("chart differentiation is closed-form through order 2")
-    jac = jac(pts) if order >= 1 else None
-    hess = hess(pts) if order >= 2 else None
     dim = len(next(iter(f_jet)))
+    shape = f_jet[(0,) * dim].shape
+    const = jac is not None and jac.ndim == 2
+
+    def live(a: int, c: int) -> bool:
+        return not const or jac[a, c] != 0.0
+
     out = {}
     for alpha in multi_indices(order, dim):
         total = sum(alpha)
@@ -80,45 +87,48 @@ def chain_jet(f_jet: Jet, jac: Callable, hess: Callable, pts: np.ndarray,
             out[alpha] = f_jet[alpha]
         elif total == 1:
             c = alpha.index(1)
-            comp = np.zeros(jac.shape[:-2])
+            comp = np.zeros(shape)
             for a in range(dim):
-                comp += f_jet[_unit_alpha(a, dim)] * jac[..., a, c]
+                if live(a, c):
+                    comp += f_jet[_unit_alpha(a, dim)] * jac[..., a, c]
             out[alpha] = comp
         else:
             c, d = _axis_pair(alpha)
-            comp = np.zeros(jac.shape[:-2])
+            comp = np.zeros(shape)
             for a in range(dim):
                 for b in range(dim):
-                    comp += (
-                        f_jet[_pair_alpha(a, b, dim)]
-                        * jac[..., a, c]
-                        * jac[..., b, d]
-                    )
-                comp += f_jet[_unit_alpha(a, dim)] * hess[..., a, c, d]
+                    if live(a, c) and live(b, d):
+                        comp += (
+                            f_jet[_pair_alpha(a, b, dim)]
+                            * jac[..., a, c]
+                            * jac[..., b, d]
+                        )
+                if hess is not None:
+                    comp += f_jet[_unit_alpha(a, dim)] * hess[..., a, c, d]
             out[alpha] = comp
     return out
 
 
-def _compose(f: JetEvaluator, mapping: Callable, jac: Callable,
-             hess: Callable) -> JetEvaluator:
-    """f o mapping; the map, its Jacobian and its Hessian run once a call."""
+def _compose(f: JetEvaluator, mapping: Callable,
+             derivatives: Callable) -> JetEvaluator:
+    """f o mapping.  The map's derivatives are taken once f has returned,
+    so none of them is held while f runs."""
 
     def composed(pts: np.ndarray, order: int) -> Jet:
-        return chain_jet(f(mapping(pts), order), jac, hess, pts, order)
+        f_jet = f(mapping(pts), order)
+        return chain_jet(f_jet, *derivatives(pts, order), order)
 
     return composed
 
 
 def pullback(source: JetEvaluator, chart: Chart) -> JetEvaluator:
     """u = x o phi on reference coordinates."""
-    return _compose(source, chart.forward, chart.jac_forward,
-                    chart.hess_forward)
+    return _compose(source, chart.forward, chart.forward_derivatives)
 
 
 def pushforward(ball_eval: JetEvaluator, chart: Chart) -> JetEvaluator:
     """y = ubar o phi^-1 back on world coordinates."""
-    return _compose(ball_eval, chart.inverse, chart.jac_inverse,
-                    chart.hess_inverse)
+    return _compose(ball_eval, chart.inverse, chart.inverse_derivatives)
 
 
 def local_extend(source: JetEvaluator, chart: Chart,
@@ -180,15 +190,22 @@ def bump_ball_jet(xi: np.ndarray, order: int) -> Jet:
 
 def bump_jet(chart: Chart, pts: np.ndarray,
              order: int) -> tuple[np.ndarray, Jet]:
-    """Unnormalized bump riding on the chart's reference ball, world
-    coordinates; each chart, the interior one included, carries one.  One
-    map through chart.inverse gives the points' reference radius and the
-    bump's jet at those of radius below BUMP_SHRINK (zero at the others)."""
-    xi = chart.inverse(pts)
-    rho = np.hypot(xi[..., 0], xi[..., 1])
-    near = rho < BUMP_SHRINK
-    jet = chain_jet(bump_ball_jet(xi[near], order), chart.jac_inverse,
-                    chart.hess_inverse, pts[near], order)
+    """Unnormalized bump riding on the chart's reference ball at the (n, 2)
+    world points; each chart, the interior one included, carries one.  The
+    points inside chart.box() are mapped through chart.inverse once, which
+    gives their reference radius and the bump's jet at those of radius
+    below BUMP_SHRINK (zero at the others); the points outside it get
+    radius inf."""
+    (x0, y0), (x1, y1) = chart.box()
+    s, t = pts[:, 0], pts[:, 1]
+    boxed = np.flatnonzero((s >= x0) & (s <= x1) & (t >= y0) & (t <= y1))
+    xi = chart.inverse(pts[boxed])
+    radius = np.hypot(xi[:, 0], xi[:, 1])
+    rho = np.full(len(pts), np.inf)
+    rho[boxed] = radius
+    near = radius < BUMP_SHRINK
+    jet = chain_jet(bump_ball_jet(xi[near], order),
+                    *chart.inverse_derivatives(pts[boxed[near]], order), order)
     return rho, jet
 
 
@@ -344,18 +361,25 @@ class GlobalField:
     extensions: list[JetEvaluator]
 
     def jet_many(self, pts, order: int) -> Jet:
+        """The blend off Q first, then the outputs and x's own jet on Q,
+        so no output is held while an extension runs."""
         pts = np.asarray(pts, dtype=np.float64)
-        alphas = multi_indices(order, 2)
         in_q = domains.regular_q_member(self.domain, pts[..., 0], pts[..., 1])
-        out = {alpha: np.zeros(pts.shape[:-1]) for alpha in alphas}
+        outside = ~in_q
+        blend = self._blend(pts[outside], order) if outside.any() else {}
+        out = {alpha: np.zeros(pts.shape[:-1])
+               for alpha in multi_indices(order, 2)}
+        for alpha in list(blend):
+            out[alpha][outside] = blend.pop(alpha)
         if in_q.any():
             own = self.extensions[-1](pts[in_q], order)
-            for alpha in alphas:
-                out[alpha][in_q] = own[alpha]
-        outside = ~in_q
-        if not outside.any():
-            return out
-        pout = pts[outside]
+            for alpha, vals in out.items():
+                vals[in_q] = own[alpha]
+        return out
+
+    def _blend(self, pout: np.ndarray, order: int) -> Jet:
+        """sum over bumps of chi_nu times its extension at points off Q."""
+        alphas = multi_indices(order, 2)
         # each bump's jet at the points of its support, and their sum
         bumps = []
         S = {b: np.zeros(len(pout)) for b in alphas}
@@ -379,9 +403,7 @@ class GlobalField:
                 for beta, gamma, coeff in _leibniz_terms(alpha):
                     term += coeff * chi[beta] * y[gamma]
                 acc[alpha][idx] += term
-        for alpha in alphas:
-            out[alpha][outside] = acc[alpha]
-        return out
+        return acc
 
 
 def _leibniz_terms(alpha: tuple[int, ...]):

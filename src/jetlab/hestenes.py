@@ -97,18 +97,14 @@ class HalfSpaceExtension:
         return self.coeffs.order
 
     def jet_many(self, points, order: int) -> Jet:
-        """One source jet for the points inside, one per reflected probe."""
+        """One source jet per reflected probe, then the outputs and one
+        source jet for the points inside."""
         pts = np.asarray(points, dtype=np.float64)
         alphas = multi_indices(order, pts.shape[-1])
         tau = self.inward * (pts[..., self.axis] - self.boundary)
         inside = tau >= 0.0
-        out = {alpha: np.zeros(pts.shape[:-1], dtype=np.float64)
-               for alpha in alphas}
-        if inside.any():
-            src = self.source(pts[inside], order)
-            for alpha in alphas:
-                out[alpha][inside] = src[alpha]
         mirrored = ~inside
+        acc = {}
         if mirrored.any():
             depth = -tau[mirrored]
             if self.max_depth is not None and float(depth.max()) > self.max_depth:
@@ -130,8 +126,14 @@ class HalfSpaceExtension:
                     acc[alpha] += weight * np.asarray(vals[alpha]).astype(
                         np.longdouble
                     )
+        out = {alpha: np.zeros(pts.shape[:-1], dtype=np.float64)
+               for alpha in alphas}
+        for alpha in list(acc):
+            out[alpha][mirrored] = acc.pop(alpha).astype(np.float64)
+        if inside.any():
+            src = self.source(pts[inside], order)
             for alpha in alphas:
-                out[alpha][mirrored] = acc[alpha].astype(np.float64)
+                out[alpha][inside] = src[alpha]
         return out
 
     def partial_many(self, points, alpha) -> np.ndarray:

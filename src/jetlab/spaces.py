@@ -142,17 +142,25 @@ class MembershipVerdict:
         return payload
 
 
-def _stencils(arr: np.ndarray, axis: int, span: int,
-              held: int) -> tuple[list[np.ndarray], int]:
+def _stencils(arr: np.ndarray, axis: int, span: int) -> list[np.ndarray]:
     """arr at the span + 1 points, j = 0..span steps along axis, of each
-    stencil ending past the first held rows of the window arr, and the
-    window row of the first of their bases."""
+    stencil that arr holds whole."""
     if axis == 0:
-        lo = max(0, held - span)
-        hi = max(lo, len(arr) - span)
-        return [arr[lo + j:hi + j] for j in range(span + 1)], lo
+        rows = max(0, len(arr) - span)
+        return [arr[j:rows + j] for j in range(span + 1)]
     cols = max(0, arr.shape[1] - span)
-    return [arr[held:, j:cols + j] for j in range(span + 1)], held
+    return [arr[:, j:cols + j] for j in range(span + 1)]
+
+
+def _pieces(axis: int, span: int, held: int,
+            rows: int) -> list[tuple[int, int]]:
+    """The window row ranges whose stencils along axis, span steps long,
+    are those ending past the window's first held rows, in row order:
+    along axis 0 the seam, where they start in the held rows, then the
+    block's own rows; along axis 1 the block's rows."""
+    if axis or not held:
+        return [(held, held + rows)]
+    return [(max(0, held - span), held + min(span, rows)), (held, held + rows)]
 
 
 def _lower(alpha: tuple[int, ...], axis: int) -> tuple[int, ...]:
@@ -200,7 +208,9 @@ def reduce_blocks(blocks: Iterable[tuple[slice, Jet]], mask: GridMask,
     every block: they keep sup 0, have no jump, and their finite-difference
     pairs are checked against 0 wherever they meet a partial that is there.
     The last 2 rows of each component ride along to the next block, so each
-    stencil along axis 0 is read once, in the block holding its last point.
+    stencil along axis 0 is read once, in the block holding its last point:
+    those that start in the carried rows from a join of a few rows at the
+    seam, folded first, the others from the block itself.
     A block that does not follow on from the last starts afresh: a stencil
     across the skipped rows has a point off the mask.  A component that is
     0 over its whole window, halo rows included, is left out of the folds,
@@ -231,40 +241,50 @@ def reduce_blocks(blocks: Iterable[tuple[slice, Jet]], mask: GridMask,
         if not scan:
             continue
         held = carried if rows.start == next_row else 0
-        window = {a: np.concatenate((halo[a], block[a])) if held else block[a]
-                  for a in live}
+        height = rows.stop - rows.start
+
+        def window(alpha, r0: int, r1: int) -> np.ndarray:
+            """Rows r0:r1 of the held halo rows stacked on the block: a
+            view of the block, or a join of a few rows at the seam."""
+            if r0 >= held:
+                return block[alpha][r0 - held:r1 - held]
+            return np.concatenate((halo[alpha][r0:], block[alpha][:r1 - held]))
+
         # the components nonzero somewhere in the window: the others'
         # differences are all 0
         moving = [a for a in live if tops[a] or (held and halo[a].any())]
         start = rows.start - held
         inside = mask.member[start:rows.stop]
         for axis in range(mask.grid.dim):
-            ends, row = _stencils(inside, axis, 1, held)
-            ok = ends[0] & ends[1]
-            for alpha in moving if ok.any() else ():
-                lo, hi = _stencils(window[alpha], axis, 1, held)[0]
-                _fold(jumps, (alpha, axis), ok, np.subtract(hi, lo),
-                      start + row)
-            ends, row = _stencils(inside, axis, 2, held)
-            ok = ends[0] & ends[1] & ends[2]
-            zero = (np.broadcast_to(0.0, ok.shape),) * 3
-            for alpha in alphas if ok.any() else ():
-                lower = _lower(alpha, axis)
-                if not alpha[axis] or (lower not in moving
-                                       and alpha not in moving):
-                    continue
-                lo, _, hi = (_stencils(window[lower], axis, 2, held)[0]
-                             if lower in window else zero)
-                mid = (_stencils(window[alpha], axis, 2, held)[0]
-                       if alpha in window else zero)[1]
-                defect = np.subtract(hi, lo)
-                defect /= 2.0 * mask.grid.h
-                defect -= mid
-                _fold(defects, (alpha, axis), ok, defect, start + row,
-                      (lo, hi, mid))
-                del defect  # freed before the next one is made
-        halo = {a: arr[-2:].copy() for a, arr in window.items()}
-        carried, next_row = min(2, rows.stop - start), rows.stop
+            for r0, r1 in _pieces(axis, 1, held, height):
+                ends = _stencils(inside[r0:r1], axis, 1)
+                ok = ends[0] & ends[1]
+                for alpha in moving if ok.any() else ():
+                    lo, hi = _stencils(window(alpha, r0, r1), axis, 1)
+                    _fold(jumps, (alpha, axis), ok, np.subtract(hi, lo),
+                          start + r0)
+            for r0, r1 in _pieces(axis, 2, held, height):
+                ends = _stencils(inside[r0:r1], axis, 2)
+                ok = ends[0] & ends[1] & ends[2]
+                zero = (np.broadcast_to(0.0, ok.shape),) * 3
+                for alpha in alphas if ok.any() else ():
+                    lower = _lower(alpha, axis)
+                    if not alpha[axis] or (lower not in moving
+                                           and alpha not in moving):
+                        continue
+                    lo, _, hi = (_stencils(window(lower, r0, r1), axis, 2)
+                                 if lower in live else zero)
+                    mid = (_stencils(window(alpha, r0, r1), axis, 2)
+                           if alpha in live else zero)[1]
+                    defect = np.subtract(hi, lo)
+                    defect /= 2.0 * mask.grid.h
+                    defect -= mid
+                    _fold(defects, (alpha, axis), ok, defect, start + r0,
+                          (lo, hi, mid))
+                    del defect  # freed before the next one is made
+        last = max(0, held + height - 2)
+        halo = {a: np.array(window(a, last, held + height)) for a in live}
+        carried, next_row = held + height - last, rows.stop
     return Reduction(mask, order, sups, defects, jumps)
 
 

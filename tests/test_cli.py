@@ -364,6 +364,24 @@ def test_help_starts_without_numpy(tmp_path):
     assert not _child(["--help"], tmp_path)[0]
 
 
+def test_help_imports_only_what_it_runs(tmp_path):
+    # the parser needs none of the commands' modules
+    code = ("import sys\n"
+            "from jetlab.cli import main\n"
+            "try:\n"
+            "    main(['--help'])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(*sorted(m for m in ('jetlab.certify', 'jetlab.io', "
+            "'fractions', 'json', 'csv') if m in sys.modules))\n")
+    src = os.path.dirname(os.path.dirname(jetlab.__file__))
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == ""
+
+
 @pytest.mark.parametrize("kind", ["comb", "gap1d", "cantorslit"])
 def test_certify_and_replay_start_without_numpy(kind, tmp_path):
     assert not _child(["certify", kind, "--out", "c.json", "--csv", "c.csv"],

@@ -1,9 +1,12 @@
 """Charts, bumps, partition of unity, and the blended global extension."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from jetlab import domains, glue
 from jetlab.errors import CoverGapError, UnsupportedDomainError
@@ -12,6 +15,7 @@ from jetlab.glue import (
     bump_ball_jet,
     build_partition,
     bump_jet,
+    chain_jet,
     global_extend,
     interface_jet_mismatch,
     local_extend,
@@ -54,37 +58,150 @@ def test_chart_roundtrip(spec):
         assert np.max(np.abs(chart.inverse(world) - xi)) < 1e-12
 
 
+def dense(jac, hess, shape):
+    """A derivative call's answer as full arrays over points of the given
+    shape: a constant matrix broadcast, a missing Hessian all zero."""
+    return (np.broadcast_to(jac, shape + (2, 2)),
+            np.zeros(shape + (2, 2, 2)) if hess is None else hess)
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
 def test_chart_jacobians_match_finite_differences(spec):
     xi = ball_points(40, radius=0.8)
     eps = 1e-6
-    for chart in spec.charts():
-        J = chart.jac_forward(xi)
-        H = chart.hess_forward(xi)
-        for c in range(2):
-            dxi = np.zeros_like(xi)
-            dxi[:, c] = eps
-            fd_j = (chart.forward(xi + dxi) - chart.forward(xi - dxi)) / (
-                2 * eps
-            )
-            assert np.max(np.abs(fd_j - J[..., :, c])) < 1e-6
-            fd_h = (chart.jac_forward(xi + dxi) - chart.jac_forward(xi - dxi)
-                    ) / (2 * eps)
-            assert np.max(np.abs(fd_h - H[..., :, :, c])) < 1e-5
-        # inverse jet, checked in world coordinates
-        world = chart.forward(xi)
-        Ji = chart.jac_inverse(world)
-        Hi = chart.hess_inverse(world)
-        for c in range(2):
-            dw = np.zeros_like(world)
-            dw[:, c] = eps
-            fd_j = (chart.inverse(world + dw) - chart.inverse(world - dw)) / (
-                2 * eps
-            )
-            assert np.max(np.abs(fd_j - Ji[..., :, c])) < 1e-5
-            fd_h = (chart.jac_inverse(world + dw)
-                    - chart.jac_inverse(world - dw)) / (2 * eps)
-            assert np.max(np.abs(fd_h - Hi[..., :, :, c])) < 2e-4
+    for chart, order in itertools.product(spec.charts(), [0, 1, 2]):
+        affine = isinstance(chart, domains.AffineChart)
+        # the forward map at xi and the inverse at its image, each with its
+        # Jacobian and Hessian tolerances
+        for at, value, derivatives, tol_j, tol_h in (
+            (xi, chart.forward, chart.forward_derivatives, 1e-6, 1e-5),
+            (chart.forward(xi), chart.inverse, chart.inverse_derivatives,
+             1e-5, 2e-4),
+        ):
+            jac, hess = derivatives(at, order)
+            # an affine chart gives its constant matrix at every order
+            assert (jac is None) == (order == 0 and not affine)
+            assert (hess is None) == (order < 2 or affine)
+            if order == 0:
+                continue
+
+            def jacobian(p):
+                return dense(*derivatives(p, 1), p.shape[:-1])[0]
+
+            J, H = dense(jac, hess, at.shape[:-1])
+            # the order-2 call adds the Hessian to the order-1 Jacobian
+            assert np.array_equal(J, jacobian(at))
+            for c in range(2):
+                step = np.zeros_like(at)
+                step[:, c] = eps
+                fd_j = (value(at + step) - value(at - step)) / (2 * eps)
+                assert np.max(np.abs(fd_j - J[..., :, c])) < tol_j
+                if order == 2:
+                    fd_h = (jacobian(at + step) - jacobian(at - step)) / (
+                        2 * eps)
+                    assert np.max(np.abs(fd_h - H[..., :, :, c])) < tol_h
+
+
+# every chart a bump rides on: each regular domain's atlas and interior chart
+BUMP_CHARTS = [chart for spec in ALL_SPECS
+               for chart in [*spec.charts(), spec.interior_chart()]]
+_COORD = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def any_chart(draw):
+    """A bump chart or a chart of random shape: the domains' charts are
+    round numbers, which round kindly; these need the box's guard."""
+    kind = draw(st.sampled_from(["bump", "affine", "polar"]))
+    if kind == "bump":
+        return draw(st.sampled_from(BUMP_CHARTS))
+    center = (draw(_COORD), draw(_COORD))
+    if kind == "affine":
+        matrix = np.array([[draw(st.floats(-1.0, 1.0)) for _ in range(2)]
+                           for _ in range(2)])
+        assume(abs(np.linalg.det(matrix)) > 1e-3)
+        return domains.AffineChart(center, matrix, "edge", "half")
+    return domains.PolarSectorChart(
+        center, radius=draw(st.floats(0.5, 2.0)),
+        theta_c=draw(st.floats(-4.0, 4.0)), width=draw(st.floats(0.2, 1.5)),
+        depth=draw(st.floats(0.1, 0.5)))
+
+
+def reach(chart, axis: int, side: float) -> np.ndarray:
+    """Where the unit circle's image reaches furthest toward side along
+    axis.  An affine chart's reaches it at the unit vector along that row
+    of its matrix.  A polar chart's box meets the image only at xi =
+    (+-1, 0) when the angle there is an axis direction, so the farthest of
+    the four axis points stands in."""
+    if isinstance(chart, domains.AffineChart):
+        row = chart.matrix[axis]
+        return chart.forward(side * row[None] / np.hypot(*row))[0]
+    ring = chart.forward(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
+                                   [0.0, -1.0]]))
+    return ring[np.argmax(side * ring[:, axis])]
+
+
+@st.composite
+def just_outside_a_box(draw):
+    """A chart and a point just outside its box: on one edge's line, 1 to
+    4 floats outward, at a coordinate along the edge drawn from the whole
+    edge or from near where the unit circle's image reaches furthest
+    toward that edge, and stepped a few floats either way."""
+    chart = draw(any_chart())
+    lo, hi = chart.box()
+    axis = draw(st.integers(0, 1))
+    other = 1 - axis
+    side = draw(st.sampled_from([-1.0, 1.0]))
+    across = float(hi[axis] if side > 0 else lo[axis])
+    for _ in range(draw(st.integers(1, 4))):
+        across = math.nextafter(across, side * math.inf)
+    touch = float(reach(chart, axis, side)[other])
+    along = draw(st.one_of(
+        st.floats(float(lo[other]) - 0.1, float(hi[other]) + 0.1),
+        st.floats(-1e-7, 1e-7).map(lambda d: touch + d), st.just(touch)))
+    toward = draw(st.sampled_from([-math.inf, math.inf]))
+    for _ in range(draw(st.integers(0, 4))):
+        along = math.nextafter(along, toward)
+    point = np.empty((1, 2))
+    point[0, axis], point[0, other] = across, along
+    return chart, point
+
+
+@settings(max_examples=1000, deadline=None)
+@given(just_outside_a_box())
+def test_no_point_outside_a_box_maps_into_the_unit_ball(case):
+    # bump_jet gives the points outside chart.box() radius inf unmapped;
+    # mapped as bump_jet maps the others, each has radius at least 1, so
+    # neither the bump's support nor the chart's image loses a point
+    chart, point = case
+    assert not in_box(chart, point).any()
+    xi = chart.inverse(point)
+    assert np.hypot(xi[..., 0], xi[..., 1])[0] >= 1.0
+
+
+_ENTRY = st.one_of(st.sampled_from([0.0, -0.0]),
+                   st.floats(-4.0, 4.0, allow_subnormal=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ENTRY, min_size=4, max_size=4), st.integers(0, 2**32 - 1),
+       st.integers(0, 2))
+def test_a_constant_matrix_chains_as_its_broadcast_array(entries, seed,
+                                                         order):
+    # an affine chart's matrix, its zero entries skipped, and no Hessian
+    # give the bits of the per-point arrays with every term summed
+    matrix = np.array(entries).reshape(2, 2)
+    rng = np.random.default_rng(seed)
+    n = 64
+    f_jet = {alpha: np.where(rng.random(n) < 0.2,
+                             rng.choice([0.0, -0.0], n), rng.normal(size=n))
+             for alpha in multi_indices(2, 2)}
+    got = chain_jet(f_jet, matrix, None, order)
+    want = chain_jet(f_jet, np.broadcast_to(matrix, (n, 2, 2)),
+                     np.zeros((n, 2, 2, 2)), order)
+    assert list(got) == list(want) == multi_indices(order, 2)
+    for alpha, arr in want.items():
+        assert np.array_equal(got[alpha].view(np.int64), arr.view(np.int64))
 
 
 def test_atlas_shapes():
@@ -241,21 +358,26 @@ def test_partition_reads_the_lattice_as_the_stacked_points_did(spec, h,
     assert part.checked_points == int(collar.sum())
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
-def test_partition_maps_the_lattice_through_each_chart_once(spec):
+def in_box(chart, pts):
+    """Whether each (n, 2) point lies in the chart's box, edges included."""
+    lo, hi = chart.box()
+    return ((pts >= lo) & (pts <= hi)).all(axis=-1)
+
+
+@pytest.mark.parametrize("spec,boxed", [
+    (domains.Rectangle(), [1485, 1287, 1287, 1485, 3249, 2565, 2025, 2565]),
+    (domains.Disk(), [3485] * 4),
+    (domains.HalfBall(), [4225]),
+], ids=["rectangle", "disk", "half_ball"])
+def test_partition_maps_the_lattice_through_each_chart_once(spec, boxed):
+    # of the 9409 lattice points each chart maps exactly those in its box
     grid = GridSpec.cover((-1.5, -1.5), (1.5, 1.5), 2.0**-5)
     charts = spec.charts()
-    sizes = [[] for _ in charts]
-    for chart, seen in zip(charts, sizes):
-        inverse = chart.inverse
-
-        def counted(pts, _inverse=inverse, _seen=seen):
-            _seen.append(len(pts))
-            return _inverse(pts)
-
-        chart.inverse = counted
+    sizes = count_inverse_points(charts)
     build_partition(charts, spec, grid)
-    assert sizes == [[grid.point_count]] * len(charts)
+    pts = grid.points(np.indices(grid.extents).reshape(2, -1))
+    assert sizes == [[int(in_box(chart, pts).sum())] for chart in charts]
+    assert sizes == [[n] for n in boxed]
 
 
 def test_partition_chi_zero_far_outside():
@@ -504,6 +626,26 @@ def test_window_walk_asks_once_per_row_block_for_each_point(monkeypatch):
         everywhere).tobytes()
 
 
+@pytest.mark.parametrize("spec,before", [
+    (domains.Disk(), 27.3), (domains.Rectangle(), 27.5),
+    (domains.HalfBall(), 23.3),
+], ids=["disk", "rectangle", "half_ball"])
+def test_global_extend_holds_no_block_outputs_across_extensions(spec,
+                                                                before):
+    # tracemalloc peaks at 2^-7 were 27.3 / 27.5 / 23.3 MB while a row
+    # block's outputs and each pushforward's Jacobian and Hessian were held
+    # across the extensions; blend first and derivatives after the source
+    # measured 22.5 / 21.9 / 17.8 MB
+    x = get_function("sin_cos", depth=4)
+    tracemalloc.start()
+    try:
+        global_extend(x, spec, 2, h=2.0**-7, margin=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.9 * before * 1e6
+
+
 def count_inverse_points(charts):
     """Wrap each chart's inverse; the list of point counts per chart."""
     sizes = [[] for _ in charts]
@@ -534,8 +676,12 @@ def test_bump_ball_jet_sees_only_its_support(spec, monkeypatch):
     assert (seen < glue.BUMP_SHRINK).all()
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
-def test_blend_maps_its_points_through_each_bump_chart_once(spec):
+@pytest.mark.parametrize("spec,mapped", [
+    (domains.Rectangle(), [52, 55] * 2 + [118] * 4 + [0]),
+    (domains.Disk(), [119] * 4 + [4]),
+    (domains.HalfBall(), [93, 0]),
+], ids=["rectangle", "disk", "half_ball"])
+def test_blend_maps_its_points_through_each_bump_chart_once(spec, mapped):
     res = global_extend(get_function("sin_cos", depth=4), spec, 2,
                         h=2.0**-5, margin=0.5)
     # the extensions hold the inverse they were built with, so only the
@@ -547,20 +693,23 @@ def test_blend_maps_its_points_through_each_bump_chart_once(spec):
                    axis=-1).reshape(-1, 2)
     outside = ~domains.regular_q_member(spec, pts[:, 0], pts[:, 1])
     res.field.jet_many(pts, 2)
-    assert sizes == [[int(outside.sum())]] * len(sizes)
+    # of the points off Q, each chart maps exactly those in its box
+    assert sizes == [[int((outside & in_box(chart, pts)).sum())]
+                     for chart in res.field.partition.charts]
+    assert sizes == [[n] for n in mapped]
 
 
 @pytest.mark.parametrize("spec,inverse_points,bump_points", [
-    (domains.Rectangle(), [7761] * 4 + [8397] * 4 + [7361],
+    (domains.Rectangle(), [2215] * 4 + [4245] * 4 + [841],
      [1275] * 4 + [2621] * 4 + [517]),
-    (domains.Disk(), [16463] * 4 + [15609], [2289] * 4 + [1669]),
-    (domains.HalfBall(), [11837, 10973], [3061, 569]),
+    (domains.Disk(), [6693] * 4 + [2669], [2289] * 4 + [1669]),
+    (domains.HalfBall(), [5597, 910], [3061, 569]),
 ], ids=["rectangle", "disk", "half_ball"])
 def test_global_extend_chart_and_bump_points_are_pinned(
         spec, inverse_points, bump_points, monkeypatch):
-    # at 2^-5 the window is one row block: each chart maps it once for the
-    # partition and its exterior once for the blend, and a boundary chart's
-    # extension maps the exterior points its bump reaches
+    # at 2^-5 the window is one row block: each chart maps its boxed part
+    # once for the partition and its boxed exterior once for the blend, and
+    # a boundary chart's extension maps the exterior points its bump reaches
     charts, interior = spec.charts(), spec.interior_chart()
     sizes = count_inverse_points([*charts, interior])
     monkeypatch.setattr(type(spec), "charts", lambda self: charts)

@@ -389,6 +389,35 @@ def test_a_component_zero_on_whole_blocks_is_scanned_exactly(side, h):
         assert seam - 2 <= Fraction(*term["base"][0]) / Fraction(h) < seam
 
 
+@pytest.mark.parametrize("shape,heights", [
+    ((218, 301), [217, 1]), ((219, 301), [217, 2]), ((220, 301), [217, 3]),
+    ((3, 2**16), [1, 1, 1]),
+], ids=["last-1", "last-2", "last-3", "one-row-blocks"])
+@pytest.mark.parametrize("h", [1.0, 2.0**-6], ids=["modulus", "fd"])
+def test_scan_reads_the_seam_of_a_short_block_as_the_oracle(shape, heights,
+                                                            h):
+    # the stencils that start in the carried rows are read from a join of
+    # them and the block's first rows, which a short block may not fill.
+    # Every component is 0 on the first block and small integers after it:
+    # the largest jumps tie at the seam and past it, and the witness is the
+    # seam's, folded first; the largest defect lies past the seam
+    assert [r.stop - r.start for r in row_blocks(shape)] == heights
+    rng = np.random.default_rng(len(heights) + heights[-1])
+    member = rng.random(shape) < 0.8
+    components = {}
+    for alpha in multi_indices(2, 2):
+        components[alpha] = np.where(member, rng.integers(0, 3, shape), 0.0)
+        components[alpha][:heights[0]] = 0.0
+    jet = SampledJet(2, GridMask(GridSpec((0.0, 0.0), h, shape), member),
+                     components)
+    for space in ("F", "E"):
+        got = assert_same_verdict(jet, space)
+        assert got["verdict"] == "violation"
+        base = Fraction(*got["certificate"]["terms"][0]["base"][0])
+        assert heights[0] - 2 <= base / Fraction(h)
+        assert (base / Fraction(h) < heights[0]) == (h == 1.0)
+
+
 def test_scan_matches_the_oracle_on_a_consistent_field():
     g = GridSpec((-1.0, -1.0), 2.0**-8, (300, 301))
     member = np.random.default_rng(5).random(g.extents) < 0.8
