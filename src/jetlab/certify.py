@@ -21,7 +21,6 @@ Nothing here imports numpy.
 from __future__ import annotations
 
 import itertools
-import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,13 +57,23 @@ class CertTerm:
         return payload
 
     @staticmethod
-    def from_payload(payload: dict) -> "CertTerm":
+    def from_payload(payload, path: str) -> "CertTerm":
+        """The term to_payload wrote at key path path; a value of another
+        JSON type raises JetlabError naming its key path."""
+        payload = io.json_value(payload, "an object", path)
+
+        def point(key):
+            pairs = io.json_value(payload[key], "a list", f"{path}.{key}")
+            return tuple(io.pair_fraction(p, f"{path}.{key}[{i}]")
+                         for i, p in enumerate(pairs))
+
         return CertTerm(
-            int(payload["n"]),
-            tuple(io.pair_fraction(p) for p in payload["base"]),
-            tuple(io.pair_fraction(p) for p in payload["probe"]),
-            float(payload["quotient"]),
-            payload.get("note", ""),
+            io.json_value(payload["n"], "an int", f"{path}.n"),
+            point("base"),
+            point("probe"),
+            float(io.json_value(payload["quotient"], "a finite number",
+                                f"{path}.quotient")),
+            io.json_value(payload.get("note", ""), "a string", f"{path}.note"),
         )
 
 
@@ -118,35 +127,42 @@ class Certificate:
 
     @staticmethod
     def from_payload(payload: dict) -> "Certificate":
+        """The certificate to_payload wrote: each value at the JSON type its
+        writer writes, or JetlabError naming the key path of the first that
+        is not."""
+        def value(key, kind):
+            return io.json_value(payload[key], kind, key)
+
+        def terms(key):
+            return tuple(CertTerm.from_payload(t, f"{key}[{i}]")
+                         for i, t in enumerate(value(key, "a list")))
+
         try:
             first = payload.get("first_exceed_n")
-            config = dict(payload.get("config", {}))
-            cert = Certificate(
-                str(payload["domain"]),
-                payload["claim"],
-                tuple(CertTerm.from_payload(t) for t in payload["terms"]),
-                float(payload["interior_limit"]),
-                tuple(
-                    CertTerm.from_payload(t)
-                    for t in payload.get("interior_witness", [])
-                ),
-                float(payload["gap"]),
-                bool(payload["diverges"]),
-                int(payload["n_max"]),
-                config,
-                None if first is None else int(first),
+            config = io.json_value(payload.get("config", {}), "an object",
+                                   "config")
+            for key, v in config.items():
+                io.json_value(v, "a finite number", f"config.{key}")
+            return Certificate(
+                value("domain", "a string"),
+                value("claim", "a string"),
+                terms("terms"),
+                float(value("interior_limit", "a finite number")),
+                terms("interior_witness") if "interior_witness" in payload
+                else (),
+                float(value("gap", "a finite number")),
+                value("diverges", "a bool"),
+                value("n_max", "an int"),
+                dict(config),
+                None if first is None
+                else value("first_exceed_n", "an int"),
             )
         except KeyError as err:
             raise JetlabError(
                 f"certificate artifact lacks the key {err}") from None
-        except (TypeError, ValueError, IndexError, ZeroDivisionError,
-                OverflowError) as err:
+        except JetlabError as err:
             raise JetlabError(
                 f"certificate artifact is malformed: {err}") from None
-        if not all(isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
-                   for v in config.values()):
-            raise JetlabError("certificate config values must be finite numbers")
-        return cert
 
     def csv_rows(self) -> list[list]:
         dim = len(self.terms[0].base) if self.terms else 2

@@ -278,11 +278,11 @@ def _cmd_extend_prop2(args, argv) -> int:
 def _cmd_space_norm(args, argv) -> int:
     from . import domains, grid, io, spaces
     label = "Omega" if args.space == "E" else "Q"
+    wanted = "open" if args.space == "E" else "q"  # the mask the space reads
     if args.field:
         payload = io.read_artifact(args.field)
         # field sample records the mask it sampled beside the jet
         recorded = payload.get("mask") if "jet" in payload else None
-        wanted = "open" if args.space == "E" else "q"
         if isinstance(recorded, str) and recorded != wanted:
             raise JetlabError(f"{args.field} holds a jet on mask {recorded!r}; "
                               f"space {args.space} reads mask {wanted!r}")
@@ -292,8 +292,7 @@ def _cmd_space_norm(args, argv) -> int:
         label = "window" if "margin" in payload else label  # extend prop2
     else:
         domain, analytic = _domain_and_function(args)
-        q, open_mask = domains.build_domain(domain, args.h)
-        mask = open_mask if args.space == "E" else q
+        mask, = domains.build_domain(domain, args.h, (wanted,))
         order = args.order
         analytic.check_mask(mask, "mask point")
         blocks = grid.walk(analytic.evaluator, mask, order)

@@ -594,8 +594,12 @@ def regular_q_member(domain: Domain, s, t):
                     np.asarray(t, dtype=np.float64))
 
 
-def build_domain(domain: Domain, h: float) -> tuple[GridMask, GridMask]:
-    """(Q mask, open-set mask) on the lattice of step h over the bbox.
+def build_domain(domain: Domain, h: float,
+                 masks: tuple[str, ...] = ("q", "open")) -> tuple[GridMask, ...]:
+    """The masks named in masks, in that order, on the lattice of step h
+    over the bbox: "q" the closure Q, "open" the open set.  Only those are
+    rasterized, but a kind with no open predicate takes Q as a temporary
+    for its lattice interior.
 
     The predicates get broadcastable axes (np.ix_): work on one coordinate
     runs once per lattice line.
@@ -603,7 +607,14 @@ def build_domain(domain: Domain, h: float) -> tuple[GridMask, GridMask]:
     domain.check_resolution(h)
     grid = GridSpec.cover(*domain.bbox, h)
     axes = np.ix_(*(grid.axis_coords(a) for a in range(grid.dim)))
-    q = GridMask(grid, np.broadcast_to(domain.q(*axes), grid.extents))
-    if domain.open is None:
-        return q, interior_of(q)
-    return q, GridMask(grid, np.broadcast_to(domain.open(*axes), grid.extents))
+
+    def raster(predicate) -> GridMask:
+        return GridMask(grid, np.broadcast_to(predicate(*axes), grid.extents))
+
+    built = {}
+    if "q" in masks or domain.open is None:
+        built["q"] = raster(domain.q)
+    if "open" in masks:
+        built["open"] = (interior_of(built["q"]) if domain.open is None
+                         else raster(domain.open))
+    return tuple(built[name] for name in masks)

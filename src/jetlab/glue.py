@@ -476,26 +476,16 @@ def interface_jet_mismatch(field: GlobalField,
     extrapolated to the boundary point from three samples inside and three
     outside along the normal (second-order extrapolation 3f(h) - 3f(2h) +
     f(3h)); the mismatch is the largest absolute difference.  O(h^2) for a
-    C^1-matched extension.
+    C^1-matched extension.  The six offsets go through one jet_many call.
     """
     pts, normals = field.domain.probes()
-    samples_in = [
-        field.jet_many(pts - k * h * normals, field.order) for k in (1, 2, 3)
-    ]
-    samples_out = [
-        field.jet_many(pts + k * h * normals, field.order) for k in (1, 2, 3)
-    ]
+    steps = np.array([-1, -2, -3, 1, 2, 3])  # inside, then outside
+    probes = pts + (steps * h)[:, None, None] * normals
+    jet = field.jet_many(probes.reshape(-1, 2), field.order)
     out = {}
     for alpha in multi_indices(field.order, 2):
-        inner = (
-            3.0 * samples_in[0][alpha]
-            - 3.0 * samples_in[1][alpha]
-            + samples_in[2][alpha]
-        )
-        outer = (
-            3.0 * samples_out[0][alpha]
-            - 3.0 * samples_out[1][alpha]
-            + samples_out[2][alpha]
-        )
+        f = jet[alpha].reshape(len(steps), -1)
+        inner = 3.0 * f[0] - 3.0 * f[1] + f[2]
+        outer = 3.0 * f[3] - 3.0 * f[4] + f[5]
         out[alpha] = float(np.max(np.abs(outer - inner)))
     return out

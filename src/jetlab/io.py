@@ -286,8 +286,39 @@ def fraction_pair(q: Fraction) -> list[int]:
     return [q.numerator, q.denominator]
 
 
-def pair_fraction(pair) -> Fraction:
-    return Fraction(int(pair[0]), int(pair[1]))
+# The JSON types a writer writes, by the name a refusal gives them: an int is
+# not a bool, and a number is finite, as format_float writes it.
+_JSON_TYPES = {
+    "an int": lambda v: type(v) is int,
+    "a finite number": lambda v: type(v) in (int, float)
+    and abs(v) <= sys.float_info.max,
+    "a bool": lambda v: type(v) is bool,
+    "a string": lambda v: type(v) is str,
+    "a list": lambda v: type(v) is list,
+    "an object": lambda v: type(v) is dict,
+}
+
+
+def json_value(value, kind: str, path: str):
+    """value, once it has the JSON type kind (a key of _JSON_TYPES); any
+    other value raises JetlabError naming its key path."""
+    if not _JSON_TYPES[kind](value):
+        text = json.dumps(value)
+        text = text if len(text) <= 40 else text[:37] + "..."
+        raise JetlabError(f"{path} must be {kind}, not {text}")
+    return value
+
+
+def pair_fraction(pair, path: str) -> Fraction:
+    """The Fraction of a fraction_pair stored at key path path: two JSON
+    ints, the second above 0."""
+    if len(json_value(pair, "a list", path)) != 2:
+        raise JetlabError(f"{path} must be a [numerator, denominator] pair")
+    num, den = (json_value(v, "an int", f"{path}[{i}]")
+                for i, v in enumerate(pair))
+    if den <= 0:
+        raise JetlabError(f"{path}[1] must be above 0, not {den}")
+    return Fraction(num, den)
 
 
 def grid_to_payload(grid: GridSpec) -> dict:

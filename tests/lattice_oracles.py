@@ -11,6 +11,8 @@ per_line_lattice_extension is the lattice reflection one band line at a time,
 with its own copy of the weighted sum, where jetlab runs the band through
 HalfSpaceExtension.jet_many.  reflection_residual and cramer_coefficients
 check the reflection weights against the linear system they solve.
+six_call_interface_mismatch is the interface scan with one jet_many call
+per probe offset, where jetlab stacks the six offsets into one call.
 coord_grids is the meshgrid of a lattice's coordinates, which jetlab reads
 on np.ix_ lattice lines instead.
 """
@@ -136,6 +138,31 @@ def chi_many(partition, nu: int, pts, alpha) -> np.ndarray:
         raw.append(full)
     S = {b: sum(r[b] for r in raw) for b in multi_indices(order, 2)}
     return _chi_jet(raw[nu], S, order)[alpha]
+
+
+def six_call_interface_mismatch(field, h: float) -> dict:
+    """glue.interface_jet_mismatch with one jet_many call per offset."""
+    pts, normals = field.domain.probes()
+    samples_in = [
+        field.jet_many(pts - k * h * normals, field.order) for k in (1, 2, 3)
+    ]
+    samples_out = [
+        field.jet_many(pts + k * h * normals, field.order) for k in (1, 2, 3)
+    ]
+    out = {}
+    for alpha in multi_indices(field.order, 2):
+        inner = (
+            3.0 * samples_in[0][alpha]
+            - 3.0 * samples_in[1][alpha]
+            + samples_in[2][alpha]
+        )
+        outer = (
+            3.0 * samples_out[0][alpha]
+            - 3.0 * samples_out[1][alpha]
+            + samples_out[2][alpha]
+        )
+        out[alpha] = float(np.max(np.abs(outer - inner)))
+    return out
 
 
 def scatter_sample(jet, mask, order: int) -> dict:

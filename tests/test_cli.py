@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -424,6 +425,36 @@ def test_perfbench_tracer_finds_every_name_it_wraps(tmp_path):
     assert counters["glue.window_points"] == 2401
     assert counters["glue.exterior_points"] == 1604
     assert counters["glue.uncovered_points"] == 820
+    # the after-hook of build_domain counts the lattice of the one mask a
+    # domain scan asks for; the cantor E scan fails its check at 2^-5
+    done = subprocess.run(
+        [sys.executable, script, str(trace), "norm", "space", "norm",
+         "--domain", "cantor_slit", "--depth", "2", "--function", "example1",
+         "--space", "E", "--order", "1", "--h", "0.03125", "--check"],
+        env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 1, done.stderr
+    traced = json.loads(trace.read_text())
+    assert "domains.build" in [span[0] for span in traced["spans"]]
+    assert traced["counters"]["domains.lattice_points"] == 4225
+
+
+def test_a_domain_scan_rasterizes_only_the_mask_it_reads(capsys):
+    # tracemalloc peaks of this scan were 16.9 MB while build_domain
+    # rasterized Q beside the open set the scan reads, and 12.8 MB with the
+    # open set alone; the bound is 0.85 x 16.32 MB, the first peak measured
+    # with only the scan's own modules loaded
+    argv = ["space", "norm", "--domain", "cantor_slit", "--depth", "4",
+            "--function", "example1", "--space", "E", "--order", "1",
+            "--h", str(2.0**-10), "--check"]
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "membership: consistent" in capsys.readouterr().out
+    assert peak < 0.85 * 16.32e6
 
 
 @pytest.mark.parametrize("args", [
@@ -807,7 +838,7 @@ def _first_term(doc, **change):
 MALFORMED = {
     "no-terms": (lambda d: {**d, "terms": []}, "needs at least one term"),
     "zero-denominator": (lambda d: _first_term(d, base=[[1, 0]]),
-                         "malformed: Fraction(1, 0)"),
+                         "malformed: terms[0].base[0][1] must be above 0"),
     "zero-step": (lambda d: _first_term(d, probe=d["terms"][0]["base"]),
                   "share the first coordinate"),
     "terms-not-a-list": (lambda d: {**d, "terms": 5}, "malformed"),
@@ -816,17 +847,17 @@ MALFORMED = {
     "no-witness": (lambda d: {**d, "interior_witness": []},
                    "one interior witness"),
     "config-null": (lambda d: {**d, "config": {"gap_tolerance": None}},
-                    "finite numbers"),
+                    "config.gap_tolerance must be a finite number, not null"),
     "lattice-scan": (lambda d: {**d, "domain": "lattice-scan"},
                      "'lattice-scan' has no replayer"),
     "not-an-object": (lambda d: [d], "its JSON is not an object"),
     "base-past-float-range": (lambda d: _first_term(d, base=[[10**400, 1]]),
                               "term 1 is not at the kind's points"),
     "quotient-past-float-range": (lambda d: _first_term(d, quotient=10**400),
-                                  "malformed: int too large"),
+                                  "terms[0].quotient must be a finite number"),
     "config-past-float-range": (
         lambda d: {**d, "config": {"gap_tolerance": 10**400}},
-        "finite numbers"),
+        "config.gap_tolerance must be a finite number"),
 }
 
 
@@ -842,6 +873,80 @@ def test_malformed_certificate_is_a_usage_error(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def _set(doc, path, value):
+    """doc with the value at key path path (keys and list indices) set."""
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+CANTOR = ["cantorslit", "--n-max", "6", "--ceiling", "2", "--depth", "2"]
+# a value of a JSON type no writer writes -> the key path the error names
+MISTYPED = {
+    "probe-entry-float": (["comb"], ("terms", 0, "probe", 0, 0), 3.9,
+                          "terms[0].probe[0][0] must be an int"),
+    "probe-entry-string": (["comb"], ("terms", 0, "probe", 0, 0), "3",
+                           "terms[0].probe[0][0] must be an int"),
+    "pair-entry-bool": (["comb"], ("terms", 1, "base", 1, 1), True,
+                        "terms[1].base[1][1] must be an int"),
+    "negative-denominator": (["comb"], ("terms", 0, "probe", 0),
+                             [-3, -8], "terms[0].probe[0][1] must be above 0"),
+    "pair-of-3": (["comb"], ("terms", 0, "probe", 0), [3, 8, 1],
+                  "terms[0].probe[0] must be a [numerator, denominator]"),
+    "term-n-float": (["comb"], ("terms", 0, "n"), 1.5,
+                     "terms[0].n must be an int"),
+    "witness-n-bool": (["comb"], ("interior_witness", 0, "n"), True,
+                       "interior_witness[0].n must be an int"),
+    "quotient-bool": (["comb"], ("terms", 2, "quotient"), False,
+                      "terms[2].quotient must be a finite number"),
+    "note-number": (["comb"], ("terms", 0, "note"), 1,
+                    "terms[0].note must be a string"),
+    "term-not-an-object": (["comb"], ("terms", 0), [1, 2],
+                           "terms[0] must be an object"),
+    "n-max-float": (["comb"], ("n_max",), 6.7, "n_max must be an int"),
+    "diverges-string": (["comb"], ("diverges",), "false",
+                        "diverges must be a bool"),
+    "gap-string": (["comb"], ("gap",), "1", "gap must be a finite number"),
+    "interior-limit-bool": (["comb"], ("interior_limit",), True,
+                            "interior_limit must be a finite number"),
+    "gap-tolerance-bool": (["comb"], ("config", "gap_tolerance"), True,
+                           "config.gap_tolerance must be a finite number"),
+    "config-a-list": (["comb"], ("config",), [["gap_tolerance", 1e-9]],
+                      "config must be an object"),
+    "domain-list": (["comb"], ("domain",), ["comb"],
+                    "domain must be a string"),
+    "claim-null": (["comb"], ("claim",), None, "claim must be a string"),
+    "first-exceed-bool": (CANTOR, ("first_exceed_n",), True,
+                          "first_exceed_n must be an int"),
+    "first-exceed-float": (CANTOR, ("first_exceed_n",), 3.0,
+                           "first_exceed_n must be an int"),
+    "ceiling-bool": (CANTOR, ("config", "ceiling"), True,
+                     "config.ceiling must be a finite number"),
+    "depth-string": (CANTOR, ("config", "depth"), "2",
+                     "config.depth must be a finite number"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED))
+def test_replay_refuses_a_value_no_writer_writes(case, tmp_path, capsys):
+    which, path, value, message = MISTYPED[case]
+    cert = tmp_path / "cert.json"
+    assert run(["certify", *which, "--out", str(cert)]) == 0
+    capsys.readouterr()
+    assert run(["replay", "--cert", str(cert)]) == 0
+    assert "terms reproduce" in capsys.readouterr().out
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_set(json.loads(cert.read_text()), path, value)))
+    assert run(["replay", "--cert", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: certificate artifact is malformed: {message}")
+    assert "Traceback" not in captured.err
 
 
 def test_moved_comb_probe_is_a_usage_error(tmp_path, capsys):

@@ -254,6 +254,34 @@ def test_build_domain_dispatch():
         assert q.grid == omega.grid
 
 
+@pytest.mark.parametrize("h", [2.0**-5, 2.0**-6])
+@pytest.mark.parametrize("kind", sorted(domains.KINDS))
+def test_build_domain_rasterizes_only_the_masks_named(kind, h, monkeypatch):
+    cls = domains.KINDS[kind]
+    domain = cls(*(2 for _ in cls.required_fields()))
+    q, omega = domains.build_domain(domain, h)
+    calls = []
+    for name in ("q", "open"):
+        predicate = getattr(cls, name)
+        if predicate is not None:
+            def counted(self, *axes, _name=name, _predicate=predicate):
+                calls.append(_name)
+                return _predicate(self, *axes)
+            monkeypatch.setattr(cls, name, counted)
+    for masks, want in [(("q",), [q]), (("open",), [omega]),
+                        (("open", "q"), [omega, q])]:
+        calls.clear()
+        got = domains.build_domain(domain, h, masks)
+        assert len(got) == len(want)
+        for mask, expected in zip(got, want):
+            assert mask.grid == expected.grid
+            assert np.array_equal(mask.member, expected.member)
+        # each predicate once, and q for an open set with no predicate of
+        # its own (its lattice interior), never one no mask needs
+        needed = set(masks) if cls.open is not None else {"q"}
+        assert sorted(calls) == sorted(needed)
+
+
 def test_each_kind_is_its_class():
     assert {kind: cls.__name__ for kind, cls in domains.KINDS.items()} == {
         "comb": "Comb", "gap1d": "GapIntervals", "cantor_slit": "CantorSlit",

@@ -29,6 +29,7 @@ from jetlab.hestenes import (
 )
 from lattice_oracles import (
     box_dilation, chart_roundtrip_defect, chi_many, coord_grids, erosion,
+    six_call_interface_mismatch,
 )
 
 
@@ -575,6 +576,30 @@ def test_interface_scan_small_mismatch(spec, bound):
     mm = interface_jet_mismatch(res.field, h=2.0**-8)
     assert set(mm) == {(0, 0), (1, 0), (0, 1)}
     assert max(mm.values()) < bound
+
+
+@pytest.mark.parametrize("spec", [domains.Disk(), domains.Rectangle(),
+                                  domains.HalfBall()],
+                         ids=lambda spec: spec.kind)
+def test_interface_scan_in_one_call_equals_one_call_per_offset(spec):
+    x = get_function("sin_cos", depth=4)
+    field = global_extend(x, spec, 2, h=2.0**-5, margin=0.5).field
+    calls = []
+    blend = field.jet_many
+
+    def counted(pts, order):
+        calls.append(len(pts))
+        return blend(pts, order)
+
+    field.jet_many = counted
+    for h in (2.0**-10, 2.0**-7):
+        calls.clear()
+        mismatch = interface_jet_mismatch(field, h)
+        assert calls == [6 * domains.N_PROBES]
+        want = six_call_interface_mismatch(field, h)
+        assert list(mismatch) == list(want)
+        assert [np.float64(v).view(np.int64) for v in mismatch.values()] == [
+            np.float64(v).view(np.int64) for v in want.values()]
 
 
 def test_half_ball_face_partition_is_identity():

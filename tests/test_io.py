@@ -71,7 +71,7 @@ def test_dumps_rejects_unknown_types():
 
 def test_fraction_pair_round_trip():
     q = Fraction(-32, 7)
-    assert io.pair_fraction(io.fraction_pair(q)) == q
+    assert io.pair_fraction(io.fraction_pair(q), "q") == q
 
 
 def test_grid_round_trip():
