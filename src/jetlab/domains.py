@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import ResolutionTooCoarseError, UnsupportedDomainError
 from .exact import CantorApprox, cantor_level
-from .grid import GridMask, GridSpec, interior_of
+from . import taylor
+from .grid import GridMask, GridSpec, interior_of, multi_indices
 
 # boundary probes per chartable domain for the interface scan
 N_PROBES = 256
@@ -29,12 +30,27 @@ N_PROBES = 256
 # ---------------------------------------------------------------------------
 # charts of the chartable boundaries
 #
-# A chart maps reference coordinates xi to world points.  forward and
-# inverse are the value maps; forward_derivatives(xi, order) and
-# inverse_derivatives(pts, order) give each map's Jacobian (..., 2, 2) and
-# Hessian (..., 2, 2, 2) in one call, None where the order needs none; an
-# affine chart gives its constant 2 x 2 matrix and no Hessian.  box() is a
-# world box holding the image of the unit reference ball.
+# A chart maps reference coordinates xi to world points.  Each map gives
+# its Taylor coefficients to any order (jetlab.taylor) in one call:
+# forward_taylor(xi) and inverse_taylor(pts) return its value, (..., 2),
+# where its formula is written once, and series(order, keep), the series
+# of the map less its value at the points keep selects, (2, n_alpha, ...),
+# built when called from what the value left behind, so a caller holds
+# that and not the series while its source runs.  An affine chart's series
+# is constant, (2, n_alpha, 1, ...).  box() is a world box holding the
+# image of the unit reference ball.
+
+
+def _constant(order: int, ndim: int, matrix=None) -> np.ndarray:
+    """The series of xi -> matrix @ xi less its value at points of ndim - 1
+    axes, (2, n_alpha, 1, ...): row e_j of component i is matrix[i, j],
+    every other row 0, and every row 0 with no matrix."""
+    delta = np.zeros((2, len(taylor.index(order, 2))) + (1,) * (ndim - 1))
+    if order and matrix is not None:
+        rows = taylor.index(order, 2)
+        for j, unit in enumerate(((1, 0), (0, 1))):
+            delta[:, rows[unit]] = matrix[:, j].reshape(delta[:, 0].shape)
+    return delta
 
 
 def _guarded(lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -49,7 +65,7 @@ def _guarded(lo, hi) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(eq=False)
 class AffineChart:
-    """phi(xi) = center + A @ xi: the Jacobian is A, the Hessian zero."""
+    """phi(xi) = center + A @ xi: its series is A's entries, constant."""
 
     center: np.ndarray
     matrix: np.ndarray
@@ -61,17 +77,14 @@ class AffineChart:
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
         self._inv = np.linalg.inv(self.matrix)
 
-    def forward(self, xi: np.ndarray) -> np.ndarray:
-        return self.center + xi @ self.matrix.T
+    def forward_taylor(self, xi: np.ndarray):
+        return (self.center + xi @ self.matrix.T,
+                lambda order, keep=None: _constant(order, xi.ndim,
+                                                   self.matrix))
 
-    def inverse(self, pts: np.ndarray) -> np.ndarray:
-        return (pts - self.center) @ self._inv.T
-
-    def forward_derivatives(self, xi: np.ndarray, order: int):
-        return self.matrix, None
-
-    def inverse_derivatives(self, pts: np.ndarray, order: int):
-        return self._inv, None
+    def inverse_taylor(self, pts: np.ndarray):
+        return ((pts - self.center) @ self._inv.T,
+                lambda order, keep=None: _constant(order, pts.ndim, self._inv))
 
     def box(self) -> tuple[np.ndarray, np.ndarray]:
         """The box of the ellipse the unit ball maps to: row i of the
@@ -112,74 +125,69 @@ class PolarSectorChart:
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=np.float64)
 
-    def _theta(self, xi: np.ndarray) -> np.ndarray:
-        return self.theta_c + self.width * xi[..., 1]
-
-    def forward(self, xi: np.ndarray) -> np.ndarray:
-        th = self._theta(xi)
+    def forward_taylor(self, xi: np.ndarray):
+        """r (cos, sin)(theta) with r and theta linear in xi, from one cos
+        and one sin of the angle, which the series keeps: the j-th
+        derivative of cos is the j-th of (cos, -sin, -cos, sin), cyclic,
+        and that of sin the one before it."""
+        th = self.theta_c + self.width * xi[..., 1]
         r = self.radius - self.depth * xi[..., 0]
-        return self.center + np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
+        cos, sin = np.cos(th), np.sin(th)
 
-    def inverse(self, pts: np.ndarray) -> np.ndarray:
+        def series(order: int, keep=slice(None)) -> np.ndarray:
+            if not order:
+                return _constant(0, xi.ndim)
+            c, s = cos[keep], sin[keep]
+            cycle = (c, -s, -c, s)
+            delta = np.zeros((2, len(taylor.index(order, 2))) + c.shape)
+            for k, (a, b) in enumerate(multi_indices(order, 2)):
+                if 0 < a + b and a <= 1:
+                    scale = ((r[keep] if a == 0 else -self.depth)
+                             * (self.width**b / math.factorial(b)))
+                    delta[0, k] = scale * cycle[b % 4]
+                    delta[1, k] = scale * cycle[(b - 1) % 4]
+            return delta
+
+        return self.center + np.stack([r * cos, r * sin], axis=-1), series
+
+    def inverse_taylor(self, pts: np.ndarray):
+        """The inverse's value, and its series from the complex logarithm
+        of z = (x - c_x) + i (y - c_y): log(z + dz) - log z = sum_k
+        (-1)^(k+1) (dz / z)^k / k, dz = dx + i dy, has the degree-k row
+        (-1)^(k+1) C(k, a) i^b / (k z^k) at alpha = (a, b); the angle moves
+        by its imaginary part, and the radius is |z| exp(its real part)."""
         v = pts - self.center
         r = np.hypot(v[..., 0], v[..., 1])
         th = np.arctan2(v[..., 1], v[..., 0])
         dth = np.mod(th - self.theta_c + np.pi, 2.0 * np.pi) - np.pi
-        return np.stack(
-            [(self.radius - r) / self.depth, dth / self.width], axis=-1
-        )
 
-    def forward_derivatives(self, xi: np.ndarray, order: int):
-        """Jacobian and Hessian at xi as far as order needs them, from one
-        cos and one sin of the angle."""
-        if order == 0:
-            return None, None
-        th = self._theta(xi)
-        r = self.radius - self.depth * xi[..., 0]
-        cos, sin = np.cos(th), np.sin(th)
-        J = np.empty(xi.shape[:-1] + (2, 2))
-        J[..., 0, 0] = -self.depth * cos
-        J[..., 1, 0] = -self.depth * sin
-        J[..., 0, 1] = -r * self.width * sin
-        J[..., 1, 1] = r * self.width * cos
-        if order == 1:
-            return J, None
-        H = np.zeros(xi.shape[:-1] + (2, 2, 2))
-        dw = self.depth * self.width
-        H[..., 0, 0, 1] = H[..., 0, 1, 0] = dw * sin
-        H[..., 1, 0, 1] = H[..., 1, 1, 0] = -dw * cos
-        H[..., 0, 1, 1] = -r * self.width**2 * cos
-        H[..., 1, 1, 1] = -r * self.width**2 * sin
-        return J, H
+        def series(order: int, keep=slice(None)) -> np.ndarray:
+            if not order:
+                return _constant(0, pts.ndim)
+            v = pts[keep] - self.center
+            z = v[..., 0] + 1j * v[..., 1]
+            inv = 1.0 / np.where(z != 0.0, z, 1.0)  # the center is singular
+            powers = [None, inv]
+            for _ in range(1, order):
+                powers.append(powers[-1] * inv)
+            log = np.zeros((len(taylor.index(order, 2)),) + inv.shape,
+                           dtype=complex)
+            for k, (a, b) in enumerate(multi_indices(order, 2)):
+                if k:
+                    log[k] = ((-1) ** (a + b + 1) * math.comb(a + b, a)
+                              * 1j**b / (a + b)) * powers[a + b]
+            grow = taylor.compose([1.0 / math.factorial(j)
+                                   for j in range(order + 1)],
+                                  log.real, order, 2)
+            delta = np.empty((2,) + grow.shape)
+            np.multiply(grow, np.hypot(v[..., 0], v[..., 1]) / -self.depth,
+                        out=delta[0])
+            np.divide(log.imag, self.width, out=delta[1])
+            delta[0, 0] = 0.0
+            return delta
 
-    def inverse_derivatives(self, pts: np.ndarray, order: int):
-        """Jacobian and Hessian of the inverse at pts as far as order needs
-        them, from one pts - center and one x^2 + y^2."""
-        if order == 0:
-            return None, None
-        v = pts - self.center
-        x, y = v[..., 0], v[..., 1]
-        r2 = x * x + y * y
-        safe = np.where(r2 > 0, r2, 1.0)
-        r = np.sqrt(r2)
-        safe_r = np.where(r > 0, r, 1.0)
-        J = np.empty(pts.shape[:-1] + (2, 2))
-        J[..., 0, 0] = -x / (self.depth * safe_r)
-        J[..., 0, 1] = -y / (self.depth * safe_r)
-        J[..., 1, 0] = -y / (safe * self.width)
-        J[..., 1, 1] = x / (safe * self.width)
-        if order == 1:
-            return J, None
-        r3 = safe ** 1.5
-        r4 = safe * safe
-        H = np.empty(pts.shape[:-1] + (2, 2, 2))
-        H[..., 0, 0, 0] = -(y * y) / (self.depth * r3)
-        H[..., 0, 0, 1] = H[..., 0, 1, 0] = x * y / (self.depth * r3)
-        H[..., 0, 1, 1] = -(x * x) / (self.depth * r3)
-        H[..., 1, 0, 0] = 2.0 * x * y / (self.width * r4)
-        H[..., 1, 0, 1] = H[..., 1, 1, 0] = (y * y - x * x) / (self.width * r4)
-        H[..., 1, 1, 1] = -2.0 * x * y / (self.width * r4)
-        return J, H
+        return np.stack([(self.radius - r) / self.depth, dth / self.width],
+                        axis=-1), series
 
     def box(self) -> tuple[np.ndarray, np.ndarray]:
         """The box of the annular sector |xi_0|, |xi_1| <= 1, which holds

@@ -6,16 +6,17 @@ The charts come from the domain (jetlab.domains).  Each maps the unit ball of
 reference coordinates onto a neighborhood of a boundary piece so that the
 domain side corresponds to the half-ball xi_0 >= 0 (or, at rectangle corners,
 to the quarter xi_0, xi_1 >= 0; no single C^1 chart flattens a corner, so
-those use a two-axis tensor reflection instead).  All reference-to-world
-differentiation is closed form through order 2.
+those use a two-axis tensor reflection instead).
 
 Every layer is a plain jet evaluator of jetlab.grid or a function of a
 chart: a local extension is the reflected pullback pushed forward through
 its chart, a bump is its chart (bump_jet, one map through its inverse of
 the points in its box), and the global field pairs each bump with one
-extension.  Each
-layer asks its source for one whole jet per point set and applies the chain
-and Leibniz rules to whole jets, so no lower-order partial is derived twice.
+extension.  Each layer asks its source for one whole jet per point set and
+differentiates whole series in jetlab.taylor's arithmetic, at any order up
+to ORDER_CAP: the chain rule substitutes a chart's series, the bump and
+the partition quotient compose univariate functions, and the blend is the
+Cauchy product.
 
 The blend convention off the covered zone is zero: a window point reached by
 no bump gets value 0, never an extrapolation.
@@ -29,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import domains
+from . import domains, taylor
 from .domains import Chart, Domain
 from .errors import CoverGapError, UnsupportedDomainError
 from .functions import AnalyticJet
@@ -41,104 +42,45 @@ from .hestenes import HalfSpaceExtension, corner_extension, solve_coefficients
 
 BUMP_SHRINK = 0.9
 _BUMP_GUARD = 1.0 - 1.0 / 745.0
+# the highest order global_extend glues: the highest its polynomial
+# reproduction test verifies
+ORDER_CAP = 4
 
 
 # ---------------------------------------------------------------------------
-# chain rule through a map, closed form to order 2
+# chain rule through a map
 
 
-def _unit_alpha(axis: int, dim: int = 2) -> tuple[int, ...]:
-    return tuple(1 if k == axis else 0 for k in range(dim))
+def chain_jet(f_jet: Jet, delta: np.ndarray, order: int) -> Jet:
+    """Jet of f o map from f's jet at the mapped points and the series of
+    the map less its value, as a chart's Taylor call gives it."""
+    return taylor.substitute(f_jet, delta, order, 2)
 
 
-def _pair_alpha(a: int, b: int, dim: int) -> tuple[int, ...]:
-    out = [0] * dim
-    out[a] += 1
-    out[b] += 1
-    return tuple(out)
-
-
-def _axis_pair(alpha: tuple[int, ...]) -> tuple[int, int]:
-    axes = []
-    for k, a in enumerate(alpha):
-        axes.extend([k] * a)
-    return axes[0], axes[1]
-
-
-def chain_jet(f_jet: Jet, jac, hess, order: int) -> Jet:
-    """Jet of f o map from f's jet at the mapped points and the map's
-    Jacobian and Hessian at the points, as a chart's derivative call gives
-    them: per-point arrays, or a constant matrix and no Hessian.  A constant
-    zero entry adds no term; the sums start at +0, which adding +-0 keeps,
-    and x + (+-0) = x, so the bits are those of the full sum."""
-    if order > 2:
-        raise ValueError("chart differentiation is closed-form through order 2")
-    dim = len(next(iter(f_jet)))
-    shape = f_jet[(0,) * dim].shape
-    const = jac is not None and jac.ndim == 2
-
-    def live(a: int, c: int) -> bool:
-        return not const or jac[a, c] != 0.0
-
-    out = {}
-    for alpha in multi_indices(order, dim):
-        total = sum(alpha)
-        if total == 0:
-            out[alpha] = f_jet[alpha]
-        elif total == 1:
-            c = alpha.index(1)
-            comp = np.zeros(shape)
-            for a in range(dim):
-                if live(a, c):
-                    comp += f_jet[_unit_alpha(a, dim)] * jac[..., a, c]
-            out[alpha] = comp
-        else:
-            c, d = _axis_pair(alpha)
-            comp = np.zeros(shape)
-            for a in range(dim):
-                for b in range(dim):
-                    if live(a, c) and live(b, d):
-                        comp += (
-                            f_jet[_pair_alpha(a, b, dim)]
-                            * jac[..., a, c]
-                            * jac[..., b, d]
-                        )
-                if hess is not None:
-                    comp += f_jet[_unit_alpha(a, dim)] * hess[..., a, c, d]
-            out[alpha] = comp
-    return out
-
-
-def _compose(f: JetEvaluator, mapping: Callable,
-             derivatives: Callable) -> JetEvaluator:
-    """f o mapping.  The map's derivatives are taken once f has returned,
-    so none of them is held while f runs."""
+def _compose(f: JetEvaluator, mapping: Callable) -> JetEvaluator:
+    """f o mapping, mapping a chart's Taylor call.  The map's series is
+    built once f has returned, and the map's value and what the series is
+    built from are dropped once it is, so neither is held past its use."""
 
     def composed(pts: np.ndarray, order: int) -> Jet:
-        f_jet = f(mapping(pts), order)
-        return chain_jet(f_jet, *derivatives(pts, order), order)
+        value, series = mapping(pts)
+        f_jet = f(value, order)
+        delta = series(order)
+        del value, series
+        return chain_jet(f_jet, delta, order)
 
     return composed
 
 
-def pullback(source: JetEvaluator, chart: Chart) -> JetEvaluator:
-    """u = x o phi on reference coordinates."""
-    return _compose(source, chart.forward, chart.forward_derivatives)
-
-
-def pushforward(ball_eval: JetEvaluator, chart: Chart) -> JetEvaluator:
-    """y = ubar o phi^-1 back on world coordinates."""
-    return _compose(ball_eval, chart.inverse, chart.inverse_derivatives)
-
-
 def local_extend(source: JetEvaluator, chart: Chart,
                  order: int) -> JetEvaluator:
-    """One chart's extended field y = ubar o phi^-1, world coordinates.
+    """One chart's extended field y = ubar o phi^-1, world coordinates,
+    where ubar reflects the pullback u = x o phi on reference coordinates.
 
     Valid inside the chart image; the blend only ever queries it inside the
     0.9-ball where the chart's bump is positive.
     """
-    u = pullback(source, chart)
+    u = _compose(source, chart.forward_taylor)
     pad = 1.0 + 1e-9
     if chart.extension == "quarter":
         reflected = corner_extension(u, order, max_depth=pad)
@@ -149,7 +91,7 @@ def local_extend(source: JetEvaluator, chart: Chart,
         raise UnsupportedDomainError(
             f"chart kind {chart.kind!r} does not carry an extension"
         )
-    return pushforward(reflected.jet_many, chart)
+    return _compose(reflected.jet_many, chart.inverse_taylor)
 
 
 # ---------------------------------------------------------------------------
@@ -157,56 +99,50 @@ def local_extend(source: JetEvaluator, chart: Chart,
 
 
 def bump_ball_jet(xi: np.ndarray, order: int) -> Jet:
-    """Partials of exp(-1/(1 - (|xi|/0.9)^2)) in reference coordinates.
-
-    Hard zero (all orders) once the exponent would underflow; the true value
-    there is below 5e-324 so nothing is lost.
-    """
-    if order > 2:
-        raise ValueError("bump partials available through order 2")
+    """Partials of exp(-1/(1 - (|xi|/0.9)^2)) in reference coordinates:
+    phi(q) for the exact polynomial q = |xi|^2 / 0.9^2, phi = exp(-w) and
+    w = 1/(1 - q), whose series in q - q_0 is w_0^(j+1).  Hard zero (all
+    orders) once the exponent would underflow; the true value there is
+    below 5e-324 so nothing is lost."""
     c2 = BUMP_SHRINK**2
-    q = (xi[..., 0] ** 2 + xi[..., 1] ** 2) / c2
-    act = q < _BUMP_GUARD
-    qa = np.where(act, q, 0.0)
-    w = 1.0 / (1.0 - qa)
-    f = np.where(act, np.exp(-w), 0.0)
-    f1 = -f * w**2 if order >= 1 else None
-    f2 = f * w**4 - 2.0 * f * w**3 if order >= 2 else None
-    out = {}
-    for alpha in multi_indices(order, 2):
-        total = sum(alpha)
-        if total == 0:
-            out[alpha] = f
-        elif total == 1:
-            out[alpha] = f1 * (2.0 * xi[..., alpha.index(1)] / c2)
-        else:
-            cc, dd = _axis_pair(alpha)
-            comp = f2 * (2.0 * xi[..., cc] / c2) * (2.0 * xi[..., dd] / c2)
-            if cc == dd:
-                comp = comp + f1 * (2.0 / c2)
-            out[alpha] = comp
-    return out
+    q0 = (xi[..., 0] ** 2 + xi[..., 1] ** 2) / c2
+    act = q0 < _BUMP_GUARD
+    w0 = 1.0 / (1.0 - np.where(act, q0, 0.0))
+    f0 = np.where(act, np.exp(-w0), 0.0)
+    rows = taylor.index(order, 2)
+    q = np.zeros((len(rows),) + q0.shape)
+    for axis, unit in enumerate(((1, 0), (0, 1))):
+        if order >= 1:
+            q[rows[unit]] = 2.0 * xi[..., axis] / c2
+        if order >= 2:
+            q[rows[(2 * unit[0], 2 * unit[1])]] = 1.0 / c2
+    w = np.empty((order + 1,) + w0.shape)  # w_0^(j+1)
+    w[0] = w0
+    for j in range(1, order + 1):
+        np.multiply(w[j - 1], w0, out=w[j])
+    phi = taylor.compose([f0 * ((-1) ** j / math.factorial(j))
+                          for j in range(order + 1)], w, order, 1)
+    return taylor.to_jet(taylor.compose(phi, q, order, 2), order, 2)
 
 
 def bump_jet(chart: Chart, pts: np.ndarray,
              order: int) -> tuple[np.ndarray, Jet]:
     """Unnormalized bump riding on the chart's reference ball at the (n, 2)
     world points; each chart, the interior one included, carries one.  The
-    points inside chart.box() are mapped through chart.inverse once, which
-    gives their reference radius and the bump's jet at those of radius
-    below BUMP_SHRINK (zero at the others); the points outside it get
-    radius inf."""
+    points inside chart.box() are mapped through the chart's inverse once,
+    which gives their reference radius and the bump's jet at those of
+    radius below BUMP_SHRINK (zero at the others); the points outside it
+    get radius inf."""
     (x0, y0), (x1, y1) = chart.box()
     s, t = pts[:, 0], pts[:, 1]
     boxed = np.flatnonzero((s >= x0) & (s <= x1) & (t >= y0) & (t <= y1))
-    xi = chart.inverse(pts[boxed])
+    xi, series = chart.inverse_taylor(pts[boxed])
     radius = np.hypot(xi[:, 0], xi[:, 1])
     rho = np.full(len(pts), np.inf)
     rho[boxed] = radius
     near = radius < BUMP_SHRINK
-    jet = chain_jet(bump_ball_jet(xi[near], order),
-                    *chart.inverse_derivatives(pts[boxed[near]], order), order)
-    return rho, jet
+    return rho, chain_jet(bump_ball_jet(xi[near], order),
+                          series(order, near), order)
 
 
 @dataclass(eq=False)
@@ -228,38 +164,23 @@ class BumpPartition:
     unreached: GridMask
 
 
-def _chi_jet(raw: Jet, S: Jet, order: int) -> Jet:
-    """Quotient rule for one bump's b/S with the convention 0 where S = 0.
-
-    Every term is built from ratios (raw/S, S_beta/S), each taken once;
-    powers of S as denominators would underflow in the bump tails where
-    S ~ 1e-300.
-    """
-    s0 = S[(0, 0)]
-    covered = s0 > 0.0
-    s_safe = np.where(covered, s0, 1.0)
-    q = {beta: raw[beta] / s_safe for beta in raw}
-    qs = {beta: S[beta] / s_safe for beta in S if sum(beta)}
-    q0 = q[(0, 0)]
-    out = {}
-    for alpha in multi_indices(order, 2):
-        total = sum(alpha)
-        if total == 0:
-            chi = q0
-        elif total == 1:
-            chi = q[alpha] - q0 * qs[alpha]
-        else:  # bump_jet refuses orders past 2
-            c, d = _axis_pair(alpha)
-            ec, ed = _unit_alpha(c), _unit_alpha(d)
-            chi = (
-                q[alpha]
-                - q[ec] * qs[ed]
-                - q[ed] * qs[ec]
-                - q0 * qs[alpha]
-                + 2.0 * q0 * qs[ec] * qs[ed]
-            )
-        out[alpha] = np.where(covered, chi, 0.0)
-    return out
+def _chi(b: np.ndarray, S: np.ndarray, order: int) -> np.ndarray:
+    """The series of one bump's b/S where S_0 > 0, as (m/S_0) recip(S/S_0):
+    1/t composes on S/S_0 at its value 1 through (-1)^j, so no power of S_0
+    is formed; one would underflow in the bump tails where S ~ 1e-300.
+    Past the value, b/S and 1 - (S - b)/S agree, and each point takes m the
+    smaller of b and S - b: near a support's edge the coefficients of S/S_0
+    grow like w^(2j) and cancel to the order of m/S_0, so where one bump
+    alone reaches, S - b = 0 gives chi exactly 1."""
+    s0 = S[0]
+    flip = s0 - b[0] < b[0]
+    minor = np.where(flip, S - b, b) / s0
+    recip = taylor.compose([(-1.0) ** j for j in range(order + 1)], S / s0,
+                           order, 2)
+    chi = taylor.mul(minor, recip, order, 2)
+    chi[1:] *= np.where(flip, -1.0, 1.0)
+    chi[0] = b[0] / s0
+    return chi
 
 
 def build_partition(charts: list[Chart], domain: Domain,
@@ -378,43 +299,36 @@ class GlobalField:
         return out
 
     def _blend(self, pout: np.ndarray, order: int) -> Jet:
-        """sum over bumps of chi_nu times its extension at points off Q."""
-        alphas = multi_indices(order, 2)
-        # each bump's jet at the points of its support, and their sum
+        """sum over bumps of chi_nu times its extension at points off Q,
+        each product the Cauchy product of their series."""
+        # each bump's series at the points of its support, and their sum
         bumps = []
-        S = {b: np.zeros(len(pout)) for b in alphas}
+        S = np.zeros((len(taylor.index(order, 2)), len(pout)))
         for chart in self.partition.charts:
             rho, raw = bump_jet(chart, pout, order)
             near = np.flatnonzero(rho < BUMP_SHRINK)
-            bumps.append((near, raw))
-            for b in alphas:
-                S[b][near] += raw[b]
-        acc = {alpha: np.zeros(len(pout)) for alpha in alphas}
-        for (near, raw), i_nu in zip(bumps, self.partition.assignment):
-            sel = raw[(0, 0)] > 0.0
+            bumps.append((near, taylor.from_jet(raw, order)))
+            _scatter_add(S, near, bumps[-1][1])
+        acc = np.zeros_like(S)
+        for (near, b), i_nu in zip(bumps, self.partition.assignment):
+            sel = b[0] > 0.0
             if not sel.any():
                 continue
             idx = near[sel]
-            chi = _chi_jet({b: raw[b][sel] for b in alphas},
-                           {b: S[b][idx] for b in alphas}, order)
-            y = self.extensions[i_nu](pout[idx], order)
-            for alpha in alphas:
-                term = np.zeros(len(idx))
-                for beta, gamma, coeff in _leibniz_terms(alpha):
-                    term += coeff * chi[beta] * y[gamma]
-                acc[alpha][idx] += term
-        return acc
+            # the extension runs first, so no chi is held while it runs
+            y = taylor.from_jet(self.extensions[i_nu](pout[idx], order), order)
+            chi = _chi(np.compress(sel, b, axis=1), np.take(S, idx, axis=1),
+                       order)
+            _scatter_add(acc, idx, taylor.mul(chi, y, order, 2))
+            del y, chi
+        return taylor.to_jet(acc, order, 2)
 
 
-def _leibniz_terms(alpha: tuple[int, ...]):
-    terms = []
-    for b0 in range(alpha[0] + 1):
-        for b1 in range(alpha[1] + 1):
-            beta = (b0, b1)
-            gamma = (alpha[0] - b0, alpha[1] - b1)
-            coeff = float(math.comb(alpha[0], b0) * math.comb(alpha[1], b1))
-            terms.append((beta, gamma, coeff))
-    return terms
+def _scatter_add(series: np.ndarray, idx: np.ndarray, values) -> None:
+    """series[:, idx] += values a row at a time, which numpy runs faster
+    than the two-axis index; no row of values outlives the call."""
+    for row, vals in zip(series, values):
+        row[idx] += vals
 
 
 @dataclass(eq=False)
@@ -435,10 +349,10 @@ def global_extend(x: AnalyticJet, domain: Domain, order: int, h: float,
     at every one of them; the blend only fills the complement.  grid.sample
     walks the window in row blocks, which bounds the blend's temporaries.
     """
-    if order > 2:
+    if order > ORDER_CAP:
         raise ValueError(
-            "chartable extension is closed-form through order 2; "
-            "the flat-wall operator alone goes higher"
+            f"the glued extension runs to order {ORDER_CAP}, the highest "
+            f"its polynomial reproduction test verifies; got order {order}"
         )
     charts = domain.charts()
     lo, hi = domain.bbox

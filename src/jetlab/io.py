@@ -331,9 +331,14 @@ def grid_to_payload(grid: GridSpec) -> dict:
 
 
 def grid_from_payload(payload: dict) -> GridSpec:
+    """The grid grid_to_payload wrote, each value read by json_value."""
     from .grid import GridSpec
     return GridSpec(
-        tuple(payload["origin"]), float(payload["h"]), tuple(payload["extents"])
+        tuple(json_value(v, "a finite number", f"grid.origin[{i}]")
+              for i, v in enumerate(payload["origin"])),
+        json_value(payload["h"], "a finite number", "grid.h"),
+        tuple(json_value(n, "an int", f"grid.extents[{i}]")
+              for i, n in enumerate(payload["extents"])),
     )
 
 
@@ -377,10 +382,11 @@ def jet_from_payload(payload: dict) -> SampledJet:
             ).reshape(grid.extents, order="C")
             for key, node in payload["components"].items()
         }
-        order = int(payload["order"])
+        order = json_value(payload["order"], "an int", "order")
     except KeyError as err:
         raise JetlabError(f"jet artifact lacks the key {err}") from None
-    except (TypeError, ValueError, AttributeError, OverflowError) as err:
+    except (JetlabError, TypeError, ValueError, AttributeError,
+            OverflowError) as err:
         raise JetlabError(f"jet artifact is malformed: {err}") from None
     return SampledJet(order, mask, components)
 

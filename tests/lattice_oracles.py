@@ -4,7 +4,10 @@ jetlab itself runs on numpy alone; scipy is a test dependency and serves
 here as an independent implementation of the lattice morphology.  The
 scalar lookups, the finite-difference stencil and the chart round trip are
 the plain per-value versions of what jetlab computes in bulk; chi_many reads
-one normalized bump partial off a partition.  scatter_sample and
+one normalized bump partial off a partition.  The order2_ functions are the
+glue's chain rule, bump, partition quotient and chart derivatives as they
+were written by hand through order 2, the reference for jetlab.taylor.
+scatter_sample and
 full_lattice_scan are the whole-lattice, one-component-at-a-time versions of
 AnalyticJet.sample and the membership scan, which walk row blocks instead.
 per_line_lattice_extension is the lattice reflection one band line at a time,
@@ -27,7 +30,8 @@ from jetlab.certify import CertTerm, Certificate
 from jetlab.errors import (
     MaskMismatchError, PointOutsideRegionError, ProbeOutsideMaskError,
 )
-from jetlab.glue import BUMP_SHRINK, _chi_jet, bump_jet
+from jetlab import domains, taylor
+from jetlab.glue import BUMP_SHRINK, _BUMP_GUARD, _chi, bump_jet
 from jetlab.grid import GridMask, GridSpec, SampledJet, alpha_key, multi_indices
 from jetlab.hestenes import LatticeExtensionResult
 from jetlab.spaces import MembershipVerdict
@@ -120,7 +124,7 @@ def fd_partial(jet, alpha: tuple[int, ...], axis: int,
 
 def chart_roundtrip_defect(chart, pts: np.ndarray) -> float:
     """max |phi(phi^-1(p)) - p| over the sample; identity check currency."""
-    back = chart.forward(chart.inverse(pts))
+    back = chart.forward_taylor(chart.inverse_taylor(pts)[0])[0]
     return float(np.max(np.abs(back - pts))) if len(pts) else 0.0
 
 
@@ -132,12 +136,163 @@ def chi_many(partition, nu: int, pts, alpha) -> np.ndarray:
     raw = []
     for chart in partition.charts:
         rho, near_jet = bump_jet(chart, pts, order)
-        full = {b: np.zeros(len(pts)) for b in near_jet}
-        for b, vals in near_jet.items():
-            full[b][rho < BUMP_SHRINK] = vals
+        full = np.zeros((len(taylor.index(order, 2)), len(pts)))
+        full[:, rho < BUMP_SHRINK] = taylor.from_jet(near_jet, order)
         raw.append(full)
-    S = {b: sum(r[b] for r in raw) for b in multi_indices(order, 2)}
-    return _chi_jet(raw[nu], S, order)[alpha]
+    S = sum(raw)
+    covered = S[0] > 0.0
+    chi = np.zeros_like(S)
+    chi[:, covered] = _chi(raw[nu][:, covered], S[:, covered], order)
+    return taylor.to_jet(chi, order, 2)[alpha]
+
+
+# The glue's calculus as it was written by hand through order 2, before
+# jetlab.taylor replaced it: the reference the Taylor path is compared
+# with at orders 0, 1 and 2.
+
+
+def _unit_alpha(axis: int) -> tuple[int, int]:
+    return (1, 0) if axis == 0 else (0, 1)
+
+
+def _pair_alpha(a: int, b: int) -> tuple[int, int]:
+    out = [0, 0]
+    out[a] += 1
+    out[b] += 1
+    return tuple(out)
+
+
+def _axis_pair(alpha: tuple[int, ...]) -> tuple[int, int]:
+    axes = [k for k, a in enumerate(alpha) for _ in range(a)]
+    return axes[0], axes[1]
+
+
+def order2_chain_jet(f_jet, jac, hess, order: int) -> dict:
+    """Jet of f o map from f's jet at the mapped points and the map's
+    per-point Jacobian (..., 2, 2) and Hessian (..., 2, 2, 2)."""
+    shape = f_jet[(0, 0)].shape
+    out = {}
+    for alpha in multi_indices(order, 2):
+        total = sum(alpha)
+        if total == 0:
+            out[alpha] = f_jet[alpha]
+        elif total == 1:
+            c = alpha.index(1)
+            comp = np.zeros(shape)
+            for a in range(2):
+                comp += f_jet[_unit_alpha(a)] * jac[..., a, c]
+            out[alpha] = comp
+        else:
+            c, d = _axis_pair(alpha)
+            comp = np.zeros(shape)
+            for a in range(2):
+                for b in range(2):
+                    comp += (f_jet[_pair_alpha(a, b)] * jac[..., a, c]
+                             * jac[..., b, d])
+                comp += f_jet[_unit_alpha(a)] * hess[..., a, c, d]
+            out[alpha] = comp
+    return out
+
+
+def order2_bump_ball_jet(xi: np.ndarray, order: int) -> dict:
+    """Partials of exp(-1/(1 - (|xi|/0.9)^2)) through order 2, by hand."""
+    c2 = BUMP_SHRINK**2
+    q = (xi[..., 0] ** 2 + xi[..., 1] ** 2) / c2
+    act = q < _BUMP_GUARD
+    w = 1.0 / (1.0 - np.where(act, q, 0.0))
+    f = np.where(act, np.exp(-w), 0.0)
+    f1 = -f * w**2
+    f2 = f * w**4 - 2.0 * f * w**3
+    out = {}
+    for alpha in multi_indices(order, 2):
+        total = sum(alpha)
+        if total == 0:
+            out[alpha] = f
+        elif total == 1:
+            out[alpha] = f1 * (2.0 * xi[..., alpha.index(1)] / c2)
+        else:
+            c, d = _axis_pair(alpha)
+            comp = f2 * (2.0 * xi[..., c] / c2) * (2.0 * xi[..., d] / c2)
+            if c == d:
+                comp = comp + f1 * (2.0 / c2)
+            out[alpha] = comp
+    return out
+
+
+def order2_chi_jet(raw, S, order: int) -> dict:
+    """Quotient rule for one bump's b/S through order 2, 0 where S = 0,
+    from the ratios raw/S and S_beta/S."""
+    s0 = S[(0, 0)]
+    covered = s0 > 0.0
+    s_safe = np.where(covered, s0, 1.0)
+    q = {beta: raw[beta] / s_safe for beta in raw}
+    qs = {beta: S[beta] / s_safe for beta in S if sum(beta)}
+    q0 = q[(0, 0)]
+    out = {}
+    for alpha in multi_indices(order, 2):
+        total = sum(alpha)
+        if total == 0:
+            chi = q0
+        elif total == 1:
+            chi = q[alpha] - q0 * qs[alpha]
+        else:
+            c, d = _axis_pair(alpha)
+            ec, ed = _unit_alpha(c), _unit_alpha(d)
+            chi = (q[alpha] - q[ec] * qs[ed] - q[ed] * qs[ec]
+                   - q0 * qs[alpha] + 2.0 * q0 * qs[ec] * qs[ed])
+        out[alpha] = np.where(covered, chi, 0.0)
+    return out
+
+
+def order2_forward_derivatives(chart, xi: np.ndarray):
+    """The forward map's Jacobian (..., 2, 2) and Hessian (..., 2, 2, 2)."""
+    shape = xi.shape[:-1]
+    if isinstance(chart, domains.AffineChart):
+        return (np.broadcast_to(chart.matrix, shape + (2, 2)),
+                np.zeros(shape + (2, 2, 2)))
+    th = chart.theta_c + chart.width * xi[..., 1]
+    r = chart.radius - chart.depth * xi[..., 0]
+    cos, sin = np.cos(th), np.sin(th)
+    J = np.empty(shape + (2, 2))
+    J[..., 0, 0] = -chart.depth * cos
+    J[..., 1, 0] = -chart.depth * sin
+    J[..., 0, 1] = -r * chart.width * sin
+    J[..., 1, 1] = r * chart.width * cos
+    H = np.zeros(shape + (2, 2, 2))
+    dw = chart.depth * chart.width
+    H[..., 0, 0, 1] = H[..., 0, 1, 0] = dw * sin
+    H[..., 1, 0, 1] = H[..., 1, 1, 0] = -dw * cos
+    H[..., 0, 1, 1] = -r * chart.width**2 * cos
+    H[..., 1, 1, 1] = -r * chart.width**2 * sin
+    return J, H
+
+
+def order2_inverse_derivatives(chart, pts: np.ndarray):
+    """The inverse map's Jacobian and Hessian, from x^2 + y^2."""
+    shape = pts.shape[:-1]
+    if isinstance(chart, domains.AffineChart):
+        return (np.broadcast_to(np.linalg.inv(chart.matrix), shape + (2, 2)),
+                np.zeros(shape + (2, 2, 2)))
+    v = pts - chart.center
+    x, y = v[..., 0], v[..., 1]
+    r2 = x * x + y * y
+    r = np.sqrt(r2)
+    depth, width = chart.depth, chart.width
+    J = np.empty(shape + (2, 2))
+    J[..., 0, 0] = -x / (depth * r)
+    J[..., 0, 1] = -y / (depth * r)
+    J[..., 1, 0] = -y / (r2 * width)
+    J[..., 1, 1] = x / (r2 * width)
+    r3 = r2**1.5
+    r4 = r2 * r2
+    H = np.empty(shape + (2, 2, 2))
+    H[..., 0, 0, 0] = -(y * y) / (depth * r3)
+    H[..., 0, 0, 1] = H[..., 0, 1, 0] = x * y / (depth * r3)
+    H[..., 0, 1, 1] = -(x * x) / (depth * r3)
+    H[..., 1, 0, 0] = 2.0 * x * y / (width * r4)
+    H[..., 1, 0, 1] = H[..., 1, 1, 0] = (y * y - x * x) / (width * r4)
+    H[..., 1, 1, 1] = -2.0 * x * y / (width * r4)
+    return J, H
 
 
 def six_call_interface_mismatch(field, h: float) -> dict:

@@ -772,6 +772,41 @@ def test_malformed_jet_artifact_is_a_usage_error(case, tmp_path, capsys):
     assert not (tmp_path / "ext.json").exists()
 
 
+# a sampled field's jet with one value of a JSON type its writer never
+# writes, the key path the refusal names, and that value as JSON
+MISTYPED_JET = {
+    "order-true": (lambda jet: {**jet, "order": True}, "order", "an int",
+                   "true"),
+    "order-float": (lambda jet: {**jet, "order": 1.0}, "order", "an int",
+                    "1.0"),
+    "h-string": (lambda jet: {**jet, "grid": {**jet["grid"], "h": "0.25"}},
+                 "grid.h", "a finite number", '"0.25"'),
+    "extents-float": (lambda jet: _set_extents(jet, [5.0, 5.0]),
+                      "grid.extents[0]", "an int", "5.0"),
+    "origin-strings": (lambda jet: {**jet, "grid": {
+        **jet["grid"], "origin": ["0", "0"]}}, "grid.origin[0]",
+        "a finite number", '"0"'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_JET))
+def test_a_jet_value_no_writer_writes_is_a_usage_error(case, tmp_path,
+                                                       capsys):
+    field = tmp_path / "field.json"
+    assert run(["field", "sample", "--function", "sin_cos", "--domain",
+                "rectangle", "--h", "0.25", "--out", str(field)]) == 0
+    doc = json.loads(field.read_text())
+    breaker, path, kind, text = MISTYPED_JET[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**doc, "jet": breaker(doc["jet"])}))
+    capsys.readouterr()
+    assert run(["space", "norm", "--field", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: jet artifact is malformed: "
+                   f"{path} must be {kind}, not {text}\n")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("token", ["+1", "01", "1.", ".5", "1e5.3", ""])
 def test_refused_number_in_a_long_array_is_a_usage_error(token, tmp_path,
                                                          capsys):
@@ -1149,6 +1184,35 @@ def test_space_norm_field_reports_a_prop2_jet_on_its_window(space, tmp_path,
                 "--space", space]) == 0
     report = json.loads(capsys.readouterr().out.splitlines()[0])["norm"]
     assert (report["mask"], report["point_count"]) == ("window", 169)
+    # a hestenes extend artifact holds Q and the band past its wall: 25
+    # points of Q and 10 reflected ones
+    sampled, extended = tmp_path / "f.json", tmp_path / "e.json"
+    assert run(["field", "sample", "--function", "sin_cos", "--domain",
+                "rectangle", "--h", "0.25", "--out", str(sampled)]) == 0
+    assert run(["hestenes", "extend", "--in", str(sampled), "--width", "2",
+                "--out", str(extended)]) == 0
+    capsys.readouterr()
+    assert run(["space", "norm", "--field", str(extended),
+                "--space", space]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[0])["norm"]
+    assert (report["mask"], report["point_count"]) == ("extended", 35)
+
+
+def test_prop2_glues_to_order_4_and_refuses_order_5(tmp_path, capsys):
+    field = tmp_path / "p.json"
+    argv = ["extend", "prop2", "--domain", "disk", "--function", "sin_cos",
+            "--out", str(field)]
+    assert run([*argv, "--order", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: the glued extension runs to order 4, the highest "
+                   "its polynomial reproduction test verifies; got order 5\n")
+    assert not field.exists()
+    assert run([*argv, "--order", "3", "--h", "0.03125"]) == 0
+    capsys.readouterr()
+    assert run(["space", "norm", "--field", str(field)]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[0])["norm"]
+    assert (report["order"], report["mask"]) == (3, "window")
+    assert len(report["per_alpha"]) == 10
 
 
 def leaf_parsers(parser, words=()):

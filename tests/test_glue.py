@@ -1,6 +1,5 @@
 """Charts, bumps, partition of unity, and the blended global extension."""
 
-import itertools
 import math
 import tracemalloc
 
@@ -8,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from jetlab import domains, glue
+from jetlab import domains, glue, taylor
 from jetlab.errors import CoverGapError, UnsupportedDomainError
 from jetlab.functions import AnalyticJet, get_function, polynomial_jet
 from jetlab.glue import (
@@ -29,6 +28,8 @@ from jetlab.hestenes import (
 )
 from lattice_oracles import (
     box_dilation, chart_roundtrip_defect, chi_many, coord_grids, erosion,
+    order2_bump_ball_jet, order2_chain_jet, order2_chi_jet,
+    order2_forward_derivatives, order2_inverse_derivatives,
     six_call_interface_mismatch,
 )
 
@@ -43,6 +44,16 @@ def ball_points(n, radius=0.95, seed=3):
 ALL_SPECS = [domains.Rectangle(), domains.Disk(), domains.HalfBall()]
 
 
+def forward(chart, xi):
+    """The chart's map at reference points: its Taylor call's value."""
+    return chart.forward_taylor(xi)[0]
+
+
+def inverse(chart, pts):
+    """The chart's inverse at world points: its Taylor call's value."""
+    return chart.inverse_taylor(pts)[0]
+
+
 def coarse_lattice(spec):
     """Step 2^-6 over the domain's bounding box padded by 1/8."""
     (x0, y0), (x1, y1) = spec.bbox
@@ -54,53 +65,64 @@ def coarse_lattice(spec):
 def test_chart_roundtrip(spec):
     xi = ball_points(200)
     for chart in spec.charts():
-        world = chart.forward(xi)
+        world = forward(chart, xi)
         assert chart_roundtrip_defect(chart, world) < 1e-12
-        assert np.max(np.abs(chart.inverse(world) - xi)) < 1e-12
+        assert np.max(np.abs(inverse(chart, world) - xi)) < 1e-12
 
 
-def dense(jac, hess, shape):
-    """A derivative call's answer as full arrays over points of the given
-    shape: a constant matrix broadcast, a missing Hessian all zero."""
-    return (np.broadcast_to(jac, shape + (2, 2)),
-            np.zeros(shape + (2, 2, 2)) if hess is None else hess)
+def chart_partials(call, order: int, shape) -> dict:
+    """A Taylor call's answer as partials: alpha -> (2, *shape) array of
+    each component's d^alpha, alpha! times the series' row, a constant
+    row broadcast."""
+    delta = call[1](order)
+    rows = taylor.index(order, 2)
+    return {alpha: math.factorial(alpha[0]) * math.factorial(alpha[1])
+            * np.broadcast_to(delta[:, k], (2,) + shape)
+            for alpha, k in rows.items()}
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
 def test_chart_jacobians_match_finite_differences(spec):
     xi = ball_points(40, radius=0.8)
     eps = 1e-6
-    for chart, order in itertools.product(spec.charts(), [0, 1, 2]):
+    for chart in spec.charts():
         affine = isinstance(chart, domains.AffineChart)
         # the forward map at xi and the inverse at its image, each with its
-        # Jacobian and Hessian tolerances
-        for at, value, derivatives, tol_j, tol_h in (
-            (xi, chart.forward, chart.forward_derivatives, 1e-6, 1e-5),
-            (chart.forward(xi), chart.inverse, chart.inverse_derivatives,
-             1e-5, 2e-4),
+        # Jacobian, Hessian and third-derivative tolerances
+        for at, taylor_call, tols in (
+            (xi, chart.forward_taylor, (1e-6, 1e-5, 1e-5)),
+            (forward(chart, xi), chart.inverse_taylor, (1e-5, 2e-4, 2e-4)),
         ):
-            jac, hess = derivatives(at, order)
-            # an affine chart gives its constant matrix at every order
-            assert (jac is None) == (order == 0 and not affine)
-            assert (hess is None) == (order < 2 or affine)
-            if order == 0:
-                continue
-
-            def jacobian(p):
-                return dense(*derivatives(p, 1), p.shape[:-1])[0]
-
-            J, H = dense(jac, hess, at.shape[:-1])
-            # the order-2 call adds the Hessian to the order-1 Jacobian
-            assert np.array_equal(J, jacobian(at))
-            for c in range(2):
+            shape = at.shape[:-1]
+            lower = None
+            call = taylor_call(at)
+            for order in range(4):
+                # an affine chart's series is constant at every order, a
+                # polar chart's past its value
+                assert (call[1](order).shape[2:] == (1,)) == (
+                    affine or order == 0)
+                got = chart_partials(call, order, shape)
+                # each order's call extends the one below it
+                if lower is not None:
+                    for alpha, arr in lower.items():
+                        assert np.array_equal(got[alpha], arr)
+                lower = got
+            # d_c of each partial of order k - 1 against the order-k one
+            for alpha, arr in got.items():
+                if sum(alpha) == 0:
+                    continue
+                c = 0 if alpha[0] else 1
+                below = (alpha[0] - (c == 0), alpha[1] - (c == 1))
                 step = np.zeros_like(at)
                 step[:, c] = eps
-                fd_j = (value(at + step) - value(at - step)) / (2 * eps)
-                assert np.max(np.abs(fd_j - J[..., :, c])) < tol_j
-                if order == 2:
-                    fd_h = (jacobian(at + step) - jacobian(at - step)) / (
-                        2 * eps)
-                    assert np.max(np.abs(fd_h - H[..., :, :, c])) < tol_h
+                if sum(below) == 0:
+                    fd = (taylor_call(at + step)[0]
+                          - taylor_call(at - step)[0]).T / (2 * eps)
+                else:
+                    ahead = chart_partials(taylor_call(at + step), 3, shape)
+                    behind = chart_partials(taylor_call(at - step), 3, shape)
+                    fd = (ahead[below] - behind[below]) / (2 * eps)
+                assert np.max(np.abs(fd - arr)) < tols[sum(alpha) - 1]
 
 
 # every chart a bump rides on: each regular domain's atlas and interior chart
@@ -136,8 +158,8 @@ def reach(chart, axis: int, side: float) -> np.ndarray:
     the four axis points stands in."""
     if isinstance(chart, domains.AffineChart):
         row = chart.matrix[axis]
-        return chart.forward(side * row[None] / np.hypot(*row))[0]
-    ring = chart.forward(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
+        return forward(chart, side * row[None] / np.hypot(*row))[0]
+    ring = forward(chart, np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
                                    [0.0, -1.0]]))
     return ring[np.argmax(side * ring[:, axis])]
 
@@ -176,7 +198,7 @@ def test_no_point_outside_a_box_maps_into_the_unit_ball(case):
     # neither the bump's support nor the chart's image loses a point
     chart, point = case
     assert not in_box(chart, point).any()
-    xi = chart.inverse(point)
+    xi = inverse(chart, point)
     assert np.hypot(xi[..., 0], xi[..., 1])[0] >= 1.0
 
 
@@ -186,20 +208,24 @@ _ENTRY = st.one_of(st.sampled_from([0.0, -0.0]),
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_ENTRY, min_size=4, max_size=4), st.integers(0, 2**32 - 1),
-       st.integers(0, 2))
+       st.integers(0, 4))
 def test_a_constant_matrix_chains_as_its_broadcast_array(entries, seed,
                                                          order):
-    # an affine chart's matrix, its zero entries skipped, and no Hessian
-    # give the bits of the per-point arrays with every term summed
+    # an affine chart's constant series, its zero entries skipped, gives
+    # the bits of the per-point series with every term summed
     matrix = np.array(entries).reshape(2, 2)
     rng = np.random.default_rng(seed)
     n = 64
     f_jet = {alpha: np.where(rng.random(n) < 0.2,
                              rng.choice([0.0, -0.0], n), rng.normal(size=n))
-             for alpha in multi_indices(2, 2)}
-    got = chain_jet(f_jet, matrix, None, order)
-    want = chain_jet(f_jet, np.broadcast_to(matrix, (n, 2, 2)),
-                     np.zeros((n, 2, 2, 2)), order)
+             for alpha in multi_indices(4, 2)}
+    chart = domains.AffineChart((0.0, 0.0), np.eye(2), "edge", "half")
+    chart.matrix = matrix
+    delta = chart.forward_taylor(np.zeros((n, 2)))[1](order)
+    assert delta.shape[2:] == (1,)
+    got = chain_jet(f_jet, delta, order)
+    want = chain_jet(f_jet, np.broadcast_to(delta, delta.shape[:2] + (n,)),
+                     order)
     assert list(got) == list(want) == multi_indices(order, 2)
     for alpha, arr in want.items():
         assert np.array_equal(got[alpha].view(np.int64), arr.view(np.int64))
@@ -222,7 +248,7 @@ def test_half_exact_charts_put_domain_side_at_nonnegative_xi0():
     spec = domains.Disk()
     chart = spec.charts()[0]
     pts = ball_points(300, radius=0.99, seed=9)
-    world = chart.forward(pts)
+    world = forward(chart, pts)
     inside = np.hypot(world[:, 0], world[:, 1]) <= 1.0
     assert np.array_equal(inside, pts[:, 0] >= -1e-12)
 
@@ -232,22 +258,20 @@ def test_bump_partials_match_finite_differences():
     eps = 1e-6
     f = bump_ball_jet(xi, 0)[(0, 0)]
     assert (f > 0).all()
-    for c, alpha in ((0, (1, 0)), (1, (0, 1))):
-        dxi = np.zeros_like(xi)
-        dxi[:, c] = eps
-        fd = (bump_ball_jet(xi + dxi, 0)[(0, 0)]
-              - bump_ball_jet(xi - dxi, 0)[(0, 0)]) / (2 * eps)
-        got = bump_ball_jet(xi, 1)[alpha]
-        assert np.max(np.abs(fd - got)) < 1e-7
-    for alpha, (c, d) in (((2, 0), (0, 0)), ((1, 1), (0, 1)),
-                          ((0, 2), (1, 1))):
-        dxi = np.zeros_like(xi)
-        dxi[:, d] = eps
-        e_c = (1, 0) if c == 0 else (0, 1)
-        fd = (bump_ball_jet(xi + dxi, 1)[e_c]
-              - bump_ball_jet(xi - dxi, 1)[e_c]) / (2 * eps)
-        got = bump_ball_jet(xi, 2)[alpha]
-        assert np.max(np.abs(fd - got)) < 1e-6
+    # d_c of each partial of order k - 1 against the order-k one; the
+    # tolerances of orders 1 and 2 as before
+    for order, tol in ((1, 1e-7), (2, 1e-6), (3, 1e-5)):
+        got = bump_ball_jet(xi, order)
+        for alpha in multi_indices(order, 2):
+            if sum(alpha) != order:
+                continue
+            c = 0 if alpha[0] else 1
+            below = (alpha[0] - (c == 0), alpha[1] - (c == 1))
+            dxi = np.zeros_like(xi)
+            dxi[:, c] = eps
+            fd = (bump_ball_jet(xi + dxi, order - 1)[below]
+                  - bump_ball_jet(xi - dxi, order - 1)[below]) / (2 * eps)
+            assert np.max(np.abs(fd - got[alpha])) < tol
 
 
 def test_bump_hard_zero_outside_support():
@@ -394,12 +418,18 @@ def test_partition_chi_partials_match_finite_differences():
     part = build_partition(spec.charts(), spec, coarse_lattice(spec))
     pts = np.array([[1.02, 0.3], [0.2, 1.05], [-1.03, 0.15]])
     eps = 1e-6
+    # d_c of each partial of order k - 1 against the order-k one; orders 2
+    # and 3 join order 1 at its tolerance
     for nu in range(len(part.charts)):
-        for c, alpha in ((0, (1, 0)), (1, (0, 1))):
+        for alpha in multi_indices(3, 2):
+            if sum(alpha) == 0:
+                continue
+            c = 0 if alpha[0] else 1
+            below = (alpha[0] - (c == 0), alpha[1] - (c == 1))
             d = np.zeros_like(pts)
             d[:, c] = eps
-            fd = (chi_many(part, nu, pts + d, (0, 0))
-                  - chi_many(part, nu, pts - d, (0, 0))) / (2 * eps)
+            fd = (chi_many(part, nu, pts + d, below)
+                  - chi_many(part, nu, pts - d, below)) / (2 * eps)
             got = chi_many(part, nu, pts, alpha)
             assert np.max(np.abs(fd - got)) < 1e-6
 
@@ -478,7 +508,7 @@ def test_local_jet_asks_the_source_once_per_probe(k, walls, pts):
     chart = domains.Rectangle().charts()[k]
     pts = np.array(pts)
     assert (bump_jet(chart, pts, 0)[0] < 1.0).all()
-    assert (chart.inverse(pts)[:, :walls] < 0.0).all()
+    assert (inverse(chart, pts)[:, :walls] < 0.0).all()
     want = 3**walls
     x, calls = counting_sin_cos()
     local_extend(x.jet_many, chart, 2)(pts, 2)
@@ -560,9 +590,126 @@ def test_global_partials_match_finite_differences_outside():
 
 
 def test_global_extension_order_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="runs to order 4"):
         global_extend(get_function("sin_cos", depth=4),
-                      domains.Disk(), 3, h=2.0**-5, margin=0.5)
+                      domains.Disk(), 5, h=2.0**-5, margin=0.5)
+
+
+# The Taylor path against the order-2 formulas it replaced: each partial
+# within ORACLE_RTOL of the largest partial of its jet over the sample.
+ORACLE_RTOL = 1e-14
+
+
+def assert_jets_close(got, want):
+    assert list(got) == list(want)
+    scale = max(float(np.max(np.abs(arr))) for arr in want.values())
+    for alpha, arr in want.items():
+        assert np.max(np.abs(got[alpha] - arr)) <= ORACLE_RTOL * scale
+
+
+def order2_partials(J, H, order):
+    """The map partials the order-2 formulas give, keyed as
+    chart_partials keys them."""
+    out = {}
+    for alpha in multi_indices(order, 2):
+        if sum(alpha) == 1:
+            out[alpha] = np.moveaxis(J[..., :, alpha.index(1)], -1, 0)
+        elif sum(alpha) == 2:
+            c, d = [k for k in range(2) for _ in range(alpha[k])]
+            out[alpha] = np.moveaxis(H[..., :, c, d], -1, 0)
+    return out
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+def test_taylor_glue_matches_the_order_2_formulas(spec, order):
+    xi = ball_points(300, radius=0.85, seed=7)
+    x = get_function("sin_cos", depth=4)
+    for chart in [*spec.charts(), spec.interior_chart()]:
+        world, series = chart.forward_taylor(xi)
+        # each map's series against its Jacobian and Hessian
+        for call, at, oracle in (
+                (chart.forward_taylor, xi, order2_forward_derivatives),
+                (chart.inverse_taylor, world, order2_inverse_derivatives)):
+            got = chart_partials(call(at), order, at.shape[:-1])
+            want = order2_partials(*oracle(chart, at), order)
+            if want:
+                assert_jets_close({a: got[a] for a in want}, want)
+        # the chain rule: sin_cos pulled back through the chart
+        f_jet = x.jet_many(world, order)
+        assert_jets_close(
+            chain_jet(f_jet, series(order), order),
+            order2_chain_jet(f_jet, *order2_forward_derivatives(chart, xi),
+                             order))
+        # the bump in reference coordinates, and pushed through the chart
+        assert_jets_close(bump_ball_jet(xi, order),
+                          order2_bump_ball_jet(xi, order))
+        rho, got = bump_jet(chart, world, order)
+        near = world[rho < glue.BUMP_SHRINK]
+        assert len(near) > 250
+        assert_jets_close(got, order2_chain_jet(
+            order2_bump_ball_jet(inverse(chart, near), order),
+            *order2_inverse_derivatives(chart, near), order))
+    # the partition quotient at points off, on and inside Q's boundary
+    part = build_partition(spec.charts(), spec, coarse_lattice(spec))
+    pts, normals = spec.probes()
+    pts = np.concatenate([pts + k * normals for k in (0.1, 0.05, 0.0, -0.1)])
+    raw = []
+    for chart in part.charts:
+        rho, jet = bump_jet(chart, pts, order)
+        full = {alpha: np.zeros(len(pts)) for alpha in jet}
+        for alpha, vals in jet.items():
+            full[alpha][rho < glue.BUMP_SHRINK] = vals
+        raw.append(full)
+    S = {alpha: sum(r[alpha] for r in raw) for alpha in raw[0]}
+    # the quotient rule's terms are products of up to order ratios
+    # S_beta/S_0, and they cancel where one bump alone reaches, so each
+    # point's bound is ORACLE_RTOL times the largest such product there
+    s0 = np.where(S[(0, 0)] > 0.0, S[(0, 0)], 1.0)
+    ratio = np.maximum(1.0, np.max([np.abs(arr) / s0 for arr in S.values()],
+                                   axis=0))
+    for nu in range(len(part.charts)):
+        want = order2_chi_jet(raw[nu], S, order)
+        for alpha, arr in want.items():
+            got = chi_many(part, nu, pts, alpha)
+            assert (np.abs(got - arr) <= ORACLE_RTOL * ratio**order).all()
+
+
+# a polynomial of degree <= i and its window at the reflection orders the
+# glue goes to past 2
+@st.composite
+def polynomial_case(draw):
+    order = draw(st.sampled_from([3, 4]))
+    spec = draw(st.sampled_from([domains.Rectangle(), domains.HalfBall()]))
+    coeff = st.floats(-1.0, 1.0).filter(lambda c: abs(c) >= 2.0**-10)
+    terms = draw(st.dictionaries(st.sampled_from(multi_indices(order, 2)),
+                                 coeff, min_size=1))
+    return order, spec, terms
+
+
+@settings(max_examples=12, deadline=None)
+@given(polynomial_case())
+def test_glue_reproduces_polynomials_at_orders_3_and_4(case):
+    # rectangle and half-ball charts are affine, so a polynomial of degree
+    # <= i pulls back to one, the order-i reflection reproduces it and the
+    # bumps sum to 1: every partial comes back at every window point a bump
+    # reaches, up to rounding that the reflection weights' absolute sum
+    # amplifies, squared through a corner's tensor reflection, relative to
+    # the largest partial there
+    order, spec, terms = case
+    p = polynomial_jet("p", terms)
+    res = global_extend(p, spec, order, h=2.0**-4, margin=0.5)
+    reached = ~res.field.partition.unreached.member
+    assert (reached & ~res.q_mask.member).sum() > 100
+    want = p.jet_many(res.window.points(np.nonzero(reached)), order)
+    scale = max(float(np.max(np.abs(arr))) for arr in want.values())
+    mass = solve_coefficients(order).abs_sum()
+    assert mass == {3: 831, 4: 13569}[order]
+    if spec.kind == "rectangle":
+        mass = mass**2
+    bound = 32 * np.finfo(np.float64).eps * mass * scale
+    for alpha, arr in want.items():
+        assert np.max(np.abs(res.jet.components[alpha][reached] - arr)) <= bound
 
 
 @pytest.mark.parametrize(
@@ -672,16 +819,17 @@ def test_global_extend_holds_no_block_outputs_across_extensions(spec,
 
 
 def count_inverse_points(charts):
-    """Wrap each chart's inverse; the list of point counts per chart."""
+    """Wrap each chart's inverse Taylor call, the one call that maps world
+    points through it; the list of point counts per chart."""
     sizes = [[] for _ in charts]
     for chart, seen in zip(charts, sizes):
-        inverse = chart.inverse
+        inverse = chart.inverse_taylor
 
         def counted(pts, _inverse=inverse, _seen=seen):
             _seen.append(len(pts))
             return _inverse(pts)
 
-        chart.inverse = counted
+        chart.inverse_taylor = counted
     return sizes
 
 
@@ -709,8 +857,8 @@ def test_bump_ball_jet_sees_only_its_support(spec, monkeypatch):
 def test_blend_maps_its_points_through_each_bump_chart_once(spec, mapped):
     res = global_extend(get_function("sin_cos", depth=4), spec, 2,
                         h=2.0**-5, margin=0.5)
-    # the extensions hold the inverse they were built with, so only the
-    # bumps see the wrapped one
+    # the extensions hold the inverse Taylor call they were built with, so
+    # only the bumps see the wrapped one
     sizes = count_inverse_points(res.field.partition.charts)
     (x0, y0), (x1, y1) = spec.bbox
     pts = np.stack(np.meshgrid(np.linspace(x0 - 0.3, x1 + 0.3, 23),
