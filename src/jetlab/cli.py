@@ -289,10 +289,9 @@ def _cmd_space_norm(args, argv) -> int:
         jet = io.jet_from_payload(payload.get("jet", payload))
         mask, order, blocks = jet.mask, jet.order, jet.blocks()
         source = args.field
-        if "margin" in payload:  # extend prop2: the glued window
-            label = "window"
-        elif "width" in payload:  # hestenes extend: Q and its band
-            label = "extended"
+        # extend prop2 writes the glued window, hestenes extend Q and a band
+        label = ("window" if "margin" in payload else
+                 "extended" if "width" in payload else label)
     else:
         domain, analytic = _domain_and_function(args)
         mask, = domains.build_domain(domain, args.h, (wanted,))

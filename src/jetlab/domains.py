@@ -30,26 +30,21 @@ N_PROBES = 256
 # ---------------------------------------------------------------------------
 # charts of the chartable boundaries
 #
-# A chart maps reference coordinates xi to world points.  Each map gives
-# its Taylor coefficients to any order (jetlab.taylor) in one call:
-# forward_taylor(xi) and inverse_taylor(pts) return its value, (..., 2),
-# where its formula is written once, and series(order, keep), the series
-# of the map less its value at the points keep selects, (2, n_alpha, ...),
-# built when called from what the value left behind, so a caller holds
-# that and not the series while its source runs.  An affine chart's series
-# is constant, (2, n_alpha, 1, ...).  box() is a world box holding the
-# image of the unit reference ball.
+# A chart maps reference coordinates xi to world points.  forward_taylor(xi)
+# and inverse_taylor(pts) return the map's value, (..., 2), and series(order),
+# its Taylor series less its value (jetlab.taylor), (2, n_alpha, ...), built
+# when called, so a caller holds what it is built from and not the series
+# while its source runs; the inverse's takes the points keep selects.  An
+# affine chart's series is constant, (2, n_alpha, 1, ...).  box() is a world
+# box holding the image of the unit reference ball.
 
 
-def _constant(order: int, ndim: int, matrix=None) -> np.ndarray:
-    """The series of xi -> matrix @ xi less its value at points of ndim - 1
-    axes, (2, n_alpha, 1, ...): row e_j of component i is matrix[i, j],
-    every other row 0, and every row 0 with no matrix."""
+def _linear(matrix: np.ndarray, order: int, ndim: int) -> np.ndarray:
+    """The series of xi -> matrix @ xi less its value, (2, n_alpha, 1, ...)
+    at points of ndim - 1 axes: rows (0, 1) and (1, 0) are its columns."""
     delta = np.zeros((2, len(taylor.index(order, 2))) + (1,) * (ndim - 1))
-    if order and matrix is not None:
-        rows = taylor.index(order, 2)
-        for j, unit in enumerate(((1, 0), (0, 1))):
-            delta[:, rows[unit]] = matrix[:, j].reshape(delta[:, 0].shape)
+    if order:
+        delta[:, 1:3] = matrix[:, ::-1].reshape(delta[:, 1:3].shape)
     return delta
 
 
@@ -79,12 +74,11 @@ class AffineChart:
 
     def forward_taylor(self, xi: np.ndarray):
         return (self.center + xi @ self.matrix.T,
-                lambda order, keep=None: _constant(order, xi.ndim,
-                                                   self.matrix))
+                lambda order: _linear(self.matrix, order, xi.ndim))
 
     def inverse_taylor(self, pts: np.ndarray):
         return ((pts - self.center) @ self._inv.T,
-                lambda order, keep=None: _constant(order, pts.ndim, self._inv))
+                lambda order, keep=None: _linear(self._inv, order, pts.ndim))
 
     def box(self) -> tuple[np.ndarray, np.ndarray]:
         """The box of the ellipse the unit ball maps to: row i of the
@@ -126,23 +120,19 @@ class PolarSectorChart:
         self.center = np.asarray(self.center, dtype=np.float64)
 
     def forward_taylor(self, xi: np.ndarray):
-        """r (cos, sin)(theta) with r and theta linear in xi, from one cos
-        and one sin of the angle, which the series keeps: the j-th
-        derivative of cos is the j-th of (cos, -sin, -cos, sin), cyclic,
-        and that of sin the one before it."""
+        """r (cos, sin)(theta), r and theta linear in xi, and its series
+        from the same cos and sin: cos^(j) is (cos, -sin, -cos, sin)[j % 4],
+        and sin^(j) the one before it."""
         th = self.theta_c + self.width * xi[..., 1]
         r = self.radius - self.depth * xi[..., 0]
         cos, sin = np.cos(th), np.sin(th)
 
-        def series(order: int, keep=slice(None)) -> np.ndarray:
-            if not order:
-                return _constant(0, xi.ndim)
-            c, s = cos[keep], sin[keep]
-            cycle = (c, -s, -c, s)
-            delta = np.zeros((2, len(taylor.index(order, 2))) + c.shape)
+        def series(order: int) -> np.ndarray:
+            cycle = (cos, -sin, -cos, sin)
+            delta = np.zeros((2, len(taylor.index(order, 2))) + r.shape)
             for k, (a, b) in enumerate(multi_indices(order, 2)):
                 if 0 < a + b and a <= 1:
-                    scale = ((r[keep] if a == 0 else -self.depth)
+                    scale = ((r if a == 0 else -self.depth)
                              * (self.width**b / math.factorial(b)))
                     delta[0, k] = scale * cycle[b % 4]
                     delta[1, k] = scale * cycle[(b - 1) % 4]
@@ -151,11 +141,11 @@ class PolarSectorChart:
         return self.center + np.stack([r * cos, r * sin], axis=-1), series
 
     def inverse_taylor(self, pts: np.ndarray):
-        """The inverse's value, and its series from the complex logarithm
-        of z = (x - c_x) + i (y - c_y): log(z + dz) - log z = sum_k
-        (-1)^(k+1) (dz / z)^k / k, dz = dx + i dy, has the degree-k row
-        (-1)^(k+1) C(k, a) i^b / (k z^k) at alpha = (a, b); the angle moves
-        by its imaginary part, and the radius is |z| exp(its real part)."""
+        """The inverse, and its series from log(z + dz) - log z = sum_k
+        (-1)^(k+1) (dz / z)^k / k, z = (x - c_x) + i (y - c_y), dz = dx +
+        i dy: row alpha = (a, b) is (-1)^(k+1) C(k, a) i^b / (k z^k), k = a
+        + b; the angle moves by its imaginary part, the radius by the
+        factor exp(its real part)."""
         v = pts - self.center
         r = np.hypot(v[..., 0], v[..., 1])
         th = np.arctan2(v[..., 1], v[..., 0])
@@ -163,7 +153,7 @@ class PolarSectorChart:
 
         def series(order: int, keep=slice(None)) -> np.ndarray:
             if not order:
-                return _constant(0, pts.ndim)
+                return np.zeros((2, 1) + (1,) * (pts.ndim - 1))
             v = pts[keep] - self.center
             z = v[..., 0] + 1j * v[..., 1]
             inv = 1.0 / np.where(z != 0.0, z, 1.0)  # the center is singular
@@ -179,10 +169,8 @@ class PolarSectorChart:
             grow = taylor.compose([1.0 / math.factorial(j)
                                    for j in range(order + 1)],
                                   log.real, order, 2)
-            delta = np.empty((2,) + grow.shape)
-            np.multiply(grow, np.hypot(v[..., 0], v[..., 1]) / -self.depth,
-                        out=delta[0])
-            np.divide(log.imag, self.width, out=delta[1])
+            delta = np.stack([grow * (np.hypot(v[..., 0], v[..., 1])
+                                      / -self.depth), log.imag / self.width])
             delta[0, 0] = 0.0
             return delta
 

@@ -10,16 +10,11 @@ those use a two-axis tensor reflection instead).
 
 Every layer is a plain jet evaluator of jetlab.grid or a function of a
 chart: a local extension is the reflected pullback pushed forward through
-its chart, a bump is its chart (bump_jet, one map through its inverse of
-the points in its box), and the global field pairs each bump with one
-extension.  Each layer asks its source for one whole jet per point set and
-differentiates whole series in jetlab.taylor's arithmetic, at any order up
-to ORDER_CAP: the chain rule substitutes a chart's series, the bump and
-the partition quotient compose univariate functions, and the blend is the
-Cauchy product.
-
-The blend convention off the covered zone is zero: a window point reached by
-no bump gets value 0, never an extrapolation.
+its chart, a bump is its chart (bump_jet), and the global field pairs each
+bump with one extension.  Each layer asks its source for one whole jet per
+point set and differentiates it in jetlab.taylor's arithmetic, at any
+order up to ORDER_CAP.  A window point off Q that no bump reaches gets
+value 0, never an extrapolation.
 """
 
 from __future__ import annotations
@@ -42,32 +37,23 @@ from .hestenes import HalfSpaceExtension, corner_extension, solve_coefficients
 
 BUMP_SHRINK = 0.9
 _BUMP_GUARD = 1.0 - 1.0 / 745.0
-# the highest order global_extend glues: the highest its polynomial
-# reproduction test verifies
-ORDER_CAP = 4
+ORDER_CAP = 4  # the highest order the glue's tests verify
 
 
 # ---------------------------------------------------------------------------
-# chain rule through a map
-
-
-def chain_jet(f_jet: Jet, delta: np.ndarray, order: int) -> Jet:
-    """Jet of f o map from f's jet at the mapped points and the series of
-    the map less its value, as a chart's Taylor call gives it."""
-    return taylor.substitute(f_jet, delta, order, 2)
+# local extensions through a chart
 
 
 def _compose(f: JetEvaluator, mapping: Callable) -> JetEvaluator:
-    """f o mapping, mapping a chart's Taylor call.  The map's series is
-    built once f has returned, and the map's value and what the series is
-    built from are dropped once it is, so neither is held past its use."""
+    """f o mapping, a chart's Taylor call, whose series is built once f
+    has returned and whose value is dropped once the series is built."""
 
     def composed(pts: np.ndarray, order: int) -> Jet:
         value, series = mapping(pts)
         f_jet = f(value, order)
         delta = series(order)
         del value, series
-        return chain_jet(f_jet, delta, order)
+        return taylor.substitute(f_jet, delta, order, 2)
 
     return composed
 
@@ -75,11 +61,9 @@ def _compose(f: JetEvaluator, mapping: Callable) -> JetEvaluator:
 def local_extend(source: JetEvaluator, chart: Chart,
                  order: int) -> JetEvaluator:
     """One chart's extended field y = ubar o phi^-1, world coordinates,
-    where ubar reflects the pullback u = x o phi on reference coordinates.
-
-    Valid inside the chart image; the blend only ever queries it inside the
-    0.9-ball where the chart's bump is positive.
-    """
+    where ubar reflects the pullback u = x o phi on reference coordinates;
+    valid inside the chart image, where the blend queries it only inside
+    the 0.9-ball that the chart's bump is positive on."""
     u = _compose(source, chart.forward_taylor)
     pad = 1.0 + 1e-9
     if chart.extension == "quarter":
@@ -99,27 +83,18 @@ def local_extend(source: JetEvaluator, chart: Chart,
 
 
 def bump_ball_jet(xi: np.ndarray, order: int) -> Jet:
-    """Partials of exp(-1/(1 - (|xi|/0.9)^2)) in reference coordinates:
-    phi(q) for the exact polynomial q = |xi|^2 / 0.9^2, phi = exp(-w) and
-    w = 1/(1 - q), whose series in q - q_0 is w_0^(j+1).  Hard zero (all
-    orders) once the exponent would underflow; the true value there is
-    below 5e-324 so nothing is lost."""
+    """Partials of exp(-w), w = 1/(1 - q) with series w_0^(j+1) in q - q_0,
+    at the polynomial q = |xi|^2 / 0.9^2, in reference coordinates.  Hard
+    zero (all orders) once the exponent would underflow, below 5e-324."""
     c2 = BUMP_SHRINK**2
     q0 = (xi[..., 0] ** 2 + xi[..., 1] ** 2) / c2
     act = q0 < _BUMP_GUARD
     w0 = 1.0 / (1.0 - np.where(act, q0, 0.0))
     f0 = np.where(act, np.exp(-w0), 0.0)
-    rows = taylor.index(order, 2)
-    q = np.zeros((len(rows),) + q0.shape)
-    for axis, unit in enumerate(((1, 0), (0, 1))):
-        if order >= 1:
-            q[rows[unit]] = 2.0 * xi[..., axis] / c2
-        if order >= 2:
-            q[rows[(2 * unit[0], 2 * unit[1])]] = 1.0 / c2
-    w = np.empty((order + 1,) + w0.shape)  # w_0^(j+1)
-    w[0] = w0
-    for j in range(1, order + 1):
-        np.multiply(w[j - 1], w0, out=w[j])
+    q = taylor.from_jet({(0, 0): q0, (1, 0): 2.0 * xi[..., 0] / c2,
+                         (0, 1): 2.0 * xi[..., 1] / c2, (2, 0): 2.0 / c2,
+                         (0, 2): 2.0 / c2}, order)
+    w = np.cumprod(np.broadcast_to(w0, (order + 1,) + w0.shape), axis=0)
     phi = taylor.compose([f0 * ((-1) ** j / math.factorial(j))
                           for j in range(order + 1)], w, order, 1)
     return taylor.to_jet(taylor.compose(phi, q, order, 2), order, 2)
@@ -141,8 +116,8 @@ def bump_jet(chart: Chart, pts: np.ndarray,
     rho = np.full(len(pts), np.inf)
     rho[boxed] = radius
     near = radius < BUMP_SHRINK
-    return rho, chain_jet(bump_ball_jet(xi[near], order),
-                          series(order, near), order)
+    return rho, taylor.substitute(bump_ball_jet(xi[near], order),
+                                  series(order, near), order, 2)
 
 
 @dataclass(eq=False)
@@ -165,13 +140,11 @@ class BumpPartition:
 
 
 def _chi(b: np.ndarray, S: np.ndarray, order: int) -> np.ndarray:
-    """The series of one bump's b/S where S_0 > 0, as (m/S_0) recip(S/S_0):
-    1/t composes on S/S_0 at its value 1 through (-1)^j, so no power of S_0
-    is formed; one would underflow in the bump tails where S ~ 1e-300.
-    Past the value, b/S and 1 - (S - b)/S agree, and each point takes m the
-    smaller of b and S - b: near a support's edge the coefficients of S/S_0
-    grow like w^(2j) and cancel to the order of m/S_0, so where one bump
-    alone reaches, S - b = 0 gives chi exactly 1."""
+    """The series of one bump's b/S where S_0 > 0, as (m/S_0) recip(S/S_0),
+    1/t composed on S/S_0 at 1, so no power of S_0 (~1e-300 in the bump
+    tails) underflows.  Past the value m is the smaller of b and S - b (b/S
+    = 1 - (S - b)/S), whose terms cancel less near a support's edge: where
+    one bump alone reaches, chi is exactly 1."""
     s0 = S[0]
     flip = s0 - b[0] < b[0]
     minor = np.where(flip, S - b, b) / s0
@@ -272,7 +245,7 @@ class GlobalField:
     extensions holds one local extension per boundary chart, then x itself
     for Q; bump nu is paired with extensions[partition.assignment[nu]].
     Outside Q the value is sum over bumps of chi_nu times that extension,
-    assembled by the Leibniz rule; points no bump reaches are 0.
+    the Cauchy product.
     """
 
     domain: Domain
@@ -308,7 +281,9 @@ class GlobalField:
             rho, raw = bump_jet(chart, pout, order)
             near = np.flatnonzero(rho < BUMP_SHRINK)
             bumps.append((near, taylor.from_jet(raw, order)))
-            _scatter_add(S, near, bumps[-1][1])
+            # a row at a time, which numpy runs faster than S[:, near]
+            for row, vals in zip(S, bumps[-1][1]):
+                row[near] += vals
         acc = np.zeros_like(S)
         for (near, b), i_nu in zip(bumps, self.partition.assignment):
             sel = b[0] > 0.0
@@ -319,16 +294,10 @@ class GlobalField:
             y = taylor.from_jet(self.extensions[i_nu](pout[idx], order), order)
             chi = _chi(np.compress(sel, b, axis=1), np.take(S, idx, axis=1),
                        order)
-            _scatter_add(acc, idx, taylor.mul(chi, y, order, 2))
-            del y, chi
+            for row, vals in zip(acc, taylor.mul(chi, y, order, 2)):
+                row[idx] += vals
+            del y, chi, vals
         return taylor.to_jet(acc, order, 2)
-
-
-def _scatter_add(series: np.ndarray, idx: np.ndarray, values) -> None:
-    """series[:, idx] += values a row at a time, which numpy runs faster
-    than the two-axis index; no row of values outlives the call."""
-    for row, vals in zip(series, values):
-        row[idx] += vals
 
 
 @dataclass(eq=False)
@@ -350,10 +319,8 @@ def global_extend(x: AnalyticJet, domain: Domain, order: int, h: float,
     walks the window in row blocks, which bounds the blend's temporaries.
     """
     if order > ORDER_CAP:
-        raise ValueError(
-            f"the glued extension runs to order {ORDER_CAP}, the highest "
-            f"its polynomial reproduction test verifies; got order {order}"
-        )
+        raise ValueError(f"the glued extension runs to order {ORDER_CAP}, the "
+                         f"highest its tests verify; got order {order}")
     charts = domain.charts()
     lo, hi = domain.bbox
     steps = max(1, int(math.ceil(margin / h - 1e-9)))

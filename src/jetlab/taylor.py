@@ -2,22 +2,17 @@
 
 A series in dim variables truncated at order is one array c of shape
 (n_alpha, ...): c[k] = d^alpha f / alpha! for the k-th multi-index of
-grid.multi_indices(order, dim), graded, so the rows of degree d run from
-start(d).  Each row broadcasts to the points' shape: a constant row has
-shape (1, ...).  The product is the Cauchy product over index pairs tabled
-once per (order, dim); a univariate g composes as g(f) = sum_j g_j (f -
-f_0)^j from g_j = g^(j)(f_0) / j!; and substitute, the chain rule, puts a
-map's series into a Jet.  Each power of a series without constant term is
-built from the one a degree lower, which is then dropped (A. Griewank and
-A. Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13).  from_jet
-and to_jet convert from and to the Jet dict of partials, d^alpha f =
-alpha! c_alpha.
+grid.multi_indices(order, dim), graded, so the rows of degree d start at
+C(d - 1 + dim, dim); each row broadcasts to the points' shape.  mul is the
+Cauchy product; compose (a univariate g) and substitute (the chain rule)
+sum powers of a series (A. Griewank and A. Walther, Evaluating Derivatives,
+2nd ed., SIAM 2008, ch. 13).  from_jet and to_jet convert from and to the
+Jet dict of partials, d^alpha f = alpha! c_alpha.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from types import MappingProxyType
 
@@ -27,62 +22,53 @@ from .grid import Jet, multi_indices
 
 
 @functools.cache
-def _table(order: int, dim: int):
-    """(multi-indices, row of each, start row of each degree 0..order+1,
-    alpha! of each)."""
-    alphas = tuple(multi_indices(order, dim))
-    counts = [0] + [sum(sum(a) == d for a in alphas) for d in range(order + 1)]
-    return (alphas,
-            MappingProxyType({alpha: k for k, alpha in enumerate(alphas)}),
-            tuple(itertools.accumulate(counts)),
-            tuple(math.prod(map(math.factorial, a)) for a in alphas))
+def index(order: int, dim: int) -> MappingProxyType:
+    """The row of each multi-index, read-only; its len() is n_alpha."""
+    return MappingProxyType({alpha: k for k, alpha
+                             in enumerate(multi_indices(order, dim))})
+
+
+def _factorial(alpha: tuple[int, ...]) -> int:
+    return math.prod(map(math.factorial, alpha))
 
 
 @functools.cache
 def _products(order: int, dim: int, low_x: int, low_y: int):
     """(k, ((i, j), ...)) for each row k of a Cauchy product with a term:
     alpha_i + alpha_j = alpha_k, |alpha_i| >= low_x, |alpha_j| >= low_y."""
-    alphas, index, _, _ = _table(order, dim)
-    rows = {}
-    for i, beta in enumerate(alphas):
-        for j, gamma in enumerate(alphas):
+    rows, terms = index(order, dim), {}
+    for beta, i in rows.items():
+        for gamma, j in rows.items():
             alpha = tuple(b + g for b, g in zip(beta, gamma))
-            if sum(beta) >= low_x and sum(gamma) >= low_y and alpha in index:
-                rows.setdefault(index[alpha], []).append((i, j))
-    return tuple((k, tuple(rows[k])) for k in sorted(rows))
-
-
-def index(order: int, dim: int) -> MappingProxyType:
-    """The row of each multi-index, read-only; its len() is n_alpha."""
-    return _table(order, dim)[1]
+            if sum(beta) >= low_x and sum(gamma) >= low_y and alpha in rows:
+                terms.setdefault(rows[alpha], []).append((i, j))
+    return tuple((k, tuple(terms[k])) for k in sorted(terms))
 
 
 def from_jet(jet: Jet, order: int) -> np.ndarray:
     """The series of a Jet through order; a partial it leaves out is 0."""
-    alphas, _, _, factorials = _table(order, len(next(iter(jet))))
-    out = np.zeros((len(alphas),) + np.broadcast_shapes(
-        *(np.shape(jet[a]) for a in alphas if a in jet)))
-    for k, alpha in enumerate(alphas):
+    rows = index(order, len(next(iter(jet))))
+    out = np.zeros((len(rows),) + np.broadcast_shapes(
+        *(np.shape(jet[a]) for a in rows if a in jet)))
+    for alpha, k in rows.items():
         if alpha in jet:
-            np.divide(jet[alpha], factorials[k], out=out[k])
+            np.divide(jet[alpha], _factorial(alpha), out=out[k])
     return out
 
 
 def to_jet(c: np.ndarray, order: int, dim: int) -> Jet:
     """The Jet of a series, each partial a row of c scaled in place."""
-    alphas, _, _, factorials = _table(order, dim)
-    for row, f in zip(c, factorials):
-        if f != 1:
-            row *= f
-    return dict(zip(alphas, c))
+    for row, alpha in zip(c, index(order, dim)):
+        if _factorial(alpha) != 1:
+            row *= _factorial(alpha)
+    return dict(zip(index(order, dim), c))
 
 
 def mul(x: np.ndarray, y: np.ndarray, order: int, dim: int,
         low: tuple[int, int] = (0, 0)) -> np.ndarray:
     """The Cauchy product xy, where x and y are 0 below the degrees low;
     xy is 0 below their sum."""
-    out = np.zeros((len(x),) + np.broadcast_shapes(x.shape[1:], y.shape[1:]),
-                   dtype=np.result_type(x, y))
+    out = np.zeros((len(x),) + np.broadcast_shapes(x.shape[1:], y.shape[1:]))
     for k, ((i, j), *terms) in _products(order, dim, *low):
         np.multiply(x[i], y[j], out=out[k])
         for i, j in terms:
@@ -93,88 +79,36 @@ def mul(x: np.ndarray, y: np.ndarray, order: int, dim: int,
 def compose(g, f: np.ndarray, order: int, dim: int) -> np.ndarray:
     """g o f from g[j] = g^(j)(f_0) / j!, j = 0..order, numbers or arrays
     that broadcast to f's rows; f's value is read through g alone."""
-    starts = _table(order, dim)[2]
-    out = np.empty(np.broadcast_shapes(f.shape, *map(np.shape, g)),
-                   dtype=np.result_type(f, *g))
-    out[0] = g[0]
-    if order:
-        np.multiply(g[1], f[1:], out=out[1:])
-    power = f
-    for j in range(2, order + 1):
-        power = mul(power, f, order, dim, (j - 1, 1))
-        out[starts[j]:] += g[j] * power[starts[j]:]
-    return out
+    return _sum_of_powers(lambda beta: g[beta[0]], g[0], [f], order, dim)
 
 
 def substitute(f_jet: Jet, delta, order: int, dim: int) -> Jet:
     """The Jet of f o (m_0 + delta) from f's Jet at the map's value m_0, in
     one variable per entry of delta, and delta, the series of the map less
-    its value, one per variable, in dim variables: each monomial row of
-    delta times f's coefficient, which is normalized once, where it is
-    read.  A constant delta (an affine map's) adds only the nonzero rows of
-    its monomials, tabled once per map: the sums start at +0, which adding
-    +-0 keeps, and x + (+-0) = x, so the bits are those of the full sum."""
-    alphas, _, _, factorials = _table(order, dim)
-    findex, fact = index(order, len(delta)), _table(order, len(delta))[3]
-    normal, rows = {}, {}
-    if all(d[0].size == 1 for d in delta):
-        terms = _constant_terms(order, dim,
-                                tuple(tuple(d.ravel()) for d in delta))
-    else:
-        terms = _monomials(delta, order, dim)
-    for beta, r, c in terms:
-        if beta not in normal:
-            f = fact[findex[beta]]
-            normal[beta] = f_jet[beta] / f if f != 1 else f_jet[beta]
-        if r in rows:
-            rows[r] += c * normal[beta]
-        else:
-            rows[r] = 0.0 + c * normal[beta]
-    value = f_jet[alphas[0]]
-    out = {alphas[0]: value}
-    for r, f in enumerate(factorials[1:], 1):
-        row = rows.get(r, np.zeros_like(value))
-        if f != 1:
-            row *= f
-        out[alphas[r]] = row
-    return out
+    its value, one per variable, in dim variables."""
+    return to_jet(_sum_of_powers(lambda beta: f_jet[beta] / _factorial(beta),
+                                 f_jet[(0,) * len(delta)], delta, order, dim),
+                  order, dim)
 
 
-@functools.cache
-def _constant_terms(order: int, dim: int, delta: tuple) -> tuple:
-    """(beta, r, c): the nonzero rows of a constant delta's monomials."""
-    return tuple((beta, r, float(row)) for beta, r, row
-                 in _monomials([np.array(d) for d in delta], order, dim)
-                 if row != 0.0)
-
-
-def _monomials(delta, order: int, dim: int):
-    """(beta, r, row r of delta^beta) for each monomial of degree 1 to
-    order and each row from its degree on, degree by degree.  A monomial
-    is built from one of the degree below, the one without its last
-    variable's last factor, and only the degree below is held; the top
-    degree never is whole."""
-    n = len(index(order, dim))
-    layer = {(0,) * len(delta): None}
+def _sum_of_powers(coeff, value, delta, order: int, dim: int) -> np.ndarray:
+    """value plus coeff(beta) delta^beta over 1 <= |beta| <= order.  Each
+    monomial is one of the degree below times a variable; only that degree
+    is held, and one monomial of the top degree until it is added."""
+    out = np.zeros((len(index(order, dim)),) + np.broadcast_shapes(
+        np.shape(value), *(d.shape[1:] for d in delta)))
+    out[0] = value
+    layer = [((0,) * len(delta), None)]
     for degree in range(1, order + 1):
-        grown = {}
-        for beta, power in layer.items():
+        start, grown = math.comb(degree - 1 + dim, dim), []
+        for beta, power in layer:
             first = max((v for v, b in enumerate(beta) if b), default=0)
             for v in range(first, len(delta)):
                 up = beta[:v] + (beta[v] + 1,) + beta[v + 1:]
-                keep = degree < order and power is not None
-                if power is None:
-                    new = delta[v]
-                    rows = ((r, new[r]) for r in range(n) if r)
-                else:
-                    new = np.zeros((n,) + np.broadcast_shapes(
-                        power.shape[1:], delta[v].shape[1:])) if keep else None
-                    rows = ((r, sum(power[i] * delta[v][j] for i, j in terms))
-                            for r, terms in _products(order, dim, degree - 1,
-                                                      1))
-                for r, row in rows:
-                    yield up, r, row
-                    if keep:
-                        new[r] = row
-                grown[up] = new
+                new = delta[v] if power is None else mul(
+                    power, delta[v], order, dim, (degree - 1, 1))
+                out[start:] += coeff(up) * new[start:]
+                if degree < order:
+                    grown.append((up, new))
         layer = grown
+    return out

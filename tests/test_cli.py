@@ -1205,7 +1205,7 @@ def test_prop2_glues_to_order_4_and_refuses_order_5(tmp_path, capsys):
     assert run([*argv, "--order", "5"]) == 2
     err = capsys.readouterr().err
     assert err == ("error: the glued extension runs to order 4, the highest "
-                   "its polynomial reproduction test verifies; got order 5\n")
+                   "its tests verify; got order 5\n")
     assert not field.exists()
     assert run([*argv, "--order", "3", "--h", "0.03125"]) == 0
     capsys.readouterr()

@@ -14,7 +14,6 @@ from jetlab.glue import (
     bump_ball_jet,
     build_partition,
     bump_jet,
-    chain_jet,
     global_extend,
     interface_jet_mismatch,
     local_extend,
@@ -26,6 +25,7 @@ from jetlab.grid import (
 from jetlab.hestenes import (
     HalfSpaceExtension, corner_extension, solve_coefficients,
 )
+from jetlab.taylor import substitute
 from lattice_oracles import (
     box_dilation, chart_roundtrip_defect, chi_many, coord_grids, erosion,
     order2_bump_ball_jet, order2_chain_jet, order2_chi_jet,
@@ -88,19 +88,19 @@ def test_chart_jacobians_match_finite_differences(spec):
     for chart in spec.charts():
         affine = isinstance(chart, domains.AffineChart)
         # the forward map at xi and the inverse at its image, each with its
-        # Jacobian, Hessian and third-derivative tolerances
+        # Jacobian, Hessian, third- and fourth-derivative tolerances
         for at, taylor_call, tols in (
-            (xi, chart.forward_taylor, (1e-6, 1e-5, 1e-5)),
-            (forward(chart, xi), chart.inverse_taylor, (1e-5, 2e-4, 2e-4)),
+            (xi, chart.forward_taylor, (1e-6, 1e-5, 1e-5, 1e-5)),
+            (forward(chart, xi), chart.inverse_taylor,
+             (1e-5, 2e-4, 2e-4, 2e-4)),
         ):
             shape = at.shape[:-1]
             lower = None
             call = taylor_call(at)
-            for order in range(4):
-                # an affine chart's series is constant at every order, a
-                # polar chart's past its value
-                assert (call[1](order).shape[2:] == (1,)) == (
-                    affine or order == 0)
+            for order in range(5):
+                # an affine chart's series is constant at every order
+                if affine:
+                    assert call[1](order).shape[2:] == (1,)
                 got = chart_partials(call, order, shape)
                 # each order's call extends the one below it
                 if lower is not None:
@@ -119,8 +119,8 @@ def test_chart_jacobians_match_finite_differences(spec):
                     fd = (taylor_call(at + step)[0]
                           - taylor_call(at - step)[0]).T / (2 * eps)
                 else:
-                    ahead = chart_partials(taylor_call(at + step), 3, shape)
-                    behind = chart_partials(taylor_call(at - step), 3, shape)
+                    ahead = chart_partials(taylor_call(at + step), 4, shape)
+                    behind = chart_partials(taylor_call(at - step), 4, shape)
                     fd = (ahead[below] - behind[below]) / (2 * eps)
                 assert np.max(np.abs(fd - arr)) < tols[sum(alpha) - 1]
 
@@ -211,8 +211,8 @@ _ENTRY = st.one_of(st.sampled_from([0.0, -0.0]),
        st.integers(0, 4))
 def test_a_constant_matrix_chains_as_its_broadcast_array(entries, seed,
                                                          order):
-    # an affine chart's constant series, its zero entries skipped, gives
-    # the bits of the per-point series with every term summed
+    # an affine chart's constant series gives the bits of its per-point
+    # broadcast, -0.0 entries included
     matrix = np.array(entries).reshape(2, 2)
     rng = np.random.default_rng(seed)
     n = 64
@@ -223,9 +223,9 @@ def test_a_constant_matrix_chains_as_its_broadcast_array(entries, seed,
     chart.matrix = matrix
     delta = chart.forward_taylor(np.zeros((n, 2)))[1](order)
     assert delta.shape[2:] == (1,)
-    got = chain_jet(f_jet, delta, order)
-    want = chain_jet(f_jet, np.broadcast_to(delta, delta.shape[:2] + (n,)),
-                     order)
+    got = substitute(f_jet, delta, order, 2)
+    want = substitute(f_jet, np.broadcast_to(delta, delta.shape[:2] + (n,)),
+                      order, 2)
     assert list(got) == list(want) == multi_indices(order, 2)
     for alpha, arr in want.items():
         assert np.array_equal(got[alpha].view(np.int64), arr.view(np.int64))
@@ -587,6 +587,16 @@ def test_global_partials_match_finite_differences_outside():
           - res.field.jet_many(pts - d, 1)[(1, 0)]) / (2 * eps)
     got = res.field.jet_many(pts, 2)[(1, 1)]
     assert np.max(np.abs(fd - got)) < 1e-4
+    # past order 2, where the polar charts' series and the chain rule run
+    # beyond the formulas they replaced: third partials via second ones
+    field = global_extend(x, spec, 3, h=2.0**-5, margin=0.5).field
+    for c, below, alpha in ((0, (1, 1), (2, 1)), (1, (0, 2), (0, 3))):
+        d = np.zeros_like(pts)
+        d[:, c] = eps
+        fd = (field.jet_many(pts + d, 2)[below]
+              - field.jet_many(pts - d, 2)[below]) / (2 * eps)
+        got = field.jet_many(pts, 3)[alpha]
+        assert np.max(np.abs(fd - got)) < 1e-4
 
 
 def test_global_extension_order_cap():
@@ -638,7 +648,7 @@ def test_taylor_glue_matches_the_order_2_formulas(spec, order):
         # the chain rule: sin_cos pulled back through the chart
         f_jet = x.jet_many(world, order)
         assert_jets_close(
-            chain_jet(f_jet, series(order), order),
+            substitute(f_jet, series(order), order, 2),
             order2_chain_jet(f_jet, *order2_forward_derivatives(chart, xi),
                              order))
         # the bump in reference coordinates, and pushed through the chart
@@ -710,6 +720,47 @@ def test_glue_reproduces_polynomials_at_orders_3_and_4(case):
     bound = 32 * np.finfo(np.float64).eps * mass * scale
     for alpha, arr in want.items():
         assert np.max(np.abs(res.jet.components[alpha][reached] - arr)) <= bound
+
+
+def component_jets(call, order: int, shape) -> list[dict]:
+    """A chart map's Taylor call as one Jet per component."""
+    partials = chart_partials(call, order, shape)
+    partials[(0, 0)] = np.moveaxis(call[0], -1, 0)
+    return [{alpha: arr[i] for alpha, arr in partials.items()}
+            for i in range(2)]
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_polar_series_chain_exactly_at_orders_3_and_4(order):
+    # past the order-2 formulas, through the chain rule's general path: a
+    # polar chart's inverse pulled back through its forward series, and its
+    # forward map pushed through its inverse series, give the identity's
+    # jet, and |x - c|^2 pulls back to the polynomial (R - depth xi_0)^2;
+    # the partials involved stay below 50, and 1e-12 is about 60 times the
+    # largest error measured
+    xi = ball_points(200, radius=0.85, seed=3)
+    for chart in domains.Disk().charts():
+        world, series = chart.forward_taylor(xi)
+        back, inverse_series = chart.inverse_taylor(world)
+        for outer, inner, at in (
+                (chart.inverse_taylor(world), series, xi),
+                (chart.forward_taylor(back), inverse_series, world)):
+            for i, f_jet in enumerate(component_jets(outer, order, (200,))):
+                got = substitute(f_jet, inner(order), order, 2)
+                for alpha in multi_indices(order, 2):
+                    want = (at[:, i] if sum(alpha) == 0
+                            else float(alpha[i] == 1 == sum(alpha)))
+                    assert np.max(np.abs(got[alpha] - want)) < 1e-12
+        v = world - chart.center
+        square = {alpha: np.zeros(len(xi)) for alpha in multi_indices(order, 2)}
+        square.update({(0, 0): (v**2).sum(-1), (1, 0): 2.0 * v[:, 0],
+                       (0, 1): 2.0 * v[:, 1], (2, 0): 2.0, (0, 2): 2.0})
+        r = chart.radius - chart.depth * xi[:, 0]
+        want = {(0, 0): r**2, (1, 0): -2.0 * chart.depth * r,
+                (2, 0): 2.0 * chart.depth**2}
+        got = substitute(square, series(order), order, 2)
+        for alpha, arr in got.items():
+            assert np.max(np.abs(arr - want.get(alpha, 0.0))) < 1e-12
 
 
 @pytest.mark.parametrize(

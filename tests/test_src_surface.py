@@ -138,7 +138,7 @@ def test_importing_the_package_imports_no_module_of_it():
     "domains.rectangle", "domains.disk", "domains.half_ball", "cli._domain",
     # the order-2 calculus jetlab.taylor replaced
     "glue._unit_alpha", "glue._pair_alpha", "glue._axis_pair",
-    "glue._leibniz_terms", "glue._chi_jet",
+    "glue._leibniz_terms", "glue._chi_jet", "glue.chain_jet",
     "domains.AffineChart.forward_derivatives",
     "domains.AffineChart.inverse_derivatives",
     "domains.PolarSectorChart.forward_derivatives",
