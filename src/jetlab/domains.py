@@ -145,7 +145,7 @@ class PolarSectorChart:
         (-1)^(k+1) (dz / z)^k / k, z = (x - c_x) + i (y - c_y), dz = dx +
         i dy: row alpha = (a, b) is (-1)^(k+1) C(k, a) i^b / (k z^k), k = a
         + b; the angle moves by its imaginary part, the radius by the
-        factor exp(its real part)."""
+        factor taylor.exp of its real part."""
         v = pts - self.center
         r = np.hypot(v[..., 0], v[..., 1])
         th = np.arctan2(v[..., 1], v[..., 0])
@@ -166,9 +166,7 @@ class PolarSectorChart:
                 if k:
                     log[k] = ((-1) ** (a + b + 1) * math.comb(a + b, a)
                               * 1j**b / (a + b)) * powers[a + b]
-            grow = taylor.compose([1.0 / math.factorial(j)
-                                   for j in range(order + 1)],
-                                  log.real, order, 2)
+            grow = taylor.exp(log.real, order, 2)
             delta = np.stack([grow * (np.hypot(v[..., 0], v[..., 1])
                                       / -self.depth), log.imag / self.width])
             delta[0, 0] = 0.0

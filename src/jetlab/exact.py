@@ -6,8 +6,9 @@ every field here takes Fraction coordinates.  The comb field and the
 staircase compute in Fraction and return the exact rational; their tooth
 and island lookups are the frexp rules of domains.comb_tooth_index_array
 and domains.gap_segment_index_array written for one exact number.  The
-vectorized jets of functions read the same comb partials (COMB_PARTIALS)
-and mollifier cutoff, and domains the same Cantor cover.
+vectorized jets of functions read the same comb partials (COMB_PARTIALS),
+taylor.exp_neg_recip the same mollifier cutoff, and domains the same
+Cantor cover.
 
 This module imports no numpy, so certify and replay start without it.
 """
@@ -24,18 +25,20 @@ from .errors import DepthTooLargeError, PointOutsideRegionError
 DEFAULT_INTERVAL_CAP = 2**20
 DEFAULT_PHI_DEPTH = 60
 
-# Below this t the mollifier value underflows to zero anyway and the inverse
-# powers would overflow, so everything is clamped to exact zero.
+# Below this t the mollifier exp(-1/t) underflows to zero anyway and the
+# inverse powers would overflow, so everything is clamped to exact zero.
 MOLL_CUTOFF = 1.0 / 745.0
 
 # the comb field's closed-form partials in the tooth-shifted abscissa sloc,
-# for arrays and Fractions alike; the other one of order 2, (2, 0), vanishes
+# for arrays and Fractions alike: every nonzero partial of s t^2, the last
+# (1, 2); the others, (2, 0) and every one past (1, 2), vanish
 COMB_PARTIALS = {
     (0, 0): lambda sloc, t: sloc * t * t,
     (1, 0): lambda sloc, t: t * t,
     (0, 1): lambda sloc, t: 2 * sloc * t,
     (1, 1): lambda sloc, t: 2 * t,
     (0, 2): lambda sloc, t: 2 * sloc,
+    (1, 2): lambda sloc, t: 2,
 }
 
 _HALF = Fraction(1, 2)
@@ -156,7 +159,7 @@ def gap_island(s: Fraction) -> int:
 
 
 def comb_field(point, alpha: tuple[int, int]) -> Fraction:
-    """The comb field's partial alpha (order <= 2) at an exact point: chi =
+    """The comb field's partial alpha, of any order, at an exact point: chi =
     s t^2 on the base B, its copy (s - a_n) t^2 on tooth n, 0 off the comb."""
     s, t = map(Fraction, point)
     n = comb_tooth(s)

@@ -1,12 +1,15 @@
-"""Closed-form jets: the Cantor function, a one-sided mollifier, and the
-fields whose boundary behavior the certificates exercise.
+"""Closed-form jets: the Cantor function and the fields whose boundary
+behavior the certificates exercise, each at every order through
+grid.MAX_ORDER.
 
 Evaluators are vectorized over point arrays of shape (..., dim).  Each leaf
 reads its points through grid.coordinate_lines and computes by
 broadcasting, so on a block of lattice points the Cantor function, the
 tooth lookup, the mollifier and the trig run once per lattice line.  The
-certificates read the exact statements of the same fields, at rational
-points such as 3^-n, from jetlab.exact.
+slit-square field's one-sided mollifier exp(-1/t) is
+taylor.exp_neg_recip on the series of t.  The certificates read the exact
+statements of the same fields, at rational points such as 3^-n, from
+jetlab.exact.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import domains, grid
+from . import domains, grid, taylor
 from .errors import PointOutsideRegionError
-from .exact import COMB_PARTIALS, MOLL_CUTOFF, cantor_phi
+from .exact import COMB_PARTIALS, cantor_phi
 from .grid import (GridMask, Jet, JetEvaluator, SampledJet, coordinate_lines,
                    multi_indices, row_blocks)
 
@@ -30,32 +33,6 @@ def cantor_phi_array(values) -> np.ndarray:
     uniq, inverse = np.unique(vals, return_inverse=True)
     table = np.array([cantor_phi(v) for v in uniq], dtype=np.float64)
     return table[inverse].reshape(vals.shape)
-
-
-# f(t) = exp(-1/t) for t > 0, continued by zero.  f^(k)(t) = f(t) * p_k(1/t).
-_MOLL_POLYS = (
-    ((0, 1.0),),
-    ((2, 1.0),),
-    ((4, 1.0), (3, -2.0)),
-    ((6, 1.0), (5, -6.0), (4, 6.0)),
-)
-
-
-def mollifier_derivs(t, order: int) -> list[np.ndarray]:
-    """Derivatives 0..order of exp(-1/t) (zero for t <= 0); order <= 3."""
-    if order > 3:
-        raise ValueError("mollifier derivatives implemented to order 3")
-    t = np.asarray(t, dtype=np.float64)
-    active = t > MOLL_CUTOFF
-    u = np.where(active, 1.0 / np.where(active, t, 1.0), 0.0)
-    f = np.where(active, np.exp(-u), 0.0)
-    out = []
-    for k in range(order + 1):
-        poly = np.zeros_like(t)
-        for power, coeff in _MOLL_POLYS[k]:
-            poly += coeff * u**power
-        out.append(f * poly)
-    return out
 
 
 @dataclass(eq=False)
@@ -200,8 +177,6 @@ _GAPS = domains.GapIntervals(None)
 
 def _example3_eval(pts: np.ndarray, order: int) -> Jet:
     """Comb field: chi(s, t) on the base, its shifted copy on each tooth."""
-    if order > 2:
-        raise ValueError("comb field jets are available to order 2")
     s, t = coordinate_lines(pts)
     # the tooth lookup gives the shifted abscissa: s on the base, s - a_n
     # on tooth n, where the comb meets the open positive quadrant
@@ -214,7 +189,7 @@ def _example3_eval(pts: np.ndarray, order: int) -> Jet:
 
 
 def example3_jet() -> AnalyticJet:
-    """The comb counterexample field; its jets stop at order 2."""
+    """The comb counterexample field, at every order."""
     return AnalyticJet("example3", 2, _example3_eval, _COMB.q)
 
 
@@ -236,18 +211,20 @@ def gap1d_jet() -> AnalyticJet:
 
 
 def _example1_eval(pts: np.ndarray, order: int) -> Jet:
-    if order > 3:
-        raise ValueError("t-derivatives of the mollifier stop at order 3")
     s, t = coordinate_lines(pts)
     # every s-partial vanishes off the slit columns, so the leaf leaves
     # them out
     block = ((s > 0.0) & (s <= 1.0)) & ((t > 0.0) & (t <= 1.0))
-    out = {(0, b): np.zeros(block.shape) for b in range(order + 1)}
+    out = {(0,) + beta: np.zeros(block.shape)
+           for beta in multi_indices(order, 1)}
     if block.any():
         # multiplied on the block only: off it the partials stay +0.0,
-        # where phi = 0 times a negative derivative would give -0.0
+        # where phi = 0 times a negative derivative would give -0.0; the
+        # t-partials are b! times row b of exp(-1/t)'s series in t
         phi = cantor_phi_array(s)
-        for b, d in enumerate(mollifier_derivs(t, order)):
+        t_series = taylor.from_jet({(0,): t, (1,): 1.0}, order)
+        moll = taylor.exp_neg_recip(t_series, order, 1)
+        for (b,), d in taylor.to_jet(moll, order, 1).items():
             np.multiply(phi, d, out=out[(0, b)], where=block)
     return out
 
@@ -255,7 +232,7 @@ def _example1_eval(pts: np.ndarray, order: int) -> Jet:
 def example1_jet(depth: int) -> AnalyticJet:
     """Slit-square field phi(s) exp(-1/t) on the open square minus the slits.
 
-    Defined (with all partials through order 3) on the open set only; the
+    Defined (with all partials, at every order) on the open set only; the
     slit columns of the level-depth cover are excluded by the membership
     predicate.
     """

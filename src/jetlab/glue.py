@@ -36,7 +36,6 @@ from .grid import (
 from .hestenes import HalfSpaceExtension, corner_extension, solve_coefficients
 
 BUMP_SHRINK = 0.9
-_BUMP_GUARD = 1.0 - 1.0 / 745.0
 ORDER_CAP = 4  # the highest order the glue's tests verify
 
 
@@ -83,21 +82,15 @@ def local_extend(source: JetEvaluator, chart: Chart,
 
 
 def bump_ball_jet(xi: np.ndarray, order: int) -> Jet:
-    """Partials of exp(-w), w = 1/(1 - q) with series w_0^(j+1) in q - q_0,
-    at the polynomial q = |xi|^2 / 0.9^2, in reference coordinates.  Hard
-    zero (all orders) once the exponent would underflow, below 5e-324."""
+    """Partials of exp(-1/u) at the polynomial u = 1 - |xi|^2 / 0.9^2, in
+    reference coordinates: taylor.exp_neg_recip, hard zero (all orders)
+    past its cutoff."""
     c2 = BUMP_SHRINK**2
-    q0 = (xi[..., 0] ** 2 + xi[..., 1] ** 2) / c2
-    act = q0 < _BUMP_GUARD
-    w0 = 1.0 / (1.0 - np.where(act, q0, 0.0))
-    f0 = np.where(act, np.exp(-w0), 0.0)
-    q = taylor.from_jet({(0, 0): q0, (1, 0): 2.0 * xi[..., 0] / c2,
-                         (0, 1): 2.0 * xi[..., 1] / c2, (2, 0): 2.0 / c2,
-                         (0, 2): 2.0 / c2}, order)
-    w = np.cumprod(np.broadcast_to(w0, (order + 1,) + w0.shape), axis=0)
-    phi = taylor.compose([f0 * ((-1) ** j / math.factorial(j))
-                          for j in range(order + 1)], w, order, 1)
-    return taylor.to_jet(taylor.compose(phi, q, order, 2), order, 2)
+    u0 = 1.0 - (xi[..., 0] ** 2 + xi[..., 1] ** 2) / c2
+    u = taylor.from_jet({(0, 0): u0, (1, 0): -2.0 * xi[..., 0] / c2,
+                         (0, 1): -2.0 * xi[..., 1] / c2, (2, 0): -2.0 / c2,
+                         (0, 2): -2.0 / c2}, order)
+    return taylor.to_jet(taylor.exp_neg_recip(u, order, 2), order, 2)
 
 
 def bump_jet(chart: Chart, pts: np.ndarray,
@@ -140,19 +133,15 @@ class BumpPartition:
 
 
 def _chi(b: np.ndarray, S: np.ndarray, order: int) -> np.ndarray:
-    """The series of one bump's b/S where S_0 > 0, as (m/S_0) recip(S/S_0),
-    1/t composed on S/S_0 at 1, so no power of S_0 (~1e-300 in the bump
-    tails) underflows.  Past the value m is the smaller of b and S - b (b/S
-    = 1 - (S - b)/S), whose terms cancel less near a support's edge: where
-    one bump alone reaches, chi is exactly 1."""
-    s0 = S[0]
-    flip = s0 - b[0] < b[0]
-    minor = np.where(flip, S - b, b) / s0
-    recip = taylor.compose([(-1.0) ** j for j in range(order + 1)], S / s0,
-                           order, 2)
-    chi = taylor.mul(minor, recip, order, 2)
+    """The series of one bump's b/S where S_0 > 0, by taylor.div, which
+    forms no power of S_0 (~1e-300 in the bump tails).  Past the value the
+    numerator is the smaller of b and S - b (b/S = 1 - (S - b)/S), whose
+    terms cancel less near a support's edge: where one bump alone reaches,
+    chi is exactly 1."""
+    flip = S[0] - b[0] < b[0]
+    chi = taylor.div(np.where(flip, S - b, b), S, order, 2)
     chi[1:] *= np.where(flip, -1.0, 1.0)
-    chi[0] = b[0] / s0
+    chi[0] = b[0] / S[0]
     return chi
 
 

@@ -262,7 +262,11 @@ def interface_mismatch(ext: HalfSpaceExtension, tangential,
     Uses second-order stencils from both sides at the given tangential
     coordinates; order 0 compares boundary-value extrapolations.  The
     disagreement of a correct order-i extension shrinks as h^2 for
-    derivative orders <= i.
+    derivative orders <= i.  It differentiates the values by stencils, where
+    glue.interface_jet_mismatch extrapolates each jet component: on exp1d
+    at order 2, h = 2^-9 -> 2^-10, these fall by 4.03x and the component
+    extrapolations by 8.01x, O(h^3), outside the [3.5, 4.5] band acceptance
+    3 reads, so the two readings stay apart.
     """
     tang = np.asarray(tangential, dtype=np.float64)
     if tang.ndim != 2:

@@ -4,10 +4,13 @@ A series in dim variables truncated at order is one array c of shape
 (n_alpha, ...): c[k] = d^alpha f / alpha! for the k-th multi-index of
 grid.multi_indices(order, dim), graded, so the rows of degree d start at
 C(d - 1 + dim, dim); each row broadcasts to the points' shape.  mul is the
-Cauchy product; compose (a univariate g) and substitute (the chain rule)
-sum powers of a series (A. Griewank and A. Walther, Evaluating Derivatives,
-2nd ed., SIAM 2008, ch. 13).  from_jet and to_jet convert from and to the
-Jet dict of partials, d^alpha f = alpha! c_alpha.
+Cauchy product; div and exp solve for one row at a time by recurrence
+over the same index pairs, and exp_neg_recip, exp(-1/u) with its underflow
+cutoff, is built from the two; substitute (the chain rule) sums powers of a
+series (A. Griewank and A. Walther, Evaluating Derivatives, 2nd ed., SIAM
+2008, ch. 13).  from_jet and to_jet convert from and to the Jet dict of
+partials, d^alpha f = alpha! c_alpha; a series of one point, with no point
+axis, has scalar rows.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .exact import MOLL_CUTOFF
 from .grid import Jet, multi_indices
 
 
@@ -52,15 +56,15 @@ def from_jet(jet: Jet, order: int) -> np.ndarray:
         *(np.shape(jet[a]) for a in rows if a in jet)))
     for alpha, k in rows.items():
         if alpha in jet:
-            np.divide(jet[alpha], _factorial(alpha), out=out[k])
+            np.divide(jet[alpha], _factorial(alpha), out=out[k, ...])
     return out
 
 
 def to_jet(c: np.ndarray, order: int, dim: int) -> Jet:
     """The Jet of a series, each partial a row of c scaled in place."""
-    for row, alpha in zip(c, index(order, dim)):
+    for k, alpha in enumerate(index(order, dim)):
         if _factorial(alpha) != 1:
-            row *= _factorial(alpha)
+            c[k] *= _factorial(alpha)
     return dict(zip(index(order, dim), c))
 
 
@@ -76,10 +80,35 @@ def mul(x: np.ndarray, y: np.ndarray, order: int, dim: int,
     return out
 
 
-def compose(g, f: np.ndarray, order: int, dim: int) -> np.ndarray:
-    """g o f from g[j] = g^(j)(f_0) / j!, j = 0..order, numbers or arrays
-    that broadcast to f's rows; f's value is read through g alone."""
-    return _sum_of_powers(lambda beta: g[beta[0]], g[0], [f], order, dim)
+def div(a: np.ndarray, b: np.ndarray, order: int, dim: int) -> np.ndarray:
+    """The quotient a/b where b_0 != 0: row k is (a_k - sum b_i c_j) / b_0
+    over the product's pairs with |alpha_i| >= 1, each c_j a lower row, so
+    no power of b_0 is formed."""
+    out = np.zeros((len(b),) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+    out[0] = a[0] / b[0]
+    for k, terms in _products(order, dim, 1, 0):
+        out[k] = (a[k] - sum(b[i] * out[j] for i, j in terms)) / b[0]
+    return out
+
+
+def exp(v: np.ndarray, order: int, dim: int) -> np.ndarray:
+    """exp of a series by the Euler identity |alpha| e_alpha = sum |beta|
+    v_beta e_gamma over beta + gamma = alpha, |beta| >= 1, div's pairs."""
+    degree = list(map(sum, index(order, dim)))
+    out = np.zeros(v.shape)
+    out[0] = np.exp(v[0])
+    for k, terms in _products(order, dim, 1, 0):
+        out[k] = sum(degree[i] * v[i] * out[j] for i, j in terms) / degree[k]
+    return out
+
+
+def exp_neg_recip(u: np.ndarray, order: int, dim: int) -> np.ndarray:
+    """The series of exp(-1/u), every row 0 where u_0 <= MOLL_CUTOFF: there
+    the value underflows and the powers of 1/u_0 would overflow."""
+    live = u[0] > MOLL_CUTOFF
+    recip = div(from_jet({(0,) * dim: -1.0}, order), np.where(live, u, 1.0),
+                order, dim)
+    return np.where(live, exp(recip, order, dim), 0.0)
 
 
 def substitute(f_jet: Jet, delta, order: int, dim: int) -> Jet:

@@ -6,8 +6,9 @@ scalar lookups, the finite-difference stencil and the chart round trip are
 the plain per-value versions of what jetlab computes in bulk; chi_many reads
 one normalized bump partial off a partition.  The order2_ functions are the
 glue's chain rule, bump, partition quotient and chart derivatives as they
-were written by hand through order 2, the reference for jetlab.taylor.
-scatter_sample and
+were written by hand through order 2, the reference for jetlab.taylor;
+order3_mollifier_derivs is exp(-1/t) by its hand polynomials through
+order 3.  scatter_sample and
 full_lattice_scan are the whole-lattice, one-component-at-a-time versions of
 AnalyticJet.sample and the membership scan, which walk row blocks instead.
 per_line_lattice_extension is the lattice reflection one band line at a time,
@@ -31,7 +32,7 @@ from jetlab.errors import (
     MaskMismatchError, PointOutsideRegionError, ProbeOutsideMaskError,
 )
 from jetlab import domains, taylor
-from jetlab.glue import BUMP_SHRINK, _BUMP_GUARD, _chi, bump_jet
+from jetlab.glue import BUMP_SHRINK, _chi, bump_jet
 from jetlab.grid import GridMask, GridSpec, SampledJet, alpha_key, multi_indices
 from jetlab.hestenes import LatticeExtensionResult
 from jetlab.spaces import MembershipVerdict
@@ -194,11 +195,37 @@ def order2_chain_jet(f_jet, jac, hess, order: int) -> dict:
     return out
 
 
+# f(t) = exp(-1/t) for t > 0, continued by zero.  f^(k)(t) = f(t) * p_k(1/t).
+_MOLL_POLYS = (
+    ((0, 1.0),),
+    ((2, 1.0),),
+    ((4, 1.0), (3, -2.0)),
+    ((6, 1.0), (5, -6.0), (4, 6.0)),
+)
+
+
+def order3_mollifier_derivs(t, order: int) -> list[np.ndarray]:
+    """Derivatives 0..order <= 3 of exp(-1/t), zero for t <= 1/745, where
+    the value underflows."""
+    t = np.asarray(t, dtype=np.float64)
+    active = t > 1.0 / 745.0
+    u = np.where(active, 1.0 / np.where(active, t, 1.0), 0.0)
+    f = np.where(active, np.exp(-u), 0.0)
+    out = []
+    for k in range(order + 1):
+        poly = np.zeros_like(t)
+        for power, coeff in _MOLL_POLYS[k]:
+            poly += coeff * u**power
+        out.append(f * poly)
+    return out
+
+
 def order2_bump_ball_jet(xi: np.ndarray, order: int) -> dict:
-    """Partials of exp(-1/(1 - (|xi|/0.9)^2)) through order 2, by hand."""
+    """Partials of exp(-1/(1 - (|xi|/0.9)^2)) through order 2, by hand,
+    zero once the exponent passes -745, where the value underflows."""
     c2 = BUMP_SHRINK**2
     q = (xi[..., 0] ** 2 + xi[..., 1] ** 2) / c2
-    act = q < _BUMP_GUARD
+    act = q < 1.0 - 1.0 / 745.0
     w = 1.0 / (1.0 - np.where(act, q, 0.0))
     f = np.where(act, np.exp(-w), 0.0)
     f1 = -f * w**2

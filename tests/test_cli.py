@@ -471,12 +471,18 @@ def test_prop2_refuses_a_field_off_its_region(args, tmp_path, capsys):
 
 def test_field_sample_past_the_comb_fields_order_is_a_usage_error(
         tmp_path, capsys):
+    # the comb field serves every order through grid.MAX_ORDER = 12
     out = tmp_path / "f.json"
-    assert run(["field", "sample", "--domain", "comb", "--function",
-                "example3", "--n-teeth", "3", "--order", "3",
-                "--h", str(2.0**-6), "--out", str(out)]) == 2
+    args = ["field", "sample", "--domain", "comb", "--function", "example3",
+            "--n-teeth", "3", "--h", str(2.0**-6), "--out", str(out)]
+    assert run([*args, "--order", "3"]) == 0
+    assert io.read_artifact(str(out))["jet"]["order"] == 3
+    out.unlink()
+    capsys.readouterr()
+    assert run([*args, "--order", "13"]) == 2
     err = capsys.readouterr().err
-    assert err == "error: comb field jets are available to order 2\n"
+    assert err == ("error: order must lie in [0, 12] and dim be >= 1, got "
+                   "order 13 in 2-D\n")
     assert not out.exists()
 
 

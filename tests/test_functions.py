@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from jetlab import domains, functions, io
+from jetlab import domains, functions, io, taylor
 from jetlab.cli import main
 from jetlab.errors import PointOutsideRegionError
 from jetlab.exact import (
@@ -25,12 +25,12 @@ from jetlab.functions import (
     cantor_phi_array,
     function_names,
     get_function,
-    mollifier_derivs,
     polynomial_jet,
 )
 from jetlab.grid import GridMask, GridSpec, multi_indices, row_blocks
 
-from lattice_oracles import coord_grids, scatter_sample
+from lattice_oracles import (coord_grids, order3_mollifier_derivs,
+                             scatter_sample)
 
 
 def staircase_oracle(x, splits=80):
@@ -110,6 +110,14 @@ def test_cantor_phi_array_matches_scalar():
     assert cantor_phi_array([[0.25, 0.5]]).shape == (1, 2)
 
 
+def mollifier_derivs(t, order: int) -> list:
+    """Derivatives 0..order of exp(-1/t) as example1's leaf reads them: b!
+    times row b of taylor.exp_neg_recip on the series of t."""
+    series = taylor.from_jet({(0,): t, (1,): 1.0}, order)
+    moll = taylor.exp_neg_recip(series, order, 1)
+    return list(taylor.to_jet(moll, order, 1).values())
+
+
 def test_mollifier_values_at_one():
     e1 = math.exp(-1.0)
     f0, f1, f2, f3 = (float(v) for v in mollifier_derivs(1.0, 3))
@@ -143,8 +151,27 @@ def test_mollifier_cutoff_is_hard_zero():
     val, der = (float(v) for v in mollifier_derivs(0.5, 1))
     assert val == pytest.approx(math.exp(-2.0), rel=1e-15)
     assert der == pytest.approx(4 * math.exp(-2.0), rel=1e-15)
+    # every order through grid.MAX_ORDER, and none past it
+    assert len(mollifier_derivs(0.5, 12)) == 13
     with pytest.raises(ValueError):
-        mollifier_derivs(0.5, 4)
+        mollifier_derivs(0.5, 13)
+
+
+def test_mollifier_is_the_hand_polynomials_through_order_3():
+    t = np.array([-1.0, 0.0, 1.0 / 746.0, 1.0 / 744.0, 0.01, 0.3, 0.5, 1.0,
+                  1.2, 7.0])
+    for got, want in zip(mollifier_derivs(t, 3),
+                         order3_mollifier_derivs(t, 3)):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_example1_reads_the_mollifier_at_s_1():
+    # phi(1) = 1, so the leaf's t-partials at s = 1 are the mollifier's
+    t = np.array([1.0 / 744.0, 0.01, 0.3, 0.5, 1.0])
+    leaf = get_function("example1", depth=3).evaluator
+    got = leaf(np.stack([np.ones_like(t), t], axis=-1), 5)
+    for b, want in enumerate(mollifier_derivs(t, 5)):
+        assert got[(0, b)].tobytes() == want.tobytes()
 
 
 def test_polynomial_jet_partials():
@@ -186,7 +213,7 @@ def test_example3_jet_region():
     with pytest.raises(PointOutsideRegionError, match=r"\(0\.7, 0\.5\)"):
         jet.check_mask(one_point_mask(0.7, 0.5), "point")
     with pytest.raises(ValueError):
-        jet.jet_many(np.array([[-0.5, 0.5]]), 3)
+        jet.jet_many(np.array([[-0.5, 0.5]]), 13)
     # derivative slope on the negative side at t = 1 is exactly 1
     for s in (-0.9, -0.5, -2.0**-10):
         assert jet.jet_many(np.array([[s, 1.0]]), 1)[(1, 0)][0] == 1.0
@@ -285,38 +312,62 @@ def test_sample_on_lattice():
     sj = jet.sample(mask, order=2)
     assert sj.components[(0, 0)][2, 2] == 1.0  # s t^2 at (1, 1)
     assert sj.components[(1, 1)][1, 1] == 1.0  # 2t at (0.5, 0.5)
-    # the comb field's leaf stops at order 2; [-1, 0]^2 lies in its base
+    # the comb field's leaf serves every order through grid.MAX_ORDER;
+    # [-1, 0]^2 lies in its base
     base = GridMask(GridSpec((-1.0, -1.0), 0.5, (3, 3)),
                     np.ones((3, 3), dtype=bool))
-    with pytest.raises(ValueError, match="order 2"):
-        get_function("example3", depth=4).sample(base, order=3)
+    comb = get_function("example3", depth=4)
+    assert (comb.sample(base, order=3).components[(1, 2)] == 2.0).all()
+    with pytest.raises(ValueError, match=r"order must lie in \[0, 12\]"):
+        comb.sample(base, order=13)
 
 
-def test_example3_refuses_order_3_at_every_point():
-    # s t^2 has d_s d_t^2 = 2: the leaf serves order 2 and refuses order 3
-    # rather than report a zero for it
+def test_example3_serves_order_3_at_every_point():
+    # s t^2 has d_s d_t^2 = 2, its last nonzero partial: the leaf reports
+    # it at order 3, beside the zeros of the others
     jet = functions.example3_jet()
     pts = np.array([[-0.5, -0.5], [-0.25, 0.75], [0.4375, 0.5]])
     assert jet.jet_many(pts, 2)[(0, 2)].tolist() == [-1.0, -0.5, 0.125]
-    with pytest.raises(ValueError, match="available to order 2"):
-        jet.jet_many(pts, 3)
+    third = jet.jet_many(pts, 3)
+    assert third[(1, 2)].tolist() == [2.0, 2.0, 2.0]
+    for alpha in ((3, 0), (2, 1), (0, 3)):
+        assert third[alpha].tolist() == [0.0, 0.0, 0.0]
     q, _ = domains.build_domain(domains.Comb(3), 2.0**-6)
-    with pytest.raises(ValueError, match="available to order 2"):
-        jet.sample(q, 3)
+    sampled = jet.sample(q, 3)
+    assert (sampled.components[(1, 2)][q.member] == 2.0).all()
+    with pytest.raises(ValueError, match=r"order must lie in \[0, 12\]"):
+        jet.jet_many(pts, 13)
 
 
-def test_example1_refuses_order_4_off_its_block():
-    # s <= 0 holds no point of the mollifier's block, yet order 4 is refused
+def test_example3_partial_1_2_is_the_difference_of_its_lower_partials():
+    # central differences of (0, 2) along s and (1, 1) along t, on the base
+    # and on tooth 1 ([3/8, 1/2] x (0, 1])
+    jet = functions.example3_jet()
+    pts = np.array([[-0.5, -0.5], [-0.25, 0.75], [0.4375, 0.5]])
+    step = 2.0**-10
+    got = jet.jet_many(pts, 3)[(1, 2)]
+    for lower, axis in (((0, 2), 0), ((1, 1), 1)):
+        shift = np.zeros(2)
+        shift[axis] = step
+        lo, hi = (jet.jet_many(pts + sign * shift, 2)[lower]
+                  for sign in (-1, 1))
+        assert np.abs((hi - lo) / (2 * step) - got).max() < 1e-9
+
+
+def test_example1_refuses_an_order_past_max_order_off_its_block():
+    # s <= 0 holds no point of the mollifier's block, yet order 13 is
+    # refused, and order 4 served
     jet = get_function("example1", depth=3)
     pts = np.array([[-0.5, 0.5], [0.0, -0.5], [-0.75, -0.25]])
-    with pytest.raises(ValueError, match="stop at order 3"):
-        jet.jet_many(pts, 4)
+    assert not jet.jet_many(pts, 4)[(0, 4)].any()
+    with pytest.raises(ValueError, match=r"order must lie in \[0, 12\]"):
+        jet.jet_many(pts, 13)
     _, omega = domains.build_domain(domains.CantorSlit(3), 2.0**-6)
     s, _ = coord_grids(omega.grid)
     left = GridMask(omega.grid, omega.member & (s <= 0.0))
     assert left.count > 0
-    with pytest.raises(ValueError, match="stop at order 3"):
-        jet.sample(left, 4)
+    with pytest.raises(ValueError, match=r"order must lie in \[0, 12\]"):
+        jet.sample(left, 13)
 
 
 def test_registry():
@@ -410,13 +461,15 @@ def test_sample_calls_the_leaf_once_per_row_block(monkeypatch):
         phis.append(np.shape(s))
         return cantor_phi_array(s)
 
-    def counted_mollifier(t, order):
-        moll.append((order, np.shape(t)))
-        return mollifier_derivs(t, order)
+    exp_neg_recip = taylor.exp_neg_recip
+
+    def counted_mollifier(u, order, dim):
+        moll.append((order, u.shape[1:]))
+        return exp_neg_recip(u, order, dim)
 
     jet.evaluator = evaluator
     monkeypatch.setattr(functions, "cantor_phi_array", counted_phi)
-    monkeypatch.setattr(functions, "mollifier_derivs", counted_mollifier)
+    monkeypatch.setattr(taylor, "exp_neg_recip", counted_mollifier)
     jet.sample(omega, 3)
     blocks = [rows for rows in row_blocks(omega.grid.extents)
               if omega.member[rows].any()]
@@ -509,13 +562,24 @@ def served_orders(field):
 coords = st.floats(-1.0, 1.0, allow_nan=False)
 
 
+def comb_piece(pts: np.ndarray) -> np.ndarray:
+    """The comb field's piece of each point: n on tooth n, -1 on the base.
+    The field is s t^2 on the base and (s - a_n) t^2 on tooth n, C^1 across
+    a tooth's root t = 0, where its (0, 2) partial steps from 2s to
+    2(s - a_n)."""
+    return np.where(pts[:, 1] > 0.0,
+                    domains.comb_tooth_index_array(pts[:, 0]), -1)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(function_names()),
        st.lists(st.tuples(coords, coords), min_size=1, max_size=16))
+@example("example3", [(1.0, 0.0), (0.875, 2.0**-13), (-0.5, 0.0)])
 def test_a_leaf_leaves_out_only_partials_that_vanish(name, points):
     # a partial a leaf leaves out is a derivative of its lower partial, so
     # the lower partial's central difference vanishes wherever its stencil
-    # lies in the region; 2^-12 is narrower than any depth-4 slit
+    # lies in the region, and on one piece of a field stated piecewise;
+    # 2^-12 is narrower than any depth-4 slit
     field = get_function(name, depth=4)
     pts = np.array(points)[:, :field.dim]
     step = 2.0**-12
@@ -535,6 +599,9 @@ def test_a_leaf_leaves_out_only_partials_that_vanish(name, points):
                 if field.member is not None:
                     for p in (ends[0], pts, ends[1]):
                         inside &= field.member(*p.T)
+                if name == "example3":
+                    inside &= ((comb_piece(ends[0]) == comb_piece(pts))
+                               & (comb_piece(pts) == comb_piece(ends[1])))
                 lo, hi = (field.jet_many(end[inside], order)[lower]
                           for end in ends)
                 assert np.abs(hi - lo).max(initial=0.0) / (2 * step) < 1e-9
@@ -578,10 +645,10 @@ _ORDINATE = st.integers(-2**8 - 4, 2**8 + 4).map(lambda k: Fraction(k, 2**8))
 
 
 def _read(jet, *coords):
-    """The jet's partials at the point coords, binary64 numbers themselves,
-    as exact rationals."""
+    """The jet's partials through order 3 at the point coords, binary64
+    numbers themselves, as exact rationals."""
     assert all(Fraction(float(c)) == c for c in coords)
-    values = jet.jet_many(np.array([[float(c) for c in coords]]), 2)
+    values = jet.jet_many(np.array([[float(c) for c in coords]]), 3)
     return {alpha: Fraction(float(v[0])) for alpha, v in values.items()}
 
 

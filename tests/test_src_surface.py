@@ -33,7 +33,10 @@ TRACED_CLI = SRC.parent.parent / "perfbench" / "traced_cli.py"
 ALLOWED = {
     # perfbench/traced_cli.py wraps it by name to count reflections
     "hestenes.HalfSpaceExtension.partial_many",
-    # README API: the one-sided derivative probe acceptance 3 measures with
+    # README API: the one-sided derivative probe acceptance 3 measures with;
+    # its stencils fall as h^2, in acceptance 3's [3.5, 4.5] band, where the
+    # glue's component extrapolation falls by 8.01x, so neither replaces
+    # the other
     "hestenes.interface_mismatch",
     # README API: canonical payload bytes; perfbench's tests call it
     "io.strip_provenance",
@@ -146,6 +149,8 @@ def test_importing_the_package_imports_no_module_of_it():
     # the value maps, which the Taylor calls give with the series
     "domains.AffineChart.forward", "domains.AffineChart.inverse",
     "domains.PolarSectorChart.forward", "domains.PolarSectorChart.inverse",
+    # the power sums and hand polynomials taylor's exp and div replaced
+    "taylor.compose", "functions.mollifier_derivs",
 ])
 def test_a_dropped_name_that_returns_is_caught(qualified):
     trees = src_trees()
