@@ -1,6 +1,7 @@
 """Norms, restriction, extension upper bounds, membership scans."""
 
 import contextlib
+import hashlib
 import dataclasses
 import io as stdio
 import tracemalloc
@@ -682,3 +683,31 @@ def test_the_readings_obey_their_exact_relations(name, domain_at, finer,
     assert np.array_equal(shared & q.member, q.member)
     for alpha, sup in f.sups.items():
         assert sup <= f_half.sups[alpha]
+
+
+# The three `certificates` scans of perfbench at 2^-10, stdout byte for
+# byte: each sha256 was recorded while the scan still rasterized its whole
+# mask before the walk.
+BENCHMARK_SCANS = {
+    "comb_example3_F1": (
+        ["--domain", "comb", "--n-teeth", "6", "--function", "example3",
+         "--space", "F", "--order", "1"], 0,
+        "9630db5830fd730e96db85d01c36b7d33174541735b06efab362beb9bab4df58"),
+    "cantor_example1_E1": (
+        ["--domain", "cantor_slit", "--depth", "4", "--function", "example1",
+         "--space", "E", "--order", "1"], 0,
+        "7a0c746404b39d2d6a766c64638123b2024dabc2663b7ebb0b1f3e372659a046"),
+    "cantor_example1_E3": (
+        ["--domain", "cantor_slit", "--depth", "4", "--function", "example1",
+         "--space", "E", "--order", "3"], 1,
+        "a6f291330c252296102f95fdd176e897d1d72910fa7ed925bc421db898604853"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BENCHMARK_SCANS))
+def test_the_benchmark_scans_print_their_pinned_bytes(case, capsys):
+    args, code, digest = BENCHMARK_SCANS[case]
+    assert main(["space", "norm", *args, "--h", str(2.0**-10),
+                 "--check"]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
