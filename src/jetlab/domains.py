@@ -1,7 +1,8 @@
 """Domains, one frozen class per kind, their charts, and the rasterizer.
 
 Each class owns what jetlab knows about its kind (see Domain); build_domain
-turns any of them into lattice masks.
+turns any of them into lattice masks, each a DomainMask rasterized when it
+is read: whole, or one row block at a time.
 
 Rasterization convention: a lattice point belongs to a mask iff its exact
 coordinates satisfy the defining inequalities.  All comparison data (tooth
@@ -15,13 +16,15 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 from .errors import ResolutionTooCoarseError, UnsupportedDomainError
 from .exact import CantorApprox, cantor_level
 from . import taylor
-from .grid import GridMask, GridSpec, interior_of, multi_indices
+from .grid import (GridMask, GridSpec, interior_of, interior_rows,
+                   multi_indices)
 
 # boundary probes per chartable domain for the interface scan
 N_PROBES = 256
@@ -35,14 +38,17 @@ N_PROBES = 256
 # its Taylor series less its value (jetlab.taylor), (2, n_alpha, ...), built
 # when called, so a caller holds what it is built from and not the series
 # while its source runs; the inverse's takes the points keep selects.  An
-# affine chart's series is constant, (2, n_alpha, 1, ...).  box() is a world
-# box holding the image of the unit reference ball.
+# affine chart's series is constant and holds its rows through degree 1
+# alone, (2, 3, 1, ...).  box() is a world box holding the image of the
+# unit reference ball.
 
 
 def _linear(matrix: np.ndarray, order: int, ndim: int) -> np.ndarray:
-    """The series of xi -> matrix @ xi less its value, (2, n_alpha, 1, ...)
-    at points of ndim - 1 axes: rows (0, 1) and (1, 0) are its columns."""
-    delta = np.zeros((2, len(taylor.index(order, 2))) + (1,) * (ndim - 1))
+    """The series of xi -> matrix @ xi less its value, (2, 3, 1, ...) at
+    points of ndim - 1 axes (one row at order 0): its rows through degree
+    1, (0, 1) and (1, 0) its columns; jetlab.taylor reads the others as 0."""
+    delta = np.zeros((2, len(taylor.index(min(order, 1), 2)))
+                     + (1,) * (ndim - 1))
     if order:
         delta[:, 1:3] = matrix[:, ::-1].reshape(delta[:, 1:3].shape)
     return delta
@@ -588,27 +594,122 @@ def regular_q_member(domain: Domain, s, t):
                     np.asarray(t, dtype=np.float64))
 
 
+@dataclass(eq=False)
+class DomainMask:
+    """One of a domain's masks on a lattice, rasterized when it is read, on
+    lattice lines: predicate's set, or, with of, the lattice interior of
+    that mask's set.
+
+    held() rasterizes the whole mask in one predicate call and keeps it as
+    a GridMask, which member and count read.  rows(block), a run of whole
+    rows, slices the held mask, or else rasterizes the run: read in row
+    order, block after block, as grid.walk reads it, each row is made once
+    and only the last block is kept, with the two rows of of's set at its
+    end that the next block's interior reads, so a reader of row blocks
+    holds no array the size of the lattice.  each_block(fn) runs fn on the
+    held mask's blocks now, or else on each run of rows as it is made,
+    until the last row is made or fn raises.
+    """
+
+    grid: GridSpec
+    axes: tuple[np.ndarray, ...]  # the lattice's axis coordinates
+    predicate: Callable[..., np.ndarray] | None
+    of: DomainMask | None = None
+    _held: GridMask | None = field(default=None, init=False, repr=False)
+    _last: tuple | None = field(default=None, init=False, repr=False)
+    _carried: tuple | None = field(default=None, init=False, repr=False)
+    _pending: list = field(default_factory=list, init=False, repr=False)
+
+    def _raster(self, lo: int, hi: int) -> np.ndarray:
+        """The predicate on rows lo:hi, broadcast to their shape."""
+        if hi <= lo:
+            return np.zeros((0,) + self.grid.extents[1:], dtype=bool)
+        lines = np.ix_(self.axes[0][lo:hi], *self.axes[1:])
+        return np.broadcast_to(self.predicate(*lines),
+                               (hi - lo,) + self.grid.extents[1:])
+
+    def _interior(self, r0: int, r1: int) -> np.ndarray:
+        """Rows r0:r1 of the lattice interior of of's set, read off its rows
+        r0 - 1 to r1; the last block's two rows at r0 - 1 are reused."""
+        n = self.grid.extents[0]
+        lo, hi = max(r0 - 1, 0), min(r1 + 1, n)
+        start, kept = self._carried or (-1, None)
+        if start == lo and lo + len(kept) <= hi:
+            strip = np.concatenate((kept, self.of._raster(lo + len(kept), hi)))
+        else:
+            strip = self.of._raster(lo, hi)
+        out = np.zeros((r1 - r0,) + self.grid.extents[1:], dtype=bool)
+        a, b = max(r0, 1), min(r1, n - 1)
+        if a < b:
+            interior_rows(strip[a - 1 - lo:b + 1 - lo], out[a - r0:b - r0])
+        tail = strip[-2:].copy()
+        self._carried = (hi - len(tail), tail)
+        return out
+
+    def held(self) -> GridMask:
+        """The whole mask, rasterized the first time and kept."""
+        if self._held is None:
+            self._last = self._carried = None
+            self._held = (interior_of(self.of.held()) if self.of is not None
+                          else GridMask(self.grid,
+                                        self._raster(0, self.grid.extents[0])))
+            pending, self._pending = self._pending, []
+            for fn in pending:
+                self._held.each_block(fn)
+        return self._held
+
+    @property
+    def member(self) -> np.ndarray:
+        return self.held().member
+
+    @property
+    def count(self) -> int:
+        return self.held().count
+
+    def rows(self, rows: slice) -> np.ndarray:
+        if self._held is not None:
+            return self._held.member[rows]
+        if self._last is not None and self._last[0] == rows:
+            return self._last[1]
+        self._last = None  # dropped before the next block is made
+        r0, r1, _ = rows.indices(self.grid.extents[0])
+        sub = (self._raster(r0, r1) if self.of is None
+               else self._interior(r0, r1))
+        checks, self._pending = self._pending, []  # dropped if one raises
+        for fn in checks:
+            fn(rows, sub)
+        if r1 < self.grid.extents[0]:
+            self._pending = checks
+        self._last = (rows, sub)
+        return sub
+
+    def each_block(self, fn) -> None:
+        if self._held is not None:
+            self._held.each_block(fn)
+        else:
+            self._pending.append(fn)
+            self._last = None  # a block made before fn is made again
+
+
 def build_domain(domain: Domain, h: float,
-                 masks: tuple[str, ...] = ("q", "open")) -> tuple[GridMask, ...]:
+                 masks: tuple[str, ...] = ("q", "open")
+                 ) -> tuple[DomainMask, ...]:
     """The masks named in masks, in that order, on the lattice of step h
-    over the bbox: "q" the closure Q, "open" the open set.  Only those are
-    rasterized, but a kind with no open predicate takes Q as a temporary
-    for its lattice interior.
+    over the bbox: "q" the closure Q, "open" the open set, for a kind with
+    no open predicate the lattice interior of Q.  Each is a DomainMask,
+    rasterized when read: held whole, one predicate call each (the open
+    set's interior holds Q, the "q" mask when both are named), or one row
+    block at a time, as a domain scan reads it.
 
     The predicates get broadcastable axes (np.ix_): work on one coordinate
     runs once per lattice line.
     """
     domain.check_resolution(h)
     grid = GridSpec.cover(*domain.bbox, h)
-    axes = np.ix_(*(grid.axis_coords(a) for a in range(grid.dim)))
-
-    def raster(predicate) -> GridMask:
-        return GridMask(grid, np.broadcast_to(predicate(*axes), grid.extents))
-
-    built = {}
-    if "q" in masks or domain.open is None:
-        built["q"] = raster(domain.q)
+    axes = tuple(grid.axis_coords(a) for a in range(grid.dim))
+    q = DomainMask(grid, axes, domain.q)
+    built = {"q": q}
     if "open" in masks:
-        built["open"] = (interior_of(built["q"]) if domain.open is None
-                         else raster(domain.open))
+        built["open"] = (DomainMask(grid, axes, None, q) if domain.open is None
+                         else DomainMask(grid, axes, domain.open))
     return tuple(built[name] for name in masks)

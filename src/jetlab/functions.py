@@ -23,8 +23,8 @@ import numpy as np
 from . import domains, grid, taylor
 from .errors import PointOutsideRegionError
 from .exact import COMB_PARTIALS, cantor_phi
-from .grid import (GridMask, Jet, JetEvaluator, SampledJet, coordinate_lines,
-                   multi_indices, row_blocks)
+from .grid import (GridMask, Jet, JetEvaluator, RowMask, SampledJet,
+                   coordinate_lines, multi_indices)
 
 
 def cantor_phi_array(values) -> np.ndarray:
@@ -60,18 +60,22 @@ class AnalyticJet:
     evaluator: JetEvaluator
     member: Callable[..., np.ndarray] | None = None
 
-    def check_mask(self, mask: GridMask, what: str) -> None:
+    def check_mask(self, mask: RowMask, what: str) -> None:
         """Raise naming the first masked point off the region, in row-major
-        order.  member runs once per non-empty row block on np.ix_ axes, the
-        block's rows by the whole lattice line, as in build_domain."""
+        order.  member runs once per row block holding a masked point, on
+        np.ix_ axes, the block's rows by the whole lattice line, as a
+        domain's rasterizer reads them.  The blocks come from
+        mask.each_block: a held mask's now, a DomainMask's as each is
+        rasterized, so a domain scan checks each block before its walk
+        evaluates it."""
         if self.member is None:
             return
         grid = mask.grid
         axes = [grid.axis_coords(a) for a in range(grid.dim)]
-        for rows in row_blocks(grid.extents):
-            sub = mask.member[rows]
+
+        def check(rows: slice, sub: np.ndarray) -> None:
             if not sub.any():
-                continue
+                return
             off = sub & ~self.member(*np.ix_(axes[0][rows], *axes[1:]))
             if off.any():
                 k = np.argwhere(off)[0]
@@ -79,6 +83,8 @@ class AnalyticJet:
                 bad = grid.coord(tuple(int(v) for v in k))
                 raise PointOutsideRegionError(
                     f"{what} {bad} lies outside the region of {self.name}")
+
+        mask.each_block(check)
 
     def jet_many(self, points, order: int) -> Jet:
         """Every partial with |alpha| <= order at the points' shape, from one

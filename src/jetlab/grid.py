@@ -1,6 +1,12 @@
 """Uniform lattices, boolean masks, multi-indices, sampled jets, and the one
 walk that samples an evaluator on a mask.
 
+The walk and the readers beside it (spaces.reduce_blocks, the region check
+of functions.AnalyticJet) read a mask only by row blocks, through RowMask:
+a held GridMask hands them slices of its member array, and a
+domains.DomainMask rasterizes each block as it is read, so a scan of a
+domain holds no array the size of its lattice.
+
 Every lattice is an axis-aligned uniform grid with one spacing h shared by all
 axes.  Coordinates are always produced as origin + k*h with a single multiply,
 never by accumulation, so dyadic origins and spacings stay exact in binary
@@ -12,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Protocol
 
 import numpy as np
 
@@ -58,10 +64,6 @@ def multi_indices(order: int, dim: int) -> list[tuple[int, ...]]:
 def alpha_key(alpha: tuple[int, ...]) -> str:
     """Serialization key for a multi-index, e.g. (1, 0) -> "1,0"."""
     return ",".join(str(a) for a in alpha)
-
-
-def parse_alpha_key(key: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in key.split(","))
 
 
 @dataclass(frozen=True)
@@ -146,6 +148,41 @@ class GridMask:
     def count(self) -> int:
         return int(self.member.sum())
 
+    def rows(self, rows: slice) -> np.ndarray:
+        """The membership of a run of whole rows, a view of member."""
+        return self.member[rows]
+
+    def each_block(self, fn: Callable[[slice, np.ndarray], None]) -> None:
+        """fn(rows, membership) on each of row_blocks, now."""
+        for rows in row_blocks(self.grid.extents):
+            fn(rows, self.member[rows])
+
+
+class RowMask(Protocol):
+    """A mask as the walk reads it: by runs of whole rows, in row order.
+    A GridMask slices its held array; a domains.DomainMask rasterizes the
+    rows as they are read, and runs each_block's fn as it makes them."""
+
+    grid: GridSpec
+
+    def rows(self, rows: slice) -> np.ndarray: ...
+
+    def each_block(self, fn: Callable[[slice, np.ndarray], None]) -> None: ...
+
+
+def interior_rows(q: np.ndarray, out: np.ndarray) -> None:
+    """Write to out the lattice interior of the rows q[1:-1], from q, which
+    holds them and one row more at each side: the points whose 2*dim axis
+    neighbors all lie in q.  A neighbor off the lattice along a later axis
+    counts as absent, so a point in a first or last column never is."""
+    np.logical_and(q[:-2], q[2:], out=out)
+    out &= q[1:-1]
+    for axis in range(1, q.ndim):
+        line, body = np.moveaxis(q[1:-1], axis, 0), np.moveaxis(out, axis, 0)
+        body[1:-1] &= line[:-2]
+        body[1:-1] &= line[2:]
+        body[0] = body[-1] = False
+
 
 def interior_of(mask: GridMask) -> GridMask:
     """Points whose 2*dim axis neighbors all lie in the mask.
@@ -153,13 +190,8 @@ def interior_of(mask: GridMask) -> GridMask:
     A neighbor falling off the lattice counts as absent, so lattice-edge
     points are never interior.
     """
-    member = mask.member
-    core = (slice(1, -1),) * member.ndim
-    inner = np.zeros_like(member)
-    inner[core] = member[core]
-    for axis in range(member.ndim):
-        for side in (slice(None, -2), slice(2, None)):
-            inner[core] &= member[core[:axis] + (side,) + core[axis + 1:]]
+    inner = np.zeros_like(mask.member)
+    interior_rows(mask.member, inner[1:-1])
     return GridMask(mask.grid, inner)
 
 
@@ -259,17 +291,18 @@ def coordinate_lines(pts) -> list[np.ndarray]:
     return lines
 
 
-def walk(evaluator: JetEvaluator, mask: GridMask,
+def walk(evaluator: JetEvaluator, mask: RowMask,
          order: int) -> Iterator[tuple[slice, Jet]]:
     """The one walk of a lattice with an evaluator: the lattice in blocks of
     whole rows, one evaluator call per block holding a masked point, on
     all the block's lattice points as one (rows, ..., dim) array, each
     yielded as (rows, the partials it returned over those rows, +0.0 off
-    the mask)."""
+    the mask).  The mask is read once per block, mask.rows(block), so a
+    DomainMask is rasterized one block at a time, as the walk reaches it."""
     grid = mask.grid
     axes = [grid.axis_coords(a) for a in range(grid.dim)]
     for rows in row_blocks(grid.extents):
-        sub = mask.member[rows]
+        sub = mask.rows(rows)
         if not sub.any():
             continue
         pts = np.empty(sub.shape + (grid.dim,))

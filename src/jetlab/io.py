@@ -372,17 +372,31 @@ def jet_to_payload(jet: SampledJet) -> dict:
 
 
 def jet_from_payload(payload: dict) -> SampledJet:
-    from .grid import SampledJet, parse_alpha_key
+    """The jet of a jet payload; a component key other than the alpha_key
+    of a partial of its order is refused before any array is decoded."""
+    from .grid import SampledJet, alpha_key
     try:
         mask = mask_from_payload(payload)
         grid = mask.grid
+        order = json_value(payload["order"], "an int", "order")
+        if order < 0:
+            raise JetlabError(f"order must be 0 or more, not {order}")
+        nodes, alphas = payload["components"].items(), []
+        for key, _ in nodes:
+            # read off the key, not looked up among the order's partials,
+            # whose count SampledJet checks before it lists them
+            alpha = tuple(int(p) for p in key.split(",") if p.isdecimal())
+            if (len(alpha) != grid.dim or sum(alpha) > order
+                    or alpha_key(alpha) != key):
+                raise JetlabError(f"components.{key} names no partial of an "
+                                  f"order-{order} jet in {grid.dim}-D")
+            alphas.append(alpha)
         components = {
-            parse_alpha_key(key): _read_array(
+            alpha: _read_array(
                 payload, node, "<f8", grid.point_count,
             ).reshape(grid.extents, order="C")
-            for key, node in payload["components"].items()
+            for alpha, (_, node) in zip(alphas, nodes)
         }
-        order = json_value(payload["order"], "an int", "order")
     except KeyError as err:
         raise JetlabError(f"jet artifact lacks the key {err}") from None
     except (JetlabError, TypeError, ValueError, AttributeError,
@@ -397,7 +411,8 @@ def _read_array(payload: dict, node, dtype: str, count: int) -> np.ndarray:
     import numpy as np
     if "format_version" not in payload:
         return np.asarray(node, dtype=np.float64 if dtype == "<f8" else bool)
-    if payload["format_version"] != _VERSION:
+    if json_value(payload["format_version"], "an int",
+                  "format_version") != _VERSION:
         raise ValueError(f"format_version {payload['format_version']!r} "
                          f"is not {_VERSION}")
     if node["dtype"] != dtype:

@@ -19,7 +19,8 @@ import numpy as np
 
 from .certify import CertTerm, Certificate
 from .errors import EmptyMaskError, MaskMismatchError, NotAnExtensionError
-from .grid import GridMask, Jet, SampledJet, alpha_key, multi_indices
+from .grid import (GridMask, GridSpec, Jet, RowMask, SampledJet, alpha_key,
+                   multi_indices)
 
 DEFAULT_C_FACTOR = 10.0
 
@@ -185,13 +186,22 @@ def _fold(tables: dict, key, ok: np.ndarray, values: np.ndarray, row: int,
 
 
 @dataclass(frozen=True)
+class MaskCount:
+    """What a walk keeps of the mask it read by row blocks: its lattice and
+    its number of points, summed block by block."""
+
+    grid: GridSpec
+    count: int
+
+
+@dataclass(frozen=True)
 class Reduction:
     """What one walk of a jet's row blocks keeps: each component's sup and,
     for a scan, the largest finite-difference defect and one-step jump of
     each (alpha, axis), with the first base holding it in row-major order;
     None without the scan."""
 
-    mask: GridMask
+    mask: MaskCount
     order: int
     sups: dict
     # (alpha, axis) -> (defect, base, (low[base], low[probe], declared[mid]))
@@ -199,31 +209,37 @@ class Reduction:
     jumps: dict | None  # (alpha, axis) -> (jump, base, ())
 
 
-def reduce_blocks(blocks: Iterable[tuple[slice, Jet]], mask: GridMask,
+def reduce_blocks(blocks: Iterable[tuple[slice, Jet]], mask: RowMask,
                   order: int, scan: bool) -> Reduction:
     """Fold a jet's (rows, block) pairs, in row order and 0 off the mask,
     into its sups and, if scan, the scan's tables, dropping each block.
 
-    A block may leave out partials that are 0 on the mask, the same ones in
-    every block: they keep sup 0, have no jump, and their finite-difference
-    pairs are checked against 0 wherever they meet a partial that is there.
-    The last 2 rows of each component ride along to the next block, so each
-    stencil along axis 0 is read once, in the block holding its last point:
-    those that start in the carried rows from a join of a few rows at the
-    seam, folded first, the others from the block itself.
+    The mask is read by row blocks, mask.rows(block) for each block given,
+    and its points are counted block by block: blocks holds every row
+    block with a masked point, as grid.walk and SampledJet.blocks give
+    them.  A block may leave out partials that are 0 on the mask, the same
+    ones in every block: they keep sup 0, have no jump, and their
+    finite-difference pairs are checked against 0 wherever they meet a
+    partial that is there.
+    The last 2 rows of each component and of the mask ride along to the
+    next block, so each stencil along axis 0 is read once, in the block
+    holding its last point: those that start in the carried rows from a
+    join of a few rows at the seam, folded first, the others from the
+    block itself.
     A block that does not follow on from the last starts afresh: a stencil
     across the skipped rows has a point off the mask.  A component that is
     0 over its whole window, halo rows included, is left out of the folds,
     which keep only a strict > over 0."""
-    if not mask.member.any():
-        raise EmptyMaskError("sup over an empty mask")
     alphas = multi_indices(order, mask.grid.dim)
     sups = dict.fromkeys(alphas, 0.0)
     defects, jumps = ({}, {}) if scan else (None, None)
     live = None
     halo: Jet = {}
-    carried, next_row = 0, 0
+    halo_mask = None
+    count, carried, next_row = 0, 0, 0
     for rows, block in blocks:
+        sub = mask.rows(rows)
+        count += int(np.count_nonzero(sub))
         present = [a for a in alphas if a in block]
         if live is None:
             live = present
@@ -254,7 +270,7 @@ def reduce_blocks(blocks: Iterable[tuple[slice, Jet]], mask: GridMask,
         # differences are all 0
         moving = [a for a in live if tops[a] or (held and halo[a].any())]
         start = rows.start - held
-        inside = mask.member[start:rows.stop]
+        inside = np.concatenate((halo_mask, sub)) if held else sub
         for axis in range(mask.grid.dim):
             for r0, r1 in _pieces(axis, 1, held, height):
                 ends = _stencils(inside[r0:r1], axis, 1)
@@ -284,8 +300,11 @@ def reduce_blocks(blocks: Iterable[tuple[slice, Jet]], mask: GridMask,
                     del defect  # freed before the next one is made
         last = max(0, held + height - 2)
         halo = {a: np.array(window(a, last, held + height)) for a in live}
+        halo_mask = np.array(inside[last:])
         carried, next_row = held + height - last, rows.stop
-    return Reduction(mask, order, sups, defects, jumps)
+    if not count:
+        raise EmptyMaskError("sup over an empty mask")
+    return Reduction(MaskCount(mask.grid, count), order, sups, defects, jumps)
 
 
 def _reduced(jet: SampledJet | Reduction, scan: bool) -> Reduction:

@@ -3,8 +3,11 @@
 A series in dim variables truncated at order is one array c of shape
 (n_alpha, ...): c[k] = d^alpha f / alpha! for the k-th multi-index of
 grid.multi_indices(order, dim), graded, so the rows of degree d start at
-C(d - 1 + dim, dim); each row broadcasts to the points' shape.  mul is the
-Cauchy product; div and exp solve for one row at a time by recurrence
+C(d - 1 + dim, dim); each row broadcasts to the points' shape.  A series
+known to be a polynomial of lower degree, such as an affine map's, may hold
+only its rows through that degree: mul and the sum of powers read the rows
+it leaves out as 0 and work on the rows it holds.  mul is the Cauchy
+product; div and exp solve for one row at a time by recurrence
 over the same index pairs, and exp_neg_recip, exp(-1/u) with its underflow
 cutoff, is built from the two; substitute (the chain rule) sums powers of a
 series (A. Griewank and A. Walther, Evaluating Derivatives, 2nd ed., SIAM
@@ -36,15 +39,26 @@ def _factorial(alpha: tuple[int, ...]) -> int:
     return math.prod(map(math.factorial, alpha))
 
 
+def _degree(rows: int, dim: int) -> int:
+    """The degree through which a series of rows rows holds them."""
+    degree = 0
+    while math.comb(degree + dim, dim) < rows:
+        degree += 1
+    return degree
+
+
 @functools.cache
-def _products(order: int, dim: int, low_x: int, low_y: int):
+def _products(order: int, dim: int, low_x: int, low_y: int, top_x: int,
+              top_y: int):
     """(k, ((i, j), ...)) for each row k of a Cauchy product with a term:
-    alpha_i + alpha_j = alpha_k, |alpha_i| >= low_x, |alpha_j| >= low_y."""
+    alpha_i + alpha_j = alpha_k, low_x <= |alpha_i| <= top_x and low_y <=
+    |alpha_j| <= top_y, the rows each factor holds."""
     rows, terms = index(order, dim), {}
     for beta, i in rows.items():
         for gamma, j in rows.items():
             alpha = tuple(b + g for b, g in zip(beta, gamma))
-            if sum(beta) >= low_x and sum(gamma) >= low_y and alpha in rows:
+            if (low_x <= sum(beta) <= top_x and low_y <= sum(gamma) <= top_y
+                    and alpha in rows):
                 terms.setdefault(rows[alpha], []).append((i, j))
     return tuple((k, tuple(terms[k])) for k in sorted(terms))
 
@@ -70,10 +84,13 @@ def to_jet(c: np.ndarray, order: int, dim: int) -> Jet:
 
 def mul(x: np.ndarray, y: np.ndarray, order: int, dim: int,
         low: tuple[int, int] = (0, 0)) -> np.ndarray:
-    """The Cauchy product xy, where x and y are 0 below the degrees low;
-    xy is 0 below their sum."""
-    out = np.zeros((len(x),) + np.broadcast_shapes(x.shape[1:], y.shape[1:]))
-    for k, ((i, j), *terms) in _products(order, dim, *low):
+    """The Cauchy product xy, where x and y are 0 below the degrees low and
+    hold their rows through their own degrees; xy is 0 below the sum of
+    low and holds its rows through the sum of those degrees, to order."""
+    top = (_degree(len(x), dim), _degree(len(y), dim))
+    out = np.zeros((math.comb(min(order, sum(top)) + dim, dim),)
+                   + np.broadcast_shapes(x.shape[1:], y.shape[1:]))
+    for k, ((i, j), *terms) in _products(order, dim, *low, *top):
         np.multiply(x[i], y[j], out=out[k])
         for i, j in terms:
             out[k] += x[i] * y[j]
@@ -86,7 +103,7 @@ def div(a: np.ndarray, b: np.ndarray, order: int, dim: int) -> np.ndarray:
     no power of b_0 is formed."""
     out = np.zeros((len(b),) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
     out[0] = a[0] / b[0]
-    for k, terms in _products(order, dim, 1, 0):
+    for k, terms in _products(order, dim, 1, 0, order, order):
         out[k] = (a[k] - sum(b[i] * out[j] for i, j in terms)) / b[0]
     return out
 
@@ -97,7 +114,7 @@ def exp(v: np.ndarray, order: int, dim: int) -> np.ndarray:
     degree = list(map(sum, index(order, dim)))
     out = np.zeros(v.shape)
     out[0] = np.exp(v[0])
-    for k, terms in _products(order, dim, 1, 0):
+    for k, terms in _products(order, dim, 1, 0, order, order):
         out[k] = sum(degree[i] * v[i] * out[j] for i, j in terms) / degree[k]
     return out
 
@@ -122,8 +139,9 @@ def substitute(f_jet: Jet, delta, order: int, dim: int) -> Jet:
 
 def _sum_of_powers(coeff, value, delta, order: int, dim: int) -> np.ndarray:
     """value plus coeff(beta) delta^beta over 1 <= |beta| <= order.  Each
-    monomial is one of the degree below times a variable; only that degree
-    is held, and one monomial of the top degree until it is added."""
+    monomial is one of the degree below times a variable, and holds the rows
+    mul gives it, the only ones added; only that degree is held, and one
+    monomial of the top degree until it is added."""
     out = np.zeros((len(index(order, dim)),) + np.broadcast_shapes(
         np.shape(value), *(d.shape[1:] for d in delta)))
     out[0] = value
@@ -136,7 +154,7 @@ def _sum_of_powers(coeff, value, delta, order: int, dim: int) -> np.ndarray:
                 up = beta[:v] + (beta[v] + 1,) + beta[v + 1:]
                 new = delta[v] if power is None else mul(
                     power, delta[v], order, dim, (degree - 1, 1))
-                out[start:] += coeff(up) * new[start:]
+                out[start:len(new)] += coeff(up) * new[start:]
                 if degree < order:
                     grown.append((up, new))
         layer = grown

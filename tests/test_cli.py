@@ -426,7 +426,9 @@ def test_perfbench_tracer_finds_every_name_it_wraps(tmp_path):
     assert counters["glue.exterior_points"] == 1604
     assert counters["glue.uncovered_points"] == 820
     # the after-hook of build_domain counts the lattice of the one mask a
-    # domain scan asks for; the cantor E scan fails its check at 2^-5
+    # domain scan asks for, and the scan's after-hook the points of the mask
+    # the walk streamed, summed block by block; the cantor E scan fails its
+    # check at 2^-5
     done = subprocess.run(
         [sys.executable, script, str(trace), "norm", "space", "norm",
          "--domain", "cantor_slit", "--depth", "2", "--function", "example1",
@@ -436,6 +438,7 @@ def test_perfbench_tracer_finds_every_name_it_wraps(tmp_path):
     traced = json.loads(trace.read_text())
     assert "domains.build" in [span[0] for span in traced["spans"]]
     assert traced["counters"]["domains.lattice_points"] == 4225
+    assert traced["counters"]["spaces.scan_points"] == 3553
 
 
 def test_a_domain_scan_rasterizes_only_the_mask_it_reads(capsys):
@@ -778,20 +781,35 @@ def test_malformed_jet_artifact_is_a_usage_error(case, tmp_path, capsys):
     assert not (tmp_path / "ext.json").exists()
 
 
-# a sampled field's jet with one value of a JSON type its writer never
-# writes, the key path the refusal names, and that value as JSON
+def _must(path: str, kind: str, text: str) -> str:
+    return f"{path} must be {kind}, not {text}"
+
+
+# a sampled field's jet with one value no writer writes, and the refusal,
+# which names its key path: a value of a JSON type its writer never writes,
+# with that value as JSON, or a component key that names no partial of the
+# jet's order, refused before its array is decoded
 MISTYPED_JET = {
-    "order-true": (lambda jet: {**jet, "order": True}, "order", "an int",
-                   "true"),
-    "order-float": (lambda jet: {**jet, "order": 1.0}, "order", "an int",
-                    "1.0"),
+    "order-true": (lambda jet: {**jet, "order": True},
+                   _must("order", "an int", "true")),
+    "order-float": (lambda jet: {**jet, "order": 1.0},
+                    _must("order", "an int", "1.0")),
     "h-string": (lambda jet: {**jet, "grid": {**jet["grid"], "h": "0.25"}},
-                 "grid.h", "a finite number", '"0.25"'),
+                 _must("grid.h", "a finite number", '"0.25"')),
     "extents-float": (lambda jet: _set_extents(jet, [5.0, 5.0]),
-                      "grid.extents[0]", "an int", "5.0"),
+                      _must("grid.extents[0]", "an int", "5.0")),
     "origin-strings": (lambda jet: {**jet, "grid": {
-        **jet["grid"], "origin": ["0", "0"]}}, "grid.origin[0]",
-        "a finite number", '"0"'),
+        **jet["grid"], "origin": ["0", "0"]}},
+        _must("grid.origin[0]", "a finite number", '"0"')),
+    "format-version-float": (lambda jet: {**jet, "format_version": 2.0},
+                             _must("format_version", "an int", "2.0")),
+    "extra-component": (lambda jet: {**jet, "components": {
+        **jet["components"], "9,9": jet["components"]["0,0"]}},
+        "components.9,9 names no partial of an order-1 jet in 2-D"),
+    "extra-component-undecodable": (lambda jet: {**jet, "components": {
+        **jet["components"], "9,9": {"dtype": "<f8", "shape": "no array",
+                                     "data": "!"}}},
+        "components.9,9 names no partial of an order-1 jet in 2-D"),
 }
 
 
@@ -802,14 +820,13 @@ def test_a_jet_value_no_writer_writes_is_a_usage_error(case, tmp_path,
     assert run(["field", "sample", "--function", "sin_cos", "--domain",
                 "rectangle", "--h", "0.25", "--out", str(field)]) == 0
     doc = json.loads(field.read_text())
-    breaker, path, kind, text = MISTYPED_JET[case]
+    breaker, refusal = MISTYPED_JET[case]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**doc, "jet": breaker(doc["jet"])}))
     capsys.readouterr()
     assert run(["space", "norm", "--field", str(bad)]) == 2
     err = capsys.readouterr().err
-    assert err == ("error: jet artifact is malformed: "
-                   f"{path} must be {kind}, not {text}\n")
+    assert err == f"error: jet artifact is malformed: {refusal}\n"
     assert "Traceback" not in err
 
 

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jetlab import domains, exact
+from jetlab import domains, exact, grid
 from jetlab.errors import (
     DepthTooLargeError,
     ResolutionTooCoarseError,
     UnsupportedDomainError,
 )
-from jetlab.grid import GridSpec, interior_of
+from jetlab.grid import GridSpec, interior_of, walk
+from jetlab.spaces import reduce_blocks
 from lattice_oracles import (
     comb_tooth_index, connected_component_count, gap_segment_index,
 )
@@ -280,6 +281,53 @@ def test_build_domain_rasterizes_only_the_masks_named(kind, h, monkeypatch):
         # its own (its lattice interior), never one no mask needs
         needed = set(masks) if cls.open is not None else {"q"}
         assert sorted(calls) == sorted(needed)
+
+
+@pytest.mark.parametrize("chunk", [2**6, 2**9])
+@pytest.mark.parametrize("h", [2.0**-5, 2.0**-6, 2.0**-7])
+@pytest.mark.parametrize("name", ["q", "open"])
+@pytest.mark.parametrize("kind", sorted(domains.KINDS))
+def test_a_scan_rasterizes_each_row_once_as_the_whole_mask(kind, name, h,
+                                                          chunk, monkeypatch):
+    # The rows a scan's walk reads, stacked, are the held mask bit for bit,
+    # the lattice interior across block seams included; the predicate sees
+    # each lattice row once (Q's rows, for an interior), and no predicate
+    # another mask needs runs.  Small chunks cut the lattice into many row
+    # blocks, one row each at 2^6 points in the plane.
+    cls = domains.KINDS[kind]
+    domain = cls(*(2 for _ in cls.required_fields()))
+    whole = domains.build_domain(domain, h)[("q", "open").index(name)].member
+    runs = {"q": [], "open": []}
+    for pred in ("q", "open"):
+        predicate = getattr(cls, pred)
+        if predicate is not None:
+            def counted(self, *axes, _pred=pred, _predicate=predicate):
+                runs[_pred].append(np.shape(axes[0])[0])
+                return _predicate(self, *axes)
+            monkeypatch.setattr(cls, pred, counted)
+    monkeypatch.setattr(grid, "CHUNK_POINTS", chunk)
+    mask, = domains.build_domain(domain, h, (name,))
+    read, rasterize = [], mask.rows
+
+    def rows(block):
+        sub = rasterize(block)
+        if not read or read[-1][0] != block:
+            read.append((block, sub.copy()))
+        return sub
+
+    mask.rows = rows
+    dim = mask.grid.dim
+    leaf = lambda pts, order: {(0,) * dim: np.zeros(pts.shape[:-1])}
+    reduction = reduce_blocks(walk(leaf, mask, 0), mask, 0, True)
+    assert len(read) > 1 or dim == 1
+    assert [block for block, _ in read] == list(
+        grid.row_blocks(mask.grid.extents))
+    assert np.concatenate([sub for _, sub in read]).tobytes() == (
+        whole.tobytes())
+    assert reduction.mask.count == whole.sum()
+    made = name if cls.open is not None else "q"
+    assert sum(runs[made]) == mask.grid.extents[0]
+    assert not runs[({"q", "open"} - {made}).pop()]
 
 
 def test_each_kind_is_its_class():

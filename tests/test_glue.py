@@ -73,11 +73,12 @@ def test_chart_roundtrip(spec):
 def chart_partials(call, order: int, shape) -> dict:
     """A Taylor call's answer as partials: alpha -> (2, *shape) array of
     each component's d^alpha, alpha! times the series' row, a constant
-    row broadcast."""
+    row broadcast, and 0 for a row past those the series holds."""
     delta = call[1](order)
     rows = taylor.index(order, 2)
     return {alpha: math.factorial(alpha[0]) * math.factorial(alpha[1])
-            * np.broadcast_to(delta[:, k], (2,) + shape)
+            * np.broadcast_to(delta[:, k] if k < delta.shape[1] else 0.0,
+                              (2,) + shape)
             for alpha, k in rows.items()}
 
 
@@ -98,9 +99,11 @@ def test_chart_jacobians_match_finite_differences(spec):
             lower = None
             call = taylor_call(at)
             for order in range(5):
-                # an affine chart's series is constant at every order
+                # an affine chart's series is constant at every order and
+                # holds its rows through degree 1 alone
                 if affine:
-                    assert call[1](order).shape[2:] == (1,)
+                    assert call[1](order).shape[1:] == (min(order, 1) * 2 + 1,
+                                                        1)
                 got = chart_partials(call, order, shape)
                 # each order's call extends the one below it
                 if lower is not None:

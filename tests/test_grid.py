@@ -16,7 +16,6 @@ from jetlab.grid import (
     dilate_box,
     interior_of,
     multi_indices,
-    parse_alpha_key,
     row_blocks,
     sample,
     walk,
@@ -63,8 +62,9 @@ def test_multi_indices_rejects_bad_args():
 
 
 def test_alpha_key_round_trip():
+    # the jet reader reads a key back by this table of its order's keys
     for alpha in multi_indices(3, 2) + multi_indices(3, 1):
-        assert parse_alpha_key(alpha_key(alpha)) == alpha
+        assert tuple(map(int, alpha_key(alpha).split(","))) == alpha
     assert alpha_key((1, 0)) == "1,0"
 
 

@@ -121,3 +121,41 @@ def test_a_series_with_no_point_axis_round_trips_through_the_jet():
     back = taylor.from_jet({(0, 0): 9.0, (1, 0): 6.0, (2, 0): 2.0}, 2)
     assert back.shape == (6,)
     assert back.tolist() == c.tolist()  # the rows of x^2, unscaled
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 5), st.integers(1, 2), st.integers(0, 5),
+       st.integers(0, 5),
+       st.lists(st.integers(-20, 20), min_size=2 * 21, max_size=2 * 21))
+def test_a_series_holding_its_rows_through_its_degree_multiplies_exactly(
+        order, dim, dx, dy, ints):
+    # x of degree dx and y of degree dy, each holding only its rows through
+    # that degree, multiply to the rows through dx + dy of the product of
+    # the full series, where the rows they leave out are 0
+    full = len(taylor.index(order, dim))
+    x, y = (np.array(ints[s:s + math.comb(min(d, order) + dim, dim)],
+                     dtype=np.float64)[:, None]
+            for s, d in ((0, dx), (21, dy)))
+    got = taylor.mul(x, y, order, dim)
+    assert len(got) == math.comb(min(dx + dy, order) + dim, dim)
+    padded = [np.concatenate((v, np.zeros((full - len(v), 1)))) for v in (x, y)]
+    want = taylor.mul(*padded, order, dim)
+    assert got[:, 0].tolist() == want[:len(got), 0].tolist()
+    assert not want[len(got):].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_a_linear_map_chains_on_its_degree_1_rows_as_on_all(order, seed):
+    # the chain rule through an affine map's series of rows 0..2 gives the
+    # values of the same series padded with zero rows through order
+    rng = np.random.default_rng(seed)
+    f_jet = {alpha: rng.normal(size=8) for alpha in multi_indices(order, 2)}
+    delta = np.zeros((2, len(taylor.index(min(order, 1), 2)), 1))
+    delta[:, 1:] = rng.normal(size=(2, len(delta[0]) - 1, 1))
+    full = np.zeros((2, len(taylor.index(order, 2)), 1))
+    full[:, :delta.shape[1]] = delta
+    got = taylor.substitute(f_jet, delta, order, 2)
+    want = taylor.substitute(f_jet, full, order, 2)
+    for alpha in multi_indices(order, 2):
+        assert got[alpha].tolist() == want[alpha].tolist()
