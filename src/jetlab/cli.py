@@ -161,7 +161,7 @@ def _domain_and_function(args):
 def _cmd_domain_build(args, argv) -> int:
     from . import domains, io
     domain, _ = _domain_and_function(args)
-    q, open_mask = (m.held() for m in domains.build_domain(domain, args.h))
+    q, open_mask = domains.build_domain(domain, args.h)
     payload = {
         "kind": domain.kind,
         "params": domain.params(),
@@ -181,6 +181,7 @@ def _cmd_domain_build(args, argv) -> int:
 def _cmd_field_sample(args, argv) -> int:
     from . import domains, io
     domain, jet = _domain_and_function(args)
+    # held whole: sample walks the held mask, and the jet keeps it
     q, open_mask = (m.held() for m in domains.build_domain(domain, args.h))
     mask = open_mask if args.mask == "open" else q
     sampled = jet.sample(mask, order=args.order)

@@ -668,7 +668,7 @@ class DomainMask:
 
     def rows(self, rows: slice) -> np.ndarray:
         if self._held is not None:
-            return self._held.member[rows]
+            return self._held.rows(rows)
         if self._last is not None and self._last[0] == rows:
             return self._last[1]
         self._last = None  # dropped before the next block is made
@@ -677,13 +677,13 @@ class DomainMask:
                else self._interior(r0, r1))
         checks, self._pending = self._pending, []  # dropped if one raises
         for fn in checks:
-            fn(rows, sub)
+            fn(slice(r0, r1), sub)
         if r1 < self.grid.extents[0]:
             self._pending = checks
         self._last = (rows, sub)
         return sub
 
-    def each_block(self, fn) -> None:
+    def each_block(self, fn: Callable[[slice, np.ndarray], None]) -> None:
         if self._held is not None:
             self._held.each_block(fn)
         else:

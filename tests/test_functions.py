@@ -27,7 +27,7 @@ from jetlab.functions import (
     get_function,
     polynomial_jet,
 )
-from jetlab.grid import GridMask, GridSpec, multi_indices, row_blocks
+from jetlab.grid import GridMask, GridSpec, multi_indices, row_blocks, walk
 
 from lattice_oracles import (coord_grids, order3_mollifier_derivs,
                              scatter_sample)
@@ -445,6 +445,35 @@ def test_sample_names_the_first_point_outside_the_region():
     with pytest.raises(PointOutsideRegionError) as want:
         scatter_sample(jet, mask, 1)
     assert str(got.value) == str(want.value)
+
+
+def test_a_domain_mask_is_checked_as_its_blocks_are_rasterized():
+    # held, a DomainMask is checked at once; streamed, each block is
+    # checked as the walk rasterizes it, before the leaf sees it, and the
+    # check, once it has refused, is not run again.  The disk's first point
+    # off the comb field's region lies past its first row block.
+    h = 2.0**-8
+    field = get_function("example3", depth=4)
+    held, = domains.build_domain(domains.Disk(), h, ("q",))
+    held.held()
+    with pytest.raises(PointOutsideRegionError) as at_once:
+        field.check_mask(held, "mask point")
+    mask, = domains.build_domain(domains.Disk(), h, ("q",))
+    field.check_mask(mask, "mask point")
+    seen = []
+
+    def leaf(pts, order):
+        seen.append(pts[0, 0, 0])
+        return field.evaluator(pts, order)
+
+    with pytest.raises(PointOutsideRegionError) as streamed:
+        for _ in walk(leaf, mask, 0):
+            pass
+    assert str(streamed.value) == str(at_once.value)
+    first = next(rows for rows in row_blocks(mask.grid.extents)
+                 if mask.rows(rows).any())
+    assert seen and seen[0] == mask.grid.axis_coords(0)[first.start]
+    assert len(list(walk(field.evaluator, mask, 0))) > len(seen)
 
 
 def test_sample_calls_the_leaf_once_per_row_block(monkeypatch):
