@@ -1,5 +1,6 @@
 """Charts, bumps, partition of unity, and the blended global extension."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from jetlab import domains, glue, taylor
+from jetlab import domains, glue, io, taylor
+from jetlab.cli import main
 from jetlab.errors import CoverGapError, UnsupportedDomainError
 from jetlab.functions import AnalyticJet, get_function, polynomial_jet
 from jetlab.glue import (
@@ -26,6 +28,7 @@ from jetlab.hestenes import (
     HalfSpaceExtension, corner_extension, solve_coefficients,
 )
 from jetlab.taylor import substitute
+from test_digests import PROP2, PROP2_LOW, content_digest, sha256
 from lattice_oracles import (
     box_dilation, chart_roundtrip_defect, chi_many, coord_grids, erosion,
     order2_bump_ball_jet, order2_chain_jet, order2_chi_jet,
@@ -954,3 +957,57 @@ def test_global_extend_chart_and_bump_points_are_pinned(
     assert [len(s) for s in sizes] == [3] * len(charts) + [2]
     assert [sum(s) for s in sizes] == inverse_points
     assert list(seen.values()) == bump_points
+
+
+# The three benchmark `extend prop2` commands at 2^-7, whose windows span
+# several row blocks where the digest pins' windows are one: the sha256 of
+# each stripped payload, and of the half-ball's --csv file, recorded while
+# the partition and the window's jet were held whole.
+BENCHMARK_PROP2 = {
+    "disk": "b521458c9a744ee51397eb990f2e7de4342fbd5e244fb57b7addccefdba38226",
+    "rectangle":
+        "cefff638d764a7432e0e71fb1d8947aec17638d2d5797775118a2967cec2e600",
+    "half_ball":
+        "c65931e6d495058fca13b3ce305e7fe8937d2ae1b401a973064c775108e06903",
+}
+BENCHMARK_PROP2_CSV = (
+    "half_ball",
+    "fa87a4a7ad4f3b6a992b61d7c9be96103f8aff12fd7fd8c7bca7b564fcad7a36")
+
+
+@pytest.mark.parametrize("kind", sorted(BENCHMARK_PROP2))
+def test_the_benchmark_prop2_commands_write_their_pinned_bytes(kind, tmp_path,
+                                                               capsys):
+    out, csv = tmp_path / "prop2.json", tmp_path / "prop2.csv"
+    argv = ["extend", "prop2", "--function", "sin_cos", "--domain", kind,
+            "--order", "2", "--h", "0.0078125", "--margin", "0.5",
+            "--out", str(out)]
+    with_csv = kind == BENCHMARK_PROP2_CSV[0]
+    assert main(argv + (["--csv", str(csv)] if with_csv else [])) == 0
+    assert sha256(io.strip_provenance(out.read_text())) == BENCHMARK_PROP2[kind]
+    if with_csv:
+        assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+            BENCHMARK_PROP2_CSV[1])
+
+
+# Each pin of tests/test_digests.py's PROP2 and PROP2_LOW again, with row
+# blocks of one or a few rows, so the partition and the window walk cross
+# many block seams.
+PROP2_PINS = {**{(kind, 2, "0.0625"): pins for kind, pins in PROP2.items()},
+              **{(kind, order, "0.03125"): pins
+                 for (kind, order), pins in PROP2_LOW.items()}}
+
+
+@pytest.mark.parametrize("chunk", [2**7, 2**9])
+@pytest.mark.parametrize("pin", sorted(PROP2_PINS), ids=lambda p: "-".join(
+    map(str, p[:2])))
+def test_the_prop2_pins_hold_across_row_blocks(pin, chunk, tmp_path,
+                                               monkeypatch, capsys):
+    monkeypatch.setattr(grid, "CHUNK_POINTS", chunk)
+    kind, order, h = pin
+    out = tmp_path / "prop2.json"
+    assert main(["extend", "prop2", "--function", "sin_cos", "--domain", kind,
+                 "--order", str(order), "--h", h, "--out", str(out)]) == 0
+    digest, content = PROP2_PINS[pin]
+    assert sha256(io.strip_provenance(out.read_text())) == digest
+    assert content_digest(out) == content
