@@ -246,27 +246,30 @@ def _cmd_extend_prop2(args, argv) -> int:
     domain, jet = _domain_and_function(args)
     result = glue.global_extend(jet, domain, args.order, h=args.h,
                                 margin=args.margin)
-    mismatch = glue.interface_jet_mismatch(result.field, h=DEFAULTS["h"])
-    payload = {
-        "domain": domain.kind,
-        "function": args.function,
-        "order": args.order,
-        "h": args.h,
-        "margin": args.margin,
-        "jet": io.jet_to_payload(result.jet),
-        "metadata": {
-            "charts": [c.describe() for c in result.field.charts],
-            "assignment": list(result.field.partition.assignment),
-            "sum_residual": result.sum_residual,
-            "uncovered_points": result.uncovered_points,
-            "interface_mismatch": {
-                grid.alpha_key(a): v for a, v in mismatch.items()
+    try:
+        mismatch = glue.interface_jet_mismatch(result.field, h=DEFAULTS["h"])
+        payload = {
+            "domain": domain.kind,
+            "function": args.function,
+            "order": args.order,
+            "h": args.h,
+            "margin": args.margin,
+            "jet": io.jet_to_payload(result.jet),
+            "metadata": {
+                "charts": [c.describe() for c in result.field.charts],
+                "assignment": list(result.field.partition.assignment),
+                "sum_residual": result.sum_residual,
+                "uncovered_points": result.uncovered_points,
+                "interface_mismatch": {
+                    grid.alpha_key(a): v for a, v in mismatch.items()
+                },
             },
-        },
-    }
-    io.write_artifact(args.out, payload, _provenance(argv))
-    if args.csv:
-        io.jet_to_csv(result.jet, args.csv)
+        }
+        io.write_artifact(args.out, payload, _provenance(argv))
+        if args.csv:
+            io.jet_to_csv(result.jet.held(), args.csv)
+    finally:
+        result.jet.close()
     worst = max(mismatch.values())
     print(
         f"wrote {args.out}: window {result.window.extents}, "

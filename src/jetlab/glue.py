@@ -15,6 +15,13 @@ bump with one extension.  Each layer asks its source for one whole jet per
 point set and differentiates it in jetlab.taylor's arithmetic, at any
 order up to ORDER_CAP.  A window point off Q that no bump reaches gets
 value 0, never an extrapolation.
+
+No float array the size of the window is held.  The partition is checked
+one row block of the window at a time, and global_extend walks the window
+once more, spooling each block's jet to files (grid.spool) that jetlab.io
+writes to the artifact a block at a time; only boolean window masks (Q,
+its boundary and collar, the points the bumps must cover, the points none
+reaches) are held whole.
 """
 
 from __future__ import annotations
@@ -30,8 +37,8 @@ from .domains import Chart, Domain
 from .errors import CoverGapError, UnsupportedDomainError
 from .functions import AnalyticJet
 from .grid import (
-    GridMask, GridSpec, Jet, JetEvaluator, SampledJet, dilate_box,
-    interior_of, multi_indices, sample,
+    GridMask, GridSpec, Jet, JetEvaluator, SpooledJet, dilate_box,
+    interior_of, multi_indices, row_blocks, spool,
 )
 from .hestenes import HalfSpaceExtension, corner_extension, solve_coefficients
 
@@ -149,78 +156,99 @@ def build_partition(charts: list[Chart], domain: Domain,
                     grid: GridSpec) -> BumpPartition:
     """Bumps on every chart plus one interior bump, normalized and checked.
 
-    The subordination and cover checks run on the lattice grid, where Q and
-    the charted faces are read on lattice lines, as build_domain reads them.
-    Raises CoverGap if some required boundary lattice point has zero bump
-    sum.
+    The checks run on the lattice grid.  Q, its lattice boundary, the
+    collar around that boundary where sum(chi) - 1 is measured, and the
+    boundary points the atlas must cover are boolean masks over it, read on
+    lattice lines as build_domain reads them.  The bumps are walked by
+    row_blocks: each chart's order-0 bump is evaluated once per block, on
+    the block's points, and folded into the checks, so no point array or
+    bump value outlives its block.  After the walk a CoverGapError names
+    the first failed check, in this order: required boundary points with
+    zero bump sum (their count and the first in row-major order), a bump
+    subordinate to no extension domain, a collar point with zero bump sum.
     """
     charts = [*charts, domain.interior_chart()]
 
-    axes = np.ix_(*(grid.axis_coords(a) for a in range(grid.dim)))
-    q_mask = GridMask(grid, np.broadcast_to(domain.q(*axes), grid.extents))
+    lines = np.ix_(*(grid.axis_coords(a) for a in range(grid.dim)))
+    q_mask = GridMask(grid, np.broadcast_to(domain.q(*lines), grid.extents))
     # Q's lattice boundary; the two-sided collar around it is where
     # sum(chi) - 1 is measured
     ring = q_mask.member & ~interior_of(q_mask).member
     steps = max(1, int(math.ceil(0.05 / grid.h)))
-    collar = (dilate_box(ring, steps) & domain.charted(*axes, 0.2)).ravel()
+    collar = dilate_box(ring, steps) & domain.charted(*lines, 0.2)
     # boundary lattice points the atlas must cover
-    required = (ring & domain.charted(*axes, 0.5 * grid.h)).ravel()
-    pts = grid.points(np.indices(grid.extents).reshape(grid.dim, -1))
+    required = ring & domain.charted(*lines, 0.5 * grid.h)
 
-    # the reference radius of each chart's bump gives its support (the
-    # 0.9-ball) and its image (the unit ball)
-    supports, images, collar_bumps = [], [], []
-    bump_sum = np.zeros(len(pts))
-    for chart in charts:
-        rho, jet = bump_jet(chart, pts, 0)
-        near = rho < BUMP_SHRINK
-        supports.append(near)
-        images.append(rho < 1.0)
-        bump = np.zeros(len(pts))
-        bump[near] = jet[(0, 0)]
-        bump_sum += bump
-        collar_bumps.append(bump[collar])
-    unreached = ~(bump_sum > 0.0)
+    unreached = np.empty(grid.extents, dtype=bool)
+    # leaves[nu, i]: bump nu's support leaves extension domain i (the
+    # boundary charts' images, then Q) somewhere on the lattice
+    leaves = np.zeros((len(charts), len(charts)), dtype=bool)
+    uncovered, first_uncovered, zero_collar = 0, None, None
+    residual = 0.0
+    for rows in row_blocks(grid.extents):
+        pts = grid.row_points(rows).reshape(-1, grid.dim)
+        # the reference radius of each chart's bump gives its support (the
+        # 0.9-ball) and its image (the unit ball)
+        supports, images, collar_bumps = [], [], []
+        in_collar = collar[rows].ravel()
+        bump_sum = np.zeros(len(pts))
+        for chart in charts:
+            rho, jet = bump_jet(chart, pts, 0)
+            near = rho < BUMP_SHRINK
+            supports.append(near)
+            images.append(rho < 1.0)
+            bump = np.zeros(len(pts))
+            bump[near] = jet[(0, 0)]
+            bump_sum += bump
+            collar_bumps.append(bump[in_collar])
+        reached = bump_sum > 0.0
+        unreached[rows] = ~reached.reshape(unreached[rows].shape)
 
-    uncovered = required & unreached
-    if uncovered.any():
-        where = pts[uncovered][0]
+        gap = required[rows].ravel() & ~reached
+        if first_uncovered is None and gap.any():
+            first_uncovered = pts[gap][0]
+        uncovered += int(gap.sum())
+
+        outside = [~dom for dom in images[:-1] + [q_mask.member[rows].ravel()]]
+        for nu, supp in enumerate(supports):
+            leaves[nu] |= [(supp & off).any() for off in outside]
+
+        # residual of sum(chi) - 1 on the collar
+        s0 = bump_sum[in_collar]
+        if zero_collar is not None or not len(s0):
+            continue
+        if not (s0 > 0.0).all():
+            zero_collar = pts[in_collar][~(s0 > 0.0)][0]
+            continue
+        chi_sum = np.zeros(len(s0))
+        for bump in collar_bumps:
+            chi_sum += bump / s0
+        residual = max(residual, float(np.max(np.abs(chi_sum - 1.0))))
+
+    if uncovered:
+        x, y = first_uncovered
         raise CoverGapError(
-            f"{int(uncovered.sum())} required boundary lattice points have "
-            f"zero bump sum, first at ({where[0]:.6g}, {where[1]:.6g})"
+            f"{uncovered} required boundary lattice points have "
+            f"zero bump sum, first at ({x:.6g}, {y:.6g})"
         )
-
-    # subordination: least covering domain per bump, checked on the lattice
-    extension_domains = images[:-1] + [q_mask.member.ravel()]
+    # subordination: the least domain covering each bump on the lattice
     assignment = []
-    for nu, supp in enumerate(supports):
-        chosen = next((i for i, dom in enumerate(extension_domains)
-                       if not (supp & ~dom).any()), None)
+    for nu in range(len(charts)):
+        chosen = next((i for i, left in enumerate(leaves[nu]) if not left),
+                      None)
         if chosen is None:
             raise CoverGapError(
                 f"bump {nu} ({charts[nu].kind} chart) is not subordinate to "
                 "any extension domain"
             )
         assignment.append(chosen)
-
-    # residual of sum(chi) - 1 on the collar
-    collar_pts = pts[collar]
-    if len(collar_pts):
-        s0 = bump_sum[collar]
-        if not (s0 > 0.0).all():
-            bad = collar_pts[~(s0 > 0.0)][0]
-            raise CoverGapError(
-                f"boundary collar point ({bad[0]:.6g}, {bad[1]:.6g}) has "
-                "zero bump sum"
-            )
-        chi_sum = np.zeros(len(collar_pts))
-        for bump in collar_bumps:
-            chi_sum += bump / s0
-        residual = float(np.max(np.abs(chi_sum - 1.0)))
-    else:
-        residual = 0.0
-    return BumpPartition(charts, assignment, residual, int(len(collar_pts)),
-                         q_mask, GridMask(grid, unreached.reshape(grid.extents)))
+    if zero_collar is not None:
+        x, y = zero_collar
+        raise CoverGapError(
+            f"boundary collar point ({x:.6g}, {y:.6g}) has zero bump sum"
+        )
+    return BumpPartition(charts, assignment, residual, int(collar.sum()),
+                         q_mask, GridMask(grid, unreached))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +320,7 @@ class GlobalField:
 @dataclass(eq=False)
 class GlobalExtensionResult:
     field: GlobalField
-    jet: SampledJet
+    jet: SpooledJet
     q_mask: GridMask
     window: GridSpec
     sum_residual: float
@@ -304,8 +332,10 @@ def global_extend(x: AnalyticJet, domain: Domain, order: int, h: float,
     """Glue local reflections into one field over a margin-padded window.
 
     Values on Q-lattice points come straight from x, which must be defined
-    at every one of them; the blend only fills the complement.  grid.sample
-    walks the window in row blocks, which bounds the blend's temporaries.
+    at every one of them; the blend only fills the complement.  grid.spool
+    walks the window once in row blocks, which bounds the blend's
+    temporaries, and appends each block's components to the jet's files:
+    the result's jet holds no component in memory, and its owner closes it.
     """
     if order > ORDER_CAP:
         raise ValueError(f"the glued extension runs to order {ORDER_CAP}, the "
@@ -325,8 +355,7 @@ def global_extend(x: AnalyticJet, domain: Domain, order: int, h: float,
     extensions = [local_extend(x.jet_many, chart, order) for chart in charts]
     extensions.append(x.jet_many)
     field = GlobalField(domain, order, charts, partition, extensions)
-    all_mask = GridMask(window, np.ones(window.extents, dtype=bool))
-    jet = sample(field.jet_many, all_mask, order)
+    jet = spool(field.jet_many, window, order)
     # window points off Q the blend could not reach (value convention 0)
     uncovered = int((partition.unreached.member & ~q_mask.member).sum())
     return GlobalExtensionResult(

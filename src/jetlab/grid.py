@@ -5,7 +5,9 @@ The walk and the readers beside it (spaces.reduce_blocks, the region check
 of functions.AnalyticJet) read a mask only by row blocks, through RowMask:
 a held GridMask hands them slices of its member array, and a
 domains.DomainMask rasterizes each block as it is read, so a scan of a
-domain holds no array the size of its lattice.
+domain holds no array the size of its lattice.  spool walks a whole
+lattice and appends each block's components to files (jetlab.io's Spool),
+so the SpooledJet it returns holds none of them in memory.
 
 Every lattice is an axis-aligned uniform grid with one spacing h shared by all
 axes.  Coordinates are always produced as origin + k*h with a single multiply,
@@ -111,6 +113,16 @@ class GridSpec:
         for a in range(self.dim):
             out[:, a] = self.axis_coords(a)[index[a]]
         return out
+
+    def row_points(self, rows: slice) -> np.ndarray:
+        """The lattice points of a run of whole rows as one (rows, ...,
+        dim) array, filled from the np.ix_ lines of axis_coords."""
+        lines = np.ix_(self.axis_coords(0)[rows],
+                       *(self.axis_coords(a) for a in range(1, self.dim)))
+        pts = np.empty((lines[0].size,) + self.extents[1:] + (self.dim,))
+        for a, line in enumerate(lines):
+            pts[..., a] = line
+        return pts
 
     @staticmethod
     def cover(lo, hi, h: float) -> "GridSpec":
@@ -300,14 +312,11 @@ def walk(evaluator: JetEvaluator, mask: RowMask,
     the mask).  The mask is read once per block, mask.rows(block), so a
     DomainMask is rasterized one block at a time, as the walk reaches it."""
     grid = mask.grid
-    axes = [grid.axis_coords(a) for a in range(grid.dim)]
     for rows in row_blocks(grid.extents):
         sub = mask.rows(rows)
         if not sub.any():
             continue
-        pts = np.empty(sub.shape + (grid.dim,))
-        for a, line in enumerate(np.ix_(axes[0][rows], *axes[1:])):
-            pts[..., a] = line
+        pts = grid.row_points(rows)
         jet = evaluator(pts, order)
         del pts  # the block's partials are all the walk needs
         block = {alpha: np.where(sub, jet[alpha], 0.0)
@@ -325,3 +334,59 @@ def sample(evaluator: JetEvaluator, mask: GridMask, order: int) -> SampledJet:
         for alpha, arr in block.items():
             components[alpha][rows] = arr
     return SampledJet(order, mask, components)
+
+
+@dataclass(eq=False)
+class SpooledJet:
+    """A jet over a whole lattice whose components wait in files, not in
+    memory: each an io.Spool of its samples in C order, filled by spool one
+    row block at a time.  jetlab.io writes it as it writes a SampledJet,
+    reading each Spool a block at a time; held() reads the components back
+    whole as a SampledJet, and close() drops the files."""
+
+    order: int
+    mask: GridMask
+    components: dict[tuple[int, ...], Spool]
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.mask.grid
+
+    def alphas(self) -> list[tuple[int, ...]]:
+        return multi_indices(self.order, self.grid.dim)
+
+    def held(self) -> SampledJet:
+        return SampledJet(self.order, self.mask, {
+            alpha: values.array().reshape(self.grid.extents)
+            for alpha, values in self.components.items()})
+
+    def close(self) -> None:
+        for values in self.components.values():
+            values.close()
+
+
+def spool(evaluator: JetEvaluator, grid: GridSpec, order: int) -> SpooledJet:
+    """walk's blocks over the whole lattice, each component's rows appended
+    to its own io.Spool as they arrive, so no component is held whole; a
+    partial the evaluator leaves out is spooled as 0.  A value that is not
+    finite refuses the jet once the walk is done, naming the first such
+    component in multi_indices order, as SampledJet refuses it."""
+    from .io import Spool
+    mask = GridMask(grid, np.ones(grid.extents, dtype=bool))
+    jet = SpooledJet(order, mask, {alpha: Spool()
+                                   for alpha in multi_indices(order, grid.dim)})
+    try:
+        finite = dict.fromkeys(jet.components, True)
+        for rows, block in walk(evaluator, mask, order):
+            shape = (rows.stop - rows.start,) + grid.extents[1:]
+            for alpha, values in jet.components.items():
+                arr = np.broadcast_to(block.get(alpha, 0.0), shape)
+                finite[alpha] = finite[alpha] and bool(np.isfinite(arr).all())
+                values.append(arr)
+        for alpha, ok in finite.items():
+            if not ok:
+                raise ValueError(f"component {alpha} is not finite on the mask")
+    except BaseException:
+        jet.close()
+        raise
+    return jet

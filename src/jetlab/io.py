@@ -15,7 +15,10 @@ first, and an ndarray is written as ``{"dtype", "shape", "data"}`` with
 bytes, a bool array as ``"bool"``, its bits packed least significant first
 with zero pad bits.  The writer encodes ``_BLOCK`` values at a time, a
 multiple of 24, so each block's bytes are a multiple of 3 and the block texts
-join into one base64 string.  ``read_artifact`` is ``json.load``;
+join into one base64 string.  A ``Spool`` holds float64 values in an
+anonymous temporary file instead of memory, as the bytes of a ``"<f8"``
+array; the writer reads it ``_BLOCK`` values at a time and writes it as it
+writes an ndarray.  ``read_artifact`` is ``json.load``;
 ``mask_from_payload`` and ``jet_from_payload`` decode the arrays and refuse
 any text but strict base64, a length other than the grid's, non-zero pad
 bits, a foreign dtype and a ``format_version`` other than 2.  A payload
@@ -245,7 +248,7 @@ def _write(obj, write) -> None:
             write(":")
             _write(value, write)
         write("}")
-    elif np and isinstance(obj, np.ndarray):
+    elif isinstance(obj, Spool) or np and isinstance(obj, np.ndarray):
         _write_array(obj, write)
     elif isinstance(obj, (list, tuple)):
         write("[")
@@ -258,19 +261,25 @@ def _write(obj, write) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _write_array(arr: np.ndarray, write) -> None:
+def _write_array(arr: np.ndarray | Spool, write) -> None:
     """``{"dtype", "shape", "data"}``: the base64 of the little-endian
-    float64 bytes, or of the bits packed least significant first."""
+    float64 bytes, or of the bits packed least significant first, one
+    ``_BLOCK`` of values at a time: an ndarray's slices, or the values a
+    Spool reads back."""
     import numpy as np
-    bits = arr.dtype.kind == "b"
-    if not bits and arr.dtype.kind != "f":
-        raise TypeError(f"cannot serialize a {arr.dtype} array")
-    shape = ",".join(map(str, arr.shape))
-    write(f'{{"dtype":"{"bool" if bits else "<f8"}","shape":[{shape}],'
-          '"data":"')
-    flat = arr.ravel()
-    for start in range(0, flat.size, _BLOCK):
-        block = flat[start:start + _BLOCK]
+    if isinstance(arr, Spool):
+        bits, shape, blocks = False, (arr.size,), arr.blocks(_BLOCK)
+    else:
+        bits = arr.dtype.kind == "b"
+        if not bits and arr.dtype.kind != "f":
+            raise TypeError(f"cannot serialize a {arr.dtype} array")
+        flat = arr.ravel()
+        shape = arr.shape
+        blocks = (flat[start:start + _BLOCK]
+                  for start in range(0, flat.size, _BLOCK))
+    write(f'{{"dtype":"{"bool" if bits else "<f8"}","shape":'
+          f'[{",".join(map(str, shape))}],"data":"')
+    for block in blocks:
         if bits:
             data = np.packbits(block, bitorder="little")
         else:
@@ -279,6 +288,46 @@ def _write_array(arr: np.ndarray, write) -> None:
                 raise ValueError("non-finite float in payload")
         write(binascii.b2a_base64(data, newline=False).decode("ascii"))
     write('"}')
+
+
+class Spool:
+    """float64 values kept in an anonymous temporary file, not in memory,
+    as the little-endian bytes of a ``"<f8"`` array: ``append`` adds them
+    in C order, and ``blocks`` and ``array`` read them back from the start.
+    The file has no name, so it is gone once closed or once the process
+    ends, however it ends."""
+
+    def __init__(self):
+        import tempfile  # only a command that spools pays for the import
+        self.file = tempfile.TemporaryFile()
+        self.size = 0
+
+    def append(self, values: np.ndarray) -> None:
+        import numpy as np
+        data = np.ascontiguousarray(values, dtype="<f8")
+        self.file.write(data)
+        self.size += data.size
+
+    def _read(self, count: int) -> np.ndarray:
+        import numpy as np
+        out = np.empty(count, dtype="<f8")
+        if self.file.readinto(out) != out.nbytes:
+            raise OSError("a spool file ended before its values")
+        return out
+
+    def blocks(self, count: int) -> Iterator[np.ndarray]:
+        """The values, count at a time (the last block the rest)."""
+        self.file.seek(0)
+        for start in range(0, self.size, count):
+            yield self._read(min(count, self.size - start))
+
+    def array(self) -> np.ndarray:
+        """All the values in one array."""
+        self.file.seek(0)
+        return self._read(self.size)
+
+    def close(self) -> None:
+        self.file.close()
 
 
 def fraction_pair(q: Fraction) -> list[int]:
@@ -357,16 +406,19 @@ def mask_from_payload(payload: dict) -> GridMask:
     return GridMask(grid, member.reshape(grid.extents, order="C"))
 
 
-def jet_to_payload(jet: SampledJet) -> dict:
+def jet_to_payload(jet: SampledJet | SpooledJet) -> dict:
+    """A jet payload; a SpooledJet's components are its Spools, which the
+    writer reads in blocks."""
     from .grid import alpha_key
+    arrays = jet.components
     return {
         "format_version": _VERSION,
         "grid": grid_to_payload(jet.grid),
         "order": jet.order,
         "mask": jet.mask.member.ravel(order="C"),
         "components": {
-            alpha_key(alpha): jet.components[alpha].ravel(order="C")
-            for alpha in jet.alphas()
+            alpha_key(alpha): arrays[alpha] if isinstance(arrays[alpha], Spool)
+            else arrays[alpha].ravel(order="C") for alpha in jet.alphas()
         },
     }
 
@@ -445,7 +497,9 @@ def write_artifact(path: str, payload: dict, provenance: dict) -> None:
     finished file is renamed onto ``path`` (onto its target, if a symlink):
     a failed or interrupted encode leaves the file at ``path`` as it was.
     A pipe or device at ``path`` cannot be renamed onto and takes the text
-    as it comes.
+    as it comes.  An array is encoded one ``_BLOCK`` at a time, an ndarray
+    sliced and a ``Spool`` read from its file, so a spooled jet is written
+    without being held.
     """
     doc = {**payload, "provenance": provenance}
     target = os.path.realpath(path)

@@ -127,7 +127,7 @@ def test_04_global_extension_pipeline():
             get_function("sum_st", depth=4), domains.Rectangle(), 1,
             h=2.0**-5, margin=0.5)
         s, t = coord_grids(rect.window)
-        err = np.abs(rect.jet.components[(0, 0)] - (s + t))
+        err = np.abs(rect.jet.held().components[(0, 0)] - (s + t))
         assert float(err.max()) < 1e-6
         assert rect.sum_residual < 1e-9
 

@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from fractions import Fraction
@@ -335,6 +336,7 @@ def test_cli_import_loads_no_scipy():
 # threads the process holds and its OPENBLAS_NUM_THREADS
 _CHILD = """
 import os, sys
+sys.modules.pop("tempfile", None)
 from jetlab.cli import main
 try:
     code = main(sys.argv[1:])
@@ -342,14 +344,17 @@ except SystemExit as exc:
     code = exc.code
 tasks = (len(os.listdir("/proc/self/task"))
          if os.path.isdir("/proc/self/task") else -1)
-print("numpy" in sys.modules, tasks, os.environ.get("OPENBLAS_NUM_THREADS"))
+print("numpy" in sys.modules, tasks, os.environ.get("OPENBLAS_NUM_THREADS"),
+      "tempfile" in sys.modules)
 sys.exit(code)
 """
 
 
 def _child(argv, cwd, **env):
-    """(numpy loaded, thread count, OPENBLAS_NUM_THREADS) after the command
-    argv, run in a child whose environment sets only env of that variable."""
+    """(numpy loaded, thread count, OPENBLAS_NUM_THREADS, tempfile loaded)
+    after the command argv, run in a child whose environment sets only env
+    of that variable.  A site hook may import tempfile before the child's
+    code runs; the child drops it first, so only an import by jetlab shows."""
     src = os.path.dirname(os.path.dirname(jetlab.__file__))
     base = {k: v for k, v in os.environ.items()
             if k != "OPENBLAS_NUM_THREADS"}
@@ -357,8 +362,8 @@ def _child(argv, cwd, **env):
                           env=dict(base, PYTHONPATH=src, **env), cwd=cwd,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    numpy, tasks, blas = done.stdout.splitlines()[-1].split()
-    return numpy == "True", int(tasks), blas
+    numpy, tasks, blas, spool = done.stdout.splitlines()[-1].split()
+    return numpy == "True", int(tasks), blas, spool == "True"
 
 
 def test_help_starts_without_numpy(tmp_path):
@@ -368,13 +373,14 @@ def test_help_starts_without_numpy(tmp_path):
 def test_help_imports_only_what_it_runs(tmp_path):
     # the parser needs none of the commands' modules
     code = ("import sys\n"
+            "sys.modules.pop('tempfile', None)  # a site hook's import\n"
             "from jetlab.cli import main\n"
             "try:\n"
             "    main(['--help'])\n"
             "except SystemExit:\n"
             "    pass\n"
             "print(*sorted(m for m in ('jetlab.certify', 'jetlab.io', "
-            "'fractions', 'json', 'csv') if m in sys.modules))\n")
+            "'fractions', 'json', 'csv', 'tempfile') if m in sys.modules))\n")
     src = os.path.dirname(os.path.dirname(jetlab.__file__))
     done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
                           env=dict(os.environ, PYTHONPATH=src),
@@ -385,9 +391,11 @@ def test_help_imports_only_what_it_runs(tmp_path):
 
 @pytest.mark.parametrize("kind", ["comb", "gap1d", "cantorslit"])
 def test_certify_and_replay_start_without_numpy(kind, tmp_path):
-    assert not _child(["certify", kind, "--out", "c.json", "--csv", "c.csv"],
-                      tmp_path)[0]
-    assert not _child(["replay", "--cert", "c.json"], tmp_path)[0]
+    numpy, _, _, spool = _child(["certify", kind, "--out", "c.json",
+                                 "--csv", "c.csv"], tmp_path)
+    assert not numpy and not spool
+    numpy, _, _, spool = _child(["replay", "--cert", "c.json"], tmp_path)
+    assert not numpy and not spool
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
@@ -395,7 +403,7 @@ def test_certify_and_replay_start_without_numpy(kind, tmp_path):
 def test_an_array_command_runs_one_blas_thread(tmp_path):
     argv = ["domain", "build", "--domain", "disk", "--h", "0.25",
             "--out", "d.json"]
-    assert _child(argv, tmp_path) == (True, 1, "1")
+    assert _child(argv, tmp_path)[:3] == (True, 1, "1")
     # a value the caller set is left as given
     assert _child(argv, tmp_path, OPENBLAS_NUM_THREADS="2")[2] == "2"
 
@@ -470,6 +478,47 @@ def test_prop2_refuses_a_field_off_its_region(args, tmp_path, capsys):
     assert run(["extend", "prop2", *args, "--out", str(out)]) == 2
     assert "outside the region" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_prop2_refuses_a_field_not_finite_in_a_late_row_block(
+        tmp_path, monkeypatch, capsys):
+    # the disk's window at 2^-7 spans three row blocks.  The field's (0, 1)
+    # partial is nan from s < -0.5, in the first block, and its value from
+    # s > 0.5, in the second; the refusal, raised once the walk is done,
+    # names the value, the first partial that is not finite anywhere
+    sin_cos = functions.get_function("sin_cos", None)
+
+    def leaf(pts, order):
+        s = pts[..., 0]
+        bad = {(0, 0): s > 0.5, (0, 1): s < -0.5}
+        return {alpha: np.where(bad.get(alpha, False), np.nan, arr)
+                for alpha, arr in sin_cos.evaluator(pts, order).items()}
+
+    monkeypatch.setattr(functions, "get_function", lambda name, depth:
+                        functions.AnalyticJet("sin_cos", 2, leaf))
+    spools = []
+
+    class Recorded(io.Spool):
+        def __init__(self):
+            super().__init__()
+            spools.append(self)
+
+    monkeypatch.setattr(io, "Spool", Recorded)
+    spool_dir = tmp_path / "spool"
+    spool_dir.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spool_dir))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "p.json"
+    out.write_text("old\n")
+    assert run(["extend", "prop2", "--domain", "disk", "--function",
+                "sin_cos", "--h", str(2.0**-7), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: component (0, 0) is not finite on the mask\n")
+    assert out.read_text() == "old\n"
+    assert os.listdir(out_dir) == ["p.json"]
+    assert len(spools) == 3 and all(s.file.closed for s in spools)
+    assert os.listdir(spool_dir) == []
 
 
 def test_field_sample_past_the_comb_fields_order_is_a_usage_error(
@@ -1094,15 +1143,18 @@ def test_a_lattice_too_large_to_allocate_is_a_usage_error(tmp_path):
 
     src = os.path.dirname(os.path.dirname(jetlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-m", "jetlab", "domain", "build", "--domain",
-         "rectangle", "--h", "1e-6", "--out", str(tmp_path / "big.json")],
-        env=env, cwd=tmp_path, capture_output=True, text=True,
-        preexec_fn=cap_address_space)
-    assert done.returncode == 2, done.stderr
-    assert done.stderr.startswith("error: ")
-    assert "Traceback" not in done.stderr
-    assert not (tmp_path / "big.json").exists()
+    for argv in (["domain", "build", "--domain", "rectangle", "--h", "1e-6"],
+                 ["extend", "prop2", "--domain", "rectangle", "--function",
+                  "sin_cos", "--h", str(2.0**-20)]):
+        done = subprocess.run(
+            [sys.executable, "-m", "jetlab", *argv,
+             "--out", str(tmp_path / "big.json")],
+            env=env, cwd=tmp_path, capture_output=True, text=True,
+            preexec_fn=cap_address_space)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "big.json").exists()
 
 
 @pytest.mark.parametrize("flag,value", [

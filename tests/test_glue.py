@@ -1,5 +1,6 @@
 """Charts, bumps, partition of unity, and the blended global extension."""
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -446,6 +447,48 @@ def test_thin_atlas_raises_cover_gap():
         build_partition(spec.charts()[:2], spec, coarse_lattice(spec))
 
 
+class RiddenDisk(domains.Disk):
+    """The disk whose interior bump rides on its fourth boundary chart."""
+
+    def interior_chart(self):
+        return domains.Disk().charts()[3]
+
+
+def thin_disk_charts(depth):
+    return [dataclasses.replace(chart, depth=depth)
+            for chart in domains.Disk().charts()]
+
+
+# The partition's three refusals on the disk's window at 2^-6, padded by
+# 0.5, each message recorded while the partition was held whole: a chart
+# left out, an interior bump riding on a boundary chart left out of the
+# atlas, and charts too thin to reach 0.05 past the boundary.
+PARTITION_REFUSALS = {
+    "cover": (lambda: (domains.Disk().charts()[1:], domains.Disk()),
+              "69 required boundary lattice points have zero bump sum, "
+              "first at (0.84375, -0.53125)"),
+    "subordination": (lambda: (domains.Disk().charts()[:3], RiddenDisk()),
+                      "bump 3 (polar chart) is not subordinate to any "
+                      "extension domain"),
+    "collar": (lambda: (thin_disk_charts(0.04), domains.Disk()),
+               "boundary collar point (-1.0625, -0.0625) has zero bump sum"),
+}
+
+
+@pytest.mark.parametrize("chunk", [2**7, 2**16])
+@pytest.mark.parametrize("case", sorted(PARTITION_REFUSALS))
+def test_partition_refuses_after_its_walk_as_it_did_whole(case, chunk,
+                                                          monkeypatch):
+    # with row blocks of one row and with the whole window as one block
+    monkeypatch.setattr(grid, "CHUNK_POINTS", chunk)
+    make, message = PARTITION_REFUSALS[case]
+    charts, domain = make()
+    window = GridSpec.cover((-1.5, -1.5), (1.5, 1.5), 2.0**-6)
+    with pytest.raises(CoverGapError) as refusal:
+        build_partition(charts, domain, window)
+    assert str(refusal.value) == message
+
+
 def test_local_extension_reproduces_linear_fields():
     spec = domains.Rectangle()
     charts = spec.charts()
@@ -553,24 +596,24 @@ def test_global_extension_exact_for_linear_field():
     x = get_function("sum_st", depth=4)
     res = global_extend(x, spec, 1, h=2.0**-5, margin=0.5)
     s, t = coord_grids(res.window)
-    err = np.abs(res.jet.components[(0, 0)] - (s + t))
+    err = np.abs(res.jet.held().components[(0, 0)] - (s + t))
     assert float(err.max()) < 1e-6
     assert res.uncovered_points == 0
     assert res.sum_residual < 1e-9
     # on Q the values are the source's own samples, bit for bit
     q = res.q_mask.member
-    assert np.array_equal(res.jet.components[(0, 0)][q], (s + t)[q])
+    assert np.array_equal(res.jet.held().components[(0, 0)][q], (s + t)[q])
     for alpha in [(1, 0), (0, 1)]:
-        assert float(np.abs(res.jet.components[alpha] - 1.0).max()) < 1e-6
+        assert float(np.abs(res.jet.held().components[alpha] - 1.0).max()) < 1e-6
 
 
 def test_global_extension_of_constant_is_constant():
     spec = domains.Rectangle()
     one = polynomial_jet("one", {(0, 0): 1.0})
     res = global_extend(one, spec, 2, h=2.0**-5, margin=0.5)
-    assert float(np.abs(res.jet.components[(0, 0)] - 1.0).max()) < 1e-12
+    assert float(np.abs(res.jet.held().components[(0, 0)] - 1.0).max()) < 1e-12
     for alpha in [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
-        assert float(np.abs(res.jet.components[alpha]).max()) < 1e-9
+        assert float(np.abs(res.jet.held().components[alpha]).max()) < 1e-9
 
 
 def test_global_partials_match_finite_differences_outside():
@@ -725,7 +768,7 @@ def test_glue_reproduces_polynomials_at_orders_3_and_4(case):
         mass = mass**2
     bound = 32 * np.finfo(np.float64).eps * mass * scale
     for alpha, arr in want.items():
-        assert np.max(np.abs(res.jet.components[alpha][reached] - arr)) <= bound
+        assert np.max(np.abs(res.jet.held().components[alpha][reached] - arr)) <= bound
 
 
 def component_jets(call, order: int, shape) -> list[dict]:
@@ -824,9 +867,9 @@ def test_window_jet_is_one_jet_many_over_the_window(spec):
     res = global_extend(x, spec, 2, h=2.0**-5, margin=0.5)
     everywhere = np.nonzero(np.ones(res.window.extents, dtype=bool))
     want = res.field.jet_many(res.window.points(everywhere), 2)
-    assert list(res.jet.components) == list(want)
+    assert list(res.jet.held().components) == list(want)
     for alpha, arr in want.items():
-        got = res.jet.components[alpha].ravel()
+        got = res.jet.held().components[alpha].ravel()
         assert np.array_equal(got.view(np.int64), arr.view(np.int64))
 
 
@@ -834,14 +877,14 @@ def test_window_walk_asks_once_per_row_block_for_each_point(monkeypatch):
     # at 2^-7 the half-ball's window spans two row blocks
     calls = []
 
-    def counted_sample(evaluator, mask, order):
+    def counted_spool(evaluator, window, order):
         def counted(pts, order):
             calls.append(pts.copy())
             return evaluator(pts, order)
 
-        return grid.sample(counted, mask, order)
+        return grid.spool(counted, window, order)
 
-    monkeypatch.setattr(glue, "sample", counted_sample)
+    monkeypatch.setattr(glue, "spool", counted_spool)
     res = global_extend(get_function("sin_cos", depth=4), domains.HalfBall(),
                         1, h=2.0**-7, margin=0.5)
     window = res.window
@@ -873,6 +916,28 @@ def test_global_extend_holds_no_block_outputs_across_extensions(spec,
     finally:
         tracemalloc.stop()
     assert peak < 0.9 * before * 1e6
+
+
+@pytest.mark.parametrize("kind,before", [
+    ("disk", 58.6), ("rectangle", 48.0), ("half_ball", 44.4),
+], ids=["disk", "rectangle", "half_ball"])
+def test_extend_prop2_holds_no_window_sized_float_array(kind, before, tmp_path,
+                                                        capsys):
+    # tracemalloc peaks of the command at 2^-8 were 58.6 / 48.0 / 44.4 MB
+    # while the partition held the window's points and bump values and the
+    # window's jet was held whole, written from memory; a partition checked
+    # one row block at a time and a jet spooled to files measured 30.2 /
+    # 35.4 / 25.4 MB.  A first run at 2^-4 makes the imports and caches.
+    argv = ["extend", "prop2", "--function", "sin_cos", "--domain", kind,
+            "--order", "2", "--out", str(tmp_path / "prop2.json"), "--h"]
+    assert main(argv + ["0.0625"]) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv + ["0.00390625"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.8 * before * 1e6
 
 
 def count_inverse_points(charts):
