@@ -268,7 +268,7 @@ def _write_array(arr: np.ndarray | Spool, write) -> None:
     Spool reads back."""
     import numpy as np
     if isinstance(arr, Spool):
-        bits, shape, blocks = False, (arr.size,), arr.blocks(_BLOCK)
+        bits, shape, blocks = False, (arr.size,), arr.blocks()
     else:
         bits = arr.dtype.kind == "b"
         if not bits and arr.dtype.kind != "f":
@@ -315,11 +315,11 @@ class Spool:
             raise OSError("a spool file ended before its values")
         return out
 
-    def blocks(self, count: int) -> Iterator[np.ndarray]:
-        """The values, count at a time (the last block the rest)."""
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The values, _BLOCK at a time (the last block the rest)."""
         self.file.seek(0)
-        for start in range(0, self.size, count):
-            yield self._read(min(count, self.size - start))
+        for start in range(0, self.size, _BLOCK):
+            yield self._read(min(_BLOCK, self.size - start))
 
     def array(self) -> np.ndarray:
         """All the values in one array."""

@@ -285,6 +285,22 @@ def test_payloads_match_oracle():
         _check_dumps(payload)
 
 
+@pytest.mark.parametrize("size", [0, 1, io._BLOCK, io._BLOCK + 1,
+                                  3 * io._BLOCK - 5])
+def test_a_spool_writes_the_bytes_of_its_values(size):
+    # appended in uneven runs, read back _BLOCK values at a time
+    values = np.random.default_rng(size).uniform(-1e3, 1e3, size)
+    values[::7] = -0.0
+    spool = io.Spool()
+    try:
+        for run in np.array_split(values, 5):
+            spool.append(run)
+        assert io.dumps({"a": spool}) == io.dumps({"a": values})
+        assert spool.array().tobytes() == values.tobytes()
+    finally:
+        spool.close()
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_array_encoder_rejects_non_finite(bad):
     arr = np.array([0.0, 1.0, bad])
