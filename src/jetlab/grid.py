@@ -373,19 +373,19 @@ def spool(evaluator: JetEvaluator, grid: GridSpec, order: int) -> SpooledJet:
     component in multi_indices order, as SampledJet refuses it."""
     from .io import Spool
     mask = GridMask(grid, np.ones(grid.extents, dtype=bool))
-    jet = SpooledJet(order, mask, {alpha: Spool()
-                                   for alpha in multi_indices(order, grid.dim)})
+    alphas = multi_indices(order, grid.dim)
+    jet = SpooledJet(order, mask, {alpha: Spool() for alpha in alphas})
     try:
-        finite = dict.fromkeys(jet.components, True)
+        finite = dict.fromkeys(alphas, True)
         for rows, block in walk(evaluator, mask, order):
             shape = (rows.stop - rows.start,) + grid.extents[1:]
             for alpha, values in jet.components.items():
                 arr = np.broadcast_to(block.get(alpha, 0.0), shape)
                 finite[alpha] = finite[alpha] and bool(np.isfinite(arr).all())
                 values.append(arr)
-        for alpha, ok in finite.items():
-            if not ok:
-                raise ValueError(f"component {alpha} is not finite on the mask")
+        bad = [alpha for alpha in alphas if not finite[alpha]]
+        if bad:
+            raise ValueError(f"component {bad[0]} is not finite on the mask")
     except BaseException:
         jet.close()
         raise

@@ -362,8 +362,8 @@ def _child(argv, cwd, **env):
                           env=dict(base, PYTHONPATH=src, **env), cwd=cwd,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    numpy, tasks, blas, spool = done.stdout.splitlines()[-1].split()
-    return numpy == "True", int(tasks), blas, spool == "True"
+    numpy, tasks, blas, temp = done.stdout.splitlines()[-1].split()
+    return numpy == "True", int(tasks), blas, temp == "True"
 
 
 def test_help_starts_without_numpy(tmp_path):
@@ -391,11 +391,11 @@ def test_help_imports_only_what_it_runs(tmp_path):
 
 @pytest.mark.parametrize("kind", ["comb", "gap1d", "cantorslit"])
 def test_certify_and_replay_start_without_numpy(kind, tmp_path):
-    numpy, _, _, spool = _child(["certify", kind, "--out", "c.json",
-                                 "--csv", "c.csv"], tmp_path)
-    assert not numpy and not spool
-    numpy, _, _, spool = _child(["replay", "--cert", "c.json"], tmp_path)
-    assert not numpy and not spool
+    numpy, _, _, temp = _child(["certify", kind, "--out", "c.json",
+                                "--csv", "c.csv"], tmp_path)
+    assert not numpy and not temp
+    numpy, _, _, temp = _child(["replay", "--cert", "c.json"], tmp_path)
+    assert not numpy and not temp
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),

@@ -595,25 +595,26 @@ def test_global_extension_exact_for_linear_field():
     spec = domains.Rectangle()
     x = get_function("sum_st", depth=4)
     res = global_extend(x, spec, 1, h=2.0**-5, margin=0.5)
+    jet = res.jet.held()
     s, t = coord_grids(res.window)
-    err = np.abs(res.jet.held().components[(0, 0)] - (s + t))
+    err = np.abs(jet.components[(0, 0)] - (s + t))
     assert float(err.max()) < 1e-6
     assert res.uncovered_points == 0
     assert res.sum_residual < 1e-9
     # on Q the values are the source's own samples, bit for bit
     q = res.q_mask.member
-    assert np.array_equal(res.jet.held().components[(0, 0)][q], (s + t)[q])
+    assert np.array_equal(jet.components[(0, 0)][q], (s + t)[q])
     for alpha in [(1, 0), (0, 1)]:
-        assert float(np.abs(res.jet.held().components[alpha] - 1.0).max()) < 1e-6
+        assert float(np.abs(jet.components[alpha] - 1.0).max()) < 1e-6
 
 
 def test_global_extension_of_constant_is_constant():
     spec = domains.Rectangle()
     one = polynomial_jet("one", {(0, 0): 1.0})
-    res = global_extend(one, spec, 2, h=2.0**-5, margin=0.5)
-    assert float(np.abs(res.jet.held().components[(0, 0)] - 1.0).max()) < 1e-12
+    jet = global_extend(one, spec, 2, h=2.0**-5, margin=0.5).jet.held()
+    assert float(np.abs(jet.components[(0, 0)] - 1.0).max()) < 1e-12
     for alpha in [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
-        assert float(np.abs(res.jet.held().components[alpha]).max()) < 1e-9
+        assert float(np.abs(jet.components[alpha]).max()) < 1e-9
 
 
 def test_global_partials_match_finite_differences_outside():
@@ -767,8 +768,9 @@ def test_glue_reproduces_polynomials_at_orders_3_and_4(case):
     if spec.kind == "rectangle":
         mass = mass**2
     bound = 32 * np.finfo(np.float64).eps * mass * scale
+    jet = res.jet.held()
     for alpha, arr in want.items():
-        assert np.max(np.abs(res.jet.held().components[alpha][reached] - arr)) <= bound
+        assert np.max(np.abs(jet.components[alpha][reached] - arr)) <= bound
 
 
 def component_jets(call, order: int, shape) -> list[dict]:
@@ -867,9 +869,10 @@ def test_window_jet_is_one_jet_many_over_the_window(spec):
     res = global_extend(x, spec, 2, h=2.0**-5, margin=0.5)
     everywhere = np.nonzero(np.ones(res.window.extents, dtype=bool))
     want = res.field.jet_many(res.window.points(everywhere), 2)
-    assert list(res.jet.held().components) == list(want)
+    jet = res.jet.held()
+    assert list(jet.components) == list(want)
     for alpha, arr in want.items():
-        got = res.jet.held().components[alpha].ravel()
+        got = jet.components[alpha].ravel()
         assert np.array_equal(got.view(np.int64), arr.view(np.int64))
 
 
@@ -1049,7 +1052,8 @@ def test_the_benchmark_prop2_commands_write_their_pinned_bytes(kind, tmp_path,
             "--out", str(out)]
     with_csv = kind == BENCHMARK_PROP2_CSV[0]
     assert main(argv + (["--csv", str(csv)] if with_csv else [])) == 0
-    assert sha256(io.strip_provenance(out.read_text())) == BENCHMARK_PROP2[kind]
+    digest = BENCHMARK_PROP2[kind]
+    assert sha256(io.strip_provenance(out.read_text())) == digest
     if with_csv:
         assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
             BENCHMARK_PROP2_CSV[1])
