@@ -18,6 +18,7 @@ from jetlab.grid import (
     multi_indices,
     row_blocks,
     sample,
+    spool,
     walk,
 )
 from lattice_oracles import (
@@ -285,10 +286,104 @@ def test_walk_stores_plus_zero_off_the_mask():
     g = GridSpec((0.0,), 0.5, (6,))
     member = np.array([True, False, True, False, True, False])
     given_ = np.array([-0.0, -0.0, np.nan, np.nan, -np.inf, np.inf])
+    # taken before the walk, so a walk that wrote into given_ would fail
+    want = np.where(member, given_, 0.0)
     [(_, block)] = walk(lambda pts, order: {(0,): given_},
                         GridMask(g, member), 0)
-    want = np.where(member, given_, 0.0)
     assert block[(0,)].view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+# arrays a leaf keeps past its call, by block start, as a module cache would
+_KEPT_BY_MODULE: dict = {}
+
+# two row blocks of 218 and 82 rows
+_TWO_BLOCKS = GridSpec((-1.0, 0.5), 2.0**-6, (300, 300))
+
+
+def fresh_leaf(seen=lambda pts, jet: None):
+    """An order-1 leaf whose partials are fresh, writable full-shape float64
+    arrays, nonzero and -0.0 off any mask; seen(pts, jet) sees each jet
+    before it is returned."""
+
+    def leaf(pts, order):
+        s, t = pts[..., 0], pts[..., 1]
+        value = s + 2.0 * t
+        value[::3] = -0.0
+        ds = np.full(s.shape, -3.0)
+        ds[1::2] = 1.0
+        jet = {(0, 0): value, (1, 0): ds, (0, 1): np.full(s.shape, 2.0)}
+        seen(pts, jet)
+        return jet
+
+    return leaf
+
+
+def some_mask(g):
+    return GridMask(g, np.random.default_rng(7).random(g.extents) < 0.6)
+
+
+@pytest.mark.parametrize("reader", ["walk", "sample", "spool"])
+@pytest.mark.parametrize("keeper", ["closure", "module"])
+def test_a_leaf_gets_back_the_arrays_it_keeps_unchanged(keeper, reader):
+    # the walk masks only what a leaf hands over: an array the leaf still
+    # holds, in a closure or a module cache, keeps its bits, and the
+    # blocks still hold +0.0 off the mask
+    g, mask = _TWO_BLOCKS, some_mask(_TWO_BLOCKS)
+    held, copies = [], []
+
+    def keep(pts, jet):
+        copies.extend(arr.copy() for arr in jet.values())
+        if keeper == "closure":
+            held.extend(jet.values())
+        else:
+            _KEPT_BY_MODULE.setdefault(float(pts.flat[0]), []).extend(
+                jet.values())
+
+    leaf = fresh_leaf(keep)
+    try:
+        if reader == "walk":
+            for rows, block in walk(leaf, mask, 1):
+                for arr in block.values():
+                    assert not np.any(arr.view(np.int64),
+                                      where=~mask.member[rows])
+        elif reader == "sample":
+            sample(leaf, mask, 1)
+        else:
+            spool(leaf, g, 1).close()
+        kept = held if keeper == "closure" else [
+            arr for arrs in _KEPT_BY_MODULE.values() for arr in arrs]
+    finally:
+        _KEPT_BY_MODULE.clear()
+    assert len(kept) == len(copies) == 6
+    for arr, copy in zip(kept, copies):
+        assert arr.tobytes() == copy.tobytes()
+
+
+def test_partials_that_share_an_array_get_the_blocks_np_where_gives():
+    # one array handed over as two partials, and a third partial a view of
+    # it: each block is np.where's, and no two partials share memory
+    g, mask = _TWO_BLOCKS, some_mask(_TWO_BLOCKS)
+
+    def value(pts):
+        return pts[..., 0] + 2.0 * pts[..., 1]
+
+    def leaf(pts, order):
+        shared = value(pts)
+        return {(0, 0): shared, (1, 0): shared, (0, 1): shared[::-1, ::-1]}
+
+    jet = sample(leaf, mask, 1)
+    walked = list(walk(leaf, mask, 1))
+    assert len(walked) == 2
+    for rows, block in walked:
+        sub, v = mask.member[rows], value(g.row_points(rows))
+        want = {(0, 0): np.where(sub, v, 0.0), (1, 0): np.where(sub, v, 0.0),
+                (0, 1): np.where(sub, v[::-1, ::-1], 0.0)}
+        for alpha, arr in want.items():
+            assert block[alpha].tobytes() == arr.tobytes()
+            assert jet.components[alpha][rows].tobytes() == arr.tobytes()
+        arrays = list(block.values())
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
 
 _BITS = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan, -np.nan, np.inf])
