@@ -43,6 +43,9 @@ class AnalyticJet:
     (..., dim) array and returns the jet there, the partials with
     |alpha| <= order, computing the work the partials share once per call;
     it computes its formulas only, whatever they give off the region.
+    It hands over what it returns: grid.walk zeroes a partial off the mask
+    in place when nothing else references it, so an array the leaf keeps
+    past its call is shared read-only, as exp1d's value is.
     It may leave out a partial that is identically zero on the region at
     that order, the same ones at every point; jet_many and sample fill
     those with zeros, and the walk of a norm scan skips them.

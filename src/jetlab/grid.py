@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Protocol
 
@@ -36,6 +37,9 @@ Jet = dict[tuple[int, ...], np.ndarray]
 # The one evaluator protocol: (points of shape (..., dim), order) -> Jet.
 # A partial is any array that broadcasts to the points' shape (...,), so a
 # leaf that reads coordinate_lines computes each factor once per line.
+# What a leaf returns it hands over: walk zeroes a partial off the mask in
+# place when nothing else references it.  An array a leaf keeps past its
+# call is shared read-only, as exp1d's value is, and is copied instead.
 JetEvaluator = Callable[[np.ndarray, int], Jet]
 
 # The highest jet order jetlab takes, the reflection's included.
@@ -310,19 +314,40 @@ def walk(evaluator: JetEvaluator, mask: RowMask,
     all the block's lattice points as one (rows, ..., dim) array, each
     yielded as (rows, the partials it returned over those rows, +0.0 off
     the mask).  The mask is read once per block, mask.rows(block), so a
-    DomainMask is rasterized one block at a time, as the walk reaches it."""
+    DomainMask is rasterized one block at a time, as the walk reaches it.
+    A partial the leaf hands over, a float64 array of the block's shape
+    that owns its writable data and that nothing else references, is
+    zeroed off the mask in place; any other is masked into a new array
+    by np.where.  The walk keeps no block past its yield, so a reader
+    that drops each block before it asks for the next holds one block."""
     grid = mask.grid
+    alphas = multi_indices(order, grid.dim)
     for rows in row_blocks(grid.extents):
         sub = mask.rows(rows)
         if not sub.any():
             continue
-        pts = grid.row_points(rows)
-        jet = evaluator(pts, order)
-        del pts  # the block's partials are all the walk needs
-        block = {alpha: np.where(sub, jet[alpha], 0.0)
-                 for alpha in multi_indices(order, grid.dim) if alpha in jet}
-        del jet
+        off = None if sub.all() else ~sub
+        # the walk's own dict, so popping a partial leaves the leaf's alone
+        jet = dict(evaluator(grid.row_points(rows), order))
+        block = {}
+        for alpha in alphas:
+            if alpha not in jet:
+                continue
+            arr = jet.pop(alpha)
+            # 2: arr and getrefcount's argument, so no partial, view or
+            # cache of the leaf's holds it
+            if (type(arr) is np.ndarray and arr.dtype == np.float64
+                    and arr.shape == sub.shape and arr.flags.owndata
+                    and arr.flags.writeable and sys.getrefcount(arr) == 2):
+                if off is not None:
+                    np.copyto(arr, 0.0, where=off)
+                block[alpha] = arr
+            else:
+                block[alpha] = np.where(sub, arr, 0.0)
+            del arr  # the leaf's copy, if np.where made a new one
+        del jet, off
         yield rows, block
+        del block  # gone before the next block is evaluated
 
 
 def sample(evaluator: JetEvaluator, mask: GridMask, order: int) -> SampledJet:
@@ -331,8 +356,9 @@ def sample(evaluator: JetEvaluator, mask: GridMask, order: int) -> SampledJet:
     components = {alpha: np.zeros(mask.grid.extents)
                   for alpha in multi_indices(order, mask.grid.dim)}
     for rows, block in walk(evaluator, mask, order):
-        for alpha, arr in block.items():
-            components[alpha][rows] = arr
+        for alpha in block:
+            components[alpha][rows] = block[alpha]
+        del block  # before the walk evaluates the next block
     return SampledJet(order, mask, components)
 
 
@@ -383,6 +409,7 @@ def spool(evaluator: JetEvaluator, grid: GridSpec, order: int) -> SpooledJet:
                 arr = np.broadcast_to(block.get(alpha, 0.0), shape)
                 finite[alpha] = finite[alpha] and bool(np.isfinite(arr).all())
                 values.append(arr)
+            del block, arr  # before the walk evaluates the next block
         bad = [alpha for alpha in alphas if not finite[alpha]]
         if bad:
             raise ValueError(f"component {bad[0]} is not finite on the mask")

@@ -237,7 +237,10 @@ def reduce_blocks(blocks: Iterable[tuple[slice, Jet]], mask: RowMask,
     halo: Jet = {}
     halo_mask = None
     count, carried, next_row = 0, 0, 0
-    for rows, block in blocks:
+
+    def fold(rows: slice, block: Jet) -> None:
+        """Fold one block into the tables; its views die on return."""
+        nonlocal live, halo, halo_mask, count, carried, next_row
         sub = mask.rows(rows)
         count += int(np.count_nonzero(sub))
         present = [a for a in alphas if a in block]
@@ -255,7 +258,7 @@ def reduce_blocks(blocks: Iterable[tuple[slice, Jet]], mask: RowMask,
                 raise ValueError(f"component {alpha} is not finite on the mask")
             sups[alpha] = max(sups[alpha], tops[alpha])
         if not scan:
-            continue
+            return
         held = carried if rows.start == next_row else 0
         height = rows.stop - rows.start
 
@@ -302,6 +305,10 @@ def reduce_blocks(blocks: Iterable[tuple[slice, Jet]], mask: RowMask,
         halo = {a: np.array(window(a, last, held + height)) for a in live}
         halo_mask = np.array(inside[last:])
         carried, next_row = held + height - last, rows.stop
+
+    for rows, block in blocks:
+        fold(rows, block)
+        del block  # dropped before the next block is asked for
     if not count:
         raise EmptyMaskError("sup over an empty mask")
     return Reduction(MaskCount(mask.grid, count), order, sups, defects, jumps)

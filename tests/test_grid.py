@@ -360,8 +360,9 @@ def test_a_leaf_gets_back_the_arrays_it_keeps_unchanged(keeper, reader):
 
 
 def test_partials_that_share_an_array_get_the_blocks_np_where_gives():
-    # one array handed over as two partials, and a third partial a view of
-    # it: each block is np.where's, and no two partials share memory
+    # one array handed over as two partials, and a view of it as the
+    # partial the walk reads first: each block is np.where's, and no two
+    # partials share memory
     g, mask = _TWO_BLOCKS, some_mask(_TWO_BLOCKS)
 
     def value(pts):
@@ -369,15 +370,15 @@ def test_partials_that_share_an_array_get_the_blocks_np_where_gives():
 
     def leaf(pts, order):
         shared = value(pts)
-        return {(0, 0): shared, (1, 0): shared, (0, 1): shared[::-1, ::-1]}
+        return {(0, 0): shared[::-1, ::-1], (1, 0): shared, (0, 1): shared}
 
     jet = sample(leaf, mask, 1)
     walked = list(walk(leaf, mask, 1))
     assert len(walked) == 2
     for rows, block in walked:
         sub, v = mask.member[rows], value(g.row_points(rows))
-        want = {(0, 0): np.where(sub, v, 0.0), (1, 0): np.where(sub, v, 0.0),
-                (0, 1): np.where(sub, v[::-1, ::-1], 0.0)}
+        want = {(0, 0): np.where(sub, v[::-1, ::-1], 0.0),
+                (1, 0): np.where(sub, v, 0.0), (0, 1): np.where(sub, v, 0.0)}
         for alpha, arr in want.items():
             assert block[alpha].tobytes() == arr.tobytes()
             assert jet.components[alpha][rows].tobytes() == arr.tobytes()

@@ -1,10 +1,12 @@
 """Norms, restriction, extension upper bounds, membership scans."""
 
 import contextlib
+import functools
 import hashlib
 import dataclasses
 import io as stdio
 import tracemalloc
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -713,23 +715,81 @@ def test_the_benchmark_scans_print_their_pinned_bytes(case, capsys):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
+@functools.cache
+def scan_peak(case: str, k: int) -> int:
+    """The tracemalloc peak of a benchmark scan at h = 2^-k, in bytes."""
+    args, code, _ = BENCHMARK_SCANS[case]
+    out = stdio.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            assert main(["space", "norm", *args, "--h", str(2.0**-k),
+                         "--check"]) == code
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("case", sorted(BENCHMARK_SCANS))
 def test_a_domain_scan_holds_no_array_the_size_of_its_lattice(case):
     # the mask is rasterized one row block at a time as the walk reaches
-    # it, so doubling the lattice's side leaves the tracemalloc peak where
-    # it was; the peaks rose 4.8 -> 12.9 MB (cantor E1), 7.7 -> 12.9 MB
-    # (cantor E3) and 6.2 -> 12.9 MB (comb F) from 2^-9 to 2^-10 while the
-    # scan held its whole mask
-    args, code, _ = BENCHMARK_SCANS[case]
-    peaks = []
-    for h in (2.0**-9, 2.0**-10):
-        out = stdio.StringIO()
-        tracemalloc.start()
-        try:
-            with contextlib.redirect_stdout(out):
-                assert main(["space", "norm", *args, "--h", str(h),
-                             "--check"]) == code
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert abs(peaks[1] - peaks[0]) < 0.5e6
+    # it, and one block of the jet is alive at a time, so doubling the
+    # lattice's side leaves the tracemalloc peak where it was; the peaks
+    # rose 4.8 -> 12.9 MB (cantor E1), 7.7 -> 12.9 MB (cantor E3) and
+    # 6.2 -> 12.9 MB (comb F) from 2^-9 to 2^-10 while the scan held its
+    # whole mask, and 3.8 -> 4.9 MB (cantor E1) and 6.7 -> 7.7 MB (cantor
+    # E3) from 2^-10 to 2^-11 while the walk copied each block's partials
+    # and the reducer held the last block as the next was evaluated
+    assert abs(scan_peak(case, 11) - scan_peak(case, 10)) < 0.5e6
+
+
+# each scan's peak at 2^-10 while three copies of a block were alive at
+# once: the reducer's last block, the leaf's partials and the walk's copy
+HELD_THREE_BLOCKS_PEAK = {"cantor_example1_E1": 3.82e6,
+                          "cantor_example1_E3": 6.68e6,
+                          "comb_example3_F1": 5.21e6}
+
+
+@pytest.mark.parametrize("case", sorted(BENCHMARK_SCANS))
+def test_a_domain_scan_holds_one_block_of_its_jet(case):
+    assert scan_peak(case, 10) < 0.85 * HELD_THREE_BLOCKS_PEAK[case]
+
+
+@pytest.mark.parametrize("reader", ["reduce_blocks", "sample", "spool"])
+def test_no_array_of_a_block_is_alive_when_the_next_is_evaluated(
+        reader, monkeypatch):
+    # weak references to every array the leaf returns and every array the
+    # walk yields: when the leaf is asked for block k + 1, each of block k's
+    # is gone, whether the walk masked it in place (the fresh full-shape
+    # partials), copied it (the broadcast line) or yielded it unmasked
+    # (spool's whole lattice); the halo rows reduce_blocks carries are
+    # copies
+    g = GridSpec((-1.0, 0.5), 2.0**-6, (500, 300))  # three row blocks
+    assert len(list(row_blocks(g.extents))) == 3
+    mask = GridMask(g, np.random.default_rng(3).random(g.extents) < 0.7)
+    refs, alive = [], []
+
+    def leaf(pts, order):
+        alive.append(sum(ref() is not None for ref in refs))
+        s, t = pts[..., 0], pts[..., 1]
+        jet = {(0, 0): s * t, (1, 0): np.full(s.shape, 1.5),
+               (0, 1): s[..., :1] + 0.0}
+        refs.extend(weakref.ref(arr) for arr in jet.values())
+        return jet
+
+    real_walk = grid.walk
+
+    def recorded_walk(evaluator, mask, order):
+        for item in real_walk(evaluator, mask, order):
+            refs.extend(weakref.ref(arr) for arr in item[1].values())
+            yield item
+            del item
+
+    monkeypatch.setattr(grid, "walk", recorded_walk)
+    if reader == "reduce_blocks":
+        reduce_blocks(grid.walk(leaf, mask, 1), mask, 1, True)
+    elif reader == "sample":
+        grid.sample(leaf, mask, 1)
+    else:
+        grid.spool(leaf, g, 1).close()
+    assert alive == [0, 0, 0]
