@@ -215,17 +215,29 @@ def dilate_box(member: np.ndarray, radius: int) -> np.ndarray:
     """True within Chebyshev distance radius of a True point of member.
 
     Off-lattice points count as absent.  The box is separable, so each axis
-    takes one sliding-window OR, read off a running count.
+    takes an OR over the radius rows ahead of each row, then over the
+    radius rows behind it.  Each OR doubles the rows it spans per pass,
+    read from one bool array into another, so nothing but two bool arrays
+    the size of member is held.
     """
-    out = np.asarray(member, dtype=bool)
-    for axis in range(out.ndim):
-        rows = np.moveaxis(out, axis, 0)
-        pad = [(radius + 1, radius)] + [(0, 0)] * (rows.ndim - 1)
-        # counts[radius + k] is the number of True rows before row k
-        counts = np.cumsum(np.pad(rows, pad), axis=0, dtype=np.int32)
-        window = counts[2 * radius + 1:] > counts[:len(rows)]
-        out = np.moveaxis(window, 0, axis)
-    return out
+    src = np.array(member, dtype=bool)
+    dst = np.empty_like(src)
+    for axis in range(src.ndim):
+        reach = min(radius, src.shape[axis] - 1)
+        for ahead in (True, False):
+            span = 1  # each row holds the OR of span rows, itself first
+            while span <= reach:
+                step = min(span, reach + 1 - span)
+                a, b = np.moveaxis(src, axis, 0), np.moveaxis(dst, axis, 0)
+                if ahead:
+                    np.logical_or(a[:-step], a[step:], out=b[:-step])
+                    b[-step:] = a[-step:]
+                else:
+                    np.logical_or(a[step:], a[:-step], out=b[step:])
+                    b[:step] = a[:step]
+                src, dst = dst, src
+                span += step
+    return src
 
 
 @dataclass(eq=False)
