@@ -346,8 +346,8 @@ def walk(evaluator: JetEvaluator, mask: RowMask,
             if alpha not in jet:
                 continue
             arr = jet.pop(alpha)
-            # 2: arr and getrefcount's argument, so no partial, view or
-            # cache of the leaf's holds it
+            # 2 references, arr and getrefcount's argument: no other
+            # partial, view or cache of the leaf's holds it
             if (type(arr) is np.ndarray and arr.dtype == np.float64
                     and arr.shape == sub.shape and arr.flags.owndata
                     and arr.flags.writeable and sys.getrefcount(arr) == 2):
@@ -356,7 +356,7 @@ def walk(evaluator: JetEvaluator, mask: RowMask,
                 block[alpha] = arr
             else:
                 block[alpha] = np.where(sub, arr, 0.0)
-            del arr  # the leaf's copy, if np.where made a new one
+            del arr  # the leaf's array, if np.where copied it
         del jet, off
         yield rows, block
         del block  # gone before the next block is evaluated

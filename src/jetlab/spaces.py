@@ -212,7 +212,10 @@ class Reduction:
 def reduce_blocks(blocks: Iterable[tuple[slice, Jet]], mask: RowMask,
                   order: int, scan: bool) -> Reduction:
     """Fold a jet's (rows, block) pairs, in row order and 0 off the mask,
-    into its sups and, if scan, the scan's tables, dropping each block.
+    into its sups and, if scan, the scan's tables, dropping each block:
+    fold's views of a block die when it returns, and the block is dropped
+    before the next is asked for, so a walk's next block is evaluated
+    with no array of the last one alive but the halo rows' copies.
 
     The mask is read by row blocks, mask.rows(block) for each block given,
     and its points are counted block by block: blocks holds every row

@@ -332,7 +332,7 @@ _KEPT_BY_MODULE: dict = {}
 _TWO_BLOCKS = GridSpec((-1.0, 0.5), 2.0**-6, (300, 300))
 
 
-def fresh_leaf(seen=lambda pts, jet: None):
+def fresh_leaf(seen):
     """An order-1 leaf whose partials are fresh, writable full-shape float64
     arrays, nonzero and -0.0 off any mask; seen(pts, jet) sees each jet
     before it is returned."""
@@ -417,6 +417,24 @@ def test_partials_that_share_an_array_get_the_blocks_np_where_gives():
         arrays = list(block.values())
         for i, a in enumerate(arrays):
             assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+
+
+def test_a_partial_of_another_dtype_gets_the_block_np_where_gives():
+    # fresh, writable, full-shape and unshared, but not float64: the block
+    # is np.where's, of np.where's dtype (float64 for an integer partial)
+    g, mask = _TWO_BLOCKS, some_mask(_TWO_BLOCKS)
+    given_ = {(0, 0): np.float32(-1.5), (1, 0): np.int64(3)}
+
+    def leaf(pts, order):
+        return {alpha: np.full(pts.shape[:-1], value)
+                for alpha, value in given_.items()}
+
+    for rows, block in walk(leaf, mask, 1):
+        sub = mask.member[rows]
+        for alpha, value in given_.items():
+            want = np.where(sub, np.full(sub.shape, value), 0.0)
+            assert block[alpha].dtype == want.dtype
+            assert block[alpha].tobytes() == want.tobytes()
 
 
 _BITS = st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan, -np.nan, np.inf])
